@@ -64,75 +64,80 @@ Quickstart
 True
 """
 
-from repro.sparse import (
-    CSRMatrix,
-    spmv,
-    laplacian_2d,
-    laplacian_3d,
-    anisotropic_2d,
-    random_spd,
-    banded_spd,
-    graph_laplacian_spd,
-    stencil_spd,
-)
-from repro.abft import (
-    compute_checksums,
-    protected_spmv,
-    SpmvStatus,
-    tmr_dot,
-    tmr_norm2,
-    tmr_axpy,
-)
-from repro.faults import FaultInjector, FaultModel, IterationFaultPlan, CGTargets
-from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
-from repro.core import (
-    cg,
-    pcg,
-    jacobi_preconditioner,
-    Scheme,
-    Method,
-    SchemeConfig,
-    CostModel,
-    run_ft_cg,
-    run_ft_bicgstab,
-    run_ft_pcg,
-    run_ft_method,
-    FTCGResult,
-)
-from repro.model import (
-    expected_frame_time,
-    frame_overhead,
-    optimal_interval,
-    model_for_scheme,
-)
-from repro.api import (
-    solve,
-    SolveReport,
-    FaultSpec,
-    CheckpointSpec,
-    Study,
-)
-from repro.obs import (
-    InMemoryTracer,
-    JsonlTracer,
-    NullTracer,
-    Tracer,
-    summarize_trace,
-)
-from repro.perf import SolveWorkspace
-from repro.backends import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.store import (
-    StoreBackend,
-    available_store_schemes,
-    open_store,
-    register_store,
-)
-from repro.adaptive import SamplingPolicy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.sparse import (
+        CSRMatrix,
+        spmv,
+        laplacian_2d,
+        laplacian_3d,
+        anisotropic_2d,
+        random_spd,
+        banded_spd,
+        graph_laplacian_spd,
+        stencil_spd,
+    )
+    from repro.abft import (
+        compute_checksums,
+        protected_spmv,
+        SpmvStatus,
+        tmr_dot,
+        tmr_norm2,
+        tmr_axpy,
+    )
+    from repro.faults import FaultInjector, FaultModel, IterationFaultPlan, CGTargets
+    from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
+    from repro.core import (
+        cg,
+        pcg,
+        jacobi_preconditioner,
+        Scheme,
+        Method,
+        SchemeConfig,
+        CostModel,
+        run_ft_cg,
+        run_ft_bicgstab,
+        run_ft_pcg,
+        run_ft_method,
+        FTCGResult,
+    )
+    from repro.model import (
+        expected_frame_time,
+        frame_overhead,
+        optimal_interval,
+        model_for_scheme,
+    )
+    from repro.api import (
+        solve,
+        SolveReport,
+        FaultSpec,
+        CheckpointSpec,
+        Study,
+    )
+    from repro.obs import (
+        InMemoryTracer,
+        JsonlTracer,
+        NullTracer,
+        Tracer,
+        summarize_trace,
+    )
+    from repro.perf import SolveWorkspace
+    from repro.backends import (
+        KernelBackend,
+        available_backends,
+        get_backend,
+        register_backend,
+    )
+    from repro.store import (
+        StoreBackend,
+        available_store_schemes,
+        open_store,
+        register_store,
+    )
+    from repro.adaptive import SamplingPolicy
 
 __version__ = "1.9.0"
 
@@ -196,3 +201,77 @@ __all__ = [
     "SamplingPolicy",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sparse": (
+            "CSRMatrix",
+            "spmv",
+            "laplacian_2d",
+            "laplacian_3d",
+            "anisotropic_2d",
+            "random_spd",
+            "banded_spd",
+            "graph_laplacian_spd",
+            "stencil_spd",
+        ),
+        "repro.abft": (
+            "compute_checksums",
+            "protected_spmv",
+            "SpmvStatus",
+            "tmr_dot",
+            "tmr_norm2",
+            "tmr_axpy",
+        ),
+        "repro.faults": (
+            "FaultInjector",
+            "FaultModel",
+            "IterationFaultPlan",
+            "CGTargets",
+        ),
+        "repro.checkpoint": ("CheckpointStore", "PeriodicCheckpointPolicy"),
+        "repro.core": (
+            "cg",
+            "pcg",
+            "jacobi_preconditioner",
+            "Scheme",
+            "Method",
+            "SchemeConfig",
+            "CostModel",
+            "run_ft_cg",
+            "run_ft_bicgstab",
+            "run_ft_pcg",
+            "run_ft_method",
+            "FTCGResult",
+        ),
+        "repro.model": (
+            "expected_frame_time",
+            "frame_overhead",
+            "optimal_interval",
+            "model_for_scheme",
+        ),
+        "repro.api": ("solve", "SolveReport", "FaultSpec", "CheckpointSpec", "Study"),
+        "repro.obs": (
+            "InMemoryTracer",
+            "JsonlTracer",
+            "NullTracer",
+            "Tracer",
+            "summarize_trace",
+        ),
+        "repro.perf": ("SolveWorkspace",),
+        "repro.backends": (
+            "KernelBackend",
+            "available_backends",
+            "get_backend",
+            "register_backend",
+        ),
+        "repro.store": (
+            "StoreBackend",
+            "available_store_schemes",
+            "open_store",
+            "register_store",
+        ),
+        "repro.adaptive": ("SamplingPolicy",),
+    },
+)

@@ -16,24 +16,29 @@ Implements the paper's Algorithm 2 and its supporting machinery:
   axpy kernels the paper protects by replication rather than checksums.
 """
 
-from repro.abft.weights import ones_weights, ramp_weights, weight_matrix, choose_shift
-from repro.abft.checksums import (
-    SpmvChecksums,
-    compute_checksums,
-    cached_checksums,
-    clear_checksum_cache,
-)
-from repro.abft.spmv import (
-    ProtectedSpmvResult,
-    SpmvStatus,
-    protected_spmv,
-    detect_errors,
-)
-from repro.abft.correction import CorrectionOutcome, correct_errors
-from repro.abft.tolerance import gamma, spmv_checksum_tolerance, ToleranceModel
-from repro.abft.tmr import tmr_dot, tmr_norm2, tmr_axpy, majority_vote, TMRError
-from repro.abft.operator import ProtectedOperator, UncorrectableError
-from repro.abft.multi import MultiChecksums, compute_multi_checksums, detect_multi
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.abft.weights import ones_weights, ramp_weights, weight_matrix, choose_shift
+    from repro.abft.checksums import (
+        SpmvChecksums,
+        compute_checksums,
+        cached_checksums,
+        clear_checksum_cache,
+    )
+    from repro.abft.spmv import (
+        ProtectedSpmvResult,
+        SpmvStatus,
+        protected_spmv,
+        detect_errors,
+    )
+    from repro.abft.correction import CorrectionOutcome, correct_errors
+    from repro.abft.tolerance import gamma, spmv_checksum_tolerance, ToleranceModel
+    from repro.abft.tmr import tmr_dot, tmr_norm2, tmr_axpy, majority_vote, TMRError
+    from repro.abft.operator import ProtectedOperator, UncorrectableError
+    from repro.abft.multi import MultiChecksums, compute_multi_checksums, detect_multi
 
 __all__ = [
     "ones_weights",
@@ -64,3 +69,46 @@ __all__ = [
     "compute_multi_checksums",
     "detect_multi",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.abft.weights": (
+            "ones_weights",
+            "ramp_weights",
+            "weight_matrix",
+            "choose_shift",
+        ),
+        "repro.abft.checksums": (
+            "SpmvChecksums",
+            "compute_checksums",
+            "cached_checksums",
+            "clear_checksum_cache",
+        ),
+        "repro.abft.spmv": (
+            "ProtectedSpmvResult",
+            "SpmvStatus",
+            "protected_spmv",
+            "detect_errors",
+        ),
+        "repro.abft.correction": ("CorrectionOutcome", "correct_errors"),
+        "repro.abft.tolerance": (
+            "gamma",
+            "spmv_checksum_tolerance",
+            "ToleranceModel",
+        ),
+        "repro.abft.tmr": (
+            "tmr_dot",
+            "tmr_norm2",
+            "tmr_axpy",
+            "majority_vote",
+            "TMRError",
+        ),
+        "repro.abft.operator": ("ProtectedOperator", "UncorrectableError"),
+        "repro.abft.multi": (
+            "MultiChecksums",
+            "compute_multi_checksums",
+            "detect_multi",
+        ),
+    },
+)

@@ -146,7 +146,10 @@ def _row_pattern(a: CSRMatrix) -> np.ndarray:
     """Row index of every stored nonzero, per the *current* pointers."""
     if a.structure_clean:  # monotone in-range pointers: clip is a no-op
         return np.repeat(np.arange(a.nrows), np.diff(a.rowidx))
-    return np.repeat(np.arange(a.nrows), np.diff(np.clip(a.rowidx, 0, a.nnz)))
+    # A struck pointer can leave the clipped array non-monotone; such a
+    # row reads as empty (end <= start), the same way spmv reads it.
+    counts = np.maximum(np.diff(np.clip(a.rowidx, 0, a.nnz)), 0)
+    return np.repeat(np.arange(a.nrows), counts)
 
 
 def correct_errors(

@@ -13,9 +13,14 @@ Three pillars on top of the resilience and campaign engines:
   / ``report``).
 """
 
-from repro.api.facade import CheckpointSpec, FaultSpec, SolveReport, solve
-from repro.api.study import Study, StudyPoint, StudyResult
-from repro.api.report import StoreSummary, GroupSummary, summarize_store, format_summary
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.api.facade import CheckpointSpec, FaultSpec, SolveReport, solve
+    from repro.api.study import Study, StudyPoint, StudyResult
+    from repro.api.report import StoreSummary, GroupSummary, summarize_store, format_summary
 
 __all__ = [
     "solve",
@@ -30,3 +35,17 @@ __all__ = [
     "summarize_store",
     "format_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.facade": ("CheckpointSpec", "FaultSpec", "SolveReport", "solve"),
+        "repro.api.study": ("Study", "StudyPoint", "StudyResult"),
+        "repro.api.report": (
+            "StoreSummary",
+            "GroupSummary",
+            "summarize_store",
+            "format_summary",
+        ),
+    },
+)

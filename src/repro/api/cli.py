@@ -538,7 +538,7 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             )
         try:
             a = get_matrix(args.matrix)
-        except (KeyError, OSError, ValueError) as exc:
+        except (KeyError, OSError, ValueError, ImportError) as exc:
             parser.error(f"cannot load workload {args.matrix!r}: {exc}")
     else:
         from repro.sim.matrices import get_matrix

@@ -29,6 +29,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.store import open_store
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
 
@@ -101,8 +103,6 @@ def summarize_store(
     proportional to the number of *distinct tasks*, never to record
     payloads or file size.
     """
-    from repro.store import open_store
-
     store = open_store(store)
     needed = ("mean_time", "min_time", "max_time", "convergence_rate", "reps")
     #: hash -> small projection: ("telemetry", rec), ("skip",), or

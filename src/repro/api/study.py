@@ -59,8 +59,14 @@ import os
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from repro.campaign.aggregate import (
+    aggregate_figure1,
+    aggregate_table1,
+    stats_from_record,
+)
 from repro.campaign.spec import CampaignSpec, TaskSpec
 from repro.core.methods import Method, Scheme
+from repro.sim.engine import RunStatistics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
@@ -177,8 +183,6 @@ class StudyResult:
         Quarantined tasks carry no result payload and are skipped;
         check :attr:`quarantined` to see whether the view is partial.
         """
-        from repro.campaign.aggregate import stats_from_record
-
         out = []
         for task, rec in zip(self.tasks, self.records):
             if rec.get("kind") == "quarantine":
@@ -201,14 +205,10 @@ class StudyResult:
 
     def table1_rows(self):
         """Fold a ``table1`` preset study into the paper's Table-1 rows."""
-        from repro.campaign.aggregate import aggregate_table1
-
         return aggregate_table1(self.tasks, self.records)
 
     def figure1_points(self):
         """Fold a ``figure1`` preset study into the paper's Figure-1 points."""
-        from repro.campaign.aggregate import aggregate_figure1
-
         return aggregate_figure1(self.tasks, self.records)
 
     def format_table(self) -> str:
@@ -300,8 +300,6 @@ class Study:
     def metrics(self, *names: str) -> "Study":
         """Select the :class:`~repro.sim.engine.RunStatistics` fields reported
         by :meth:`StudyResult.format_table`."""
-        from repro.sim.engine import RunStatistics
-
         known = {f.name for f in fields(RunStatistics)} | {"sem_time"}
         bad = [n for n in names if n not in known]
         if bad:

@@ -15,7 +15,10 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
     (typically 2–4× faster; see ``benchmarks/bench_backends.py``),
     with every guarded path — any matrix lacking the
     ``structure_clean`` stamp — routed back through the reference
-    kernel so ABFT detection semantics are preserved.
+    kernel so ABFT detection semantics are preserved.  SciPy is
+    imported when the backend is first resolved, not with the
+    package; without it the name raises
+    :class:`BackendUnavailableError` (no silent reference fallback).
 
 ``numba``
     JIT-compiled CSR kernels for the clean *and* guarded paths —
@@ -147,7 +150,8 @@ def backend_available(name: str) -> bool:
     """Whether ``name`` is registered *and* instantiable here.
 
     ``False`` for unregistered names and for registered backends whose
-    optional dependency is missing (``"numba"`` without numba).  Never
+    dependency is missing (``"numba"`` without numba, ``"scipy"``
+    without SciPy).  Never
     raises — this is the probe for test skips and sweep pre-flight;
     :func:`get_backend` is the strict variant whose
     :class:`BackendUnavailableError` explains how to install.

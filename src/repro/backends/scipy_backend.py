@@ -27,9 +27,11 @@ count and agree to rounding in every residual (locked by
 the golden trajectories, resumable campaign stores mixing runs —
 should stay on ``backend="reference"``.
 
-If the private ``_sparsetools`` entry point ever disappears from a
-SciPy release, the backend degrades to the reference kernel (flagged
-by :attr:`ScipyBackend.accelerated`) rather than failing.
+There is no degraded mode: when SciPy (or its private
+``_sparsetools.csr_matvec`` entry point) cannot be imported,
+constructing the backend raises
+:class:`~repro.backends.protocol.BackendUnavailableError` — results
+are never computed by the reference kernel under the ``scipy`` label.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends.protocol import BaseBackend
+from repro.backends.protocol import BackendUnavailableError, BaseBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.csr import CSRMatrix
@@ -47,13 +49,18 @@ __all__ = ["ScipyBackend"]
 
 
 def _load_csr_matvec():
-    """The compiled CSR matvec, or ``None`` when unavailable."""
-    try:  # private but stable since scipy 0.19; guarded regardless
+    """The compiled CSR matvec (private but stable since scipy 0.19)."""
+    try:
         from scipy.sparse import _sparsetools
 
         return _sparsetools.csr_matvec
-    except (ImportError, AttributeError):  # pragma: no cover - env-dependent
-        return None
+    except (ImportError, AttributeError) as exc:
+        raise BackendUnavailableError(
+            "backend 'scipy' requires the scipy package with its compiled "
+            f"CSR kernel, which cannot be imported here ({exc}); install it "
+            "with `pip install scipy`, or pick another backend "
+            "('reference', 'threaded')"
+        ) from exc
 
 
 class ScipyBackend(BaseBackend):
@@ -63,11 +70,6 @@ class ScipyBackend(BaseBackend):
 
     def __init__(self) -> None:
         self._csr_matvec = _load_csr_matvec()
-
-    @property
-    def accelerated(self) -> bool:
-        """Whether the compiled kernel was found (else pure fallback)."""
-        return self._csr_matvec is not None
 
     def spmv(
         self,
@@ -79,7 +81,7 @@ class ScipyBackend(BaseBackend):
     ) -> np.ndarray:
         from repro.sparse.spmv import spmv
 
-        if self._csr_matvec is None or not a.structure_clean:
+        if not a.structure_clean:
             # Guarded path: uncertified (possibly corrupted) index
             # arrays keep the reference kernel's wild-read emulation.
             return spmv(a, x, out=out, scratch=scratch)

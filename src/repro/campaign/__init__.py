@@ -32,18 +32,23 @@ execute through this engine; their public signatures and outputs are
 unchanged, with new ``jobs`` / ``store`` / ``progress`` knobs.
 """
 
-from repro.campaign.spec import CampaignSpec, TaskSpec
-from repro.campaign.store import ResultStore, StoreError
-from repro.campaign.progress import ProgressReporter
-from repro.campaign.executor import default_jobs, execute_task, run_campaign
-from repro.campaign.aggregate import (
-    aggregate_figure1,
-    aggregate_figure1_store,
-    aggregate_table1,
-    aggregate_table1_store,
-    records_for_tasks,
-    stats_from_record,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.campaign.spec import CampaignSpec, TaskSpec
+    from repro.campaign.store import ResultStore, StoreError
+    from repro.campaign.progress import ProgressReporter
+    from repro.campaign.executor import default_jobs, execute_task, run_campaign
+    from repro.campaign.aggregate import (
+        aggregate_figure1,
+        aggregate_figure1_store,
+        aggregate_table1,
+        aggregate_table1_store,
+        records_for_tasks,
+        stats_from_record,
+    )
 
 __all__ = [
     "CampaignSpec",
@@ -61,3 +66,21 @@ __all__ = [
     "records_for_tasks",
     "stats_from_record",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.spec": ("CampaignSpec", "TaskSpec"),
+        "repro.campaign.store": ("ResultStore", "StoreError"),
+        "repro.campaign.progress": ("ProgressReporter",),
+        "repro.campaign.executor": ("default_jobs", "execute_task", "run_campaign"),
+        "repro.campaign.aggregate": (
+            "aggregate_figure1",
+            "aggregate_figure1_store",
+            "aggregate_table1",
+            "aggregate_table1_store",
+            "records_for_tasks",
+            "stats_from_record",
+        ),
+    },
+)

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.campaign.spec import TaskSpec
 from repro.sim.engine import RunStatistics
 from repro.sim.results import Figure1Point, Table1Row
+from repro.store import open_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
@@ -228,8 +229,6 @@ def records_for_tasks(
     like missing records: a hole under ``partial=True``, an error —
     naming the quarantine — otherwise.
     """
-    from repro.store import open_store
-
     store = open_store(store)
     wanted: "dict[str, list[int]]" = {}
     for i, task in enumerate(tasks):

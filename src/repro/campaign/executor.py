@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import TaskSpec
 from repro.obs.metrics import METRICS, diff_snapshots, merge_snapshots
+from repro.store import open_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosPolicy, RetryPolicy
@@ -180,8 +181,6 @@ def _resolve_partial_store(partial_store):
     pid = os.getpid()
     entry = _WORKER_PARTIAL_STORES.get(partial_store)
     if entry is None or entry[0] != pid:
-        from repro.store import open_store
-
         entry = (pid, open_store(partial_store))
         _WORKER_PARTIAL_STORES[partial_store] = entry
     return entry[1]
@@ -413,8 +412,6 @@ def run_campaign(
     chaos = resolve_chaos(chaos)
     own_store = False
     if store is not None and isinstance(store, (str, os.PathLike)):
-        from repro.store import open_store
-
         store = open_store(store)
         own_store = True
 

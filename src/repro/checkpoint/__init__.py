@@ -8,8 +8,22 @@ taken only right after a successful verification, which is what makes
 the last checkpoint always valid.
 """
 
-from repro.checkpoint.store import Checkpoint, CheckpointStore
-from repro.checkpoint.disk import DiskCheckpointStore
-from repro.checkpoint.policy import PeriodicCheckpointPolicy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.checkpoint.store import Checkpoint, CheckpointStore
+    from repro.checkpoint.disk import DiskCheckpointStore
+    from repro.checkpoint.policy import PeriodicCheckpointPolicy
 
 __all__ = ["Checkpoint", "CheckpointStore", "DiskCheckpointStore", "PeriodicCheckpointPolicy"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.checkpoint.store": ("Checkpoint", "CheckpointStore"),
+        "repro.checkpoint.disk": ("DiskCheckpointStore",),
+        "repro.checkpoint.policy": ("PeriodicCheckpointPolicy",),
+    },
+)

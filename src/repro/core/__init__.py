@@ -19,14 +19,23 @@ checkpoint/rollback orchestration, accounting) lives in
 plugins — see :func:`repro.resilience.run_ft_method`.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# ``cg`` / ``pcg`` are both submodules and exported functions: importing
+# the submodule rebinds the package attribute to the module, so the
+# functions are bound eagerly, after that import (docs/DESIGN.md §1).
 from repro.core.cg import cg, CGResult
 from repro.core.pcg import pcg, jacobi_preconditioner, ssor_preconditioner
-from repro.core.krylov import bicgstab, bicg, cgne
-from repro.core.stability import orthogonality_check, residual_check, chen_verify
-from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
-from repro.core.ft_cg import run_ft_cg, FTCGResult, RecoveryCounters, TimeBreakdown
-from repro.core.ft_krylov import run_ft_bicgstab
-from repro.resilience.registry import run_ft_method, run_ft_pcg
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.core.krylov import bicgstab, bicg, cgne
+    from repro.core.stability import orthogonality_check, residual_check, chen_verify
+    from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
+    from repro.core.ft_cg import run_ft_cg, FTCGResult, RecoveryCounters, TimeBreakdown
+    from repro.core.ft_krylov import run_ft_bicgstab
+    from repro.resilience.registry import run_ft_method, run_ft_pcg
 
 __all__ = [
     "cg",
@@ -52,3 +61,24 @@ __all__ = [
     "RecoveryCounters",
     "TimeBreakdown",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.krylov": ("bicgstab", "bicg", "cgne"),
+        "repro.core.stability": (
+            "orthogonality_check",
+            "residual_check",
+            "chen_verify",
+        ),
+        "repro.core.methods": ("Scheme", "Method", "CostModel", "SchemeConfig"),
+        "repro.core.ft_cg": (
+            "run_ft_cg",
+            "FTCGResult",
+            "RecoveryCounters",
+            "TimeBreakdown",
+        ),
+        "repro.core.ft_krylov": ("run_ft_bicgstab",),
+        "repro.resilience.registry": ("run_ft_method", "run_ft_pcg"),
+    },
+)

@@ -8,10 +8,15 @@ with rate ``λ = α/M`` where ``M`` is the memory footprint in words and
 checksum arithmetic are never corrupted.
 """
 
-from repro.faults.bitflip import flip_bit_float64, flip_bit_int64, flip_bits_array
-from repro.faults.record import FaultRecord
-from repro.faults.injector import FaultInjector, FaultModel
-from repro.faults.scenarios import IterationFaultPlan, CGTargets
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.faults.bitflip import flip_bit_float64, flip_bit_int64, flip_bits_array
+    from repro.faults.record import FaultRecord
+    from repro.faults.injector import FaultInjector, FaultModel
+    from repro.faults.scenarios import IterationFaultPlan, CGTargets
 
 __all__ = [
     "flip_bit_float64",
@@ -23,3 +28,17 @@ __all__ = [
     "IterationFaultPlan",
     "CGTargets",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.bitflip": (
+            "flip_bit_float64",
+            "flip_bit_int64",
+            "flip_bits_array",
+        ),
+        "repro.faults.record": ("FaultRecord",),
+        "repro.faults.injector": ("FaultInjector", "FaultModel"),
+        "repro.faults.scenarios": ("IterationFaultPlan", "CGTargets"),
+    },
+)

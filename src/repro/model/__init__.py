@@ -12,21 +12,26 @@ and the optimal ``s`` minimizes the overhead ``E(s, T)/(sT)`` (Eq. 6),
 which has no closed form and is resolved numerically.
 """
 
-from repro.model.frames import (
-    expected_time_lost,
-    expected_frame_time,
-    frame_overhead,
-)
-from repro.model.optimize import optimal_interval, optimal_online_intervals
-from repro.model.instantiate import (
-    OnlineDetectionModel,
-    AbftDetectionModel,
-    AbftCorrectionModel,
-    model_for_scheme,
-)
-from repro.model.daly import young_period, daly_period
-from repro.model.chen import chen_intervals
-from repro.model.dp import optimal_checkpoint_positions
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.model.frames import (
+        expected_time_lost,
+        expected_frame_time,
+        frame_overhead,
+    )
+    from repro.model.optimize import optimal_interval, optimal_online_intervals
+    from repro.model.instantiate import (
+        OnlineDetectionModel,
+        AbftDetectionModel,
+        AbftCorrectionModel,
+        model_for_scheme,
+    )
+    from repro.model.daly import young_period, daly_period
+    from repro.model.chen import chen_intervals
+    from repro.model.dp import optimal_checkpoint_positions
 
 __all__ = [
     "expected_time_lost",
@@ -43,3 +48,24 @@ __all__ = [
     "chen_intervals",
     "optimal_checkpoint_positions",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.model.frames": (
+            "expected_time_lost",
+            "expected_frame_time",
+            "frame_overhead",
+        ),
+        "repro.model.optimize": ("optimal_interval", "optimal_online_intervals"),
+        "repro.model.instantiate": (
+            "OnlineDetectionModel",
+            "AbftDetectionModel",
+            "AbftCorrectionModel",
+            "model_for_scheme",
+        ),
+        "repro.model.daly": ("young_period", "daly_period"),
+        "repro.model.chen": ("chen_intervals",),
+        "repro.model.dp": ("optimal_checkpoint_positions",),
+    },
+)

@@ -15,32 +15,37 @@ Three legs, all zero-overhead when off:
 See ``docs/DESIGN.md`` §8 for the event schema and overhead budget.
 """
 
-from repro.obs.metrics import (
-    METRICS,
-    Metrics,
-    diff_snapshots,
-    get_metrics,
-    merge_snapshots,
-)
-from repro.obs.summarize import (
-    TraceSummary,
-    format_trace_summary,
-    iter_trace_events,
-    summarize_trace,
-)
-from repro.obs.tracer import (
-    EVENT_KINDS,
-    FAULT_EVENT_KINDS,
-    NULL_TRACER,
-    SCHEMA_VERSION,
-    CallbackTracer,
-    InMemoryTracer,
-    JsonlTracer,
-    MultiTracer,
-    NullTracer,
-    Tracer,
-    resolve_tracer,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.obs.metrics import (
+        METRICS,
+        Metrics,
+        diff_snapshots,
+        get_metrics,
+        merge_snapshots,
+    )
+    from repro.obs.summarize import (
+        TraceSummary,
+        format_trace_summary,
+        iter_trace_events,
+        summarize_trace,
+    )
+    from repro.obs.tracer import (
+        EVENT_KINDS,
+        FAULT_EVENT_KINDS,
+        NULL_TRACER,
+        SCHEMA_VERSION,
+        CallbackTracer,
+        InMemoryTracer,
+        JsonlTracer,
+        MultiTracer,
+        NullTracer,
+        Tracer,
+        resolve_tracer,
+    )
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,3 +69,35 @@ __all__ = [
     "summarize_trace",
     "format_trace_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": (
+            "METRICS",
+            "Metrics",
+            "diff_snapshots",
+            "get_metrics",
+            "merge_snapshots",
+        ),
+        "repro.obs.summarize": (
+            "TraceSummary",
+            "format_trace_summary",
+            "iter_trace_events",
+            "summarize_trace",
+        ),
+        "repro.obs.tracer": (
+            "EVENT_KINDS",
+            "FAULT_EVENT_KINDS",
+            "NULL_TRACER",
+            "SCHEMA_VERSION",
+            "CallbackTracer",
+            "InMemoryTracer",
+            "JsonlTracer",
+            "MultiTracer",
+            "NullTracer",
+            "Tracer",
+            "resolve_tracer",
+        ),
+    },
+)

@@ -14,10 +14,15 @@ byte-volume accounting), over which :func:`distributed_spmv` runs the
 row-partitioned product with an independent ABFT checksum set per rank.
 """
 
-from repro.parallel.comm import SimComm, CommStats
-from repro.parallel.partition import RowPartition, block_rows, partition_by_nnz
-from repro.parallel.spmv import DistributedSpmv, DistributedResult
-from repro.parallel.mtbf import platform_mtbf, platform_rate
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.parallel.comm import SimComm, CommStats
+    from repro.parallel.partition import RowPartition, block_rows, partition_by_nnz
+    from repro.parallel.spmv import DistributedSpmv, DistributedResult
+    from repro.parallel.mtbf import platform_mtbf, platform_rate
 
 __all__ = [
     "SimComm",
@@ -30,3 +35,17 @@ __all__ = [
     "platform_mtbf",
     "platform_rate",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.comm": ("SimComm", "CommStats"),
+        "repro.parallel.partition": (
+            "RowPartition",
+            "block_rows",
+            "partition_by_nnz",
+        ),
+        "repro.parallel.spmv": ("DistributedSpmv", "DistributedResult"),
+        "repro.parallel.mtbf": ("platform_mtbf", "platform_rate"),
+    },
+)

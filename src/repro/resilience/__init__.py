@@ -28,19 +28,24 @@ The legacy entry points :func:`repro.core.ft_cg.run_ft_cg` and
 this package.
 """
 
-from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
-from repro.resilience.bicgstab import BiCGstabPlugin
-from repro.resilience.cg import CGPlugin
-from repro.resilience.engine import EngineContext, run_protected
-from repro.resilience.pcg import JacobiPCGPlugin
-from repro.resilience.protocol import (
-    CG_RECOVERY,
-    KRYLOV_RECOVERY,
-    RecoveryPolicy,
-    RecurrencePlugin,
-    StepOutcome,
-)
-from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method, run_ft_pcg
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
+    from repro.resilience.bicgstab import BiCGstabPlugin
+    from repro.resilience.cg import CGPlugin
+    from repro.resilience.engine import EngineContext, run_protected
+    from repro.resilience.pcg import JacobiPCGPlugin
+    from repro.resilience.protocol import (
+        CG_RECOVERY,
+        KRYLOV_RECOVERY,
+        RecoveryPolicy,
+        RecurrencePlugin,
+        StepOutcome,
+    )
+    from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method, run_ft_pcg
 
 __all__ = [
     "RecoveryCounters",
@@ -61,3 +66,31 @@ __all__ = [
     "run_ft_method",
     "run_ft_pcg",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.accounting": (
+            "RecoveryCounters",
+            "SolveResult",
+            "TimeBreakdown",
+        ),
+        "repro.resilience.bicgstab": ("BiCGstabPlugin",),
+        "repro.resilience.cg": ("CGPlugin",),
+        "repro.resilience.engine": ("EngineContext", "run_protected"),
+        "repro.resilience.pcg": ("JacobiPCGPlugin",),
+        "repro.resilience.protocol": (
+            "CG_RECOVERY",
+            "KRYLOV_RECOVERY",
+            "RecoveryPolicy",
+            "RecurrencePlugin",
+            "StepOutcome",
+        ),
+        "repro.resilience.registry": (
+            "PLUGIN_FACTORIES",
+            "make_plugin",
+            "run_ft_method",
+            "run_ft_pcg",
+        ),
+    },
+)

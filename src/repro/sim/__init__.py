@@ -14,19 +14,24 @@
   rendering.
 """
 
-from repro.sim.matrices import (
-    MatrixSpec,
-    PAPER_SUITE,
-    MATRIX_DIR_ENV,
-    get_matrix,
-    clear_matrix_cache,
-    matrix_source,
-    suite_specs,
-    workload_registry,
-)
-from repro.sim.engine import RunStatistics, repeat_run, sweep_checkpoint_interval
-from repro.sim.results import Table1Row, Figure1Point, format_table1, format_figure1
-from repro.sim.experiments import run_table1, run_figure1
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.sim.matrices import (
+        MatrixSpec,
+        PAPER_SUITE,
+        MATRIX_DIR_ENV,
+        get_matrix,
+        clear_matrix_cache,
+        matrix_source,
+        suite_specs,
+        workload_registry,
+    )
+    from repro.sim.engine import RunStatistics, repeat_run, sweep_checkpoint_interval
+    from repro.sim.results import Table1Row, Figure1Point, format_table1, format_figure1
+    from repro.sim.experiments import run_table1, run_figure1
 
 __all__ = [
     "MatrixSpec",
@@ -47,3 +52,31 @@ __all__ = [
     "run_table1",
     "run_figure1",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.matrices": (
+            "MatrixSpec",
+            "PAPER_SUITE",
+            "MATRIX_DIR_ENV",
+            "get_matrix",
+            "clear_matrix_cache",
+            "matrix_source",
+            "suite_specs",
+            "workload_registry",
+        ),
+        "repro.sim.engine": (
+            "RunStatistics",
+            "repeat_run",
+            "sweep_checkpoint_interval",
+        ),
+        "repro.sim.results": (
+            "Table1Row",
+            "Figure1Point",
+            "format_table1",
+            "format_figure1",
+        ),
+        "repro.sim.experiments": ("run_table1", "run_figure1"),
+    },
+)

@@ -20,8 +20,11 @@ import numpy as np
 from repro.adaptive import SamplingPolicy, Welford, ci_bounds
 from repro.sparse.csr import CSRMatrix
 from repro.core.methods import Method, SchemeConfig
-from repro.resilience.registry import run_ft_method
 from repro.util.rng import spawn_named
+
+# repro.resilience (the whole solve stack) is imported inside the rep
+# loops: aggregation and reporting import this module for RunStatistics
+# and must not pay for the engine.
 
 __all__ = [
     "RunStatistics",
@@ -214,6 +217,7 @@ def repeat_run(
         raise ValueError(f"reps must be >= 1, got {reps}")
     method = Method.parse(method)
     from repro.obs.tracer import resolve_tracer
+    from repro.resilience.registry import run_ft_method
 
     tr = resolve_tracer(tracer)
     ws = workspace
@@ -309,6 +313,7 @@ def repeat_run_batched(
     method = Method.parse(method)
     from repro.obs.metrics import METRICS
     from repro.obs.tracer import resolve_tracer
+    from repro.resilience.registry import run_ft_method
 
     tr = resolve_tracer(tracer)
     ws = workspace

@@ -7,21 +7,30 @@ its own CSR container rather than hiding behind :mod:`scipy.sparse`.
 A scipy bridge is included for interop and for cross-checking kernels.
 """
 
-from repro.sparse.csr import CSRMatrix
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# ``spmv`` is both a submodule and an exported function: importing the
+# submodule rebinds the package attribute to the module, so the function
+# is bound eagerly, after that import (docs/DESIGN.md §1).
 from repro.sparse.spmv import spmv, spmv_reference
-from repro.sparse.norms import norm1, norm_inf, column_sums, row_sums
-from repro.sparse.validate import validate_structure, StructureError
-from repro.sparse.generators import (
-    laplacian_2d,
-    laplacian_3d,
-    anisotropic_2d,
-    banded_spd,
-    random_spd,
-    graph_laplacian_spd,
-    stencil_spd,
-    diagonally_dominant_spd,
-)
-from repro.sparse.io import save_matrix_market, load_matrix_market
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.sparse.csr import CSRMatrix
+    from repro.sparse.norms import norm1, norm_inf, column_sums, row_sums
+    from repro.sparse.validate import validate_structure, StructureError
+    from repro.sparse.generators import (
+        laplacian_2d,
+        laplacian_3d,
+        anisotropic_2d,
+        banded_spd,
+        random_spd,
+        graph_laplacian_spd,
+        stencil_spd,
+        diagonally_dominant_spd,
+    )
+    from repro.sparse.io import save_matrix_market, load_matrix_market
 
 __all__ = [
     "CSRMatrix",
@@ -44,3 +53,23 @@ __all__ = [
     "save_matrix_market",
     "load_matrix_market",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sparse.csr": ("CSRMatrix",),
+        "repro.sparse.norms": ("norm1", "norm_inf", "column_sums", "row_sums"),
+        "repro.sparse.validate": ("validate_structure", "StructureError"),
+        "repro.sparse.generators": (
+            "laplacian_2d",
+            "laplacian_3d",
+            "anisotropic_2d",
+            "banded_spd",
+            "random_spd",
+            "graph_laplacian_spd",
+            "stencil_spd",
+            "diagonally_dominant_spd",
+        ),
+        "repro.sparse.io": ("save_matrix_market", "load_matrix_market"),
+    },
+)

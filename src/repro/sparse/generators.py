@@ -13,8 +13,8 @@ fault rate λ), SPD-ness (CG convergence) and sparsity (SpMxV cost).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.sparse._scipy import import_scipy
 from repro.sparse.csr import CSRMatrix
 from repro.util.rng import as_generator
 
@@ -32,6 +32,7 @@ __all__ = [
 
 def laplacian_2d(nx: int, ny: int | None = None) -> CSRMatrix:
     """Standard 5-point Laplacian on an ``nx × ny`` grid (SPD, n = nx·ny)."""
+    sp = import_scipy("sparse", "laplacian_2d")
     ny = nx if ny is None else ny
     ex = np.ones(nx)
     ey = np.ones(ny)
@@ -43,10 +44,11 @@ def laplacian_2d(nx: int, ny: int | None = None) -> CSRMatrix:
 
 def laplacian_3d(nx: int, ny: int | None = None, nz: int | None = None) -> CSRMatrix:
     """7-point Laplacian on an ``nx × ny × nz`` grid (SPD)."""
+    sp = import_scipy("sparse", "laplacian_3d")
     ny = nx if ny is None else ny
     nz = nx if nz is None else nz
 
-    def t(n: int) -> sp.spmatrix:
+    def t(n: int) -> "sp.spmatrix":
         e = np.ones(n)
         return sp.diags([-e[:-1], 2 * e, -e[:-1]], [-1, 0, 1])
 
@@ -61,6 +63,7 @@ def laplacian_3d(nx: int, ny: int | None = None, nz: int | None = None) -> CSRMa
 
 def anisotropic_2d(nx: int, ny: int | None = None, eps: float = 0.1) -> CSRMatrix:
     """Anisotropic diffusion stencil ``-u_xx - eps·u_yy`` (SPD, harder for CG)."""
+    sp = import_scipy("sparse", "anisotropic_2d")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ny = nx if ny is None else ny
@@ -79,6 +82,7 @@ def banded_spd(n: int, bandwidth: int, seed: int | np.random.Generator = 0) -> C
     diagonal is set to (row |off-diag| sum) + 1, which guarantees strict
     diagonal dominance with positive diagonal, hence SPD.
     """
+    sp = import_scipy("sparse", "banded_spd")
     if bandwidth < 1 or bandwidth >= n:
         raise ValueError(f"bandwidth must be in [1, n); got {bandwidth} for n={n}")
     rng = as_generator(seed)
@@ -109,6 +113,7 @@ def random_spd(
     ``A = S + diag(Σ_j |s_ij| + shift)``.  The resulting density matches
     the request to within the duplicate-collision rate of the sampler.
     """
+    sp = import_scipy("sparse", "random_spd")
     if not 0 < density <= 1:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = as_generator(seed)
@@ -149,6 +154,7 @@ def graph_laplacian_spd(
     Uses :mod:`networkx` for small n and a fast configuration-style
     sampler for large n.
     """
+    sp = import_scipy("sparse", "graph_laplacian_spd")
     rng = as_generator(seed)
     if n <= 2000:
         import networkx as nx
@@ -208,35 +214,45 @@ def stencil_spd(
     side = max(2, int(round(n_target**0.5)))
     n = side * side
 
-    offsets: list[tuple[int, int, float]] = []
-    for dx in range(-radius, radius + 1):
-        for dy in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            if kind == "cross" and dx != 0 and dy != 0:
-                continue
-            dist2 = dx * dx + (dy * anisotropy) ** 2
-            offsets.append((dx, dy, -1.0 / dist2))
+    # Assembled directly in CSR: walking the stencil lexicographically
+    # in (dx, dy) visits each row's in-grid neighbours in ascending
+    # column order (column = row + dx·side + dy, and an in-grid
+    # neighbour has |dy| < side), so the boolean selections below are
+    # already row-major and column-sorted.
+    reach = [
+        (dx, dy)
+        for dx in range(-radius, radius + 1)
+        for dy in range(-radius, radius + 1)
+        if kind == "box" or dx == 0 or dy == 0
+    ]
+    centre = reach.index((0, 0))
+    weights = np.array(
+        [
+            0.0 if dx == dy == 0 else -1.0 / (dx * dx + (dy * anisotropy) ** 2)
+            for dx, dy in reach
+        ]
+    )
+    dxs, dys = np.array(reach).T
 
-    ii: list[np.ndarray] = []
-    jj: list[np.ndarray] = []
-    vv: list[np.ndarray] = []
-    gx, gy = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    gx, gy = gx.ravel(), gy.ravel()
-    idx = gx * side + gy
-    for dx, dy, w in offsets:
-        ok = (gx + dx >= 0) & (gx + dx < side) & (gy + dy >= 0) & (gy + dy < side)
-        src = idx[ok]
-        dst = (gx[ok] + dx) * side + (gy[ok] + dy)
-        ii.append(src)
-        jj.append(dst)
-        vv.append(np.full(src.size, w))
-    rows = np.concatenate(ii)
-    cols = np.concatenate(jj)
-    vals = np.concatenate(vv)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).ravel() + shift
-    return CSRMatrix.from_scipy(off + sp.diags(diag))
+    gx, gy = np.divmod(np.arange(n), side)
+    nx = gx[:, None] + dxs
+    ny = gy[:, None] + dys
+    inside = (nx >= 0) & (nx < side) & (ny >= 0) & (ny < side)
+    rowidx = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=rowidx[1:])
+    colid = (nx * side + ny)[inside]
+
+    # Diagonal = −(off-diagonal row sum) + shift, the row sum taken with
+    # ``np.add.reduceat`` over the row's values in column order (the
+    # summation order the matrices have always been built with; every
+    # row has a neighbour because side >= 2, so no segment is empty).
+    val2d = np.tile(weights, (n, 1))
+    neighbours = inside.copy()
+    neighbours[:, centre] = False
+    val2d[:, centre] = shift - np.add.reduceat(
+        val2d[neighbours], rowidx[:-1] - np.arange(n)
+    )
+    return CSRMatrix(val2d[inside], colid, rowidx, (n, n))
 
 
 def diagonally_dominant_spd(

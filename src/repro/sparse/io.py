@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import os
 
-import scipy.io
-
+from repro.sparse._scipy import import_scipy
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["save_matrix_market", "load_matrix_market"]
@@ -18,7 +17,8 @@ __all__ = ["save_matrix_market", "load_matrix_market"]
 
 def save_matrix_market(a: CSRMatrix, path: str | os.PathLike) -> None:
     """Write ``a`` to ``path`` in Matrix-Market coordinate format."""
-    scipy.io.mmwrite(os.fspath(path), a.to_scipy())
+    sio = import_scipy("io", "Matrix-Market output")
+    sio.mmwrite(os.fspath(path), a.to_scipy())
 
 
 def load_matrix_market(path: str | os.PathLike) -> CSRMatrix:
@@ -28,5 +28,5 @@ def load_matrix_market(path: str | os.PathLike) -> CSRMatrix:
     arrays hold every logical nonzero (the ABFT checksums assume the
     explicit representation).
     """
-    mat = scipy.io.mmread(os.fspath(path))
+    mat = import_scipy("io", "Matrix-Market input").mmread(os.fspath(path))
     return CSRMatrix.from_scipy(mat.tocsr())

@@ -39,13 +39,16 @@ from __future__ import annotations
 import os
 import pathlib
 import re
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from repro._lazy import lazy_exports
 from repro.campaign.store import ResultStore, StoreError, StoreIntegrityWarning
 from repro.store.protocol import LeaseUnsupported, StoreBackend
-from repro.store.serve import ServeInterrupted, serve_campaign
-from repro.store.sharded import DEFAULT_SHARDS, ShardedStore
-from repro.store.sqlite import SqliteStore
+
+if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.store.serve import ServeInterrupted, serve_campaign
+    from repro.store.sharded import DEFAULT_SHARDS, ShardedStore
+    from repro.store.sqlite import SqliteStore
 
 __all__ = [
     "StoreBackend",
@@ -69,15 +72,40 @@ __all__ = [
     "ServeInterrupted",
 ]
 
+# The concurrent backends and the serve fleet load on first use: a
+# JSONL-only process (every default campaign, ``repro report``) never
+# pays for sqlite3 or the worker machinery.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.store.serve": ("ServeInterrupted", "serve_campaign"),
+        "repro.store.sharded": ("DEFAULT_SHARDS", "ShardedStore"),
+        "repro.store.sqlite": ("SqliteStore",),
+    },
+)
+
 #: Scheme a bare path resolves to.
 DEFAULT_STORE_SCHEME = "jsonl"
+
+
+def _sharded(path: str) -> StoreBackend:
+    from repro.store.sharded import ShardedStore
+
+    return ShardedStore(path)
+
+
+def _sqlite(path: str) -> StoreBackend:
+    from repro.store.sqlite import SqliteStore
+
+    return SqliteStore(path)
+
 
 #: scheme -> path factory.  Factories take the path part of the URL
 #: and return an unopened backend (construction must not touch disk).
 _FACTORIES: "dict[str, Callable[[str], StoreBackend]]" = {
     "jsonl": ResultStore,
-    "sharded": ShardedStore,
-    "sqlite": SqliteStore,
+    "sharded": _sharded,
+    "sqlite": _sqlite,
 }
 
 #: ``scheme:`` prefix — at least two leading letters, so Windows drive

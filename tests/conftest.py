@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.sparse import CSRMatrix, laplacian_2d, random_spd, stencil_spd
 from repro.abft import compute_checksums
+
+
+@pytest.fixture
+def cold_python():
+    """Run ``python -c code`` in a fresh interpreter that can import
+    ``repro`` — for what an already-warm test process cannot show
+    (import order, ``sys.modules`` after a command)."""
+    import repro
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+
+    def run(code: str, *, cwd=None) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        )
+
+    return run
 
 
 @pytest.fixture

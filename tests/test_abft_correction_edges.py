@@ -140,6 +140,55 @@ class TestNearMissErrors:
         np.testing.assert_allclose(xc, x, rtol=1e-9)
 
 
+class TestNonMonotoneRowPointers:
+    """A struck pointer can leave ``clip(rowidx, 0, nnz)`` running
+    backwards; the decoder must read such a row as empty (as ``spmv``
+    does) and give up cleanly, not die in ``np.repeat``."""
+
+    def test_row_pattern_reads_backward_segments_as_empty(self):
+        from repro.abft.correction import _row_pattern
+
+        a = CSRMatrix(
+            np.ones(6), np.arange(6) % 3, [0, 2, 2**62, 4, 6], (4, 3), check=False
+        )
+        # clipped pointers 0,2,6,4,6: row 1 swallows the tail, row 2 runs
+        # backwards (empty), row 3 re-reads 4..6.
+        assert _row_pattern(a).tolist() == [0, 0, 1, 1, 1, 1, 3, 3]
+
+    @pytest.mark.parametrize("struck", [7, 2**40])
+    def test_first_pointer_strike_is_uncorrectable_not_a_crash(
+        self, small_lap, rng, struck
+    ):
+        """``rowidx[0]`` is outside the pointer checksum, so the decoder
+        reaches the column-checksum comparison with it still wrong."""
+        cks = compute_checksums(small_lap, nchecks=2)
+        a = small_lap.copy()
+        a.rowidx[0] = struck
+        res = protected_spmv(a, rng.normal(size=small_lap.ncols), cks)
+        assert res.status is SpmvStatus.UNCORRECTABLE
+
+    def test_tasks_the_ledger_screen_excluded_now_settle(self):
+        """The four task specs PR 11's seed screen recorded as dying with
+        ``repeats may not contain negative values``."""
+        import json
+        import pathlib
+
+        from repro.campaign import TaskSpec, execute_task
+
+        ledger = pathlib.Path(__file__).parents[1] / "benchmarks/e2e/workloads.json"
+        failing = [
+            t
+            for wl in json.loads(ledger.read_text())["workloads"].values()
+            for ex in wl["excluded"]
+            for t in ex["tasks"]
+        ]
+        assert len(failing) == 4
+        for entry in failing:
+            assert "repeats may not contain negative values" in entry["error"]
+            record = execute_task(TaskSpec.from_json(entry["task"]))  # raised
+            assert record["stats"]["convergence_rate"] == 1.0
+
+
 class TestMainEntry:
     def test_module_banner(self, capsys):
         from repro.__main__ import main

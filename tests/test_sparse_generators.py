@@ -13,6 +13,8 @@ from repro.sparse import (
     random_spd,
     stencil_spd,
 )
+from repro.sim.matrices import PAPER_SUITE, suite_specs
+from repro.sparse import CSRMatrix
 from repro.sparse.generators import diagonally_dominant_spd
 from repro.sparse.validate import is_structurally_valid
 
@@ -155,3 +157,86 @@ class TestStencil:
             banded_spd(100, 3),
         ):
             assert is_structurally_valid(a)
+
+
+def _stencil_spd_scipy(n_target, *, kind="box", radius=1, shift=1e-3, anisotropy=1.0):
+    """The SciPy COO→CSR assembly ``stencil_spd`` used until it was
+    rebuilt directly in CSR — kept here, verbatim, as the oracle: every
+    committed golden trajectory, store digest and benchmark number was
+    produced on matrices built this way, so the generator must keep
+    returning the same bytes."""
+    import scipy.sparse as sp
+
+    side = max(2, int(round(n_target**0.5)))
+    n = side * side
+    offsets = []
+    for dx in range(-radius, radius + 1):
+        for dy in range(-radius, radius + 1):
+            if dx == 0 and dy == 0:
+                continue
+            if kind == "cross" and dx != 0 and dy != 0:
+                continue
+            dist2 = dx * dx + (dy * anisotropy) ** 2
+            offsets.append((dx, dy, -1.0 / dist2))
+    ii, jj, vv = [], [], []
+    gx, gy = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    gx, gy = gx.ravel(), gy.ravel()
+    idx = gx * side + gy
+    for dx, dy, w in offsets:
+        ok = (gx + dx >= 0) & (gx + dx < side) & (gy + dy >= 0) & (gy + dy < side)
+        src = idx[ok]
+        ii.append(src)
+        jj.append((gx[ok] + dx) * side + (gy[ok] + dy))
+        vv.append(np.full(src.size, w))
+    rows, cols, vals = np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
+    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    diag = -np.asarray(off.sum(axis=1)).ravel() + shift
+    return CSRMatrix.from_scipy(off + sp.diags(diag))
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    for name in ("val", "colid", "rowidx"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestStencilByteIdentity:
+    """``stencil_spd`` (NumPy, straight to CSR) against the SciPy oracle."""
+
+    @pytest.mark.parametrize(
+        "uid,scale",
+        [(s.uid, scale) for s in PAPER_SUITE for scale in (8, 32, 128)]
+        + [(2213, 1), (1312, 1)],
+    )
+    def test_paper_suite(self, uid, scale):
+        (spec,) = suite_specs([uid])
+        kwargs = dict(kind=spec.kind, radius=spec.radius, anisotropy=spec.anisotropy)
+        _assert_same_bytes(
+            spec.instantiate(scale), _stencil_spd_scipy(spec.scaled_n(scale), **kwargs)
+        )
+
+    @pytest.mark.parametrize(
+        "n_target,kwargs",
+        [
+            (1, dict(kind="box", radius=1)),  # clamps to the 2×2 grid
+            (4, dict(kind="cross", radius=1)),
+            (4, dict(kind="box", radius=5)),  # radius >= side
+            (9, dict(kind="cross", radius=7, anisotropy=3.0)),
+            (16, dict(kind="box", radius=4, shift=0.5)),
+            (30, dict(kind="box", radius=2, anisotropy=0.3)),
+        ],
+    )
+    def test_edge_grids(self, n_target, kwargs):
+        _assert_same_bytes(
+            stencil_spd(n_target, **kwargs), _stencil_spd_scipy(n_target, **kwargs)
+        )
+
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    def test_every_row_has_an_off_diagonal_neighbour(self, kind):
+        """The diagonal's ``np.add.reduceat`` has no empty segment to
+        mishandle: the grid is at least 2×2, so even a corner couples
+        to something."""
+        a = stencil_spd(1, kind=kind, radius=1)
+        assert a.shape == (4, 4) and a.row_nnz().min() >= 2
