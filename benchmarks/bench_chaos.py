@@ -1,18 +1,20 @@
-"""Hardened-path overhead: self-healing off must be free, armed cheap.
+"""Armed-guard overhead: self-healing off must be free, armed cheap.
 
-The ``repro.chaos`` contract mirrors ``repro.obs``: with every
-hardening knob at its off value, ``resolve_retry`` / ``resolve_chaos``
-collapse to ``None`` and the campaign executor takes the exact legacy
-code path — a default campaign may pay the two resolution calls and
-nothing per task.  This bench times ``run_campaign(jobs=1)`` over a
-small Table-1 sweep three ways:
+The ``repro.chaos`` contract mirrors ``repro.obs``: every task runs
+through the one chain ``run_task → run_guarded → execute_task``, and
+with every hardening knob at its off value ``resolve_retry`` /
+``resolve_chaos`` collapse to ``None``, which makes
+:func:`repro.chaos.run_guarded` a plain ``execute_task`` call — a
+default campaign pays the two resolution calls and one ``None`` check
+per task.  This bench times ``run_campaign(jobs=1)`` over a small
+Table-1 sweep three ways:
 
-- ``off``     — no hardening arguments (the legacy path);
+- ``off``     — no hardening arguments (the guard unarmed);
 - ``guarded`` — ``retries=1`` plus a generous ``task_timeout`` that
-  never fires: every task runs through :func:`repro.chaos.run_guarded`
-  with a real ``SIGALRM`` deadline armed and disarmed around it.  The
-  gate polices this variant: the guarded path on a *healthy* campaign
-  must stay within :data:`MAX_OVERHEAD_PCT` of ``off``;
+  never fires: ``run_guarded`` arms and disarms a real ``SIGALRM``
+  deadline around every task.  The gate polices this variant: the
+  armed guard on a *healthy* campaign must stay within
+  :data:`MAX_OVERHEAD_PCT` of ``off``;
 - a second ``off`` — flanking control samples timing byte-identical
   calls, so their spread is pure machine noise and the gate
   self-calibrates exactly like ``bench_obs.py``.
@@ -39,7 +41,7 @@ import time
 from benchmarks.conftest import bench_scale
 from repro.campaign import CampaignSpec, run_campaign
 
-#: Maximum tolerated guarded-path overhead on a healthy campaign, in
+#: Maximum tolerated armed-guard overhead on a healthy campaign, in
 #: percent (the ISSUE acceptance bar).  ``REPRO_BENCH_MAX_CHAOS_OVERHEAD``
 #: overrides it for noisy shared runners.
 MAX_OVERHEAD_PCT = 2.0
@@ -131,8 +133,8 @@ def test_bench_chaos_hardening_overhead(results_dir):
     control = record["aggregate_control_spread_pct"]
     allowed = max_overhead_pct() + control
     assert overhead <= allowed, (
-        f"the guarded execution path costs {overhead:.2f}% over the legacy "
-        f"path on a healthy campaign (allowed {max_overhead_pct()}% + "
+        f"the armed guard costs {overhead:.2f}% over the unarmed one on a "
+        f"healthy campaign (allowed {max_overhead_pct()}% + "
         f"{control:.2f}% measured machine noise) — run_guarded must stay a "
-        "thin wrapper and the off-path must not route through it at all"
+        "thin wrapper"
     )

@@ -10,9 +10,9 @@ kernel-backend axis, clean and guarded), then compares the fresh hot-path and ba
 records against the committed baselines
 ``benchmarks/BENCH_hotpath.json`` / ``benchmarks/BENCH_backends.json``
 — the repo's perf trajectory — and gates the fresh overhead records:
-disabled tracing (``BENCH_obs.json``) or the armed guarded execution
-path on a healthy campaign (``BENCH_chaos.json``) costing more than
-2 % over their legacy paths fails the run.
+disabled tracing (``BENCH_obs.json``) or the armed execution guard
+on a healthy campaign (``BENCH_chaos.json``) costing more than 2 %
+over the untraced / unarmed run fails the run.
 
 The regression gates compare **speedup ratios**, not raw seconds: both
 sides of every ratio run on the same machine in the same process, so
@@ -232,10 +232,10 @@ def main(argv: "list[str] | None" = None) -> int:
             OBS_BASELINE.write_text(OBS_FRESH.read_text())
             print(f"observability record written: {OBS_BASELINE}")
 
-    # Same shape of gate for the self-healing harness: the guarded
-    # execution path (retry policy armed, deadline armed per attempt,
-    # nothing ever firing) must stay within 2 % of the legacy path,
-    # plus this run's measured off-vs-off noise.
+    # Same shape of gate for the self-healing harness: the armed guard
+    # (retry policy armed, deadline armed per attempt, nothing ever
+    # firing) must stay within 2 % of the unarmed one, plus this run's
+    # measured off-vs-off noise.
     if CHAOS_FRESH.exists():
         chaos = json.loads(CHAOS_FRESH.read_text())
         overhead = float(chaos["aggregate_guarded_overhead_pct"])
@@ -249,13 +249,13 @@ def main(argv: "list[str] | None" = None) -> int:
             + noise
         )
         print(
-            f"hardened path: {overhead:+.2f}% vs legacy "
+            f"armed guard: {overhead:+.2f}% vs unarmed "
             f"(allowed +{allowed:.2f}%, incl. {noise:.2f}% measured noise)"
         )
         if overhead > allowed:
             print(
-                f"REGRESSION: the guarded execution path costs {overhead:.2f}% "
-                f"over the legacy path on a healthy campaign "
+                f"REGRESSION: the armed guard costs {overhead:.2f}% "
+                f"over the unarmed one on a healthy campaign "
                 f"(allowed {allowed:.2f}%)",
                 file=sys.stderr,
             )

@@ -22,6 +22,12 @@ Design notes
   record list is reassembled in task order regardless.
 - ``jobs=1`` (the library default) runs everything inline in the
   calling process — no pool, no pickling, same records.
+- A task is executed in exactly one place: :func:`run_task` →
+  :func:`repro.chaos.run_guarded` → :func:`execute_task` → the
+  repetition loop (:func:`repro.sim.engine.repeat_run`).  The serial
+  loop, the pool's chunks and serve-mode workers differ only in who
+  calls ``run_task`` (with one picklable :class:`TaskContext`) and who
+  delivers the record.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import uuid
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -48,6 +55,8 @@ __all__ = [
     "default_jobs",
     "execute_task",
     "run_campaign",
+    "run_task",
+    "TaskContext",
     "TELEMETRY_SCHEMA",
     "PARTIAL_SCHEMA",
     "partial_hash",
@@ -67,8 +76,8 @@ CHUNKS_PER_WORKER: int = 4
 
 #: How many times a *hardened* campaign (retries / --task-timeout /
 #: chaos enabled) rebuilds a broken process pool before degrading to
-#: serial in-process execution.  Unhardened campaigns keep the legacy
-#: behavior: a broken pool propagates.
+#: serial in-process execution.  In an unhardened campaign a broken
+#: pool propagates.
 MAX_POOL_RESTARTS: int = 3
 
 #: Per-process solve workspace (see :mod:`repro.perf`): one per worker,
@@ -203,6 +212,31 @@ def _telemetry_state() -> dict:
     return snap
 
 
+def _telemetry_delta(base: dict) -> dict:
+    """This process's metric movement since ``base``, stamped with its
+    pid.  Diffing (rather than reading totals) keeps values a forked
+    worker inherited from its parent out of campaign telemetry."""
+    delta = diff_snapshots(_telemetry_state(), base)
+    delta["pid"] = os.getpid()
+    return delta
+
+
+def telemetry_record(parts: "list[dict]", **fields) -> dict:
+    """The ``kind="telemetry"`` store record for the merged metric
+    deltas ``parts``; ``fields`` (``jobs``, ``workers``, ``fresh``,
+    ``cached`` — serve workers lead with ``serve_worker``) sit between
+    the schema stamp and the merged counters, in call order."""
+    merged = merge_snapshots(parts)
+    return {
+        "hash": f"telemetry:{uuid.uuid4().hex}",
+        "kind": "telemetry",
+        "schema": TELEMETRY_SCHEMA,
+        **fields,
+        "counters": merged["counters"],
+        "timers": merged["timers"],
+    }
+
+
 def default_jobs() -> int:
     """Default worker count: every core this process may schedule on."""
     try:
@@ -247,8 +281,8 @@ def execute_task(
     each event as ``"task"`` — tracing is pure observation, so the
     record is byte-identical with or without it.
 
-    For adaptive tasks (``task.sampling`` set) the repetitions go
-    through :func:`repro.sim.engine.repeat_run_batched` instead:
+    For adaptive tasks (``task.sampling`` set) the repetition loop runs
+    under the task's :class:`repro.adaptive.SamplingPolicy`:
     ``prior`` is a per-rep payload recovered from a ``kind="partial"``
     store record (completed repetitions are not re-executed), and
     ``partial_store`` — a live backend (serial path) or a store URL
@@ -261,7 +295,7 @@ def execute_task(
 
     from repro.adaptive import SamplingPolicy
     from repro.core.methods import CostModel, Scheme, SchemeConfig
-    from repro.sim.engine import make_rhs, repeat_run, repeat_run_batched
+    from repro.sim.engine import make_rhs, repeat_run
     from repro.sim.matrices import get_matrix, matrix_source
 
     task_hash = task.task_hash()
@@ -278,38 +312,35 @@ def execute_task(
         verification_interval=task.d,
         costs=costs,
     )
-    common = dict(
-        alpha=task.alpha,
-        base_seed=task.base_seed,
-        labels=task.labels,
-        eps=task.eps,
-        method=task.method,
-        reuse_workspace=reuse_workspace,
-        workspace=_worker_workspace() if reuse_workspace else None,
-        backend=task.backend,
-        tracer=tracer,
-    )
+    policy = on_batch = None
+    if task.sampling:
+        policy = SamplingPolicy.parse(task.sampling)
+        if partial_store is not None:
+            sink = _resolve_partial_store(partial_store)
+
+            def on_batch(per_rep):
+                sink.append(make_partial_record(task_hash, per_rep))
+
     try:
         with METRICS.time_section("campaign.task_s"):
-            if task.sampling:
-                on_batch = None
-                if partial_store is not None:
-                    sink = _resolve_partial_store(partial_store)
-
-                    def on_batch(per_rep, _sink=sink):
-                        _sink.append(make_partial_record(task_hash, per_rep))
-
-                stats = repeat_run_batched(
-                    a,
-                    b,
-                    cfg,
-                    policy=SamplingPolicy.parse(task.sampling),
-                    prior=prior,
-                    on_batch=on_batch,
-                    **common,
-                )
-            else:
-                stats = repeat_run(a, b, cfg, reps=task.reps, **common)
+            stats = repeat_run(
+                a,
+                b,
+                cfg,
+                alpha=task.alpha,
+                reps=task.reps,
+                policy=policy,
+                prior=prior if policy else None,
+                on_batch=on_batch,
+                base_seed=task.base_seed,
+                labels=task.labels,
+                eps=task.eps,
+                method=task.method,
+                reuse_workspace=reuse_workspace,
+                workspace=_worker_workspace() if reuse_workspace else None,
+                backend=task.backend,
+                tracer=tracer,
+            )
     finally:
         if tracer is not None:
             tracer.context.pop("task", None)
@@ -322,6 +353,47 @@ def execute_task(
         "matrix_source": matrix_source(task.uid, task.scale),
         "stats": asdict(stats),
     }
+
+
+@dataclass(frozen=True)
+class TaskContext:
+    """Everything one task execution needs besides the task itself:
+    built once per campaign and handed — pickled, for pool chunks and
+    serve workers — to every :func:`run_task` call."""
+
+    reuse_workspace: bool = True
+    #: Directory of per-process JSONL trace shards (``None`` = off).
+    trace_dir: "str | None" = None
+    retry: "RetryPolicy | None" = None
+    chaos: "ChaosPolicy | None" = None
+    #: Per-rep payloads of adaptive tasks' newest partial records, by
+    #: task hash (see :func:`load_partials`).
+    priors: "dict[str, dict]" = field(default_factory=dict)
+    #: Sink for adaptive partial-progress records: a live backend, a
+    #: store URL (the worker opens its own handle), or ``None``.
+    partial_store: "StoreBackend | str | None" = None
+
+
+def run_task(task: TaskSpec, ctx: TaskContext) -> dict:
+    """Execute one task under ``ctx`` and return its record — the one
+    place a campaign task runs, whichever scheduler owns it.
+
+    Always goes through :func:`repro.chaos.run_guarded`, which *is*
+    :func:`execute_task` (resolved through this module at call time)
+    when neither a retry nor a chaos policy is armed.
+    """
+    from repro.chaos import run_guarded
+
+    return run_guarded(
+        task,
+        retry=ctx.retry,
+        chaos=ctx.chaos,
+        tracer=None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir),
+        reuse_workspace=ctx.reuse_workspace,
+        trace_dir=ctx.trace_dir,
+        prior=ctx.priors.get(task.task_hash()) if task.sampling else None,
+        partial_store=ctx.partial_store,
+    )
 
 
 def run_campaign(
@@ -373,8 +445,9 @@ def run_campaign(
         regardless of scheduling.
     task_timeout, retries, retry_backoff:
         Self-healing knobs (``docs/DESIGN.md`` §10; all off by
-        default, in which case execution takes the exact legacy code
-        path).  ``task_timeout`` is a per-attempt wall-clock deadline
+        default, in which case :func:`repro.chaos.run_guarded` is a
+        plain call of :func:`execute_task`).  ``task_timeout`` is a
+        per-attempt wall-clock deadline
         in seconds; ``retries`` bounds re-attempts of a failing /
         timed-out task with exponential backoff starting at
         ``retry_backoff`` seconds.  A task that exhausts its attempts
@@ -428,81 +501,53 @@ def run_campaign(
             else:
                 pending.append((i, task))
 
-        # Adaptive tasks: recover partial progress (completed reps of
-        # tasks whose final record never landed) in one store pass, and
-        # pick the partial-record sink.  The serial path appends through
-        # the already-open store; pool workers get the store URL and
-        # open their own handle — only on multi-writer-safe backends
-        # (supports_leases), so a single-file JSONL store is never
-        # written by two processes at once (its pool runs simply flush
-        # no mid-task partials).
-        priors: "dict[str, dict]" = {}
-        pool_partial_url = None
-        if store is not None:
-            adaptive = {t.task_hash() for _, t in pending if t.sampling}
-            priors = load_partials(store, adaptive)
-            if adaptive and store.supports_leases:
-                pool_partial_url = store.url
+        def deliver(index: int, record: dict) -> None:
+            # Persist first, then slot into place and count: the append
+            # coming first keeps ``results[index] is None`` a reliable
+            # "not yet durably delivered" test for crash salvage.
+            if store is not None:
+                store.append(record)
+            results[index] = record
+            if progress is not None:
+                progress.update()
 
+        # Adaptive tasks: recover partial progress (completed reps of
+        # tasks whose final record never landed) in one store pass.
+        priors: "dict[str, dict]" = {}
+        if store is not None:
+            priors = load_partials(
+                store, {t.task_hash() for _, t in pending if t.sampling}
+            )
+        ctx = TaskContext(
+            reuse_workspace=reuse_workspace,
+            trace_dir=None if trace_dir is None else os.fspath(trace_dir),
+            retry=retry,
+            chaos=chaos,
+            priors=priors,
+            partial_store=store,
+        )
         telemetry_parts: "list[dict]" = []
         try:
-            if pending:
-                if jobs == 1 or len(pending) == 1:
-                    base = _telemetry_state()
-                    _run_serial(
-                        pending,
-                        results,
-                        store,
-                        progress,
-                        reuse_workspace,
-                        trace_dir,
-                        retry,
-                        chaos,
-                        priors,
-                        store,
-                    )
-                    delta = diff_snapshots(_telemetry_state(), base)
-                    delta["pid"] = os.getpid()
-                    telemetry_parts.append(delta)
-                    if trace_dir is not None:
-                        # Release the shard's fd; the cached tracer
-                        # lazily reopens (append) if this process runs
-                        # another traced campaign over the same dir.
-                        _worker_tracer(trace_dir).close()
-                else:
-                    telemetry_parts = _run_pool_supervised(
-                        jobs,
-                        pending,
-                        chunksize,
-                        results,
-                        store,
-                        progress,
-                        reuse_workspace,
-                        trace_dir,
-                        retry,
-                        chaos,
-                        priors,
-                        pool_partial_url,
-                    )
+            if pending and (jobs == 1 or len(pending) == 1):
+                telemetry_parts = [_run_serial(pending, ctx, deliver)]
+            elif pending:
+                telemetry_parts = _run_pool(
+                    jobs, pending, chunksize, ctx, results, deliver
+                )
         finally:
             # Terminate the \r status line even when a task raised, so
             # the traceback doesn't print on top of it.
             if progress is not None:
                 progress.finish()
         if store is not None and telemetry_parts:
-            merged = merge_snapshots(telemetry_parts)
             store.append(
-                {
-                    "hash": f"telemetry:{uuid.uuid4().hex}",
-                    "kind": "telemetry",
-                    "schema": TELEMETRY_SCHEMA,
-                    "jobs": jobs,
-                    "workers": len({p.get("pid") for p in telemetry_parts}),
-                    "fresh": len(pending),
-                    "cached": len(tasks) - len(pending),
-                    "counters": merged["counters"],
-                    "timers": merged["timers"],
-                }
+                telemetry_record(
+                    telemetry_parts,
+                    jobs=jobs,
+                    workers=len({p.get("pid") for p in telemetry_parts}),
+                    fresh=len(pending),
+                    cached=len(tasks) - len(pending),
+                )
             )
         quarantined = sum(
             1
@@ -518,309 +563,160 @@ def run_campaign(
 
 
 def _run_serial(
-    pending: "list[tuple[int, TaskSpec]]",
-    results: "list[dict | None]",
-    store: "StoreBackend | None",
-    progress: "ProgressReporter | None",
-    reuse_workspace: bool,
-    trace_dir,
-    retry: "RetryPolicy | None" = None,
-    chaos: "ChaosPolicy | None" = None,
-    priors: "dict[str, dict] | None" = None,
-    partial_store=None,
-) -> None:
-    """Run pending tasks inline in this process, skipping any already
-    delivered (pool-degradation re-runs pass a partially filled
-    ``results``).  With no hardening knob set this is exactly the
-    legacy serial loop."""
-    priors = priors or {}
-
-    def adaptive_kwargs(task: TaskSpec) -> dict:
-        if not task.sampling:
-            return {}
-        return {
-            "prior": priors.get(task.task_hash()),
-            "partial_store": partial_store,
-        }
-
-    if retry is None and chaos is None:
-        for i, task in pending:
-            if results[i] is not None:
-                continue
-            _deliver(
-                i,
-                execute_task(
-                    task,
-                    reuse_workspace=reuse_workspace,
-                    trace_dir=trace_dir,
-                    **adaptive_kwargs(task),
-                ),
-                results,
-                store,
-                progress,
-            )
-        return
-    from repro.chaos import run_guarded
-
-    tracer = None if trace_dir is None else _worker_tracer(trace_dir)
-    for i, task in pending:
-        if results[i] is not None:
-            continue
-        record = run_guarded(
-            task,
-            retry=retry,
-            chaos=chaos,
-            tracer=tracer,
-            reuse_workspace=reuse_workspace,
-            trace_dir=trace_dir,
-            **adaptive_kwargs(task),
-        )
-        _deliver(i, record, results, store, progress)
-
-
-def _run_pool_supervised(
-    jobs: int,
-    pending: "list[tuple[int, TaskSpec]]",
-    chunksize: "int | None",
-    results: "list[dict | None]",
-    store: "StoreBackend | None",
-    progress: "ProgressReporter | None",
-    reuse_workspace: bool,
-    trace_dir,
-    retry: "RetryPolicy | None",
-    chaos: "ChaosPolicy | None",
-    priors: "dict[str, dict] | None" = None,
-    partial_url: "str | None" = None,
-) -> "list[dict]":
-    """:func:`_run_pool` under supervision: a hardened campaign
-    (retry / timeout / chaos armed) that loses its pool to worker
-    crashes rebuilds it — re-running only the undelivered tasks — up
-    to :data:`MAX_POOL_RESTARTS` times, then degrades to serial
-    in-process execution.  Unhardened campaigns keep the legacy
-    contract: a broken pool propagates."""
-    hardened = retry is not None or chaos is not None
-    telemetry_parts: "list[dict]" = []
-    todo = pending
-    restarts = 0
-    while True:
-        try:
-            telemetry_parts.extend(
-                _run_pool(
-                    jobs,
-                    todo,
-                    chunksize,
-                    results,
-                    store,
-                    progress,
-                    reuse_workspace,
-                    trace_dir,
-                    retry,
-                    chaos,
-                    priors,
-                    partial_url,
-                )
-            )
-            return telemetry_parts
-        except BrokenProcessPool:
-            if not hardened:
-                raise
-            todo = [(i, t) for i, t in pending if results[i] is None]
-            if not todo:
-                return telemetry_parts
-            if store is not None and partial_url is not None:
-                # Workers of the broken pool may have flushed newer
-                # partials than the campaign-start scan saw; pick them
-                # up so the rebuilt pool re-executes as little as
-                # possible.
-                adaptive = {t.task_hash() for _, t in todo if t.sampling}
-                priors = load_partials(store, adaptive)
-            restarts += 1
-            METRICS.inc("campaign.pool_restarts")
-            if restarts > MAX_POOL_RESTARTS:
-                warnings.warn(
-                    f"process pool broke {restarts} times; degrading to "
-                    f"serial execution for the remaining {len(todo)} task(s)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                base = _telemetry_state()
-                _run_serial(
-                    todo,
-                    results,
-                    store,
-                    progress,
-                    reuse_workspace,
-                    trace_dir,
-                    retry,
-                    chaos,
-                    priors,
-                    store,
-                )
-                delta = diff_snapshots(_telemetry_state(), base)
-                delta["pid"] = os.getpid()
-                telemetry_parts.append(delta)
-                return telemetry_parts
-            if chaos is not None:
-                # Re-roll the injection draws for the rebuilt pool so a
-                # kill-fated task cannot crash every successor pool too.
-                chaos = chaos.with_generation(chaos.generation + 1)
+    todo: "list[tuple[int, TaskSpec]]", ctx: TaskContext, deliver
+) -> dict:
+    """Run ``todo`` inline in this process; returns its telemetry delta."""
+    base = _telemetry_state()
+    for i, task in todo:
+        deliver(i, run_task(task, ctx))
+    if ctx.trace_dir is not None:
+        # Release the shard's fd; the cached tracer lazily reopens
+        # (append) if this process runs another traced campaign over
+        # the same dir.
+        _worker_tracer(ctx.trace_dir).close()
+    return _telemetry_delta(base)
 
 
 def _run_pool(
     jobs: int,
     pending: "list[tuple[int, TaskSpec]]",
     chunksize: "int | None",
+    ctx: TaskContext,
     results: "list[dict | None]",
-    store: "StoreBackend | None",
-    progress: "ProgressReporter | None",
-    reuse_workspace: bool = True,
-    trace_dir=None,
-    retry: "RetryPolicy | None" = None,
-    chaos: "ChaosPolicy | None" = None,
-    priors: "dict[str, dict] | None" = None,
-    partial_url: "str | None" = None,
+    deliver,
 ) -> "list[dict]":
-    """Fan pending tasks over a process pool, one future per chunk.
+    """Fan pending tasks over a process pool, one future per chunk, and
+    return the telemetry deltas of every chunk that completed.
 
-    Returns the per-chunk telemetry deltas of every chunk that
-    completed (in completion order) for the caller to merge.
+    A hardened campaign (retry / timeout / chaos armed) that loses its
+    pool to worker crashes rebuilds it — re-running only the
+    undelivered tasks — up to :data:`MAX_POOL_RESTARTS` times, then
+    degrades to serial in-process execution.  In an unhardened campaign
+    a broken pool propagates.
     """
-    workers = min(jobs, len(pending))
-    chunk = chunksize or max(1, math.ceil(len(pending) / (workers * CHUNKS_PER_WORKER)))
-    groups = [pending[lo : lo + chunk] for lo in range(0, len(pending), chunk)]
+    # ``ctx`` arrives as the serial path uses it, writing partial
+    # records through the campaign's open store.  Pool workers open
+    # their own handle from its URL — only on multi-writer-safe backends
+    # (supports_leases): a single-file JSONL store is never written by
+    # two processes at once, so its pool runs flush no mid-task partials.
+    store = ctx.partial_store
+    partial_url = None
+    if store is not None and any(t.sampling for _, t in pending):
+        if store.supports_leases:
+            partial_url = store.url
+        else:
+            warnings.warn(
+                f"store {store.url!r} has no lease support, so pool workers "
+                "flush no mid-task partial records: a killed worker will "
+                "recompute its in-flight adaptive task from its first "
+                "repetition (a sharded: or sqlite: store checkpoints them)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    ctx = replace(ctx, partial_store=partial_url)
+    hardened = ctx.retry is not None or ctx.chaos is not None
     telemetry_parts: "list[dict]" = []
-    trace_arg = None if trace_dir is None else os.fspath(trace_dir)
-    priors = priors or {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                execute_chunk,
-                [t for _, t in group],
-                reuse_workspace,
-                trace_arg,
-                retry,
-                chaos,
-                # Ship only this chunk's priors across the pickle
-                # boundary, and only when something adaptive is afoot.
-                (
-                    priors
-                    and {
-                        h: priors[h]
-                        for _, t in group
-                        if (h := t.task_hash()) in priors
-                    }
-                )
-                or None,
-                partial_url,
-            ): group
-            for group in groups
-        }
+    todo = pending
+    restarts = 0
+    while True:
+        workers = min(jobs, len(todo))
+        chunk = chunksize or max(
+            1, math.ceil(len(todo) / (workers * CHUNKS_PER_WORKER))
+        )
+        groups = [todo[lo : lo + chunk] for lo in range(0, len(todo), chunk)]
         try:
-            for fut in as_completed(futures):
-                payload = fut.result()
-                telemetry_parts.append(payload["telemetry"])
-                for (i, _), rec in zip(futures[fut], payload["records"]):
-                    _deliver(i, rec, results, store, progress)
-        except BaseException:
-            # Don't let the pool's __exit__ burn through every queued
-            # chunk only to discard the results: cancel what hasn't
-            # started, wait out what has, and persist any record that
-            # finished cleanly before propagating the failure — those
-            # survive for --resume.  The salvage itself is best-effort:
-            # if persistence is what broke (disk full), the original
-            # error must still be the one that propagates.
-            pool.shutdown(wait=True, cancel_futures=True)
-            try:
-                for fut, group in futures.items():
-                    if fut.done() and not fut.cancelled() and fut.exception() is None:
-                        for (i, _), rec in zip(group, fut.result()["records"]):
-                            if results[i] is None:  # not yet delivered
-                                _deliver(i, rec, results, store, progress)
-            except Exception:
-                pass
-            raise
-    return telemetry_parts
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(
+                        execute_chunk,
+                        [t for _, t in group],
+                        _chunk_context(ctx, group),
+                    ): group
+                    for group in groups
+                }
+                try:
+                    for fut in as_completed(futures):
+                        payload = fut.result()
+                        telemetry_parts.append(payload["telemetry"])
+                        for (i, _), rec in zip(futures[fut], payload["records"]):
+                            deliver(i, rec)
+                except BaseException:
+                    # Don't let the pool's __exit__ burn through every
+                    # queued chunk only to discard the results: cancel
+                    # what hasn't started, wait out what has, and keep
+                    # what finished cleanly before propagating.
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    _salvage(futures, results, deliver)
+                    raise
+            return telemetry_parts
+        except BrokenProcessPool:
+            if not hardened:
+                raise
+        todo = [(i, t) for i, t in todo if results[i] is None]
+        if not todo:
+            return telemetry_parts
+        if partial_url is not None:
+            # Workers of the broken pool may have flushed newer partials
+            # than the campaign-start scan saw; pick them up so the
+            # rebuilt pool re-executes as little as possible.
+            adaptive = {t.task_hash() for _, t in todo if t.sampling}
+            ctx = replace(ctx, priors=load_partials(store, adaptive))
+        restarts += 1
+        METRICS.inc("campaign.pool_restarts")
+        if restarts > MAX_POOL_RESTARTS:
+            warnings.warn(
+                f"process pool broke {restarts} times; degrading to "
+                f"serial execution for the remaining {len(todo)} task(s)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            telemetry_parts.append(
+                _run_serial(todo, replace(ctx, partial_store=store), deliver)
+            )
+            return telemetry_parts
+        if ctx.chaos is not None:
+            # Re-roll the injection draws for the rebuilt pool so a
+            # kill-fated task cannot crash every successor pool too.
+            ctx = replace(
+                ctx, chaos=ctx.chaos.with_generation(ctx.chaos.generation + 1)
+            )
 
 
-def execute_chunk(
-    tasks: "list[TaskSpec]",
-    reuse_workspace: bool = True,
-    trace_dir=None,
-    retry: "RetryPolicy | None" = None,
-    chaos: "ChaosPolicy | None" = None,
-    priors: "dict[str, dict] | None" = None,
-    partial_url: "str | None" = None,
-) -> dict:
+def _salvage(futures: dict, results: "list[dict | None]", deliver) -> None:
+    """Persist the records of every chunk that finished cleanly in a
+    failed pool — those survive for ``--resume``.  Best-effort: if
+    persistence is what broke (disk full), the original error must
+    still be the one that propagates."""
+    try:
+        for fut, group in futures.items():
+            if fut.done() and not fut.cancelled() and fut.exception() is None:
+                for (i, _), rec in zip(group, fut.result()["records"]):
+                    if results[i] is None:  # not yet delivered
+                        deliver(i, rec)
+    except Exception:
+        pass
+
+
+def _chunk_context(ctx: TaskContext, group) -> TaskContext:
+    """``ctx`` with only this chunk's priors: nothing else adaptive
+    crosses the pickle boundary (and nothing at all is hashed when no
+    task has a prior)."""
+    if not ctx.priors:
+        return ctx
+    hashes = (t.task_hash() for _, t in group)
+    return replace(
+        ctx, priors={h: ctx.priors[h] for h in hashes if h in ctx.priors}
+    )
+
+
+def execute_chunk(tasks: "list[TaskSpec]", ctx: TaskContext) -> dict:
     """Worker entry point for one scheduling chunk (module-level so it
     pickles under every multiprocessing start method).
 
     Returns ``{"records": [...], "telemetry": {...}}`` — the task
-    records in task order plus this chunk's metric delta.  Snapshots
-    are diffed per chunk, so values a forked worker inherited from the
-    parent process never leak into campaign telemetry.
-
-    With a retry or chaos policy armed the chunk routes through
-    :func:`repro.chaos.run_guarded` (deadline / retry / quarantine /
-    injection); otherwise it is the plain legacy loop.  ``priors`` and
-    ``partial_url`` carry adaptive-sampling resume payloads and the
-    partial-record sink URL (see :func:`execute_task`).
+    records in task order plus this chunk's metric delta (diffed per
+    chunk, see :func:`_telemetry_delta`).
     """
     base = _telemetry_state()
-    priors = priors or {}
-
-    def adaptive_kwargs(task: TaskSpec) -> dict:
-        if not task.sampling:
-            return {}
-        return {
-            "prior": priors.get(task.task_hash()),
-            "partial_store": partial_url,
-        }
-
-    if retry is None and chaos is None:
-        records = [
-            execute_task(
-                t,
-                reuse_workspace=reuse_workspace,
-                trace_dir=trace_dir,
-                **adaptive_kwargs(t),
-            )
-            for t in tasks
-        ]
-    else:
-        from repro.chaos import run_guarded
-
-        tracer = None if trace_dir is None else _worker_tracer(trace_dir)
-        records = [
-            run_guarded(
-                t,
-                retry=retry,
-                chaos=chaos,
-                tracer=tracer,
-                reuse_workspace=reuse_workspace,
-                trace_dir=trace_dir,
-                **adaptive_kwargs(t),
-            )
-            for t in tasks
-        ]
-    telemetry = diff_snapshots(_telemetry_state(), base)
-    telemetry["pid"] = os.getpid()
-    return {"records": records, "telemetry": telemetry}
-
-
-def _deliver(
-    index: int,
-    record: dict,
-    results: "list[dict | None]",
-    store: "StoreBackend | None",
-    progress: "ProgressReporter | None",
-) -> None:
-    """Persist one finished record, then slot it into place and count it.
-
-    The store append comes first so ``results[index] is None`` remains
-    a reliable "not yet durably delivered" test for crash salvage.
-    """
-    if store is not None:
-        store.append(record)
-    results[index] = record
-    if progress is not None:
-        progress.update()
+    records = [run_task(t, ctx) for t in tasks]
+    return {"records": records, "telemetry": _telemetry_delta(base)}

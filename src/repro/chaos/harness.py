@@ -1,13 +1,14 @@
 """Self-healing task execution: deadlines, retry, quarantine.
 
-This is the guarded execution path the campaign layers share
-(``docs/DESIGN.md`` §10).  :func:`run_guarded` wraps one task
-execution with:
+Every campaign task runs through :func:`run_guarded` — the chain is
+``run_task → run_guarded → execute_task → repeat loop``
+(``docs/DESIGN.md`` §10) — which, once a retry or chaos policy is
+armed, wraps the execution with:
 
 - a **wall-clock deadline** (``SIGALRM``-based, main-thread only —
-  elsewhere the deadline degrades to unbounded rather than misfiring
-  into the wrong thread), turning hangs into a retryable
-  :class:`TaskTimeout`;
+  elsewhere the deadline degrades to unbounded, with a one-time
+  ``RuntimeWarning``, rather than misfiring into the wrong thread),
+  turning hangs into a retryable :class:`TaskTimeout`;
 - **bounded retry** with exponential backoff and deterministic jitter
   (keyed on the task hash, so two workers retrying different tasks
   de-synchronize without consuming any RNG that could perturb
@@ -25,8 +26,8 @@ injected hangs sleep inside the deadline window so ``--task-timeout``
 heals them exactly as it would a real stall.
 
 Everything here is pure control flow around ``execute`` — it never
-touches solver state or RNG, so guarded records are bit-identical to
-unguarded ones (the same discipline as :mod:`repro.obs`).
+touches solver state or RNG, so arming a policy cannot change a record
+(the same discipline as :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -105,12 +107,15 @@ def resolve_retry(
     backoff: float = 0.05,
 ) -> "RetryPolicy | None":
     """Build a :class:`RetryPolicy` from the campaign-level knobs, or
-    ``None`` when every knob is at its off value — the guarded path is
-    taken only when something asked for it, so default campaigns run
-    the exact legacy code."""
+    ``None`` when every knob is at its off value — with no policy
+    (and no chaos) :func:`run_guarded` is a plain ``execute`` call."""
     if retries == 0 and task_timeout is None:
         return None
     return RetryPolicy(retries=int(retries), timeout=task_timeout, backoff=backoff)
+
+
+#: Whether this process already warned that it cannot enforce deadlines.
+_warned_unenforced = False
 
 
 @contextmanager
@@ -118,18 +123,26 @@ def deadline(seconds: "float | None", task_hash: str):
     """Raise :class:`TaskTimeout` if the body outruns ``seconds``.
 
     Implemented with ``SIGALRM``/``setitimer``, which only the process
-    main thread may arm; elsewhere (or without ``SIGALRM``, or with no
-    deadline) the context is a no-op — callers that need hard
-    deadlines run tasks on worker main threads, which every campaign
-    path does.
+    main thread may arm; elsewhere (or without ``SIGALRM``) the body
+    runs unbounded and one ``RuntimeWarning`` per process says so —
+    every campaign path runs tasks on worker main threads.
     """
+    global _warned_unenforced
+    wanted = seconds is not None and seconds > 0
     usable = (
-        seconds is not None
-        and seconds > 0
+        wanted
         and hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     )
     if not usable:
+        if wanted and not _warned_unenforced:
+            _warned_unenforced = True
+            warnings.warn(
+                f"task-timeout of {seconds:g}s is not being enforced: a "
+                "deadline needs SIGALRM on the process main thread",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         yield
         return
 
@@ -180,8 +193,9 @@ def run_guarded(
     """Execute one task under deadline / retry / chaos supervision.
 
     With ``retry is None`` and ``chaos is None`` this is exactly
-    ``execute(task, **kwargs)`` — the campaign layers only route
-    through here when some hardening knob is set.  ``tracer`` (a
+    ``execute(task, **kwargs)``, so every campaign layer routes every
+    task through here; ``execute`` defaults to ``execute_task``, looked
+    up on its module at call time.  ``tracer`` (a
     :class:`repro.obs.tracer.Tracer` or ``None``) receives ``retry`` /
     ``task-timeout`` / ``quarantine`` / ``chaos-inject`` events.
 

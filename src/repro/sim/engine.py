@@ -23,7 +23,7 @@ from repro.core.methods import Method, SchemeConfig
 from repro.util.rng import spawn_named
 
 # repro.resilience (the whole solve stack) is imported inside the rep
-# loops: aggregation and reporting import this module for RunStatistics
+# loop: aggregation and reporting import this module for RunStatistics
 # and must not pay for the engine.
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: Keys of the per-repetition payload dict shared by :func:`repeat_run`
-#: (via ``per_rep=``), :func:`repeat_run_batched` and the campaign
+#: (``per_rep=`` / ``prior=`` / ``on_batch``) and the campaign
 #: partial-progress records: parallel lists, one entry per repetition,
 #: in repetition order.  Because the values are plain ints/floats/bools
 #: they JSON round-trip exactly, so a resumed run continues from a
@@ -93,11 +93,6 @@ def make_rhs(a: CSRMatrix, seed: int = 1234) -> np.ndarray:
     return rng.standard_normal(a.nrows)
 
 
-def _new_payload() -> dict:
-    """Fresh per-repetition payload (parallel lists, see PER_REP_KEYS)."""
-    return {k: [] for k in PER_REP_KEYS}
-
-
 def _copy_payload(prior: dict) -> dict:
     """Validated copy of a prior payload (e.g. a store partial record)."""
     payload = {}
@@ -110,16 +105,6 @@ def _copy_payload(prior: dict) -> dict:
     if len(lengths) > 1:
         raise ValueError(f"per-rep payload lists have unequal lengths {lengths}")
     return payload
-
-
-def _push_rep(payload: dict, res) -> None:
-    """Append one solve result to the per-rep payload lists."""
-    payload["times"].append(res.time_units)
-    payload["iterations"].append(res.iterations_executed)
-    payload["rollbacks"].append(res.counters.rollbacks)
-    payload["corrections"].append(res.counters.total_corrections)
-    payload["faults"].append(res.counters.faults_injected)
-    payload["converged"].append(res.converged)
 
 
 def _aggregate(payload: dict, confidence: float) -> RunStatistics:
@@ -171,8 +156,25 @@ def repeat_run(
     backend: "str | object | None" = None,
     tracer: "object | None" = None,
     per_rep: "dict | None" = None,
+    policy: "SamplingPolicy | None" = None,
+    prior: "dict | None" = None,
+    on_batch=None,
 ) -> RunStatistics:
-    """Run ``reps`` independent fault-injected solves and aggregate.
+    """Run independent fault-injected solves and aggregate — the one
+    repetition loop.
+
+    Without ``policy`` exactly ``reps`` solves run: the
+    ``SamplingPolicy(min_reps=reps, max_reps=reps)`` case of the loop,
+    its CI reported at :data:`DEFAULT_CONFIDENCE`.  With a ``policy``
+    (a :class:`repro.adaptive.SamplingPolicy`) repetitions run until
+    the Student-t CI half-width on the mean time is below target, never
+    fewer than ``policy.min_reps`` nor more than ``policy.max_reps``
+    (``reps`` is not consulted); the rule is evaluated after every
+    repetition on a :class:`repro.adaptive.Welford` accumulator and the
+    CI is reported at ``policy.confidence``.  Repetition ``rep`` derives
+    its RNG identically either way — the policy is task identity, not
+    seed material — so stopping at ``k`` reps reproduces a fixed
+    ``reps=k`` run bit-for-bit, statistics included.
 
     ``labels`` extends the seed-derivation tuple (matrix id, scheme …)
     so distinct experiment points never share fault streams;
@@ -211,105 +213,20 @@ def repeat_run(
     ``per_rep``, when given an empty dict, is filled with the
     per-repetition payload lists (see :data:`PER_REP_KEYS`) — the raw
     material the adaptive layer's prefix-sharing guarantees are stated
-    (and golden-locked) against.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    method = Method.parse(method)
-    from repro.obs.tracer import resolve_tracer
-    from repro.resilience.registry import run_ft_method
-
-    tr = resolve_tracer(tracer)
-    ws = workspace
-    if ws is None and reuse_workspace:
-        from repro.perf import SolveWorkspace
-
-        ws = SolveWorkspace()
-    payload = _new_payload()
-    try:
-        for rep in range(reps):
-            if tr is not None:
-                tr.context["rep"] = rep
-            res = run_ft_method(
-                method,
-                a,
-                b,
-                config,
-                alpha=alpha,
-                eps=eps,
-                maxiter=maxiter,
-                rng=_rep_rng(base_seed, method, config, alpha, labels, rep),
-                max_time_units=max_time_units,
-                workspace=ws,
-                backend=backend,
-                tracer=tr,
-            )
-            _push_rep(payload, res)
-    finally:
-        if tr is not None:
-            tr.context.pop("rep", None)
-    if per_rep is not None:
-        per_rep.update(payload)
-    return _aggregate(payload, DEFAULT_CONFIDENCE)
-
-
-def _rep_rng(base_seed, method, config, alpha, labels, rep):
-    """Per-repetition RNG.  The derivation tuple is the seeding invariant:
-    it must never grow a sampling-policy component (docs/DESIGN.md §11) —
-    adaptive and fixed-count runs share fault streams prefix-wise only
-    because the tuple is identical for both."""
-    if method is Method.CG:
-        return spawn_named(base_seed, config.scheme.value, alpha, *labels, rep)
-    return spawn_named(
-        base_seed, method.value, config.scheme.value, alpha, *labels, rep
-    )
-
-
-def repeat_run_batched(
-    a: CSRMatrix,
-    b: np.ndarray,
-    config: SchemeConfig,
-    *,
-    alpha: float,
-    policy: SamplingPolicy,
-    base_seed: int = 0,
-    labels: tuple = (),
-    eps: float = 1e-6,
-    maxiter: int | None = None,
-    max_time_units: float | None = None,
-    method: "Method | str" = Method.CG,
-    reuse_workspace: bool = True,
-    workspace: "object | None" = None,
-    backend: "str | object | None" = None,
-    tracer: "object | None" = None,
-    prior: "dict | None" = None,
-    on_batch=None,
-    per_rep: "dict | None" = None,
-) -> RunStatistics:
-    """Adaptive variant of :func:`repeat_run`: stop when the CI is tight.
-
-    Runs repetitions sequentially until ``policy`` (a
-    :class:`repro.adaptive.SamplingPolicy`) says the Student-t CI
-    half-width on the mean time is below target, but never fewer than
-    ``policy.min_reps`` nor more than ``policy.max_reps`` repetitions.
-    The stopping rule is evaluated after every repetition on a
-    :class:`repro.adaptive.Welford` accumulator.
-
-    Repetition ``rep`` uses the *same* seed derivation as
-    :func:`repeat_run` — the sampling policy is task identity, not seed
-    material — so stopping at ``k`` reps reproduces the first ``k``
-    repetitions of a fixed ``reps=k`` run bit-for-bit.
-
-    ``prior`` resumes from a per-rep payload (see :data:`PER_REP_KEYS`)
-    recovered from a partial-progress record: already-completed
+    (and golden-locked) against.  ``prior`` resumes from such a payload
+    (recovered from a partial-progress record): already-completed
     repetitions are folded into the accumulator and *not* re-executed.
     ``on_batch(payload)`` is invoked after every ``policy.batch``
     newly-executed repetitions (the executor uses it to flush partial
-    records); ``per_rep`` works as in :func:`repeat_run`.
-
-    The final statistics go through the same aggregation fold as the
-    fixed path, with the CI reported at ``policy.confidence``.
+    records).
     """
+    adaptive = policy is not None
+    if not adaptive:
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
+        policy = SamplingPolicy(
+            min_reps=reps, max_reps=reps, confidence=DEFAULT_CONFIDENCE
+        )
     method = Method.parse(method)
     from repro.obs.metrics import METRICS
     from repro.obs.tracer import resolve_tracer
@@ -321,11 +238,10 @@ def repeat_run_batched(
         from repro.perf import SolveWorkspace
 
         ws = SolveWorkspace()
-    payload = _copy_payload(prior) if prior else _new_payload()
+    payload = _copy_payload(prior) if prior else {k: [] for k in PER_REP_KEYS}
     acc = Welford(payload["times"])
-    start = acc.n
-    if start:
-        METRICS.inc("adaptive.reps_resumed", start)
+    if adaptive and acc.n:
+        METRICS.inc("adaptive.reps_resumed", acc.n)
     executed = 0
     try:
         while not policy.should_stop(acc.n, acc.mean, acc.std):
@@ -346,20 +262,54 @@ def repeat_run_batched(
                 backend=backend,
                 tracer=tr,
             )
-            _push_rep(payload, res)
+            payload["times"].append(res.time_units)
+            payload["iterations"].append(res.iterations_executed)
+            payload["rollbacks"].append(res.counters.rollbacks)
+            payload["corrections"].append(res.counters.total_corrections)
+            payload["faults"].append(res.counters.faults_injected)
+            payload["converged"].append(res.converged)
             acc.push(res.time_units)
             executed += 1
-            METRICS.inc("adaptive.reps")
+            if adaptive:  # adaptive.* counters: never a fixed-count run's
+                METRICS.inc("adaptive.reps")
             if on_batch is not None and executed % policy.batch == 0:
                 on_batch(payload)
     finally:
         if tr is not None:
             tr.context.pop("rep", None)
-    METRICS.inc("adaptive.tasks")
-    METRICS.inc("adaptive.reps_saved", policy.max_reps - acc.n)
+    if adaptive:
+        METRICS.inc("adaptive.tasks")
+        METRICS.inc("adaptive.reps_saved", policy.max_reps - acc.n)
     if per_rep is not None:
         per_rep.update(payload)
     return _aggregate(payload, policy.confidence)
+
+
+def _rep_rng(base_seed, method, config, alpha, labels, rep):
+    """Per-repetition RNG.  The derivation tuple is the seeding invariant:
+    it must never grow a sampling-policy component (docs/DESIGN.md §11) —
+    adaptive and fixed-count runs share fault streams prefix-wise only
+    because the tuple is identical for both."""
+    if method is Method.CG:
+        return spawn_named(base_seed, config.scheme.value, alpha, *labels, rep)
+    return spawn_named(
+        base_seed, method.value, config.scheme.value, alpha, *labels, rep
+    )
+
+
+def repeat_run_batched(
+    a: CSRMatrix,
+    b: np.ndarray,
+    config: SchemeConfig,
+    *,
+    policy: SamplingPolicy,
+    **run,
+) -> RunStatistics:
+    """Adaptive spelling of :func:`repeat_run`: ``policy`` is required
+    and its ``max_reps`` is the repetition cap; every other keyword
+    (``alpha``, ``prior``, ``on_batch``, ``per_rep`` …) is
+    :func:`repeat_run`'s."""
+    return repeat_run(a, b, config, reps=policy.max_reps, policy=policy, **run)
 
 
 def sweep_checkpoint_interval(

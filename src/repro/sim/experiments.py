@@ -174,7 +174,9 @@ def run_table1(
     bit-identical for any value); ``store`` persists per-task records
     — a bare path for single-file JSONL, ``sharded:dir`` /
     ``sqlite:file.db`` for the concurrent backends
-    (:mod:`repro.store`) — skipping tasks already completed there;
+    (:mod:`repro.store`), or a pre-built store backend, forwarded to
+    the campaign executor untouched — skipping tasks already completed
+    there;
     ``progress`` prints a throughput/ETA line to stderr (``True`` /
     ``"bar"`` for the status line, ``"json"`` for newline-delimited
     JSON objects); ``methods`` opens the solver axis (default: classic
@@ -205,8 +207,14 @@ def run_table1(
         backend=backend,
         sampling=sampling,
     )
-    return _run_study(
-        study, jobs, store, progress, trace_dir, task_timeout, retries, chaos
+    return study.run(
+        jobs=jobs,
+        store=store,
+        progress=progress,
+        trace_dir=trace_dir,
+        task_timeout=task_timeout,
+        retries=retries,
+        chaos=chaos,
     ).table1_rows()
 
 
@@ -250,24 +258,6 @@ def run_figure1(
         backend=backend,
         sampling=sampling,
     )
-    return _run_study(
-        study, jobs, store, progress, trace_dir, task_timeout, retries, chaos
-    ).figure1_points()
-
-
-def _run_study(
-    study, jobs, store, progress, trace_dir=None,
-    task_timeout=None, retries=0, chaos=None,
-):
-    """Execute a preset study with the drivers' store/progress plumbing.
-
-    Accepts a pre-built store backend as well as a path or selector
-    URL (the drivers' historical contract, extended by
-    :mod:`repro.store`), which :meth:`Study.run` forwards to the
-    campaign executor untouched.
-    ``progress`` may be a mode string (``"bar"``/``"json"``/``"none"``)
-    as well as the historical bool.
-    """
     return study.run(
         jobs=jobs,
         store=store,
@@ -276,7 +266,7 @@ def _run_study(
         task_timeout=task_timeout,
         retries=retries,
         chaos=chaos,
-    )
+    ).figure1_points()
 
 
 def _main(argv: "list[str] | None" = None) -> int:

@@ -43,12 +43,14 @@ import signal
 import threading
 import time
 import uuid
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.executor import TaskContext
     from repro.campaign.progress import ProgressReporter
     from repro.campaign.spec import TaskSpec
-    from repro.chaos import ChaosPolicy, RetryPolicy
+    from repro.chaos import ChaosPolicy
     from repro.store.protocol import StoreBackend
 
 __all__ = ["ServeInterrupted", "serve_campaign", "serve_worker"]
@@ -118,13 +120,13 @@ def serve_campaign(
     heartbeat thread refreshes at ``lease_ttl / 3``.
 
     Hardening knobs (all off by default, ``docs/DESIGN.md`` §10):
-    ``task_timeout`` / ``retries`` give every worker a guarded
-    execution path (deadline → retry with backoff → quarantine record);
-    ``chaos`` injects deterministic faults (:mod:`repro.chaos`) into
-    the workers — never the dispatcher; ``max_worker_restarts`` caps
-    fleet supervision (``None`` → ``4 * workers``).  Quarantine
-    records among the results are counted into the
-    ``campaign.quarantined`` metric.
+    ``task_timeout`` / ``retries`` arm every worker's
+    :func:`repro.chaos.run_guarded` (deadline → retry with backoff →
+    quarantine record); ``chaos`` injects deterministic faults
+    (:mod:`repro.chaos`) into the workers — never the dispatcher;
+    ``max_worker_restarts`` caps fleet supervision (``None`` →
+    ``4 * workers``).  Quarantine records among the results are
+    counted into the ``campaign.quarantined`` metric.
 
     Tasks already present in the store are served from it without
     execution (serve mode *is* resume, like every store-backed
@@ -132,7 +134,7 @@ def serve_campaign(
     """
     import multiprocessing
 
-    from repro.campaign.executor import _worker_tracer
+    from repro.campaign.executor import TaskContext, _worker_tracer
     from repro.chaos import resolve_chaos, resolve_retry
     from repro.obs.metrics import METRICS
     from repro.store import open_store
@@ -159,21 +161,21 @@ def serve_campaign(
             progress.finish()
         return [done[t.task_hash()] for t in tasks]
 
-    ctx = multiprocessing.get_context()
-    trace_arg = None if trace_dir is None else os.fspath(trace_dir)
+    mp = multiprocessing.get_context()
+    ctx = TaskContext(
+        reuse_workspace=reuse_workspace,
+        trace_dir=None if trace_dir is None else os.fspath(trace_dir),
+        retry=retry,
+        chaos=chaos,
+    )
 
     def spawn(generation: int) -> "multiprocessing.Process":
-        proc = ctx.Process(
+        worker_ctx = ctx
+        if chaos is not None:
+            worker_ctx = replace(ctx, chaos=chaos.with_generation(generation))
+        proc = mp.Process(
             target=serve_worker,
-            args=(
-                store.url,
-                pending,
-                lease_ttl,
-                reuse_workspace,
-                retry,
-                None if chaos is None else chaos.with_generation(generation),
-                trace_arg,
-            ),
+            args=(store.url, pending, lease_ttl, worker_ctx),
             name=f"repro-serve-g{generation}",
             daemon=True,
         )
@@ -185,7 +187,7 @@ def serve_campaign(
     # so an injected kill-fate cannot follow the restarted worker.
     procs = [spawn(i) for i in range(workers)]
     restarts = 0
-    tracer = None if trace_arg is None else _worker_tracer(trace_arg)
+    tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
 
     # Graceful shutdown: a signal sets the flag; the poll loop drains
     # the fleet and raises ServeInterrupted.  Signal handlers may only
@@ -293,10 +295,7 @@ def serve_worker(
     store_url: str,
     tasks: "list[TaskSpec]",
     lease_ttl: float,
-    reuse_workspace: bool = True,
-    retry: "RetryPolicy | None" = None,
-    chaos: "ChaosPolicy | None" = None,
-    trace_dir: "str | None" = None,
+    ctx: "TaskContext",
 ) -> None:
     """One fleet worker: claim → execute → append → release, until no
     task is pending (or a drain signal arrives).
@@ -304,17 +303,18 @@ def serve_worker(
     Module-level so it pickles under every multiprocessing start
     method.  The worker opens its own store from the URL (handles and
     connections never cross the process boundary) and identifies
-    itself to the lease board as ``pid-<pid>-<nonce>``.  Execution runs
-    through :func:`repro.chaos.run_guarded` when a retry policy or
-    chaos policy is armed; otherwise it is the plain legacy path.
+    itself to the lease board as ``pid-<pid>-<nonce>``.  Tasks execute
+    through :func:`repro.campaign.executor.run_task` under ``ctx``,
+    exactly as the serial loop and the pool run them.
     """
     from repro.campaign.executor import (
+        _telemetry_delta,
         _telemetry_state,
         _worker_tracer,
-        execute_task,
         load_partials,
+        run_task,
+        telemetry_record,
     )
-    from repro.chaos import run_guarded
     from repro.store import open_store
 
     store = open_store(store_url)
@@ -325,8 +325,12 @@ def serve_worker(
     # reps of tasks whose final record never landed — e.g. a peer died
     # mid-task) and flush their own partials through this worker's
     # store handle.
-    priors = load_partials(store, {h for h, t in pending.items() if t.sampling})
-    tracer = None if trace_dir is None else _worker_tracer(trace_dir)
+    ctx = replace(
+        ctx,
+        priors=load_partials(store, {h for h, t in pending.items() if t.sampling}),
+        partial_store=store,
+    )
+    tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
     # Baseline for this worker's telemetry delta: values a forked
     # worker inherited from the dispatcher must not leak into it.
     telemetry_base = _telemetry_state()
@@ -364,23 +368,10 @@ def serve_worker(
                 pending.pop(h, None)
                 continue
 
-            def run(task=task, h=h):
-                kwargs = {}
-                if task.sampling:
-                    kwargs = {"prior": priors.get(h), "partial_store": store}
-                return run_guarded(
-                    task,
-                    retry=retry,
-                    chaos=chaos,
-                    tracer=tracer,
-                    execute=execute_task,
-                    reuse_workspace=reuse_workspace,
-                    trace_dir=trace_dir,
-                    **kwargs,
-                )
-
-            record = _execute_with_heartbeat(store, h, owner, lease_ttl, run)
-            if chaos is not None and chaos.should("tear", h):
+            record = _execute_with_heartbeat(
+                store, h, owner, lease_ttl, lambda: run_task(task, ctx)
+            )
+            if ctx.chaos is not None and ctx.chaos.should("tear", h):
                 _chaos_tear(store, record, tracer)  # never returns
             store.append(record)
             pending.pop(h, None)
@@ -388,7 +379,16 @@ def serve_worker(
             store.release(h, owner)
     if tracer is not None:
         tracer.close()
-    _append_worker_telemetry(store, owner, telemetry_base)
+    # One telemetry record per worker that executed tasks, in
+    # run_campaign's schema; an idle worker appends none.
+    delta = _telemetry_delta(telemetry_base)
+    fresh = int(delta["counters"].get("campaign.tasks", 0))
+    if fresh:
+        store.append(
+            telemetry_record(
+                [delta], serve_worker=owner, jobs=1, workers=1, fresh=fresh, cached=0
+            )
+        )
     store.close()
 
 
@@ -435,7 +435,7 @@ def _chaos_tear(store, record: dict, tracer) -> None:
     returns.
     """
     from repro.campaign.store import ResultStore
-    from repro.chaos.policy import CHAOS_EXIT_CODE
+    from repro.chaos.harness import _chaos_exit
     from repro.store.integrity import seal_record
     from repro.store.sharded import ShardedStore
 
@@ -451,40 +451,4 @@ def _chaos_tear(store, record: dict, tracer) -> None:
         with open(target, "ab") as fh:
             fh.write(line[: max(1, len(line) // 2)])
             fh.flush()
-    if tracer is not None:
-        tracer.emit(
-            "chaos-inject", site="tear", task=record.get("hash"), attempt=0
-        )
-        try:
-            tracer.close()
-        except Exception:  # pragma: no cover - best effort
-            pass
-    os._exit(CHAOS_EXIT_CODE)
-
-
-def _append_worker_telemetry(
-    store: "StoreBackend", owner: str, base: dict
-) -> None:
-    """One ``kind="telemetry"`` record per worker that executed tasks,
-    mirroring :func:`repro.campaign.executor.run_campaign`'s schema."""
-    from repro.campaign.executor import TELEMETRY_SCHEMA, _telemetry_state
-    from repro.obs.metrics import diff_snapshots
-
-    delta = diff_snapshots(_telemetry_state(), base)
-    fresh = int(delta["counters"].get("campaign.tasks", 0))
-    if not fresh:
-        return
-    store.append(
-        {
-            "hash": f"telemetry:{uuid.uuid4().hex}",
-            "kind": "telemetry",
-            "schema": TELEMETRY_SCHEMA,
-            "serve_worker": owner,
-            "jobs": 1,
-            "workers": 1,
-            "fresh": fresh,
-            "cached": 0,
-            "counters": delta["counters"],
-            "timers": delta["timers"],
-        }
-    )
+    _chaos_exit(tracer, "tear", record.get("hash"), 0)

@@ -110,12 +110,17 @@ class ShardedStore:
     def _read_meta(self) -> "dict | None":
         meta_path = self._meta_path()
         if not meta_path.exists():
-            if self.path.exists() and any(self.path.glob("shard-*.jsonl")):
+            if not (self.path.exists() and any(self.path.glob("shard-*.jsonl"))):
+                return None
+            # A concurrent creator publishes store.json before its first
+            # shard append, so the shards just seen may belong to a store
+            # published since the look above: look again before calling
+            # them orphaned.
+            if not meta_path.exists():
                 raise StoreError(
                     f"{self.path}: shard files present but {_META_NAME} is "
                     "missing — the store cannot verify its partition count"
                 )
-            return None
         try:
             meta = json.loads(meta_path.read_text())
             if meta.get("format") != _FORMAT or int(meta["shards"]) < 1:
@@ -125,10 +130,11 @@ class ShardedStore:
         return meta
 
     def _write_meta(self) -> None:
-        # Atomic publish (tmp + rename): a concurrent writer either
-        # sees no metadata (and writes the identical content — the
-        # shard count is fixed by whoever creates the store first via
-        # the O_EXCL create below) or a complete file.
+        # Atomic, exclusive publish: the metadata is written to a
+        # private temp file and hard-linked into place.  link() fails
+        # if a peer published first (the shard count is fixed by
+        # whoever creates the store first), and no reader can ever see
+        # a partially written store.json.
         meta_path = self._meta_path()
         if meta_path.exists():
             self._sync_shards()
@@ -137,17 +143,18 @@ class ShardedStore:
         payload = json.dumps(
             {"format": _FORMAT, "version": 1, "shards": self.shards}
         ) + "\n"
+        tmp = meta_path.with_name(
+            f"{_META_NAME}.{os.getpid()}-{time.monotonic_ns()}"
+        )
+        tmp.write_text(payload)
         try:
-            fd = os.open(meta_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            os.link(tmp, meta_path)
         except FileExistsError:
             # Another writer published first; adopt its partition count
             # before routing anything.
             self._sync_shards()
-            return
-        try:
-            os.write(fd, payload.encode())
         finally:
-            os.close(fd)
+            tmp.unlink()
 
     def _sync_shards(self) -> None:
         """Adopt the published partition count if no record was routed
