@@ -54,6 +54,7 @@ completed work from the store.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, fields
@@ -97,6 +98,11 @@ SETTING_DEFAULTS: dict = {
     "base_seed": 2015,
     "sampling": "",
 }
+
+
+#: ASCII unit separator: joins the formatted cells of one table row (no
+#: axis value or formatted number can contain it).
+_CELL_SEP = "\x1f"
 
 
 def _canonical_sampling(spec) -> str:
@@ -144,7 +150,23 @@ class StudyResult:
         return len(self.tasks)
 
     def __iter__(self):
-        return iter(self.points())
+        """Stream :meth:`points` one at a time (task order, quarantined
+        tasks skipped) without building the list."""
+        for task, rec in zip(self.tasks, self.records):
+            if rec.get("kind") == "quarantine":
+                continue
+            yield StudyPoint(
+                uid=task.uid,
+                method=task.method,
+                backend=task.backend,
+                scheme=task.scheme,
+                alpha=task.alpha,
+                s=task.s,
+                d=task.d,
+                n=rec["n"],
+                density=rec["density"],
+                stats=stats_from_record(rec),
+            )
 
     @property
     def quarantined(self) -> int:
@@ -183,25 +205,7 @@ class StudyResult:
         Quarantined tasks carry no result payload and are skipped;
         check :attr:`quarantined` to see whether the view is partial.
         """
-        out = []
-        for task, rec in zip(self.tasks, self.records):
-            if rec.get("kind") == "quarantine":
-                continue
-            out.append(
-                StudyPoint(
-                    uid=task.uid,
-                    method=task.method,
-                    backend=task.backend,
-                    scheme=task.scheme,
-                    alpha=task.alpha,
-                    s=task.s,
-                    d=task.d,
-                    n=rec["n"],
-                    density=rec["density"],
-                    stats=stats_from_record(rec),
-                )
-            )
-        return out
+        return list(self)
 
     def table1_rows(self):
         """Fold a ``table1`` preset study into the paper's Table-1 rows."""
@@ -213,24 +217,28 @@ class StudyResult:
 
     def format_table(self) -> str:
         """Plain-text table: the point coordinates plus the study's metrics."""
-        cols = ("uid", "method", "backend", "scheme", "alpha", "s", "d", "n") + tuple(
-            self.metrics
-        )
+        point_cols = ("uid", "method", "backend", "scheme", "alpha", "s", "d", "n")
+        cols = point_cols + tuple(self.metrics)
 
-        def cell(p: StudyPoint, c: str) -> str:
-            v = getattr(p, c) if hasattr(p, c) else getattr(p.stats, c)
+        def cell(v) -> str:
             return f"{v:.4g}" if isinstance(v, float) else str(v)
 
-        points = self.points()
-        widths = {
-            c: max(len(c), *(len(cell(p, c)) for p in points)) if points else len(c)
-            for c in cols
-        }
-        head = " ".join(f"{c:>{widths[c]}}" for c in cols)
-        lines = [head, "-" * len(head)]
-        for p in points:
-            lines.append(" ".join(f"{cell(p, c):>{widths[c]}}" for c in cols))
-        return "\n".join(lines) + "\n"
+        # One pass formats every cell once and learns the column widths;
+        # a row waits for them as one joined string, not a list of cells.
+        widths = [len(c) for c in cols]
+        rows = []
+        for p in self:
+            cells = [cell(getattr(p, c)) for c in point_cols]
+            cells += [cell(getattr(p.stats, c)) for c in self.metrics]
+            widths = [max(w, len(c)) for w, c in zip(widths, cells)]
+            rows.append(_CELL_SEP.join(cells))
+        head = " ".join(c.rjust(w) for c, w in zip(cols, widths))
+        out = io.StringIO()
+        out.write(f"{head}\n{'-' * len(head)}\n")
+        for row in rows:
+            cells = row.split(_CELL_SEP)
+            out.write(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
+        return out.getvalue()
 
 
 class Study:

@@ -15,9 +15,10 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
     (typically 2–4× faster; see ``benchmarks/bench_backends.py``),
     with every guarded path — any matrix lacking the
     ``structure_clean`` stamp — routed back through the reference
-    kernel so ABFT detection semantics are preserved.  SciPy is
-    imported when the backend is first resolved, not with the
-    package; without it the name raises
+    kernel so ABFT detection semantics are preserved.  Resolving the
+    name only checks that SciPy is installed; ``scipy.sparse`` is
+    imported by the first product, not with the package and not by
+    spec validation.  Without SciPy the name raises
     :class:`BackendUnavailableError` (no silent reference fallback).
 
 ``numba``

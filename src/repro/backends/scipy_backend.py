@@ -27,15 +27,20 @@ count and agree to rounding in every residual (locked by
 the golden trajectories, resumable campaign stores mixing runs —
 should stay on ``backend="reference"``.
 
-There is no degraded mode: when SciPy (or its private
-``_sparsetools.csr_matvec`` entry point) cannot be imported,
-constructing the backend raises
+There is no degraded mode: when SciPy is not installed, constructing
+the backend raises
 :class:`~repro.backends.protocol.BackendUnavailableError` — results
 are never computed by the reference kernel under the ``scipy`` label.
+Construction only *looks* for the package (``importlib.util
+.find_spec``): naming the backend in a spec, a ``--dry-run`` or a
+do-nothing ``--resume`` never imports ``scipy.sparse``.  The compiled
+kernel is bound by the first :meth:`ScipyBackend.prepare` or product —
+in the process that actually runs one.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,19 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ScipyBackend"]
 
 
-def _load_csr_matvec():
-    """The compiled CSR matvec (private but stable since scipy 0.19)."""
-    try:
-        from scipy.sparse import _sparsetools
-
-        return _sparsetools.csr_matvec
-    except (ImportError, AttributeError) as exc:
-        raise BackendUnavailableError(
-            "backend 'scipy' requires the scipy package with its compiled "
-            f"CSR kernel, which cannot be imported here ({exc}); install it "
-            "with `pip install scipy`, or pick another backend "
-            "('reference', 'threaded')"
-        ) from exc
+def _unavailable(why: object) -> BackendUnavailableError:
+    return BackendUnavailableError(
+        "backend 'scipy' requires the scipy package with its compiled "
+        f"CSR kernel, which cannot be imported here ({why}); install it "
+        "with `pip install scipy`, or pick another backend "
+        "('reference', 'threaded')"
+    )
 
 
 class ScipyBackend(BaseBackend):
@@ -69,7 +68,20 @@ class ScipyBackend(BaseBackend):
     name = "scipy"
 
     def __init__(self) -> None:
-        self._csr_matvec = _load_csr_matvec()
+        if importlib.util.find_spec("scipy") is None:
+            raise _unavailable("No module named 'scipy'")
+        self._csr_matvec = None  # bound by the first prepare()/spmv()
+
+    def prepare(self, a: "CSRMatrix") -> None:
+        """Bind the compiled CSR matvec (private but stable since scipy
+        0.19) before the solve's wall clock starts."""
+        if self._csr_matvec is None:
+            try:
+                from scipy.sparse import _sparsetools
+
+                self._csr_matvec = _sparsetools.csr_matvec
+            except (ImportError, AttributeError) as exc:
+                raise _unavailable(exc) from exc
 
     def spmv(
         self,
@@ -99,6 +111,8 @@ class ScipyBackend(BaseBackend):
             y = out
             y[:] = 0.0  # csr_matvec accumulates into y
         if a.nnz:
+            if self._csr_matvec is None:
+                self.prepare(a)
             # Corrupted values can overflow to ±inf inside the compiled
             # kernel; as with the reference kernel, the non-finite
             # result is the silent error propagating for ABFT to flag.

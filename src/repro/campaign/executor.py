@@ -16,10 +16,12 @@ Design notes
 - Scheduling is chunked (``~4`` chunks per worker) so pool IPC costs
   amortize over many short tasks while the tail stays balanced.
 - Each chunk is its own future, persisted to the optional
-  :class:`~repro.store.protocol.StoreBackend` *as it completes* — a
-  slow chunk never holds finished results hostage in parent memory,
-  so a crash loses at most the chunks still in flight.  The returned
-  record list is reassembled in task order regardless.
+  :class:`~repro.store.protocol.StoreBackend` *as it completes*, as
+  one batch (:func:`repro.store.protocol.append_many`: one committed
+  transaction under SQLite) — a slow chunk never holds finished
+  results hostage in parent memory, so a crash loses at most the
+  chunks still in flight.  The returned record list is reassembled in
+  task order regardless.
 - ``jobs=1`` (the library default) runs everything inline in the
   calling process — no pool, no pickling, same records.
 - A task is executed in exactly one place: :func:`run_task` →
@@ -46,6 +48,7 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import TaskSpec
 from repro.obs.metrics import METRICS, diff_snapshots, merge_snapshots
 from repro.store import open_store
+from repro.store.protocol import append_many
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosPolicy, RetryPolicy
@@ -291,8 +294,6 @@ def execute_task(
     task loses at most one batch of repetitions.  Both are ignored for
     fixed-count tasks.
     """
-    from dataclasses import asdict
-
     from repro.adaptive import SamplingPolicy
     from repro.core.methods import CostModel, Scheme, SchemeConfig
     from repro.sim.engine import make_rhs, repeat_run
@@ -351,7 +352,7 @@ def execute_task(
         "n": a.nrows,
         "density": a.density,
         "matrix_source": matrix_source(task.uid, task.scale),
-        "stats": asdict(stats),
+        "stats": stats.to_json(),
     }
 
 
@@ -501,15 +502,23 @@ def run_campaign(
             else:
                 pending.append((i, task))
 
+        # Persist first, then slot into place and count: the append
+        # coming first keeps ``results[index] is None`` a reliable "not
+        # yet durably delivered" test for crash salvage.
         def deliver(index: int, record: dict) -> None:
-            # Persist first, then slot into place and count: the append
-            # coming first keeps ``results[index] is None`` a reliable
-            # "not yet durably delivered" test for crash salvage.
             if store is not None:
                 store.append(record)
             results[index] = record
             if progress is not None:
                 progress.update()
+
+        def deliver_chunk(indices: "list[int]", records: "list[dict]") -> None:
+            if store is not None:
+                append_many(store, records)
+            for index, record in zip(indices, records):
+                results[index] = record
+                if progress is not None:
+                    progress.update()
 
         # Adaptive tasks: recover partial progress (completed reps of
         # tasks whose final record never landed) in one store pass.
@@ -532,7 +541,7 @@ def run_campaign(
                 telemetry_parts = [_run_serial(pending, ctx, deliver)]
             elif pending:
                 telemetry_parts = _run_pool(
-                    jobs, pending, chunksize, ctx, results, deliver
+                    jobs, pending, chunksize, ctx, results, deliver, deliver_chunk
                 )
         finally:
             # Terminate the \r status line even when a task raised, so
@@ -584,9 +593,12 @@ def _run_pool(
     ctx: TaskContext,
     results: "list[dict | None]",
     deliver,
+    deliver_chunk,
 ) -> "list[dict]":
     """Fan pending tasks over a process pool, one future per chunk, and
-    return the telemetry deltas of every chunk that completed.
+    return the telemetry deltas of every chunk that completed.  A
+    finished chunk is persisted as one batch (``deliver_chunk``);
+    ``deliver`` serves the serial degradation.
 
     A hardened campaign (retry / timeout / chaos armed) that loses its
     pool to worker crashes rebuilds it — re-running only the
@@ -638,15 +650,16 @@ def _run_pool(
                     for fut in as_completed(futures):
                         payload = fut.result()
                         telemetry_parts.append(payload["telemetry"])
-                        for (i, _), rec in zip(futures[fut], payload["records"]):
-                            deliver(i, rec)
+                        deliver_chunk(
+                            [i for i, _ in futures[fut]], payload["records"]
+                        )
                 except BaseException:
                     # Don't let the pool's __exit__ burn through every
                     # queued chunk only to discard the results: cancel
                     # what hasn't started, wait out what has, and keep
                     # what finished cleanly before propagating.
                     pool.shutdown(wait=True, cancel_futures=True)
-                    _salvage(futures, results, deliver)
+                    _salvage(futures, results, deliver_chunk)
                     raise
             return telemetry_parts
         except BrokenProcessPool:
@@ -682,7 +695,7 @@ def _run_pool(
             )
 
 
-def _salvage(futures: dict, results: "list[dict | None]", deliver) -> None:
+def _salvage(futures: dict, results: "list[dict | None]", deliver_chunk) -> None:
     """Persist the records of every chunk that finished cleanly in a
     failed pool — those survive for ``--resume``.  Best-effort: if
     persistence is what broke (disk full), the original error must
@@ -690,9 +703,13 @@ def _salvage(futures: dict, results: "list[dict | None]", deliver) -> None:
     try:
         for fut, group in futures.items():
             if fut.done() and not fut.cancelled() and fut.exception() is None:
-                for (i, _), rec in zip(group, fut.result()["records"]):
-                    if results[i] is None:  # not yet delivered
-                        deliver(i, rec)
+                left = [  # not yet delivered
+                    (i, rec)
+                    for (i, _), rec in zip(group, fut.result()["records"])
+                    if results[i] is None
+                ]
+                if left:
+                    deliver_chunk(*zip(*left))
     except Exception:
         pass
 

@@ -24,8 +24,43 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
 
 __all__ = ["TaskSpec", "CampaignSpec"]
+
+
+@lru_cache(maxsize=64)
+def _check_names(
+    method: str, scheme: str, backend: str, sampling: str, reps: int
+) -> None:
+    """Validate the registry-backed part of a task's identity.
+
+    A grid of thousands of tasks names a handful of distinct
+    combinations, so the parse runs once per combination, not per task
+    (a failing one raises and is never cached).
+    """
+    from repro.backends import get_backend
+    from repro.core.methods import Method, Scheme
+
+    Method.parse(method)  # raises on an unknown solver
+    Scheme.parse(scheme)  # raises on an unknown scheme
+    get_backend(backend)  # raises on an unknown backend
+    if sampling:
+        from repro.adaptive import SamplingPolicy
+
+        policy = SamplingPolicy.parse(sampling)
+        if policy.spec() != sampling:
+            # Two spellings of one policy must never hash apart.
+            raise ValueError(
+                f"sampling spec {sampling!r} is not canonical; "
+                f"use {policy.spec()!r}"
+            )
+        if reps != policy.max_reps:
+            raise ValueError(
+                f"adaptive task reps ({reps}) must equal the "
+                f"policy rep cap max={policy.max_reps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,27 +138,17 @@ class TaskSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        from repro.backends import get_backend
-        from repro.core.methods import Method, Scheme
+        _check_names(
+            self.method, self.scheme, self.backend, self.sampling, self.reps
+        )
 
-        Method.parse(self.method)  # raises on an unknown solver
-        Scheme.parse(self.scheme)  # raises on an unknown scheme
-        get_backend(self.backend)  # raises on an unknown backend
-        if self.sampling:
-            from repro.adaptive import SamplingPolicy
-
-            policy = SamplingPolicy.parse(self.sampling)
-            if policy.spec() != self.sampling:
-                # Two spellings of one policy must never hash apart.
-                raise ValueError(
-                    f"sampling spec {self.sampling!r} is not canonical; "
-                    f"use {policy.spec()!r}"
-                )
-            if self.reps != policy.max_reps:
-                raise ValueError(
-                    f"adaptive task reps ({self.reps}) must equal the "
-                    f"policy rep cap max={policy.max_reps}"
-                )
+    #: Memo of :meth:`task_hash`.  Deliberately not a dataclass field:
+    #: equality, ``repr``, ``to_json`` and ``asdict`` never see it,
+    #: ``dataclasses.replace`` builds a fresh (unmemoised) instance,
+    #: while ``pickle`` and ``copy.copy`` carry it along with the
+    #: instance ``__dict__`` — a pool worker does not re-hash the tasks
+    #: its parent already hashed.
+    _hash = None
 
     def task_hash(self) -> str:
         """Content hash identifying this task across processes and runs.
@@ -131,14 +156,18 @@ class TaskSpec:
         Built from the ``repr`` of the full field tuple — ints, strings
         and floats all round-trip exactly through ``repr``, so the hash
         is stable across interpreter sessions (no reliance on Python's
-        randomized ``hash()``).
+        randomized ``hash()``).  Computed once per instance (the
+        instance is frozen, so the digest cannot go stale).
         """
-        payload = repr(tuple(getattr(self, f.name) for f in fields(self)))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        digest = self._hash
+        if digest is None:
+            digest = hashlib.sha256(repr(_field_values(self)).encode()).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return digest
 
     def to_json(self) -> dict:
         """JSON-serializable view (tuples become lists)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(_FIELD_NAMES, _field_values(self)))
         out["labels"] = list(self.labels)
         return out
 
@@ -153,6 +182,13 @@ class TaskSpec:
         if unknown:
             raise ValueError(f"unknown TaskSpec fields: {sorted(unknown)}")
         return cls(**kwargs)
+
+
+#: TaskSpec's field names in declaration order, and the getter of the
+#: matching value tuple — the hash payload and ``to_json`` without a
+#: ``dataclasses.fields()`` walk per call.
+_FIELD_NAMES = tuple(f.name for f in fields(TaskSpec))
+_field_values = attrgetter(*_FIELD_NAMES)
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,10 @@ and the durability model the other backends must match.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import warnings
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.campaign.spec import TaskSpec
 
@@ -156,8 +155,8 @@ class ResultStore:
             # disk, so serving it as a cached record here would lose it
             # silently.
 
-    def _parse(self, lineno: int, line: str) -> dict:
-        """Decode one line into a verified record or raise
+    def _parse(self, lineno: int, line: str) -> "tuple[dict, bool | None]":
+        """Decode one complete line into ``(record, verdict)`` or raise
         :class:`StoreError`.
 
         A malformed line anywhere but the torn tail — including a
@@ -165,26 +164,26 @@ class ResultStore:
         was hand-edited or damaged (or, in ``shared`` files, a crashed
         peer's joined write).  A line that parses but fails its CRC32
         seal (:mod:`repro.store.integrity`) is bit rot and equally
-        corrupt.  The returned record has the seal stripped, so it
-        equals the record that was appended.
+        corrupt.  The returned record has the seal stripped (it equals
+        the appended one); the verdict is ``True`` or ``None`` (unsealed).
         """
-        from repro.store.integrity import check_record
+        from repro.store.integrity import open_sealed
 
         try:
-            rec = json.loads(line)
+            # The seal covers the record's bytes, not its line ending.
+            rec, verdict = open_sealed(line[:-1] if line.endswith("\n") else line)
             if not isinstance(rec, dict) or "hash" not in rec:
                 raise ValueError("record is not a dict with a 'hash' key")
         except ValueError as exc:
             raise StoreError(
                 f"{self.path}:{lineno}: corrupt record ({exc})"
             ) from exc
-        rec, verdict = check_record(rec)
         if verdict is False:
             raise StoreError(
                 f"{self.path}:{lineno}: record failed its checksum "
                 f"(hash {str(rec.get('hash'))[:16]!r}...)"
             )
-        return rec
+        return rec, verdict
 
     def _skip_corrupt(self, lineno: int, error: StoreError) -> None:
         """Count and announce one tolerated corrupt line."""
@@ -212,7 +211,7 @@ class ResultStore:
             if not line.strip():
                 continue  # blank lines carry no record
             try:
-                rec = self._parse(lineno, line)
+                rec = self._parse(lineno, line)[0]
             except StoreError as exc:
                 if not self.tolerant:
                     raise
@@ -228,7 +227,7 @@ class ResultStore:
             if not line.strip():
                 continue
             try:
-                yield self._parse(lineno, line)
+                yield self._parse(lineno, line)[0]
             except StoreError as exc:
                 self._skip_corrupt(lineno, exc)
 
@@ -245,18 +244,30 @@ class ResultStore:
         return records
 
     def append(self, record: dict) -> None:
-        """Seal the record with its CRC32, append and flush it to the
-        OS immediately (see :mod:`repro.store.integrity`)."""
-        from repro.store.integrity import seal_record
+        """Durably append one record: :meth:`append_many` of one."""
+        self.append_many((record,))
 
-        if "hash" not in record:
+    def append_many(self, records: "Iterable[dict]") -> None:
+        """Seal each record with its CRC32 (:mod:`repro.store.integrity`)
+        and flush the batch to the OS; a record without ``"hash"``
+        rejects the whole batch first.  A single-writer file takes it as
+        one ``write`` (a crash leaves whole lines plus at most one torn
+        tail); a ``shared`` file keeps one flushed ``write`` per line —
+        the unit peers' ``O_APPEND`` writes interleave at.
+        """
+        from repro.store.integrity import seal_text
+
+        records = list(records)
+        if any("hash" not in record for record in records):
             raise ValueError("record must carry a 'hash' key")
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._repair_torn_tail()
             self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(seal_record(record)) + "\n")
-        self._fh.flush()
+        lines = (seal_text(record) + "\n" for record in records)
+        for chunk in lines if self.shared else ("".join(lines),):
+            self._fh.write(chunk)
+            self._fh.flush()
 
     def _repair_torn_tail(self) -> None:
         """Neutralize a torn trailing write before appending after it.
@@ -317,13 +328,9 @@ class ResultStore:
         foreign campaigns (or telemetry) costs memory proportional to
         the task list, not the store.
         """
-        wanted = {t.task_hash() for t in tasks}
-        done: dict[str, dict] = {}
-        for rec in self.iter_records():
-            if rec["hash"] in wanted:
-                done[rec["hash"]] = rec  # duplicates: last wins
-        pending = [t for t in tasks if t.task_hash() not in done]
-        return done, pending
+        from repro.store.protocol import default_resume
+
+        return default_resume(self, tasks)
 
     def count(self) -> int:
         """Number of distinct record hashes, without materializing
@@ -343,7 +350,7 @@ class ResultStore:
             h = self._fast_hash(line)
             if h is None:
                 try:
-                    h = self._parse(lineno, line)["hash"]
+                    h = self._parse(lineno, line)[0]["hash"]
                 except StoreError as exc:
                     if not self.tolerant:
                         raise
@@ -381,26 +388,17 @@ class ResultStore:
         whether the file currently ends in a torn write (a live or
         crashed writer's footprint — salvaged on the next append).
         """
-        from repro.store.integrity import check_record
-
         sealed = unsealed = corrupt = 0
         for lineno, line in self._complete_lines():
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict) or "hash" not in rec:
-                    raise ValueError("not a record")
-            except ValueError:
+                verdict = self._parse(lineno, line)[1]
+            except StoreError:
                 corrupt += 1
-                continue
-            verdict = check_record(rec)[1]
-            if verdict is False:
-                corrupt += 1
-            elif verdict is True:
-                sealed += 1
             else:
-                unsealed += 1
+                sealed += verdict is True
+                unsealed += verdict is None
         torn = False
         if self.path.exists() and self.path.stat().st_size:
             with open(self.path, "rb") as fh:

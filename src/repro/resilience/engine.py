@@ -112,6 +112,9 @@ class EngineContext:
         #: (the property re-derives it from the scheme on every call).
         self._verification_cost = config.verification_cost
         self.threshold = 0.0  #: set by the engine once the initial residual exists
+        #: Norm of the latest :meth:`reliably_converged` check that
+        #: passed; the runner clears it at the top of every iteration.
+        self.accepted_residual: "float | None" = None
         self.injector: FaultInjector | None = None
         self.checksums = None
         #: Resolved tracer (``None`` = tracing off); set by the runner.
@@ -433,12 +436,21 @@ class EngineContext:
             self.log.emit("checkpoint", self.plugin.iteration)
             self.trace("checkpoint", time_units=self.time_units)
 
-    def reliably_converged(self) -> bool:
-        """Trustworthy convergence decision (reliable arithmetic, clean A)."""
+    def true_residual(self) -> float:
+        """``‖b − A·x‖`` in reliable arithmetic against the clean A."""
         true_r = self.b - spmv(self.a_view, self.plugin.vectors["x"], backend=self.backend)
         if self.backend is not None:
-            return float(self.backend.norm2(true_r)) <= self.threshold
-        return float(np.linalg.norm(true_r)) <= self.threshold
+            return float(self.backend.norm2(true_r))
+        return float(np.linalg.norm(true_r))
+
+    def reliably_converged(self) -> bool:
+        """Trustworthy convergence decision; an accepted check leaves
+        its norm in :attr:`accepted_residual` for the solve's result."""
+        norm = self.true_residual()
+        if norm <= self.threshold:
+            self.accepted_residual = norm
+            return True
+        return False
 
 
 def run_protected(
@@ -674,6 +686,8 @@ def run_protected(
     pol = plugin.recovery
     converged = plugin.initial_converged(ctx.threshold)
     while not converged and executed < maxiter:
+        # Only the check of the step that ends the loop may be reused.
+        ctx.accepted_residual = None
         if max_time_units is not None and ctx.time_units > max_time_units:
             break
         strikes = ctx.injector.sample_strikes() if ctx.injector is not None else []
@@ -733,13 +747,13 @@ def run_protected(
     # counts as useful (the run ends with it in the solution).
     ctx.breakdown.useful_work += ctx.uncommitted
 
-    x = plugin.vectors["x"]
-    final_r = b - spmv(a_view, x, backend=backend)
-    true_residual = float(
-        backend.norm2(final_r) if backend is not None else np.linalg.norm(final_r)
-    )
+    # The loop's last reliable check, when it accepted this very x, is
+    # the final residual; every other exit takes the explicit product.
+    true_residual = ctx.accepted_residual
+    if true_residual is None:
+        true_residual = ctx.true_residual()
     result = SolveResult(
-        x=x.copy(),
+        x=plugin.vectors["x"].copy(),
         converged=bool(true_residual <= ctx.threshold or (converged and not final_check)),
         iterations=int(plugin.iteration),
         iterations_executed=executed,

@@ -13,7 +13,9 @@ campaigns stay bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,16 +83,36 @@ class RunStatistics:
         """Standard error of the mean time."""
         return self.std_time / math.sqrt(self.reps) if self.reps > 1 else 0.0
 
+    def to_json(self) -> dict:
+        """The record's ``"stats"`` payload (every field is a scalar, so
+        this equals ``dataclasses.asdict`` without its deep copy);
+        ``RunStatistics(**payload)`` inverts it."""
+        return dict(zip(_STATS_FIELDS, _stats_values(self)))
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(RunStatistics))
+_stats_values = attrgetter(*_STATS_FIELDS)
+
+
+@lru_cache(maxsize=4)
+def _rhs(n: int, seed: int) -> np.ndarray:
+    """Read-only memo behind :func:`make_rhs`: every task on one matrix
+    asks for the same vector, and a campaign walks its matrices in
+    order, so a few entries are enough."""
+    rhs = np.random.default_rng(seed).standard_normal(n)
+    rhs.setflags(write=False)
+    return rhs
+
 
 def make_rhs(a: CSRMatrix, seed: int = 1234) -> np.ndarray:
     """Deterministic generic right-hand side for experiment runs.
 
     A fixed random vector, *not* ``A·1``: several generators make the
     all-ones vector an exact eigenvector, which would let CG converge in
-    one step and void the experiment.
+    one step and void the experiment.  Each call returns a fresh
+    writable array.
     """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(a.nrows)
+    return _rhs(a.nrows, seed).copy()
 
 
 def _copy_payload(prior: dict) -> dict:
@@ -115,10 +137,17 @@ def _aggregate(payload: dict, confidence: float) -> RunStatistics:
     exactly like a fixed ``reps=k`` run (same numpy reductions in the
     same order), so the two produce identical statistics by
     construction.
+
+    The six means are one pairwise float64 row reduction divided by
+    ``reps`` — bit for bit what ``np.mean`` returns for each list
+    (ints and bools convert exactly; ``tests/test_sim_engine.py`` keeps
+    the per-list form as the reference).
     """
     reps = len(payload["times"])
-    t = np.asarray(payload["times"])
-    mean = float(t.mean())
+    rows = np.array([payload[k] for k in PER_REP_KEYS], dtype=np.float64)
+    means = dict(zip(PER_REP_KEYS, (rows.sum(axis=1) / reps).tolist()))
+    t = rows[0]
+    mean = means["times"]
     std = float(t.std(ddof=1)) if reps > 1 else 0.0
     ci = ci_bounds(mean, std, reps, confidence)
     return RunStatistics(
@@ -126,11 +155,11 @@ def _aggregate(payload: dict, confidence: float) -> RunStatistics:
         std_time=std,
         min_time=float(t.min()),
         max_time=float(t.max()),
-        mean_iterations=float(np.mean(payload["iterations"])),
-        mean_rollbacks=float(np.mean(payload["rollbacks"])),
-        mean_corrections=float(np.mean(payload["corrections"])),
-        mean_faults=float(np.mean(payload["faults"])),
-        convergence_rate=float(np.mean(payload["converged"])),
+        mean_iterations=means["iterations"],
+        mean_rollbacks=means["rollbacks"],
+        mean_corrections=means["corrections"],
+        mean_faults=means["faults"],
+        convergence_rate=means["converged"],
         reps=reps,
         ci_low=ci[0] if ci else None,
         ci_high=ci[1] if ci else None,

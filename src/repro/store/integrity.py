@@ -25,6 +25,14 @@ crc) as 8 hex digits>``.  Design points:
   serialization the append already pays (the ≤2% hardened-path
   benchmark gate in ``benchmarks/bench_chaos.py`` covers it).
 
+- **One pass per record.**  The stores write through
+  :func:`seal_text` — one serialization, the CRC taken over the very
+  bytes that go to disk — and read through :func:`open_sealed`, which
+  verifies the bytes it was handed and only re-serializes
+  (:func:`check_record`, the canonical rule) when that raw check does
+  not pass: a foreign writer's spacing or key order, a pre-CRC record
+  and real bit rot are all judged exactly as before.
+
 ``repro store verify`` walks a store with these helpers and reports
 intact / corrupt / unchecksummed counts; ``repro store repair``
 re-derives a clean store from the intact records.
@@ -35,10 +43,21 @@ from __future__ import annotations
 import json
 import zlib
 
-__all__ = ["CRC_SCHEMA", "seal_record", "check_record", "strip_seal"]
+__all__ = [
+    "CRC_SCHEMA",
+    "seal_record",
+    "check_record",
+    "strip_seal",
+    "seal_text",
+    "open_sealed",
+]
 
 #: Current seal schema version (the ``N`` in ``"N:<hex>"``).
 CRC_SCHEMA: int = 1
+
+#: How a line sealed by this library ends: ``<_SEAL_HEAD><8 hex>"}``.
+_SEAL_HEAD = f', "crc": "{CRC_SCHEMA}:'
+_SEAL_LEN = len(_SEAL_HEAD) + 8 + 2
 
 
 def _crc_of(record: dict) -> str:
@@ -78,3 +97,42 @@ def strip_seal(record: dict) -> dict:
     if "crc" not in record:
         return record
     return {k: v for k, v in record.items() if k != "crc"}
+
+
+def seal_text(record: dict) -> str:
+    """The sealed JSON text of ``record`` — byte for byte
+    ``json.dumps(seal_record(record))`` — from a single serialization:
+    the seal is spliced in as the final key of the body text it
+    checksums."""
+    body = json.dumps(strip_seal(record))
+    crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
+    head = _SEAL_HEAD if len(body) > 2 else _SEAL_HEAD[2:]  # "{}" has no comma
+    return f'{body[:-1]}{head}{crc:08x}"}}'
+
+
+def open_sealed(text: str) -> "tuple[object, bool | None]":
+    """Parse one stored record text (no trailing newline) and judge its
+    seal: ``check_record(json.loads(text))`` without re-serializing
+    what was just parsed.
+
+    A text that ends the way :func:`seal_text` ends one is verified on
+    the bytes read — its CRC is that of the text minus the spliced
+    seal.  Whenever that does not pass (other spacing or key order, no
+    seal, unknown schema, damage) the canonical :func:`check_record`
+    decides, so the raw check can confirm a record but never reject
+    one.  (The one text it confirms that the canonical rule would not:
+    a foreign line sealed, in this exact layout, over its own
+    non-canonical bytes — intact by the only measure a seal has.)
+    Malformed JSON raises ``ValueError``; a non-dict value comes back
+    unjudged for the caller to refuse.
+    """
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        return record, None
+    cut = len(text) - _SEAL_LEN
+    if text.startswith(_SEAL_HEAD, cut) and text.endswith('"}'):
+        crc = zlib.crc32((text[:cut] + "}").encode()) & 0xFFFFFFFF
+        if f"{crc:08x}" == text[cut + len(_SEAL_HEAD):-2]:
+            del record["crc"]
+            return record, True
+    return check_record(record)

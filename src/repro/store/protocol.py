@@ -11,7 +11,11 @@ The contract, in order of importance:
 Durability (crash salvage)
     ``append`` makes the record durable *before* returning, up to the
     backend's declared crash footprint: a crash may lose the record in
-    flight but must never corrupt previously appended ones.  Readers
+    flight but must never corrupt previously appended ones.
+    ``append_many`` is the same promise for a batch — ``append(r)`` is
+    ``append_many([r])``, the single write path — and a crash may lose
+    any part of the batch in flight (all of it under SQLite, whose
+    batch is one transaction).  Readers
     silently drop the crash footprint (a torn trailing line per JSONL
     file; an uncommitted transaction under SQLite) — the task simply
     reruns on resume — and raise
@@ -51,12 +55,12 @@ Concurrency
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import TaskSpec
 
-__all__ = ["StoreBackend", "LeaseUnsupported"]
+__all__ = ["StoreBackend", "LeaseUnsupported", "append_many"]
 
 
 class LeaseUnsupported(RuntimeError):
@@ -88,7 +92,13 @@ class StoreBackend(Protocol):
         ...
 
     def append(self, record: dict) -> None:
-        """Durably append one record (must carry a ``"hash"`` key)."""
+        """Durably append one record (must carry a ``"hash"`` key).
+
+        The shipped backends also offer ``append_many(records)`` — one
+        committed transaction (sqlite) or one write (single-writer
+        JSONL) per batch.  It is not a required member: callers go
+        through :func:`append_many`, which falls back to this method.
+        """
         ...
 
     def iter_records(self) -> "Iterator[dict]":
@@ -121,16 +131,29 @@ class StoreBackend(Protocol):
     def __len__(self) -> int: ...
 
 
+def append_many(store: StoreBackend, records: "Iterable[dict]") -> None:
+    """Append a batch through the backend's own ``append_many``, or
+    record by record for a backend (or test double) that only defines
+    ``append``."""
+    batch = getattr(store, "append_many", None)
+    if batch is not None:
+        batch(records)
+    else:
+        for record in records:
+            store.append(record)
+
+
 def default_resume(store: StoreBackend, tasks: "list[TaskSpec]"):
     """Shared streaming resume implementation for backends.
 
     Keeps only records whose hash one of ``tasks`` actually carries,
     so memory is proportional to the task list, not the store.
     """
-    wanted = {t.task_hash() for t in tasks}
+    hashes = [t.task_hash() for t in tasks]
+    wanted = set(hashes)
     done: "dict[str, dict]" = {}
     for rec in store.iter_records():
         if rec["hash"] in wanted:
             done[rec["hash"]] = rec  # duplicates: last wins
-    pending = [t for t in tasks if t.task_hash() not in done]
+    pending = [t for t, h in zip(tasks, hashes) if h not in done]
     return done, pending

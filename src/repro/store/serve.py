@@ -37,7 +37,6 @@ injected faults (``docs/DESIGN.md`` §10).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -436,7 +435,7 @@ def _chaos_tear(store, record: dict, tracer) -> None:
     """
     from repro.campaign.store import ResultStore
     from repro.chaos.harness import _chaos_exit
-    from repro.store.integrity import seal_record
+    from repro.store.integrity import seal_text
     from repro.store.sharded import ShardedStore
 
     target = None
@@ -446,7 +445,7 @@ def _chaos_tear(store, record: dict, tracer) -> None:
         store._write_meta()  # a real append would have created it
         target = store._shard_path(store.shard_index(record["hash"]))
     if target is not None:
-        line = json.dumps(seal_record(record)).encode()
+        line = seal_text(record).encode()
         os.makedirs(os.path.dirname(os.fspath(target)) or ".", exist_ok=True)
         with open(target, "ab") as fh:
             fh.write(line[: max(1, len(line) // 2)])

@@ -45,7 +45,7 @@ import json
 import os
 import pathlib
 import time
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.campaign.store import ResultStore, StoreError
 from repro.store.protocol import default_resume
@@ -202,18 +202,28 @@ class ShardedStore:
     # StoreBackend protocol
     # ------------------------------------------------------------------
     def append(self, record: dict) -> None:
-        """Route the record to its hash's shard and durably append it.
+        """Durably append one record: :meth:`append_many` of one."""
+        self.append_many((record,))
 
-        The first append of a process to a given shard repairs that
+    def append_many(self, records: "Iterable[dict]") -> None:
+        """Route each record to its hash's shard and durably append it
+        (a record without ``"hash"`` rejects the whole batch first).
+
+        Shards are multi-writer files, so a batch is still one flushed
+        line per record — there is no cross-shard transaction and a
+        crash mid-batch loses only the records not yet written.  The
+        first append of a process to a given shard repairs that
         shard's torn tail (crash salvage is per shard); the shard
         handle then stays open, so a worker appending many records
         pays one open per shard it ever touches, and workers touching
         disjoint shards never contend.
         """
-        if "hash" not in record:
+        records = list(records)
+        if any("hash" not in record for record in records):
             raise ValueError("record must carry a 'hash' key")
         self._write_meta()
-        self._shard_store(self.shard_index(record["hash"])).append(record)
+        for record in records:
+            self._shard_store(self.shard_index(record["hash"])).append(record)
 
     def iter_records(self) -> "Iterator[dict]":
         """Stream records shard by shard (index order), file order

@@ -12,9 +12,9 @@ aggregates stay bit-identical.
 
 Durability and concurrency come from SQLite itself:
 
-- WAL journaling makes every ``append`` an atomic committed
-  transaction — the crash footprint is "the record in flight", never
-  a torn line, so no salvage pass is needed;
+- WAL journaling makes every ``append`` / ``append_many`` one atomic
+  committed transaction — the crash footprint is "the record (or
+  batch) in flight", never a torn line, so no salvage pass is needed;
 - ``INSERT ... ON CONFLICT(hash) DO UPDATE`` gives the store's
   last-wins identity natively while keeping the record's original
   ``rowid`` — iteration order is first-insertion order with updated
@@ -31,12 +31,11 @@ cross ``fork``), it lazily opens its own.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import sqlite3
 import time
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.campaign.store import StoreError
 from repro.store.protocol import default_resume
@@ -130,42 +129,56 @@ class SqliteStore:
     # StoreBackend protocol
     # ------------------------------------------------------------------
     def append(self, record: dict) -> None:
-        """Seal the record (per-record CRC32,
-        :mod:`repro.store.integrity`) and upsert it by hash in its own
-        committed transaction."""
-        from repro.store.integrity import seal_record
+        """Durably append one record: :meth:`append_many` of one."""
+        self.append_many((record,))
 
-        if "hash" not in record:
-            raise ValueError("record must carry a 'hash' key")
+    def append_many(self, records: "Iterable[dict]") -> None:
+        """Seal each record (per-record CRC32,
+        :mod:`repro.store.integrity`) and upsert the batch by hash in
+        one committed transaction: all of it is durable on return, none
+        of it if the process dies first (or a record lacks ``"hash"``)."""
+        from repro.store.integrity import seal_text
+
+        def rows():
+            for record in records:
+                if "hash" not in record:
+                    raise ValueError("record must carry a 'hash' key")
+                yield record["hash"], seal_text(record)
+
         conn = self._connect(create=True)
-        body = json.dumps(seal_record(record))
         with conn:
-            conn.execute(
+            conn.executemany(
                 "INSERT INTO records(hash, body) VALUES(?, ?) "
                 "ON CONFLICT(hash) DO UPDATE SET body = excluded.body",
-                (record["hash"], body),
+                rows(),
             )
 
-    def _decode(self, row_hash: str, body: str) -> dict:
-        """Parse and verify one row's body (seal stripped), raising
-        :class:`StoreError` on malformed JSON, a hash/key mismatch, or
-        a failing CRC32 seal."""
-        from repro.store.integrity import check_record
+    def _rows(self) -> "Iterator[tuple[str, str]]":
+        """``(hash, body)`` of every row in first-insertion order."""
+        conn = self._connect(create=False)
+        if conn is not None:
+            yield from conn.execute("SELECT hash, body FROM records ORDER BY rowid")
+
+    def _decode(self, row_hash: str, body: str) -> "tuple[dict, bool | None]":
+        """Parse and verify one row's body: ``(record, verdict)`` with
+        the seal stripped and the verdict ``True`` (sealed) or ``None``
+        (pre-checksum record).  Raises :class:`StoreError` on malformed
+        JSON, a hash/key mismatch, or a failing CRC32 seal."""
+        from repro.store.integrity import open_sealed
 
         try:
-            rec = json.loads(body)
+            rec, verdict = open_sealed(body)
             if not isinstance(rec, dict) or rec.get("hash") != row_hash:
                 raise ValueError("record body does not match its key")
         except ValueError as exc:
             raise StoreError(
                 f"{self.path}: corrupt record for hash {row_hash!r} ({exc})"
             ) from exc
-        rec, verdict = check_record(rec)
         if verdict is False:
             raise StoreError(
                 f"{self.path}: record {row_hash!r} failed its checksum"
             )
-        return rec
+        return rec, verdict
 
     def iter_records(self) -> "Iterator[dict]":
         """Stream records in first-insertion (rowid) order.
@@ -177,23 +190,15 @@ class SqliteStore:
         :class:`StoreError`: SQLite's transactional appends mean there
         is no benign crash footprint to tolerate here.
         """
-        conn = self._connect(create=False)
-        if conn is None:
-            return
-        cursor = conn.execute("SELECT hash, body FROM records ORDER BY rowid")
-        for row_hash, body in cursor:
-            yield self._decode(row_hash, body)
+        for row_hash, body in self._rows():
+            yield self._decode(row_hash, body)[0]
 
     def iter_intact(self) -> "Iterator[dict]":
         """Stream only the rows that parse and verify (``repro store
         repair``); corrupt rows are skipped and counted in METRICS."""
-        conn = self._connect(create=False)
-        if conn is None:
-            return
-        cursor = conn.execute("SELECT hash, body FROM records ORDER BY rowid")
-        for row_hash, body in cursor:
+        for row_hash, body in self._rows():
             try:
-                yield self._decode(row_hash, body)
+                yield self._decode(row_hash, body)[0]
             except StoreError:
                 from repro.obs.metrics import METRICS
 
@@ -203,27 +208,15 @@ class SqliteStore:
         """Integrity scan for ``repro store verify`` (see
         :meth:`repro.campaign.store.ResultStore.verify`; SQLite has no
         torn tails, so ``torn_tail`` is always ``False``)."""
-        from repro.store.integrity import check_record
-
         sealed = unsealed = corrupt = 0
-        conn = self._connect(create=False)
-        if conn is not None:
-            cursor = conn.execute("SELECT hash, body FROM records ORDER BY rowid")
-            for row_hash, body in cursor:
-                try:
-                    rec = json.loads(body)
-                    if not isinstance(rec, dict) or rec.get("hash") != row_hash:
-                        raise ValueError("mismatch")
-                except ValueError:
-                    corrupt += 1
-                    continue
-                verdict = check_record(rec)[1]
-                if verdict is False:
-                    corrupt += 1
-                elif verdict is True:
-                    sealed += 1
-                else:
-                    unsealed += 1
+        for row_hash, body in self._rows():
+            try:
+                verdict = self._decode(row_hash, body)[1]
+            except StoreError:
+                corrupt += 1
+            else:
+                sealed += verdict is True
+                unsealed += verdict is None
         return {
             "records": sealed + unsealed,
             "corrupt": corrupt,

@@ -92,6 +92,19 @@ def test_dry_run_loads_no_engine_no_fleet(run_cli, tmp_path):
     ) == []
 
 
+def test_dry_run_of_a_scipy_backend_study_never_imports_scipy(run_cli, tmp_path):
+    """Naming the backend validates it (SciPy must be *installed*) but
+    binds nothing: the kernel loads in the process that runs a product."""
+    pytest.importorskip("scipy")
+    from repro import Study
+
+    Study.figure1(scale=128, reps=1, uids=[1312], mtbf_values=[16.0],
+                  backend="scipy").save(tmp_path / "spec.json")
+    res = run_cli(["study", "run", "spec.json", "--dry-run"])
+    assert res["codes"] == [0] and "backend=scipy" in res["stdout"]
+    assert loaded(res, "scipy", "numpy.testing", "numpy.f2py") == []
+
+
 def test_resume_on_a_settled_store_loads_no_engine(run_cli, settled_store):
     res = run_cli(SMOKE + ["--store", "store.jsonl", "--resume"])
     assert res["codes"] == [0]

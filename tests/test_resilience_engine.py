@@ -241,3 +241,53 @@ class TestRepeatRunMethodAxis:
         r_pcg = repeat_run(a, b, cfg, method="pcg", **kw)
         r_bi = repeat_run(a, b, cfg, method="bicgstab", **kw)
         assert len({r_cg.mean_time, r_pcg.mean_time, r_bi.mean_time}) == 3
+
+
+class TestFinalResidual:
+    """The accepted reliable check *is* the final residual: the engine
+    does not recompute ``b − A·x`` on the x it just verified."""
+
+    @pytest.fixture
+    def reliable_products(self, monkeypatch):
+        from repro.resilience import engine
+
+        calls = []
+        real = engine.spmv
+
+        def counting(a, x, **kwargs):
+            calls.append(1)
+            return real(a, x, **kwargs)
+
+        monkeypatch.setattr(engine, "spmv", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["cg", "bicgstab", "pcg"])
+    def test_one_reliable_product_per_convergence_check(
+        self, problem, reliable_products, method
+    ):
+        a, b = problem
+        res = run_ft_method(
+            method, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.05, eps=1e-6, rng=3
+        )
+        assert res.converged
+        assert len(reliable_products) == res.counters.final_check_failures + 1
+        # ... and the reused norm is the one an explicit product gives.
+        from repro.sparse.spmv import spmv
+
+        assert res.residual_norm == float(np.linalg.norm(b - spmv(a, res.x)))
+
+    def test_exits_without_an_accepted_check_take_the_explicit_product(
+        self, problem, reliable_products
+    ):
+        a, b = problem
+        cfg = config(Scheme.ABFT_DETECTION)
+        res = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-6, final_check=False)
+        assert res.converged and len(reliable_products) == 1
+        del reliable_products[:]
+        capped = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-12, maxiter=3)
+        assert not capped.converged and len(reliable_products) == 1
+        del reliable_products[:]
+        x = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-6).x
+        del reliable_products[:]
+        warm = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-3, x0=x)
+        assert warm.iterations_executed == 0 and len(reliable_products) == 1
