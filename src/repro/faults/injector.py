@@ -110,6 +110,7 @@ class FaultInjector:
         self._on_strike: dict[str, "object"] = {}
         self._tables: "tuple[list[str], np.ndarray] | None" = None
         self.records: list[FaultRecord] = []
+        self._reverted = 0
 
     # ------------------------------------------------------------------
     # target registry
@@ -187,10 +188,17 @@ class FaultInjector:
             strikes.append((name, pos, bit))
         return strikes
 
-    def apply_strike(self, iteration: int, strike: tuple[str, int, int]) -> FaultRecord:
-        """Apply one sampled strike and record it."""
+    def apply_strike(
+        self,
+        iteration: int,
+        strike: tuple[str, int, int],
+        *,
+        into: "np.ndarray | None" = None,
+    ) -> FaultRecord:
+        """Apply one sampled strike and record it (``into`` as in
+        :meth:`inject_at`)."""
         name, pos, bit = strike
-        return self.inject_at(iteration, name, pos, bit)
+        return self.inject_at(iteration, name, pos, bit, into=into)
 
     def inject_iteration(self, iteration: int, *, n_strikes: int | None = None) -> list[FaultRecord]:
         """Sample and immediately apply this iteration's strikes."""
@@ -203,10 +211,37 @@ class FaultInjector:
         """Undo a recorded flip (models TMR restoring a voted value)."""
         arr = self._targets[record.target].reshape(-1)
         flip_bits_array(arr, np.array([record.position]), np.array([record.bit]))
+        self._reverted += 1
 
-    def inject_at(self, iteration: int, name: str, position: int, bit: int) -> FaultRecord:
-        """Deterministically flip one chosen bit (test hook)."""
-        arr = self._targets[name].reshape(-1)
+    @property
+    def net_flips(self) -> int:
+        """Flips applied minus flips reverted, so far.
+
+        Every mutation this injector makes goes through
+        :meth:`inject_at` or :meth:`revert`, so an unchanged value
+        across a span of code means every word struck inside it was
+        restored — what the resilience engine derives "this step left
+        no corruption behind" from.
+        """
+        return len(self.records) - self._reverted
+
+    def inject_at(
+        self,
+        iteration: int,
+        name: str,
+        position: int,
+        bit: int,
+        *,
+        into: "np.ndarray | None" = None,
+    ) -> FaultRecord:
+        """Deterministically flip one chosen bit (test hook).
+
+        ``into`` redirects the flip to another array standing in for
+        the registered target — a protected product's output buffer
+        before it is copied into the struck vector — while the record
+        and the ``on_strike`` hook still name ``name``.
+        """
+        arr = (self._targets[name] if into is None else into).reshape(-1)
         old = arr[position].item()
         flip_bits_array(arr, np.array([position]), np.array([bit]))
         rec = FaultRecord(

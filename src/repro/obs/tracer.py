@@ -132,6 +132,14 @@ class Tracer:
     def iteration(self, ctx) -> None:
         """Per-iteration observation hook; default is a no-op."""
 
+    @property
+    def observes_iterations(self) -> bool:
+        """Whether :meth:`iteration` does anything.  The engine only
+        keeps the plugin's vectors current after every iteration for
+        sinks that look at them; plain event sinks see the identical
+        event stream either way."""
+        return type(self).iteration is not Tracer.iteration
+
     def close(self) -> None:
         """Release sink resources; safe to call more than once."""
 
@@ -244,6 +252,10 @@ class MultiTracer(Tracer):
         for t in self.tracers:
             t.iteration(ctx)
 
+    @property
+    def observes_iterations(self) -> bool:
+        return any(t.observes_iterations for t in self.tracers)
+
     def close(self) -> None:
         for t in self.tracers:
             t.close()
@@ -273,6 +285,10 @@ class CallbackTracer(Tracer):
     def iteration(self, ctx) -> None:
         if self._on_iteration is not None:
             self._on_iteration(ctx)
+
+    @property
+    def observes_iterations(self) -> bool:
+        return self._on_iteration is not None
 
 
 def resolve_tracer(tracer: "Tracer | None") -> "Tracer | None":

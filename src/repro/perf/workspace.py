@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs.metrics import METRICS
+from repro.perf.trajectory import TrajectoryMemo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.validate import structure_arrays_clean
 
@@ -94,6 +95,7 @@ class SolveWorkspace:
         self._taint: dict[str, set[int]] = {n: set() for n in _MATRIX_ARRAYS}
         self._norm1: "float | None" = None
         self._jacobi_minv: "np.ndarray | None" = None
+        self._trajectory: "TrajectoryMemo | None" = None
         # Telemetry for tests/benchmarks (no behavioural role).  The
         # buffer-pool pair uses plain int attributes, not the METRICS
         # registry: buffer() sits on the per-iteration hot path, where
@@ -189,6 +191,7 @@ class SolveWorkspace:
             s.clear()
         self._norm1 = None
         self._jacobi_minv = None
+        self._trajectory = None
         self.live_copies += 1
         METRICS.inc("workspace.live_copy")
         return self._live
@@ -341,6 +344,25 @@ class SolveWorkspace:
             self._jacobi_minv = minv
         return self._jacobi_minv
 
+    def trajectory(
+        self, method: str, backend: "object | None", b: np.ndarray
+    ) -> TrajectoryMemo:
+        """The clean-trajectory memo of ``method`` on the bound source
+        from a zero initial guess (see :mod:`repro.perf.trajectory`).
+
+        One slot: a solve whose (method, resolved backend, ``b`` by
+        value) differs from the held memo's starts a new one, and
+        re-binding the live copy to another source drops it — campaigns
+        walk their grids matrix by matrix and method by method, so the
+        slot is hit by every repetition of every scheme, α, ``s``,
+        ``d`` and ``eps`` in between.
+        """
+        memo = self._trajectory
+        if memo is None or not memo.matches(method, backend, b):
+            memo = self._trajectory = TrajectoryMemo(method, backend, b)
+            METRICS.inc("workspace.trajectory_builds")
+        return memo
+
     def checksums(
         self, a: CSRMatrix, *, nchecks: int, backend: "object | None" = None
     ) -> "SpmvChecksums":
@@ -371,6 +393,7 @@ class SolveWorkspace:
             s.clear()
         self._norm1 = None
         self._jacobi_minv = None
+        self._trajectory = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nbuf = len(self._buffers)

@@ -86,7 +86,13 @@ class BiCGstabPlugin:
             self.p = workspace.zeros("bicgstab.p", n)
             self.v = workspace.zeros("bicgstab.v", n)
             self.s = workspace.zeros("bicgstab.s", n)
-        self.scal: dict[str, float] = {"rho": 1.0, "alpha": 1.0, "omega": 1.0, "iteration": 0}
+        self.scal: dict[str, float] = {
+            "rho": 1.0,
+            "alpha": 1.0,
+            "omega": 1.0,
+            "iteration": 0,
+            "rnorm": self._rnorm(),
+        }
 
     @property
     def iteration(self) -> int:
@@ -115,7 +121,7 @@ class BiCGstabPlugin:
         self.scal["iteration"] = int(cp.scalars["iteration"])
 
     def initial_converged(self, threshold: float) -> bool:
-        return self._rnorm() <= threshold
+        return self.scal["rnorm"] <= threshold
 
     def _rnorm(self) -> float:
         """Residual norm via the active backend (bit-identical: every
@@ -162,37 +168,70 @@ class BiCGstabPlugin:
         if not ctx.tmr_vote(tmr_phase, stop_on_failure=False):
             return StepOutcome.rollback("tmr")
 
+        reason = self._iterate(
+            ctx,
+            lambda p: ctx.protected_product(p, pre1, post1, count_detection=True),
+            lambda s_: ctx.protected_product(s_, pre2, [], count_detection=True),
+        )
+        if reason is not None:
+            return StepOutcome.rollback(reason)
+        return self._advanced(ctx)
+
+    def _iterate(self, ctx, product1, product2) -> "str | None":
+        """The BiCGstab update around its two products ``A·p`` and
+        ``A·s`` (each returns the product, or ``None`` for a detected
+        error); returns the rollback reason, ``None`` once advanced."""
         rho_new = float(self.r_hat @ self.r)
         if rho_new == 0.0 or self.scal["omega"] == 0.0:
             ctx.trace("breakdown", what="rho")
-            return StepOutcome.rollback("breakdown")
+            return "breakdown"
         beta = (rho_new / self.scal["rho"]) * (self.scal["alpha"] / self.scal["omega"])
         self.p[:] = self.r + beta * (self.p - self.scal["omega"] * self.v)
 
-        y1 = ctx.protected_product(self.p, pre1, post1, count_detection=True)
+        y1 = product1(self.p)
         if y1 is None:
-            return StepOutcome.rollback("abft")
+            return "abft"
         self.v[:] = y1
         denom = float(self.r_hat @ self.v)
         if denom == 0.0 or not np.isfinite(denom):
             ctx.trace("breakdown", what="denom", value=denom)
-            return StepOutcome.rollback("breakdown")
+            return "breakdown"
         alpha_k = rho_new / denom
         self.s[:] = self.r - alpha_k * self.v
 
-        y2 = ctx.protected_product(self.s, pre2, [], count_detection=True)
-        if y2 is None:
-            return StepOutcome.rollback("abft")
-        t = y2
+        t = product2(self.s)
+        if t is None:
+            return "abft"
         tt = float(t @ t)
         if tt == 0.0 or not np.isfinite(tt):
             ctx.trace("breakdown", what="tt", value=tt)
-            return StepOutcome.rollback("breakdown")
+            return "breakdown"
         omega_k = float(t @ self.s) / tt
         self.x += alpha_k * self.p + omega_k * self.s
         self.r[:] = self.s - omega_k * t
         self.scal.update({"rho": rho_new, "alpha": alpha_k, "omega": omega_k})
         self.scal["iteration"] += 1
+        self.scal["rnorm"] = self._rnorm()
+        return None
 
-        rnorm = self._rnorm()
+    def _advanced(self, ctx) -> StepOutcome:
+        rnorm = self.scal["rnorm"]
         return StepOutcome.advanced(bool(np.isfinite(rnorm) and rnorm <= ctx.threshold))
+
+    def replay_step(self, ctx) -> None:
+        """One strike-free step against the pristine matrix (trajectory
+        arithmetic only: no charge, no verification)."""
+        y = ctx.workspace.abft_buffers(*self.live.shape, self.live.nnz)[1]
+
+        def product(v: np.ndarray) -> np.ndarray:
+            return ctx.clean_product(v, y)
+
+        self._iterate(ctx, product, product)
+
+    def advance_clean(self, ctx, scalars: "dict[str, float]") -> StepOutcome:
+        """Account the clean step to the state whose ``scalars()`` are
+        given without executing it (every guard of :meth:`step` passed
+        when that state was recorded, whatever the scheme)."""
+        ctx.charge_verified_iteration()
+        self.scal.update(scalars)
+        return self._advanced(ctx)

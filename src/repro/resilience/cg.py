@@ -83,6 +83,7 @@ class CGPlugin:
             self.p[:] = self.r
             self.q = workspace.zeros("cg.q", n)
         self.rr = float(self.r @ self.r)
+        self.pq = 1.0  #: curvature ``pᵀAp`` of the step that produced this state
         self.iteration = 0
         self.iter_in_chunk = 0  #: ONLINE-DETECTION's position inside the chunk
 
@@ -91,10 +92,11 @@ class CGPlugin:
         return {"x": self.x, "r": self.r, "p": self.p, "q": self.q}
 
     def scalars(self) -> dict[str, float]:
-        return {"rr": self.rr}
+        return {"rr": self.rr, "pq": self.pq}
 
     def load_scalars(self, cp: Checkpoint) -> None:
         self.rr = float(cp.scalars["rr"])
+        self.pq = float(cp.scalars["pq"])
         self.iteration = cp.iteration
 
     def initial_converged(self, threshold: float) -> bool:
@@ -116,6 +118,31 @@ class CGPlugin:
         self.iteration = cp.iteration
 
     # ------------------------------------------------------------------
+    # the recurrence, spelled once
+    # ------------------------------------------------------------------
+    def _update(self, pq: float) -> None:
+        """``α → x, r → rr → β → p`` given the curvature ``pq = pᵀq``.
+
+        Zero denominators yield NaN (ONLINE-DETECTION iterates on
+        corrupted data and leaves the catch to Chen's tests; the ABFT
+        step guards ``pq`` before calling).  With a workspace the axpy
+        temporary is a reused buffer — same floats either way.
+        """
+        alpha_step = self.rr / pq if pq != 0.0 else np.nan
+        ws = self.workspace
+        t = None if ws is None else ws.buffer("cg.tmp", self.x.shape[0])
+        t = np.multiply(alpha_step, self.p, out=t)
+        self.x += t
+        t = np.multiply(alpha_step, self.q, out=t)
+        self.r -= t
+        rr_new = float(self.r @ self.r)
+        beta = rr_new / self.rr if self.rr != 0.0 else np.nan
+        self.p *= beta
+        self.p += self.r
+        self.rr = rr_new
+        self.pq = pq
+
+    # ------------------------------------------------------------------
     # one iteration
     # ------------------------------------------------------------------
     def step(self, ctx, strikes: "list[tuple[str, int, int]]") -> StepOutcome:
@@ -123,13 +150,40 @@ class CGPlugin:
             return self._abft_step(ctx, strikes)
         return self._online_step(ctx, strikes)
 
+    def replay_step(self, ctx) -> None:
+        """One strike-free step against the pristine matrix: trajectory
+        arithmetic only — no charge, no verification, and no
+        ``iter_in_chunk`` (bookkeeping, not trajectory state)."""
+        ctx.clean_product(self.p, self.q)
+        self._update(float(self.p @ self.q))
+        self.iteration += 1
+
+    def advance_clean(self, ctx, scalars: "dict[str, float]") -> "StepOutcome | None":
+        """Account the clean step to the state whose ``scalars()`` are
+        given without executing it; ``None`` when its outcome does not
+        follow from them (the engine then executes it)."""
+        rr, pq = scalars["rr"], scalars["pq"]
+        if ctx.scheme.uses_abft:
+            if not np.isfinite(pq) or pq <= 0.0:
+                return None  # the ABFT step's breakdown guard fires here
+            self.rr, self.pq = rr, pq
+            return self._abft_advanced(ctx)
+        due, done = self._verification_due(rr, ctx)
+        if due and not ctx.chen_known_to_pass(self.iteration + 1, not done):
+            return None
+        self.rr, self.pq = rr, pq
+        return self._online_advanced(ctx, virtual=True)
+
     def _abft_step(self, ctx, strikes: "list[tuple[str, int, int]]") -> StepOutcome:
         """One ABFT-protected iteration (product, TMR vote, update)."""
-        ok = self._abft_iteration(ctx, strikes)
+        if self._abft_iteration(ctx, strikes):
+            return self._abft_advanced(ctx)
         ctx.charge_verified_iteration()
-        if not ok:
-            ctx.counters.detections += 1
-            return StepOutcome.rollback("abft")
+        ctx.counters.detections += 1
+        return StepOutcome.rollback("abft")
+
+    def _abft_advanced(self, ctx) -> StepOutcome:
+        ctx.charge_verified_iteration()
         self.iteration += 1
         return StepOutcome.advanced(bool(np.sqrt(self.rr) <= ctx.threshold))
 
@@ -159,24 +213,7 @@ class CGPlugin:
             ctx.log.emit("breakdown", self.iteration, pq=pq)
             ctx.trace("breakdown", what="pq", value=pq)
             return False
-        alpha_step = self.rr / pq
-        ws = self.workspace
-        if ws is None:
-            self.x += alpha_step * self.p
-            self.r -= alpha_step * self.q
-        else:
-            # Same axpy floats, explicit temporary instead of a fresh
-            # allocation per operation.
-            t = ws.buffer("cg.tmp", self.x.shape[0])
-            np.multiply(alpha_step, self.p, out=t)
-            self.x += t
-            np.multiply(alpha_step, self.q, out=t)
-            self.r -= t
-        rr_new = float(self.r @ self.r)
-        beta = rr_new / self.rr
-        self.p *= beta
-        self.p += self.r
-        self.rr = rr_new
+        self._update(pq)
         return True
 
     def _online_step(self, ctx, strikes: "list[tuple[str, int, int]]") -> StepOutcome:
@@ -195,35 +232,45 @@ class CGPlugin:
                     scratch=self.workspace.buffer("spmv.scratch", self.live.nnz),
                     backend=self.backend,
                 )
-            pq = float(self.p @ self.q)
-            alpha_step = self.rr / pq if pq != 0.0 else np.nan
-            self.x += alpha_step * self.p
-            self.r -= alpha_step * self.q
-            rr_new = float(self.r @ self.r)
-            beta = rr_new / self.rr if self.rr != 0.0 else np.nan
-            self.p *= beta
-            self.p += self.r
-            self.rr = rr_new
+            self._update(float(self.p @ self.q))
+        return self._online_advanced(ctx)
+
+    def _verification_due(self, rr: float, ctx) -> "tuple[bool, bool]":
+        """Whether the step arriving at ``rr`` ends at a verification
+        point, and whether ``rr`` says converged (which forces one)."""
+        done = bool(np.isfinite(rr) and np.sqrt(rr) <= ctx.threshold)
+        return self.iter_in_chunk + 1 >= self.config.verification_interval or done, done
+
+    def _online_advanced(self, ctx, *, virtual: bool = False) -> StepOutcome:
+        """ONLINE-DETECTION's bookkeeping once ``rr`` is the new state's:
+        charge, chunk position and, at a verification point, Chen's
+        tests — a virtual step is only taken where they are known to
+        pass (:meth:`advance_clean`)."""
+        due, rr_says_done = self._verification_due(self.rr, ctx)
         ctx.charge_iteration()
         self.iteration += 1
         self.iter_in_chunk += 1
-        rr_says_done = bool(np.isfinite(self.rr) and np.sqrt(self.rr) <= ctx.threshold)
-        if self.iter_in_chunk >= self.config.verification_interval or rr_says_done:
-            report = chen_verify(
-                self.live,
-                self.b,
-                self.x,
-                self.r,
-                self.p,
-                self.q,
-                check_orthogonality=not rr_says_done,
-                backend=self.backend,
-            )
-            ctx.charge_verification(ctx.costs.t_verif_online)
-            self.iter_in_chunk = 0
-            ctx.trace("chen-verify", passed=bool(report.passed))
-            if not report.passed:
-                ctx.counters.detections += 1
-                return StepOutcome.rollback("chen")
-            return StepOutcome.advanced(rr_says_done)
-        return StepOutcome.advanced(False, verified=False)
+        if not due:
+            return StepOutcome.advanced(False, verified=False)
+        passed = virtual or self._chen_verify(ctx, check_orthogonality=not rr_says_done)
+        ctx.charge_verification(ctx.costs.t_verif_online)
+        self.iter_in_chunk = 0
+        ctx.trace("chen-verify", passed=passed)
+        if not passed:
+            ctx.counters.detections += 1
+            return StepOutcome.rollback("chen")
+        return StepOutcome.advanced(rr_says_done)
+
+    def _chen_verify(self, ctx, *, check_orthogonality: bool) -> bool:
+        report = chen_verify(
+            self.live,
+            self.b,
+            self.x,
+            self.r,
+            self.p,
+            self.q,
+            check_orthogonality=check_orthogonality,
+            backend=self.backend,
+        )
+        ctx.note_chen(self.iteration, check_orthogonality, bool(report.passed))
+        return bool(report.passed)

@@ -40,16 +40,14 @@ from repro.abft.checksums import compute_checksums
 from repro.abft.spmv import SpmvStatus, protected_spmv
 from repro.backends import resolve_backend
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
-from repro.checkpoint.store import CheckpointStore
+from repro.checkpoint.store import Checkpoint, CheckpointStore
 from repro.core.cg import cg_tolerance_threshold
 from repro.core.methods import SchemeConfig
-from repro.faults.bitflip import flip_bits_array
 from repro.faults.injector import FaultInjector, FaultModel
-from repro.faults.record import FaultRecord
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import CallbackTracer, MultiTracer, Tracer, resolve_tracer
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
-from repro.resilience.protocol import RecurrencePlugin
+from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv
 from repro.sparse.validate import structure_arrays_clean
@@ -57,6 +55,7 @@ from repro.util.log import EventLog
 from repro.util.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.perf.trajectory import TrajectoryMemo
     from repro.perf.workspace import SolveWorkspace
 
 __all__ = ["EngineContext", "run_protected"]
@@ -65,6 +64,15 @@ __all__ = ["EngineContext", "run_protected"]
 #: the workspace's strike-undo ledger (vector repairs need no ledger —
 #: iteration vectors are fully re-initialized per run).
 _MATRIX_CORRECTION_KINDS = frozenset({"val", "colid", "rowidx"})
+
+#: Test-only probe, ``None`` in production: called as ``hook(ctx,
+#: vectors)`` at every point the engine claims ``vectors`` (by name) are
+#: byte-equal to the clean trajectory's at ``ctx.plugin.iteration`` and
+#: the live matrix to its source — after a clean real step, after every
+#: materialisation, at solve end.  ``tests/test_trajectory_memo.py``
+#: sets it from a fixture to compare against an independent
+#: workspace-free, strike-free run.
+_clean_claim_hook: "Callable[[EngineContext, dict[str, np.ndarray]], None] | None" = None
 
 
 class EngineContext:
@@ -139,6 +147,32 @@ class EngineContext:
         # resort.
         self.stuck_threshold = max(8, 2 * config.checkpoint_interval)
         self.stuck = 0
+        # -- taint state (docs/DESIGN.md §4) ---------------------------
+        #: The bound clean-trajectory memo ``T``; ``None`` = every
+        #: iteration is executed (no workspace, ``x0`` given, an
+        #: iteration observer attached, or a plugin without the
+        #: ``advance_clean``/``replay_step`` pair).
+        self.memo: "TrajectoryMemo | None" = None
+        #: The logical state is ``T[plugin.iteration]`` and the live
+        #: matrix is byte-equal to its source (under a non-reference
+        #: backend: and carries the structure stamp, which routes the
+        #: kernel).  Only ever true with a memo bound.
+        self.clean = False
+        #: Index ``c`` such that the plugin's real vectors hold
+        #: ``T[c]``; ``None`` once anything off the trajectory was
+        #: written into them.  While ``clean``, the state is
+        #: *materialised* iff ``cursor == plugin.iteration``.
+        self.cursor: "int | None" = None
+        #: Trajectory index of the latest checkpoint, ``None`` if it
+        #: was taken off the trajectory (a snapshot inherits the taint
+        #: of the state it copies) …
+        self._cp_clean: "int | None" = None
+        #: … and of the one held in :attr:`store`; they differ while the
+        #: latest checkpoint is index-only.
+        self._stored_clean: "int | None" = None
+        self._flips0 = 0  #: injector.net_flips when the current real step began
+        self.virtual = 0  #: iterations accounted from the memo
+        self.replayed = 0  #: clean steps re-executed to materialise vectors
 
     def trace(self, kind: str, **fields) -> None:
         """Emit one trace event at the plugin's current iteration.
@@ -201,12 +235,8 @@ class EngineContext:
                     for s in pre:
                         self.injector.apply_strike(plugin.iteration, s)
                 elif stage == "post" and y is not None:
-                    for name, posn, bit in post:
-                        old = y[posn]
-                        flip_bits_array(y, np.array([posn]), np.array([bit]))
-                        self.injector.records.append(
-                            FaultRecord(plugin.iteration, name, posn, bit, float(old), float(y[posn]))
-                        )
+                    for s in post:  # the output vector, struck before its copy-out
+                        self.injector.apply_strike(plugin.iteration, s, into=y)
 
         result = protected_spmv(
             self.live,
@@ -303,6 +333,100 @@ class EngineContext:
         return ok
 
     # ------------------------------------------------------------------
+    # the clean trajectory: account what is known, execute the rest
+    # ------------------------------------------------------------------
+    def step(self, strikes: "list[tuple[str, int, int]]") -> StepOutcome:
+        """One iteration — *virtual* when its outcome is already known.
+
+        A clean, strike-free iteration inside the memo's frontier is
+        accounted (charges, counters, events, verdict — everything the
+        record is built from) from the memoised scalars of ``T[k+1]``;
+        no SpMxV, verification or vector kernel runs and the real
+        vectors stay where :attr:`cursor` says.  Anything else is
+        executed by the plugin on materialised vectors, and a step that
+        ends ``advanced`` with no word left mutated extends the memo.
+        """
+        plugin = self.plugin
+        if self.clean:
+            if not strikes:
+                scalars = self.memo.next_scalars(plugin.iteration)
+                if scalars is not None:
+                    outcome = plugin.advance_clean(self, scalars)
+                    if outcome is not None:
+                        self.virtual += 1
+                        return outcome
+            self.materialise()  # a strike needs the exact bytes it flips
+        injector = self.injector
+        if injector is not None:
+            self._flips0 = injector.net_flips
+        outcome = plugin.step(self, strikes)
+        self.cursor = None
+        if self.clean:
+            if not self._step_untainted():
+                self.clean = False  # until a rollback to a clean checkpoint
+            elif not outcome.rolled_back:
+                k = self.cursor = plugin.iteration
+                self.memo.record(k, plugin.scalars(), plugin.vectors)
+                if _clean_claim_hook is not None:
+                    _clean_claim_hook(self, plugin.vectors)
+        return outcome
+
+    def _step_untainted(self) -> bool:
+        """No word struck since the current real step began is still
+        flipped (every strike site goes through the injector; a TMR
+        out-vote reverts through it)."""
+        return self.injector is None or self.injector.net_flips == self._flips0
+
+    def materialise(self) -> None:
+        """Make the real vectors hold the clean state the plugin is
+        logically in (a no-op when they already do)."""
+        if self.cursor != self.plugin.iteration:
+            self._load_trajectory(self.plugin.iteration)
+            if _clean_claim_hook is not None:
+                _clean_claim_hook(self, self.plugin.vectors)
+
+    def _load_trajectory(self, k: int) -> None:
+        """Put ``T[k]`` into the plugin: vectors from the nearest source
+        at or below ``k`` — what they already hold, the stored clean
+        checkpoint, a memo snapshot — then strike-free replay."""
+        plugin, memo = self.plugin, self.memo
+        vectors = plugin.vectors
+        here = self.cursor if self.cursor is not None and self.cursor <= k else -1
+        snap = memo.nearest_snapshot(k)
+        # While a clean state or an index-only checkpoint exists, the
+        # stored checkpoint is a clean one at or below it (a tainted
+        # save ends every clean stretch of the solve for good).
+        start = max(here, self._stored_clean, snap)
+        if start != here:
+            source = memo.snapshots[snap] if start == snap else self.store.latest.vectors
+            for name, vec in vectors.items():
+                vec[:] = source[name]
+        plugin.load_scalars(Checkpoint(start, {}, scalars=memo.steps[start]))
+        for j in range(start + 1, k + 1):
+            plugin.replay_step(self)
+            memo.offer_snapshot(j, vectors)
+        self.replayed += k - start
+        self.cursor = k
+
+    def clean_product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = A·x`` against the pristine matrix through the run's
+        kernel — the floats a strike-free step's product computes (for
+        the plugins' ``replay_step``)."""
+        scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
+        return spmv(self.a_view, x, out=out, scratch=scratch, backend=self.backend)
+
+    def note_chen(self, k: int, check_orthogonality: bool, passed: bool) -> None:
+        """A real step ran Chen's tests on arriving at index ``k``; on
+        the clean trajectory the verdict is a function of ``(k,
+        check_orthogonality)`` alone and is kept for virtual steps."""
+        if self.clean and self._step_untainted():
+            self.memo.chen[(k, check_orthogonality)] = passed
+
+    def chen_known_to_pass(self, k: int, check_orthogonality: bool) -> bool:
+        """Whether Chen's tests are known to pass at clean index ``k``."""
+        return self.memo.chen.get((k, check_orthogonality), False)
+
+    # ------------------------------------------------------------------
     # checkpoint / rollback orchestration
     # ------------------------------------------------------------------
     def snapshot(self) -> None:
@@ -311,13 +435,21 @@ class EngineContext:
         In workspace mode the matrix member of the checkpoint is the
         O(#faults) deviation record kept by the workspace instead of an
         O(nnz) array copy — the restore path reproduces the same bytes
-        either way.
+        either way.  The checkpoint of a clean state whose vectors are
+        not materialised is stored as its trajectory index alone.
         """
         if self.workspace is not None:
             self._cp_matrix_deltas = self.workspace.capture_matrix_state()
             matrix = None
         else:
             matrix = self.live
+        k = self.plugin.iteration
+        self._cp_clean = k if self.clean else None
+        if self.clean and self.cursor != k:
+            # A clean state is its index: the vectors are the memo's to
+            # rebuild, only the matrix member (the deltas above) is kept.
+            return
+        self._stored_clean = self._cp_clean
         self.store.save(
             self.plugin.iteration,
             vectors=self.plugin.vectors,
@@ -332,11 +464,18 @@ class EngineContext:
         references to these arrays, so rebinding would silently
         decouple injection from the solver state.  The checkpoint is
         *borrowed* (no defensive copy): values are copied out of it
-        into the live arrays, never the reverse.
+        into the live arrays, never the reverse.  An index-only
+        checkpoint restores the scalars and leaves the vectors to
+        :meth:`materialise`.
         """
-        cp = self.store.borrow_latest()
-        for name, vec in self.plugin.vectors.items():
-            vec[:] = cp.vectors[name]
+        index_only = self._cp_clean != self._stored_clean
+        if index_only:
+            cp = Checkpoint(self._cp_clean, {}, scalars=self.memo.steps[self._cp_clean])
+        else:
+            cp = self.store.borrow_latest()
+            for name, vec in self.plugin.vectors.items():
+                vec[:] = cp.vectors[name]
+            self.cursor = self._stored_clean
         if self.workspace is not None:
             assert self._cp_matrix_deltas is not None
             self.workspace.restore_matrix_state(self._cp_matrix_deltas)
@@ -353,7 +492,18 @@ class EngineContext:
                 self.live.assume_clean_structure()
             else:
                 self.live.mark_structure_dirty()
-        self.plugin.load_scalars(cp)
+        # Back on the trajectory iff the checkpoint was — and, under a
+        # non-reference backend, the stamp that routes its kernel came
+        # back too (restore_matrix_state leaves it dirty whenever the
+        # captured deltas name an index word, even a pristine one).
+        self.clean = self._cp_clean is not None and (
+            self.backend is None or self.live.structure_clean
+        )
+        if index_only and not self.clean:
+            # T[k]'s bytes on another kernel: the solve goes on for real.
+            self._load_trajectory(self._cp_clean)
+        else:
+            self.plugin.load_scalars(cp)
 
     def _charge_recovery(self, cost: float) -> None:
         self.time_units += cost
@@ -406,10 +556,24 @@ class EngineContext:
         if pol.refresh_charges_restart:
             # One recovery plus one iteration (the residual SpMxV).
             self._charge_recovery(self.costs.t_rec + self.costs.t_iter)
+        if self._cp_clean != self._stored_clean:
+            # An index-only checkpoint becomes a stored one before the
+            # plugin reads its iterate (BiCGstab's refresh keeps the
+            # logical iteration count, so it survives the detour).
+            k = self.plugin.iteration
+            self._load_trajectory(self._cp_clean)
+            self.store.save(
+                self._cp_clean, vectors=self.plugin.vectors, scalars=self.plugin.scalars()
+            )
+            self._stored_clean = self._cp_clean
+            self.plugin.iteration = k
         # Borrowed, not copied: the plugin only reads the checkpointed
         # iterate, and the snapshot below happens after that read.
         cp = self.store.borrow_latest()
         self.plugin.refresh(cp, self.a_view, self.b)
+        # r is recomputed, not the recurrence's: off the trajectory for good.
+        self.clean = False
+        self.cursor = None
         # The refresh re-read the pristine matrix wholesale: the input's
         # structure verdict holds again.
         if self.workspace is not None:
@@ -437,11 +601,39 @@ class EngineContext:
             self.trace("checkpoint", time_units=self.time_units)
 
     def true_residual(self) -> float:
-        """``‖b − A·x‖`` in reliable arithmetic against the clean A."""
+        """``‖b − A·x‖`` in reliable arithmetic against the clean A
+        (on the clean trajectory: computed once per index)."""
+        k = self.plugin.iteration
+        if self.clean:
+            norm = self.memo.true_residual.get(k)
+            if norm is not None:
+                return norm
+            self.materialise()
         true_r = self.b - spmv(self.a_view, self.plugin.vectors["x"], backend=self.backend)
         if self.backend is not None:
-            return float(self.backend.norm2(true_r))
-        return float(np.linalg.norm(true_r))
+            norm = float(self.backend.norm2(true_r))
+        else:
+            norm = float(np.linalg.norm(true_r))
+        if self.clean:
+            self.memo.true_residual[k] = norm
+        return norm
+
+    def solution(self) -> np.ndarray:
+        """A copy of the iterate the solve ends with; for a solve that
+        ends on the clean trajectory, the memo's pinned terminal
+        iterate (materialised and pinned by the first such solve)."""
+        x = self.plugin.vectors["x"]
+        if self.clean:
+            k = self.plugin.iteration
+            pinned = self.memo.terminal_x(k)
+            if pinned is None:
+                self.materialise()
+                self.memo.pin_terminal(k, x)
+            else:
+                x = pinned
+            if _clean_claim_hook is not None:
+                _clean_claim_hook(self, {"x": x})
+        return x.copy()
 
     def reliably_converged(self) -> bool:
         """Trustworthy convergence decision; an accepted check leaves
@@ -513,9 +705,15 @@ def run_protected(
         live matrix, the per-iteration buffers and the checkpoint
         staging come from the workspace (reused across runs, restored
         between runs by strike-undo) and the ABFT metadata comes from
-        the per-process checksum cache.  Bit-identical to the fresh
+        the per-process checksum cache.  A solve from the zero initial
+        guess also binds the workspace's clean-trajectory memo
+        (:mod:`repro.perf.trajectory`): iterations whose outcome is
+        already known — clean state, no strike drawn, inside the memo's
+        frontier — are accounted, not executed
+        (:meth:`EngineContext.step`).  Bit-identical to the fresh
         path — the fresh path remains the oracle
-        (``tests/test_perf_workspace.py``).  One workspace must not be
+        (``tests/test_perf_workspace.py``,
+        ``tests/test_trajectory_memo.py``).  One workspace must not be
         shared by concurrently running solves.
     backend:
         Kernel backend for every SpMxV of the run — a registered name
@@ -614,6 +812,20 @@ def run_protected(
         eps,
         norm1_a=workspace.source_norm1(a) if workspace is not None else None,
     )
+    if (
+        workspace is not None
+        and x0 is None
+        and hasattr(plugin, "advance_clean")
+        # An iteration observer reads the vectors after every step:
+        # the memo steps aside for that solve.
+        and not (tr is not None and tr.observes_iterations)
+        # Kernel routing is part of a non-reference trajectory.
+        and (backend is None or live.structure_clean)
+    ):
+        ctx.memo = workspace.trajectory(plugin.name, backend, b)
+        ctx.clean = True
+        ctx.cursor = 0
+        ctx.memo.record(0, plugin.scalars(), plugin.vectors)
 
     # ABFT metadata comes from the clean input matrix and lives in
     # reliable memory for the whole solve.
@@ -703,7 +915,7 @@ def run_protected(
                     bit=int(bit),
                 )
 
-        outcome = plugin.step(ctx, strikes)
+        outcome = ctx.step(strikes)
         if outcome.rolled_back:
             ctx.rollback(outcome.reason)
             converged = False
@@ -753,7 +965,7 @@ def run_protected(
     if true_residual is None:
         true_residual = ctx.true_residual()
     result = SolveResult(
-        x=plugin.vectors["x"].copy(),
+        x=ctx.solution(),
         converged=bool(true_residual <= ctx.threshold or (converged and not final_check)),
         iterations=int(plugin.iteration),
         iterations_executed=executed,
@@ -773,6 +985,8 @@ def run_protected(
     m.inc("engine.solves")
     m.inc("engine.converged" if result.converged else "engine.diverged")
     m.inc("engine.iterations_executed", executed)
+    m.inc("engine.iterations_virtual", ctx.virtual)
+    m.inc("engine.iterations_replayed", ctx.replayed)
     m.inc("engine.faults_injected", cnt.faults_injected)
     m.inc("engine.rollbacks", cnt.rollbacks)
     m.inc("engine.corrections", cnt.total_corrections)

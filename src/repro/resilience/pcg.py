@@ -93,6 +93,7 @@ class JacobiPCGPlugin:
             self.p[:] = self.z
             self.q = workspace.zeros("pcg.q", n)
         self.rz = float(self.r @ self.z)
+        self.rnorm = self._rnorm()
         self.iteration = 0
 
     @property
@@ -100,14 +101,15 @@ class JacobiPCGPlugin:
         return {"x": self.x, "r": self.r, "p": self.p, "q": self.q, "z": self.z}
 
     def scalars(self) -> dict[str, float]:
-        return {"rz": self.rz}
+        return {"rz": self.rz, "rnorm": self.rnorm}
 
     def load_scalars(self, cp: Checkpoint) -> None:
         self.rz = float(cp.scalars["rz"])
+        self.rnorm = float(cp.scalars["rnorm"])
         self.iteration = cp.iteration
 
     def initial_converged(self, threshold: float) -> bool:
-        return self._rnorm() <= threshold
+        return self.rnorm <= threshold
 
     def _rnorm(self) -> float:
         """Residual norm via the active backend (bit-identical: every
@@ -156,18 +158,43 @@ class JacobiPCGPlugin:
             ctx.log.emit("breakdown", self.iteration, pq=pq)
             ctx.trace("breakdown", what="pq", value=pq)
             return StepOutcome.rollback("breakdown")
+        if not self._update(pq):
+            return StepOutcome.rollback("breakdown")
+        return self._advanced(ctx)
+
+    def _update(self, pq: float) -> bool:
+        """``α → x, r, z → rz → β → p → ‖r‖`` given ``pq = pᵀq``; False
+        (with ``p`` and ``rz`` untouched) when the new ``rz`` is not finite."""
         alpha_step = self.rz / pq
         self.x += alpha_step * self.p
         self.r -= alpha_step * self.q
         self.z[:] = self.minv * self.r
         rz_new = float(self.r @ self.z)
         if not np.isfinite(rz_new):
-            return StepOutcome.rollback("breakdown")
+            return False
         beta = rz_new / self.rz
         self.p *= beta
         self.p += self.z
         self.rz = rz_new
         self.iteration += 1
+        self.rnorm = self._rnorm()
+        return True
 
-        rnorm = self._rnorm()
+    def _advanced(self, ctx) -> StepOutcome:
+        rnorm = self.rnorm
         return StepOutcome.advanced(bool(np.isfinite(rnorm) and rnorm <= ctx.threshold))
+
+    def replay_step(self, ctx) -> None:
+        """One strike-free step against the pristine matrix (trajectory
+        arithmetic only: no charge, no verification)."""
+        ctx.clean_product(self.p, self.q)
+        self._update(float(self.p @ self.q))
+
+    def advance_clean(self, ctx, scalars: "dict[str, float]") -> StepOutcome:
+        """Account the clean step to the state whose ``scalars()`` are
+        given without executing it (every guard of :meth:`step` passed
+        when that state was recorded, whatever the scheme)."""
+        ctx.charge_verified_iteration()
+        self.rz, self.rnorm = scalars["rz"], scalars["rnorm"]
+        self.iteration += 1
+        return self._advanced(ctx)

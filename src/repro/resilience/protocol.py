@@ -16,6 +16,25 @@ checkpoint/rollback orchestration and the time/recovery ledger.  A
 Plugins are *single-use*: the engine instantiates one per run via the
 :mod:`repro.resilience.registry` factories, and :meth:`bind` /
 :meth:`init_state` wire it to that run's live state.
+
+A plugin whose recurrence is deterministic may additionally offer the
+pair the engine's clean-trajectory memo needs (docs/DESIGN.md §4); a
+plugin without it is simply always executed:
+
+``advance_clean(ctx, scalars) -> StepOutcome | None``
+    Account one clean, strike-free iteration arriving at the state
+    whose :meth:`~RecurrencePlugin.scalars` are given — charges,
+    counters, iteration count and verdict exactly as :meth:`step`
+    would, no arithmetic on vectors.  ``scalars()`` must therefore
+    carry everything the step's guards and convergence test read.
+    ``None`` declines (the outcome does not follow from the scalars);
+    the engine then executes the step.
+
+``replay_step(ctx) -> None``
+    Execute one strike-free step's arithmetic against the pristine
+    matrix (``ctx.clean_product``): same floats as :meth:`step` on a
+    clean state, no charge, no verification, no bookkeeping beyond the
+    iteration count.
 """
 
 from __future__ import annotations

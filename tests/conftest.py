@@ -9,9 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sparse import CSRMatrix, laplacian_2d, random_spd, stencil_spd
 from repro.abft import compute_checksums
+
+
+# Tests that leave ``max_examples`` to the profile (the clean-trajectory
+# soundness test) run hypothesis' default budget in tier-1 and this one
+# under ``pytest --hypothesis-profile soak`` (CI's chaos-smoke job).
+settings.register_profile("soak", max_examples=1000, deadline=None)
 
 
 @pytest.fixture
