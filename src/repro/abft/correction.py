@@ -110,46 +110,58 @@ def _column_entries(a: CSRMatrix, j: int) -> tuple[np.ndarray, np.ndarray]:
 def _current_column_checksums(
     a: CSRMatrix,
     cks: SpmvChecksums,
-    row_of_nnz: "np.ndarray | None" = None,
+    counts: "np.ndarray | None" = None,
+    wild: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """``C' = WᵀÃ`` of the current (possibly corrupted) matrix.
 
-    ``row_of_nnz`` may be passed in when the caller evaluates several
-    candidate repairs against an unchanged ``rowidx`` (the z = 2 colid
-    trial loop): the row pattern depends only on the pointers.
+    ``counts`` (:func:`_row_counts`) and ``wild``
+    (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`) may be passed
+    in when the caller evaluates several candidate repairs against an
+    unchanged ``rowidx`` with in-range trial indices (the z = 2 colid
+    trial loop).  One nnz-length array is live at a time: each check's
+    weights, expanded per row and multiplied by ``val`` in place.
     """
-    n_rows, n_cols = a.shape
+    n_cols = a.ncols
     out = np.zeros((cks.nchecks, n_cols), dtype=np.float64)
-    if row_of_nnz is None:
-        row_of_nnz = _row_pattern(a)
-    # A corrupted rowidx can make the repeat counts disagree with nnz;
-    # in that case the rowidx branch should have handled it first, but
-    # guard anyway so the decoder never crashes mid-recovery.
-    m = min(row_of_nnz.size, a.nnz)
-    if a.structure_clean:
-        # Indices certified in-range: the wild-read mod is a no-op.
-        cols = a.colid[:m]
-    else:
-        cols = np.mod(a.colid[:m], n_cols)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(cks.nchecks):
-            # bincount accumulates in the same sequential item order as
-            # the np.add.at it replaces (bit-identical sums), at a
-            # fraction of the cost.
-            out[l] = np.bincount(
-                cols, weights=a.val[:m] * cks.weights[l, row_of_nnz[:m]], minlength=n_cols
-            )
+    if counts is None:
+        counts = _row_counts(a)
+    if wild is None:
+        wild = a.wild_positions()
+    # A corrupted rowidx can make the counts disagree with nnz; in that
+    # case the rowidx branch should have handled it first, but guard
+    # anyway so the decoder never crashes mid-recovery.
+    m = min(int(counts.sum()), a.nnz)
+    cols, val = a.colid[:m], a.val[:m]
+    # The wild reads wrap modulo n, as the kernel sees them: rewrite
+    # those few words in place for the scatter and put them back, in
+    # place of an O(nnz) wrapped copy of colid.
+    held = a.colid[wild]
+    if wild.size:
+        a.colid[wild] = np.mod(held, n_cols)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in range(cks.nchecks):
+                w = np.repeat(cks.weights[l], counts)[:m]
+                np.multiply(val, w, out=w)
+                # bincount accumulates in the same sequential item order
+                # as the np.add.at it replaces (bit-identical sums), at a
+                # fraction of the cost.
+                out[l] = np.bincount(cols, weights=w, minlength=n_cols)
+                del w  # before the next check's: never two at once
+    finally:
+        if wild.size:
+            a.colid[wild] = held
     return out
 
 
-def _row_pattern(a: CSRMatrix) -> np.ndarray:
-    """Row index of every stored nonzero, per the *current* pointers."""
-    if a.structure_clean:  # monotone in-range pointers: clip is a no-op
-        return np.repeat(np.arange(a.nrows), np.diff(a.rowidx))
+def _row_counts(a: CSRMatrix) -> np.ndarray:
+    """Stored nonzeros per row, per the *current* pointers."""
+    if a.rows_clean:  # monotone in-range pointers: the clip is a no-op
+        return np.diff(a.rowidx)
     # A struck pointer can leave the clipped array non-monotone; such a
     # row reads as empty (end <= start), the same way spmv reads it.
-    counts = np.maximum(np.diff(np.clip(a.rowidx, 0, a.nnz)), 0)
-    return np.repeat(np.arange(a.nrows), counts)
+    return np.maximum(np.diff(np.clip(a.rowidx, 0, a.nnz)), 0)
 
 
 def correct_errors(
@@ -285,14 +297,15 @@ def correct_errors(
             eff = np.mod(a.colid[lo:hi], a.ncols)
             candidates = lo + np.nonzero(np.isin(eff, (f1, f2)))[0]
             # Trial-flip each candidate; keep the first flip that makes
-            # the column checksums consistent again.  The trials mutate
-            # only colid, so the row pattern is computed once.
-            rows_cache = _row_pattern(a)
+            # the column checksums consistent again.  The trials write
+            # only in-range colid words, so the row counts and the wild
+            # set are computed once.
+            counts, wild = _row_counts(a), a.wild_positions()
             for p in candidates:
                 p = int(p)
                 original = int(a.colid[p])
                 a.colid[p] = f2 if original % a.ncols == f1 else f1
-                trial = _current_column_checksums(a, cks, rows_cache)
+                trial = _current_column_checksums(a, cks, counts, wild)
                 if np.all(
                     np.abs(cks.column_checksums[:, (f1, f2)] - trial[:, (f1, f2)])
                     <= col_tol

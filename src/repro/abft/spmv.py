@@ -139,6 +139,14 @@ class ProtectedSpmvResult:
         return self.status in (SpmvStatus.OK, SpmvStatus.CORRECTED)
 
 
+def _snapshot(x: np.ndarray, buf: "np.ndarray | None") -> np.ndarray:
+    """The reliable copy of ``x`` (into the workspace buffer if given)."""
+    if buf is None:
+        return x.copy()
+    np.copyto(buf, x)
+    return buf
+
+
 def _verify(
     a: CSRMatrix,
     x: np.ndarray,
@@ -207,7 +215,9 @@ def _verify(
         # much larger than the snapshot); take the max of both magnitudes
         # so a large corruption of x cannot push benign rounding of the
         # matrix test over its threshold.
-        if x.shape[0]:
+        if x_ref is x:  # no snapshot was needed: one magnitude
+            x_inf = float(np.abs(x).max()) if x.shape[0] else 0.0
+        elif x.shape[0]:
             # ``initial=0.0`` is redundant for nonempty |·| arrays (all
             # entries ≥ 0) and routes through the slow reduction wrapper.
             x_inf = float(max(np.abs(x_ref).max(), np.abs(x).max()))
@@ -294,19 +304,21 @@ def protected_spmv(
         )
 
     # Reliable snapshot (Algorithm 2 line 3) and input checksum (line 10),
-    # taken before any unreliable work.
+    # taken before any unreliable work — when something can still write
+    # x.  Without a fault hook nothing does before verification, so the
+    # input is its own snapshot and cx is derived only if the decoder
+    # runs (below).
     if workspace is None:
-        x_ref = x.copy()
-        y_buf = scratch = verify_buffers = None
+        x_buf = y_buf = scratch = verify_buffers = None
     else:
-        x_ref, y_buf, scratch, ridx_buf, xdiff_buf = workspace.abft_buffers(
+        x_buf, y_buf, scratch, ridx_buf, xdiff_buf = workspace.abft_buffers(
             a.nrows, a.ncols, a.nnz
         )
-        np.copyto(x_ref, x)
         verify_buffers = (ridx_buf, xdiff_buf)
-    cx = checksums.x_checksums(x)
-
+    x_ref, cx = x, None
     if fault_hook is not None:
+        x_ref = _snapshot(x, x_buf)
+        cx = checksums.x_checksums(x)
         fault_hook("pre", a, x, None)
     y = spmv(a, x, out=y_buf, scratch=scratch, backend=backend)
     if fault_hook is not None:
@@ -319,7 +331,8 @@ def protected_spmv(
         x_ref,
         checksums,
         verify_buffers,
-        dr_zero=trust_structure_stamp and a.structure_clean,
+        # The stamp, or a workspace's wild-set hint: both certify rowidx.
+        dr_zero=trust_structure_stamp and a.rows_clean,
     )
     if residuals.clean:
         return ProtectedSpmvResult(y=y, status=SpmvStatus.OK, residuals=residuals)
@@ -334,6 +347,11 @@ def protected_spmv(
 
     from repro.abft.correction import correct_errors
 
+    if cx is None:
+        # The decoder may repair x in place: snapshot the (unchanged)
+        # input first, so the reliable copy cannot move with it.
+        x_ref = _snapshot(x, x_buf)
+        cx = checksums.x_checksums(x)
     outcome = correct_errors(
         a, x, y, x_ref, cx, checksums, residuals, ratio_tol=ratio_tol
     )

@@ -245,9 +245,12 @@ def _format_telemetry(tele: dict) -> "list[str]":
     accounted = c.get("engine.iterations_executed", 0)
     if accounted and "engine.iterations_virtual" in c:  # absent from older stores
         real = accounted - c["engine.iterations_virtual"]
-        lines.append(f"  iterations: {int(real)} executed for real / {int(accounted)} "
-                     f"accounted ({100 * real / accounted:.1f}%), "
-                     f"{int(c.get('engine.iterations_replayed', 0))} replayed")
+        line = (f"  iterations: {int(real)} executed for real / {int(accounted)} "
+                f"accounted ({100 * real / accounted:.1f}%), "
+                f"{int(c.get('engine.iterations_replayed', 0))} replayed")
+        if "engine.products_guarded" in c:  # absent from older stores
+            line += f"; {int(c['engine.products_guarded'])} guarded products"
+        lines.append(line)
     cache = _rate(c.get("abft.checksum_cache.hit", 0), c.get("abft.checksum_cache.miss", 0))
     if cache is not None:
         lines.append(f"  checksum-cache hit rate: {100 * cache:.1f}%")

@@ -110,6 +110,7 @@ class CheckpointStore:
                 old.rowidx[:] = matrix.rowidx
                 old._structure_clean = matrix._structure_clean
                 old._rows_nonempty = matrix._rows_nonempty
+                old._wild = matrix._wild
                 new_matrix = old
             else:
                 new_matrix = matrix.copy()

@@ -61,6 +61,7 @@ def residual_check(
     *,
     tol: float = 1e-8,
     backend: "object | None" = None,
+    scratch: "np.ndarray | None" = None,
 ) -> tuple[bool, float]:
     """Recompute ``b − A x`` and compare against the maintained ``r``.
 
@@ -68,8 +69,10 @@ def residual_check(
     SpMxV — the dominant part of ONLINE-DETECTION's ``Tverif`` —
     issued on the run's kernel ``backend`` so the recomputed and
     maintained residuals come from the same summation order.
+    ``scratch`` is the solver workspace's SpMxV products buffer (see
+    :func:`repro.sparse.spmv.spmv`); the floats are the same without.
     """
-    true_r = b - spmv(a, x, backend=backend)
+    true_r = b - spmv(a, x, scratch=scratch, backend=backend)
     scale = float(np.linalg.norm(b)) or 1.0
     gap = float(np.linalg.norm(true_r - r)) / scale
     if not np.isfinite(gap):
@@ -89,6 +92,7 @@ def chen_verify(
     res_tol: float = 1e-8,
     check_orthogonality: bool = True,
     backend: "object | None" = None,
+    scratch: "np.ndarray | None" = None,
 ) -> VerificationReport:
     """Full ONLINE-DETECTION verification (both tests).
 
@@ -104,7 +108,9 @@ def chen_verify(
         orth_ok, orth_score = orthogonality_check(p_next, q, tol=orth_tol)
     else:
         orth_ok, orth_score = True, float("nan")
-    res_ok, res_gap = residual_check(a, b, x, r, tol=res_tol, backend=backend)
+    res_ok, res_gap = residual_check(
+        a, b, x, r, tol=res_tol, backend=backend, scratch=scratch
+    )
     return VerificationReport(
         passed=orth_ok and res_ok,
         orthogonality=orth_score,

@@ -13,9 +13,9 @@ engine needs to *account* such an iteration instead of executing it:
   residual norm the convergence test reads);
 - the reliable residual norm ``‖b − A·x_k‖`` and Chen's verdicts at the
   indices where some run asked for them;
-- vector snapshots every :attr:`stride` indices under
-  :data:`BUDGET_BYTES`, from which any ``T[k]`` is rebuilt by strike-
-  free replay through the plugin's own arithmetic;
+- vector snapshots every :attr:`stride` indices under the memo's
+  :attr:`budget`, from which any ``T[k]`` is rebuilt by strike-free
+  replay through the plugin's own arithmetic;
 - one pinned terminal iterate (``x`` alone), so a solve that never left
   the trajectory returns its solution without touching a vector.
 
@@ -27,15 +27,22 @@ changes) and is not user-settable.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sparse.csr import CSRMatrix
 
 __all__ = ["BUDGET_BYTES", "TrajectoryMemo"]
 
-#: Byte budget for a memo's vector data (snapshots plus the pinned
-#: terminal iterate).  A constant, not a knob: ``peak_rss_mb`` is
-#: bounded at 5 % on the campaign ledger, and at n = 19 881 one CG
-#: state is 636 KB — the budget holds one snapshot there and dozens at
-#: Table-1 sizes.
+#: Floor of a memo's byte budget for vector data (snapshots plus the
+#: pinned terminal iterate).  The budget itself is derived, not set:
+#: ``max(BUDGET_BYTES, bytes of the bound source matrix)``.  A solve
+#: already holds the source and its live copy, so the memo at most
+#: adds a third matrix's worth — at n = 19 881 (7.8 MB of CSR arrays
+#: against a 636 KB CG state) about 12 snapshots instead of one — while
+#: Table-1-scale matrices stay on the 1 MiB floor.
 BUDGET_BYTES = 1 << 20
 
 #: Initial snapshot spacing; doubles whenever the budget is hit.
@@ -45,7 +52,14 @@ _INITIAL_STRIDE = 4
 class TrajectoryMemo:
     """What is known of one strike-free trajectory (see module doc)."""
 
-    def __init__(self, method: str, backend: "object | None", b: np.ndarray) -> None:
+    def __init__(
+        self,
+        method: str,
+        backend: "object | None",
+        b: np.ndarray,
+        *,
+        source: "CSRMatrix | None" = None,
+    ) -> None:
         self.method = method
         self.backend = backend
         #: Own copy: the key compares by value (callers hand a fresh
@@ -61,7 +75,11 @@ class TrajectoryMemo:
         #: Chen's verdict by ``(k, check_orthogonality)``.
         self.chen: "dict[tuple[int, bool], bool]" = {}
         self._terminal: "tuple[int, np.ndarray] | None" = None
-        self.nbytes = 0  #: snapshot + terminal bytes held (≤ BUDGET_BYTES)
+        #: Byte budget for vector data, derived from the bound source.
+        self.budget = BUDGET_BYTES
+        if source is not None:
+            self.budget = max(BUDGET_BYTES, 8 * source.memory_words)
+        self.nbytes = 0  #: snapshot + terminal bytes held (≤ budget)
 
     def matches(self, method: str, backend: "object | None", b: np.ndarray) -> bool:
         """Whether this memo describes the trajectory of that solve."""
@@ -104,7 +122,7 @@ class TrajectoryMemo:
     def _make_room(self, size: int, *, keep: "int | None" = None) -> bool:
         """Thin snapshots until ``size`` more bytes fit; False when they
         cannot (or when index ``keep`` fell off the doubled stride)."""
-        while self.nbytes + size > BUDGET_BYTES:
+        while self.nbytes + size > self.budget:
             if not self.snapshots:
                 return False
             self.stride *= 2

@@ -23,7 +23,9 @@ float:
   rewrites exactly those words from the pristine source (O(#faults),
   typically single digits) instead of recopying O(nnz) arrays, and
   restores the :attr:`~repro.sparse.csr.CSRMatrix.structure_clean`
-  stamp so unfaulted SpMxVs skip their index scans;
+  stamp so unfaulted SpMxVs skip their index scans — and while the
+  stamp is down, publishes the ``colid`` taint set as the wild-set hint
+  (:meth:`SolveWorkspace._publish_wild`), so struck ones skip them too;
 - **delta matrix checkpoints** — a checkpoint stores only the words
   currently deviating from the pristine source
   (:meth:`capture_matrix_state`), and a rollback restores them in
@@ -212,19 +214,51 @@ class SolveWorkspace:
         if live is not None and self._live_clean:
             live._structure_clean = True
             live._rows_nonempty = self._live_rows_nonempty
+            live._wild = None
 
     def note_matrix_mutation(self, name: str, position: int) -> None:
         """Record that one word of a live matrix array was rewritten.
 
         Called by the engine for every injector strike on
-        ``val``/``colid``/``rowidx`` and for every ABFT in-place repair.
-        Index-array mutations also revoke the live matrix's
-        ``structure_clean`` stamp, so subsequent SpMxVs fall back to
-        their defensive scans.
+        ``val``/``colid``/``rowidx`` and for every word the ABFT decoder
+        patches in place.  Index-array mutations also revoke the live
+        matrix's ``structure_clean`` stamp and re-publish its wild-set
+        hint (:meth:`_publish_wild`).
         """
         self._taint[name].add(int(position))
         if name != "val" and self._live is not None:
-            self._live.mark_structure_dirty()
+            self._publish_wild()
+
+    def _publish_wild(self) -> None:
+        """Drop the live stamp and publish the ``colid`` taint set as
+        the live matrix's wild-set hint
+        (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`).
+
+        The hint is sound while the source is structurally clean and
+        every tainted ``rowidx`` word equals the source's: ``rowidx`` is
+        then the validated source's, and an out-of-range ``colid`` word
+        deviates from the source, so it is tainted (the superset
+        invariant in the module doc).  Re-checked here, at every index
+        mutation and every restore with the stamp down: O(#faults).
+        """
+        live = self._live
+        assert live is not None
+        live.mark_structure_dirty()
+        if self._live_clean and self._pristine("rowidx"):
+            cols = self._taint["colid"]
+            live._wild = np.fromiter(cols, dtype=np.int64, count=len(cols))
+            live._rows_nonempty = self._live_rows_nonempty
+
+    def _pristine(self, name: str) -> bool:
+        """Whether every tainted word of array ``name`` equals the
+        source's again: O(#faults)."""
+        positions = self._taint[name]
+        if not positions:
+            return True
+        idx = np.fromiter(positions, dtype=np.int64, count=len(positions))
+        return bool(
+            np.array_equal(getattr(self._live, name)[idx], getattr(self._live_source, name)[idx])
+        )
 
     def _unwrite_tainted(self, *, clear: bool) -> None:
         """Rewrite every tainted word of the live arrays from the
@@ -279,9 +313,13 @@ class SolveWorkspace:
         # The restored state deviates from the source only at the
         # captured words; if none of them sit in an index array, the
         # structure verdict of the source holds again — re-arm the fast
-        # path that the strike had disarmed.
+        # path that the strike had disarmed.  Otherwise the stamp stays
+        # as it is (the ledger's slack, DESIGN §4) and, when it is down,
+        # the wild-set hint follows the restored bytes.
         if "colid" not in deltas and "rowidx" not in deltas:
             self._rearm_live()
+        elif not live.structure_clean:
+            self._publish_wild()
 
     def reverify_structure(self) -> None:
         """Re-arm the live structure stamp if no index word deviates.
@@ -291,16 +329,11 @@ class SolveWorkspace:
         nothing else would clear the dirty flag).  Compares only the
         tainted index words against the source: O(#faults).
         """
-        live, src = self._live, self._live_source
+        live = self._live
         if live is None or not self._live_clean or live.structure_clean:
             return
-        for name in ("colid", "rowidx"):
-            positions = self._taint[name]
-            if positions:
-                idx = np.fromiter(positions, dtype=np.int64, count=len(positions))
-                if not np.array_equal(getattr(live, name)[idx], getattr(src, name)[idx]):
-                    return
-        self._rearm_live()
+        if self._pristine("colid") and self._pristine("rowidx"):
+            self._rearm_live()
 
     def mark_live_pristine(self) -> None:
         """Declare the live matrix byte-equal to the source *right now*.
@@ -359,7 +392,9 @@ class SolveWorkspace:
         """
         memo = self._trajectory
         if memo is None or not memo.matches(method, backend, b):
-            memo = self._trajectory = TrajectoryMemo(method, backend, b)
+            memo = self._trajectory = TrajectoryMemo(
+                method, backend, b, source=self._live_source
+            )
             METRICS.inc("workspace.trajectory_builds")
         return memo
 

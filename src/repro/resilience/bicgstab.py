@@ -59,6 +59,8 @@ class BiCGstabPlugin:
         self.live = live
         self.b = b
         self.backend = backend
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = None
         if workspace is None:
             self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
             self.r = b - spmv(live, self.x, backend=backend)
@@ -73,13 +75,8 @@ class BiCGstabPlugin:
             if x0 is not None:
                 self.x[:] = x0
             self.r = workspace.buffer("bicgstab.r", n)
-            spmv(
-                live,
-                self.x,
-                out=self.r,
-                scratch=workspace.buffer("spmv.scratch", live.nnz),
-                backend=backend,
-            )
+            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
             np.subtract(b, self.r, out=self.r)
             self.r_hat = workspace.buffer("bicgstab.r_hat", n)
             self.r_hat[:] = self.r
@@ -145,7 +142,7 @@ class BiCGstabPlugin:
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
         self.x[:] = cp.vectors["x"]
-        self.r[:] = b - spmv(a, self.x, backend=self.backend)
+        self.r[:] = b - spmv(a, self.x, scratch=self.scratch, backend=self.backend)
         self.r_hat[:] = self.r
         self.p[:] = 0.0
         self.v[:] = 0.0

@@ -58,6 +58,8 @@ class CGPlugin:
         self.config = config
         self.workspace = workspace
         self.backend = backend
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = None
         if workspace is None:
             self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
             self.r = b - spmv(live, self.x, backend=backend)
@@ -71,13 +73,8 @@ class CGPlugin:
             if x0 is not None:
                 self.x[:] = x0
             self.r = workspace.buffer("cg.r", n)
-            spmv(
-                live,
-                self.x,
-                out=self.r,
-                scratch=workspace.buffer("spmv.scratch", live.nnz),
-                backend=backend,
-            )
+            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
             np.subtract(b, self.r, out=self.r)
             self.p = workspace.buffer("cg.p", n)
             self.p[:] = self.r
@@ -111,7 +108,7 @@ class CGPlugin:
         self.live.val[:] = a.val
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
-        self.r[:] = self.b - spmv(a, self.x, backend=self.backend)
+        self.r[:] = self.b - spmv(a, self.x, scratch=self.scratch, backend=self.backend)
         self.p[:] = self.r
         self.q[:] = 0.0
         self.rr = float(self.r @ self.r)
@@ -222,16 +219,7 @@ class CGPlugin:
             for s in strikes:
                 ctx.injector.apply_strike(self.iteration, s)
         with np.errstate(all="ignore"):
-            if self.workspace is None:
-                self.q[:] = spmv(self.live, self.p, backend=self.backend)
-            else:
-                spmv(
-                    self.live,
-                    self.p,
-                    out=self.q,
-                    scratch=self.workspace.buffer("spmv.scratch", self.live.nnz),
-                    backend=self.backend,
-                )
+            spmv(self.live, self.p, out=self.q, scratch=self.scratch, backend=self.backend)
             self._update(float(self.p @ self.q))
         return self._online_advanced(ctx)
 
@@ -271,6 +259,7 @@ class CGPlugin:
             self.q,
             check_orthogonality=check_orthogonality,
             backend=self.backend,
+            scratch=self.scratch,
         )
         ctx.note_chen(self.iteration, check_orthogonality, bool(report.passed))
         return bool(report.passed)

@@ -173,6 +173,8 @@ class EngineContext:
         self._flips0 = 0  #: injector.net_flips when the current real step began
         self.virtual = 0  #: iterations accounted from the memo
         self.replayed = 0  #: clean steps re-executed to materialise vectors
+        #: Protected products whose kernel ran with the live stamp down.
+        self.guarded = 0
 
     def trace(self, kind: str, **fields) -> None:
         """Emit one trace event at the plugin's current iteration.
@@ -251,6 +253,8 @@ class EngineContext:
             trust_structure_stamp=self.workspace is not None,
             backend=self.backend,
         )
+        if not self.live.structure_clean:  # before any re-arm below
+            self.guarded += 1
         corr = result.correction
         if (
             corr is not None
@@ -609,7 +613,12 @@ class EngineContext:
             if norm is not None:
                 return norm
             self.materialise()
-        true_r = self.b - spmv(self.a_view, self.plugin.vectors["x"], backend=self.backend)
+        scratch = None if self.workspace is None else self.workspace.buffer(
+            "spmv.scratch", self.a.nnz
+        )
+        true_r = self.b - spmv(
+            self.a_view, self.plugin.vectors["x"], scratch=scratch, backend=self.backend
+        )
         if self.backend is not None:
             norm = float(self.backend.norm2(true_r))
         else:
@@ -987,6 +996,7 @@ def run_protected(
     m.inc("engine.iterations_executed", executed)
     m.inc("engine.iterations_virtual", ctx.virtual)
     m.inc("engine.iterations_replayed", ctx.replayed)
+    m.inc("engine.products_guarded", ctx.guarded)
     m.inc("engine.faults_injected", cnt.faults_injected)
     m.inc("engine.rollbacks", cnt.rollbacks)
     m.inc("engine.corrections", cnt.total_corrections)

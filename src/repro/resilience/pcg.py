@@ -66,6 +66,8 @@ class JacobiPCGPlugin:
             self.minv = workspace.jacobi_minv(a)
         self.live = live
         self.b = b
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = None
         if workspace is None:
             self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
             self.r = b - spmv(live, self.x, backend=backend)
@@ -79,13 +81,8 @@ class JacobiPCGPlugin:
             if x0 is not None:
                 self.x[:] = x0
             self.r = workspace.buffer("pcg.r", n)
-            spmv(
-                live,
-                self.x,
-                out=self.r,
-                scratch=workspace.buffer("spmv.scratch", live.nnz),
-                backend=backend,
-            )
+            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
             np.subtract(b, self.r, out=self.r)
             self.z = workspace.buffer("pcg.z", n)
             np.multiply(self.minv, self.r, out=self.z)
@@ -127,7 +124,7 @@ class JacobiPCGPlugin:
         self.live.val[:] = a.val
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
-        self.r[:] = b - spmv(a, self.x, backend=self.backend)
+        self.r[:] = b - spmv(a, self.x, scratch=self.scratch, backend=self.backend)
         self.z[:] = self.minv * self.r
         self.p[:] = self.z
         self.q[:] = 0.0

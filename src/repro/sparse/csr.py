@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CSRMatrix"]
 
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_POSITIONS.flags.writeable = False
+
 
 class CSRMatrix:
     """A square-or-rectangular CSR matrix backed by three NumPy arrays.
@@ -48,6 +51,7 @@ class CSRMatrix:
         "shape",
         "_structure_clean",
         "_rows_nonempty",
+        "_wild",
         "__weakref__",
     )
 
@@ -66,6 +70,8 @@ class CSRMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._structure_clean = False
         self._rows_nonempty: "bool | None" = None
+        #: Wild-set hint (see :attr:`rows_clean`); ``None`` = no hint.
+        self._wild: "np.ndarray | None" = None
         if check:
             from repro.sparse.validate import validate_structure
 
@@ -98,6 +104,7 @@ class CSRMatrix:
         :meth:`mark_structure_dirty`.
         """
         self._structure_clean = True
+        self._wild = None
         # A clean rowidx is immutable until the flag drops, so the
         # "every row nonempty" fact (the SpMxV fast path's remaining
         # O(n) guard) can be hoisted here too.
@@ -106,9 +113,41 @@ class CSRMatrix:
         )
 
     def mark_structure_dirty(self) -> None:
-        """Revoke :meth:`assume_clean_structure` (index array mutated)."""
+        """Revoke :meth:`assume_clean_structure` (index array mutated),
+        and the wild-set hint with it."""
         self._structure_clean = False
         self._rows_nonempty = None
+        self._wild = None
+
+    @property
+    def rows_clean(self) -> bool:
+        """Whether ``rowidx`` is known in-range and monotone: under the
+        stamp, or while a wild-set hint is published.
+
+        The hint (the private ``_wild``) is set with the stamp down, by
+        the one owner able to certify it —
+        :class:`repro.perf.SolveWorkspace`, for its live matrix.  It is
+        an int64 array of ``colid`` positions and certifies two facts:
+        ``rowidx`` is byte-equal to a structurally validated source (so
+        ``_rows_nonempty`` holds as well), and every ``colid`` word
+        *outside* the array is in range — a superset of the wild
+        positions, never a subset.  :meth:`mark_structure_dirty` and
+        :meth:`assume_clean_structure` clear it.
+        """
+        return self._structure_clean or self._wild is not None
+
+    def wild_positions(self) -> np.ndarray:
+        """Positions ``p`` whose ``colid[p]`` may lie outside ``[0, ncols)``.
+
+        Empty under the stamp; the published hint when there is one;
+        otherwise one scan (through the unsigned view, negative words
+        compare above ``ncols`` too).
+        """
+        if self._structure_clean:
+            return _NO_POSITIONS
+        if self._wild is not None:
+            return self._wild
+        return np.flatnonzero(self.colid.view(np.uint64) >= self.ncols)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -219,6 +258,7 @@ class CSRMatrix:
         )
         dup._structure_clean = self._structure_clean
         dup._rows_nonempty = self._rows_nonempty
+        dup._wild = self._wild
         return dup
 
     # ------------------------------------------------------------------

@@ -30,8 +30,10 @@ def column_sums(a: CSRMatrix, weights: np.ndarray | None = None) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n_rows,):
             raise ValueError(f"weights must have shape ({n_rows},), got {weights.shape}")
-        row_of_nnz = np.repeat(np.arange(n_rows), np.diff(a.rowidx))
-        contrib = a.val * weights[row_of_nnz]
+        # Each row's weight expanded over its nonzeros, then scaled by
+        # val in place: one nnz-length array, the same products.
+        contrib = np.repeat(weights, np.diff(a.rowidx))
+        np.multiply(a.val, contrib, out=contrib)
     np.add.at(out, a.colid, contrib)
     return out
 

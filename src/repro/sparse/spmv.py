@@ -46,9 +46,10 @@ def spmv(
     Parameters
     ----------
     a:
-        The matrix.  May be structurally corrupted (out-of-range column
-        indices are clipped into range to emulate a wild read, matching
-        what the reference kernel would fault on — see Notes).
+        The matrix.  May be structurally corrupted: out-of-range column
+        indices are taken modulo ``a.ncols`` (a memory-safe wild read,
+        matching the reference kernel) and corrupted row pointers are
+        clipped into ``[0, nnz]`` — see Notes.
     x:
         Dense input vector of length ``a.ncols``.
     out:
@@ -75,11 +76,16 @@ def spmv(
     taken modulo the valid range.  A flag in the result is unnecessary:
     ABFT's checksums are the detection mechanism under study.
 
-    When the matrix carries the
+    Every product runs one routine (:func:`_products`): a clipping
+    gather, the multiply in place, and the wrapped read rewritten only
+    at the *wild* positions — none under the
     :attr:`~repro.sparse.csr.CSRMatrix.structure_clean` stamp, the
-    defensive work (``colid`` range scan, ``rowidx`` clipping and the
-    monotone-segment guard) is skipped: the stamp certifies exactly the
-    invariants those guards probe, so the result is bit-identical.
+    published wild-set hint of a workspace's live matrix, else one scan
+    (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`).  When the row
+    pointers are certified (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`)
+    the row reduction skips the clipping and the monotone-segment
+    guard: they probe exactly the invariants certified, so the result
+    is bit-identical.
     """
     if backend is not None:
         if type(backend) is not str:
@@ -107,21 +113,12 @@ def spmv(
             y[:] = 0.0
         return y
 
-    if a.structure_clean:
-        # Fast path: indices certified in-range and monotone, so the
-        # scan, the clips and the overshoot repair are all no-ops by
-        # construction — same floats, none of the guard work.
-        rowptr = a.rowidx
-        with np.errstate(over="ignore", invalid="ignore"):
-            if scratch is None:
-                products = a.val * x[a.colid]
-            else:
-                # mode="clip" skips the per-element bounds check; the
-                # structure_clean stamp guarantees it never clips.
-                products = np.take(x, a.colid, out=scratch[:nnz], mode="clip")
-                np.multiply(a.val, products, out=products)
+    wild = a.wild_positions()
+    products = _products(a, x, wild, scratch)
+    rowptr = a.rowidx
+    if a.rows_clean:
         starts = rowptr[:-1]
-        if a._rows_nonempty:  # hoisted with the stamp: no per-call guard
+        if a._rows_nonempty:  # hoisted with the certificate: no per-call guard
             np.add.reduceat(products, starts, out=y)
             return y
         y[:] = 0.0
@@ -131,18 +128,8 @@ def spmv(
         return y
     y[:] = 0.0
 
-    colid = a.colid
-    # Memory-safe emulation of wild reads caused by corrupted indices.
-    if colid.size and (colid.min() < 0 or colid.max() >= a.ncols):
-        colid = np.mod(colid, a.ncols)
-    # Corrupted values can overflow to ±inf — that is the silent error
-    # propagating, not a kernel bug; ABFT flags the non-finite result.
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = a.val * x[colid]
-
-    rowptr = a.rowidx
-    starts = np.clip(rowptr[:-1], 0, a.nnz)
-    ends = np.clip(rowptr[1:], 0, a.nnz)
+    starts = np.clip(rowptr[:-1], 0, nnz)
+    ends = np.clip(rowptr[1:], 0, nnz)
     # reduceat needs monotone segments; a corrupted rowidx can violate
     # that, in which case we fall back to the (safe) reference loop.
     if np.all(starts[1:] >= starts[:-1]) and np.all(ends >= starts):
@@ -155,7 +142,7 @@ def spmv(
             starts_ne = starts[nonempty]
             next_starts = np.empty_like(starts_ne)
             next_starts[:-1] = starts_ne[1:]
-            next_starts[-1] = a.nnz
+            next_starts[-1] = nnz
             overshoot = next_starts - ends_ne
             if np.any(overshoot > 0):
                 # rare (only for corrupted rowidx); correct per segment
@@ -164,11 +151,36 @@ def spmv(
                     seg[k] = products[starts_ne[k] : ends_ne[k]].sum()
             y[nonempty] = seg
         return y
-    looped = _spmv_loop(a.val, colid, rowptr, x, n, a.nnz)
+    looped = _spmv_loop(a.val, a.colid, rowptr, x, n, nnz, wild.size > 0)
     if out is None:
         return looped
     out[:] = looped
     return out
+
+
+def _products(
+    a: CSRMatrix,
+    x: np.ndarray,
+    wild: np.ndarray,
+    scratch: "np.ndarray | None",
+) -> np.ndarray:
+    """``val[p] · x[colid[p] mod ncols]`` for every stored nonzero.
+
+    ``wild`` must hold every position whose index is out of range (a
+    superset is fine: an in-range index reads the same either way).
+    The gather clips instead of bounds-checking each element, and only
+    the wild positions are rewritten with the wrapped read — so one
+    nnz-length array (``scratch[:nnz]`` when given) is all it touches.
+    """
+    dst = None if scratch is None else scratch[: a.nnz]
+    # Corrupted values can overflow to ±inf — that is the silent error
+    # propagating, not a kernel bug; ABFT flags the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.take(x, a.colid, out=dst, mode="clip")
+        np.multiply(a.val, products, out=products)
+        if wild.size:
+            products[wild] = a.val[wild] * x[np.mod(a.colid[wild], a.ncols)]
+    return products
 
 
 def _spmv_loop(
@@ -178,8 +190,10 @@ def _spmv_loop(
     x: np.ndarray,
     n: int,
     nnz: int,
+    wrap: bool,
 ) -> np.ndarray:
-    """Row-loop kernel tolerant of corrupted row pointers."""
+    """Row-loop kernel tolerant of corrupted row pointers (``wrap``:
+    some column index is out of range and reads modulo ``len(x)``)."""
     y = np.zeros(n, dtype=np.float64)
     # One vectorized clip + tolist instead of two np.clip scalar
     # dispatches per row; the per-row dot products are unchanged.
@@ -188,7 +202,10 @@ def _spmv_loop(
         lo = bounds[i]
         hi = bounds[i + 1]
         if hi > lo:
-            y[i] = float(val[lo:hi] @ x[colid[lo:hi]])
+            cols = colid[lo:hi]
+            if wrap:
+                cols = np.mod(cols, x.shape[0])
+            y[i] = float(val[lo:hi] @ x[cols])
     return y
 
 

@@ -146,14 +146,15 @@ class TestNonMonotoneRowPointers:
     does) and give up cleanly, not die in ``np.repeat``."""
 
     def test_row_pattern_reads_backward_segments_as_empty(self):
-        from repro.abft.correction import _row_pattern
+        from repro.abft.correction import _row_counts
 
         a = CSRMatrix(
             np.ones(6), np.arange(6) % 3, [0, 2, 2**62, 4, 6], (4, 3), check=False
         )
         # clipped pointers 0,2,6,4,6: row 1 swallows the tail, row 2 runs
         # backwards (empty), row 3 re-reads 4..6.
-        assert _row_pattern(a).tolist() == [0, 0, 1, 1, 1, 1, 3, 3]
+        pattern = np.repeat(np.arange(a.nrows), _row_counts(a))
+        assert pattern.tolist() == [0, 0, 1, 1, 1, 1, 3, 3]
 
     @pytest.mark.parametrize("struck", [7, 2**40])
     def test_first_pointer_strike_is_uncorrectable_not_a_crash(
