@@ -1,10 +1,9 @@
-"""Backend axis: every substitutable kernel vs the reference, clean
+"""Backend axis: the substitutable kernel vs the reference, clean
 *and* guarded.
 
-For each measurable backend (``scipy`` always; ``numba`` when the
-optional dependency is installed; ``threaded`` on multicore hosts),
-three measurements against the same-process reference baseline,
-correctness asserted before any clock starts:
+For each measurable backend (``scipy``), three measurements against
+the same-process reference baseline, correctness asserted before any
+clock starts:
 
 - **raw SpMxV** — the structure-clean fast path per suite matrix,
   best-of-``TRIALS`` over ``SPMV_ITERS`` products;
@@ -14,10 +13,8 @@ correctness asserted before any clock starts:
   honest number for campaign throughput);
 - **faulted protected solve** — the same subset at a paper-range
   fault constant (α = 0.1, the golden-trajectory rate): strikes dirty
-  the structure stamp, so the *guarded* kernels run inside the timed
-  region.  This is the number the numba backend exists for — its
-  compiled guarded walk keeps the protected path compiled where every
-  other backend falls back to the NumPy reference kernel.
+  the structure stamp, so the *guarded* products — handed back to the
+  NumPy reference kernel — run inside the timed region.
 
 Backends that cannot be measured in this environment are recorded
 honestly as ``"available": false`` with the reason (never with
@@ -45,7 +42,7 @@ import time
 import numpy as np
 
 import repro
-from repro.backends import get_backend, numba_available
+from repro.backends import get_backend
 from repro.sim.engine import make_rhs
 from repro.sim.matrices import PAPER_SUITE, get_matrix
 from repro.sparse.spmv import spmv
@@ -76,21 +73,7 @@ def min_spmv_speedup() -> float:
 
 def measurable_backends() -> "dict[str, str | None]":
     """Backend name -> None (measurable) or the reason it is not."""
-    out: "dict[str, str | None]" = {"scipy": None}
-    out["numba"] = (
-        None
-        if numba_available()
-        else "optional dependency numba is not installed in this "
-        "environment; `pip install -e .[numba]` and re-record"
-    )
-    cpus = os.cpu_count() or 1
-    out["threaded"] = (
-        None
-        if cpus > 1
-        else f"single-CPU host (os.cpu_count()={cpus}): the threaded "
-        "backend degenerates to the reference kernel"
-    )
-    return out
+    return {"scipy": None}
 
 
 def _time_spmv(a, x, backend) -> float:
@@ -99,7 +82,7 @@ def _time_spmv(a, x, backend) -> float:
     be = get_backend(backend)
     prepare = getattr(be, "prepare", None)
     if prepare is not None:
-        prepare(a)  # JIT warm-up / pool spin-up outside the clock
+        prepare(a)  # kernel binding outside the clock
     be.spmv(a, x, out=out, scratch=scratch)  # warm
     best = float("inf")
     for _ in range(TRIALS):
@@ -112,7 +95,7 @@ def _time_spmv(a, x, backend) -> float:
 
 def _time_solve(a, b, backend, **solve_kwargs) -> float:
     kwargs = dict(eps=1e-6, backend=backend, reuse_workspace=True, **solve_kwargs)
-    repro.solve(a, b, **kwargs)  # warm (matrix copy, checksum cache, JIT)
+    repro.solve(a, b, **kwargs)  # warm (matrix copy, checksum cache, kernel)
     best = float("inf")
     for _ in range(TRIALS):
         t0 = time.perf_counter()
@@ -129,8 +112,7 @@ def _measure_backend(name: str, scale: int, rng: np.random.Generator) -> dict:
         a.assume_clean_structure()  # the engine's structure-stamped state
         x = rng.standard_normal(a.ncols)
         # Numerical agreement before timing (few-ULP summation-order
-        # differences are the allowed envelope; numba and threaded are
-        # in fact bit-identical, which this also passes).
+        # differences are the allowed envelope).
         np.testing.assert_allclose(
             get_backend(name).spmv(a, x), spmv(a, x), rtol=1e-12, atol=1e-14
         )
@@ -245,14 +227,6 @@ def test_bench_backends(results_dir):
         f"scipy raw-kernel speedup is only {agg:.2f}x over the suite "
         f"(required {required}x) — the backend has stopped paying for itself"
     )
-    if record["backends"].get("numba", {}).get("available"):
-        # Acceptance bar: the compiled guarded path must at least
-        # double end-to-end throughput under paper-range fault rates.
-        agg_f = record["backends"]["numba"]["aggregate_faulted_solve_speedup_x"]
-        assert agg_f >= 2.0, (
-            f"numba faulted-solve speedup is only {agg_f:.2f}x "
-            "(required 2.0x) — the compiled guarded path has regressed"
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs

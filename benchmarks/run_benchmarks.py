@@ -6,8 +6,9 @@ Runs ``bench_resilience.py`` (engine-vs-legacy abstraction tax),
 ``bench_obs.py`` (tracing overhead), ``bench_chaos.py`` (self-healing
 harness overhead), ``bench_adaptive.py`` (adaptive sampling: same
 means within CI, fewer repetitions) and ``bench_backends.py`` (the
-kernel-backend axis, clean and guarded), then compares the fresh hot-path and backend
-records against the committed baselines
+``scipy`` kernel backend against the reference, clean and guarded),
+then compares the fresh hot-path and backend records against the
+committed baselines
 ``benchmarks/BENCH_hotpath.json`` / ``benchmarks/BENCH_backends.json``
 — the repo's perf trajectory — and gates the fresh overhead records:
 disabled tracing (``BENCH_obs.json``) or the armed execution guard
@@ -19,8 +20,7 @@ sides of every ratio run on the same machine in the same process, so
 the ratio is largely machine-independent, which is what makes a
 committed baseline meaningful across laptops and CI runners.  A fresh
 aggregate ratio more than 25 % below the baseline's fails the run.
-Backends the current environment cannot measure (numba without the
-optional dependency, threaded on a single-CPU host) are recorded as
+A backend the current environment cannot measure is recorded as
 unavailable and skipped by the gate, never compared against stale
 numbers.
 

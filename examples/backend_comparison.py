@@ -10,15 +10,15 @@ this machine can run and compares:
 - **physics**: iterations, simulated time and injected faults are
   identical on every backend — the backend never enters the fault
   seed derivation, only the task hash;
-- **bits**: ``reference``, ``numba`` and ``threaded`` promise the
-  byte-identical solution vector; ``scipy`` and ``dense`` are
-  numerically equivalent (few-ULP summation-order differences);
-- **wall time**: where the compiled kernels pay — including under
-  fault injection, where strikes dirty the structure stamp and only
-  the numba backend keeps the guarded path compiled.
+- **bits**: ``reference`` is the bit-identity oracle; ``scipy`` and
+  ``dense`` are numerically equivalent (few-ULP summation-order
+  differences);
+- **wall time**: where the compiled kernel pays — under fault
+  injection too, where strikes dirty the structure stamp and every
+  backend hands those products to the reference kernel.
 
-Backends whose optional dependency is missing are skipped with the
-reason (install the JIT backend with ``pip install -e .[numba]``).
+Backends that cannot run here (a missing dependency, the dense
+backend's size cap) are skipped with the reason.
 
 Run:  python examples/backend_comparison.py
 """
@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro import FaultSpec, solve, stencil_spd
-from repro.backends import available_backends, backend_available, get_backend
+from repro.backends import available_backends, get_backend
 
 
 def main() -> None:
@@ -49,14 +49,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name in sorted(available_backends()):
-        if not backend_available(name):
-            print(f"{name:10s}  skipped: optional dependency not installed "
-                  f"(pip install -e .[numba])")
-            continue
-        be = get_backend(name)
         try:
-            solve(a, b, backend=be, **kwargs)  # warm: caches, JIT, pool
-        except ValueError as exc:  # e.g. the dense backend's n-cap
+            be = get_backend(name)
+            solve(a, b, backend=be, **kwargs)  # warm: caches, kernel binding
+        except ValueError as exc:  # a missing dependency, the dense n-cap
             print(f"{name:10s}  skipped: {exc}")
             continue
         t0 = time.perf_counter()
@@ -70,7 +66,7 @@ def main() -> None:
             reference.counters.faults_injected
         # ... and identical *bits* where the backend promises them.
         bit_identical = report.solution_sha256 == reference.solution_sha256
-        if name in ("reference", "numba", "threaded"):
+        if name == "reference":
             assert bit_identical, f"{name} broke its bit-identity contract"
         c = report.counters
         print(f"{name:10s} {wall * 1e3:7.1f}ms {report.iterations_executed:6d} "

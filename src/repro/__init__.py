@@ -22,8 +22,6 @@ The library provides:
   points (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
-- a simulated message-passing parallel SpMxV with local ABFT
-  (:mod:`repro.parallel`);
 - the experiment drivers regenerating the paper's Table 1 and Figure 1
   (:mod:`repro.sim`);
 - a parallel, resumable experiment-campaign engine with crash-safe
@@ -36,11 +34,9 @@ The library provides:
   matrix restore and per-process checksum/matrix caches, bit-identical
   to the fresh-allocation oracle (:mod:`repro.perf`);
 - pluggable sparse-kernel backends — the bit-identical ``reference``
-  oracle, a SciPy-accelerated kernel, an optional numba JIT backend
-  whose compiled *guarded* kernels stay bit-identical under fault
-  injection, a threaded row-partitioned kernel and a dense small-n
-  fallback — selectable on every solve entry point
-  (:mod:`repro.backends`);
+  oracle, a SciPy-accelerated kernel and a dense small-n fallback —
+  selectable on every solve entry point, with a registry for
+  out-of-tree kernels (:mod:`repro.backends`);
 - structured tracing, process metrics and trace summaries — pure
   observation, zero overhead when off (:mod:`repro.obs`);
 - adaptive sequential sampling: per-task repetitions stop once the

@@ -83,8 +83,11 @@ def _near_integer(ratio: float, ratio_tol: float) -> int | None:
     return None
 
 
-def _recompute_row(a: CSRMatrix, x: np.ndarray, y: np.ndarray, i: int) -> None:
-    """Recompute ``y[i]`` from the current matrix and input (clipped bounds)."""
+def _row_bounds(a: CSRMatrix, i: int) -> "tuple[int, int]":
+    """Row ``i``'s ``[lo, hi)`` slice of the entry arrays, each pointer
+    clipped into ``[0, nnz]`` as the kernel reads it.  ``rowidx[0]`` is
+    outside the pointer checksums, so a decode can reach here with it
+    struck (e.g. negative after a sign-bit flip)."""
     nnz = a.nnz
     # Scalar int clipping in Python: np.clip on a 0-d value costs ~µs
     # of dispatch and this helper runs once per repaired/affected row.
@@ -92,6 +95,12 @@ def _recompute_row(a: CSRMatrix, x: np.ndarray, y: np.ndarray, i: int) -> None:
     lo = 0 if lo < 0 else (nnz if lo > nnz else lo)
     hi = int(a.rowidx[i + 1])
     hi = 0 if hi < 0 else (nnz if hi > nnz else hi)
+    return lo, hi
+
+
+def _recompute_row(a: CSRMatrix, x: np.ndarray, y: np.ndarray, i: int) -> None:
+    """Recompute ``y[i]`` from the current matrix and input (clipped bounds)."""
+    lo, hi = _row_bounds(a, i)
     if hi > lo:
         cols = np.mod(a.colid[lo:hi], a.ncols)
         y[i] = float(a.val[lo:hi] @ x[cols])
@@ -266,7 +275,7 @@ def correct_errors(
 
         if z == 1:
             f = int(flagged[0])
-            lo, hi = int(a.rowidx[d]), int(a.rowidx[d + 1])
+            lo, hi = _row_bounds(a, d)
             hits = lo + np.nonzero(a.colid[lo:hi] == f)[0]
             if hits.size != 1:
                 return CorrectionOutcome(
@@ -290,7 +299,7 @@ def correct_errors(
 
         if z == 2:
             f1, f2 = int(flagged[0]), int(flagged[1])
-            lo, hi = int(a.rowidx[d]), int(a.rowidx[d + 1])
+            lo, hi = _row_bounds(a, d)
             # Match on *effective* columns (index mod n): a bit flip can
             # push a column id far out of range, but the kernel — and
             # hence the checksum drift — sees it modulo n.

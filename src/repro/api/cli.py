@@ -112,7 +112,7 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", type=str, default="reference",
-        help="kernel backend: reference (bit-identical default), scipy, dense, numba, threaded",
+        help="kernel backend: reference (bit-identical default), scipy, dense",
     )
     parser.add_argument("--csv", type=str, default=None, help="also dump raw rows to CSV")
     parser.add_argument(
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", type=str, default="cg", help="cg, bicgstab or pcg")
     p.add_argument(
         "--backend", type=str, default="reference",
-        help="kernel backend: reference (bit-identical default), scipy, dense, numba, threaded",
+        help="kernel backend: reference (bit-identical default), scipy, dense",
     )
     p.add_argument(
         "--scheme", type=str, default="abft-correction",

@@ -2,7 +2,7 @@
 
 Every protected solve draws its numerical primitives — above all the
 SpMxV hot kernel — from a :class:`~repro.backends.protocol
-.KernelBackend`.  Five implementations ship (``docs/DESIGN.md`` §6):
+.KernelBackend`.  Three implementations ship (``docs/DESIGN.md`` §6):
 
 ``reference`` (the default)
     The repository's own NumPy kernels.  Bit-identical oracle: the
@@ -20,23 +20,6 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
     imported by the first product, not with the package and not by
     spec validation.  Without SciPy the name raises
     :class:`BackendUnavailableError` (no silent reference fallback).
-
-``numba``
-    JIT-compiled CSR kernels for the clean *and* guarded paths —
-    the only backend that owns guarded products, by reproducing the
-    reference fault physics bit for bit (and deferring the rare
-    cases it cannot; see :mod:`repro.backends.numba_backend`).
-    Optional dependency: ``pip install -e .[numba]``; resolving the
-    name without numba installed raises
-    :class:`BackendUnavailableError` with install instructions, and
-    :func:`backend_available` probes without raising.
-
-``threaded``
-    Clean products row-partitioned over a thread pool
-    (nnz-balanced contiguous blocks via
-    :mod:`repro.parallel.partition`); bit-identical to reference,
-    guarded products deferred.  Worth it for large n on multicore
-    hosts; degenerates to reference on one CPU.
 
 ``dense``
     Small-n dense materialization, for tests and exotic fault
@@ -63,7 +46,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.backends.dense import DenseBackend
-from repro.backends.numba_backend import NumbaBackend, numba_available
 from repro.backends.protocol import (
     BackendCapacityError,
     BackendUnavailableError,
@@ -72,7 +54,6 @@ from repro.backends.protocol import (
 )
 from repro.backends.reference import ReferenceBackend
 from repro.backends.scipy_backend import ScipyBackend
-from repro.backends.threaded import ThreadedBackend
 
 __all__ = [
     "KernelBackend",
@@ -80,8 +61,6 @@ __all__ = [
     "ReferenceBackend",
     "ScipyBackend",
     "DenseBackend",
-    "NumbaBackend",
-    "ThreadedBackend",
     "BackendUnavailableError",
     "BackendCapacityError",
     "DEFAULT_BACKEND",
@@ -90,7 +69,6 @@ __all__ = [
     "backend_available",
     "get_backend",
     "resolve_backend",
-    "numba_available",
 ]
 
 #: Name of the default backend (the bit-identity oracle).
@@ -102,8 +80,6 @@ _FACTORIES: "dict[str, Callable[[], KernelBackend]]" = {
     "reference": ReferenceBackend,
     "scipy": ScipyBackend,
     "dense": DenseBackend,
-    "numba": NumbaBackend,
-    "threaded": ThreadedBackend,
 }
 
 _INSTANCES: "dict[str, KernelBackend]" = {}
@@ -140,9 +116,10 @@ def register_backend(
 def available_backends() -> "tuple[str, ...]":
     """Registered backend names, shipped ones first.
 
-    Registered, not necessarily *runnable*: ``"numba"`` is always
-    listed but needs its optional dependency installed — probe with
-    :func:`backend_available` before sweeping it.
+    Registered, not necessarily *runnable*: ``"scipy"`` is always
+    listed but needs SciPy installed, and a custom backend may need its
+    own dependency — probe with :func:`backend_available` before
+    sweeping it.
     """
     return tuple(_FACTORIES)
 
@@ -151,9 +128,9 @@ def backend_available(name: str) -> bool:
     """Whether ``name`` is registered *and* instantiable here.
 
     ``False`` for unregistered names and for registered backends whose
-    dependency is missing (``"numba"`` without numba, ``"scipy"``
-    without SciPy).  Never
-    raises — this is the probe for test skips and sweep pre-flight;
+    dependency is missing (``"scipy"`` without SciPy, or a custom
+    backend whose factory raises :class:`BackendUnavailableError`).
+    Never raises — this is the probe for test skips and sweep pre-flight;
     :func:`get_backend` is the strict variant whose
     :class:`BackendUnavailableError` explains how to install.
     """

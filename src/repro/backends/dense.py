@@ -53,7 +53,7 @@ class DenseBackend(BaseBackend):
                 cap=self.max_n,
                 hint=(
                     f"matrix is {a.nrows}x{a.ncols}; use backend "
-                    "'reference', 'scipy' or 'threaded' for this workload"
+                    "'reference' or 'scipy' for this workload"
                 ),
             )
 

@@ -10,25 +10,21 @@ residual checks) through the active backend.  The contract every
 backend must honour (see ``docs/DESIGN.md`` §6 for the full
 argument):
 
-**Guarded paths stay on the reference semantics.**  The fault study
+**Guarded products go to the reference kernel.**  The fault study
 corrupts the raw CSR arrays in place, and the memory-safe emulation of
 the resulting wild reads (index wrap-around, the monotone-segment
 fallback) is part of the physics under study — its single definition
-lives in :func:`repro.sparse.spmv.spmv`.  A backend may substitute its
-own kernel for a product on a matrix *without* the
-:attr:`~repro.sparse.csr.CSRMatrix.structure_clean` stamp only when
-that kernel reproduces the reference guarded semantics **bit for
-bit** (the ``numba`` backend's compiled guarded walk does, and proves
-it by deferring the cases it cannot reproduce); any backend that
-cannot must delegate guarded products to the reference kernel so ABFT
-detection semantics are preserved.
+lives in :func:`repro.sparse.spmv.spmv`.  A backend's :meth:`spmv`
+hands every product on a matrix *without* the
+:attr:`~repro.sparse.csr.CSRMatrix.structure_clean` stamp to that
+function, so ABFT detection semantics never depend on the backend.
 
 **Checksum arithmetic is reliable.**  The paper's selective-reliability
 model computes ABFT metadata and residuals in reliable storage; the
 default :meth:`KernelBackend.checksum_products` implementation (the
 reference scatter-reduction) is the semantics every shipped backend
-reproduces bit-for-bit — a compiled backend may own the loop, but not
-change the floats.  :meth:`dot`/:meth:`norm2` feed convergence
+reproduces bit-for-bit — a backend may own the loop, but not change
+the floats.  :meth:`dot`/:meth:`norm2` feed convergence
 decisions, so a backend whose reductions cannot reproduce the
 NumPy/BLAS summation order must inherit the base implementations.
 
@@ -57,8 +53,8 @@ __all__ = [
 class BackendUnavailableError(ValueError):
     """A registered backend cannot run in this environment.
 
-    Raised when resolving a backend whose optional dependency is not
-    installed (e.g. ``"numba"`` without the ``numba`` package).  A
+    Raised when resolving a backend whose dependency is not installed
+    (e.g. ``"scipy"`` without the ``scipy`` package).  A
     subclass of ``ValueError`` so every existing registry error path —
     ``solve()`` validation, ``Study.axis("backend", ...)``, the CLI's
     usage-error handler — reports it as a clean user-facing message
@@ -97,10 +93,9 @@ class KernelBackend(Protocol):
     """Swappable numerical primitives for one protected solve.
 
     Implementations must be safe to share across solves (no per-solve
-    state) and must keep guarded products — any matrix *without* the
-    ``structure_clean`` stamp — bit-identical to the reference kernel,
-    either by delegating to it or by reproducing its semantics exactly
-    (see the module docstring).  :meth:`spmv` is dispatched on every
+    state) and must hand guarded products — any matrix *without* the
+    ``structure_clean`` stamp — to the reference kernel (see the module
+    docstring).  :meth:`spmv` is dispatched on every
     product; :meth:`checksum_products` and :meth:`norm2` are routed at
     ABFT setup and the residual checks.
     """
@@ -153,9 +148,9 @@ class BaseBackend:
         Called once per solve by the resilience engine, after backend
         resolution and *before* the solve's wall clock starts.  Two
         shipped uses: capacity-capped backends fail fast here with a
-        :class:`BackendCapacityError` instead of mid-solve, and JIT
-        backends trigger their one-time kernel compilation here so the
-        warm-up never pollutes per-task timing.  The engine looks the
+        :class:`BackendCapacityError` instead of mid-solve, and the
+        ``scipy`` backend binds its compiled kernel here so the one-time
+        import never pollutes per-task timing.  The engine looks the
         hook up with ``getattr``, so protocol-only custom backends
         that predate it keep working.
         """

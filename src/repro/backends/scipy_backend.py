@@ -57,8 +57,7 @@ def _unavailable(why: object) -> BackendUnavailableError:
     return BackendUnavailableError(
         "backend 'scipy' requires the scipy package with its compiled "
         f"CSR kernel, which cannot be imported here ({why}); install it "
-        "with `pip install scipy`, or pick another backend "
-        "('reference', 'threaded')"
+        "with `pip install scipy`, or use the default backend 'reference'"
     )
 
 

@@ -754,10 +754,10 @@ def run_protected(
         backend = workspace.backend
     backend = resolve_backend(backend)
     if backend is not None:
-        # Pre-solve hook, before the wall clock: JIT backends compile
-        # here (first-call warm-up never pollutes per-task timing) and
-        # capacity-capped backends fail fast with a structured error
-        # instead of dying mid-solve.
+        # Pre-solve hook, before the wall clock: backends bind or
+        # compile their kernels here (first-call warm-up never pollutes
+        # per-task timing) and capacity-capped backends fail fast with
+        # a structured error instead of dying mid-solve.
         prepare = getattr(backend, "prepare", None)
         if prepare is not None:
             prepare(a)

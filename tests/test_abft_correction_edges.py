@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.abft import SpmvStatus, compute_checksums, protected_spmv
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, stencil_spd
+from repro.sparse.spmv import spmv
 
 
 @pytest.fixture
@@ -167,6 +168,76 @@ class TestNonMonotoneRowPointers:
         a.rowidx[0] = struck
         res = protected_spmv(a, rng.normal(size=small_lap.ncols), cks)
         assert res.status is SpmvStatus.UNCORRECTABLE
+
+    @pytest.mark.parametrize(
+        "kind, strike",
+        [
+            ("val", lambda a: a.val.__setitem__(1, a.val[1] + 5.0)),  # z = 1
+            ("colid", lambda a: a.colid.__setitem__(1, 5)),  # z = 2
+        ],
+        ids=["z1-val", "z2-colid"],
+    )
+    def test_row0_decode_under_a_sign_flipped_first_pointer(self, kind, strike):
+        """The z = 1 / z = 2 decode of row 0 reads its bounds clipped, as
+        the kernel does, when ``rowidx[0]`` took a sign-bit flip."""
+        from repro.faults.bitflip import flip_bit_int64
+
+        src = stencil_spd(100, kind="cross", radius=1)
+        cks = compute_checksums(src, nchecks=2)
+        x = np.random.default_rng(0).standard_normal(src.ncols)
+        a = src.copy()
+        a.rowidx[0] = flip_bit_int64(int(a.rowidx[0]), 63)
+        strike(a)
+        res = protected_spmv(a, x.copy(), cks)
+        assert res.status is SpmvStatus.CORRECTED
+        assert res.correction.kind == kind and res.correction.position == 1
+        assert np.array_equal(a.val, src.val) and np.array_equal(a.colid, src.colid)
+        assert np.array_equal(res.y, src.matvec(x))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("kind", ["val", "colid"])
+    def test_every_entry_of_row0_decodes_under_a_sign_flipped_first_pointer(
+        self, kind, p
+    ):
+        """Row 0's first and last entries: the clipped bounds must cover
+        the whole row, not stop one short or start one late."""
+        from repro.faults.bitflip import flip_bit_int64
+
+        src = stencil_spd(100, kind="cross", radius=1)
+        assert int(src.rowidx[1]) == 3
+        cks = compute_checksums(src, nchecks=2)
+        x = np.random.default_rng(1).standard_normal(src.ncols)
+        a = src.copy()
+        a.rowidx[0] = flip_bit_int64(int(a.rowidx[0]), 63)
+        if kind == "val":
+            a.val[p] -= 2.5
+        else:
+            a.colid[p] = 50
+        res = protected_spmv(a, x.copy(), cks)
+        assert res.status is SpmvStatus.CORRECTED
+        assert res.correction.kind == kind and res.correction.position == p
+        assert np.array_equal(a.val, src.val) and np.array_equal(a.colid, src.colid)
+        np.testing.assert_allclose(res.y, src.matvec(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("bit", [0, 1, 62, 63])
+    def test_a_lone_first_pointer_flip_never_passes_a_wrong_product(
+        self, small_lap, rng, bit
+    ):
+        """``rowidx[0]`` alone, one flipped bit: the sign bit clips back
+        to 0 and changes nothing; any other bit drops entries of row 0,
+        which the checksums see and the decoder cannot repair."""
+        from repro.faults.bitflip import flip_bit_int64
+
+        cks = compute_checksums(small_lap, nchecks=2)
+        x = rng.normal(size=small_lap.ncols)
+        a = small_lap.copy()
+        a.rowidx[0] = flip_bit_int64(0, bit)
+        res = protected_spmv(a, x.copy(), cks)
+        if bit == 63:
+            assert res.status is SpmvStatus.OK
+            assert np.array_equal(res.y, spmv(small_lap, x))
+        else:
+            assert res.status is SpmvStatus.UNCORRECTABLE
 
     def test_tasks_the_ledger_screen_excluded_now_settle(self):
         """The four task specs PR 11's seed screen recorded as dying with

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.adaptive import SamplingPolicy
-from repro.backends import available_backends, numba_available
+from repro.backends import available_backends
 from repro.core.methods import Method, Scheme, SchemeConfig
 from repro.sim.engine import (
     PER_REP_KEYS,
@@ -53,8 +53,6 @@ def _cells():
     ids=lambda v: getattr(v, "value", v),
 )
 def test_adaptive_prefix_bit_identical(method, scheme, backend):
-    if backend == "numba" and not numba_available():
-        pytest.skip("optional dependency numba is not installed")
     a, b = _system()
     cfg = SchemeConfig(
         scheme=scheme,

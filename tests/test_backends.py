@@ -14,7 +14,16 @@ Locks the three contracts the backend axis stands on:
    structure-clean products it agrees with the reference kernel to
    rounding, and fault-free solves on the paper suite produce
    identical convergence histories (same iterations, same events).
+
+The seam an out-of-tree backend plugs into (``register_backend``,
+``BaseBackend``, ``prepare()``) is locked by a registered stand-in whose
+own clean kernel carries the reference bits: every golden trajectory
+replays byte-identically through it.
 """
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,15 +33,13 @@ from repro.abft.spmv import SpmvStatus, protected_spmv
 from repro.backends import (
     BackendCapacityError,
     BackendUnavailableError,
+    BaseBackend,
     DenseBackend,
-    NumbaBackend,
     ReferenceBackend,
     ScipyBackend,
-    ThreadedBackend,
     available_backends,
     backend_available,
     get_backend,
-    numba_available,
     register_backend,
     resolve_backend,
 )
@@ -42,7 +49,7 @@ from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import get_matrix
 from repro.sparse import CSRMatrix, stencil_spd
 from repro.sparse.spmv import spmv
-from repro.core.methods import Scheme, SchemeConfig
+from repro.core.methods import Method, Scheme, SchemeConfig
 
 
 def stamped(a: CSRMatrix) -> CSRMatrix:
@@ -65,17 +72,13 @@ def small_system():
 class TestRegistry:
     def test_shipped_backends_registered(self):
         names = available_backends()
-        for expected in ("reference", "scipy", "dense", "numba", "threaded"):
-            assert expected in names
+        assert names[:3] == ("reference", "scipy", "dense")
 
     def test_backend_available_probe_never_raises(self):
         assert backend_available("reference")
         assert backend_available("scipy")
-        assert backend_available("threaded")
+        assert backend_available("dense")
         assert not backend_available("cuda")
-        # numba: True iff the optional dependency is importable; either
-        # way the probe must not raise.
-        assert backend_available("numba") == numba_available()
 
     def test_get_backend_by_name_is_shared_instance(self):
         assert get_backend("scipy") is get_backend("scipy")
@@ -515,6 +518,38 @@ class TestCli:
         assert code == 0
         assert "2213" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["reference", "scipy", "dense"])
+    def test_solve_flag_runs_every_shipped_backend(self, name, capsys):
+        import json
+
+        from repro.api.cli import main
+
+        assert main(["solve", "--n", "64", "--alpha", "0", "--backend", name,
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["backend"] == name and report["converged"]
+
+    @pytest.mark.parametrize("command", ["solve", "table1", "figure1"])
+    def test_backend_help_lists_the_shipped_backends(self, command):
+        from repro.api.cli import build_parser
+
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict)
+        ).choices[command]
+        text = next(a.help for a in sub._actions if "--backend" in a.option_strings)
+        assert [n for n in ("reference", "scipy", "dense") if n in text] == [
+            "reference", "scipy", "dense"
+        ]
+        assert "numba" not in text and "threaded" not in text
+
+    def test_scipy_unavailable_hint_names_a_shipped_fallback(self):
+        from repro.backends.scipy_backend import _unavailable
+
+        msg = str(_unavailable("blocked"))
+        assert "pip install scipy" in msg and "'reference'" in msg
+        assert "threaded" not in msg and "numba" not in msg
+
 
 # ---------------------------------------------------------------------------
 # corrupted-structure grid, run against every registered backend
@@ -522,8 +557,8 @@ class TestCli:
 
 #: Directed corruptions covering all three matrix arrays the fault model
 #: can strike.  Every case dirties the structure stamp, so every backend
-#: must produce the *bits* of the reference guarded kernel: scipy/dense/
-#: threaded by falling back to it, numba by its transcription of it.
+#: must produce the *bits* of the reference guarded kernel by handing the
+#: product to it.
 CORRUPTIONS = {
     "colid_oob": lambda a: a.colid.__setitem__(3, a.ncols + 17),
     "colid_negative": lambda a: a.colid.__setitem__(5, -3),
@@ -541,19 +576,8 @@ CORRUPTIONS = {
 
 @pytest.fixture(params=sorted(available_backends()))
 def any_backend(request):
-    """Every registered backend, skipping (visibly) the ones whose
-    optional dependency is missing in this environment."""
-    name = request.param
-    if name == "numba" and not numba_available():
-        pytest.skip(
-            "backend 'numba' skipped: optional dependency numba is not "
-            "installed (install with `pip install -e .[numba]`)"
-        )
-    if name == "threaded":
-        # Force real threading: the registry default sizes the pool from
-        # os.cpu_count() and falls back to reference below 2048 rows.
-        return ThreadedBackend(threads=4, min_rows=1)
-    return get_backend(name)
+    """Every registered backend."""
+    return get_backend(request.param)
 
 
 class TestAllBackendsCorruptionGrid:
@@ -578,90 +602,217 @@ class TestAllBackendsCorruptionGrid:
 
 
 # ---------------------------------------------------------------------------
-# threaded backend (row-partitioned clean products)
+# the kernel suite, run against every registered backend
 # ---------------------------------------------------------------------------
 
 
-class TestThreadedBackend:
-    def _be(self, threads=4):
-        return ThreadedBackend(threads=threads, min_rows=1)
+def _random_csr(rng, nrows, ncols, max_row):
+    """Random CSR with row lengths up to ``max_row`` (0 allowed)."""
+    lens = rng.integers(0, max_row + 1, size=nrows)
+    rowidx = np.zeros(nrows + 1, dtype=np.int64)
+    rowidx[1:] = np.cumsum(lens)
+    nnz = int(rowidx[-1])
+    colid = rng.integers(0, ncols, size=nnz).astype(np.int64)
+    val = rng.standard_normal(nnz)
+    return CSRMatrix(val, colid, rowidx, (nrows, ncols))
 
-    def test_bit_identical_on_clean_products(self, suite_matrix):
-        # Contiguous row blocks keep every row's reduceat segment whole,
-        # so the threaded product is the reference product, bit for bit.
-        a = stamped(suite_matrix.copy())
-        be = self._be()
-        rng = np.random.default_rng(31)
-        for _ in range(5):
+
+def assert_substitutes(backend, y, y_ref):
+    """A stamped product: the reference backend reproduces the kernel's
+    bits, every other backend agrees with it to rounding."""
+    if isinstance(backend, ReferenceBackend):
+        assert np.array_equal(y, y_ref)
+    else:
+        np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-13)
+
+
+class TestCleanKernelOnEveryBackend:
+    """Structure-clean products, where a backend may use its own kernel."""
+
+    def test_stencil_products(self, any_backend):
+        a = stamped(stencil_spd(256, kind="box", radius=2))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
             x = rng.standard_normal(a.ncols)
-            assert np.array_equal(be.spmv(a, x), spmv(a, x))
+            assert_substitutes(any_backend, any_backend.spmv(a, x), spmv(a, x))
 
-    def test_honours_out_and_scratch(self, suite_matrix):
-        a = stamped(suite_matrix.copy())
-        be = self._be()
-        x = np.random.default_rng(32).standard_normal(a.ncols)
+    def test_short_and_empty_rows(self, any_backend):
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            a = stamped(_random_csr(rng, 60, 40, 10))
+            x = rng.standard_normal(a.ncols)
+            y = any_backend.spmv(a, x)
+            assert_substitutes(any_backend, y, spmv(a, x))
+            assert np.all(y[np.diff(a.rowidx) == 0] == 0.0)
+
+    def test_wide_rows(self, any_backend):
+        rng = np.random.default_rng(3)
+        a = stamped(_random_csr(rng, 25, 80, 600))
+        assert int(np.diff(a.rowidx).max()) > 128
+        x = rng.standard_normal(a.ncols)
+        assert_substitutes(any_backend, any_backend.spmv(a, x), spmv(a, x))
+
+    def test_out_buffer_is_the_returned_storage(self, any_backend):
+        a = stamped(stencil_spd(49, kind="cross", radius=1))
+        x = np.random.default_rng(4).standard_normal(a.ncols)
         out = np.full(a.nrows, np.nan)
-        scratch = np.empty(a.nnz)
-        y = spmv(a, x, out=out, scratch=scratch, backend=be)
+        y = any_backend.spmv(a, x, out=out)
         assert y is out
-        assert np.array_equal(out, spmv(a, x))
+        assert_substitutes(any_backend, out, spmv(a, x))
 
-    def test_unstamped_falls_back_to_reference(self, suite_matrix):
-        be = self._be()
-        x = np.random.default_rng(33).standard_normal(suite_matrix.ncols)
-        assert not suite_matrix.structure_clean
-        assert np.array_equal(be.spmv(suite_matrix, x), spmv(suite_matrix, x))
-        # Guarded work never spins up the pool.
-        assert be._pool is None
-
-    def test_small_matrix_stays_serial(self):
-        a = stamped(stencil_spd(100, kind="cross", radius=1))
-        be = ThreadedBackend(threads=4)  # default min_rows=2048
-        x = np.ones(a.ncols)
-        assert np.array_equal(be.spmv(a, x), spmv(a, x))
-        assert be._pool is None
-
-    def test_single_thread_never_creates_pool(self, suite_matrix):
-        a = stamped(suite_matrix.copy())
-        be = ThreadedBackend(threads=1, min_rows=1)
-        x = np.ones(a.ncols)
-        assert np.array_equal(be.spmv(a, x), spmv(a, x))
-        assert be._pool is None
-
-    def test_prepare_warms_pool_and_partition(self, suite_matrix):
-        a = stamped(suite_matrix.copy())
-        be = self._be()
-        be.prepare(a)
-        assert be._pool is not None
-        # The partition is cached per matrix: a second prepare reuses it.
-        part = be._partition(a)
-        assert be._partition(a) is part
-
-    def test_empty_matrix(self):
-        a = stamped(CSRMatrix(
+    def test_empty_matrix_is_zero(self, any_backend):
+        empty = stamped(CSRMatrix(
             np.zeros(0), np.zeros(0, dtype=np.int64),
             np.zeros(4, dtype=np.int64), (3, 3),
         ))
-        assert np.array_equal(self._be().spmv(a, np.ones(3)), np.zeros(3))
+        assert np.array_equal(any_backend.spmv(empty, np.ones(3)), np.zeros(3))
+        out = np.full(3, np.nan)
+        assert np.array_equal(any_backend.spmv(empty, np.ones(3), out=out), np.zeros(3))
 
-    def test_fault_free_solve_identical_history(self, small_system):
-        # Acceptance lock: same iterations, same simulated time, same
-        # solution bits as the reference backend on a fault-free solve.
-        a, b = small_system
-        ref = repro.solve(a, b, eps=1e-8)
-        th = repro.solve(a, b, backend=self._be(), eps=1e-8)
-        assert th.backend == "threaded"
-        assert th.solution_sha256 == ref.solution_sha256
-        assert th.time_units == ref.time_units
-        assert th.history == ref.history
+    def test_non_finite_values_propagate(self, any_backend):
+        # A struck value that overflowed is the silent error ABFT must
+        # see: no backend may swallow it, and only its row is hit.
+        a = stamped(stencil_spd(49, kind="cross", radius=1))
+        a.val[int(a.rowidx[3])] = np.inf
+        a.val[int(a.rowidx[10]) + 1] = np.nan
+        x = np.random.default_rng(5).uniform(0.5, 1.5, a.ncols)
+        y, y_ref = any_backend.spmv(a, x), spmv(a, x)
+        assert np.isposinf(y[3]) and np.isnan(y[10])
+        assert np.array_equal(np.isfinite(y), np.isfinite(y_ref))
+        finite = np.isfinite(y_ref)
+        assert_substitutes(any_backend, y[finite], y_ref[finite])
 
-    def test_faulty_solve_same_strike_streams(self, small_system):
-        a, b = small_system
-        kwargs = dict(faults=repro.FaultSpec(alpha=0.1, seed=5), eps=1e-6)
-        ref = repro.solve(a, b, **kwargs)
-        th = repro.solve(a, b, backend=self._be(), **kwargs)
-        assert th.counters.faults_injected == ref.counters.faults_injected
-        assert th.converged and ref.converged
+    def test_inplace_val_strike_is_read(self, any_backend):
+        # A val strike leaves the stamp armed: the backend must read the
+        # struck word itself, not a cached operator.
+        a = stamped(stencil_spd(64, kind="cross", radius=1))
+        x = np.ones(a.ncols)
+        before = any_backend.spmv(a, x).copy()
+        a.val[int(a.rowidx[2])] += 1000.0
+        after = any_backend.spmv(a, x)
+        assert after[2] == pytest.approx(before[2] + 1000.0)
+        assert_substitutes(any_backend, after, spmv(a, x))
+
+    def test_prepare_is_idempotent(self, any_backend):
+        a = stamped(stencil_spd(64, kind="cross", radius=1))
+        x = np.random.default_rng(6).standard_normal(a.ncols)
+        first = any_backend.spmv(a, x).copy()
+        any_backend.prepare(a)
+        any_backend.prepare(a)
+        assert np.array_equal(any_backend.spmv(a, x), first)
+
+    def test_satisfies_the_protocol_under_its_registered_name(self, any_backend):
+        from repro.backends import KernelBackend
+
+        assert isinstance(any_backend, KernelBackend)
+        assert get_backend(any_backend.name) is any_backend
+
+
+class TestGuardedKernelOnEveryBackend:
+    """Unstamped products: every backend yields the reference kernel's bits."""
+
+    def test_random_rowidx_fuzz(self, any_backend):
+        rng = np.random.default_rng(12)
+        a0 = stencil_spd(100, kind="cross", radius=2)
+        x = rng.standard_normal(a0.ncols)
+        for _ in range(40):
+            a = stamped(a0.copy())
+            pos = int(rng.integers(0, a.rowidx.size))
+            a.rowidx[pos] = int(rng.integers(-a.nnz, 2 * a.nnz))
+            a.mark_structure_dirty()
+            assert np.array_equal(any_backend.spmv(a, x), spmv(a, x))
+
+    def test_wild_reads_with_wide_rows(self, any_backend):
+        rng = np.random.default_rng(13)
+        a = stamped(_random_csr(rng, 20, 60, 400))
+        a.colid[7] = a.ncols + 1000
+        a.colid[11] = -99
+        a.mark_structure_dirty()
+        x = rng.standard_normal(a.ncols)
+        assert np.array_equal(any_backend.spmv(a, x), spmv(a, x))
+
+    def test_restamp_after_repair_returns_to_the_clean_product(self, any_backend):
+        a = stamped(stencil_spd(81, kind="cross", radius=1))
+        x = np.random.default_rng(14).standard_normal(a.ncols)
+        clean = spmv(a, x).copy()
+        original = int(a.colid[9])
+        a.colid[9] = original + 3 * a.ncols + 1  # wild, reads one column over
+        a.mark_structure_dirty()
+        assert np.array_equal(any_backend.spmv(a, x), spmv(a, x))
+        assert not np.array_equal(any_backend.spmv(a, x), clean)
+        a.colid[9] = original
+        a.assume_clean_structure()
+        assert_substitutes(any_backend, any_backend.spmv(a, x), clean)
+
+
+class TestProtectedProductOnEveryBackend:
+    """The guarded path at the ABFT level: status, repair and output of a
+    protected product on a struck matrix do not depend on the backend."""
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_struck_protected_product_bit_identical(self, any_backend, kind):
+        from repro.abft.checksums import compute_checksums
+
+        src = stencil_spd(144, kind="cross", radius=2)
+        cks = compute_checksums(src, nchecks=2)
+        x = np.random.default_rng(22).standard_normal(src.ncols)
+        runs = []
+        for backend in (None, any_backend):
+            a = stamped(src.copy())
+            CORRUPTIONS[kind](a)
+            a.mark_structure_dirty()
+            with np.errstate(all="ignore"):
+                res = protected_spmv(a, x.copy(), cks, backend=backend)
+            runs.append((res.status, res.correction, res.y.tobytes(),
+                         a.val.tobytes(), a.colid.tobytes(), a.rowidx.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_checksums_through_the_backend_are_the_reference_bits(self, any_backend):
+        from repro.abft.checksums import compute_checksums
+
+        a = get_matrix(2213, 48)
+        ref = compute_checksums(a, nchecks=2)
+        via = compute_checksums(a, nchecks=2, backend=any_backend)
+        assert np.array_equal(via.column_checksums, ref.column_checksums)
+        assert via.shift == ref.shift
+        assert np.array_equal(via.rowidx_checksums, ref.rowidx_checksums)
+        assert np.array_equal(via.tolerance.thresholds(1.0), ref.tolerance.thresholds(1.0))
+
+
+@pytest.mark.parametrize("name", ["scipy", "dense"])
+def test_faulty_runs_face_the_reference_strike_stream(name, small_system):
+    # The backend does not enter the seed derivation.
+    a, b = small_system
+    cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
+    ref = repeat_run(a, b, cfg, alpha=0.1, reps=3, base_seed=13)
+    run = repeat_run(a, b, cfg, alpha=0.1, reps=3, base_seed=13, backend=name)
+    assert run.mean_faults == ref.mean_faults
+    assert run.convergence_rate == ref.convergence_rate == 1.0
+
+
+def test_dense_workspace_matches_dense_fresh(small_system):
+    a, b = small_system
+    cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
+    runs = [
+        repeat_run(a, b, cfg, alpha=0.05, reps=3, base_seed=7,
+                   backend="dense", reuse_workspace=reuse)
+        for reuse in (False, True)
+    ]
+    assert runs[0] == runs[1]
+
+
+def test_dense_fault_free_identical_convergence_history():
+    a = get_matrix(2213, 48)
+    b = make_rhs(a)
+    ref = repro.solve(a, b, eps=1e-6)
+    dense = repro.solve(a, b, backend="dense", eps=1e-6)
+    assert dense.converged and ref.converged
+    assert dense.iterations == ref.iterations
+    assert dense.time_units == ref.time_units
+    np.testing.assert_allclose(
+        [h["residual_norm"] for h in dense.history],
+        [h["residual_norm"] for h in ref.history], rtol=1e-6,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -702,73 +853,222 @@ class TestDenseCapacity:
         assert err.backend == "dense"
         assert err.cap == 4096
         assert err.n > 4096
-        assert "threaded" in err.hint
+        assert "scipy" in err.hint
 
 
 # ---------------------------------------------------------------------------
-# numba availability gating (both directions)
+# a registered backend that cannot run here, and names no longer shipped
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(numba_available(), reason="numba installed: the "
-                    "unavailable-path errors cannot be triggered")
-class TestNumbaUnavailable:
-    def test_constructor_raises_actionable_error(self):
-        with pytest.raises(BackendUnavailableError, match=r"pip install"):
-            NumbaBackend()
+@pytest.fixture
+def unavailable_backend():
+    """A registered stand-in whose factory raises, as an out-of-tree
+    backend does without its dependency."""
 
-    def test_get_backend_surfaces_unavailable(self):
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            get_backend("numba")
+    def factory():
+        raise BackendUnavailableError(
+            "backend 'needs-dep' requires the optional package needsdep; "
+            "install it with `pip install needsdep`"
+        )
 
-    def test_backend_available_reports_false_without_raising(self):
-        assert backend_available("numba") is False
+    register_backend("needs-dep", factory)
+    yield "needs-dep"
+    _FACTORIES.pop("needs-dep", None)
+    _INSTANCES.pop("needs-dep", None)
 
-    def test_study_axis_rejects_with_clear_error(self):
+
+class TestUnavailableBackend:
+    def test_get_backend_surfaces_unavailable(self, unavailable_backend):
+        with pytest.raises(BackendUnavailableError, match="pip install needsdep"):
+            get_backend(unavailable_backend)
+
+    def test_backend_available_reports_false_without_raising(self, unavailable_backend):
+        assert backend_available(unavailable_backend) is False
+
+    def test_study_axis_rejects_with_clear_error(self, unavailable_backend):
         with pytest.raises(BackendUnavailableError, match="optional"):
-            repro.Study("jit").axis("backend", ["numba"])
+            repro.Study("dep").axis("backend", [unavailable_backend])
 
-    def test_solve_rejects_with_clear_error(self, small_system):
+    def test_solve_rejects_with_clear_error(self, unavailable_backend, small_system):
         a, b = small_system
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            repro.solve(a, b, backend="numba")
+        with pytest.raises(BackendUnavailableError, match="needs-dep"):
+            repro.solve(a, b, backend=unavailable_backend)
 
-    def test_cli_flag_is_usage_error(self, capsys):
+    def test_cli_flag_is_usage_error(self, unavailable_backend, capsys):
         from repro.api.cli import main
 
+        assert main(["solve", "--scale", "64", "--backend", unavailable_backend]) == 2
+        assert "needs-dep" in capsys.readouterr().err
+
+
+class TestRetiredBackendNames:
+    """``numba`` and ``threaded`` are no longer shipped: naming them is an
+    unknown backend, while stores holding their records still read."""
+
+    def test_solve_and_cli_reject_them_as_unknown(self, small_system, capsys):
+        from repro.api.cli import main
+
+        a, b = small_system
+        with pytest.raises(ValueError, match="unknown backend 'threaded'; "
+                           "available: reference, scipy, dense"):
+            repro.solve(a, b, backend="threaded")
         assert main(["solve", "--scale", "64", "--backend", "numba"]) == 2
-        assert "numba" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown backend 'numba'" in err
+        assert "available: reference, scipy, dense" in err
 
-    def test_interpreted_mode_still_constructs(self):
-        # jit=False is the test-and-CI escape hatch: same kernel bodies,
-        # interpreted — no numba needed.
-        be = NumbaBackend(jit=False)
-        assert be.name == "numba"
-        assert not be.compiled
-
-
-@pytest.mark.skipif(not numba_available(), reason="optional dependency "
-                    "numba is not installed")
-class TestNumbaAvailable:
-    def test_registry_instance_is_compiled(self):
-        be = get_backend("numba")
-        assert be.compiled
-        assert backend_available("numba")
-
-    def test_solve_end_to_end(self, small_system):
-        a, b = small_system
-        ref = repro.solve(a, b, eps=1e-8)
-        nb = repro.solve(a, b, backend="numba", eps=1e-8)
-        assert nb.backend == "numba"
-        assert nb.solution_sha256 == ref.solution_sha256
-        assert nb.time_units == ref.time_units
-
-    def test_cli_flag_accepted(self, capsys):
-        from repro.api.cli import main
-
-        code = main(["solve", "--scale", "64", "--alpha", "0",
-                     "--backend", "numba", "--json"])
-        assert code == 0
+    def test_store_of_their_records_still_reports(self, tmp_path, capsys):
+        import hashlib
         import json
+        import pathlib
 
-        assert json.loads(capsys.readouterr().out)["backend"] == "numba"
+        from repro.api.cli import main
+        from repro.api.report import summarize_store
+        from repro.store.integrity import seal_text
+
+        golden = pathlib.Path(__file__).parent / "golden" / "stores" / "parent.jsonl"
+        template = json.loads(golden.read_text().splitlines()[0])
+        lines = []
+        for name in ("numba", "threaded"):
+            record = dict(template, task=dict(template["task"], backend=name))
+            record["hash"] = hashlib.sha256(name.encode()).hexdigest()
+            lines.append(seal_text(record))
+        store = tmp_path / "retired.jsonl"
+        store.write_text("\n".join(lines) + "\n")
+
+        assert [g.backend for g in summarize_store(store).groups] == ["numba", "threaded"]
+        assert main(["report", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "numba" in out and "threaded" in out
+        assert main(["store", "info", str(store), "--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["records"] == 2
+
+
+# ---------------------------------------------------------------------------
+# an out-of-tree backend, through the seam kept for one
+# ---------------------------------------------------------------------------
+
+
+class _OwnKernel(BaseBackend):
+    """A registered out-of-tree kernel: it runs structure-clean products
+    on its own reduction, which repeats the reference kernel's
+    arithmetic exactly, and hands every other product to
+    :func:`repro.sparse.spmv.spmv`."""
+
+    name = "own-kernel"
+
+    def __init__(self):
+        self.prepared = self.owned = self.deferred = 0
+
+    def prepare(self, a):
+        self.prepared += 1
+
+    def spmv(self, a, x, *, out=None, scratch=None):
+        if not a.structure_clean:
+            self.deferred += 1
+            return spmv(a, x, out=out, scratch=scratch)
+        self.owned += 1
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (a.ncols,):
+            raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+        y = np.empty(a.nrows) if out is None else out
+        y[:] = 0.0
+        nonempty = np.diff(a.rowidx) > 0
+        if nonempty.any():
+            y[nonempty] = np.add.reduceat(a.val * x[a.colid], a.rowidx[:-1][nonempty])
+        return y
+
+
+@pytest.fixture
+def own_kernel():
+    """``_OwnKernel`` registered by name; yields the shared instance."""
+    register_backend(_OwnKernel.name, _OwnKernel)
+    yield get_backend(_OwnKernel.name)
+    _FACTORIES.pop(_OwnKernel.name, None)
+    _INSTANCES.pop(_OwnKernel.name, None)
+
+
+_GOLD = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "ft_trajectories.json").read_text()
+)
+#: One golden entry per (driver, scheme) pair.
+_GOLD_ENTRIES = list({(e["driver"], e["scheme"]): e for e in _GOLD["entries"]}.values())
+
+
+def _sha(v) -> str:
+    return hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+
+
+class TestOutOfTreeBackend:
+    """A backend whose clean products carry the reference bits leaves
+    every trajectory byte-identical: the engine's non-reference path
+    (instance dispatch, ``prepare()``, deferral of struck products)
+    adds nothing to the physics."""
+
+    @pytest.mark.parametrize(
+        "entry", _GOLD_ENTRIES,
+        ids=lambda e: f"{e['driver']}-{e['scheme']}-a{e['alpha']}-seed{e['seed']}",
+    )
+    def test_golden_trajectories(self, own_kernel, entry):
+        from repro.core import Method, run_ft_method
+
+        a = stencil_spd(529, kind="cross", radius=2)
+        b = np.random.default_rng(_GOLD["rhs_seed"]).normal(size=a.nrows)
+        cfg = SchemeConfig(
+            Scheme(entry["scheme"]),
+            checkpoint_interval=_GOLD["s"],
+            verification_interval=entry["d"],
+        )
+        method = Method.CG if entry["driver"] == "ft_cg" else Method.BICGSTAB
+        with np.errstate(all="ignore"):
+            res = run_ft_method(
+                method, a, b, cfg, alpha=entry["alpha"], rng=entry["seed"],
+                eps=_GOLD["eps"], backend=_OwnKernel.name,
+            )
+        want = entry["result"]
+        assert _sha(res.x) == want["x_sha256"]
+        assert float(res.time_units).hex() == want["time_units"]
+        assert float(res.residual_norm).hex() == want["residual_norm"]
+        assert res.counters.rollbacks == want["counters"]["rollbacks"]
+        assert res.counters.faults_injected == want["counters"]["faults_injected"]
+        assert own_kernel.prepared == 1 and own_kernel.owned > 0
+
+    @pytest.mark.parametrize("method,scheme,alpha", [
+        (Method.CG, Scheme.ABFT_CORRECTION, 0.0),
+        (Method.CG, Scheme.ABFT_CORRECTION, 0.2),
+        (Method.CG, Scheme.ABFT_DETECTION, 0.2),
+        (Method.BICGSTAB, Scheme.ABFT_CORRECTION, 0.2),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_protected_replays(self, own_kernel, method, scheme, alpha):
+        from repro.core import run_ft_method
+
+        a = stencil_spd(100, kind="cross", radius=1)
+        b = make_rhs(a)
+        cfg = SchemeConfig(scheme, checkpoint_interval=5)
+        runs = []
+        for backend in ("reference", own_kernel):
+            with np.errstate(all="ignore"):
+                runs.append(run_ft_method(method, a, b, cfg, alpha=alpha, rng=17,
+                                          eps=1e-8, backend=backend))
+        ref, own = runs
+        assert _sha(own.x) == _sha(ref.x)
+        assert float(own.time_units).hex() == float(ref.time_units).hex()
+        assert float(own.residual_norm).hex() == float(ref.residual_norm).hex()
+        assert (own.iterations, own.iterations_executed) == (
+            ref.iterations, ref.iterations_executed)
+        assert own.counters.faults_injected == ref.counters.faults_injected
+        assert own.counters.rollbacks == ref.counters.rollbacks
+        assert own.counters.detections == ref.counters.detections
+        if alpha == 0.0:
+            assert own_kernel.deferred == 0
+
+    def test_study_axis_runs_it_by_name(self, own_kernel):
+        study = (repro.Study("own-kernel")
+                 .axis("backend", ["reference", _OwnKernel.name])
+                 .fix(uid=2213, scale=64, reps=2, s=4, alpha=1 / 16))
+        ref, own = study.run(jobs=1).points()
+        assert own.backend == _OwnKernel.name
+        assert own.stats == ref.stats
+        assert own_kernel.owned > 0

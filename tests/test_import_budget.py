@@ -76,7 +76,7 @@ def test_store_readers_load_no_solver_stack(run_cli, settled_store, command):
     assert res["codes"] == [0]
     assert loaded(
         res, "scipy", "repro.resilience", "repro.abft", "repro.faults", "repro.backends",
-        "repro.parallel", "repro.chaos", "repro.core.ft_cg",
+        "repro.chaos", "repro.core.ft_cg",
     ) == []
     assert len(loaded(res, "repro")) <= 15
 
@@ -126,7 +126,7 @@ def test_reference_campaign_never_imports_scipy(run_cli):
 
 
 def test_scipy_backend_without_scipy_is_a_usage_error(run_cli):
-    """No silent degraded mode: exit 2 with the install hint, as numba."""
+    """No silent degraded mode: exit 2 with the install hint."""
     res = run_cli(SMOKE + ["--backend", "scipy"], prelude=BLOCK_SCIPY)
     assert res["codes"] == [2]
     assert "backend 'scipy' requires the scipy package" in res["stderr"]

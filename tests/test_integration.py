@@ -74,18 +74,6 @@ class TestModelPredictsSimulation:
         assert q_sim == pytest.approx(q_model, abs=0.12)
 
 
-class TestParallelConsistency:
-    def test_distributed_matches_protected_sequential(self, suite_matrix, rng):
-        from repro.abft import compute_checksums, protected_spmv
-        from repro.parallel import DistributedSpmv
-
-        a, _ = suite_matrix
-        x = rng.normal(size=a.ncols)
-        seq = protected_spmv(a, x.copy(), compute_checksums(a, nchecks=2))
-        par = DistributedSpmv(a, 4).multiply(x)
-        np.testing.assert_allclose(par.y, seq.y, rtol=1e-12)
-
-
 class TestRecoveryAudit:
     def test_counters_consistent_with_events(self, suite_matrix):
         from repro.util.log import EventLog

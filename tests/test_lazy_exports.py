@@ -29,7 +29,6 @@ LAZY_PACKAGES = [
     "repro.core",
     "repro.model",
     "repro.resilience",
-    "repro.parallel",
     "repro.sparse",
     "repro.util",
 ]

@@ -1,4 +1,4 @@
-"""Additional property-based tests: checkpointing, partitioning, faults."""
+"""Additional property-based tests: checkpointing, faults, DP placement."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
 from repro.faults.bitflip import flip_bit_float64, flip_bit_int64
-from repro.parallel import block_rows, partition_by_nnz
-from repro.sparse import CSRMatrix, spmv
 
 
 # ----------------------------------------------------------------------
@@ -66,40 +64,6 @@ def test_policy_checkpoint_count(interval, chunks):
     policy = PeriodicCheckpointPolicy(interval)
     hits = sum(policy.chunk_verified() for _ in range(chunks))
     assert hits == chunks // interval
-
-
-# ----------------------------------------------------------------------
-# partitioning: blocks always reassemble the matrix exactly
-# ----------------------------------------------------------------------
-@st.composite
-def matrix_and_parts(draw):
-    n = draw(st.integers(4, 40))
-    seed = draw(st.integers(0, 2**31 - 1))
-    p = draw(st.integers(1, min(6, n)))
-    rng = np.random.default_rng(seed)
-    dense = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), 0.0)
-    return CSRMatrix.from_dense(dense), p
-
-
-@given(matrix_and_parts())
-@settings(max_examples=50, deadline=None)
-def test_partition_reassembles(data):
-    a, p = data
-    for part in (block_rows(a.nrows, p), partition_by_nnz(a, p)):
-        assert part.bounds[0] == 0 and part.bounds[-1] == a.nrows
-        pieces = [part.local_block(a, r).to_dense() for r in range(p)]
-        np.testing.assert_array_equal(np.vstack(pieces), a.to_dense())
-
-
-@given(matrix_and_parts())
-@settings(max_examples=50, deadline=None)
-def test_distributed_product_equals_sequential(data):
-    a, p = data
-    from repro.parallel import DistributedSpmv
-
-    x = np.random.default_rng(1).normal(size=a.ncols)
-    res = DistributedSpmv(a, p).multiply(x)
-    np.testing.assert_allclose(res.y, spmv(a, x), rtol=1e-10, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -269,17 +269,9 @@ def test_protected_spmv_is_unchanged_by_the_lazy_snapshot(case, correct):
         (lambda *args: None, _bare(live), False),
     ):
         xx = x.copy()
-        try:
-            with np.errstate(all="ignore"):
-                res = protected_spmv(a, xx, cks, correct=correct, fault_hook=hook,
-                                     trust_structure_stamp=trust)
-        except IndexError as exc:
-            # A known decoder defect, older than this file: a z = 1 / z = 2
-            # decode of row 0 indexes with an unclipped, negative rowidx[0]
-            # (the one pointer outside the checksums).  It must at least
-            # fail the same way on every path.
-            runs.append((repr(exc), _bytes(a.colid), _bytes(a.rowidx)))
-            continue
+        with np.errstate(all="ignore"):
+            res = protected_spmv(a, xx, cks, correct=correct, fault_hook=hook,
+                                 trust_structure_stamp=trust)
         r = res.residuals
         runs.append((res.status, _bytes(res.y), _bytes(xx), _bytes(r.dr), _bytes(r.dx),
                      _bytes(r.dxp), _bytes(r.thresholds), res.correction,
