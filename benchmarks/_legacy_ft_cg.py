@@ -26,7 +26,7 @@ from benchmarks._seed_kernels import (
 from repro.checkpoint.store import CheckpointStore
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.core.cg import cg_tolerance_threshold
-from repro.core.ft_cg import FTCGResult, RecoveryCounters, TimeBreakdown
+from repro.resilience.accounting import SolveResult as FTCGResult, RecoveryCounters, TimeBreakdown
 from repro.core.methods import SchemeConfig
 from repro.core.stability import chen_verify
 from repro.faults.bitflip import flip_bits_array

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_scale
-from repro.core import CostModel, Scheme, SchemeConfig, run_ft_cg
+from repro.core import CostModel, Scheme, SchemeConfig, run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs
 from repro.sim.experiments import model_interval_for
@@ -34,7 +34,7 @@ def test_regenerate_breakdown_table(results_dir):
         for scheme in (Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION):
             s, d = model_interval_for(scheme, alpha, costs)
             cfg = SchemeConfig(scheme, checkpoint_interval=s, costs=costs)
-            res = run_ft_cg(a, b, cfg, alpha=alpha, rng=1, eps=1e-6)
+            res = run_ft_method("cg", a, b, cfg, alpha=alpha, rng=1, eps=1e-6)
             bd = res.breakdown
             model = model_for_scheme(scheme, alpha, costs)
             lines.append(
@@ -58,7 +58,7 @@ def test_waste_shrinks_with_mtbf():
     cfg = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=8, costs=costs)
     wasted = []
     for mtbf in (8, 64, 10**4):
-        res = run_ft_cg(a, b, cfg, alpha=1.0 / mtbf, rng=5, eps=1e-6)
+        res = run_ft_method("cg", a, b, cfg, alpha=1.0 / mtbf, rng=5, eps=1e-6)
         wasted.append(res.breakdown.wasted_work)
     assert wasted[0] > wasted[-1]
     assert wasted[-1] == 0.0 or wasted[-1] < wasted[0] * 0.2
@@ -66,11 +66,9 @@ def test_waste_shrinks_with_mtbf():
 
 def test_bench_ft_bicgstab_run(benchmark):
     """Wall-clock of a fault-tolerant BiCGstab solve (extension E9)."""
-    from repro.core import run_ft_bicgstab
-
     spec = suite_specs([924])[0]
     a = spec.instantiate(bench_scale() * 2)
     b = make_rhs(a)
     cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=10)
-    res = benchmark(lambda: run_ft_bicgstab(a, b, cfg, alpha=1 / 16, rng=0, eps=1e-6))
+    res = benchmark(lambda: run_ft_method("bicgstab", a, b, cfg, alpha=1 / 16, rng=0, eps=1e-6))
     assert res.converged

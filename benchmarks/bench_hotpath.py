@@ -94,12 +94,12 @@ def run_hotpath_bench(scale: int, reps: int) -> dict:
         # trajectories bit for bit (simulated time and solution bytes).
         ws = SolveWorkspace()
         seed_results = _seed_repeat(a, b, cfg, alpha, min(reps, 10))
-        from repro.core import run_ft_cg
+        from repro.core import run_ft_method
 
         for rep, want in enumerate(seed_results):
             rng = spawn_named(0, cfg.scheme.value, alpha, rep)
             with np.errstate(all="ignore"):
-                got = run_ft_cg(a, b, cfg, alpha=alpha, rng=rng, eps=1e-6, workspace=ws)
+                got = run_ft_method("cg", a, b, cfg, alpha=alpha, rng=rng, eps=1e-6, workspace=ws)
             assert got.time_units == want.time_units
             assert got.iterations_executed == want.iterations_executed
             np.testing.assert_array_equal(got.x, want.x)

@@ -1,8 +1,8 @@
 """E8 — resilience engine: overhead vs the pre-refactor FT-CG driver.
 
-The resilience-engine refactor replaced the monolithic ``run_ft_cg``
+The resilience-engine refactor replaced the monolithic FT-CG driver
 with a plugin on :mod:`repro.resilience.engine`.  This bench runs the
-engine-based driver and the frozen pre-refactor monolith
+engine (``run_ft_method("cg", ...)``) and the frozen pre-refactor monolith
 (``benchmarks/_legacy_ft_cg.py``, kept verbatim) on the same
 fault-injection workload, asserts the trajectories are bit-identical,
 and records the wall-clock ratio so an abstraction tax would be
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 
 from benchmarks._legacy_ft_cg import run_ft_cg_legacy
 from benchmarks.conftest import bench_reps, bench_scale
-from repro.core import Scheme, SchemeConfig, run_ft_cg
+from repro.core import Scheme, SchemeConfig, run_ft_method
 from repro.sim.engine import make_rhs
 from repro.sim.matrices import get_matrix
 
@@ -33,6 +34,9 @@ POINTS = [
     (Scheme.ABFT_DETECTION, 1, 0.1),
     (Scheme.ABFT_CORRECTION, 1, 0.2),
 ]
+
+#: The engine-based FT-CG driver.
+engine_cg = partial(run_ft_method, "cg")
 
 
 def _run_all(driver, a, b, reps):
@@ -54,10 +58,10 @@ def test_bench_engine_vs_legacy_driver(results_dir):
     reps = max(2, bench_reps())
 
     # Warm both paths once (checksum/matrix caches, JIT-free but fair).
-    _run_all(run_ft_cg, a, b, 1)
+    _run_all(engine_cg, a, b, 1)
     _run_all(run_ft_cg_legacy, a, b, 1)
 
-    engine_results, t_engine = _run_all(run_ft_cg, a, b, reps)
+    engine_results, t_engine = _run_all(engine_cg, a, b, reps)
     legacy_results, t_legacy = _run_all(run_ft_cg_legacy, a, b, reps)
 
     # The refactor must not change the physics: every trajectory is

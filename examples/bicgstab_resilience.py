@@ -12,7 +12,7 @@ Run:  python examples/bicgstab_resilience.py
 import numpy as np
 
 from repro.abft import ProtectedOperator
-from repro.core import Scheme, SchemeConfig, bicg, run_ft_bicgstab
+from repro.core import Scheme, SchemeConfig, bicg, run_ft_method
 from repro.sparse import stencil_spd
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     print("fault-tolerant BiCGstab (both products ABFT-protected):")
     for scheme in (Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION):
         cfg = SchemeConfig(scheme, checkpoint_interval=10)
-        res = run_ft_bicgstab(a, b, cfg, alpha=0.1, rng=7, eps=1e-8)
+        res = run_ft_method("bicgstab", a, b, cfg, alpha=0.1, rng=7, eps=1e-8)
         c = res.counters
         print(
             f"  {scheme.value:18s} time={res.time_units:7.1f} "

@@ -18,8 +18,8 @@ The library provides:
 - a solver-agnostic resilience engine whose recurrence plugins (CG,
   BiCGstab, Jacobi-PCG) run under the ONLINE-DETECTION /
   ABFT-DETECTION / ABFT-CORRECTION schemes (:mod:`repro.resilience`);
-- plain CG / PCG / Krylov baselines and the fault-tolerant entry
-  points (:mod:`repro.core`);
+- plain CG / PCG / Krylov baselines and the one fault-tolerant entry
+  point, ``run_ft_method`` (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
 - the experiment drivers regenerating the paper's Table 1 and Figure 1
@@ -32,7 +32,8 @@ The library provides:
   lease-coordinated multi-worker serve mode (:mod:`repro.store`);
 - the zero-copy hot path: reusable solve workspaces with strike-undo
   matrix restore and per-process checksum/matrix caches, bit-identical
-  to the fresh-allocation oracle (:mod:`repro.perf`);
+  to the fresh-allocation oracle on the reference backend
+  (:mod:`repro.perf`);
 - pluggable sparse-kernel backends — the bit-identical ``reference``
   oracle, a SciPy-accelerated kernel and a dense small-n fallback —
   selectable on every solve entry point, with a registry for
@@ -84,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         tmr_norm2,
         tmr_axpy,
     )
-    from repro.faults import FaultInjector, FaultModel, IterationFaultPlan, CGTargets
+    from repro.faults import FaultInjector, FaultModel
     from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
     from repro.core import (
         cg,
@@ -94,11 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         Method,
         SchemeConfig,
         CostModel,
-        run_ft_cg,
-        run_ft_bicgstab,
-        run_ft_pcg,
         run_ft_method,
-        FTCGResult,
     )
     from repro.model import (
         expected_frame_time,
@@ -155,8 +152,6 @@ __all__ = [
     "tmr_axpy",
     "FaultInjector",
     "FaultModel",
-    "IterationFaultPlan",
-    "CGTargets",
     "CheckpointStore",
     "PeriodicCheckpointPolicy",
     "cg",
@@ -166,11 +161,7 @@ __all__ = [
     "Method",
     "SchemeConfig",
     "CostModel",
-    "run_ft_cg",
-    "run_ft_bicgstab",
-    "run_ft_pcg",
     "run_ft_method",
-    "FTCGResult",
     "expected_frame_time",
     "frame_overhead",
     "optimal_interval",
@@ -220,12 +211,7 @@ __getattr__, __dir__ = lazy_exports(
             "tmr_norm2",
             "tmr_axpy",
         ),
-        "repro.faults": (
-            "FaultInjector",
-            "FaultModel",
-            "IterationFaultPlan",
-            "CGTargets",
-        ),
+        "repro.faults": ("FaultInjector", "FaultModel"),
         "repro.checkpoint": ("CheckpointStore", "PeriodicCheckpointPolicy"),
         "repro.core": (
             "cg",
@@ -235,11 +221,7 @@ __getattr__, __dir__ = lazy_exports(
             "Method",
             "SchemeConfig",
             "CostModel",
-            "run_ft_cg",
-            "run_ft_bicgstab",
-            "run_ft_pcg",
             "run_ft_method",
-            "FTCGResult",
         ),
         "repro.model": (
             "expected_frame_time",

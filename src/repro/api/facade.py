@@ -298,8 +298,10 @@ def solve(
         :func:`repro.perf.default_workspace` (live-matrix strike-undo
         reuse, cached ABFT checksums, preallocated buffers), or pass
         your own :class:`repro.perf.SolveWorkspace`.  Bit-identical to
-        the default fresh-allocation path; leave off for one-shot
-        solves or when calling from multiple threads, and see
+        the default fresh-allocation path on the reference backend
+        only: under ``backend="scipy"`` the two paths can differ
+        (ROADMAP item 3(c)).  Leave off for one-shot solves or when
+        calling from multiple threads, and see
         :func:`repro.perf.clear_caches` if you mutate a previously
         solved matrix in place.
     backend:

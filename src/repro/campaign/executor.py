@@ -274,9 +274,11 @@ def execute_task(
     real-matrix ones (don't resume one as the other).
 
     ``reuse_workspace`` routes every repetition through the worker's
-    process-local :class:`repro.perf.SolveWorkspace` — results are
-    bit-identical either way (the task's content hash covers only the
-    physics, so stores stay compatible across the switch).
+    process-local :class:`repro.perf.SolveWorkspace`.  The task's
+    content hash covers only the physics, so stores stay compatible
+    across the switch.  Results are bit-identical either way on the
+    reference backend; under ``scipy`` they can differ (ROADMAP item
+    3(c)).
 
     ``trace_dir`` appends every solve event of this task to the
     process's ``shard-<pid>.jsonl`` in that directory (crash-safe,
@@ -436,8 +438,10 @@ def run_campaign(
         Tasks per pool chunk (``None`` → ``~4`` chunks per worker).
     reuse_workspace:
         Run repetitions through per-worker solve workspaces (the
-        zero-copy hot path; bit-identical records).  ``False`` restores
-        the historical fresh-allocation path.
+        zero-copy hot path).  ``False`` restores the historical
+        fresh-allocation path.  Records are bit-identical either way on
+        the reference backend only; under ``scipy`` they can differ
+        (ROADMAP item 3(c)).
     trace_dir:
         Optional directory receiving one crash-safe JSONL trace shard
         per worker process (``shard-<pid>.jsonl``; serial runs write

@@ -8,15 +8,14 @@
 - :mod:`repro.core.stability` — Chen's verification tests
   (orthogonality + recomputed residual) used by ONLINE-DETECTION;
 - :mod:`repro.core.methods` — scheme/method descriptors and cost
-  models for the three protection schemes;
-- :mod:`repro.core.ft_cg` — fault-tolerant CG (a thin wrapper over the
-  resilience engine's CG plugin);
-- :mod:`repro.core.ft_krylov` — the same for BiCGstab.
+  models for the three protection schemes.
 
-The protection machinery itself (protected products, TMR voting,
-checkpoint/rollback orchestration, accounting) lives in
-:mod:`repro.resilience`; new solvers are added there as recurrence
-plugins — see :func:`repro.resilience.run_ft_method`.
+The fault-tolerant solvers run on :mod:`repro.resilience`, which owns
+the protection machinery (protected products, TMR voting,
+checkpoint/rollback orchestration, accounting).  Its one entry point,
+:func:`~repro.resilience.registry.run_ft_method`, is re-exported here:
+``run_ft_method("cg" | "bicgstab" | "pcg", a, b, config, ...)``.  New
+solvers are added there as recurrence plugins.
 """
 
 from typing import TYPE_CHECKING
@@ -33,9 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.core.krylov import bicgstab, bicg, cgne
     from repro.core.stability import orthogonality_check, residual_check, chen_verify
     from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
-    from repro.core.ft_cg import run_ft_cg, FTCGResult, RecoveryCounters, TimeBreakdown
-    from repro.core.ft_krylov import run_ft_bicgstab
-    from repro.resilience.registry import run_ft_method, run_ft_pcg
+    from repro.resilience.registry import run_ft_method
 
 __all__ = [
     "cg",
@@ -53,13 +50,7 @@ __all__ = [
     "Method",
     "CostModel",
     "SchemeConfig",
-    "run_ft_cg",
-    "run_ft_bicgstab",
-    "run_ft_pcg",
     "run_ft_method",
-    "FTCGResult",
-    "RecoveryCounters",
-    "TimeBreakdown",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -72,13 +63,6 @@ __getattr__, __dir__ = lazy_exports(
             "chen_verify",
         ),
         "repro.core.methods": ("Scheme", "Method", "CostModel", "SchemeConfig"),
-        "repro.core.ft_cg": (
-            "run_ft_cg",
-            "FTCGResult",
-            "RecoveryCounters",
-            "TimeBreakdown",
-        ),
-        "repro.core.ft_krylov": ("run_ft_bicgstab",),
-        "repro.resilience.registry": ("run_ft_method", "run_ft_pcg"),
+        "repro.resilience.registry": ("run_ft_method",),
     },
 )

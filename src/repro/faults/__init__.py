@@ -16,7 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.faults.bitflip import flip_bit_float64, flip_bit_int64, flip_bits_array
     from repro.faults.record import FaultRecord
     from repro.faults.injector import FaultInjector, FaultModel
-    from repro.faults.scenarios import IterationFaultPlan, CGTargets
 
 __all__ = [
     "flip_bit_float64",
@@ -25,8 +24,6 @@ __all__ = [
     "FaultRecord",
     "FaultInjector",
     "FaultModel",
-    "IterationFaultPlan",
-    "CGTargets",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -39,6 +36,5 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.faults.record": ("FaultRecord",),
         "repro.faults.injector": ("FaultInjector", "FaultModel"),
-        "repro.faults.scenarios": ("IterationFaultPlan", "CGTargets"),
     },
 )

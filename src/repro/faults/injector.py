@@ -200,13 +200,6 @@ class FaultInjector:
         name, pos, bit = strike
         return self.inject_at(iteration, name, pos, bit, into=into)
 
-    def inject_iteration(self, iteration: int, *, n_strikes: int | None = None) -> list[FaultRecord]:
-        """Sample and immediately apply this iteration's strikes."""
-        return [
-            self.apply_strike(iteration, s)
-            for s in self.sample_strikes(n_strikes=n_strikes)
-        ]
-
     def revert(self, record: FaultRecord) -> None:
         """Undo a recorded flip (models TMR restoring a voted value)."""
         arr = self._targets[record.target].reshape(-1)

@@ -3,9 +3,9 @@
 A :class:`Tracer` receives typed, schema-versioned events from the
 resilience engine (solve lifecycle, per-iteration step outcomes, fault
 strikes, ABFT/TMR recoveries, checkpointing, workspace reuse) and is
-also the engine's per-iteration observation surface via
-:meth:`Tracer.iteration` — the promoted successor of the PR 3
-``observer`` callable.
+also the engine's only per-iteration observation surface, via
+:meth:`Tracer.iteration`.  A plain callable attaches as
+``tracer=CallbackTracer(on_iteration=f)``.
 
 The design contract is *zero overhead when off*: ``resolve_tracer``
 maps both ``None`` and the stock :class:`NullTracer` to ``None``, so
@@ -265,8 +265,7 @@ class CallbackTracer(Tracer):
     """Adapter wrapping plain callables as a tracer.
 
     ``on_iteration`` receives the engine context once per executed
-    iteration (this is the deprecation shim behind the engine's old
-    ``observer=`` kwarg); ``on_event`` receives each event dict.
+    iteration; ``on_event`` receives each event dict.
     """
 
     def __init__(

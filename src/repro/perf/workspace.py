@@ -76,8 +76,14 @@ class SolveWorkspace:
     repetitions (and across matrices — switching sources just rebuilds
     the live copy) is what :func:`repro.sim.engine.repeat_run`,
     the campaign executor and ``solve(reuse_workspace=True)`` do.
-    Every code path through a workspace is locked bit-identical to the
-    fresh-allocation path by ``tests/test_perf_workspace.py``.
+    On the reference backend every code path through a workspace is
+    locked bit-identical to the fresh-allocation path by
+    ``tests/test_perf_workspace.py``.  Under a non-reference backend the
+    two can differ: :meth:`restore_matrix_state` leaves the structure
+    stamp down whenever captured deltas name an index word, where the
+    fresh path restores it, so later products take different kernels
+    (ROADMAP item 3(c); pinned by an ``xfail`` in
+    ``tests/test_backends.py``).
     """
 
     def __init__(self, *, backend: "object | None" = None) -> None:

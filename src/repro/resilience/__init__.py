@@ -18,14 +18,12 @@ CGNE, BiCG, BiCGstab".  This package is that claim as architecture:
   (``tests/test_resilience_golden.py``); Jacobi-preconditioned CG is
   the first solver born on the engine;
 - :mod:`repro.resilience.registry` — :class:`~repro.core.methods
-  .Method` → plugin dispatch (:func:`run_ft_method`);
+  .Method` → plugin dispatch.  :func:`run_ft_method` is the one
+  spelling of a protected solve: ``run_ft_method("cg" | "bicgstab" |
+  "pcg", a, b, config, ...)``;
 - :mod:`repro.resilience.accounting` — the shared
   :class:`RecoveryCounters` / :class:`TimeBreakdown` /
   :class:`SolveResult` containers.
-
-The legacy entry points :func:`repro.core.ft_cg.run_ft_cg` and
-:func:`repro.core.ft_krylov.run_ft_bicgstab` are thin wrappers over
-this package.
 """
 
 from typing import TYPE_CHECKING
@@ -45,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         RecurrencePlugin,
         StepOutcome,
     )
-    from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method, run_ft_pcg
+    from repro.resilience.registry import PLUGIN_FACTORIES, make_plugin, run_ft_method
 
 __all__ = [
     "RecoveryCounters",
@@ -64,7 +62,6 @@ __all__ = [
     "PLUGIN_FACTORIES",
     "make_plugin",
     "run_ft_method",
-    "run_ft_pcg",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -90,7 +87,6 @@ __getattr__, __dir__ = lazy_exports(
             "PLUGIN_FACTORIES",
             "make_plugin",
             "run_ft_method",
-            "run_ft_pcg",
         ),
     },
 )

@@ -2,9 +2,7 @@
 
 These containers used to live inside the monolithic FT-CG driver; the
 resilience engine owns them now so every recurrence plugin (CG,
-BiCGstab, PCG, ...) reports through the same ledger.  ``FTCGResult``
-remains importable from :mod:`repro.core.ft_cg` as an alias of
-:class:`SolveResult` for backward compatibility.
+BiCGstab, PCG, ...) reports through the same ledger.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ accounting order and the injector registration order are preserved.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -45,7 +44,7 @@ from repro.core.cg import cg_tolerance_threshold
 from repro.core.methods import SchemeConfig
 from repro.faults.injector import FaultInjector, FaultModel
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import CallbackTracer, MultiTracer, Tracer, resolve_tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
@@ -668,7 +667,6 @@ def run_protected(
     max_time_units: "float | None" = None,
     event_log: "EventLog | None" = None,
     final_check: bool = True,
-    observer: "Callable[[EngineContext], None] | None" = None,
     workspace: "SolveWorkspace | None" = None,
     backend: "object | None" = None,
     tracer: "Tracer | None" = None,
@@ -702,13 +700,6 @@ def run_protected(
         Reliably re-verify the residual on apparent convergence and
         keep iterating if it is bogus (recommended; disable only to
         study undetected-error impact).
-    observer:
-        Deprecated alias for ``tracer`` (emits a ``DeprecationWarning``):
-        a callable invoked with the :class:`EngineContext` once per
-        executed iteration.  It is wrapped in a
-        :class:`repro.obs.CallbackTracer` and combined with ``tracer``
-        if both are given — override :meth:`repro.obs.Tracer.iteration`
-        instead.
     workspace:
         Optional :class:`repro.perf.SolveWorkspace`.  When given, the
         live matrix, the per-iteration buffers and the checkpoint
@@ -719,11 +710,12 @@ def run_protected(
         (:mod:`repro.perf.trajectory`): iterations whose outcome is
         already known — clean state, no strike drawn, inside the memo's
         frontier — are accounted, not executed
-        (:meth:`EngineContext.step`).  Bit-identical to the fresh
-        path — the fresh path remains the oracle
+        (:meth:`EngineContext.step`).  On the reference backend this is
+        bit-identical to the fresh path, which remains the oracle
         (``tests/test_perf_workspace.py``,
-        ``tests/test_trajectory_memo.py``).  One workspace must not be
-        shared by concurrently running solves.
+        ``tests/test_trajectory_memo.py``); under a non-reference
+        backend the two can differ (ROADMAP item 3(c)).  One workspace
+        must not be shared by concurrently running solves.
     backend:
         Kernel backend for every SpMxV of the run — a registered name
         (``"scipy"``, ``"dense"``), a
@@ -763,15 +755,6 @@ def run_protected(
             prepare(a)
     wall_start = _time.perf_counter()
     tr = resolve_tracer(tracer)
-    if observer is not None:
-        warnings.warn(
-            "run_protected(observer=...) is deprecated; pass tracer= with a "
-            "repro.obs.Tracer overriding iteration() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        shim = CallbackTracer(on_iteration=observer)
-        tr = shim if tr is None else MultiTracer([tr, shim])
     rng = as_generator(rng)
     log = event_log if event_log is not None else EventLog()
     n = a.nrows

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.accounting import SolveResult
     from repro.resilience.protocol import RecurrencePlugin
 
-__all__ = ["PLUGIN_FACTORIES", "make_plugin", "run_ft_method", "run_ft_pcg"]
+__all__ = ["PLUGIN_FACTORIES", "make_plugin", "run_ft_method"]
 
 #: One factory per solver; factories must return a *fresh* plugin
 #: (plugins are single-use — they hold one run's iteration state).
@@ -48,13 +48,3 @@ def run_ft_method(method: "Method | str", a, b, config, **kwargs) -> "SolveResul
     ``tracer``, ``final_check``).
     """
     return run_protected(make_plugin(method), a, b, config, **kwargs)
-
-
-def run_ft_pcg(a, b, config, **kwargs) -> "SolveResult":
-    """Run fault-tolerant Jacobi-preconditioned CG (FT-PCG).
-
-    The first solver added on the engine rather than as a monolithic
-    driver; parameters as :func:`repro.core.ft_cg.run_ft_cg` (the
-    scheme must be one of the ABFT schemes).
-    """
-    return run_ft_method(Method.PCG, a, b, config, **kwargs)

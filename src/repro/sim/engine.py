@@ -31,7 +31,6 @@ from repro.util.rng import spawn_named
 __all__ = [
     "RunStatistics",
     "repeat_run",
-    "repeat_run_batched",
     "sweep_checkpoint_interval",
     "make_rhs",
     "PER_REP_KEYS",
@@ -222,11 +221,13 @@ def repeat_run(
     :class:`repro.perf.SolveWorkspace`: the live matrix, the solver
     buffers and the checkpoint staging are allocated once and restored
     between repetitions by strike-undo, and the ABFT checksums come
-    from the per-process cache — identical results, a fraction of the
-    wall clock.  Pass ``reuse_workspace=False`` for the historical
-    fresh-allocation path (the bit-identity oracle), or ``workspace=``
-    to share a caller-owned workspace across calls (e.g. an interval
-    sweep over one matrix).
+    from the per-process cache — a fraction of the wall clock.  Pass
+    ``reuse_workspace=False`` for the historical fresh-allocation path,
+    or ``workspace=`` to share a caller-owned workspace across calls
+    (e.g. an interval sweep over one matrix).  The two paths give
+    identical results on the reference backend (there the fresh path
+    is the bit-identity oracle); under ``scipy`` they can differ
+    (ROADMAP item 3(c)).
 
     Staleness caveat: the checksum cache keys on the matrix *object*.
     If you mutate ``a``'s arrays in place between calls, pass a fresh
@@ -324,21 +325,6 @@ def _rep_rng(base_seed, method, config, alpha, labels, rep):
     return spawn_named(
         base_seed, method.value, config.scheme.value, alpha, *labels, rep
     )
-
-
-def repeat_run_batched(
-    a: CSRMatrix,
-    b: np.ndarray,
-    config: SchemeConfig,
-    *,
-    policy: SamplingPolicy,
-    **run,
-) -> RunStatistics:
-    """Adaptive spelling of :func:`repeat_run`: ``policy`` is required
-    and its ``max_reps`` is the repetition cap; every other keyword
-    (``alpha``, ``prior``, ``on_batch``, ``per_rep`` …) is
-    :func:`repeat_run`'s."""
-    return repeat_run(a, b, config, reps=policy.max_reps, policy=policy, **run)
 
 
 def sweep_checkpoint_interval(

@@ -16,8 +16,8 @@ Figure 1 (Section 5.2, scheme comparison)
 Both drivers take a ``scale`` divisor (see
 :mod:`repro.sim.matrices`) — ``scale=1`` is the paper's full size,
 larger values shrink matrices for laptop-speed sweeps while preserving
-per-row density.  ``python -m repro.sim.experiments --help`` runs them
-from the command line.
+per-row density.  ``python -m repro table1 --help`` (and ``figure1``)
+runs them from the command line.
 
 Both drivers are thin :class:`repro.api.study.Study` definitions: the
 preset ``Study.table1()`` / ``Study.figure1()`` grids expand to the
@@ -267,19 +267,3 @@ def run_figure1(
         retries=retries,
         chaos=chaos,
     ).figure1_points()
-
-
-def _main(argv: "list[str] | None" = None) -> int:
-    """Command-line entry: ``python -m repro.sim.experiments ...``.
-
-    Kept as a back-compat alias of the ``repro`` subcommand CLI
-    (:mod:`repro.api.cli`): ``table1``/``figure1`` plus their flags
-    parse identically there.
-    """
-    from repro.api.cli import main
-
-    return main(argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(_main())

@@ -2,8 +2,8 @@
 
 The JSON written here pins the *exact* trajectories (simulated time,
 solution-vector bytes, recovery counters, time breakdown) of
-``run_ft_cg`` and ``run_ft_bicgstab`` for a grid of (scheme, alpha,
-seed) points.  The fixtures were first captured from the pre-refactor
+``run_ft_method("cg", ...)`` and ``run_ft_method("bicgstab", ...)`` for
+a grid of (scheme, alpha, seed) points.  The fixtures were first captured from the pre-refactor
 monolithic drivers (PR 1 tree); ``tests/test_resilience_golden.py``
 asserts that the plugin-based resilience engine reproduces them
 bit-for-bit.  Floats are stored via ``float.hex()`` so the comparison
@@ -26,7 +26,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core import Scheme, SchemeConfig, run_ft_cg, run_ft_bicgstab  # noqa: E402
+from repro.core import Scheme, SchemeConfig, run_ft_method  # noqa: E402
 from repro.sparse import stencil_spd  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parent / "ft_trajectories.json"
@@ -46,7 +46,7 @@ SEEDS = (0, 42)
 
 
 def encode(res) -> dict:
-    """Exact, JSON-stable encoding of one FTCGResult."""
+    """Exact, JSON-stable encoding of one SolveResult."""
     return {
         "x_sha256": hashlib.sha256(np.ascontiguousarray(res.x).tobytes()).hexdigest(),
         "converged": bool(res.converged),
@@ -83,7 +83,7 @@ def main() -> None:
     for scheme, d, alpha in CG_POINTS:
         for seed in SEEDS:
             cfg = SchemeConfig(scheme, checkpoint_interval=8, verification_interval=d)
-            res = run_ft_cg(a, b, cfg, alpha=alpha, rng=seed, eps=1e-6)
+            res = run_ft_method("cg", a, b, cfg, alpha=alpha, rng=seed, eps=1e-6)
             entries.append(
                 {
                     "driver": "ft_cg",
@@ -97,7 +97,7 @@ def main() -> None:
     for scheme, alpha in BICGSTAB_POINTS:
         for seed in SEEDS:
             cfg = SchemeConfig(scheme, checkpoint_interval=8)
-            res = run_ft_bicgstab(a, b, cfg, alpha=alpha, rng=seed, eps=1e-6)
+            res = run_ft_method("bicgstab", a, b, cfg, alpha=alpha, rng=seed, eps=1e-6)
             entries.append(
                 {
                     "driver": "ft_bicgstab",

@@ -2,7 +2,7 @@
 
 Pins the exact per-rep trajectories (hex-encoded times, iteration and
 fault counts, SHA-256 of the full per-rep payload) of one adaptive
-``repeat_run_batched`` cell.  ``tests/test_adaptive_prefix.py`` asserts
+``repeat_run(..., policy=...)`` cell.  ``tests/test_adaptive_prefix.py`` asserts
 the sequential-sampling engine reproduces it bit for bit — any drift in
 seed derivation, stopping arithmetic or per-rep bookkeeping fails the
 comparison exactly.

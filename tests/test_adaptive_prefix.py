@@ -22,7 +22,6 @@ from repro.sim.engine import (
     PER_REP_KEYS,
     make_rhs,
     repeat_run,
-    repeat_run_batched,
 )
 from repro.sparse import stencil_spd
 
@@ -64,8 +63,9 @@ def test_adaptive_prefix_bit_identical(method, scheme, backend):
         method=method, backend=backend,
     )
     per_adaptive: dict = {}
-    stats_adaptive = repeat_run_batched(
-        a, b, cfg, policy=POLICY, per_rep=per_adaptive, **kwargs
+    stats_adaptive = repeat_run(
+        a, b, cfg, reps=POLICY.max_reps, policy=POLICY, per_rep=per_adaptive,
+        **kwargs,
     )
     k = stats_adaptive.reps
     assert POLICY.min_reps <= k <= POLICY.max_reps
@@ -87,8 +87,8 @@ def test_adaptive_is_prefix_of_longer_fixed_run():
     a, b = _system()
     cfg = SchemeConfig(scheme=Scheme.ABFT_DETECTION, checkpoint_interval=5)
     per_adaptive: dict = {}
-    stats = repeat_run_batched(
-        a, b, cfg, alpha=ALPHA, policy=POLICY, base_seed=2015,
+    stats = repeat_run(
+        a, b, cfg, alpha=ALPHA, reps=POLICY.max_reps, policy=POLICY, base_seed=2015,
         labels=("prefix", 7), per_rep=per_adaptive,
     )
     per_full: dict = {}
@@ -105,8 +105,8 @@ def encode_cell() -> dict:
     a, b = _system()
     cfg = SchemeConfig(scheme=Scheme.ABFT_CORRECTION, checkpoint_interval=5)
     per_rep: dict = {}
-    stats = repeat_run_batched(
-        a, b, cfg, alpha=ALPHA, policy=POLICY, base_seed=2015,
+    stats = repeat_run(
+        a, b, cfg, alpha=ALPHA, reps=POLICY.max_reps, policy=POLICY, base_seed=2015,
         labels=("prefix", 7), per_rep=per_rep,
     )
     blob = json.dumps(

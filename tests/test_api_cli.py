@@ -411,10 +411,3 @@ class TestModuleEntryCompat:
                           "--uids", "2213", "--s-span", "1", "--jobs", "1"])
         assert rc == 0
         assert "2213" in capsys.readouterr().out
-
-    def test_experiments_main_is_cli_alias(self, capsys):
-        from repro.sim.experiments import _main
-
-        assert _main(["figure1", "--scale", "48", "--reps", "1", "--uids", "2213",
-                      "--mtbf", "16", "--jobs", "1"]) == 0
-        assert "Matrix #2213" in capsys.readouterr().out

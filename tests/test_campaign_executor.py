@@ -249,7 +249,7 @@ class TestStoreAggregation:
 
 class TestCli:
     def test_cli_jobs_and_store(self, capsys, tmp_path):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         store = tmp_path / "cli.jsonl"
         rc = _main(["table1", "--scale", "48", "--reps", "1",
@@ -260,7 +260,7 @@ class TestCli:
         assert len(ResultStore(store).load()) > 0
 
     def test_cli_resume_completes_without_recompute(self, capsys, tmp_path):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         store = tmp_path / "cli.jsonl"
         args = ["table1", "--scale", "48", "--reps", "1", "--uids", "2213",
@@ -276,7 +276,7 @@ class TestCli:
         assert sum(1 for _ in open(store)) == len(done)
 
     def test_cli_refuses_clobbering_store(self, tmp_path, capsys):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         store = tmp_path / "cli.jsonl"
         store.write_text('{"hash": "x"}\n')
@@ -284,7 +284,7 @@ class TestCli:
         assert "--resume" in capsys.readouterr().err
 
     def test_cli_resume_requires_store(self, capsys):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         assert _main(["table1", "--resume"]) == 2
         assert "--resume requires --store" in capsys.readouterr().err
@@ -299,13 +299,13 @@ class TestCli:
         assert "table1" in capsys.readouterr().out
 
     def test_cli_negative_s_span_rejected(self, capsys):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         assert _main(["table1", "--s-span", "-3"]) == 2
         assert "--s-span" in capsys.readouterr().err
 
     def test_cli_base_seed_changes_results(self, capsys):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         base = ["table1", "--scale", "48", "--reps", "2", "--uids", "2213",
                 "--s-span", "1", "--jobs", "1"]

@@ -79,7 +79,8 @@ class TestInjector:
         for arr in arrays:
             inj = FaultInjector(m, rng=42)
             inj.register("a", arr)
-            recs.append([(r.target, r.position, r.bit) for r in inj.inject_iteration(0, n_strikes=4)])
+            applied = [inj.apply_strike(0, s) for s in inj.sample_strikes(n_strikes=4)]
+            recs.append([(r.target, r.position, r.bit) for r in applied])
         assert recs[0] == recs[1]
         np.testing.assert_array_equal(arrays[0], arrays[1])
 

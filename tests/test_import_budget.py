@@ -76,7 +76,7 @@ def test_store_readers_load_no_solver_stack(run_cli, settled_store, command):
     assert res["codes"] == [0]
     assert loaded(
         res, "scipy", "repro.resilience", "repro.abft", "repro.faults", "repro.backends",
-        "repro.chaos", "repro.core.ft_cg",
+        "repro.chaos",
     ) == []
     assert len(loaded(res, "repro")) <= 15
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Scheme, SchemeConfig, cg, run_ft_cg
+from repro.core import CostModel, Scheme, SchemeConfig, cg, run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import suite_specs
@@ -30,7 +30,7 @@ class TestSchemesAgree:
             (Scheme.ABFT_CORRECTION, 1),
         ]:
             cfg = SchemeConfig(scheme, checkpoint_interval=6, verification_interval=d)
-            res = run_ft_cg(a, b, cfg, alpha=0.08, rng=2, eps=1e-8)
+            res = run_ft_method("cg", a, b, cfg, alpha=0.08, rng=2, eps=1e-8)
             assert res.converged, scheme
             xs.append(res.x)
         for x in xs:
@@ -67,7 +67,7 @@ class TestModelPredictsSimulation:
         b = make_rhs(a)
         alpha = 0.5
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=alpha, rng=7, eps=1e-6, maxiter=4000)
+        res = run_ft_method("cg", a, b, cfg, alpha=alpha, rng=7, eps=1e-6, maxiter=4000)
         # Iterations that did not roll back ÷ executed ≈ q.
         q_model = np.exp(-alpha) * (1 + alpha)
         q_sim = 1 - res.counters.rollbacks / res.iterations_executed
@@ -81,7 +81,7 @@ class TestRecoveryAudit:
         a, b = suite_matrix
         log = EventLog()
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=0.2, rng=1, eps=1e-6, event_log=log)
+        res = run_ft_method("cg", a, b, cfg, alpha=0.2, rng=1, eps=1e-6, event_log=log)
         assert log.count("checkpoint") == res.counters.checkpoints
         assert log.count("correction") == res.counters.total_corrections
         assert (
@@ -92,5 +92,5 @@ class TestRecoveryAudit:
     def test_fault_records_match_counter(self, suite_matrix):
         a, b = suite_matrix
         cfg = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=5)
-        res = run_ft_cg(a, b, cfg, alpha=0.15, rng=4, eps=1e-6)
+        res = run_ft_method("cg", a, b, cfg, alpha=0.15, rng=4, eps=1e-6)
         assert res.counters.faults_injected > 0

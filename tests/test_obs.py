@@ -43,8 +43,8 @@ def problem():
 
 
 def _run(a, b, **kw):
-    # Through run_ft_method so engine-level kwargs (tracer, and the
-    # deprecated observer) all reach run_protected.
+    # Through run_ft_method so engine-level kwargs (tracer) reach
+    # run_protected.
     from repro.core import Method, run_ft_method
 
     cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=8)
@@ -227,19 +227,12 @@ class TestEngineTracing:
         assert start["n"] == a.nrows and start["nnz"] == a.nnz
         assert start["backend"] == "reference"
 
-    def test_observer_is_deprecated_shim(self, problem):
-        a, b = problem
-        seen = []
-        with pytest.warns(DeprecationWarning, match="observer"):
-            res = _run(a, b, observer=seen.append)
-        assert len(seen) == res.iterations_executed
-
     def test_observer_combines_with_tracer(self, problem):
         a, b = problem
         t = InMemoryTracer()
         seen = []
-        with pytest.warns(DeprecationWarning):
-            res = _run(a, b, observer=seen.append, tracer=t)
+        observer = CallbackTracer(on_iteration=seen.append)
+        res = _run(a, b, tracer=MultiTracer([t, observer]))
         assert len(seen) == res.iterations_executed
         assert t.counts_by_kind()["step"] == res.iterations_executed
 
@@ -288,8 +281,7 @@ class TestSolveTrace:
         assert len(t) > 0
 
     def test_facade_emits_no_deprecation_warning(self, problem):
-        # The facade's history recorder rides the Tracer protocol now;
-        # only user code passing observer= should ever see the warning.
+        # The facade's history recorder rides the Tracer protocol.
         import repro
 
         a, b = problem

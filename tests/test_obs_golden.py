@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, run_ft_bicgstab, run_ft_cg
+from repro.core import Scheme, SchemeConfig, run_ft_method
 from repro.obs import InMemoryTracer, NullTracer
 from repro.sparse import stencil_spd
 
@@ -42,10 +42,10 @@ def _replay(problem, entry, tracer):
         checkpoint_interval=_gold["s"],
         verification_interval=entry["d"],
     )
-    run = run_ft_cg if entry["driver"] == "ft_cg" else run_ft_bicgstab
+    method = "cg" if entry["driver"] == "ft_cg" else "bicgstab"
     with np.errstate(all="ignore"):
-        return run(
-            a, b, cfg,
+        return run_ft_method(
+            method, a, b, cfg,
             alpha=entry["alpha"], rng=entry["seed"], eps=_gold["eps"],
             tracer=tracer,
         )

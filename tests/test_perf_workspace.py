@@ -21,7 +21,7 @@ import pytest
 from repro.abft import cached_checksums, clear_checksum_cache, compute_checksums
 from repro.abft.spmv import protected_spmv
 from repro.checkpoint.store import CheckpointStore
-from repro.core import Scheme, SchemeConfig, run_ft_cg
+from repro.core import Scheme, SchemeConfig
 from repro.core.methods import CostModel, Method
 from repro.faults.bitflip import flip_bit_int64
 from repro.perf import SolveWorkspace, clear_caches, default_workspace
@@ -254,7 +254,7 @@ class TestEngineWorkspace:
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
         ws = SolveWorkspace()
         with np.errstate(all="ignore"):
-            run_ft_cg(a, b, cfg, alpha=0.6, rng=5, eps=1e-6, workspace=ws)
+            run_ft_method("cg", a, b, cfg, alpha=0.6, rng=5, eps=1e-6, workspace=ws)
         live = ws.acquire_live(a)  # triggers strike-undo restore
         assert ws.live_restores == 1
         np.testing.assert_array_equal(live.val, a.val)
@@ -271,8 +271,8 @@ class TestEngineWorkspace:
         ws = SolveWorkspace()
         for mat, rhs in ((a, b), (small_lap, b2), (a, b), (small_lap, b2)):
             with np.errstate(all="ignore"):
-                want = run_ft_cg(mat, rhs, cfg, alpha=0.3, rng=9, eps=1e-6)
-                got = run_ft_cg(mat, rhs, cfg, alpha=0.3, rng=9, eps=1e-6, workspace=ws)
+                want = run_ft_method("cg", mat, rhs, cfg, alpha=0.3, rng=9, eps=1e-6)
+                got = run_ft_method("cg", mat, rhs, cfg, alpha=0.3, rng=9, eps=1e-6, workspace=ws)
             _assert_same_result(got, want)
 
     def test_no_leak_between_unfaulted_and_faulted(self, problem):
@@ -282,9 +282,9 @@ class TestEngineWorkspace:
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3)
         ws = SolveWorkspace()
         with np.errstate(all="ignore"):
-            clean_fresh = run_ft_cg(a, b, cfg, alpha=0.0, rng=0, eps=1e-6)
-            run_ft_cg(a, b, cfg, alpha=0.8, rng=1, eps=1e-6, workspace=ws)
-            clean_ws = run_ft_cg(a, b, cfg, alpha=0.0, rng=0, eps=1e-6, workspace=ws)
+            clean_fresh = run_ft_method("cg", a, b, cfg, alpha=0.0, rng=0, eps=1e-6)
+            run_ft_method("cg", a, b, cfg, alpha=0.8, rng=1, eps=1e-6, workspace=ws)
+            clean_ws = run_ft_method("cg", a, b, cfg, alpha=0.0, rng=0, eps=1e-6, workspace=ws)
         _assert_same_result(clean_ws, clean_fresh)
 
 
@@ -319,8 +319,8 @@ class TestRepeatRunWorkspace:
             rng_ws = spawn_named(2, cfg.scheme.value, 0.35, rep)
             rng_fresh = spawn_named(2, cfg.scheme.value, 0.35, rep)
             with np.errstate(all="ignore"):
-                got = run_ft_cg(a, b, cfg, alpha=0.35, rng=rng_ws, eps=1e-6, workspace=ws)
-                want = run_ft_cg(a, b, cfg, alpha=0.35, rng=rng_fresh, eps=1e-6)
+                got = run_ft_method("cg", a, b, cfg, alpha=0.35, rng=rng_ws, eps=1e-6, workspace=ws)
+                want = run_ft_method("cg", a, b, cfg, alpha=0.35, rng=rng_fresh, eps=1e-6)
             _assert_same_result(got, want)
 
     def test_executor_record_identical(self):
@@ -374,7 +374,6 @@ class TestGoldenThroughWorkspace:
         """Every golden FT-CG/BiCGstab trajectory reproduces bit for bit
         through ONE workspace shared across all entries — schemes,
         alphas and solvers interleaved, exactly the campaign pattern."""
-        from repro.core import run_ft_bicgstab
 
         a = stencil_spd(529, kind="cross", radius=2)
         b = np.random.default_rng(_gold["rhs_seed"]).normal(size=a.nrows)
@@ -385,10 +384,10 @@ class TestGoldenThroughWorkspace:
                 checkpoint_interval=_gold["s"],
                 verification_interval=entry["d"],
             )
-            run = run_ft_cg if entry["driver"] == "ft_cg" else run_ft_bicgstab
+            method = "cg" if entry["driver"] == "ft_cg" else "bicgstab"
             with np.errstate(all="ignore"):
-                res = run(
-                    a, b, cfg, alpha=entry["alpha"], rng=entry["seed"],
+                res = run_ft_method(
+                    method, a, b, cfg, alpha=entry["alpha"], rng=entry["seed"],
                     eps=_gold["eps"], workspace=ws,
                 )
             want = entry["result"]

@@ -8,10 +8,7 @@ from repro.core import (
     Scheme,
     SchemeConfig,
     pcg,
-    run_ft_bicgstab,
-    run_ft_cg,
     run_ft_method,
-    run_ft_pcg,
 )
 from repro.resilience import (
     BiCGstabPlugin,
@@ -64,7 +61,7 @@ class TestDispatch:
         a, b = problem
         cfg = config(Scheme.ABFT_CORRECTION)
         via_method = run_ft_method(Method.CG, a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
-        via_wrapper = run_ft_cg(a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
+        via_wrapper = run_protected(CGPlugin(), a, b, cfg, alpha=0.1, rng=7, eps=1e-6)
         assert via_method.time_units == via_wrapper.time_units
         np.testing.assert_array_equal(via_method.x, via_wrapper.x)
 
@@ -72,7 +69,7 @@ class TestDispatch:
         a, b = problem
         cfg = config(Scheme.ABFT_DETECTION)
         r1 = run_ft_method("bicgstab", a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
-        r2 = run_ft_bicgstab(a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
+        r2 = run_protected(BiCGstabPlugin(), a, b, cfg, alpha=0.1, rng=3, eps=1e-6)
         assert r1.time_units == r2.time_units
 
     def test_plugins_are_single_use_fresh(self):
@@ -83,7 +80,7 @@ class TestFTPCG:
     @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
     def test_converges_without_faults(self, problem, scheme):
         a, b = problem
-        res = run_ft_pcg(a, b, config(scheme), alpha=0.0, rng=0, eps=1e-6)
+        res = run_ft_method("pcg", a, b, config(scheme), alpha=0.0, rng=0, eps=1e-6)
         assert res.converged
         assert res.residual_norm <= res.threshold
         assert res.counters.rollbacks == 0
@@ -94,56 +91,56 @@ class TestFTPCG:
         from repro.core import jacobi_preconditioner
 
         plain = pcg(a, b, preconditioner=jacobi_preconditioner(a), eps=1e-6)
-        ft = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
+        ft = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
         assert ft.converged
         np.testing.assert_allclose(ft.x, plain.x, rtol=1e-6, atol=1e-8)
 
     def test_preconditioning_beats_plain_cg(self, problem):
         """The diagonal preconditioner must pay for itself in iterations."""
         a, b = problem
-        ft_cg = run_ft_cg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
-        ft_pcg = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
+        ft_cg = run_ft_method("cg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
+        ft_pcg = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
         assert ft_pcg.iterations < ft_cg.iterations
 
     @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
     def test_converges_under_injection(self, problem, scheme):
         a, b = problem
-        res = run_ft_pcg(a, b, config(scheme), alpha=0.1, rng=42, eps=1e-6)
+        res = run_ft_method("pcg", a, b, config(scheme), alpha=0.1, rng=42, eps=1e-6)
         assert res.converged
         assert res.counters.faults_injected > 0
         assert res.residual_norm <= res.threshold
 
     def test_correction_forward_recovers(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.25, rng=11, eps=1e-6)
+        res = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.25, rng=11, eps=1e-6)
         assert res.converged
         assert res.counters.total_corrections > 0
         assert res.counters.rollbacks < res.counters.total_corrections
 
     def test_detection_rolls_back(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_DETECTION), alpha=0.25, rng=11, eps=1e-6)
+        res = run_ft_method("pcg", a, b, config(Scheme.ABFT_DETECTION), alpha=0.25, rng=11, eps=1e-6)
         assert res.converged
         assert res.counters.rollbacks > 0
         assert res.counters.total_corrections == 0
 
     def test_determinism(self, problem):
         a, b = problem
-        r1 = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
-        r2 = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
+        r1 = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
+        r2 = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.2, rng=5, eps=1e-6)
         assert r1.time_units == r2.time_units
         np.testing.assert_array_equal(r1.x, r2.x)
 
     def test_input_matrix_never_mutated(self, problem):
         a, b = problem
         snap = a.copy()
-        run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=2, eps=1e-6)
+        run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=2, eps=1e-6)
         assert a.equals(snap)
 
     def test_online_scheme_rejected(self, problem):
         a, b = problem
         with pytest.raises(ValueError, match="ABFT"):
-            run_ft_pcg(a, b, SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=4))
+            run_ft_method("pcg", a, b, SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=4))
 
     def test_zero_diagonal_rejected(self):
         from repro.sparse import CSRMatrix
@@ -151,18 +148,18 @@ class TestFTPCG:
         dense = np.array([[0.0, 1.0], [1.0, 2.0]])
         a = CSRMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="zero-free diagonal"):
-            run_ft_pcg(a, np.ones(2), config(Scheme.ABFT_DETECTION))
+            run_ft_method("pcg", a, np.ones(2), config(Scheme.ABFT_DETECTION))
 
     def test_breakdown_sums(self, problem):
         a, b = problem
-        res = run_ft_pcg(a, b, config(Scheme.ABFT_CORRECTION), alpha=0.15, rng=9, eps=1e-6)
+        res = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.15, rng=9, eps=1e-6)
         assert res.breakdown.total == pytest.approx(res.time_units)
 
     def test_event_log_records_recoveries(self, problem):
         a, b = problem
         log = EventLog()
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, event_log=log
+        res = run_ft_method(
+            "pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, event_log=log
         )
         kinds = {ev.kind for ev in log.events}
         assert "checkpoint" in kinds
@@ -198,16 +195,16 @@ class TestEngineGenerics:
 
     def test_max_time_units_bails(self, problem):
         a, b = problem
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14,
+        res = run_ft_method(
+            "pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14,
             max_time_units=10.0,
         )
         assert res.time_units <= 13.0  # one iteration of slack
 
     def test_maxiter_bails(self, problem):
         a, b = problem
-        res = run_ft_pcg(
-            a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14, maxiter=7
+        res = run_ft_method(
+            "pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-14, maxiter=7
         )
         assert res.iterations_executed == 7
         assert not res.converged
@@ -291,3 +288,53 @@ class TestFinalResidual:
         del reliable_products[:]
         warm = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-3, x0=x)
         assert warm.iterations_executed == 0 and len(reliable_products) == 1
+
+
+class TestRetiredSpellings:
+    """Each protected solve has one spelling: ``run_ft_method`` (or
+    ``run_protected`` on a plugin), ``SolveResult``, ``tracer=`` and
+    ``FaultInjector``.  The pre-engine aliases are gone, not shimmed."""
+
+    RETIRED = ["run_ft_cg", "run_ft_bicgstab", "run_ft_pcg", "FTCGResult",
+               "IterationFaultPlan", "CGTargets"]
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_top_level_import_fails(self, name):
+        with pytest.raises(ImportError):
+            exec(f"from repro import {name}", {})
+
+    def test_batched_rep_loop_import_fails(self):
+        with pytest.raises(ImportError):
+            from repro.sim.engine import repeat_run_batched  # noqa: F401
+
+    @pytest.mark.parametrize(
+        "module", ["repro.core.ft_cg", "repro.core.ft_krylov", "repro.faults.scenarios"]
+    )
+    def test_wrapper_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_packages_no_longer_list_them(self):
+        import repro
+        import repro.core
+        import repro.faults
+
+        for pkg in (repro, repro.core, repro.faults):
+            assert not set(self.RETIRED) & set(dir(pkg)), pkg.__name__
+            assert not set(self.RETIRED) & set(pkg.__all__), pkg.__name__
+
+    def test_observer_kwarg_is_rejected(self, problem):
+        a, b = problem
+        with pytest.raises(TypeError, match="observer"):
+            run_protected(
+                CGPlugin(), a, b, config(Scheme.ABFT_DETECTION), observer=lambda ctx: None
+            )
+
+    def test_callerless_helpers_are_gone(self):
+        from repro.faults.injector import FaultInjector
+        from repro.sim import experiments
+
+        assert not hasattr(experiments, "_main")
+        assert not hasattr(FaultInjector, "inject_iteration")

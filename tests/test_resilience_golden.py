@@ -20,7 +20,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, run_ft_bicgstab, run_ft_cg
+from repro.core import Scheme, SchemeConfig, run_ft_method
 from repro.sparse import stencil_spd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ft_trajectories.json"
@@ -48,9 +48,11 @@ def test_bit_identical_to_pre_refactor_driver(problem, entry):
         checkpoint_interval=_gold["s"],
         verification_interval=entry["d"],
     )
-    run = run_ft_cg if entry["driver"] == "ft_cg" else run_ft_bicgstab
+    method = "cg" if entry["driver"] == "ft_cg" else "bicgstab"
     with np.errstate(all="ignore"):
-        res = run(a, b, cfg, alpha=entry["alpha"], rng=entry["seed"], eps=_gold["eps"])
+        res = run_ft_method(
+            method, a, b, cfg, alpha=entry["alpha"], rng=entry["seed"], eps=_gold["eps"]
+        )
     want = entry["result"]
 
     assert hashlib.sha256(np.ascontiguousarray(res.x).tobytes()).hexdigest() == want["x_sha256"]
@@ -88,7 +90,7 @@ _BACKEND_ENTRIES = list(
 
 @pytest.mark.parametrize("entry", _BACKEND_ENTRIES, ids=_entry_id)
 def test_explicit_reference_backend_matches_golden(problem, entry):
-    from repro.core import Method, run_ft_method
+    from repro.core import Method
 
     a, b = problem
     cfg = SchemeConfig(

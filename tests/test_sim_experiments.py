@@ -91,7 +91,7 @@ class TestFigure1:
 
 class TestCli:
     def test_main_table1(self, capsys):
-        from repro.sim.experiments import _main
+        from repro.__main__ import main as _main
 
         rc = _main(["table1", "--scale", "48", "--reps", "1", "--uids", "2213"])
         assert rc == 0

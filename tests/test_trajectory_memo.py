@@ -452,11 +452,13 @@ def test_history_and_observer_see_the_same_residuals_with_a_warm_memo():
 
     def norms(**run):
         seen = []
-        with pytest.warns(DeprecationWarning, match="observer"), np.errstate(all="ignore"):
+        observer = CallbackTracer(
+            on_iteration=lambda ctx: seen.append(float(np.linalg.norm(ctx.plugin.vectors["r"])))
+        )
+        with np.errstate(all="ignore"):
             run_ft_method(
                 "cg", A, B, _config("abft-detection", 3, 1), alpha=1 / 16, rng=5, eps=1e-6,
-                observer=lambda ctx: seen.append(float(np.linalg.norm(ctx.plugin.vectors["r"]))),
-                **run,
+                tracer=observer, **run,
             )
         return seen
 
