@@ -32,10 +32,17 @@ from repro.core.stability import chen_verify
 from repro.faults.bitflip import flip_bits_array
 from repro.faults.injector import FaultInjector, FaultModel
 from repro.faults.record import FaultRecord
-from repro.util.log import EventLog
 from repro.util.rng import as_generator
 
 __all__ = ["run_ft_cg_legacy"]
+
+
+class EventLog(list):
+    """The frozen driver's own recovery-event list (``(kind, iteration,
+    payload)`` tuples); nothing compares it."""
+
+    def emit(self, kind: str, iteration: int, **payload) -> None:
+        self.append((kind, iteration, payload))
 
 #: Targets whose strikes land in the protected-SpMxV window.
 _SPMV_PRE_TARGETS = frozenset({"val", "colid", "rowidx", "p"})
@@ -126,8 +133,7 @@ def run_ft_cg_legacy(
     max_time_units:
         Optional bail-out on simulated time (pathological runs).
     event_log:
-        Optional :class:`~repro.util.log.EventLog` receiving recovery
-        events.
+        Optional :class:`EventLog` receiving recovery events.
     final_check:
         Reliably re-verify the residual on apparent convergence and
         keep iterating if it is bogus (recommended; disable only to

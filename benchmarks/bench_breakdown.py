@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_scale
-from repro.core import CostModel, Scheme, SchemeConfig, run_ft_method
+from repro.core import CostModel, Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs
-from repro.sim.experiments import model_interval_for
+from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import suite_specs
 
 

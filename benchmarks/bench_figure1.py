@@ -22,7 +22,8 @@ import collections
 import pytest
 
 from benchmarks.conftest import bench_reps, bench_scale
-from repro.sim import format_figure1, run_figure1
+from repro.api.study import Study
+from repro.sim import format_figure1
 from repro.sim.results import to_csv
 
 MTBFS = [16.0, 10**2, 10**2.5, 10**3, 10**4]
@@ -30,7 +31,8 @@ MTBFS = [16.0, 10**2, 10**2.5, 10**3, 10**4]
 
 def test_regenerate_figure1(results_dir):
     """Regenerate all nine Figure-1 panels; write table + CSV."""
-    pts = run_figure1(scale=bench_scale(), reps=bench_reps(), mtbf_values=MTBFS)
+    study = Study.figure1(scale=bench_scale(), reps=bench_reps(), mtbf_values=MTBFS)
+    pts = study.run().figure1_points()
     text = format_figure1(pts)
     (results_dir / "figure1.txt").write_text(text)
     to_csv(pts, str(results_dir / "figure1.csv"))
@@ -75,7 +77,8 @@ def test_bench_figure1_point(benchmark, mtbf):
     """Wall-clock of one Figure-1 point (matrix #2213, all schemes)."""
 
     def point():
-        return run_figure1(scale=bench_scale() * 2, reps=1, uids=[2213], mtbf_values=[mtbf])
+        study = Study.figure1(scale=bench_scale() * 2, reps=1, uids=[2213], mtbf_values=[mtbf])
+        return study.run().figure1_points()
 
     pts = benchmark(point)
     assert len(pts) == 3

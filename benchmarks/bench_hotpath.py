@@ -94,7 +94,7 @@ def run_hotpath_bench(scale: int, reps: int) -> dict:
         # trajectories bit for bit (simulated time and solution bytes).
         ws = SolveWorkspace()
         seed_results = _seed_repeat(a, b, cfg, alpha, min(reps, 10))
-        from repro.core import run_ft_method
+        from repro.resilience import run_ft_method
 
         for rep, want in enumerate(seed_results):
             rng = spawn_named(0, cfg.scheme.value, alpha, rep)

@@ -24,7 +24,8 @@ import numpy as np
 
 from benchmarks._legacy_ft_cg import run_ft_cg_legacy
 from benchmarks.conftest import bench_reps, bench_scale
-from repro.core import Scheme, SchemeConfig, run_ft_method
+from repro.core import Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs
 from repro.sim.matrices import get_matrix
 

@@ -21,15 +21,16 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_reps, bench_scale
+from repro.api.study import Study
 from repro.core import CostModel, Scheme, SchemeConfig
-from repro.sim import format_table1, run_table1
+from repro.sim import format_table1
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import suite_specs
 
 
 def test_regenerate_table1(results_dir):
     """Regenerate Table 1 for the full nine-matrix suite."""
-    rows = run_table1(scale=bench_scale(), reps=bench_reps(), s_span=5)
+    rows = Study.table1(scale=bench_scale(), reps=bench_reps(), s_span=5).run().table1_rows()
     text = format_table1(rows)
     (results_dir / "table1.txt").write_text(text)
     print("\n" + text)
@@ -50,7 +51,7 @@ def test_regenerate_table1(results_dir):
 
 def test_correction_interval_exceeds_detection():
     """Section 4.2.3: q_corr > q_det ⇒ s̃_corr > s̃_det, per matrix."""
-    from repro.sim.experiments import model_interval_for
+    from repro.model.instantiate import model_interval_for
 
     for spec in suite_specs():
         a = spec.instantiate(bench_scale())

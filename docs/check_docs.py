@@ -19,18 +19,43 @@ by the CI ``docs`` job next to the mkdocs strict build:
    access) and carry a docstring, as must the modules themselves.
 4. **Examples gallery.**  Every ``examples/*.py`` must be linked from
    README.md.
+5. **Layering.**  No module under ``src/repro`` imports a module of a
+   higher layer of :data:`LAYERS` (docs/DESIGN.md §1).  Every import
+   counts — module-level, function-local and ``lazy_exports`` tables —
+   except those under ``if TYPE_CHECKING:``; and DESIGN §1's layer
+   table shows :data:`LAYERS` itself.  ``tests/test_layering.py`` runs
+   the same functions in tier-1.
 
 Exit code 0 = clean; 1 = problems (each printed on its own line).
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+#: DESIGN §1's layers, lowest first: a ``repro`` module may import its
+#: own layer or any layer below it, never one above.  Entries name
+#: packages under ``repro`` (``sim.matrices`` is the one module listed on
+#: its own: substrate that ``repro.sim`` only re-exports); ``""`` is the
+#: ``repro`` root package.
+LAYERS: "tuple[tuple[str, ...], ...]" = (
+    ("_lazy", "util", "obs", "adaptive"),
+    ("sparse", "backends", "faults", "abft", "checkpoint", "core", "model", "sim.matrices"),
+    ("resilience",),
+    ("perf",),
+    ("sim",),
+    ("chaos",),
+    ("store",),
+    ("campaign",),
+    ("api",),
+    ("", "__main__"),
+)
 
 #: Packages whose public surface must be documented.
 AUDITED_PACKAGES = (
@@ -118,12 +143,109 @@ def check_examples_gallery(problems: list[str]) -> None:
             )
 
 
+def layer_of(module: str) -> "tuple[int, str]":
+    """``(index, entry)`` of the :data:`LAYERS` entry owning ``module``
+    (a dotted ``repro`` name); the longest matching entry wins."""
+    rel = module[len("repro."):] if module.startswith("repro.") else ""
+    owners = [
+        (len(entry), index, entry)
+        for index, entries in enumerate(LAYERS)
+        for entry in entries
+        if rel == entry or rel.startswith(entry + ".")
+    ]
+    if not owners:
+        raise ValueError(f"{module} is in no layer of LAYERS")
+    _, index, entry = max(owners)
+    return index, entry
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _is_module(name: str) -> bool:
+    base = SRC / name.replace(".", "/")
+    return base.with_suffix(".py").exists() or (base / "__init__.py").exists()
+
+
+def _imports(tree: ast.AST) -> "list[tuple[int, str]]":
+    """``(lineno, module)`` for every ``repro`` import in ``tree``
+    outside ``if TYPE_CHECKING:`` blocks, plus the module keys of
+    ``lazy_exports`` tables."""
+    found: "list[tuple[int, str]]" = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                sub = f"{node.module}.{alias.name}"
+                found.append((node.lineno, sub if _is_module(sub) else node.module))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            found.extend(
+                (key.lineno, key.value)
+                for key in node.args[1].keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return [(line, mod) for line, mod in found if mod == "repro" or mod.startswith("repro.")]
+
+
+def check_layering(problems: list[str]) -> None:
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        source = _module_name(path)
+        src_layer, src_entry = layer_of(source)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, target in sorted(set(_imports(tree))):
+            if source.startswith(target + "."):
+                continue  # an ancestor package is loaded before the module anyway
+            dst_layer, dst_entry = layer_of(target)
+            if dst_layer > src_layer:
+                problems.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: upward import "
+                    f"{src_entry or 'repro'} -> {dst_entry or 'repro'} "
+                    f"({source} imports {target}; docs/DESIGN.md §1)"
+                )
+
+
+def check_design_layers(problems: list[str]) -> None:
+    """DESIGN §1's layer table shows :data:`LAYERS`, highest first."""
+    text = (ROOT / "docs" / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("\n## §1 ", 1)[-1].split("\n## §2 ", 1)[0]
+    rows = re.findall(r"^\|\s*(\d+)\s*\|([^|]*)\|", section, re.M)
+    shown = [(int(n), tuple(re.findall(r"`([^`]+)`", cell))) for n, cell in rows]
+    want = [
+        (index + 1, tuple(entry or "repro" for entry in LAYERS[index]))
+        for index in reversed(range(len(LAYERS)))
+    ]
+    if shown != want:
+        problems.append(
+            "docs/DESIGN.md §1: the layer table must list check_docs.LAYERS, "
+            f"highest first, as `|N| `entry` ... |` rows (found {shown})"
+        )
+
+
 def main() -> int:
     problems: list[str] = []
     check_markdown_links(problems)
     check_design_references(problems)
     check_public_docstrings(problems)
     check_examples_gallery(problems)
+    check_layering(problems)
+    check_design_layers(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
         for p in problems:

@@ -12,7 +12,8 @@ Run:  python examples/bicgstab_resilience.py
 import numpy as np
 
 from repro.abft import ProtectedOperator
-from repro.core import Scheme, SchemeConfig, bicg, run_ft_method
+from repro.core import Scheme, SchemeConfig, bicg
+from repro.resilience import run_ft_method
 from repro.sparse import stencil_spd
 
 

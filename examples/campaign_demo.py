@@ -17,8 +17,9 @@ import time
 from pathlib import Path
 
 from repro import Study
-from repro.campaign import ResultStore, default_jobs, run_campaign
+from repro.campaign import default_jobs, run_campaign
 from repro.sim.results import format_table1
+from repro.store import ResultStore
 
 
 def main() -> None:

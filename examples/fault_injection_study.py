@@ -13,7 +13,7 @@ import sys
 
 from repro.core import CostModel, Scheme, SchemeConfig
 from repro.sim.engine import make_rhs, repeat_run
-from repro.sim.experiments import model_interval_for
+from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import suite_specs
 
 

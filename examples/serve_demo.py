@@ -17,8 +17,8 @@ import tempfile
 from pathlib import Path
 
 from repro import Study
-from repro.campaign import run_campaign
-from repro.store import migrate_store, open_store, serve_campaign
+from repro.campaign import run_campaign, serve_campaign
+from repro.store import migrate_store, open_store
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ Run:  python examples/study_custom_sweep.py
 
 from repro import CostModel, Study
 from repro.core.methods import Scheme
-from repro.sim.experiments import model_interval_for
+from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import get_matrix
 
 UID, SCALE, ALPHA = 2213, 32, 1.0 / 16.0

@@ -17,19 +17,21 @@ The library provides:
 - verified checkpointing (:mod:`repro.checkpoint`);
 - a solver-agnostic resilience engine whose recurrence plugins (CG,
   BiCGstab, Jacobi-PCG) run under the ONLINE-DETECTION /
-  ABFT-DETECTION / ABFT-CORRECTION schemes (:mod:`repro.resilience`);
-- plain CG / PCG / Krylov baselines and the one fault-tolerant entry
-  point, ``run_ft_method`` (:mod:`repro.core`);
+  ABFT-DETECTION / ABFT-CORRECTION schemes, with the one
+  fault-tolerant entry point ``run_ft_method``
+  (:mod:`repro.resilience`);
+- plain CG / PCG / Krylov baselines (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
-- the experiment drivers regenerating the paper's Table 1 and Figure 1
+- the paper's matrix suite and repeated fault-injected runs
   (:mod:`repro.sim`);
-- a parallel, resumable experiment-campaign engine with crash-safe
-  JSONL persistence (:mod:`repro.campaign`);
+- a parallel, resumable experiment-campaign engine with a
+  lease-coordinated multi-worker serve mode (:mod:`repro.campaign`);
+  the paper's Table 1 and Figure 1 are its preset studies;
 - pluggable campaign stores — single-file JSONL, hash-partitioned
   shards and WAL-mode SQLite behind one URL-selected protocol, with
-  lossless migration, streaming aggregation over partial stores and a
-  lease-coordinated multi-worker serve mode (:mod:`repro.store`);
+  lossless migration and streaming aggregation over partial stores
+  (:mod:`repro.store`);
 - the zero-copy hot path: reusable solve workspaces with strike-undo
   matrix restore and per-process checksum/matrix caches, bit-identical
   to the fresh-allocation oracle on the reference backend
@@ -95,8 +97,8 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         Method,
         SchemeConfig,
         CostModel,
-        run_ft_method,
     )
+    from repro.resilience import run_ft_method
     from repro.model import (
         expected_frame_time,
         frame_overhead,
@@ -221,8 +223,8 @@ __getattr__, __dir__ = lazy_exports(
             "Method",
             "SchemeConfig",
             "CostModel",
-            "run_ft_method",
         ),
+        "repro.resilience": ("run_ft_method",),
         "repro.model": (
             "expected_frame_time",
             "frame_overhead",

@@ -60,7 +60,7 @@ class CorrectionOutcome:
         The repaired location: row-pointer index, output row, or vector
         entry, depending on ``kind``; −1 when not applicable.
     detail:
-        Human-readable description for the event log.
+        Human-readable description for the trace event.
     """
 
     corrected: bool

@@ -479,12 +479,11 @@ def _check_store_arg(
     parser: argparse.ArgumentParser, spec: str, *, resume: bool
 ) -> None:
     """Reject a bad --store selector, and a non-empty one without --resume."""
-    from repro.campaign.store import StoreError
-    from repro.store import open_store
+    from repro.store import StoreError, opened_store
 
     try:
-        store = open_store(spec)
-        populated = not resume and store.count() > 0
+        with opened_store(spec) as store:
+            populated = not resume and store.count() > 0
     except (ValueError, StoreError) as exc:
         parser.error(f"--store {spec!r}: {exc}")
     if populated:
@@ -591,38 +590,38 @@ def _run_experiment(
     jobs = _check_campaign_args(parser, args)
     from repro.obs.metrics import METRICS
 
+    from repro.api.study import Study
+
     q_before = METRICS.count("campaign.quarantined")
-    common = dict(
+    grid = dict(
         scale=args.scale,
         reps=args.reps,
         uids=args.uids,
         eps=args.eps,
         base_seed=args.base_seed,
+        methods=methods,
+        backend=args.backend,
+        sampling=_check_adaptive_arg(parser, args.adaptive),
+    )
+    execution = dict(
         jobs=jobs,
         store=args.store,
         progress=args.progress,
-        methods=methods,
-        backend=args.backend,
         trace_dir=args.trace_dir,
         task_timeout=args.task_timeout,
         retries=args.retries,
         chaos=args.chaos,
-        sampling=_check_adaptive_arg(parser, args.adaptive),
     )
     try:
         if kind == "table1":
-            from repro.sim.experiments import run_table1
-
             if args.s_span < 0:
                 parser.error(f"--s-span must be >= 0, got {args.s_span}")
-            rows = run_table1(s_span=args.s_span, **common)
+            rows = Study.table1(s_span=args.s_span, **grid).run(**execution).table1_rows()
             print(format_table1(rows))
             if args.csv:
                 to_csv(rows, args.csv)
         else:
-            from repro.sim.experiments import run_figure1
-
-            pts = run_figure1(mtbf_values=args.mtbf, **common)
+            pts = Study.figure1(mtbf_values=args.mtbf, **grid).run(**execution).figure1_points()
             print(format_figure1(pts))
             if args.csv:
                 to_csv(pts, args.csv)
@@ -749,8 +748,7 @@ def _cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     import json
 
     from repro.api.report import format_summary, summarize_store
-    from repro.campaign.store import StoreError
-    from repro.store import store_exists
+    from repro.store import StoreError, store_exists
 
     try:
         if not store_exists(args.store):
@@ -771,11 +769,11 @@ def _cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import json
 
-    from repro.campaign.store import StoreError
     from repro.store import (
+        StoreError,
         compact_store,
         migrate_store,
-        open_store,
+        opened_store,
         repair_store,
         verify_store,
     )
@@ -825,12 +823,12 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             "repro store verify <url>"
         )
     try:
-        store = open_store(args.store)
-        info = store.info() if hasattr(store, "info") else {
-            "backend": type(store).__name__,
-            "url": store.url,
-            "records": store.count(),
-        }
+        with opened_store(args.store) as store:
+            info = store.info() if hasattr(store, "info") else {
+                "backend": type(store).__name__,
+                "url": store.url,
+                "records": store.count(),
+            }
     except (ValueError, StoreError) as exc:
         parser.error(f"store {args.store!r}: {exc}")
     if args.json:
@@ -849,8 +847,8 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.api.study import Study
     from repro.campaign.progress import ProgressReporter
-    from repro.campaign.store import StoreError
-    from repro.store import ServeInterrupted, open_store, serve_campaign
+    from repro.campaign.serve import ServeInterrupted, serve_campaign
+    from repro.store import StoreError, open_store
 
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
@@ -874,54 +872,55 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         store = open_store(args.store)
     except (ValueError, StoreError) as exc:
         parser.error(f"--store {args.store!r}: {exc}")
-    if not store.supports_leases:
-        parser.error(
-            f"--store {args.store!r}: serve mode needs a concurrent "
-            "backend (sharded:DIR or sqlite:FILE.db); single-file JSONL "
-            "stores cannot coordinate workers"
-        )
-    reporter = None
-    if args.progress != "none":
-        reporter = ProgressReporter(
-            len(tasks), stream=sys.stderr,
-            label="+".join(names), mode=args.progress,
-        )
-    print(
-        f"serving {len(tasks)} task(s) from {len(args.specs)} spec(s) "
-        f"over {args.workers} worker(s) -> {store.url}",
-        file=sys.stderr,
-    )
-    try:
-        records = serve_campaign(
-            tasks,
-            store,
-            workers=args.workers,
-            lease_ttl=args.lease_ttl,
-            progress=reporter,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-            chaos=args.chaos,
-            max_worker_restarts=args.max_worker_restarts,
-            trace_dir=args.trace_dir,
-        )
-    except ServeInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 128 + exc.signum
-    except (RuntimeError, StoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    from repro.api.report import format_summary, summarize_store
-
-    print(format_summary(summarize_store(store)))
-    quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
-    if quarantined:
+    with store:  # ours to close; serve_campaign leaves an instance open
+        if not store.supports_leases:
+            parser.error(
+                f"--store {args.store!r}: serve mode needs a concurrent "
+                "backend (sharded:DIR or sqlite:FILE.db); single-file JSONL "
+                "stores cannot coordinate workers"
+            )
+        reporter = None
+        if args.progress != "none":
+            reporter = ProgressReporter(
+                len(tasks), stream=sys.stderr,
+                label="+".join(names), mode=args.progress,
+            )
         print(
-            f"warning: {quarantined} task(s) quarantined; re-queue with "
-            "`repro store compact --drop-quarantined`",
+            f"serving {len(tasks)} task(s) from {len(args.specs)} spec(s) "
+            f"over {args.workers} worker(s) -> {store.url}",
             file=sys.stderr,
         )
-        return 3
-    return 0
+        try:
+            records = serve_campaign(
+                tasks,
+                store,
+                workers=args.workers,
+                lease_ttl=args.lease_ttl,
+                progress=reporter,
+                task_timeout=args.task_timeout,
+                retries=args.retries,
+                chaos=args.chaos,
+                max_worker_restarts=args.max_worker_restarts,
+                trace_dir=args.trace_dir,
+            )
+        except ServeInterrupted as exc:
+            print(f"interrupted: {exc}", file=sys.stderr)
+            return 128 + exc.signum
+        except (RuntimeError, StoreError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        from repro.api.report import format_summary, summarize_store
+
+        print(format_summary(summarize_store(store)))
+        quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
+        if quarantined:
+            print(
+                f"warning: {quarantined} task(s) quarantined; re-queue with "
+                "`repro store compact --drop-quarantined`",
+                file=sys.stderr,
+            )
+            return 3
+        return 0
 
 
 # ----------------------------------------------------------------------

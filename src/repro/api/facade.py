@@ -41,6 +41,20 @@ from repro.sparse.validate import validate_structure
 
 __all__ = ["FaultSpec", "CheckpointSpec", "SolveReport", "solve"]
 
+#: Tracer event kinds that make up :attr:`SolveReport.events`, the
+#: solve's recovery timeline.
+REPORT_EVENT_KINDS = frozenset(
+    {
+        "checkpoint",
+        "rollback",
+        "refresh-rollback",
+        "abft-correction",
+        "tmr-detection",
+        "tmr-correction",
+        "breakdown",
+    }
+)
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -157,7 +171,8 @@ class SolveReport:
     #: convergence history: one entry per executed iteration with the
     #: solver's believed residual norm and the simulated clock.
     events: "list[dict]" = field(default_factory=list)
-    #: recovery timeline: checkpoint / rollback / correction events.
+    #: recovery timeline: the solve's tracer events of the
+    #: :data:`REPORT_EVENT_KINDS`, each ``{"kind", "iteration", **fields}``.
 
     @property
     def solution_sha256(self) -> str:
@@ -336,7 +351,6 @@ def solve(
     from repro.obs.tracer import CallbackTracer, JsonlTracer, MultiTracer, resolve_tracer
     from repro.perf import SolveWorkspace, default_workspace
     from repro.resilience.registry import run_ft_method
-    from repro.util.log import EventLog
 
     if isinstance(reuse_workspace, SolveWorkspace):
         workspace = reuse_workspace
@@ -382,7 +396,7 @@ def solve(
     cp = CheckpointSpec.coerce(checkpoint)
     costs_ = CostModel.from_matrix(mat) if costs is None else costs
 
-    from repro.sim.experiments import resolve_intervals
+    from repro.model.instantiate import resolve_intervals
 
     s, d, rec_s = resolve_intervals(
         sch,
@@ -405,21 +419,25 @@ def solve(
         tr = resolve_tracer(trace)
 
     history: "list[dict]" = []
-    if record_history:
+    events: "list[dict]" = []
 
-        def _record(ctx) -> None:
-            history.append(
-                {
-                    "iteration": int(ctx.plugin.iteration),
-                    "time_units": float(ctx.time_units),
-                    "residual_norm": float(np.linalg.norm(ctx.plugin.vectors["r"])),
-                }
-            )
+    def _record(ctx) -> None:
+        history.append(
+            {
+                "iteration": int(ctx.plugin.iteration),
+                "time_units": float(ctx.time_units),
+                "residual_norm": float(np.linalg.norm(ctx.plugin.vectors["r"])),
+            }
+        )
 
-        hist = CallbackTracer(on_iteration=_record)
-        tr = hist if tr is None else MultiTracer([tr, hist])
+    def _event(event: dict) -> None:
+        if event["kind"] in REPORT_EVENT_KINDS:
+            fields = {k: v for k, v in event.items() if k not in ("v", "kind", "iter")}
+            events.append({"kind": event["kind"], "iteration": event["iter"], **fields})
 
-    log = EventLog()
+    report_tr = CallbackTracer(on_iteration=_record if record_history else None, on_event=_event)
+    tr = report_tr if tr is None else MultiTracer([tr, report_tr])
+
     try:
         res = run_ft_method(
             meth,
@@ -431,7 +449,6 @@ def solve(
             eps=eps,
             maxiter=maxiter,
             rng=fa.seed,
-            event_log=log,
             tracer=tr,
             workspace=workspace,
             backend=backend_obj,
@@ -464,7 +481,5 @@ def solve(
         verification_interval=d,
         recommended_interval=rec_s,
         history=history,
-        events=[
-            {"kind": e.kind, "iteration": e.iteration, **e.payload} for e in log
-        ],
+        events=events,
     )

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.store import open_store
+from repro.store import opened_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
@@ -101,49 +101,50 @@ def summarize_store(
     small projection — its group key and five statistics scalars —
     before the next one is read, with last-wins per hash.  Memory is
     proportional to the number of *distinct tasks*, never to record
-    payloads or file size.
+    payloads or file size.  A store named by URL is closed again before
+    returning; a store instance stays open.
     """
-    store = open_store(store)
-    needed = ("mean_time", "min_time", "max_time", "convergence_rate", "reps")
-    #: hash -> small projection: ("telemetry", rec), ("skip",), or
-    #: ("stats", group_key, reps, mean, min, max, conv).  Dict order =
-    #: first-appearance, values = last-wins — the same fold load() does.
-    latest: "dict[str, tuple]" = {}
-    for rec in store.iter_records():
-        h = rec["hash"]
-        if rec.get("kind") == "telemetry":
-            latest[h] = ("telemetry", rec)
-            continue
-        if rec.get("kind") == "quarantine":
-            latest[h] = ("quarantine",)
-            continue
-        if rec.get("kind") == "partial":
-            latest[h] = ("partial",)
-            continue
-        task = rec.get("task")
-        stats = rec.get("stats")
-        if not isinstance(task, dict) or not isinstance(stats, dict) \
-                or any(k not in stats for k in needed):
-            latest[h] = ("skip",)
-            continue
-        key = (
-            str(task.get("experiment", "?")),
-            str(task.get("method", "cg")),
-            # Pre-backend stores carry no backend field; they ran the
-            # reference kernels by definition.
-            str(task.get("backend", "reference")),
-            str(task.get("scheme", "?")),
-        )
-        latest[h] = (
-            "stats",
-            key,
-            stats["reps"],
-            stats["mean_time"],
-            stats["min_time"],
-            stats["max_time"],
-            stats["convergence_rate"],
-            int(task.get("reps", 0)),
-        )
+    with opened_store(store) as store:
+        needed = ("mean_time", "min_time", "max_time", "convergence_rate", "reps")
+        #: hash -> small projection: ("telemetry", rec), ("skip",), or
+        #: ("stats", group_key, reps, mean, min, max, conv).  Dict order =
+        #: first-appearance, values = last-wins — the same fold load() does.
+        latest: "dict[str, tuple]" = {}
+        for rec in store.iter_records():
+            h = rec["hash"]
+            if rec.get("kind") == "telemetry":
+                latest[h] = ("telemetry", rec)
+                continue
+            if rec.get("kind") == "quarantine":
+                latest[h] = ("quarantine",)
+                continue
+            if rec.get("kind") == "partial":
+                latest[h] = ("partial",)
+                continue
+            task = rec.get("task")
+            stats = rec.get("stats")
+            if not isinstance(task, dict) or not isinstance(stats, dict) \
+                    or any(k not in stats for k in needed):
+                latest[h] = ("skip",)
+                continue
+            key = (
+                str(task.get("experiment", "?")),
+                str(task.get("method", "cg")),
+                # Pre-backend stores carry no backend field; they ran the
+                # reference kernels by definition.
+                str(task.get("backend", "reference")),
+                str(task.get("scheme", "?")),
+            )
+            latest[h] = (
+                "stats",
+                key,
+                stats["reps"],
+                stats["mean_time"],
+                stats["min_time"],
+                stats["max_time"],
+                stats["convergence_rate"],
+                int(task.get("reps", 0)),
+            )
 
     groups: "dict[tuple[str, str, str, str], list[tuple]]" = {}
     skipped = 0

@@ -65,7 +65,7 @@ from repro.campaign.aggregate import (
     aggregate_table1,
     stats_from_record,
 )
-from repro.campaign.spec import CampaignSpec, TaskSpec
+from repro.campaign.spec import TABLE1_ALPHA, CampaignSpec, TaskSpec
 from repro.core.methods import Method, Scheme
 from repro.sim.engine import RunStatistics
 
@@ -380,7 +380,7 @@ class Study:
         *,
         scale: int = 16,
         reps: int = 10,
-        alpha: float = 1.0 / 16.0,
+        alpha: float = TABLE1_ALPHA,
         uids: "list[int] | None" = None,
         eps: float = 1e-6,
         base_seed: int = 2015,
@@ -479,7 +479,7 @@ class Study:
                 values[ax] = [POINT_DEFAULTS[ax]]
 
         from repro.core.methods import CostModel
-        from repro.sim.experiments import resolve_intervals
+        from repro.model.instantiate import resolve_intervals
         from repro.sim.matrices import get_matrix
 
         # resolve_intervals evaluates the costs callable — and hence

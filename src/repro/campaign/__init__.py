@@ -13,23 +13,21 @@ package turns such a grid into a first-class *campaign*:
 - :mod:`repro.campaign.executor` — a :class:`concurrent.futures
   .ProcessPoolExecutor`-based runner with chunked scheduling,
   ordered-result collection and a serial fallback for ``jobs=1``;
-- :mod:`repro.campaign.store` — the single-file JSONL result store
-  keyed by task hash: crash-safe append, cache-hit skipping and
-  resume of half-finished campaigns.  It is also the default backend
-  of the pluggable storage layer (:mod:`repro.store`), whose
-  ``sharded:`` / ``sqlite:`` backends add safe concurrent
-  multi-process writers, streaming aggregation over partial stores
-  and the lease-coordinated serve mode;
+- :mod:`repro.campaign.serve` — the lease-coordinated worker fleet
+  (``repro serve``) over a concurrent store;
 - :mod:`repro.campaign.progress` — throughput / ETA reporting;
 - :mod:`repro.campaign.aggregate` — regrouping of raw per-task records
   into the existing :class:`~repro.sim.engine.RunStatistics` /
   :class:`~repro.sim.results.Table1Row` /
   :class:`~repro.sim.results.Figure1Point` shapes.
 
-The experiment drivers (:func:`repro.sim.experiments.run_table1`,
-:func:`repro.sim.experiments.run_figure1` and ``python -m repro``)
-execute through this engine; their public signatures and outputs are
-unchanged, with new ``jobs`` / ``store`` / ``progress`` knobs.
+Records persist in a result store of the layer below
+(:mod:`repro.store`: single-file JSONL by default, ``sharded:`` /
+``sqlite:`` for concurrent writers), keyed by task hash — crash-safe
+append, cache-hit skipping and resume of half-finished campaigns.
+The paper's Table-1 / Figure-1 drivers (``Study.table1()`` /
+``Study.figure1()``, ``python -m repro table1|figure1``) execute
+through this engine.
 """
 
 from typing import TYPE_CHECKING
@@ -38,9 +36,9 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.campaign.spec import CampaignSpec, TaskSpec
-    from repro.campaign.store import ResultStore, StoreError
     from repro.campaign.progress import ProgressReporter
     from repro.campaign.executor import default_jobs, execute_task, run_campaign
+    from repro.campaign.serve import ServeInterrupted, serve_campaign
     from repro.campaign.aggregate import (
         aggregate_figure1,
         aggregate_figure1_store,
@@ -53,12 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
 __all__ = [
     "CampaignSpec",
     "TaskSpec",
-    "ResultStore",
-    "StoreError",
     "ProgressReporter",
     "default_jobs",
     "execute_task",
     "run_campaign",
+    "serve_campaign",
+    "ServeInterrupted",
     "aggregate_table1",
     "aggregate_figure1",
     "aggregate_table1_store",
@@ -71,9 +69,9 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.campaign.spec": ("CampaignSpec", "TaskSpec"),
-        "repro.campaign.store": ("ResultStore", "StoreError"),
         "repro.campaign.progress": ("ProgressReporter",),
         "repro.campaign.executor": ("default_jobs", "execute_task", "run_campaign"),
+        "repro.campaign.serve": ("ServeInterrupted", "serve_campaign"),
         "repro.campaign.aggregate": (
             "aggregate_figure1",
             "aggregate_figure1_store",

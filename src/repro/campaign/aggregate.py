@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.campaign.spec import TaskSpec
 from repro.sim.engine import RunStatistics
 from repro.sim.results import Figure1Point, Table1Row
-from repro.store import open_store
+from repro.store import opened_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
@@ -227,18 +227,19 @@ def records_for_tasks(
     still-running or crashed campaign needs.  ``kind="quarantine"``
     records (:mod:`repro.chaos`) carry no result payload, so they fold
     like missing records: a hole under ``partial=True``, an error —
-    naming the quarantine — otherwise.
+    naming the quarantine — otherwise.  A store named by URL is closed
+    again before returning.
     """
-    store = open_store(store)
     wanted: "dict[str, list[int]]" = {}
     for i, task in enumerate(tasks):
         wanted.setdefault(task.task_hash(), []).append(i)
     out: "list[dict | None]" = [None] * len(tasks)
-    for rec in store.iter_records():
-        slots = wanted.get(rec.get("hash"))
-        if slots is not None:
-            for i in slots:
-                out[i] = rec  # duplicates: last wins
+    with opened_store(store) as store:
+        for rec in store.iter_records():
+            slots = wanted.get(rec.get("hash"))
+            if slots is not None:
+                for i in slots:
+                    out[i] = rec  # duplicates: last wins
     quarantined = 0
     for i, rec in enumerate(out):
         if rec is not None and rec.get("kind") == "quarantine":

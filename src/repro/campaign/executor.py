@@ -83,35 +83,6 @@ CHUNKS_PER_WORKER: int = 4
 #: pool propagates.
 MAX_POOL_RESTARTS: int = 3
 
-#: Per-process solve workspace (see :mod:`repro.perf`): one per worker,
-#: reused across every task the worker executes — repetitions restore
-#: the live matrix by strike-undo instead of recopying, and buffers
-#: survive task boundaries.  Created lazily so importing the executor
-#: stays cheap.
-_WORKER_WORKSPACE = None
-
-
-def _worker_workspace():
-    global _WORKER_WORKSPACE
-    if _WORKER_WORKSPACE is None:
-        from repro.perf import SolveWorkspace
-
-        _WORKER_WORKSPACE = SolveWorkspace()
-    return _WORKER_WORKSPACE
-
-
-def release_worker_workspace() -> None:
-    """Drop the worker workspace's held arrays (incl. its strong
-    reference to the last task's matrix).  Part of the
-    :func:`repro.perf.clear_caches` contract — without this, the
-    workspace would pin the largest objects a memory-bounding clear is
-    trying to free."""
-    global _WORKER_WORKSPACE
-    if _WORKER_WORKSPACE is not None:
-        _WORKER_WORKSPACE.release()
-    _WORKER_WORKSPACE = None
-
-
 #: Per-process JSONL trace shards, keyed by trace directory.  Each
 #: entry remembers the pid that opened it: a forked worker inherits the
 #: parent's dict (and possibly an open file handle), and writing the
@@ -202,16 +173,17 @@ def _telemetry_state() -> dict:
     """Cumulative observability counters for this process, with the
     workspace's hot-path attribute counters folded in (they are plain
     attributes, not METRICS entries — see ``SolveWorkspace.buffer``)."""
+    from repro.perf import default_workspace
+
     snap = METRICS.snapshot()
-    ws = _WORKER_WORKSPACE
-    if ws is not None:
-        c = snap["counters"]
-        for key, value in (
-            ("workspace.buffer_requests", ws.buffer_requests),
-            ("workspace.buffer_allocs", ws.buffer_allocs),
-        ):
-            if value:
-                c[key] = c.get(key, 0) + value
+    ws = default_workspace()
+    c = snap["counters"]
+    for key, value in (
+        ("workspace.buffer_requests", ws.buffer_requests),
+        ("workspace.buffer_allocs", ws.buffer_allocs),
+    ):
+        if value:
+            c[key] = c.get(key, 0) + value
     return snap
 
 
@@ -273,8 +245,11 @@ def execute_task(
     a store reader distinguishes synthetic-suite records from
     real-matrix ones (don't resume one as the other).
 
-    ``reuse_workspace`` routes every repetition through the worker's
-    process-local :class:`repro.perf.SolveWorkspace`.  The task's
+    ``reuse_workspace`` routes every repetition through the process's
+    shared workspace, :func:`repro.perf.default_workspace`: one per
+    worker, reused across every task it executes — repetitions restore
+    the live matrix by strike-undo instead of recopying, and buffers
+    survive task boundaries.  The task's
     content hash covers only the physics, so stores stay compatible
     across the switch.  Results are bit-identical either way on the
     reference backend; under ``scipy`` they can differ (ROADMAP item
@@ -298,6 +273,7 @@ def execute_task(
     """
     from repro.adaptive import SamplingPolicy
     from repro.core.methods import CostModel, Scheme, SchemeConfig
+    from repro.perf import default_workspace
     from repro.sim.engine import make_rhs, repeat_run
     from repro.sim.matrices import get_matrix, matrix_source
 
@@ -340,7 +316,7 @@ def execute_task(
                 eps=task.eps,
                 method=task.method,
                 reuse_workspace=reuse_workspace,
-                workspace=_worker_workspace() if reuse_workspace else None,
+                workspace=default_workspace() if reuse_workspace else None,
                 backend=task.backend,
                 tracer=tracer,
             )
@@ -382,13 +358,14 @@ def run_task(task: TaskSpec, ctx: TaskContext) -> dict:
     place a campaign task runs, whichever scheduler owns it.
 
     Always goes through :func:`repro.chaos.run_guarded`, which *is*
-    :func:`execute_task` (resolved through this module at call time)
+    :func:`execute_task` (this module's global, looked up per call)
     when neither a retry nor a chaos policy is armed.
     """
     from repro.chaos import run_guarded
 
     return run_guarded(
         task,
+        execute=execute_task,
         retry=ctx.retry,
         chaos=ctx.chaos,
         tracer=None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir),

@@ -129,142 +129,143 @@ def serve_campaign(
 
     Tasks already present in the store are served from it without
     execution (serve mode *is* resume, like every store-backed
-    campaign path).
+    campaign path).  A store named by URL is opened here and closed
+    before returning; a store instance stays the caller's to close.
     """
     import multiprocessing
 
     from repro.campaign.executor import TaskContext, _worker_tracer
     from repro.chaos import resolve_chaos, resolve_retry
     from repro.obs.metrics import METRICS
-    from repro.store import open_store
+    from repro.store import opened_store
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if lease_ttl <= 0:
         raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
-    store = open_store(store)
-    _require_leases(store)
-    retry = resolve_retry(retries=retries, task_timeout=task_timeout)
-    chaos = resolve_chaos(chaos)
-    restart_budget = (
-        4 * workers if max_worker_restarts is None else int(max_worker_restarts)
-    )
-
-    tasks = list(tasks)
-    done, pending = store.resume(tasks)
-    if progress is not None:
-        for _ in range(len(tasks) - len(pending)):
-            progress.update(cached=True)
-    if not pending:
-        if progress is not None:
-            progress.finish()
-        return [done[t.task_hash()] for t in tasks]
-
-    mp = multiprocessing.get_context()
-    ctx = TaskContext(
-        reuse_workspace=reuse_workspace,
-        trace_dir=None if trace_dir is None else os.fspath(trace_dir),
-        retry=retry,
-        chaos=chaos,
-    )
-
-    def spawn(generation: int) -> "multiprocessing.Process":
-        worker_ctx = ctx
-        if chaos is not None:
-            worker_ctx = replace(ctx, chaos=chaos.with_generation(generation))
-        proc = mp.Process(
-            target=serve_worker,
-            args=(store.url, pending, lease_ttl, worker_ctx),
-            name=f"repro-serve-g{generation}",
-            daemon=True,
+    with opened_store(store) as store:
+        _require_leases(store)
+        retry = resolve_retry(retries=retries, task_timeout=task_timeout)
+        chaos = resolve_chaos(chaos)
+        restart_budget = (
+            4 * workers if max_worker_restarts is None else int(max_worker_restarts)
         )
-        proc.start()
-        return proc
 
-    # Worker i starts in generation i; every restart gets a fresh
-    # generation beyond the initial block, re-rolling its chaos draws
-    # so an injected kill-fate cannot follow the restarted worker.
-    procs = [spawn(i) for i in range(workers)]
-    restarts = 0
-    tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
-
-    # Graceful shutdown: a signal sets the flag; the poll loop drains
-    # the fleet and raises ServeInterrupted.  Signal handlers may only
-    # be installed on the process main thread — elsewhere (tests
-    # driving serve_campaign from a thread) drain-on-signal simply
-    # isn't armed.
-    interrupted: "list[int]" = []
-    previous_handlers: "dict[int, object]" = {}
-    if threading.current_thread() is threading.main_thread():
-
-        def _on_signal(signum, frame):  # pragma: no cover - signal context
-            interrupted.append(signum)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[signum] = signal.signal(signum, _on_signal)
-
-    wanted = {t.task_hash() for t in pending}
-    try:
-        reported = 0
-        while True:
-            if interrupted:
-                _drain_fleet(procs)
-                raise ServeInterrupted(interrupted[0])
-            missing = _missing_hashes(store, wanted)
-            if progress is not None:
-                finished = len(wanted) - len(missing)
-                for _ in range(finished - reported):
-                    progress.update()
-                reported = finished
-            if not missing:
-                break
-            # Supervision: restart crashed workers (nonzero exit — a
-            # clean drain exits 0 and stays down) until the budget is
-            # spent; after that the fleet is allowed to die off and the
-            # all-dead check below reports what was lost.
-            for i, proc in enumerate(procs):
-                if proc.is_alive() or not proc.exitcode:
-                    continue
-                if restarts >= restart_budget:
-                    continue
-                restarts += 1
-                METRICS.inc("campaign.worker_restarts")
-                if tracer is not None:
-                    tracer.emit(
-                        "worker-restart",
-                        exitcode=proc.exitcode,
-                        restarts=restarts,
-                        name=proc.name,
-                    )
-                procs[i] = spawn(workers + restarts - 1)
-            if not any(p.is_alive() for p in procs):
-                raise RuntimeError(
-                    f"all serve workers exited but {len(missing)} task(s) "
-                    "never produced a record; see worker stderr"
-                )
-            time.sleep(poll_interval)
-        for proc in procs:
-            proc.join()
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        if tracer is not None:
-            tracer.close()
+        tasks = list(tasks)
+        done, pending = store.resume(tasks)
         if progress is not None:
-            progress.finish()
+            for _ in range(len(tasks) - len(pending)):
+                progress.update(cached=True)
+        if not pending:
+            if progress is not None:
+                progress.finish()
+            return [done[t.task_hash()] for t in tasks]
 
-    done, still_pending = store.resume(tasks)
-    if still_pending:  # pragma: no cover - the poll loop above waits for all
-        raise RuntimeError(f"{len(still_pending)} task(s) missing after serve")
-    records = [done[t.task_hash()] for t in tasks]
-    quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
-    if quarantined:
-        METRICS.inc("campaign.quarantined", quarantined)
-    return records
+        mp = multiprocessing.get_context()
+        ctx = TaskContext(
+            reuse_workspace=reuse_workspace,
+            trace_dir=None if trace_dir is None else os.fspath(trace_dir),
+            retry=retry,
+            chaos=chaos,
+        )
+
+        def spawn(generation: int) -> "multiprocessing.Process":
+            worker_ctx = ctx
+            if chaos is not None:
+                worker_ctx = replace(ctx, chaos=chaos.with_generation(generation))
+            proc = mp.Process(
+                target=serve_worker,
+                args=(store.url, pending, lease_ttl, worker_ctx),
+                name=f"repro-serve-g{generation}",
+                daemon=True,
+            )
+            proc.start()
+            return proc
+
+        # Worker i starts in generation i; every restart gets a fresh
+        # generation beyond the initial block, re-rolling its chaos draws
+        # so an injected kill-fate cannot follow the restarted worker.
+        procs = [spawn(i) for i in range(workers)]
+        restarts = 0
+        tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
+
+        # Graceful shutdown: a signal sets the flag; the poll loop drains
+        # the fleet and raises ServeInterrupted.  Signal handlers may only
+        # be installed on the process main thread — elsewhere (tests
+        # driving serve_campaign from a thread) drain-on-signal simply
+        # isn't armed.
+        interrupted: "list[int]" = []
+        previous_handlers: "dict[int, object]" = {}
+        if threading.current_thread() is threading.main_thread():
+
+            def _on_signal(signum, frame):  # pragma: no cover - signal context
+                interrupted.append(signum)
+
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous_handlers[signum] = signal.signal(signum, _on_signal)
+
+        wanted = {t.task_hash() for t in pending}
+        try:
+            reported = 0
+            while True:
+                if interrupted:
+                    _drain_fleet(procs)
+                    raise ServeInterrupted(interrupted[0])
+                missing = _missing_hashes(store, wanted)
+                if progress is not None:
+                    finished = len(wanted) - len(missing)
+                    for _ in range(finished - reported):
+                        progress.update()
+                    reported = finished
+                if not missing:
+                    break
+                # Supervision: restart crashed workers (nonzero exit — a
+                # clean drain exits 0 and stays down) until the budget is
+                # spent; after that the fleet is allowed to die off and the
+                # all-dead check below reports what was lost.
+                for i, proc in enumerate(procs):
+                    if proc.is_alive() or not proc.exitcode:
+                        continue
+                    if restarts >= restart_budget:
+                        continue
+                    restarts += 1
+                    METRICS.inc("campaign.worker_restarts")
+                    if tracer is not None:
+                        tracer.emit(
+                            "worker-restart",
+                            exitcode=proc.exitcode,
+                            restarts=restarts,
+                            name=proc.name,
+                        )
+                    procs[i] = spawn(workers + restarts - 1)
+                if not any(p.is_alive() for p in procs):
+                    raise RuntimeError(
+                        f"all serve workers exited but {len(missing)} task(s) "
+                        "never produced a record; see worker stderr"
+                    )
+                time.sleep(poll_interval)
+            for proc in procs:
+                proc.join()
+        finally:
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+            if tracer is not None:
+                tracer.close()
+            if progress is not None:
+                progress.finish()
+
+        done, still_pending = store.resume(tasks)
+        if still_pending:  # pragma: no cover - the poll loop above waits for all
+            raise RuntimeError(f"{len(still_pending)} task(s) missing after serve")
+        records = [done[t.task_hash()] for t in tasks]
+        quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
+        if quarantined:
+            METRICS.inc("campaign.quarantined", quarantined)
+        return records
 
 
 def _drain_fleet(procs) -> None:
@@ -433,9 +434,9 @@ def _chaos_tear(store, record: dict, tracer) -> None:
     *before* the append, which is their actual worst case.  Never
     returns.
     """
-    from repro.campaign.store import ResultStore
     from repro.chaos.harness import _chaos_exit
     from repro.store.integrity import seal_text
+    from repro.store.jsonl import ResultStore
     from repro.store.sharded import ShardedStore
 
     target = None

@@ -27,7 +27,34 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 
-__all__ = ["TaskSpec", "CampaignSpec"]
+__all__ = [
+    "TaskSpec",
+    "CampaignSpec",
+    "default_s_grid",
+    "TABLE1_ALPHA",
+    "DEFAULT_MTBF_VALUES",
+]
+
+#: Paper's Table-1 fault constant: λ = 1/(16 M) per word → α = 1/16.
+TABLE1_ALPHA: float = 1.0 / 16.0
+
+#: Figure 1's default x-axis ``1/α``: the paper spans roughly 10²–10⁴,
+#: plus the Table-1 point 16 for continuity with the high-rate regime.
+DEFAULT_MTBF_VALUES: tuple[float, ...] = (16.0, 10**2, 10**2.5, 10**3, 10**3.5, 10**4)
+
+
+def default_s_grid(s_center: int, *, span: int = 6, s_max: int = 60) -> list[int]:
+    """Interval sweep grid around the model prediction.
+
+    Covers ``[max(1, s̃ − span), min(s_max, s̃ + span)]`` plus a few
+    coarse points so a badly wrong model prediction still brackets the
+    empirical optimum.
+    """
+    lo = max(1, s_center - span)
+    hi = min(s_max, s_center + span)
+    grid = set(range(lo, hi + 1))
+    grid.update({1, 2, 4, 8, 16, 24, 32})
+    return sorted(v for v in grid if v <= s_max)
 
 
 @lru_cache(maxsize=64)
@@ -205,18 +232,18 @@ class CampaignSpec:
         ``"table1"`` (interval sweep at the paper's fault constant) or
         ``"figure1"`` (scheme comparison across MTBF values).
     scale, reps, uids, eps, base_seed:
-        As in :func:`repro.sim.experiments.run_table1` /
-        :func:`~repro.sim.experiments.run_figure1`.
+        As in :meth:`repro.api.study.Study.table1` /
+        :meth:`~repro.api.study.Study.figure1`.
     alpha:
         Fault constant for Table-1 campaigns.
     mtbf_values:
-        X-axis points ``1/α`` for Figure-1 campaigns (``None`` → the
-        driver's default span).
+        X-axis points ``1/α`` for Figure-1 campaigns (``None`` →
+        :data:`DEFAULT_MTBF_VALUES`).
     s_span:
         Table-1 sweep half-width around the model prediction.
     model_s_max:
-        Search ceiling for the Eq.-6 integer optimum (``None`` → the
-        driver default, :data:`repro.sim.experiments.MODEL_S_MAX`);
+        Search ceiling for the Eq.-6 integer optimum (``None`` →
+        :data:`repro.model.instantiate.MODEL_S_MAX`);
         widen for large-λ campaigns whose optimum lies beyond it.
     methods:
         Solver axis of the grid (:class:`repro.core.methods.Method`
@@ -242,7 +269,7 @@ class CampaignSpec:
     scale: int = 16
     reps: int = 10
     uids: "tuple[int, ...] | None" = None
-    alpha: float = 1.0 / 16.0
+    alpha: float = TABLE1_ALPHA
     mtbf_values: "tuple[float, ...] | None" = None
     eps: float = 1e-6
     base_seed: int = 2015
@@ -289,13 +316,13 @@ class CampaignSpec:
             return self._expand_table1()
         return self._expand_figure1()
 
-    # The imports below are deliberately local: repro.sim.experiments
-    # builds its drivers on top of this package, so the dependency from
-    # spec expansion back to the model helpers must stay lazy.
+    # The imports below are deliberately local: expanding a grid builds
+    # matrices and runs the model, which a process that only reads or
+    # hashes tasks never pays for.
 
     def _expand_table1(self) -> "list[TaskSpec]":
         from repro.core.methods import CostModel, Method, Scheme
-        from repro.sim.experiments import MODEL_S_MAX, default_s_grid, model_interval_for
+        from repro.model.instantiate import MODEL_S_MAX, model_interval_for
         from repro.sim.matrices import get_matrix, suite_specs
 
         s_max = MODEL_S_MAX if self.model_s_max is None else self.model_s_max
@@ -346,11 +373,7 @@ class CampaignSpec:
 
     def _expand_figure1(self) -> "list[TaskSpec]":
         from repro.core.methods import CostModel, Method
-        from repro.sim.experiments import (
-            DEFAULT_MTBF_VALUES,
-            MODEL_S_MAX,
-            model_interval_for,
-        )
+        from repro.model.instantiate import MODEL_S_MAX, model_interval_for
         from repro.sim.matrices import get_matrix, suite_specs
 
         s_max = MODEL_S_MAX if self.model_s_max is None else self.model_s_max

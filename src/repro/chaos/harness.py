@@ -187,15 +187,15 @@ def run_guarded(
     retry: "RetryPolicy | None" = None,
     chaos: "ChaosPolicy | None" = None,
     tracer=None,
-    execute: "Callable[..., dict] | None" = None,
+    execute: "Callable[..., dict]",
     **execute_kwargs,
 ) -> dict:
     """Execute one task under deadline / retry / chaos supervision.
 
     With ``retry is None`` and ``chaos is None`` this is exactly
     ``execute(task, **kwargs)``, so every campaign layer routes every
-    task through here; ``execute`` defaults to ``execute_task``, looked
-    up on its module at call time.  ``tracer`` (a
+    task through here (the campaign executor passes its
+    ``execute_task``).  ``tracer`` (a
     :class:`repro.obs.tracer.Tracer` or ``None``) receives ``retry`` /
     ``task-timeout`` / ``quarantine`` / ``chaos-inject`` events.
 
@@ -203,9 +203,6 @@ def run_guarded(
     and the policy quarantines — a :func:`quarantine_record`.  Without
     quarantine the final error propagates.
     """
-    if execute is None:
-        from repro.campaign.executor import execute_task as execute
-
     if retry is None and chaos is None:
         return execute(task, **execute_kwargs)
 

@@ -10,12 +10,12 @@
 - :mod:`repro.core.methods` — scheme/method descriptors and cost
   models for the three protection schemes.
 
-The fault-tolerant solvers run on :mod:`repro.resilience`, which owns
-the protection machinery (protected products, TMR voting,
-checkpoint/rollback orchestration, accounting).  Its one entry point,
-:func:`~repro.resilience.registry.run_ft_method`, is re-exported here:
-``run_ft_method("cg" | "bicgstab" | "pcg", a, b, config, ...)``.  New
-solvers are added there as recurrence plugins.
+The fault-tolerant solvers run on :mod:`repro.resilience`, the layer
+above, which owns the protection machinery (protected products, TMR
+voting, checkpoint/rollback orchestration, accounting).  Its one entry
+point is ``repro.resilience.run_ft_method("cg" | "bicgstab" | "pcg",
+a, b, config, ...)``; new solvers are added there as recurrence
+plugins.
 """
 
 from typing import TYPE_CHECKING
@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.core.krylov import bicgstab, bicg, cgne
     from repro.core.stability import orthogonality_check, residual_check, chen_verify
     from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
-    from repro.resilience.registry import run_ft_method
 
 __all__ = [
     "cg",
@@ -50,7 +49,6 @@ __all__ = [
     "Method",
     "CostModel",
     "SchemeConfig",
-    "run_ft_method",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -63,6 +61,5 @@ __getattr__, __dir__ = lazy_exports(
             "chen_verify",
         ),
         "repro.core.methods": ("Scheme", "Method", "CostModel", "SchemeConfig"),
-        "repro.resilience.registry": ("run_ft_method",),
     },
 )

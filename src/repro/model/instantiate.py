@@ -16,6 +16,10 @@ process of rate λ,
 
 strictly larger than the detection-only ``q = e^{−λT}`` — fewer
 rollbacks and sparser checkpoints at the same fault rate.
+
+:func:`model_interval_for` / :func:`resolve_intervals` are the
+auto-interval policy every caller shares (``solve()``, ``Study`` and
+the Table-1 / Figure-1 grids).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.methods import CostModel, Scheme
+from repro.model.chen import chen_intervals
 from repro.model.optimize import IntervalChoice, optimal_interval, optimal_online_intervals
 
 __all__ = [
@@ -31,7 +36,16 @@ __all__ = [
     "AbftDetectionModel",
     "AbftCorrectionModel",
     "model_for_scheme",
+    "model_interval_for",
+    "resolve_intervals",
+    "MODEL_S_MAX",
 ]
+
+#: Search ceiling for the Eq.-6 integer interval optimum.  Generous for
+#: the paper's fault rates (optima land well under 100); large-MTBF
+#: campaigns whose optimum grows past it can widen via the ``s_max``
+#: parameter of :func:`model_interval_for`.
+MODEL_S_MAX: int = 400
 
 
 @dataclass(frozen=True)
@@ -168,3 +182,69 @@ def model_for_scheme(
     if scheme is Scheme.ABFT_CORRECTION:
         return AbftCorrectionModel(lam=lam, costs=costs)
     raise ValueError(f"unknown scheme: {scheme!r}")
+
+
+def model_interval_for(
+    scheme: Scheme, alpha: float, costs: CostModel, *, s_max: int = MODEL_S_MAX
+) -> tuple[int, int]:
+    """Model-recommended ``(s, d)`` for a scheme at fault constant α.
+
+    λ in the performance model is the cumulative rate per time unit,
+    which equals α under the paper's normalization.  ONLINE-DETECTION
+    uses Chen's closed-form intervals [9, Eq. 10-style]; the ABFT
+    schemes use the exact Eq.-6 integer optimum, searched up to
+    ``s_max``.
+    """
+    lam = alpha / costs.t_iter
+    if scheme is Scheme.ONLINE_DETECTION:
+        ch = chen_intervals(
+            costs.t_iter, lam, costs.t_cp, costs.t_verif_online, costs.t_rec
+        )
+        return ch.c, ch.d
+    return model_for_scheme(scheme, lam, costs).optimal(s_max=s_max).s, 1
+
+
+def resolve_intervals(
+    scheme: Scheme,
+    alpha: float,
+    costs,
+    *,
+    s: "int | str" = "auto",
+    d: "int | str" = "auto",
+    s_max: int = MODEL_S_MAX,
+    default_s: int = 10,
+    recommend: bool = False,
+) -> "tuple[int, int, int | None]":
+    """Resolve ``"auto"`` checkpoint/verification intervals for one run.
+
+    The single statement of the auto-interval policy shared by
+    :func:`repro.api.solve` and :class:`repro.api.study.Study`:
+    ``s="auto"`` takes the Eq.-6/Chen model optimum (``default_s`` when
+    injection is off and the model is moot); ``d="auto"`` takes Chen's
+    value for ONLINE-DETECTION and 1 for the ABFT schemes.
+
+    Returns ``(s, d, s_model)`` with ``s_model`` the model's
+    recommendation.  The model is only evaluated when an interval
+    actually needs it (or ``recommend`` forces it for reporting) and
+    ``alpha > 0`` — otherwise ``s_model`` is ``None``.  ``costs`` may
+    be a :class:`~repro.core.methods.CostModel` or a zero-argument
+    callable producing one, evaluated only if the model runs (so
+    callers can defer a matrix build that pinned intervals never need).
+    """
+    needs_model = (
+        recommend or s == "auto" or (d == "auto" and scheme is Scheme.ONLINE_DETECTION)
+    )
+    rec_s: "int | None" = None
+    rec_d: "int | None" = None
+    if alpha > 0 and needs_model:
+        if callable(costs):
+            costs = costs()
+        rec_s, rec_d = model_interval_for(scheme, alpha, costs, s_max=s_max)
+    out_s = s if isinstance(s, int) else (rec_s if rec_s is not None else default_s)
+    if isinstance(d, int):
+        out_d = d
+    elif scheme is Scheme.ONLINE_DETECTION and rec_d is not None:
+        out_d = rec_d
+    else:
+        out_d = 1
+    return out_s, out_d, rec_s

@@ -7,7 +7,8 @@ correctness argument):
 - :class:`SolveWorkspace` — preallocated SpMxV/ABFT/checkpoint buffers
   plus live-matrix reuse with strike-undo restore between repetitions;
 - :func:`default_workspace` — the process's shared workspace, used by
-  ``repro.solve(reuse_workspace=True)``;
+  ``repro.solve(reuse_workspace=True)`` and by every campaign task a
+  process executes;
 - :func:`clear_caches` — explicit reset hook for every per-process
   cache (checksums, suite matrices, the default workspace); call it if
   you mutate a previously-solved matrix in place or need to bound
@@ -45,12 +46,10 @@ def clear_caches() -> None:
     """
     global _DEFAULT
     from repro.abft.checksums import clear_checksum_cache
-    from repro.campaign.executor import release_worker_workspace
     from repro.sim.matrices import clear_matrix_cache
 
     clear_checksum_cache()
     clear_matrix_cache()
-    release_worker_workspace()
     if _DEFAULT is not None:
         _DEFAULT.release()
     _DEFAULT = None

@@ -207,7 +207,6 @@ class CGPlugin:
         if not np.isfinite(pq) or pq <= 0.0:
             # Curvature corrupted below detection thresholds; treat as a
             # detected error rather than dividing by garbage.
-            ctx.log.emit("breakdown", self.iteration, pq=pq)
             ctx.trace("breakdown", what="pq", value=pq)
             return False
         self._update(pq)

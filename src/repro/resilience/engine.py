@@ -17,7 +17,7 @@ the fault-tolerance machinery that the seed tree used to duplicate in
 - all accounting: simulated ``Titer`` time, the
   :class:`~repro.resilience.accounting.TimeBreakdown`, the
   :class:`~repro.resilience.accounting.RecoveryCounters` and the
-  event log.
+  recovery events handed to the run's tracer.
 
 Plugins advance their recurrence through the :class:`EngineContext`
 services inside :meth:`RecurrencePlugin.step`; everything before and
@@ -50,7 +50,6 @@ from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv
 from repro.sparse.validate import structure_arrays_clean
-from repro.util.log import EventLog
 from repro.util.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,7 +77,7 @@ class EngineContext:
     """The protected services a plugin may use inside one run.
 
     The context wraps the engine's mutable run state (time ledger,
-    injector, checksums, counters, log) and exposes the operations the
+    injector, checksums, counters) and exposes the operations the
     paper's schemes are built from.  Charging methods mirror the seed
     drivers' accounting exactly — each is one specific sequence of
     float additions, preserved so trajectories stay bit-identical.
@@ -91,7 +90,6 @@ class EngineContext:
         live: CSRMatrix,
         b: np.ndarray,
         config: SchemeConfig,
-        log: EventLog,
         workspace: "SolveWorkspace | None" = None,
         backend: "object | None" = None,
     ) -> None:
@@ -109,7 +107,6 @@ class EngineContext:
         self.config = config
         self.costs = config.costs
         self.scheme = config.scheme
-        self.log = log
         self.workspace = workspace
         self.counters = RecoveryCounters()
         self.breakdown = TimeBreakdown()
@@ -283,12 +280,6 @@ class EngineContext:
                     self.live.assume_clean_structure()
         if result.status is SpmvStatus.CORRECTED and corr is not None:
             self.counters.record_correction(corr.kind)
-            self.log.emit(
-                "correction",
-                plugin.iteration,
-                what=corr.kind,
-                detail=corr.detail,
-            )
             self.trace("abft-correction", what=corr.kind, detail=corr.detail)
         if not result.trusted:
             if count_detection:
@@ -320,9 +311,6 @@ class EngineContext:
                 for s in hits:  # the corruption happened; TMR failed to mask it
                     self.injector.apply_strike(self.plugin.iteration, s)
                 self.counters.tmr_detections += 1
-                self.log.emit(
-                    "tmr-detection", self.plugin.iteration, target=target, strikes=len(hits)
-                )
                 self.trace("tmr-detection", target=target, strikes=len(hits))
                 ok = False
                 if stop_on_failure:
@@ -331,7 +319,6 @@ class EngineContext:
                 rec = self.injector.apply_strike(self.plugin.iteration, hits[0])
                 self.injector.revert(rec)
                 self.counters.tmr_corrections += 1
-                self.log.emit("tmr-correction", self.plugin.iteration, target=target)
                 self.trace("tmr-correction", target=target)
         return ok
 
@@ -539,7 +526,6 @@ class EngineContext:
         self._restore()
         self.policy.rolled_back()
         self.plugin.after_rollback()
-        self.log.emit("rollback", self.plugin.iteration, reason=reason)
         self.trace("rollback", reason=reason)
 
     def refresh_rollback(self) -> None:
@@ -587,7 +573,6 @@ class EngineContext:
         if pol.refresh_notifies_policy:
             self.policy.rolled_back()
         self.plugin.after_rollback()
-        self.log.emit("refresh-rollback", self.plugin.iteration)
         self.trace("refresh-rollback")
 
     def maybe_checkpoint(self) -> None:
@@ -600,7 +585,6 @@ class EngineContext:
             self.breakdown.checkpoint += self.costs.t_cp
             self.breakdown.useful_work += self.uncommitted
             self.uncommitted = 0.0
-            self.log.emit("checkpoint", self.plugin.iteration)
             self.trace("checkpoint", time_units=self.time_units)
 
     def true_residual(self) -> float:
@@ -665,7 +649,6 @@ def run_protected(
     maxiter: "int | None" = None,
     rng: "int | np.random.Generator | None" = None,
     max_time_units: "float | None" = None,
-    event_log: "EventLog | None" = None,
     final_check: bool = True,
     workspace: "SolveWorkspace | None" = None,
     backend: "object | None" = None,
@@ -693,9 +676,6 @@ def run_protected(
         Seed or generator for the fault process.
     max_time_units:
         Optional bail-out on simulated time (pathological runs).
-    event_log:
-        Optional :class:`~repro.util.log.EventLog` receiving recovery
-        events.
     final_check:
         Reliably re-verify the residual on apparent convergence and
         keep iterating if it is bogus (recommended; disable only to
@@ -756,7 +736,6 @@ def run_protected(
     wall_start = _time.perf_counter()
     tr = resolve_tracer(tracer)
     rng = as_generator(rng)
-    log = event_log if event_log is not None else EventLog()
     n = a.nrows
     maxiter = 20 * n if maxiter is None else int(maxiter)
     scheme = config.scheme
@@ -790,9 +769,7 @@ def run_protected(
             # never touched.
             a_view = CSRMatrix(a.val, a.colid, a.rowidx, a.shape, check=False)
             a_view.assume_clean_structure()
-    ctx = EngineContext(
-        plugin, a, live, b, config, log, workspace=workspace, backend=backend
-    )
+    ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
     ctx.a_view = a_view
     ctx.tracer = tr
     ctx._live_clean0 = live.structure_clean

@@ -152,7 +152,6 @@ class JacobiPCGPlugin:
         # Reliable PCG update (TMR-voted kernels, reliable M⁻¹ apply).
         pq = float(self.p @ self.q)
         if not np.isfinite(pq) or pq <= 0.0:
-            ctx.log.emit("breakdown", self.iteration, pq=pq)
             ctx.trace("breakdown", what="pq", value=pq)
             return StepOutcome.rollback("breakdown")
         if not self._update(pq):

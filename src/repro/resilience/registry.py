@@ -44,7 +44,7 @@ def run_ft_method(method: "Method | str", a, b, config, **kwargs) -> "SolveResul
 
     ``kwargs`` are forwarded to
     :func:`repro.resilience.engine.run_protected` (``alpha``, ``x0``,
-    ``eps``, ``maxiter``, ``rng``, ``max_time_units``, ``event_log``,
-    ``tracer``, ``final_check``).
+    ``eps``, ``maxiter``, ``rng``, ``max_time_units``, ``tracer``,
+    ``final_check``, ``workspace``, ``backend``).
     """
     return run_protected(make_plugin(method), a, b, config, **kwargs)

@@ -6,12 +6,13 @@
   swaps in real Matrix-Market workloads when present;
 - :mod:`repro.sim.engine` — repeated fault-injected runs with
   deterministic per-repetition seeding and aggregation;
-- :mod:`repro.sim.experiments` — drivers for Table 1 (model
-  validation) and Figure 1 (time vs normalized MTBF), executing
-  through the :mod:`repro.campaign` engine (parallel ``jobs``,
-  persistent ``store``, resume);
 - :mod:`repro.sim.results` — result containers and paper-style text
   rendering.
+
+The Table-1 / Figure-1 drivers are the presets
+``repro.api.study.Study.table1()`` / ``.figure1()`` (and ``repro
+table1`` / ``repro figure1``): a sweep is a campaign, which sits above
+this package (``docs/DESIGN.md`` §1).
 """
 
 from typing import TYPE_CHECKING
@@ -29,9 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         suite_specs,
         workload_registry,
     )
-    from repro.sim.engine import RunStatistics, repeat_run, sweep_checkpoint_interval
+    from repro.sim.engine import RunStatistics, repeat_run
     from repro.sim.results import Table1Row, Figure1Point, format_table1, format_figure1
-    from repro.sim.experiments import run_table1, run_figure1
 
 __all__ = [
     "MatrixSpec",
@@ -44,13 +44,10 @@ __all__ = [
     "suite_specs",
     "RunStatistics",
     "repeat_run",
-    "sweep_checkpoint_interval",
     "Table1Row",
     "Figure1Point",
     "format_table1",
     "format_figure1",
-    "run_table1",
-    "run_figure1",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -66,17 +63,12 @@ __getattr__, __dir__ = lazy_exports(
             "suite_specs",
             "workload_registry",
         ),
-        "repro.sim.engine": (
-            "RunStatistics",
-            "repeat_run",
-            "sweep_checkpoint_interval",
-        ),
+        "repro.sim.engine": ("RunStatistics", "repeat_run"),
         "repro.sim.results": (
             "Table1Row",
             "Figure1Point",
             "format_table1",
             "format_figure1",
         ),
-        "repro.sim.experiments": ("run_table1", "run_figure1"),
     },
 )

@@ -31,7 +31,6 @@ from repro.util.rng import spawn_named
 __all__ = [
     "RunStatistics",
     "repeat_run",
-    "sweep_checkpoint_interval",
     "make_rhs",
     "PER_REP_KEYS",
 ]
@@ -326,54 +325,3 @@ def _rep_rng(base_seed, method, config, alpha, labels, rep):
         base_seed, method.value, config.scheme.value, alpha, *labels, rep
     )
 
-
-def sweep_checkpoint_interval(
-    a: CSRMatrix,
-    b: np.ndarray,
-    config: SchemeConfig,
-    s_values: "list[int]",
-    *,
-    alpha: float,
-    reps: int,
-    base_seed: int = 0,
-    labels: tuple = (),
-    eps: float = 1e-6,
-    maxiter: int | None = None,
-    method: "Method | str" = Method.CG,
-    reuse_workspace: bool = True,
-    backend: "str | object | None" = None,
-    tracer: "object | None" = None,
-) -> dict[int, RunStatistics]:
-    """Measure mean execution time for each checkpoint interval ``s``.
-
-    This is the empirical side of Table 1: the ``s`` with the smallest
-    mean time is the measured optimum ``s*``.  One solve workspace is
-    shared across the whole sweep (same matrix throughout) unless
-    ``reuse_workspace=False``; ``backend`` selects the kernel backend
-    for every run of the sweep.
-    """
-    ws = None
-    if reuse_workspace:
-        from repro.perf import SolveWorkspace
-
-        ws = SolveWorkspace()
-    out: dict[int, RunStatistics] = {}
-    for s in s_values:
-        cfg = config.with_intervals(s=s)
-        out[s] = repeat_run(
-            a,
-            b,
-            cfg,
-            alpha=alpha,
-            reps=reps,
-            base_seed=base_seed,
-            labels=(*labels, "s", s),
-            eps=eps,
-            maxiter=maxiter,
-            method=method,
-            reuse_workspace=reuse_workspace,
-            workspace=ws,
-            backend=backend,
-            tracer=tracer,
-        )
-    return out

@@ -7,7 +7,7 @@ selected by a URL-style string, mirroring the kernel-backend registry
 
 ``path/to/store.jsonl`` (bare path — the default, ``jsonl:`` explicit)
     The original single-file append-only JSONL store
-    (:class:`~repro.campaign.store.ResultStore`).  Bit-identical
+    (:class:`~repro.store.jsonl.ResultStore`).  Bit-identical
     semantics preserved; the right choice for single-process
     campaigns.
 
@@ -32,6 +32,12 @@ Custom backends register with :func:`register_store`; the scheme then
 works everywhere a store is named — ``run_campaign(store=...)``,
 ``Study.run(store=...)``, every CLI ``--store``, ``repro report`` and
 ``repro store info/migrate``.
+
+Every function here that takes a selector closes the store it opened
+from a URL before returning (:func:`opened_store`); a store instance
+passed in stays the caller's to close.  The lease-coordinated serve
+fleet built on these stores is a scheduler and lives in
+:mod:`repro.campaign.serve`.
 """
 
 from __future__ import annotations
@@ -39,14 +45,14 @@ from __future__ import annotations
 import os
 import pathlib
 import re
-from typing import TYPE_CHECKING, Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro._lazy import lazy_exports
-from repro.campaign.store import ResultStore, StoreError, StoreIntegrityWarning
+from repro.store.jsonl import ResultStore, StoreError, StoreIntegrityWarning
 from repro.store.protocol import LeaseUnsupported, StoreBackend
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
-    from repro.store.serve import ServeInterrupted, serve_campaign
     from repro.store.sharded import DEFAULT_SHARDS, ShardedStore
     from repro.store.sqlite import SqliteStore
 
@@ -64,21 +70,18 @@ __all__ = [
     "available_store_schemes",
     "parse_store_url",
     "open_store",
+    "opened_store",
     "migrate_store",
     "compact_store",
     "repair_store",
     "verify_store",
-    "serve_campaign",
-    "ServeInterrupted",
 ]
 
-# The concurrent backends and the serve fleet load on first use: a
-# JSONL-only process (every default campaign, ``repro report``) never
-# pays for sqlite3 or the worker machinery.
+# The concurrent backends load on first use: a JSONL-only process
+# (every default campaign, ``repro report``) never pays for sqlite3.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.store.serve": ("ServeInterrupted", "serve_campaign"),
         "repro.store.sharded": ("DEFAULT_SHARDS", "ShardedStore"),
         "repro.store.sqlite": ("SqliteStore",),
     },
@@ -192,9 +195,24 @@ def open_store(spec: "StoreBackend | str | os.PathLike[str]") -> StoreBackend:
     return _FACTORIES[scheme](path)
 
 
+@contextmanager
+def opened_store(spec: "StoreBackend | str | os.PathLike[str]") -> "Iterator[StoreBackend]":
+    """:func:`open_store` for the length of a ``with`` block.
+
+    A store opened here from a URL is closed on exit; a store instance
+    passes through and stays open — its owner closes it.
+    """
+    store = open_store(spec)
+    try:
+        yield store
+    finally:
+        if isinstance(spec, (str, os.PathLike)):
+            store.close()
+
+
 def store_exists(spec: "StoreBackend | str | os.PathLike[str]") -> bool:
     """Whether the selector's backing file/directory exists on disk."""
-    store = open_store(spec)
+    store = open_store(spec)  # construction touches nothing: no handle to close
     return pathlib.Path(store.path).exists()
 
 
@@ -216,35 +234,35 @@ def migrate_store(
     decision the caller should make explicitly, record by record, not
     a silent side effect of a copy.
     """
-    src_store, dst_store = _open_pair(src, dst, verb="migrate")
-    moved = 0
-    seen: "set[str]" = set()
-    for rec in src_store.iter_records():
-        dst_store.append(rec)
-        if rec["hash"] not in seen:
-            seen.add(rec["hash"])
-            moved += 1
-    return moved
+    with _opened_pair(src, dst, verb="migrate") as (src_store, dst_store):
+        moved = 0
+        seen: "set[str]" = set()
+        for rec in src_store.iter_records():
+            dst_store.append(rec)
+            if rec["hash"] not in seen:
+                seen.add(rec["hash"])
+                moved += 1
+        return moved
 
 
-def _open_pair(
+@contextmanager
+def _opened_pair(
     src: "StoreBackend | str | os.PathLike[str]",
     dst: "StoreBackend | str | os.PathLike[str]",
     *,
     verb: str,
-) -> "tuple[StoreBackend, StoreBackend]":
+) -> "Iterator[tuple[StoreBackend, StoreBackend]]":
     """Resolve a (src, dst) store pair, refusing self-targets and
     populated destinations — shared by migrate / compact / repair."""
-    src_store = open_store(src)
-    dst_store = open_store(dst)
-    if pathlib.Path(src_store.path).resolve() == pathlib.Path(dst_store.path).resolve():
-        raise ValueError(f"cannot {verb} a store onto itself ({src_store.url})")
-    if dst_store.count():
-        raise ValueError(
-            f"destination store {dst_store.url} already has records; "
-            f"{verb} into an empty store"
-        )
-    return src_store, dst_store
+    with opened_store(src) as src_store, opened_store(dst) as dst_store:
+        if pathlib.Path(src_store.path).resolve() == pathlib.Path(dst_store.path).resolve():
+            raise ValueError(f"cannot {verb} a store onto itself ({src_store.url})")
+        if dst_store.count():
+            raise ValueError(
+                f"destination store {dst_store.url} already has records; "
+                f"{verb} into an empty store"
+            )
+        yield src_store, dst_store
 
 
 def compact_store(
@@ -276,47 +294,48 @@ def compact_store(
 
     Like :func:`migrate_store`, ``dst`` must be empty or absent.
     """
-    src_store, dst_store = _open_pair(src, dst, verb="compact")
-    latest: "dict[str, dict]" = {}
-    for rec in src_store.iter_records():
-        if rec.get("kind") == "telemetry":
-            continue
-        if drop_quarantined and rec.get("kind") == "quarantine":
-            # Last-wins applies before the drop: a quarantine record is
-            # the hash's latest state, so dropping it un-settles the
-            # task entirely (any earlier record for the hash goes too).
-            latest.pop(rec["hash"], None)
-            continue
-        latest[rec["hash"]] = rec
-    # Partial checkpoints are keyed "partial:<task_hash>"; a settled
-    # task (any surviving record under the bare hash) obsoletes its
-    # checkpoint, while an unsettled one keeps it so --resume against
-    # the compacted store recomputes nothing.
-    for h in [
-        h for h, rec in latest.items()
-        if rec.get("kind") == "partial" and rec.get("task_hash") in latest
-    ]:
-        del latest[h]
-    for rec in latest.values():
-        dst_store.append(rec)
-    return len(latest)
+    with _opened_pair(src, dst, verb="compact") as (src_store, dst_store):
+        latest: "dict[str, dict]" = {}
+        for rec in src_store.iter_records():
+            if rec.get("kind") == "telemetry":
+                continue
+            if drop_quarantined and rec.get("kind") == "quarantine":
+                # Last-wins applies before the drop: a quarantine record
+                # is the hash's latest state, so dropping it un-settles
+                # the task entirely (any earlier record for the hash
+                # goes too).
+                latest.pop(rec["hash"], None)
+                continue
+            latest[rec["hash"]] = rec
+        # Partial checkpoints are keyed "partial:<task_hash>"; a settled
+        # task (any surviving record under the bare hash) obsoletes its
+        # checkpoint, while an unsettled one keeps it so --resume
+        # against the compacted store recomputes nothing.
+        for h in [
+            h for h, rec in latest.items()
+            if rec.get("kind") == "partial" and rec.get("task_hash") in latest
+        ]:
+            del latest[h]
+        for rec in latest.values():
+            dst_store.append(rec)
+        return len(latest)
 
 
 def verify_store(spec: "StoreBackend | str | os.PathLike[str]") -> dict:
     """Integrity-scan a store without raising: counts of intact
     (sealed / unsealed) and corrupt records plus a ``torn_tail`` flag
-    — see :meth:`repro.campaign.store.ResultStore.verify`."""
-    store = open_store(spec)
-    scan = getattr(store, "verify", None)
-    if scan is None:  # custom backend without an integrity scan
-        report = {
-            "records": store.count(), "corrupt": 0, "sealed": 0,
-            "unsealed": store.count(), "torn_tail": False,
-        }
-    else:
-        report = scan()
-    report["url"] = store.url
-    return report
+    — see :meth:`repro.store.jsonl.ResultStore.verify`."""
+    with opened_store(spec) as store:
+        scan = getattr(store, "verify", None)
+        if scan is None:  # custom backend without an integrity scan
+            report = {
+                "records": store.count(), "corrupt": 0, "sealed": 0,
+                "unsealed": store.count(), "torn_tail": False,
+            }
+        else:
+            report = scan()
+        report["url"] = store.url
+        return report
 
 
 def repair_store(
@@ -331,11 +350,11 @@ def repair_store(
     task hashes are absent from ``dst``, so a resumed campaign simply
     re-executes those tasks — repair never invents data.
     """
-    src_store, dst_store = _open_pair(src, dst, verb="repair")
-    before = verify_store(src_store)
-    intact = getattr(src_store, "iter_intact", src_store.iter_records)
-    kept_hashes: "set[str]" = set()
-    for rec in intact():
-        dst_store.append(rec)
-        kept_hashes.add(rec["hash"])
-    return len(kept_hashes), int(before["corrupt"])
+    with _opened_pair(src, dst, verb="repair") as (src_store, dst_store):
+        before = verify_store(src_store)
+        intact = getattr(src_store, "iter_intact", src_store.iter_records)
+        kept_hashes: "set[str]" = set()
+        for rec in intact():
+            dst_store.append(rec)
+            kept_hashes.add(rec["hash"])
+        return len(kept_hashes), int(before["corrupt"])

@@ -31,9 +31,9 @@ bit rot is *detected* (not silently aggregated) while loaded records
 still compare equal to what was appended, and pre-checksum stores read
 unchanged.
 
-This class is also the ``jsonl`` backend of the pluggable storage
-layer (:mod:`repro.store`, ``docs/DESIGN.md`` §9) — the default one,
-and the durability model the other backends must match.
+This class is the ``jsonl`` backend of the pluggable storage layer
+(:mod:`repro.store`, ``docs/DESIGN.md`` §9) — the default one, and the
+durability model the other backends must match.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from __future__ import annotations
 import os
 import pathlib
 import warnings
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.campaign.spec import TaskSpec
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import TaskSpec
 
 __all__ = ["ResultStore", "StoreError", "StoreIntegrityWarning"]
 

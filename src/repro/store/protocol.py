@@ -19,7 +19,7 @@ Durability (crash salvage)
     silently drop the crash footprint (a torn trailing line per JSONL
     file; an uncommitted transaction under SQLite) — the task simply
     reruns on resume — and raise
-    :class:`~repro.campaign.store.StoreError` for damage anywhere
+    :class:`~repro.store.jsonl.StoreError` for damage anywhere
     else.
 
 Exact floats
@@ -46,7 +46,7 @@ Concurrency
     whether several *processes* may append concurrently and
     coordinate through leases (:meth:`try_claim` /
     :meth:`heartbeat` / :meth:`release`).  The lease protocol backs
-    serve mode (:mod:`repro.store.serve`); leases are advisory —
+    serve mode (:mod:`repro.campaign.serve`); leases are advisory —
     correctness always comes from content-hash idempotence (two
     workers racing the same task write bit-identical records), leases
     only keep duplicate work rare.

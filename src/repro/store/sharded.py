@@ -17,7 +17,7 @@ workers writing *different* tasks usually touch different files, and
 when they do share one, each append is a single ``O_APPEND`` write of
 one whole line, so lines never interleave.  Each shard individually
 keeps the JSONL durability contract of
-:class:`~repro.campaign.store.ResultStore` — torn-tail salvage is
+:class:`~repro.store.jsonl.ResultStore` — torn-tail salvage is
 *per shard*: a crash in one worker can tear at most the tail of the
 shards it was appending to, and every other shard stays pristine.
 
@@ -28,7 +28,7 @@ appended newline instead of truncation (truncating could destroy a
 peer's record appended after the tear), and shard readers are
 *tolerant* — a corrupt complete line (a crashed peer's joined write,
 or bit rot caught by the per-record CRC32) is skipped with a counted
-:class:`~repro.campaign.store.StoreIntegrityWarning` rather than
+:class:`~repro.store.jsonl.StoreIntegrityWarning` rather than
 raising, the lost record healing by re-execution on resume.
 
 Leases (serve mode) are implemented as files under ``leases/``:
@@ -47,7 +47,7 @@ import pathlib
 import time
 from typing import Iterable, Iterator
 
-from repro.campaign.store import ResultStore, StoreError
+from repro.store.jsonl import ResultStore, StoreError
 from repro.store.protocol import default_resume
 
 __all__ = ["ShardedStore", "DEFAULT_SHARDS"]
@@ -268,7 +268,7 @@ class ShardedStore:
 
     def verify(self) -> dict:
         """Integrity scan summed over shards (see
-        :meth:`repro.campaign.store.ResultStore.verify`); ``torn_tail``
+        :meth:`repro.store.jsonl.ResultStore.verify`); ``torn_tail``
         is true if *any* shard ends torn."""
         totals = {"records": 0, "corrupt": 0, "sealed": 0, "unsealed": 0,
                   "torn_tail": False}

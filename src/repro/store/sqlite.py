@@ -37,7 +37,7 @@ import sqlite3
 import time
 from typing import Iterable, Iterator
 
-from repro.campaign.store import StoreError
+from repro.store.jsonl import StoreError
 from repro.store.protocol import default_resume
 
 __all__ = ["SqliteStore"]
@@ -206,7 +206,7 @@ class SqliteStore:
 
     def verify(self) -> dict:
         """Integrity scan for ``repro store verify`` (see
-        :meth:`repro.campaign.store.ResultStore.verify`; SQLite has no
+        :meth:`repro.store.jsonl.ResultStore.verify`; SQLite has no
         torn tails, so ``torn_tail`` is always ``False``)."""
         sealed = unsealed = corrupt = 0
         for row_hash, body in self._rows():

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling, logging, validation."""
+"""Shared utilities: deterministic RNG handling and validation."""
 
 from typing import TYPE_CHECKING
 

@@ -26,7 +26,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core import Scheme, SchemeConfig, run_ft_method  # noqa: E402
+from repro.core import Scheme, SchemeConfig  # noqa: E402
+from repro.resilience import run_ft_method  # noqa: E402
 from repro.sparse import stencil_spd  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parent / "ft_trajectories.json"

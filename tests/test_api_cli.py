@@ -6,7 +6,7 @@ import pytest
 
 from repro import Study
 from repro.api.cli import main
-from repro.campaign import ResultStore
+from repro.store import ResultStore
 
 
 class TestHelpAndDispatch:
@@ -171,7 +171,7 @@ class TestStudyCommand:
                    "--store", str(store), "--progress", "none",
                    "--adaptive", "ci=0.5,conf=0.9,min=2,max=6"])
         assert rc == 0
-        from repro.campaign import ResultStore
+        from repro.store import ResultStore
 
         recs = [
             r for r in ResultStore(store).load().values()

@@ -9,7 +9,7 @@ import pytest
 
 from repro import CheckpointSpec, CostModel, FaultSpec, solve
 from repro.api.facade import SolveReport
-from repro.sim.experiments import model_interval_for
+from repro.model.instantiate import model_interval_for
 from repro.core.methods import Scheme
 from repro.sparse import stencil_spd
 
@@ -164,6 +164,21 @@ class TestReportSerialization:
         b = np.ones(a.nrows)
         report = solve(a, b, record_history=False)
         assert report.history == []
+
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_events_are_one_per_counted_recovery(self, problem, record_history):
+        a, b = problem
+        report = solve(a, b, scheme="abft-correction", checkpoint=8,
+                       faults=FaultSpec(alpha=0.3, seed=11), record_history=record_history)
+        c = report.counters
+        assert c.rollbacks and c.total_corrections and c.checkpoints  # a struck solve
+        kinds = [e["kind"] for e in report.events]
+        assert kinds.count("rollback") + kinds.count("refresh-rollback") == c.rollbacks
+        assert kinds.count("abft-correction") == c.total_corrections
+        assert kinds.count("checkpoint") == c.checkpoints
+        first = next(e for e in report.events if e["kind"] == "checkpoint")
+        assert set(first) == {"kind", "iteration", "time_units"}
+        assert json.loads(report.to_json())["events"] == report.events
 
     def test_summary_mentions_the_essentials(self, report):
         text = report.summary()

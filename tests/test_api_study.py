@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro import Study
-from repro.campaign import CampaignSpec, ResultStore
+from repro.campaign import CampaignSpec
 from repro.core.methods import CostModel, Scheme
-from repro.sim.experiments import model_interval_for, run_table1
+from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import get_matrix
+from repro.store import ResultStore
 
 
 class TestCompilation:
@@ -130,15 +131,6 @@ class TestPresets:
         assert [t.task_hash() for t in study.tasks()] == [
             t.task_hash() for t in spec.expand()
         ]
-
-    def test_run_table1_driver_rides_on_study(self):
-        # The rewired driver must produce the same rows as running the
-        # preset study by hand — same tasks, same aggregation.
-        rows = run_table1(scale=48, reps=2, uids=[2213], s_span=2)
-        study_rows = Study.table1(
-            scale=48, reps=2, uids=[2213], s_span=2
-        ).run(jobs=1).table1_rows()
-        assert rows == study_rows
 
 
 class TestSerialization:

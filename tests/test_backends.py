@@ -1035,7 +1035,8 @@ class TestOutOfTreeBackend:
         ids=lambda e: f"{e['driver']}-{e['scheme']}-a{e['alpha']}-seed{e['seed']}",
     )
     def test_golden_trajectories(self, own_kernel, entry):
-        from repro.core import Method, run_ft_method
+        from repro.core import Method
+        from repro.resilience import run_ft_method
 
         a = stencil_spd(529, kind="cross", radius=2)
         b = np.random.default_rng(_GOLD["rhs_seed"]).normal(size=a.nrows)
@@ -1065,7 +1066,7 @@ class TestOutOfTreeBackend:
         (Method.BICGSTAB, Scheme.ABFT_CORRECTION, 0.2),
     ], ids=lambda v: getattr(v, "value", v))
     def test_protected_replays(self, own_kernel, method, scheme, alpha):
-        from repro.core import run_ft_method
+        from repro.resilience import run_ft_method
 
         a = stencil_spd(100, kind="cross", radius=1)
         b = make_rhs(a)

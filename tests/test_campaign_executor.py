@@ -5,13 +5,18 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     ProgressReporter,
-    ResultStore,
     aggregate_figure1,
     aggregate_table1,
     execute_task,
     run_campaign,
 )
-from repro.sim import run_figure1, run_table1
+from repro.api.study import Study
+from repro.store import ResultStore
+
+
+def _table1_rows(jobs=1):
+    study = Study.table1(scale=48, reps=2, uids=[2213], s_span=2)
+    return study.run(jobs=jobs).table1_rows()
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +41,16 @@ class TestDeterminism:
         parallel = run_campaign(small_tasks, jobs=2)
         assert parallel == serial_records
 
-    def test_run_table1_jobs2_identical_rows(self):
-        rows1 = run_table1(scale=48, reps=2, uids=[2213], s_span=2, jobs=1)
-        rows2 = run_table1(scale=48, reps=2, uids=[2213], s_span=2, jobs=2)
-        assert rows1 == rows2  # RunStatistics floats compare exactly
+    def test_table1_preset_jobs2_identical_rows(self):
+        # RunStatistics floats compare exactly
+        assert _table1_rows(jobs=1) == _table1_rows(jobs=2)
 
-    def test_run_figure1_jobs2_identical_points(self):
-        kw = dict(scale=48, reps=2, uids=[2213], mtbf_values=[16.0, 500.0])
-        assert run_figure1(jobs=1, **kw) == run_figure1(jobs=2, **kw)
+    def test_figure1_preset_jobs2_identical_points(self):
+        study = Study.figure1(scale=48, reps=2, uids=[2213], mtbf_values=[16.0, 500.0])
+        assert study.run(jobs=1).figure1_points() == study.run(jobs=2).figure1_points()
 
-    def test_rewired_driver_matches_known_shape(self):
-        rows = run_table1(scale=48, reps=2, uids=[2213], s_span=2)
+    def test_table1_preset_matches_known_shape(self):
+        rows = _table1_rows()
         assert {r.scheme for r in rows} == {"abft-detection", "abft-correction"}
         for r in rows:
             assert r.uid == 2213 and r.reps == 2

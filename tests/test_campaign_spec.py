@@ -141,9 +141,8 @@ class TestTaskSpecSampling:
 
 class TestCampaignSpecExpansion:
     def test_table1_matches_serial_grid(self):
-        from repro.sim.experiments import (
-            TABLE1_ALPHA, default_s_grid, model_interval_for,
-        )
+        from repro.campaign.spec import TABLE1_ALPHA, default_s_grid
+        from repro.model.instantiate import model_interval_for
         from repro.sim.matrices import get_matrix
 
         spec = CampaignSpec(kind="table1", scale=48, reps=2, uids=(2213,), s_span=2)
@@ -197,14 +196,15 @@ class TestCampaignSpecExpansion:
         assert CampaignSpec(kind="table1", uids=()).expand() == []
         assert CampaignSpec(kind="figure1", uids=()).expand() == []
 
-    def test_empty_uids_through_drivers(self):
-        from repro.sim import run_figure1, run_table1
+    def test_empty_uids_through_presets(self):
+        from repro.api.study import Study
 
-        assert run_table1(scale=48, reps=1, uids=[]) == []
-        assert run_figure1(scale=48, reps=1, uids=[], mtbf_values=[16.0]) == []
+        assert Study.table1(scale=48, reps=1, uids=[]).run().table1_rows() == []
+        figure1 = Study.figure1(scale=48, reps=1, uids=[], mtbf_values=[16.0])
+        assert figure1.run().figure1_points() == []
 
     def test_model_s_max_widens_search(self):
-        from repro.sim.experiments import model_interval_for
+        from repro.model.instantiate import model_interval_for
 
         costs = CostModel()
         # A tiny ceiling clamps the optimum; the default does not.

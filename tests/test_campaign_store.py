@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.campaign import ResultStore, StoreError, TaskSpec
+from repro.campaign import TaskSpec
+from repro.store import ResultStore, StoreError
 
 
 def _record(h, **extra):

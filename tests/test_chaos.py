@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignSpec, ServeInterrupted, run_campaign, serve_campaign
 from repro.chaos import (
     CHAOS_ENV,
     CHAOS_EXIT_CODE,
@@ -26,7 +26,7 @@ from repro.chaos import (
     resolve_retry,
     run_guarded,
 )
-from repro.store import ServeInterrupted, open_store, serve_campaign
+from repro.store import open_store
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Scheme, SchemeConfig, cg, run_ft_method
+from repro.core import CostModel, Scheme, SchemeConfig, cg
+from repro.resilience import run_ft_method
 from repro.sparse import stencil_spd
-from repro.util.log import EventLog
+from repro.obs import InMemoryTracer
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +97,16 @@ class TestWithFaults:
             times[scheme] = np.mean(vals)
         assert times[Scheme.ABFT_CORRECTION] < times[Scheme.ABFT_DETECTION]
 
-    def test_event_log_records_recoveries(self, problem):
+    def test_tracer_records_recoveries(self, problem):
         a, b = problem
-        log = EventLog()
+        tracer = InMemoryTracer()
         res = run_ft_method(
-            "cg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, event_log=log
+            "cg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, tracer=tracer
         )
-        kinds = {ev.kind for ev in log.events}
+        kinds = set(tracer.counts_by_kind())
         assert "checkpoint" in kinds
         if res.counters.total_corrections:
-            assert "correction" in kinds
+            assert "abft-correction" in kinds
 
     def test_executed_geq_logical_iterations(self, problem):
         a, b = problem

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, bicgstab, run_ft_method
+from repro.core import Scheme, SchemeConfig, bicgstab
+from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs
 from repro.sparse import stencil_spd
 

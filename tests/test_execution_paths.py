@@ -19,7 +19,7 @@ import repro
 from repro.campaign import CampaignSpec, run_campaign
 from repro.chaos import harness
 from repro.store import open_store
-from repro.store.serve import serve_campaign
+from repro.campaign.serve import serve_campaign
 
 SRC = Path(repro.__file__).parent
 

@@ -70,15 +70,17 @@ def test_import_repro_loads_only_the_lazy_helper(cold_python):
     assert loaded(res, "scipy", "numpy.testing", "numpy.f2py") == []
 
 
-@pytest.mark.parametrize("command", [["report"], ["store", "info"]])
-def test_store_readers_load_no_solver_stack(run_cli, settled_store, command):
+@pytest.mark.parametrize("command, budget", [(["report"], 11), (["store", "info"], 7)])
+def test_store_readers_load_no_solver_stack(run_cli, settled_store, command, budget):
+    """Reading a JSONL store stays inside the store layer (plus the
+    report fold): no campaign package, no solver stack."""
     res = run_cli(command + ["store.jsonl"])
     assert res["codes"] == [0]
     assert loaded(
         res, "scipy", "repro.resilience", "repro.abft", "repro.faults", "repro.backends",
-        "repro.chaos",
+        "repro.chaos", "repro.campaign",
     ) == []
-    assert len(loaded(res, "repro")) <= 15
+    assert len(loaded(res, "repro")) <= budget
 
 
 def test_dry_run_loads_no_engine_no_fleet(run_cli, tmp_path):
@@ -88,7 +90,7 @@ def test_dry_run_loads_no_engine_no_fleet(run_cli, tmp_path):
     res = run_cli(["study", "run", "spec.json", "--dry-run"])
     assert res["codes"] == [0] and "study 'table1': 19 tasks" in res["stdout"]
     assert loaded(
-        res, "scipy", "repro.resilience", "repro.store.serve", "repro.chaos"
+        res, "scipy", "repro.resilience", "repro.campaign.serve", "repro.chaos"
     ) == []
 
 

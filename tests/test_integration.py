@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Scheme, SchemeConfig, cg, run_ft_method
+from repro.core import CostModel, Scheme, SchemeConfig, cg
+from repro.resilience import run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import suite_specs
@@ -76,16 +77,17 @@ class TestModelPredictsSimulation:
 
 class TestRecoveryAudit:
     def test_counters_consistent_with_events(self, suite_matrix):
-        from repro.util.log import EventLog
+        from repro.obs import InMemoryTracer
 
         a, b = suite_matrix
-        log = EventLog()
+        log = InMemoryTracer()
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        res = run_ft_method("cg", a, b, cfg, alpha=0.2, rng=1, eps=1e-6, event_log=log)
-        assert log.count("checkpoint") == res.counters.checkpoints
-        assert log.count("correction") == res.counters.total_corrections
+        res = run_ft_method("cg", a, b, cfg, alpha=0.2, rng=1, eps=1e-6, tracer=log)
+        count = log.counts_by_kind()
+        assert count.get("checkpoint", 0) == res.counters.checkpoints
+        assert count.get("abft-correction", 0) == res.counters.total_corrections
         assert (
-            log.count("rollback") + log.count("refresh-rollback")
+            count.get("rollback", 0) + count.get("refresh-rollback", 0)
             == res.counters.rollbacks
         )
 

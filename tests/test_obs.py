@@ -45,7 +45,8 @@ def problem():
 def _run(a, b, **kw):
     # Through run_ft_method so engine-level kwargs (tracer) reach
     # run_protected.
-    from repro.core import Method, run_ft_method
+    from repro.core import Method
+    from repro.resilience import run_ft_method
 
     cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=8)
     return run_ft_method(Method.CG, a, b, cfg, alpha=1 / 16, rng=3, **kw)

@@ -18,7 +18,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, run_ft_method
+from repro.core import Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.obs import InMemoryTracer, NullTracer
 from repro.sparse import stencil_spd
 

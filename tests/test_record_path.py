@@ -29,10 +29,11 @@ from hypothesis import strategies as st
 from repro import Study
 from repro.api.cli import main
 from repro.api.report import format_summary, summarize_store
-from repro.campaign import CampaignSpec, ResultStore, run_campaign
+from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign import executor
 from repro.obs.metrics import METRICS
 from repro.store import (
+    ResultStore,
     ShardedStore,
     SqliteStore,
     compact_store,

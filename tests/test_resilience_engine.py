@@ -3,23 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    Method,
-    Scheme,
-    SchemeConfig,
-    pcg,
-    run_ft_method,
-)
+from repro.core import Method, Scheme, SchemeConfig, pcg
 from repro.resilience import (
     BiCGstabPlugin,
     CGPlugin,
     JacobiPCGPlugin,
     make_plugin,
+    run_ft_method,
     run_protected,
 )
 from repro.sim.engine import make_rhs, repeat_run
+from repro.obs import InMemoryTracer
 from repro.sparse import stencil_spd
-from repro.util.log import EventLog
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +150,16 @@ class TestFTPCG:
         res = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.15, rng=9, eps=1e-6)
         assert res.breakdown.total == pytest.approx(res.time_units)
 
-    def test_event_log_records_recoveries(self, problem):
+    def test_tracer_records_recoveries(self, problem):
         a, b = problem
-        log = EventLog()
+        tracer = InMemoryTracer()
         res = run_ft_method(
-            "pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, event_log=log
+            "pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.3, rng=11, eps=1e-6, tracer=tracer
         )
-        kinds = {ev.kind for ev in log.events}
+        kinds = set(tracer.counts_by_kind())
         assert "checkpoint" in kinds
         if res.counters.total_corrections:
-            assert "correction" in kinds
+            assert "abft-correction" in kinds
 
 
 class TestEngineGenerics:
@@ -334,7 +329,50 @@ class TestRetiredSpellings:
 
     def test_callerless_helpers_are_gone(self):
         from repro.faults.injector import FaultInjector
-        from repro.sim import experiments
 
-        assert not hasattr(experiments, "_main")
         assert not hasattr(FaultInjector, "inject_iteration")
+
+
+class TestRetiredLayerEdges:
+    """The names that carried an upward import (docs/DESIGN.md §1) or a
+    second spelling of something below are gone, not aliased: each
+    moved name has exactly one home."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.sim.experiments", "repro.campaign.store", "repro.store.serve", "repro.util.log"],
+    )
+    def test_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "package, name",
+        [
+            ("repro.sim", "run_table1"),
+            ("repro.sim", "run_figure1"),
+            ("repro.sim", "sweep_checkpoint_interval"),
+            ("repro.core", "run_ft_method"),
+            ("repro.campaign", "ResultStore"),
+            ("repro.store", "serve_campaign"),
+        ],
+    )
+    def test_old_spellings_fail(self, package, name):
+        import importlib
+
+        with pytest.raises(ImportError):
+            exec(f"from {package} import {name}", {})
+        assert name not in importlib.import_module(package).__all__
+
+    def test_worker_workspace_is_the_default_workspace(self):
+        from repro.campaign import executor
+
+        for name in ("_WORKER_WORKSPACE", "_worker_workspace", "release_worker_workspace"):
+            assert not hasattr(executor, name)
+
+    def test_event_log_kwarg_is_rejected(self, problem):
+        a, b = problem
+        with pytest.raises(TypeError, match="event_log"):
+            run_protected(CGPlugin(), a, b, config(Scheme.ABFT_DETECTION), event_log=[])

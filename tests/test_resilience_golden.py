@@ -20,7 +20,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, run_ft_method
+from repro.core import Scheme, SchemeConfig
+from repro.resilience import run_ft_method
 from repro.sparse import stencil_spd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ft_trajectories.json"

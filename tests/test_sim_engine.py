@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Scheme, SchemeConfig
-from repro.sim import repeat_run, sweep_checkpoint_interval
+from repro.sim import repeat_run
 from repro.adaptive import ci_bounds
 from repro.sim.engine import PER_REP_KEYS, RunStatistics, _aggregate, make_rhs
 from repro.sparse import stencil_spd
@@ -134,18 +134,17 @@ class TestRepeatRun:
             repeat_run(a, b, cfg, alpha=0.1, reps=0)
 
 
-class TestSweep:
-    def test_sweep_returns_all_intervals(self, problem):
-        a, b = problem
-        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=1)
-        out = sweep_checkpoint_interval(a, b, cfg, [2, 5, 9], alpha=0.1, reps=2, eps=1e-6)
-        assert set(out) == {2, 5, 9}
-
-    def test_sweep_uses_interval(self, problem):
+class TestIntervalSweep:
+    def test_repeat_run_uses_interval(self, problem):
         """Tiny s means frequent checkpointing: with the same fault
         stream per rep, s=1 must cost more than a moderate s at low
         fault rates."""
         a, b = problem
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=1)
-        out = sweep_checkpoint_interval(a, b, cfg, [1, 30], alpha=0.01, reps=2, eps=1e-6)
-        assert out[1].mean_time > out[30].mean_time
+        mean = {
+            s: repeat_run(
+                a, b, cfg.with_intervals(s=s), alpha=0.01, reps=2, labels=("s", s), eps=1e-6
+            ).mean_time
+            for s in (1, 30)
+        }
+        assert mean[1] > mean[30]

@@ -1,10 +1,12 @@
-"""Unit tests for the Table-1 / Figure-1 drivers (scaled down)."""
+"""Unit tests for the Table-1 / Figure-1 presets (scaled down)."""
 
 import pytest
 
+from repro.api.study import Study
+from repro.campaign.spec import default_s_grid
 from repro.core import CostModel, Scheme
-from repro.sim import format_figure1, format_table1, run_figure1, run_table1
-from repro.sim.experiments import default_s_grid, model_interval_for
+from repro.model.instantiate import model_interval_for
+from repro.sim import format_figure1, format_table1
 from repro.sim.results import to_csv
 
 
@@ -42,7 +44,7 @@ class TestSGrid:
 class TestTable1:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_table1(scale=48, reps=2, uids=[2213], s_span=2)
+        return Study.table1(scale=48, reps=2, uids=[2213], s_span=2).run().table1_rows()
 
     def test_rows_cover_both_schemes(self, rows):
         assert {r.scheme for r in rows} == {"abft-detection", "abft-correction"}
@@ -68,7 +70,8 @@ class TestTable1:
 class TestFigure1:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_figure1(scale=48, reps=2, uids=[2213], mtbf_values=[16.0, 500.0])
+        study = Study.figure1(scale=48, reps=2, uids=[2213], mtbf_values=[16.0, 500.0])
+        return study.run().figure1_points()
 
     def test_all_schemes_and_mtbfs_present(self, points):
         schemes = {p.scheme for p in points}

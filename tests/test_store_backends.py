@@ -8,12 +8,14 @@ import time
 import pytest
 
 from repro.api.report import format_summary, summarize_store
-from repro.campaign import CampaignSpec, ResultStore, StoreError, run_campaign
+from repro.campaign import CampaignSpec, run_campaign
 from repro.store import (
     DEFAULT_STORE_SCHEME,
+    ResultStore,
     ShardedStore,
     SqliteStore,
     StoreBackend,
+    StoreError,
     available_store_schemes,
     migrate_store,
     open_store,
@@ -233,7 +235,7 @@ class TestShardedStore:
         # not take down the rest of the store: tolerant readers skip
         # it with a counted warning (docs/DESIGN.md §10); `repro store
         # verify` / `repair` are the recovery tools.
-        from repro.campaign.store import StoreIntegrityWarning
+        from repro.store import StoreIntegrityWarning
 
         with ShardedStore(tmp_path / "r.d", shards=1) as store:
             store.append(_record("aaa"))
@@ -458,3 +460,79 @@ class TestLeases:
 
     def test_jsonl_has_no_leases(self, tmp_path):
         assert ResultStore(tmp_path / "r.jsonl").supports_leases is False
+
+
+# ----------------------------------------------------------------------
+# closing what is opened
+# ----------------------------------------------------------------------
+@pytest.fixture
+def spy_scheme():
+    """A ``spy:`` scheme whose stores count their ``close()`` calls;
+    yields the list of every instance the factory built."""
+    import repro.store as store_pkg
+
+    opened = []
+
+    class SpyStore(ShardedStore):
+        def __init__(self, path):
+            super().__init__(path)
+            self.closes = 0
+            opened.append(self)
+
+        def close(self):
+            self.closes += 1
+            super().close()
+
+    register_store("spy", SpyStore)
+    yield opened
+    store_pkg._FACTORIES.pop("spy")
+
+
+class TestClosesWhatItOpens:
+    """Every path that opens a store from a URL closes it (the SQLite
+    connection, the JSONL append handle); an instance the caller passed
+    in stays open."""
+
+    def test_url_opened_stores_are_closed(self, spy_scheme, tmp_path, monkeypatch, capsys):
+        from repro import Study
+        from repro.api.cli import main
+        from repro.campaign import serve_campaign
+        from repro.campaign.aggregate import records_for_tasks
+        from repro.store import compact_store, repair_store, verify_store
+
+        monkeypatch.chdir(tmp_path)
+        study = Study("spy").fix(uid=2213, scale=128, reps=1, s=4)
+        study.save("spec.json")
+        tasks = study.tasks()
+        with ShardedStore("full.d") as seed:
+            seed.append({"hash": tasks[0].task_hash(), "task": tasks[0].to_json()})
+        full = "spy:full.d"
+        paths = {
+            "migrate_store": lambda: migrate_store(full, "spy:migrated.d"),
+            "compact_store": lambda: compact_store(full, "spy:compacted.d"),
+            "repair_store": lambda: repair_store(full, "spy:repaired.d"),
+            "verify_store": lambda: verify_store(full),
+            "summarize_store": lambda: summarize_store(full),
+            "records_for_tasks": lambda: records_for_tasks(tasks, full),
+            "serve_campaign": lambda: serve_campaign(tasks, full, workers=1),
+            "cli --store check": lambda: main(
+                ["table1", "--store", full, "--scale", "128", "--uids", "2213"]
+            ),
+            "cli store info": lambda: main(["store", "info", full]),
+            "cli serve": lambda: main(
+                ["serve", "spec.json", "--store", full, "--workers", "1", "--progress", "none"]
+            ),
+        }
+        for name, drive in paths.items():
+            spy_scheme.clear()
+            drive()
+            assert spy_scheme, name
+            assert [s.closes for s in spy_scheme] == [1] * len(spy_scheme), name
+        capsys.readouterr()
+
+    def test_instances_stay_open(self, spy_scheme, tmp_path):
+        store = open_store(f"spy:{tmp_path / 'mine.d'}")
+        store.append(_record("a" * 64))
+        summarize_store(store)
+        migrate_store(store, tmp_path / "copy.jsonl")
+        assert store.closes == 0

@@ -18,11 +18,13 @@ import time
 import pytest
 
 from repro.api.cli import main
-from repro.campaign import CampaignSpec, ResultStore, StoreError, run_campaign
-from repro.campaign.store import StoreIntegrityWarning
+from repro.campaign import CampaignSpec, run_campaign
 from repro.store import (
+    ResultStore,
     ShardedStore,
     SqliteStore,
+    StoreError,
+    StoreIntegrityWarning,
     compact_store,
     open_store,
     repair_store,

@@ -4,14 +4,13 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignSpec, run_campaign, serve_campaign
 from repro.store import (
     LeaseUnsupported,
     ResultStore,
     ShardedStore,
     SqliteStore,
     open_store,
-    serve_campaign,
 )
 
 

@@ -12,7 +12,7 @@ things are pinned here, none of them by timing:
    ``_clean_claim_hook``), over generated (method, scheme, backend, α,
    s, d, eps, seed) with directed strikes on every target kind;
 2. *memo ≡ oracle* — a solve through a warm memo returns the same
-   ``SolveResult``, event log and fault records as the oracle path
+   ``SolveResult``, recovery events and fault records as the oracle path
    without one;
 3. *the work is really skipped* — exact SpMxV / protected-product /
    step counts.
@@ -34,10 +34,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.facade import REPORT_EVENT_KINDS
 from repro.backends import backend_available, resolve_backend
 from repro.core.methods import CostModel, Scheme, SchemeConfig
 from repro.faults.injector import FaultInjector
-from repro.obs import CallbackTracer, InMemoryTracer
+from repro.obs import CallbackTracer, InMemoryTracer, MultiTracer
 from repro.obs.metrics import METRICS
 from repro.perf import SolveWorkspace
 from repro.perf.trajectory import BUDGET_BYTES, TrajectoryMemo
@@ -45,7 +46,6 @@ from repro.resilience import engine
 from repro.resilience.registry import make_plugin, run_ft_method
 from repro.sim.engine import PER_REP_KEYS, make_rhs, repeat_run
 from repro.sparse import stencil_spd
-from repro.util.log import EventLog
 
 A = stencil_spd(256, kind="cross", radius=2)
 B = make_rhs(A)
@@ -173,14 +173,16 @@ def clean_claims(monkeypatch):
 # running one solve on the memo path and on the oracle path
 # ----------------------------------------------------------------------
 def _solve(method, scheme, backend, *, alpha, s, d, eps, seed, workspace, tracer=None):
-    log = EventLog()
+    log = InMemoryTracer()
     with np.errstate(all="ignore"):
         res = run_ft_method(
             method, A, B, _config(scheme, s, d), alpha=alpha, eps=eps, rng=seed,
-            maxiter=MAXITER, workspace=workspace, backend=backend, event_log=log,
-            tracer=tracer,
+            maxiter=MAXITER, workspace=workspace, backend=backend,
+            tracer=log if tracer is None else MultiTracer([tracer, log]),
         )
-    events = [(e.kind, e.iteration, e.payload) for e in log]
+    # The recovery timeline must match the oracle's; the rest of the
+    # stream names the path the solve took.
+    events = [ev for ev in log.events if ev["kind"] in REPORT_EVENT_KINDS]
     return res, events
 
 
@@ -400,12 +402,12 @@ def test_strike_free_repetition_executes_nothing(method, scheme, work):
 @pytest.mark.parametrize("method", ["cg", "bicgstab", "pcg"])
 def test_smoke_campaign_virtual_plus_real_is_executed(method, work):
     from repro import Study
-    from repro.campaign.executor import release_worker_workspace
+    from repro.perf import default_workspace
 
     mtbf = [16.0, 64.0, 256.0, 1e4] if method == "cg" else [16.0, 32.0, 64.0, 128.0, 256.0, 1e4]
     study = Study.figure1(scale=128, reps=2, uids=[2213], methods=[method], mtbf_values=mtbf)
     assert len(study.tasks()) == 12
-    release_worker_workspace()
+    default_workspace().release()  # a cold memo: every step counted below
     names = ("engine.iterations_executed", "engine.iterations_virtual",
              "engine.iterations_replayed")
     before = [METRICS.count(n) for n in names]

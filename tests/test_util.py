@@ -1,4 +1,4 @@
-"""Unit tests for util: rng, validation, event log."""
+"""Unit tests for util: rng and validation."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.util import (
     spawn_children,
     spawn_named,
 )
-from repro.util.log import Event, EventLog
 
 
 class TestRng:
@@ -81,37 +80,3 @@ class TestValidate:
             check_vector("x", np.ones((2, 2)))
         with pytest.raises(ValueError):
             check_vector("x", np.ones(3), 4)
-
-
-class TestEventLog:
-    def test_emit_and_count(self):
-        log = EventLog()
-        log.emit("rollback", 3, reason="chen")
-        log.emit("rollback", 9)
-        log.emit("checkpoint", 10)
-        assert log.count("rollback") == 2
-        assert log.count("checkpoint") == 1
-        assert len(log) == 3
-
-    def test_of_kind_preserves_order(self):
-        log = EventLog()
-        log.emit("a", 1)
-        log.emit("b", 2)
-        log.emit("a", 3)
-        assert [e.iteration for e in log.of_kind("a")] == [1, 3]
-
-    def test_echo_callback(self):
-        lines = []
-        log = EventLog(echo=lines.append)
-        log.emit("correction", 4, what="val")
-        assert len(lines) == 1
-        assert "correction" in lines[0]
-
-    def test_event_payload(self):
-        ev = Event(kind="x", iteration=1, payload={"k": 2})
-        assert ev.payload["k"] == 2
-
-    def test_iterable(self):
-        log = EventLog()
-        log.emit("a", 1)
-        assert [e.kind for e in log] == ["a"]
