@@ -6,12 +6,14 @@ by the CI ``docs`` job next to the mkdocs strict build:
 
 1. **Relative links resolve.**  Every relative markdown link in
    README.md and docs/*.md must point at an existing file/directory
-   (anchors are stripped; http(s)/mailto links are skipped).
+   (anchors are stripped; http(s)/mailto links are skipped), and so
+   must every backticked ``benchmarks/…``, ``examples/…`` or
+   ``tests/…`` path on those pages (:func:`stale_paths`).
 2. **Source cross-references resolve.**  Every ``DESIGN.md`` mention
    in ``src/`` must have docs/DESIGN.md present, and every section
    cited as ``§N`` must exist in it (this is the regression that
    motivated the check: three modules cited a DESIGN.md that did not
-   exist).
+   exist); every backticked repository path in ``src/`` must exist too.
 3. **Public docstrings.**  Every object exported via ``__all__`` from
    the audited packages (repro.api, repro.backends, repro.chaos, repro.obs,
    repro.resilience, repro.store, and their submodules) must resolve
@@ -70,6 +72,19 @@ AUDITED_PACKAGES = (
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _SECTION = re.compile(r"DESIGN\.md.{0,12}?§(\d+)", re.DOTALL)
+#: A backticked repository path, up to a ``::`` test id, a ``:N`` line
+#: number or a ``<placeholder>``.
+_REPO_PATH = re.compile(r"`((?:benchmarks|examples|tests)/[\w./*-]*)")
+
+
+def stale_paths(text: str) -> "list[str]":
+    """Backticked ``benchmarks/``, ``examples/`` or ``tests/`` paths in
+    ``text`` that name nothing in the tree (a ``*`` pattern must match)."""
+    return sorted(
+        ref
+        for ref in set(_REPO_PATH.findall(text))
+        if not (any(ROOT.glob(ref)) if "*" in ref else (ROOT / ref).exists())
+    )
 
 
 def check_markdown_links(problems: list[str]) -> None:
@@ -85,6 +100,8 @@ def check_markdown_links(problems: list[str]) -> None:
                 problems.append(
                     f"{page.relative_to(ROOT)}: broken link -> {match.group(1)}"
                 )
+        for ref in stale_paths(text):
+            problems.append(f"{page.relative_to(ROOT)}: names missing {ref}")
 
 
 def check_design_references(problems: list[str]) -> None:
@@ -94,6 +111,8 @@ def check_design_references(problems: list[str]) -> None:
         sections = set(re.findall(r"^##\s+§(\d+)", design.read_text(encoding="utf-8"), re.M))
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
+        for ref in stale_paths(text):
+            problems.append(f"{path.relative_to(ROOT)}: names missing {ref}")
         if "DESIGN.md" not in text:
             continue
         if not design.exists():

@@ -77,8 +77,8 @@ def main() -> None:
         "\nSame iterations, same simulated clock, same fault stream\n"
         "everywhere: the backend axis changes how fast the floats are\n"
         "computed, never the physics under study.  The full contract is\n"
-        "docs/DESIGN.md §6; benchmarks/BENCH_backends.json holds the\n"
-        "committed measurements."
+        "docs/DESIGN.md §6; the campaign ledger (benchmarks/e2e/) times\n"
+        "the kernels as backends.spmv_us."
     )
 
 

@@ -52,8 +52,9 @@ def random_weights(n: int, rng: "int | np.random.Generator | None" = None) -> np
     non-orthogonal to every matrix column with probability one (the
     Lebesgue-measure argument), so zero checksums vanish without any
     shift.  The paper rejects it as the default because it adds
-    multiplications to every checksum and enlarges the rounding error —
-    ``benchmarks/bench_weights.py`` measures exactly that trade-off.
+    multiplications to every checksum and enlarges the rounding error
+    (``tests/test_abft_weights.py`` bounds both weightings' clean
+    rounding by the Theorem-2 threshold).
     The support is bounded away from zero so no weight can accidentally
     blind the checksum to a row.
     """

@@ -12,7 +12,8 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
 
 ``scipy``
     SciPy's compiled CSR matvec for *structure-clean* products
-    (typically 2–4× faster; see ``benchmarks/bench_backends.py``),
+    (typically 2–4× faster; the campaign ledger's ``backends.spmv_us``
+    tracks it),
     with every guarded path — any matrix lacking the
     ``structure_clean`` stamp — routed back through the reference
     kernel so ABFT detection semantics are preserved.  Resolving the

@@ -6,7 +6,7 @@ application is itself an SpMxV (or triangular solve) that the same ABFT
 machinery can protect.  We provide Jacobi and SSOR preconditioners; the
 Jacobi one is applied as a (diagonal) SpMxV and can therefore be
 wrapped with :func:`repro.abft.spmv.protected_spmv` — see
-``benchmarks/bench_pcg.py``.
+``tests/test_core_pcg.py``.
 """
 
 from __future__ import annotations

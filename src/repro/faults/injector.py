@@ -133,22 +133,6 @@ class FaultInjector:
             self._on_strike.pop(name, None)
         self._tables = None
 
-    def unregister(self, name: str) -> None:
-        """Remove a target (e.g. a vector freed by the solver)."""
-        self._targets.pop(name, None)
-        self._on_strike.pop(name, None)
-        self._tables = None
-
-    @property
-    def target_names(self) -> list[str]:
-        """Names of currently registered targets."""
-        return list(self._targets)
-
-    @property
-    def total_words(self) -> int:
-        """Total corruptible words across registered targets."""
-        return sum(arr.size for arr in self._targets.values())
-
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The paper cites these as the classical results for *pure periodic
 checkpointing* against fail-stop errors — the closed forms that do
 **not** exist once verifications are in the loop (hence the numerical
 Eq.-6 optimization).  They are included as baselines for the model
-ablation (bench E5): in the regime of cheap verification, the Eq.-6
+ablation (``tests/test_model_optimize.py``): in the regime of cheap verification, the Eq.-6
 optimum approaches the Young/Daly period divided by the chunk length.
 """
 

@@ -8,7 +8,7 @@ which chunks to checkpoint so that the total expected time (sum of
 Eq.-5 frame times over the induced frames) is minimal.
 
 For homogeneous chunks the optimal placement is near-periodic — which
-is the ablation (bench E5) validating the paper's purely periodic
+is the ablation (``tests/test_model_dp.py``) validating the paper's purely periodic
 policy — but the DP also handles the general case and returns the
 exact optimum for the given horizon.
 """

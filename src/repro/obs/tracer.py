@@ -156,7 +156,7 @@ class NullTracer(Tracer):
     ``resolve_tracer`` maps instances of this exact class to ``None``
     before the solve starts, so passing one is *exactly* as cheap as
     passing no tracer at all — the hot loop never even calls it
-    (``benchmarks/bench_obs.py`` gates this at ≤2% overhead).
+    (``benchmarks/overhead_gate.py`` gates this at ≤2% overhead).
     """
 
     enabled = False

@@ -712,7 +712,7 @@ def run_protected(
         and the per-iteration :meth:`~repro.obs.Tracer.iteration` hook.
         ``None`` and :class:`repro.obs.NullTracer` disable tracing at
         zero cost (a single ``is not None`` test per event site —
-        gated ≤2% in ``benchmarks/bench_obs.py``).  Tracing is pure
+        gated ≤2% in ``benchmarks/overhead_gate.py``).  Tracing is pure
         observation: it consumes no RNG and charges no time, so
         attaching a sink cannot change a trajectory
         (``tests/test_obs_golden.py``).

@@ -5,6 +5,8 @@ import pytest
 
 from repro.abft import compute_checksums, gamma, protected_spmv, spmv_checksum_tolerance, SpmvStatus
 from repro.abft.tolerance import ToleranceModel, UNIT_ROUNDOFF
+from repro.faults.bitflip import flip_bit_float64
+from repro.sim.matrices import get_matrix, suite_specs
 from repro.sparse import random_spd, stencil_spd
 
 
@@ -65,6 +67,17 @@ class TestNoFalsePositives:
             x = rng.normal(size=a.ncols)
             assert protected_spmv(a, x, cks).status is SpmvStatus.OK
 
+    @pytest.mark.parametrize("uid", [spec.uid for spec in suite_specs()])
+    def test_clean_products_on_suite_matrix(self, uid):
+        """Clean products whose magnitudes span 10⁻⁴…10⁴ never trip
+        the detector on a suite matrix."""
+        a = get_matrix(uid, 32)
+        cks = compute_checksums(a, nchecks=2)
+        rng = np.random.default_rng(uid)
+        for _ in range(40):
+            x = rng.normal(size=a.ncols) * 10.0 ** rng.integers(-4, 5)
+            assert protected_spmv(a, x, cks).status is SpmvStatus.OK
+
     def test_residuals_below_threshold_clean(self, small_lap, rng):
         from repro.abft.spmv import detect_errors
 
@@ -89,6 +102,21 @@ class TestFalseNegativesAreSmall:
         assert res.status is SpmvStatus.OK
         # And the induced output error is negligible.
         assert np.abs(res.y - small_lap.matvec(x)).max() < 1e-10
+
+    @pytest.mark.parametrize("bit", range(0, 52, 4))
+    def test_undetected_mantissa_flip_is_negligible(self, bit):
+        """A flipped mantissa bit of one ``val`` word (suite #924) is
+        either detected or moves the product by < 1e-8 of its ∞-norm."""
+        clean = get_matrix(924, 32)
+        cks = compute_checksums(clean, nchecks=2)
+        x = np.random.default_rng(7).normal(size=clean.ncols)
+        y_true = clean.matvec(x)
+        a = clean.copy()
+        pos = 1234 % a.nnz
+        a.val[pos] = flip_bit_float64(a.val[pos], bit)
+        res = protected_spmv(a, x.copy(), cks)
+        if res.status is SpmvStatus.OK:
+            assert np.abs(res.y - y_true).max() < 1e-8 * np.abs(y_true).max()
 
     def test_moderate_perturbation_caught(self, small_lap, rng):
         cks = compute_checksums(small_lap, nchecks=2)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.abft import choose_shift, ones_weights, ramp_weights, weight_matrix
+from repro.abft import choose_shift, compute_checksums, ones_weights, ramp_weights, weight_matrix
 from repro.abft.weights import random_weights
+from repro.sim.matrices import get_matrix
+from repro.sparse import graph_laplacian_spd
+from repro.sparse.norms import column_sums
 
 
 class TestWeights:
@@ -49,6 +52,24 @@ class TestRandomWeights:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             random_weights(0)
+
+    def test_nonzero_checksums_without_shift(self):
+        """Zero column sums (a graph Laplacian) leave random-weight
+        checksums nonzero with no shift: Section 3.2's alternative fix."""
+        a = graph_laplacian_spd(300, 6, seed=3, shift=1e-12)
+        checksums = column_sums(a, weights=random_weights(a.nrows, rng=5))
+        assert np.all(np.abs(checksums) > 1e-8)
+
+    def test_clean_rounding_below_threshold(self):
+        """|(wᵀA)x − wᵀ(Ax)| over clean products stays under the
+        Theorem-2 threshold for unit and random weights alike."""
+        a = get_matrix(341, 8)
+        threshold = compute_checksums(a, nchecks=1).tolerance.thresholds(3.0)[0]
+        xs = np.random.default_rng(0).normal(size=(30, a.ncols))
+        for w in (ones_weights(a.nrows), random_weights(a.nrows, rng=1)):
+            c = column_sums(a, weights=w)
+            rounding = [abs(float(c @ x) - float(w @ a.matvec(x))) for x in xs]
+            assert np.mean(rounding) < threshold
 
 
 class TestShift:

@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from repro.adaptive import SamplingPolicy
+from repro.api.study import Study
 from repro.backends import available_backends
 from repro.core.methods import Method, Scheme, SchemeConfig
 from repro.sim.engine import (
@@ -129,3 +130,24 @@ def test_golden_adaptive_prefix():
     #   python tests/golden/capture_adaptive.py
     expected = json.loads(GOLDEN.read_text())
     assert encode_cell() == expected
+
+
+def test_adaptive_figure1_acceptance():
+    # The feature's acceptance bar on a paper-range Figure-1 grid: the
+    # adaptive run reaches every fixed-count mean within the combined CI
+    # half-widths while executing a third of the repetitions.  Simulated
+    # times carry no wall-clock noise, so the counts are exact.
+    def study():
+        return Study.figure1(scale=32, reps=30, uids=[2213], mtbf_values=[16, 100, 500])
+
+    fixed = study().run(jobs=1)
+    adaptive = study().adaptive("ci=0.25,conf=0.9,min=10,max=30").run(jobs=1)
+    points = list(zip(fixed.figure1_points(), adaptive.figure1_points()))
+    assert len(points) == 9
+    for fp, ap in points:
+        assert (ap.scheme, ap.normalized_mtbf) == (fp.scheme, fp.normalized_mtbf)
+        # Zero-variance cells have a degenerate ±0 interval while the two
+        # means still differ by summation order (~1 ulp per rep).
+        tol = (ap.ci_high - ap.ci_low) / 2 + (fp.ci_high - fp.ci_low) / 2
+        assert abs(ap.mean_time - fp.mean_time) <= tol + 1e-12 * abs(fp.mean_time)
+    assert (fixed.total_reps, adaptive.total_reps) == (270, 90)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig
+from repro.core import CostModel, Scheme, SchemeConfig
+from repro.model import model_for_scheme
+from repro.model.instantiate import model_interval_for
 from repro.resilience import run_ft_method
 from repro.resilience.accounting import TimeBreakdown
 from repro.sim.engine import make_rhs
+from repro.sim.matrices import get_matrix
 from repro.sparse import stencil_spd
 
 
@@ -14,6 +17,13 @@ from repro.sparse import stencil_spd
 def problem():
     a = stencil_spd(900, kind="cross", radius=2)
     return a, make_rhs(a)
+
+
+@pytest.fixture(scope="module")
+def suite_problem():
+    """Suite matrix #924 at scale 32 with its measured cost model."""
+    a = get_matrix(924, 32)
+    return a, make_rhs(a), CostModel.from_matrix(a)
 
 
 class TestTimeBreakdown:
@@ -58,6 +68,28 @@ class TestTimeBreakdown:
         low = run_ft_method("cg", a, b, cfg, alpha=0.02, rng=3, eps=1e-6).breakdown.overhead_ratio
         high = run_ft_method("cg", a, b, cfg, alpha=0.3, rng=3, eps=1e-6).breakdown.overhead_ratio
         assert high > low > 1.0
+
+    @pytest.mark.parametrize("mtbf", [16, 100, 1000])
+    @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
+    def test_overhead_ratio_near_model(self, suite_problem, scheme, mtbf):
+        """One solve at the model's interval lands within ±60 % of the
+        Section-4 prediction E(s,T)/(sT)."""
+        a, b, costs = suite_problem
+        s, _ = model_interval_for(scheme, 1 / mtbf, costs)
+        cfg = SchemeConfig(scheme, checkpoint_interval=s, costs=costs)
+        res = run_ft_method("cg", a, b, cfg, alpha=1 / mtbf, rng=1, eps=1e-6)
+        model = model_for_scheme(scheme, 1 / mtbf, costs)
+        assert res.breakdown.overhead_ratio == pytest.approx(model.overhead(s), rel=0.6)
+
+    def test_waste_shrinks_with_mtbf(self, suite_problem):
+        a, b, costs = suite_problem
+        cfg = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=8, costs=costs)
+        wasted = [
+            run_ft_method("cg", a, b, cfg, alpha=1 / mtbf, rng=5, eps=1e-6).breakdown.wasted_work
+            for mtbf in (8, 64, 10**4)
+        ]
+        assert wasted[0] > wasted[-1]
+        assert wasted[-1] == 0.0 or wasted[-1] < 0.2 * wasted[0]
 
     def test_online_breakdown_consistent(self, problem):
         a, b = problem

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.abft import SpmvStatus, compute_checksums, protected_spmv
 from repro.core import cg, pcg, jacobi_preconditioner, ssor_preconditioner
+from repro.sim.engine import make_rhs
+from repro.sim.matrices import get_matrix
 from repro.sparse import CSRMatrix, stencil_spd
 
 
@@ -78,3 +81,34 @@ class TestPcgPlain:
         res = pcg(small_lap, b, matvec=protected, eps=1e-8)
         assert res.converged
         assert len(calls) == res.iterations + 1  # +1 for the initial residual
+
+    @pytest.mark.parametrize("struck", [False, True], ids=["clean", "struck"])
+    def test_protected_jacobi_pcg_on_suite_matrix(self, struck):
+        """Jacobi-PCG through the ABFT-protected product (suite #1288):
+        clean products reproduce the plain solve; one corrupted ``val``
+        word is corrected in place and the solve still converges."""
+        a = get_matrix(1288, 32).copy()
+        b = make_rhs(a)
+        m = jacobi_preconditioner(a)
+        cks = compute_checksums(a, nchecks=2)
+        plain = pcg(a, b, preconditioner=m, eps=1e-8)
+        pending = [struck]
+        statuses = []
+
+        def strike(stage, aa, xx, yy):
+            if stage == "pre" and pending[0]:
+                aa.val[7] += 5.0
+                pending[0] = False
+
+        def protected(v):
+            res = protected_spmv(a, v.copy(), cks, fault_hook=strike)
+            assert res.trusted
+            statuses.append(res.status)
+            return res.y
+
+        res = pcg(a, b, preconditioner=m, matvec=protected, eps=1e-8)
+        assert res.converged
+        if not struck:
+            assert res.iterations == plain.iterations
+            np.testing.assert_allclose(res.x, plain.x, rtol=1e-10)
+            assert all(s is SpmvStatus.OK for s in statuses)

@@ -28,6 +28,18 @@ def test_design_section_1_shows_the_layer_table():
     assert problems == []
 
 
+def test_docs_and_sources_name_only_existing_files():
+    problems = []
+    check_docs.check_markdown_links(problems)
+    check_docs.check_design_references(problems)
+    assert problems == []
+
+
+def test_stale_paths_names_only_missing_files():
+    text = "``tests/conftest.py``, `tests/test_nope.py::test_x`, `tests/test_layer*.py`"
+    assert check_docs.stale_paths(text) == ["tests/test_nope.py"]
+
+
 @pytest.mark.parametrize(
     "module, entry",
     [

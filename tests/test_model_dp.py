@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import expected_frame_time, optimal_checkpoint_positions
+from repro.model import expected_frame_time, optimal_checkpoint_positions, optimal_interval
 
 
 class TestDP:
@@ -31,6 +31,20 @@ class TestDP:
         optimum uses (nearly) equal frames."""
         dp = optimal_checkpoint_positions(30, 1.0, 0.9, 1.0, 1.0, 0.2)
         assert max(dp.frame_sizes) - min(dp.frame_sizes) <= 1
+
+    @pytest.mark.parametrize("q", [0.99, 0.95, 0.9, 0.8])
+    def test_periodic_policy_within_two_percent_of_dp(self, q):
+        """Eq. 6's periodic interval, remainder frame included, loses
+        under 2 % to the exact placement over 60 chunks."""
+        n = 60
+        s = optimal_interval(1.0, q, 1.0, 1.0, 0.2, s_max=n).s
+        frames, rem = divmod(n, s)
+        periodic = frames * expected_frame_time(s, 1.0, 1.0, 1.0, 0.2, q)
+        if rem:
+            periodic += expected_frame_time(rem, 1.0, 1.0, 1.0, 0.2, q)
+        dp = optimal_checkpoint_positions(n, 1.0, q, 1.0, 1.0, 0.2)
+        assert dp.expected_time <= periodic + 1e-9
+        assert periodic < 1.02 * dp.expected_time
 
     def test_error_free_uses_one_frame(self):
         dp = optimal_checkpoint_positions(10, 1.0, 1.0, 1.0, 1.0, 0.1)

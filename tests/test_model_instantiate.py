@@ -43,12 +43,13 @@ class TestSuccessProbabilities:
 
 
 class TestOptimalIntervals:
-    def test_correction_allows_larger_interval(self, costs):
+    @pytest.mark.parametrize("lam", [0.1, 1 / 16, 1e-2, 1e-3, 1e-4])
+    def test_correction_allows_larger_interval(self, costs, lam):
         """Higher per-chunk success probability ⇒ sparser checkpoints —
-        the paper's central claim about ABFT-CORRECTION."""
-        lam = 0.1
-        det = AbftDetectionModel(lam=lam, costs=costs).optimal(s_max=500)
-        cor = AbftCorrectionModel(lam=lam, costs=costs).optimal(s_max=500)
+        the paper's central claim about ABFT-CORRECTION — at every rate
+        of the Figure-1 range."""
+        det = AbftDetectionModel(lam=lam, costs=costs).optimal(s_max=3000)
+        cor = AbftCorrectionModel(lam=lam, costs=costs).optimal(s_max=3000)
         assert cor.s > det.s
 
     def test_correction_lower_overhead_at_high_rate(self, costs):

@@ -41,13 +41,14 @@ class TestOptimalInterval:
         with pytest.raises(ValueError):
             optimal_interval(1.0, 0.9, 1.0, 1.0, 0.2, s_max=0)
 
-    def test_young_daly_consistency_in_cheap_verification_regime(self):
+    @pytest.mark.parametrize(
+        "lam, t_cp", [(1e-4, 2.0), (1e-3, 1.0), (1e-4, 1.0), (1e-5, 1.0)]
+    )
+    def test_young_daly_consistency_in_cheap_verification_regime(self, lam, t_cp):
         """With negligible verification cost, s·T approaches the
         Young period sqrt(2·Tcp/λ)."""
         from repro.model import young_period
 
-        lam = 1e-4
-        t_cp = 2.0
         choice = optimal_interval(1.0, math.exp(-lam), t_cp, t_cp, 1e-9, s_max=2000)
         period = choice.s * 1.0
         assert period == pytest.approx(young_period(t_cp, lam), rel=0.15)

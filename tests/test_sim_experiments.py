@@ -7,6 +7,7 @@ from repro.campaign.spec import default_s_grid
 from repro.core import CostModel, Scheme
 from repro.model.instantiate import model_interval_for
 from repro.sim import format_figure1, format_table1
+from repro.sim.matrices import get_matrix, suite_specs
 from repro.sim.results import to_csv
 
 
@@ -23,8 +24,11 @@ class TestModelIntervalFor:
         s, d = model_interval_for(Scheme.ONLINE_DETECTION, 1 / 100, costs)
         assert d > 1  # Chen's d grows with MTBF
 
-    def test_correction_interval_larger(self):
-        costs = CostModel()
+    @pytest.mark.parametrize("uid", [None] + [spec.uid for spec in suite_specs()])
+    def test_correction_interval_larger(self, uid):
+        """Section 4.2.3: q_corr > q_det ⇒ s̃_corr > s̃_det, under the
+        default costs and under each suite matrix's measured costs."""
+        costs = CostModel() if uid is None else CostModel.from_matrix(get_matrix(uid, 32))
         s_det, _ = model_interval_for(Scheme.ABFT_DETECTION, 1 / 16, costs)
         s_cor, _ = model_interval_for(Scheme.ABFT_CORRECTION, 1 / 16, costs)
         assert s_cor > s_det
