@@ -13,7 +13,9 @@ by the CI ``docs`` job next to the mkdocs strict build:
    in ``src/`` must have docs/DESIGN.md present, and every section
    cited as ``§N`` must exist in it (this is the regression that
    motivated the check: three modules cited a DESIGN.md that did not
-   exist); every backticked repository path in ``src/`` must exist too.
+   exist); every backticked repository path in ``src/`` must exist too,
+   and every Sphinx-role target ``repro.…`` in ``src/`` must import and
+   resolve (:func:`unresolved_roles`).
 3. **Public docstrings.**  Every object exported via ``__all__`` from
    the audited packages (repro.api, repro.backends, repro.chaos, repro.obs,
    repro.resilience, repro.store, and their submodules) must resolve
@@ -75,6 +77,9 @@ _SECTION = re.compile(r"DESIGN\.md.{0,12}?§(\d+)", re.DOTALL)
 #: A backticked repository path, up to a ``::`` test id, a ``:N`` line
 #: number or a ``<placeholder>``.
 _REPO_PATH = re.compile(r"`((?:benchmarks|examples|tests)/[\w./*-]*)")
+#: A Sphinx cross-reference role naming a ``repro`` object; the target
+#: may wrap onto a continuation line (of a ``#:`` comment, too).
+_ROLE = re.compile(r":(mod|class|func|exc|data|meth|attr):`~?(repro\b[^`]*)`")
 
 
 def stale_paths(text: str) -> "list[str]":
@@ -85,6 +90,41 @@ def stale_paths(text: str) -> "list[str]":
         for ref in set(_REPO_PATH.findall(text))
         if not (any(ROOT.glob(ref)) if "*" in ref else (ROOT / ref).exists())
     )
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is an importable module, or an attribute chain
+    off the longest importable prefix of it."""
+    import importlib
+
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:  # a lazy export resolves (or fails to) on access
+            for name in parts[cut:]:
+                obj = getattr(obj, name)
+        except (AttributeError, ImportError):
+            return False
+        return True
+    return False
+
+
+def unresolved_roles(text: str) -> "list[str]":
+    """Sphinx-role references in ``text`` whose ``repro.…`` target does
+    not resolve.  An ``:attr:`` target needs only its owner to resolve:
+    an instance attribute exists on instances, not on the class."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    missing = set()
+    for role, raw in _ROLE.findall(text):
+        target = re.sub(r"[\s#:]", "", raw)
+        owner = target.rsplit(".", 1)[0] if role == "attr" else target
+        if not _resolves(owner):
+            missing.add(f":{role}:`{target}`")
+    return sorted(missing)
 
 
 def check_markdown_links(problems: list[str]) -> None:
@@ -113,6 +153,8 @@ def check_design_references(problems: list[str]) -> None:
         text = path.read_text(encoding="utf-8")
         for ref in stale_paths(text):
             problems.append(f"{path.relative_to(ROOT)}: names missing {ref}")
+        for ref in unresolved_roles(text):
+            problems.append(f"{path.relative_to(ROOT)}: {ref} does not resolve")
         if "DESIGN.md" not in text:
             continue
         if not design.exists():

@@ -10,15 +10,14 @@ this machine can run and compares:
 - **physics**: iterations, simulated time and injected faults are
   identical on every backend — the backend never enters the fault
   seed derivation, only the task hash;
-- **bits**: ``reference`` is the bit-identity oracle; ``scipy`` and
-  ``dense`` are numerically equivalent (few-ULP summation-order
-  differences);
+- **bits**: ``reference`` is the bit-identity oracle; ``scipy`` is
+  numerically equivalent (few-ULP summation-order differences);
 - **wall time**: where the compiled kernel pays — under fault
   injection too, where strikes dirty the structure stamp and every
   backend hands those products to the reference kernel.
 
-Backends that cannot run here (a missing dependency, the dense
-backend's size cap) are skipped with the reason.
+Backends that cannot run here (a missing dependency) are skipped with
+the reason.
 
 Run:  python examples/backend_comparison.py
 """
@@ -52,7 +51,7 @@ def main() -> None:
         try:
             be = get_backend(name)
             solve(a, b, backend=be, **kwargs)  # warm: caches, kernel binding
-        except ValueError as exc:  # a missing dependency, the dense n-cap
+        except ValueError as exc:  # a missing dependency
             print(f"{name:10s}  skipped: {exc}")
             continue
         t0 = time.perf_counter()

@@ -20,7 +20,7 @@ The library provides:
   ABFT-DETECTION / ABFT-CORRECTION schemes, with the one
   fault-tolerant entry point ``run_ft_method``
   (:mod:`repro.resilience`);
-- plain CG / PCG / Krylov baselines (:mod:`repro.core`);
+- plain CG / PCG / BiCGstab baselines (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
 - the paper's matrix suite and repeated fault-injected runs
@@ -37,9 +37,9 @@ The library provides:
   to the fresh-allocation oracle on the reference backend
   (:mod:`repro.perf`);
 - pluggable sparse-kernel backends — the bit-identical ``reference``
-  oracle, a SciPy-accelerated kernel and a dense small-n fallback —
-  selectable on every solve entry point, with a registry for
-  out-of-tree kernels (:mod:`repro.backends`);
+  oracle and a SciPy-accelerated kernel — selectable on every solve
+  entry point, with a registry for out-of-tree kernels
+  (:mod:`repro.backends`);
 - structured tracing, process metrics and trace summaries — pure
   observation, zero overhead when off (:mod:`repro.obs`);
 - adaptive sequential sampling: per-task repetitions stop once the

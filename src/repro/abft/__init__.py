@@ -37,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.abft.correction import CorrectionOutcome, correct_errors
     from repro.abft.tolerance import gamma, spmv_checksum_tolerance, ToleranceModel
     from repro.abft.tmr import tmr_dot, tmr_norm2, tmr_axpy, majority_vote, TMRError
-    from repro.abft.operator import ProtectedOperator, UncorrectableError
-    from repro.abft.multi import MultiChecksums, compute_multi_checksums, detect_multi
 
 __all__ = [
     "ones_weights",
@@ -63,11 +61,6 @@ __all__ = [
     "tmr_axpy",
     "majority_vote",
     "TMRError",
-    "ProtectedOperator",
-    "UncorrectableError",
-    "MultiChecksums",
-    "compute_multi_checksums",
-    "detect_multi",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -103,12 +96,6 @@ __getattr__, __dir__ = lazy_exports(
             "tmr_axpy",
             "majority_vote",
             "TMRError",
-        ),
-        "repro.abft.operator": ("ProtectedOperator", "UncorrectableError"),
-        "repro.abft.multi": (
-            "MultiChecksums",
-            "compute_multi_checksums",
-            "detect_multi",
         ),
     },
 )

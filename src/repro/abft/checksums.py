@@ -30,6 +30,7 @@ import numpy as np
 from repro.obs.metrics import METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import column_sums, norm1
+from repro.util.validate import check_square
 from repro.abft.weights import weight_matrix, choose_shift
 from repro.abft.tolerance import ToleranceModel
 
@@ -55,6 +56,10 @@ class SpmvChecksums:
         The ``(nchecks, n)`` weight matrix ``Wᵀ``.
     column_checksums:
         ``(nchecks, n)`` array, row ``l`` holding ``w⁽ˡ⁾ᵀA``.
+    weights_minus_checksums:
+        ``W − C`` for the line-22 input test — both operands are
+        per-matrix constants, so allocating the difference on every
+        verification would be pure hot-loop waste.
     shift:
         The constant ``k`` of Theorem 1; ``column_checksums[0] + shift``
         has no zero entry, which is what makes errors in ``x`` visible
@@ -69,18 +74,13 @@ class SpmvChecksums:
 
     nchecks: int
     weights: np.ndarray
-    column_weights: np.ndarray
     column_checksums: np.ndarray
+    weights_minus_checksums: np.ndarray
     shift: float
     rowidx_checksums: np.ndarray
     rowidx_checksums_exact: tuple[int, ...]
     tolerance: ToleranceModel
     shape: tuple[int, int] = field(default=(0, 0))
-    #: Precomputed ``W − C`` for the line-22 input test — both operands
-    #: are per-matrix constants, so allocating the difference on every
-    #: verification would be pure hot-loop waste.  ``None`` (e.g. for
-    #: hand-built instances in tests) falls back to computing it inline.
-    weights_minus_checksums: "np.ndarray | None" = field(default=None)
 
     @property
     def shifted_first_row(self) -> np.ndarray:
@@ -90,17 +90,9 @@ class SpmvChecksums:
     def x_checksums(self, x: np.ndarray) -> np.ndarray:
         """``cx = Wᵀx`` (Algorithm 2 line 10) for the current input vector.
 
-        Computed reliably at call entry; O(n·nchecks).  Uses the
-        *column* weights so the checksum is well-defined for the
-        rectangular local blocks of a row-partitioned parallel SpMxV
-        (for square matrices the two weight matrices coincide).
+        Computed reliably at call entry; O(n·nchecks).
         """
-        return self.column_weights @ np.asarray(x, dtype=np.float64)
-
-    @property
-    def is_square(self) -> bool:
-        """Whether the protected matrix is square (paper's main case)."""
-        return self.shape[0] == self.shape[1]
+        return self.weights @ np.asarray(x, dtype=np.float64)
 
 
 def compute_checksums(
@@ -118,7 +110,8 @@ def compute_checksums(
     Parameters
     ----------
     a:
-        The (clean) matrix to protect.  Must be structurally valid.
+        The (clean) matrix to protect.  Must be square and structurally
+        valid; a non-square shape raises ``ValueError``.
     nchecks:
         Number of checksum rows (1 = detect one error, 2 = detect two /
         correct one).
@@ -131,18 +124,17 @@ def compute_checksums(
         changes who runs the scatter loop, not the metadata.  ``None``
         uses the reference scatter directly.
     """
-    n_rows, n_cols = a.shape
-    w = weight_matrix(n_rows, nchecks)
-    w_col = w if n_rows == n_cols else weight_matrix(n_cols, nchecks)
+    n = check_square("matrix", a.shape)
+    w = weight_matrix(n, nchecks)
     if backend is not None:
         cks = np.asarray(backend.checksum_products(a, w), dtype=np.float64)
-        if cks.shape != (nchecks, n_cols):
+        if cks.shape != (nchecks, n):
             raise ValueError(
                 f"backend checksum_products returned shape {cks.shape}, "
-                f"expected {(nchecks, n_cols)}"
+                f"expected {(nchecks, n)}"
             )
     else:
-        cks = np.empty((nchecks, n_cols), dtype=np.float64)
+        cks = np.empty((nchecks, n), dtype=np.float64)
         cks[0] = column_sums(a)  # w⁽¹⁾ = ones: plain column sums
         if nchecks == 2:
             cks[1] = column_sums(a, weights=w[1])
@@ -164,7 +156,7 @@ def compute_checksums(
         cr_exact.append(sum((i + 1) * v for i, v in enumerate(ridx_int)))
 
     tol = ToleranceModel.for_matrix(
-        n=n_rows,
+        n=n,
         norm1_a=norm1(a),
         weights_inf=np.abs(w).max(axis=1),
         shifted_c_inf=float(np.abs(cks[0] + shift).max(initial=0.0)),
@@ -172,14 +164,13 @@ def compute_checksums(
     return SpmvChecksums(
         nchecks=nchecks,
         weights=w,
-        column_weights=w_col,
         column_checksums=cks,
+        weights_minus_checksums=w - cks,
         shift=shift,
         rowidx_checksums=cr,
         rowidx_checksums_exact=tuple(cr_exact),
         tolerance=tol,
         shape=a.shape,
-        weights_minus_checksums=(w - cks) if n_rows == n_cols else None,
     )
 
 

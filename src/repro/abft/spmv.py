@@ -192,24 +192,15 @@ def _verify(
             # Theorem-1 shifted form: (c+k)ᵀx' − (Σy + kΣx̃).
             shifted = cks.shifted_first_row
             dxp = np.array([float(shifted @ x_ref - (y.sum() + cks.shift * x.sum()))])
-        elif cks.is_square:
+        else:
             # Algorithm-2 line-22 form: Wᵀ(x'−y) − (W−C)ᵀx̃.
             wmc = cks.weights_minus_checksums
-            if wmc is None:  # hand-built checksums without the cache
-                wmc = w - c
             if buffers is None:
                 dxp = w @ (x_ref - y) - wmc @ x
             else:
                 diff = buffers[1]
                 np.subtract(x_ref, y, out=diff)
                 dxp = w @ diff - wmc @ x
-        else:
-            # Rectangular local block of a row-partitioned parallel SpMxV
-            # (Section 1's MPI discussion): the line-22 form mixes row- and
-            # column-length vectors, so the input test compares the
-            # reliable copy against the live input with column weights —
-            # algebraically what line 22 reduces to when only x is struck.
-            dxp = cks.column_weights @ (x_ref - x)
         # Theorem 2 bounds the rounding of the products actually computed,
         # which involve the *live* x̃ (possibly corrupted, hence possibly
         # much larger than the snapshot); take the max of both magnitudes

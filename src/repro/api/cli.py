@@ -13,9 +13,11 @@ script (``pyproject.toml``) and doubling as ``python -m repro``:
   written by ``--trace-dir`` (see :mod:`repro.obs`).
 
 The campaign flags (``--jobs`` / ``--store`` / ``--resume`` /
-``--progress`` / ``--trace-dir`` / ``--base-seed``) are one shared
-option group wired into every subcommand that executes tasks, so
-fan-out, resume and tracing behave identically everywhere.
+``--progress`` / ``--trace-dir`` / ``--task-timeout`` / ``--retries`` /
+``--chaos``) are declared once, in one option group shared by every
+subcommand that executes tasks (``serve`` takes all but the first
+three), so fan-out, resume, tracing and hardening behave identically
+everywhere.
 
 :func:`main` returns an exit code instead of raising ``SystemExit``
 (argparse's exits — including ``--help``'s code 0 and usage-error code
@@ -42,25 +44,49 @@ def _banner() -> str:
     )
 
 
-def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
-    """The shared campaign-engine flags (fan-out, persistence, resume)."""
+class _BackendHelp(str):
+    """The ``--backend`` help, naming every registered backend.
+
+    argparse %-formats a help string only when it prints one, so the
+    backend registry is imported by ``--help`` and never by a command
+    that only parses (``tests/test_import_budget.py``).
+    """
+
+    def __mod__(self, params: object) -> str:
+        from repro.backends import DEFAULT_BACKEND, available_backends
+
+        return "kernel backend: " + ", ".join(
+            f"{name} (bit-identical default)" if name == DEFAULT_BACKEND else name
+            for name in available_backends()
+        )
+
+
+_BACKEND_HELP = _BackendHelp("kernel backend (default: %(default)s)")
+
+
+def _add_campaign_options(parser: argparse.ArgumentParser, *, fleet: bool = False) -> None:
+    """The shared campaign-engine flags (fan-out, persistence, resume,
+    progress, tracing, hardening).  ``fleet`` (``serve``) leaves out
+    ``--jobs`` / ``--store`` / ``--resume``: a fleet is sized by
+    ``--workers`` and needs a concurrent store of its own."""
     group = parser.add_argument_group("campaign engine")
-    group.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel worker processes (default: all cores; 1 = serial; "
-             "any value is bit-identical to serial)",
-    )
-    group.add_argument(
-        "--store", type=str, default=None, metavar="URL",
-        help="result store for crash-safe persistence / resume: a bare "
-             "path (single-file JSONL), sharded:DIR (hash-partitioned "
-             "shards, concurrent writers) or sqlite:FILE.db (WAL "
-             "database, concurrent writers)",
-    )
-    group.add_argument(
-        "--resume", action="store_true",
-        help="reuse finished tasks from --store instead of starting fresh",
-    )
+    if not fleet:
+        group.add_argument(
+            "--jobs", type=int, default=None,
+            help="parallel worker processes (default: all cores; 1 = serial; "
+                 "any value is bit-identical to serial)",
+        )
+        group.add_argument(
+            "--store", type=str, default=None, metavar="URL",
+            help="result store for crash-safe persistence / resume: a bare "
+                 "path (single-file JSONL), sharded:DIR (hash-partitioned "
+                 "shards, concurrent writers) or sqlite:FILE.db (WAL "
+                 "database, concurrent writers)",
+        )
+        group.add_argument(
+            "--resume", action="store_true",
+            help="reuse finished tasks from --store instead of starting fresh",
+        )
     group.add_argument(
         "--progress", choices=("bar", "json", "none"), default="bar",
         help="stderr progress style: human status line (default), "
@@ -91,29 +117,20 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the table1 / figure1 drivers."""
-    parser.add_argument(
-        "--base-seed", type=int, default=2015, help="campaign base seed"
-    )
+def _add_experiment_options(parser: argparse.ArgumentParser, kind: str) -> None:
+    """The flags of the table1 / figure1 commands, ``kind``'s own included."""
+    parser.add_argument("--base-seed", type=int, default=2015, help="campaign base seed")
     parser.add_argument(
         "--scale", type=int, default=16, help="matrix size divisor (1 = paper scale)"
     )
-    parser.add_argument(
-        "--reps", type=int, default=10, help="repetitions per point (paper: 50)"
-    )
-    parser.add_argument(
-        "--uids", type=int, nargs="*", default=None, help="subset of matrix ids"
-    )
+    parser.add_argument("--reps", type=int, default=10, help="repetitions per point (paper: 50)")
+    parser.add_argument("--uids", type=int, nargs="*", default=None, help="subset of matrix ids")
     parser.add_argument("--eps", type=float, default=1e-6, help="CG stopping epsilon")
     parser.add_argument(
         "--method", type=str, default="cg", metavar="M1,M2,...",
         help="comma-separated solver axis: cg, bicgstab, pcg (default: cg)",
     )
-    parser.add_argument(
-        "--backend", type=str, default="reference",
-        help="kernel backend: reference (bit-identical default), scipy, dense",
-    )
+    parser.add_argument("--backend", type=str, default="reference", help=_BACKEND_HELP)
     parser.add_argument("--csv", type=str, default=None, help="also dump raw rows to CSV")
     parser.add_argument(
         "--paper-scale", action="store_true", help="scale=1, reps=50 (slow)"
@@ -128,6 +145,17 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
              "k reps is bit-identical to the first k of a fixed run",
     )
     _add_campaign_options(parser)
+    if kind == "table1":
+        parser.add_argument(
+            "--s-span", type=int, default=6,
+            help="interval-sweep half-width around the model prediction",
+        )
+    else:
+        parser.add_argument(
+            "--mtbf", type=float, nargs="*", default=None,
+            help="x-axis points 1/alpha (default: the paper's span)",
+        )
+    parser.set_defaults(func=_run_experiment, experiment=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=_banner(),
         epilog="see README.md for the library API and examples/ for runnable demos",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"repro {repro.__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"repro {repro.__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     # --- solve ------------------------------------------------------------
@@ -171,10 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite-matrix size divisor (default 32; only with --uid)",
     )
     p.add_argument("--method", type=str, default="cg", help="cg, bicgstab or pcg")
-    p.add_argument(
-        "--backend", type=str, default="reference",
-        help="kernel backend: reference (bit-identical default), scipy, dense",
-    )
+    p.add_argument("--backend", type=str, default="reference", help=_BACKEND_HELP)
     p.add_argument(
         "--scheme", type=str, default="abft-correction",
         help="online-detection, abft-detection or abft-correction",
@@ -194,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eps", type=float, default=1e-6, help="stopping epsilon")
     p.add_argument("--maxiter", type=int, default=None, help="executed-iteration cap")
-    p.add_argument(
-        "--json", action="store_true", help="print the full report as JSON"
-    )
+    p.add_argument("--json", action="store_true", help="print the full report as JSON")
     p.set_defaults(func=_cmd_solve)
 
     # --- table1 / figure1 -------------------------------------------------
@@ -206,24 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sweep the checkpoint interval around the model prediction "
                     "and report the empirical optimum per (matrix, method, scheme).",
     )
-    _add_experiment_options(p)
-    p.add_argument(
-        "--s-span", type=int, default=6,
-        help="interval-sweep half-width around the model prediction",
-    )
-    p.set_defaults(func=_cmd_table1)
+    _add_experiment_options(p, "table1")
 
     p = sub.add_parser(
         "figure1",
         help="regenerate the paper's Figure 1 (time vs normalized MTBF)",
         description="Compare the three protection schemes across MTBF values.",
     )
-    _add_experiment_options(p)
-    p.add_argument(
-        "--mtbf", type=float, nargs="*", default=None,
-        help="x-axis points 1/alpha (default: the paper's span)",
-    )
-    p.set_defaults(func=_cmd_figure1)
+    _add_experiment_options(p, "figure1")
 
     # --- study ------------------------------------------------------------
     p = sub.add_parser(
@@ -267,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "per-phase time shares and the fault timeline.",
     )
     pt.add_argument("path", type=str, help="trace .jsonl file or shard directory")
-    pt.add_argument(
-        "--json", action="store_true", help="print the summary as JSON"
-    )
+    pt.add_argument("--json", action="store_true", help="print the summary as JSON")
     pt.add_argument(
         "--limit", type=int, default=20,
         help="fault-timeline rows to show (default 20; 0 = hide)",
@@ -383,32 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
              "claimed tasks to the rest of the fleet (default: 60)",
     )
     p.add_argument(
-        "--progress", choices=("bar", "json", "none"), default="bar",
-        help="stderr progress style (as for the campaign commands)",
-    )
-    p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt wall-clock deadline inside each worker",
-    )
-    p.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="per-task re-attempts before quarantine (exit code 3)",
-    )
-    p.add_argument(
-        "--chaos", type=str, default=None, metavar="SPEC",
-        help="deterministic fault injection into the workers, e.g. "
-             "'kill=0.2,seed=7' (the dispatcher never injects into itself)",
-    )
-    p.add_argument(
         "--max-worker-restarts", type=int, default=None, metavar="N",
         help="how many crashed workers the dispatcher revives before "
              "letting the fleet die off (default: 4x --workers)",
     )
-    p.add_argument(
-        "--trace-dir", type=str, default=None, metavar="DIR",
-        help="collect per-worker JSONL trace shards (solve events plus "
-             "retry/quarantine/restart harness events)",
-    )
+    _add_campaign_options(p, fleet=True)
     p.set_defaults(func=_cmd_serve)
 
     return parser
@@ -429,41 +417,66 @@ def _parse_methods(parser: argparse.ArgumentParser, raw: str) -> "list[str]":
     return methods
 
 
-def _check_campaign_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Validate the shared campaign flags; returns the resolved job count."""
-    from repro.campaign.executor import default_jobs
+def _check_campaign_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, *, fleet: bool = False
+) -> dict:
+    """Validate the shared campaign flags (see :func:`_add_campaign_options`)
+    and return the ``Study.run`` / ``serve_campaign`` keywords they map to."""
+    run = dict(
+        progress=args.progress,
+        trace_dir=args.trace_dir,
+        task_timeout=args.task_timeout,
+        retries=args.retries,
+        chaos=args.chaos,
+    )
+    if not fleet:
+        from repro.campaign.executor import default_jobs
 
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.resume and not args.store:
-        parser.error("--resume requires --store")
-    if args.store:
-        _check_store_arg(parser, args.store, resume=args.resume)
-    _check_hardening_args(parser, args)
-    return default_jobs() if args.jobs is None else args.jobs
-
-
-def _check_hardening_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Validate the self-healing / chaos flags shared by every campaign
-    command (serve included)."""
-    if getattr(args, "task_timeout", None) is not None and args.task_timeout <= 0:
+        if args.jobs is not None and args.jobs < 1:
+            parser.error(f"--jobs must be >= 1, got {args.jobs}")
+        if args.resume and not args.store:
+            parser.error("--resume requires --store")
+        if args.store:
+            _check_store_arg(parser, args.store, resume=args.resume)
+        run.update(jobs=default_jobs() if args.jobs is None else args.jobs, store=args.store)
+    if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error(f"--task-timeout must be > 0, got {args.task_timeout:g}")
-    if getattr(args, "retries", 0) < 0:
+    if args.retries < 0:
         parser.error(f"--retries must be >= 0, got {args.retries}")
-    if getattr(args, "chaos", None) is not None:
+    if args.chaos is not None:
         from repro.chaos import ChaosPolicy
 
         try:
             ChaosPolicy.parse(args.chaos)
         except ValueError as exc:
             parser.error(f"--chaos {args.chaos!r}: {exc}")
+    return run
 
 
-def _check_adaptive_arg(
-    parser: argparse.ArgumentParser, spec: "str | None"
-) -> str:
+def _quarantine_exit(quarantined: int) -> int:
+    """Exit code of a campaign that ran to the end: 3, with one warning
+    naming the re-queue command, when tasks were quarantined, else 0."""
+    if not quarantined:
+        return 0
+    print(
+        f"warning: {quarantined} task(s) quarantined; re-queue with "
+        "`repro store compact --drop-quarantined`",
+        file=sys.stderr,
+    )
+    return 3
+
+
+def _load_study(parser: argparse.ArgumentParser, path: str):
+    """``Study.load(path)``, a usage error (exit 2) if the spec is unreadable."""
+    from repro.api.study import Study
+
+    try:
+        return Study.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        parser.error(f"cannot load study spec {path!r}: {exc}")
+
+
+def _check_adaptive_arg(parser: argparse.ArgumentParser, spec: "str | None") -> str:
     """Validate --adaptive and return the canonical sampling spec ("" = off)."""
     if spec is None:
         return ""
@@ -475,9 +488,7 @@ def _check_adaptive_arg(
         parser.error(f"--adaptive {spec!r}: {exc}")
 
 
-def _check_store_arg(
-    parser: argparse.ArgumentParser, spec: str, *, resume: bool
-) -> None:
+def _check_store_arg(parser: argparse.ArgumentParser, spec: str, *, resume: bool) -> None:
     """Reject a bad --store selector, and a non-empty one without --resume."""
     from repro.store import StoreError, opened_store
 
@@ -573,9 +584,7 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if report.converged else 1
 
 
-def _run_experiment(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, kind: str
-) -> int:
+def _run_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.sim.results import format_figure1, format_table1, to_csv
 
     if args.paper_scale:
@@ -587,7 +596,7 @@ def _run_experiment(
         get_backend(args.backend)
     except ValueError as exc:
         parser.error(str(exc))
-    jobs = _check_campaign_args(parser, args)
+    execution = _check_campaign_args(parser, args)
     from repro.obs.metrics import METRICS
 
     from repro.api.study import Study
@@ -603,17 +612,8 @@ def _run_experiment(
         backend=args.backend,
         sampling=_check_adaptive_arg(parser, args.adaptive),
     )
-    execution = dict(
-        jobs=jobs,
-        store=args.store,
-        progress=args.progress,
-        trace_dir=args.trace_dir,
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        chaos=args.chaos,
-    )
     try:
-        if kind == "table1":
+        if args.experiment == "table1":
             if args.s_span < 0:
                 parser.error(f"--s-span must be >= 0, got {args.s_span}")
             rows = Study.table1(s_span=args.s_span, **grid).run(**execution).table1_rows()
@@ -633,34 +633,13 @@ def _run_experiment(
             print(f"error: {exc}", file=sys.stderr)
             return 3
         raise
-    quarantined = METRICS.count("campaign.quarantined") - q_before
-    if quarantined:
-        print(
-            f"warning: {int(quarantined)} task(s) quarantined; re-queue "
-            "with `repro store compact --drop-quarantined`",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_table1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    return _run_experiment(parser, args, "table1")
-
-
-def _cmd_figure1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    return _run_experiment(parser, args, "figure1")
+    return _quarantine_exit(int(METRICS.count("campaign.quarantined") - q_before))
 
 
 def _cmd_study(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.study_command != "run":
         parser.error("expected an action: repro study run <spec.json>")
-    from repro.api.study import Study
-
-    try:
-        study = Study.load(args.spec)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        parser.error(f"cannot load study spec {args.spec!r}: {exc}")
+    study = _load_study(parser, args.spec)
     if args.adaptive is not None:
         study.adaptive(_check_adaptive_arg(parser, args.adaptive))
     tasks = study.tasks()
@@ -671,26 +650,13 @@ def _cmd_study(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                   f"method={t.method} backend={t.backend} scheme={t.scheme} "
                   f"alpha={t.alpha:g} s={t.s} d={t.d} reps={t.reps}")
         return 0
-    jobs = _check_campaign_args(parser, args)
-    print(f"study {study.name!r}: {len(tasks)} tasks over {jobs} worker(s)",
+    run = _check_campaign_args(parser, args)
+    print(f"study {study.name!r}: {len(tasks)} tasks over {run['jobs']} worker(s)",
           file=sys.stderr)
-    result = study.run(
-        jobs=jobs,
-        store=args.store,
-        progress=args.progress,
-        trace_dir=args.trace_dir,
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        chaos=args.chaos,
-    )
+    result = study.run(**run)
     if result.quarantined:
         # The preset folds need every record; fall through to the
         # generic table, which reports the healthy points.
-        print(
-            f"warning: {result.quarantined} task(s) quarantined; re-queue "
-            "with `repro store compact --drop-quarantined`",
-            file=sys.stderr,
-        )
         print(result.format_table())
     elif result.tasks and all(t.experiment == "table1" for t in result.tasks):
         from repro.sim.results import format_table1
@@ -717,7 +683,7 @@ def _cmd_study(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
             writer.writeheader()
             writer.writerows(rows)
-    return 3 if result.quarantined else 0
+    return _quarantine_exit(result.quarantined)
 
 
 def _cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -778,21 +744,19 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         verify_store,
     )
 
-    if args.store_command == "migrate":
+    if args.store_command in ("migrate", "compact", "repair"):
         try:
-            moved = migrate_store(args.src, args.dst)
+            if args.store_command == "migrate":
+                done = f"migrated {migrate_store(args.src, args.dst)} record(s)"
+            elif args.store_command == "compact":
+                kept = compact_store(args.src, args.dst, drop_quarantined=args.drop_quarantined)
+                done = f"compacted to {kept} record(s)"
+            else:
+                kept, dropped = repair_store(args.src, args.dst)
+                done = f"repaired: kept {kept} record(s), dropped {dropped} corrupt"
         except (ValueError, StoreError) as exc:
             parser.error(str(exc))
-        print(f"migrated {moved} record(s): {args.src} -> {args.dst}")
-        return 0
-    if args.store_command == "compact":
-        try:
-            kept = compact_store(
-                args.src, args.dst, drop_quarantined=args.drop_quarantined
-            )
-        except (ValueError, StoreError) as exc:
-            parser.error(str(exc))
-        print(f"compacted to {kept} record(s): {args.src} -> {args.dst}")
+        print(f"{done}: {args.src} -> {args.dst}")
         return 0
     if args.store_command == "verify":
         try:
@@ -806,16 +770,6 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                         "torn_tail"):
                 print(f"{key}: {report[key]}")
         return 1 if report["corrupt"] or report["torn_tail"] else 0
-    if args.store_command == "repair":
-        try:
-            kept, dropped = repair_store(args.src, args.dst)
-        except (ValueError, StoreError) as exc:
-            parser.error(str(exc))
-        print(
-            f"repaired: kept {kept} record(s), dropped {dropped} corrupt: "
-            f"{args.src} -> {args.dst}"
-        )
-        return 0
     if args.store_command != "info":
         parser.error(
             "expected an action: repro store info <url> | "
@@ -845,7 +799,6 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.api.study import Study
     from repro.campaign.progress import ProgressReporter
     from repro.campaign.serve import ServeInterrupted, serve_campaign
     from repro.store import StoreError, open_store
@@ -855,19 +808,11 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.lease_ttl <= 0:
         parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl:g}")
     if args.max_worker_restarts is not None and args.max_worker_restarts < 0:
-        parser.error(
-            f"--max-worker-restarts must be >= 0, got {args.max_worker_restarts}"
-        )
-    _check_hardening_args(parser, args)
-    tasks = []
-    names = []
-    for spec in args.specs:
-        try:
-            study = Study.load(spec)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            parser.error(f"cannot load study spec {spec!r}: {exc}")
-        names.append(study.name)
-        tasks.extend(study.tasks())
+        parser.error(f"--max-worker-restarts must be >= 0, got {args.max_worker_restarts}")
+    run = _check_campaign_args(parser, args, fleet=True)
+    studies = [_load_study(parser, spec) for spec in args.specs]
+    names = [study.name for study in studies]
+    tasks = [task for study in studies for task in study.tasks()]
     try:
         store = open_store(args.store)
     except (ValueError, StoreError) as exc:
@@ -879,12 +824,9 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 "backend (sharded:DIR or sqlite:FILE.db); single-file JSONL "
                 "stores cannot coordinate workers"
             )
-        reporter = None
-        if args.progress != "none":
-            reporter = ProgressReporter(
-                len(tasks), stream=sys.stderr,
-                label="+".join(names), mode=args.progress,
-            )
+        run["progress"] = None if args.progress == "none" else ProgressReporter(
+            len(tasks), stream=sys.stderr, label="+".join(names), mode=args.progress
+        )
         print(
             f"serving {len(tasks)} task(s) from {len(args.specs)} spec(s) "
             f"over {args.workers} worker(s) -> {store.url}",
@@ -896,12 +838,8 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 store,
                 workers=args.workers,
                 lease_ttl=args.lease_ttl,
-                progress=reporter,
-                task_timeout=args.task_timeout,
-                retries=args.retries,
-                chaos=args.chaos,
                 max_worker_restarts=args.max_worker_restarts,
-                trace_dir=args.trace_dir,
+                **run,
             )
         except ServeInterrupted as exc:
             print(f"interrupted: {exc}", file=sys.stderr)
@@ -912,15 +850,7 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         from repro.api.report import format_summary, summarize_store
 
         print(format_summary(summarize_store(store)))
-        quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
-        if quarantined:
-            print(
-                f"warning: {quarantined} task(s) quarantined; re-queue with "
-                "`repro store compact --drop-quarantined`",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
+        return _quarantine_exit(sum(r.get("kind") == "quarantine" for r in records))
 
 
 # ----------------------------------------------------------------------

@@ -321,7 +321,7 @@ def solve(
         solved matrix in place.
     backend:
         Kernel backend for every SpMxV of the solve — a registered
-        name (``"reference"``, ``"scipy"``, ``"dense"``) or a
+        name (``"reference"``, ``"scipy"``) or a
         :class:`repro.backends.KernelBackend` instance.  ``None``
         (default) takes the workspace's
         :attr:`~repro.perf.SolveWorkspace.backend` when a workspace

@@ -2,7 +2,7 @@
 
 Every protected solve draws its numerical primitives — above all the
 SpMxV hot kernel — from a :class:`~repro.backends.protocol
-.KernelBackend`.  Three implementations ship (``docs/DESIGN.md`` §6):
+.KernelBackend`.  Two implementations ship (``docs/DESIGN.md`` §6):
 
 ``reference`` (the default)
     The repository's own NumPy kernels.  Bit-identical oracle: the
@@ -22,12 +22,6 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
     spec validation.  Without SciPy the name raises
     :class:`BackendUnavailableError` (no silent reference fallback).
 
-``dense``
-    Small-n dense materialization, for tests and exotic fault
-    scenarios (capped at n=4096; oversized workloads raise a
-    structured :class:`BackendCapacityError` before the solve
-    starts).
-
 Select a backend anywhere the solve stack is entered: ``spmv(a, x,
 backend="scipy")``, ``protected_spmv(..., backend=...)``,
 ``repro.solve(a, b, backend="scipy")``, ``Study().axis("backend",
@@ -46,9 +40,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.backends.dense import DenseBackend
 from repro.backends.protocol import (
-    BackendCapacityError,
     BackendUnavailableError,
     BaseBackend,
     KernelBackend,
@@ -61,9 +53,7 @@ __all__ = [
     "BaseBackend",
     "ReferenceBackend",
     "ScipyBackend",
-    "DenseBackend",
     "BackendUnavailableError",
-    "BackendCapacityError",
     "DEFAULT_BACKEND",
     "register_backend",
     "available_backends",
@@ -80,7 +70,6 @@ DEFAULT_BACKEND = "reference"
 _FACTORIES: "dict[str, Callable[[], KernelBackend]]" = {
     "reference": ReferenceBackend,
     "scipy": ScipyBackend,
-    "dense": DenseBackend,
 }
 
 _INSTANCES: "dict[str, KernelBackend]" = {}

@@ -46,7 +46,6 @@ __all__ = [
     "KernelBackend",
     "BaseBackend",
     "BackendUnavailableError",
-    "BackendCapacityError",
 ]
 
 
@@ -62,32 +61,6 @@ class BackendUnavailableError(ValueError):
     """
 
 
-class BackendCapacityError(ValueError):
-    """A backend refuses a matrix it cannot handle at this size.
-
-    Carries the structured fields a sweep driver needs to report the
-    failure precisely (which backend, the offending dimension, the
-    cap) instead of crashing mid-solve or silently materializing an
-    oversized operator.  Raised by capacity-capped backends — today
-    the ``dense`` backend's ``n <= max_n`` cap — from
-    :meth:`BaseBackend.prepare` *before* any solve work starts, and
-    again defensively from the per-product call.
-    """
-
-    def __init__(self, backend: str, *, n: int, cap: int, hint: str = "") -> None:
-        self.backend = backend
-        self.n = int(n)
-        self.cap = int(cap)
-        self.hint = hint
-        msg = (
-            f"backend {backend!r} is capped at n={cap} and cannot run an "
-            f"n={n} workload"
-        )
-        if hint:
-            msg += f"; {hint}"
-        super().__init__(msg)
-
-
 @runtime_checkable
 class KernelBackend(Protocol):
     """Swappable numerical primitives for one protected solve.
@@ -100,7 +73,7 @@ class KernelBackend(Protocol):
     ABFT setup and the residual checks.
     """
 
-    #: Registry name ("reference", "scipy", "dense", ...).
+    #: Registry name ("reference", "scipy", ...).
     name: str
 
     def spmv(
@@ -146,9 +119,7 @@ class BaseBackend:
         """Optional pre-solve hook (not part of the minimal protocol).
 
         Called once per solve by the resilience engine, after backend
-        resolution and *before* the solve's wall clock starts.  Two
-        shipped uses: capacity-capped backends fail fast here with a
-        :class:`BackendCapacityError` instead of mid-solve, and the
+        resolution and *before* the solve's wall clock starts.  The
         ``scipy`` backend binds its compiled kernel here so the one-time
         import never pollutes per-task timing.  The engine looks the
         hook up with ``getattr``, so protocol-only custom backends

@@ -14,16 +14,14 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.checkpoint.store import Checkpoint, CheckpointStore
-    from repro.checkpoint.disk import DiskCheckpointStore
     from repro.checkpoint.policy import PeriodicCheckpointPolicy
 
-__all__ = ["Checkpoint", "CheckpointStore", "DiskCheckpointStore", "PeriodicCheckpointPolicy"]
+__all__ = ["Checkpoint", "CheckpointStore", "PeriodicCheckpointPolicy"]
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.checkpoint.store": ("Checkpoint", "CheckpointStore"),
-        "repro.checkpoint.disk": ("DiskCheckpointStore",),
         "repro.checkpoint.policy": ("PeriodicCheckpointPolicy",),
     },
 )

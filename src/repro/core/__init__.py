@@ -3,8 +3,8 @@
 - :mod:`repro.core.cg` — the textbook Conjugate Gradient method
   (paper Algorithm 1);
 - :mod:`repro.core.pcg` — preconditioned CG (the Section-6 extension);
-- :mod:`repro.core.krylov` — BiCGstab / BiCG / CGNE, the Section-3
-  solver list, with injectable (protectable) products;
+- :mod:`repro.core.krylov` — plain BiCGstab, the fault-free baseline
+  of the BiCGstab plugin;
 - :mod:`repro.core.stability` — Chen's verification tests
   (orthogonality + recomputed residual) used by ONLINE-DETECTION;
 - :mod:`repro.core.methods` — scheme/method descriptors and cost
@@ -29,7 +29,7 @@ from repro.core.cg import cg, CGResult
 from repro.core.pcg import pcg, jacobi_preconditioner, ssor_preconditioner
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
-    from repro.core.krylov import bicgstab, bicg, cgne
+    from repro.core.krylov import bicgstab
     from repro.core.stability import orthogonality_check, residual_check, chen_verify
     from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
 
@@ -40,8 +40,6 @@ __all__ = [
     "jacobi_preconditioner",
     "ssor_preconditioner",
     "bicgstab",
-    "bicg",
-    "cgne",
     "orthogonality_check",
     "residual_check",
     "chen_verify",
@@ -54,7 +52,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.core.krylov": ("bicgstab", "bicg", "cgne"),
+        "repro.core.krylov": ("bicgstab",),
         "repro.core.stability": (
             "orthogonality_check",
             "residual_check",

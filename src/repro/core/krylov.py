@@ -1,21 +1,13 @@
-"""Non-stationary Krylov solvers beyond CG.
+"""Plain BiCGstab, the unprotected baseline of the BiCGstab plugin.
 
 Section 3 of the paper: "the techniques that we describe are applicable
 to any iterative solver that use sparse matrix vector multiplies and
-vector operations.  This list includes many of the non-stationary
-iterative solvers such as CGNE, BiCG, BiCGstab where sparse matrix
-transpose vector multiply operations also take place."
-
-These implementations take the products as injectable callables
-(``matvec`` for ``A·v``, ``rmatvec`` for ``Aᵀ·v``) so the ABFT-protected
-product — and, for the transpose, a protected product with the
-transposed matrix's own checksums (see
-:class:`repro.abft.operator.ProtectedOperator`) — slots straight in.
+vector operations."  The fault-tolerant BiCGstab runs on the resilience
+engine (``run_ft_method("bicgstab", ...)``); this textbook recurrence is
+its fault-free oracle (``tests/test_core_ft_krylov.py``).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -23,21 +15,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.core.cg import CGResult, cg_tolerance_threshold
 from repro.util.validate import check_positive, check_vector
 
-__all__ = ["bicgstab", "bicg", "cgne"]
-
-MatVec = Callable[[np.ndarray], np.ndarray]
-
-
-def _setup(a: CSRMatrix, b, x0, eps, maxiter, matvec):
-    check_positive("eps", eps)
-    n = a.nrows
-    b = check_vector("b", np.asarray(b, dtype=np.float64), n)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    maxiter = 10 * n if maxiter is None else int(maxiter)
-    apply_a = matvec if matvec is not None else a.matvec
-    r = b - apply_a(x)
-    threshold = cg_tolerance_threshold(a, b, r, eps)
-    return b, x, maxiter, apply_a, r, threshold
+__all__ = ["bicgstab"]
 
 
 def bicgstab(
@@ -47,14 +25,19 @@ def bicgstab(
     *,
     eps: float = 1e-8,
     maxiter: int | None = None,
-    matvec: MatVec | None = None,
 ) -> CGResult:
     """BiCGstab (van der Vorst; Saad Alg. 7.7) for general square ``A``.
 
     Two SpMxVs per iteration, no transpose product — the natural first
     target for ABFT protection after CG.
     """
-    b, x, maxiter, apply_a, r, threshold = _setup(a, b, x0, eps, maxiter, matvec)
+    check_positive("eps", eps)
+    n = a.nrows
+    b = check_vector("b", np.asarray(b, dtype=np.float64), n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
+    maxiter = 10 * n if maxiter is None else int(maxiter)
+    r = b - a.matvec(x)
+    threshold = cg_tolerance_threshold(a, b, r, eps)
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
@@ -67,7 +50,7 @@ def bicgstab(
             break  # breakdown: restart would be needed
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        v = apply_a(p)
+        v = a.matvec(p)
         denom = float(r_hat @ v)
         if denom == 0.0:
             break
@@ -80,7 +63,7 @@ def bicgstab(
             rnorm = snorm
             i += 1
             break
-        t = apply_a(s)
+        t = a.matvec(s)
         tt = float(t @ t)
         if tt == 0.0:
             break
@@ -89,97 +72,6 @@ def bicgstab(
         r = s - omega * t
         rho = rho_new
         rnorm = float(np.linalg.norm(r))
-        i += 1
-    return CGResult(
-        x=x, iterations=i, converged=bool(rnorm <= threshold),
-        residual_norm=rnorm, threshold=threshold,
-    )
-
-
-def bicg(
-    a: CSRMatrix,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    *,
-    eps: float = 1e-8,
-    maxiter: int | None = None,
-    matvec: MatVec | None = None,
-    rmatvec: MatVec | None = None,
-) -> CGResult:
-    """BiConjugate Gradient (Saad Alg. 7.3) — one ``A·v`` and one
-    ``Aᵀ·v`` per iteration, the transpose-product case the paper calls
-    out for its ABFT scheme."""
-    b, x, maxiter, apply_a, r, threshold = _setup(a, b, x0, eps, maxiter, matvec)
-    at = None
-    if rmatvec is None:
-        at = a.transpose()
-        rmatvec = at.matvec
-    r_star = r.copy()
-    p = r.copy()
-    p_star = r_star.copy()
-    rho = float(r_star @ r)
-    rnorm = float(np.linalg.norm(r))
-    i = 0
-    while rnorm > threshold and i < maxiter:
-        if rho == 0.0:
-            break
-        q = apply_a(p)
-        q_star = rmatvec(p_star)
-        denom = float(p_star @ q)
-        if denom == 0.0:
-            break
-        alpha = rho / denom
-        x += alpha * p
-        r -= alpha * q
-        r_star -= alpha * q_star
-        rho_new = float(r_star @ r)
-        beta = rho_new / rho
-        p = r + beta * p
-        p_star = r_star + beta * p_star
-        rho = rho_new
-        rnorm = float(np.linalg.norm(r))
-        i += 1
-    return CGResult(
-        x=x, iterations=i, converged=bool(rnorm <= threshold),
-        residual_norm=rnorm, threshold=threshold,
-    )
-
-
-def cgne(
-    a: CSRMatrix,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    *,
-    eps: float = 1e-8,
-    maxiter: int | None = None,
-    matvec: MatVec | None = None,
-    rmatvec: MatVec | None = None,
-) -> CGResult:
-    """CG on the Normal Equations (CGNE / Craig's method, Saad §8.3):
-    applies CG to ``A Aᵀ y = b``, ``x = Aᵀ y`` — needs both products
-    every iteration and works for any nonsingular ``A``."""
-    b, x, maxiter, apply_a, r, threshold = _setup(a, b, x0, eps, maxiter, matvec)
-    at = None
-    if rmatvec is None:
-        at = a.transpose()
-        rmatvec = at.matvec
-    p = rmatvec(r)
-    rr = float(r @ r)
-    rnorm = float(np.sqrt(rr))
-    i = 0
-    while rnorm > threshold and i < maxiter:
-        pp = float(p @ p)
-        if pp == 0.0:
-            break
-        alpha = rr / pp
-        x += alpha * p
-        r -= alpha * apply_a(p)
-        rr_new = float(r @ r)
-        beta = rr_new / rr
-        p *= beta
-        p += rmatvec(r)
-        rr = rr_new
-        rnorm = float(np.sqrt(rr))
         i += 1
     return CGResult(
         x=x, iterations=i, converged=bool(rnorm <= threshold),

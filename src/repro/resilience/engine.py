@@ -698,7 +698,7 @@ def run_protected(
         must not be shared by concurrently running solves.
     backend:
         Kernel backend for every SpMxV of the run — a registered name
-        (``"scipy"``, ``"dense"``), a
+        (``"scipy"``), a
         :class:`repro.backends.KernelBackend` instance, or ``None``:
         the workspace's :attr:`~repro.perf.SolveWorkspace.backend` if
         one is set, else the reference kernels.  The reference backend
@@ -727,9 +727,8 @@ def run_protected(
     backend = resolve_backend(backend)
     if backend is not None:
         # Pre-solve hook, before the wall clock: backends bind or
-        # compile their kernels here (first-call warm-up never pollutes
-        # per-task timing) and capacity-capped backends fail fast with
-        # a structured error instead of dying mid-solve.
+        # compile their kernels here, so first-call warm-up never
+        # pollutes per-task timing.
         prepare = getattr(backend, "prepare", None)
         if prepare is not None:
             prepare(a)

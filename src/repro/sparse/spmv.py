@@ -60,9 +60,8 @@ def spmv(
         elements for the per-nonzero products — the solver workspace
         passes one so the hot loop allocates nothing.
     backend:
-        Optional kernel backend — a registered name (``"scipy"``,
-        ``"dense"``) or a :class:`repro.backends.KernelBackend`
-        instance.  ``None`` / ``"reference"`` runs this function's own
+        Optional kernel backend — a registered name (``"scipy"``) or
+        a :class:`repro.backends.KernelBackend` instance.  ``None`` / ``"reference"`` runs this function's own
         kernel (the bit-identity default); any other backend receives
         the call verbatim and is contractually required to route
         non-``structure_clean`` matrices back here, so the fault

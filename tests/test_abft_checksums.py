@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abft import compute_checksums
-from repro.sparse import CSRMatrix, graph_laplacian_spd
-from tests.conftest import dense_random_csr
+from repro.sparse import graph_laplacian_spd
 
 
 class TestComputeChecksums:
@@ -47,19 +46,6 @@ class TestComputeChecksums:
         assert cks.weights.shape == (1, small_lap.nrows)
         assert cks.column_checksums.shape == (1, small_lap.ncols)
         assert len(cks.rowidx_checksums_exact) == 1
-
-    def test_rectangular_block(self, rng):
-        a = dense_random_csr(rng, 10, 25, 0.4)
-        cks = compute_checksums(a, nchecks=2)
-        assert not cks.is_square
-        assert cks.weights.shape == (2, 10)
-        assert cks.column_weights.shape == (2, 25)
-        assert cks.column_checksums.shape == (2, 25)
-
-    def test_square_shares_weight_matrices(self, small_lap):
-        cks = compute_checksums(small_lap, nchecks=2)
-        assert cks.is_square
-        assert cks.column_weights is cks.weights
 
     def test_setup_cost_is_amortizable(self, small_lap, rng):
         """The same checksum object must validate many products."""

@@ -16,9 +16,10 @@ Locks the three contracts the backend axis stands on:
    identical convergence histories (same iterations, same events).
 
 The seam an out-of-tree backend plugs into (``register_backend``,
-``BaseBackend``, ``prepare()``) is locked by a registered stand-in whose
-own clean kernel carries the reference bits: every golden trajectory
-replays byte-identically through it.
+``BaseBackend``, ``prepare()``) is locked by a registered stand-in,
+``own-kernel`` (``tests/conftest.py``), whose own clean kernel carries
+the reference bits: every golden trajectory replays byte-identically
+through it, and every per-backend suite runs against it too.
 """
 
 import hashlib
@@ -31,10 +32,7 @@ import pytest
 import repro
 from repro.abft.spmv import SpmvStatus, protected_spmv
 from repro.backends import (
-    BackendCapacityError,
     BackendUnavailableError,
-    BaseBackend,
-    DenseBackend,
     ReferenceBackend,
     ScipyBackend,
     available_backends,
@@ -72,18 +70,16 @@ def small_system():
 class TestRegistry:
     def test_shipped_backends_registered(self):
         names = available_backends()
-        assert names[:3] == ("reference", "scipy", "dense")
+        assert names[:2] == ("reference", "scipy")
 
     def test_backend_available_probe_never_raises(self):
         assert backend_available("reference")
         assert backend_available("scipy")
-        assert backend_available("dense")
         assert not backend_available("cuda")
 
     def test_get_backend_by_name_is_shared_instance(self):
         assert get_backend("scipy") is get_backend("scipy")
         assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("dense"), DenseBackend)
 
     def test_get_backend_passes_instances_through(self):
         be = ScipyBackend()
@@ -200,38 +196,18 @@ class TestSpmvDispatch:
         assert not np.array_equal(before, after)
         np.testing.assert_allclose(after, spmv(a, x), rtol=1e-12, atol=1e-12)
 
-    def test_dense_matches_reference(self):
-        a = stamped(stencil_spd(81, kind="cross", radius=2))
-        x = np.random.default_rng(7).standard_normal(a.ncols)
-        np.testing.assert_allclose(
-            spmv(a, x, backend="dense"), spmv(a, x), rtol=1e-12, atol=1e-14
-        )
-
-    def test_dense_rejects_large_matrices(self):
-        a = stamped(stencil_spd(81, kind="cross", radius=1))
-        small_cap = DenseBackend(max_n=50)
-        with pytest.raises(ValueError, match="capped"):
-            small_cap.spmv(a, np.ones(a.ncols))
-
-    def test_dense_unstamped_falls_back(self):
-        a = stencil_spd(81, kind="cross", radius=1)
-        x = np.ones(a.ncols)
-        assert np.array_equal(spmv(a, x, backend="dense"), spmv(a, x))
-
     def test_empty_matrix(self):
         a = CSRMatrix(
             np.zeros(0), np.zeros(0, dtype=np.int64),
             np.zeros(4, dtype=np.int64), (3, 3),
         )
         stamped(a)
-        for backend in ("scipy", "dense"):
-            y = spmv(a, np.ones(3), backend=backend)
-            assert np.array_equal(y, np.zeros(3))
+        assert np.array_equal(spmv(a, np.ones(3), backend="scipy"), np.zeros(3))
 
     def test_shape_mismatch_raises_everywhere(self, suite_matrix):
         a = stamped(suite_matrix.copy())
         bad = np.ones(a.ncols + 1)
-        for backend in (None, "scipy", "dense"):
+        for backend in (None, "scipy"):
             with pytest.raises(ValueError, match="shape"):
                 spmv(a, bad, backend=backend)
 
@@ -250,7 +226,7 @@ class TestBackendPrimitives:
 
         w = np.vstack([np.ones(suite_matrix.nrows),
                        np.arange(1.0, suite_matrix.nrows + 1.0)])
-        for name in ("reference", "scipy", "dense"):
+        for name in ("reference", "scipy"):
             prods = get_backend(name).checksum_products(suite_matrix, w)
             assert prods.shape == (2, suite_matrix.ncols)
             for i in range(2):
@@ -259,7 +235,7 @@ class TestBackendPrimitives:
     def test_dot_and_norm(self):
         u = np.arange(5.0)
         v = np.ones(5)
-        for name in ("reference", "scipy", "dense"):
+        for name in ("reference", "scipy"):
             be = get_backend(name)
             assert be.dot(u, v) == float(u @ v)
             assert be.norm2(u) == float(np.linalg.norm(u))
@@ -270,7 +246,7 @@ class TestProtectedSpmv:
         a, _ = small_system
         stamped(a)
         x = np.random.default_rng(8).standard_normal(a.ncols)
-        for backend in (None, "reference", "scipy", "dense"):
+        for backend in (None, "reference", "scipy"):
             res = protected_spmv(a.copy(), x.copy(), backend=backend)
             assert res.status is SpmvStatus.OK
 
@@ -332,12 +308,6 @@ class TestSolveFacade:
         assert report.converged
         assert report.counters.faults_injected > 0
         assert report.residual_norm <= report.threshold
-
-    def test_dense_backend_solve(self, small_system):
-        a, b = small_system
-        report = repro.solve(a, b, backend="dense", eps=1e-8)
-        assert report.converged
-        assert report.backend == "dense"
 
     def test_scipy_online_detection_whole_run_on_one_axis(self, small_system):
         # ONLINE-DETECTION's verification SpMxV (chen_verify) rides the
@@ -541,7 +511,7 @@ class TestCli:
         assert code == 0
         assert "2213" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["reference", "scipy", "dense"])
+    @pytest.mark.parametrize("name", ["reference", "scipy"])
     def test_solve_flag_runs_every_shipped_backend(self, name, capsys):
         import json
 
@@ -553,18 +523,16 @@ class TestCli:
         assert report["backend"] == name and report["converged"]
 
     @pytest.mark.parametrize("command", ["solve", "table1", "figure1"])
-    def test_backend_help_lists_the_shipped_backends(self, command):
-        from repro.api.cli import build_parser
+    def test_backend_help_lists_the_shipped_backends(self, command, own_kernel, capsys):
+        # Built from the registry when printed: a registered backend
+        # shows up, a deleted one cannot linger.
+        from repro.api.cli import main
 
-        sub = next(
-            action for action in build_parser()._actions
-            if isinstance(action.choices, dict)
-        ).choices[command]
-        text = next(a.help for a in sub._actions if "--backend" in a.option_strings)
-        assert [n for n in ("reference", "scipy", "dense") if n in text] == [
-            "reference", "scipy", "dense"
-        ]
-        assert "numba" not in text and "threaded" not in text
+        assert main([command, "--help"]) == 0
+        entry = capsys.readouterr().out.split("--backend BACKEND")[-1].split("--")[0]
+        assert " ".join(entry.split()) == (
+            "kernel backend: reference (bit-identical default), scipy, own-kernel"
+        )
 
     def test_scipy_unavailable_hint_names_a_shipped_fallback(self):
         from repro.backends.scipy_backend import _unavailable
@@ -575,7 +543,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# corrupted-structure grid, run against every registered backend
+# corrupted-structure grid, run against every backend
 # ---------------------------------------------------------------------------
 
 #: Directed corruptions covering all three matrix arrays the fault model
@@ -597,9 +565,13 @@ CORRUPTIONS = {
 }
 
 
-@pytest.fixture(params=sorted(available_backends()))
+@pytest.fixture(params=[*sorted(available_backends()), "own-kernel"])
 def any_backend(request):
-    """Every registered backend."""
+    """Every shipped backend, and the registered out-of-tree
+    ``own-kernel`` (``tests/conftest.py``): the contracts below are the
+    protocol's, not properties of the two kernels that ship."""
+    if request.param == "own-kernel":
+        return request.getfixturevalue("own_kernel")
     return get_backend(request.param)
 
 
@@ -625,7 +597,7 @@ class TestAllBackendsCorruptionGrid:
 
 
 # ---------------------------------------------------------------------------
-# the kernel suite, run against every registered backend
+# the kernel suite, run against every backend
 # ---------------------------------------------------------------------------
 
 
@@ -802,81 +774,17 @@ class TestProtectedProductOnEveryBackend:
         assert np.array_equal(via.tolerance.thresholds(1.0), ref.tolerance.thresholds(1.0))
 
 
-@pytest.mark.parametrize("name", ["scipy", "dense"])
-def test_faulty_runs_face_the_reference_strike_stream(name, small_system):
+@pytest.mark.parametrize("name", ["scipy", "own-kernel"])
+def test_faulty_runs_face_the_reference_strike_stream(name, small_system, request):
     # The backend does not enter the seed derivation.
+    if name == "own-kernel":
+        request.getfixturevalue("own_kernel")
     a, b = small_system
     cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
     ref = repeat_run(a, b, cfg, alpha=0.1, reps=3, base_seed=13)
     run = repeat_run(a, b, cfg, alpha=0.1, reps=3, base_seed=13, backend=name)
     assert run.mean_faults == ref.mean_faults
     assert run.convergence_rate == ref.convergence_rate == 1.0
-
-
-def test_dense_workspace_matches_dense_fresh(small_system):
-    a, b = small_system
-    cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-    runs = [
-        repeat_run(a, b, cfg, alpha=0.05, reps=3, base_seed=7,
-                   backend="dense", reuse_workspace=reuse)
-        for reuse in (False, True)
-    ]
-    assert runs[0] == runs[1]
-
-
-def test_dense_fault_free_identical_convergence_history():
-    a = get_matrix(2213, 48)
-    b = make_rhs(a)
-    ref = repro.solve(a, b, eps=1e-6)
-    dense = repro.solve(a, b, backend="dense", eps=1e-6)
-    assert dense.converged and ref.converged
-    assert dense.iterations == ref.iterations
-    assert dense.time_units == ref.time_units
-    np.testing.assert_allclose(
-        [h["residual_norm"] for h in dense.history],
-        [h["residual_norm"] for h in ref.history], rtol=1e-6,
-    )
-
-
-# ---------------------------------------------------------------------------
-# dense capacity: structured error, surfaced before any O(n^2) work
-# ---------------------------------------------------------------------------
-
-
-class TestDenseCapacity:
-    def test_capacity_error_is_structured(self):
-        a = stamped(stencil_spd(81, kind="cross", radius=1))
-        be = DenseBackend(max_n=50)
-        with pytest.raises(BackendCapacityError) as ei:
-            be.prepare(a)
-        err = ei.value
-        assert isinstance(err, ValueError)  # legacy handlers still catch it
-        assert err.backend == "dense"
-        assert err.cap == 50
-        assert err.n == a.nrows
-        assert "reference" in err.hint
-        assert "capped" in str(err)
-
-    def test_spmv_checks_capacity_defensively(self):
-        a = stamped(stencil_spd(81, kind="cross", radius=1))
-        with pytest.raises(BackendCapacityError):
-            DenseBackend(max_n=50).spmv(a, np.ones(a.ncols))
-
-    def test_study_sweeping_oversized_workload_raises_structured(self):
-        # uid 2213 is n=20000 at paper scale, so scale=4 lands ~n=5000 —
-        # past the 4096 cap.  The error must surface from study.run as
-        # one structured BackendCapacityError, raised in prepare()
-        # before the dense backend materializes anything O(n^2).
-        study = (repro.Study("dense-cap")
-                 .axis("backend", ["dense"])
-                 .fix(uid=2213, scale=4, reps=1, s=4))
-        with pytest.raises(BackendCapacityError) as ei:
-            study.run(jobs=1)
-        err = ei.value
-        assert err.backend == "dense"
-        assert err.cap == 4096
-        assert err.n > 4096
-        assert "scipy" in err.hint
 
 
 # ---------------------------------------------------------------------------
@@ -925,41 +833,52 @@ class TestUnavailableBackend:
         assert "needs-dep" in capsys.readouterr().err
 
 
+def _store_of(path, *backends):
+    """A sealed JSONL store at ``path``: one golden record per backend
+    name, its ``task.backend`` rewritten to that name."""
+    from repro.store.integrity import seal_text
+
+    golden = pathlib.Path(__file__).parent / "golden" / "stores" / "parent.jsonl"
+    template = json.loads(golden.read_text().splitlines()[0])
+    lines = []
+    for name in backends:
+        record = dict(template, task=dict(template["task"], backend=name))
+        record["hash"] = hashlib.sha256(name.encode()).hexdigest()
+        lines.append(seal_text(record))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def unknown(name):
+    """The one message every entry point gives for an unknown backend."""
+    return f"unknown backend '{name}'; available: reference, scipy"
+
+
 class TestRetiredBackendNames:
-    """``numba`` and ``threaded`` are no longer shipped: naming them is an
-    unknown backend, while stores holding their records still read."""
+    """``numba``, ``threaded`` and ``dense`` are no longer shipped: naming
+    them is an unknown backend, while stores holding their records still
+    read (the read path never resolves backend names)."""
+
+    UNKNOWN_DENSE = "unknown backend 'dense'; available: reference, scipy"
+    RETIRED = ("dense", "numba", "threaded")
 
     def test_solve_and_cli_reject_them_as_unknown(self, small_system, capsys):
         from repro.api.cli import main
 
         a, b = small_system
         with pytest.raises(ValueError, match="unknown backend 'threaded'; "
-                           "available: reference, scipy, dense"):
+                           "available: reference, scipy"):
             repro.solve(a, b, backend="threaded")
         assert main(["solve", "--scale", "64", "--backend", "numba"]) == 2
         err = capsys.readouterr().err
         assert "unknown backend 'numba'" in err
-        assert "available: reference, scipy, dense" in err
+        assert "available: reference, scipy" in err
 
     def test_store_of_their_records_still_reports(self, tmp_path, capsys):
-        import hashlib
-        import json
-        import pathlib
-
         from repro.api.cli import main
         from repro.api.report import summarize_store
-        from repro.store.integrity import seal_text
 
-        golden = pathlib.Path(__file__).parent / "golden" / "stores" / "parent.jsonl"
-        template = json.loads(golden.read_text().splitlines()[0])
-        lines = []
-        for name in ("numba", "threaded"):
-            record = dict(template, task=dict(template["task"], backend=name))
-            record["hash"] = hashlib.sha256(name.encode()).hexdigest()
-            lines.append(seal_text(record))
-        store = tmp_path / "retired.jsonl"
-        store.write_text("\n".join(lines) + "\n")
-
+        store = _store_of(tmp_path / "retired.jsonl", "numba", "threaded")
         assert [g.backend for g in summarize_store(store).groups] == ["numba", "threaded"]
         assert main(["report", str(store)]) == 0
         out = capsys.readouterr().out
@@ -968,49 +887,90 @@ class TestRetiredBackendNames:
         info = json.loads(capsys.readouterr().out)
         assert info["records"] == 2
 
+    def test_dense_store_reports_but_runs_nothing(self, tmp_path, capsys):
+        from repro.api.cli import main
+        from repro.api.report import summarize_store
+        from repro.campaign.spec import TaskSpec
+
+        store = _store_of(tmp_path / "dense.jsonl", "dense")
+        assert [g.backend for g in summarize_store(store).groups] == ["dense"]
+        assert main(["report", str(store)]) == 0
+        assert "dense" in capsys.readouterr().out
+
+        with pytest.raises(ValueError) as ei:
+            TaskSpec(experiment="figure1", uid=2213, scale=64, scheme="abft-correction",
+                     alpha=0.01, s=4, backend="dense")
+        assert str(ei.value) == self.UNKNOWN_DENSE
+
+        spec = tmp_path / "dense-study.json"
+        spec.write_text(json.dumps({
+            "study": "dense", "kind": "axes", "axes": {"s": [2, 4]},
+            "fixed": {"uid": 2213, "scale": 64, "reps": 1, "backend": "dense"},
+            "metrics": ["mean_time"],
+        }))
+        assert main(["study", "run", str(spec), "--store", str(store), "--resume"]) == 2
+        assert capsys.readouterr().err.count(self.UNKNOWN_DENSE) == 1
+
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_registry_refuses_them_naming_the_shipped_ones(self, name):
+        assert backend_available(name) is False
+        with pytest.raises(ValueError) as ei:
+            get_backend(name)
+        assert str(ei.value) == unknown(name)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_solve_refuses_them_before_work(self, name, small_system):
+        a, b = small_system
+        with pytest.raises(ValueError) as ei:
+            repro.solve(a, b, backend=name)
+        assert str(ei.value) == unknown(name)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_study_refuses_them_on_the_axis_and_fixed(self, name):
+        for build in (lambda: repro.Study("retired").axis("backend", [name]),
+                      lambda: repro.Study("retired").fix(backend=name)):
+            with pytest.raises(ValueError) as ei:
+                build()
+            assert str(ei.value) == unknown(name)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_taskspec_refuses_them(self, name):
+        from repro.campaign.spec import TaskSpec
+
+        with pytest.raises(ValueError) as ei:
+            TaskSpec(experiment="figure1", uid=2213, scale=64, scheme="abft-correction",
+                     alpha=0.01, s=4, backend=name)
+        assert str(ei.value) == unknown(name)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    @pytest.mark.parametrize("command", ["solve", "table1", "figure1"])
+    def test_every_backend_flag_refuses_them(self, command, name, capsys):
+        from repro.api.cli import main
+
+        assert main([command, "--scale", "64", "--backend", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count(unknown(name)) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "url", ["{}.jsonl", "sharded:{}.d", "sqlite:{}.db"], ids=["jsonl", "sharded", "sqlite"],
+    )
+    def test_every_store_format_reports_their_records(self, url, tmp_path, capsys):
+        from repro.api.cli import main
+
+        src = _store_of(tmp_path / "retired.jsonl", *self.RETIRED)
+        dst = url.format(tmp_path / "copy")
+        assert main(["store", "migrate", str(src), dst]) == 0
+        capsys.readouterr()
+        assert main(["report", dst, "--json"]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert sorted(g["backend"] for g in groups) == sorted(self.RETIRED)
+
 
 # ---------------------------------------------------------------------------
 # an out-of-tree backend, through the seam kept for one
 # ---------------------------------------------------------------------------
-
-
-class _OwnKernel(BaseBackend):
-    """A registered out-of-tree kernel: it runs structure-clean products
-    on its own reduction, which repeats the reference kernel's
-    arithmetic exactly, and hands every other product to
-    :func:`repro.sparse.spmv.spmv`."""
-
-    name = "own-kernel"
-
-    def __init__(self):
-        self.prepared = self.owned = self.deferred = 0
-
-    def prepare(self, a):
-        self.prepared += 1
-
-    def spmv(self, a, x, *, out=None, scratch=None):
-        if not a.structure_clean:
-            self.deferred += 1
-            return spmv(a, x, out=out, scratch=scratch)
-        self.owned += 1
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (a.ncols,):
-            raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
-        y = np.empty(a.nrows) if out is None else out
-        y[:] = 0.0
-        nonempty = np.diff(a.rowidx) > 0
-        if nonempty.any():
-            y[nonempty] = np.add.reduceat(a.val * x[a.colid], a.rowidx[:-1][nonempty])
-        return y
-
-
-@pytest.fixture
-def own_kernel():
-    """``_OwnKernel`` registered by name; yields the shared instance."""
-    register_backend(_OwnKernel.name, _OwnKernel)
-    yield get_backend(_OwnKernel.name)
-    _FACTORIES.pop(_OwnKernel.name, None)
-    _INSTANCES.pop(_OwnKernel.name, None)
 
 
 _GOLD = json.loads(
@@ -1049,7 +1009,7 @@ class TestOutOfTreeBackend:
         with np.errstate(all="ignore"):
             res = run_ft_method(
                 method, a, b, cfg, alpha=entry["alpha"], rng=entry["seed"],
-                eps=_GOLD["eps"], backend=_OwnKernel.name,
+                eps=_GOLD["eps"], backend="own-kernel",
             )
         want = entry["result"]
         assert _sha(res.x) == want["x_sha256"]
@@ -1090,9 +1050,9 @@ class TestOutOfTreeBackend:
 
     def test_study_axis_runs_it_by_name(self, own_kernel):
         study = (repro.Study("own-kernel")
-                 .axis("backend", ["reference", _OwnKernel.name])
+                 .axis("backend", ["reference", "own-kernel"])
                  .fix(uid=2213, scale=64, reps=2, s=4, alpha=1 / 16))
         ref, own = study.run(jobs=1).points()
-        assert own.backend == _OwnKernel.name
+        assert own.backend == "own-kernel"
         assert own.stats == ref.stats
         assert own_kernel.owned > 0

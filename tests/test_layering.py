@@ -5,6 +5,7 @@ CI ``docs`` job runs the same check); this module runs it in tier-1.
 """
 
 import ast
+import functools
 import importlib.util
 import pathlib
 
@@ -38,6 +39,73 @@ def test_docs_and_sources_name_only_existing_files():
 def test_stale_paths_names_only_missing_files():
     text = "``tests/conftest.py``, `tests/test_nope.py::test_x`, `tests/test_layer*.py`"
     assert check_docs.stale_paths(text) == ["tests/test_nope.py"]
+
+
+def test_unresolved_roles_names_only_missing_targets():
+    text = (
+        ":mod:`repro.abft.spmv`, :class:`~repro.abft.SpmvChecksums`, "
+        ":meth:`repro.obs.Tracer.iteration`, :func:`repro.backends\n"
+        "    #: .get_backend`, :attr:`~repro.perf.SolveWorkspace.backend`, "
+        ":class:`repro.abft.operator.ProtectedOperator`, :func:`repro.core.cgne`, "
+        ":attr:`repro.perf.NoSuchClass.backend`, :mod:`repro.nowhere`, "
+        ":class:`numpy.ndarray`"
+    )
+    assert check_docs.unresolved_roles(text) == [
+        ":attr:`repro.perf.NoSuchClass.backend`",
+        ":class:`repro.abft.operator.ProtectedOperator`",
+        ":func:`repro.core.cgne`",
+        ":mod:`repro.nowhere`",
+    ]
+
+
+#: Spellings of the library deleted with the ``dense`` backend (the
+#: ``ProtectedOperator`` wrapper, k-error checksums, the disk checkpoint
+#: store, BiCG / CGNE, rectangular ABFT blocks): the pages and sources
+#: that describe the package must not name them.
+_RETIRED_SPELLINGS = [
+    "ProtectedOperator", "UncorrectableError", "OperatorStats", "MultiChecksums",
+    "DiskCheckpointStore", "DenseBackend", "BackendCapacityError", "column_weights",
+    "repro.abft.operator", "repro.abft.multi", "repro.checkpoint.disk",
+    "repro.backends.dense", "bicg(", "cgne(",
+]
+
+
+@functools.lru_cache(maxsize=1)
+def _described_text():
+    root = check_docs.ROOT
+    files = [
+        root / "README.md", *sorted((root / "docs").glob("*.md")),
+        *sorted(check_docs.SRC.rglob("*.py")), *sorted((root / "examples").glob("*.py")),
+    ]
+    return {str(f.relative_to(root)): f.read_text(encoding="utf-8") for f in files}
+
+
+@pytest.mark.parametrize("spelling", _RETIRED_SPELLINGS)
+def test_docs_and_sources_do_not_name_the_retired_library(spelling):
+    assert [f for f, text in _described_text().items() if spelling in text] == []
+
+
+@pytest.mark.parametrize(
+    "ref, resolves",
+    [
+        (":mod:`repro.abft.spmv`", True),
+        (":mod:`repro.abft.operator`", False),
+        (":class:`~repro.abft.SpmvChecksums`", True),  # a lazy export
+        (":class:`repro.abft.operator.ProtectedOperator`", False),
+        (":func:`repro.backends.get_backend`", True),
+        (":func:`repro.core.cgne`", False),
+        (":exc:`repro.backends.BackendUnavailableError`", True),
+        (":exc:`repro.backends.protocol.BackendCapacityError`", False),
+        (":data:`repro.backends.DEFAULT_BACKEND`", True),
+        (":data:`repro.backends.NO_SUCH_DEFAULT`", False),
+        (":meth:`repro.obs.Tracer.iteration`", True),
+        (":meth:`repro.obs.Tracer.no_such_hook`", False),
+        (":attr:`repro.perf.SolveWorkspace.backend`", True),  # an instance attribute
+        (":attr:`repro.perf.NoSuchClass.backend`", False),
+    ],
+)
+def test_each_role_resolves_only_existing_targets(ref, resolves):
+    assert check_docs.unresolved_roles(ref) == ([] if resolves else [ref])
 
 
 @pytest.mark.parametrize(

@@ -376,3 +376,91 @@ class TestRetiredLayerEdges:
         a, b = problem
         with pytest.raises(TypeError, match="event_log"):
             run_protected(CGPlugin(), a, b, config(Scheme.ABFT_DETECTION), event_log=[])
+
+
+class TestRetiredSurfaceEdges:
+    """The library no campaign reached — the ``dense`` backend, the
+    ``ProtectedOperator`` wrapper, k-error checksums, the disk checkpoint
+    store, BiCG / CGNE and ABFT on rectangular row blocks — is gone, not
+    aliased."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.backends.dense", "repro.abft.operator", "repro.abft.multi",
+         "repro.checkpoint.disk"],
+    )
+    def test_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "package, name",
+        [
+            ("repro.abft", "ProtectedOperator"),
+            ("repro.abft", "MultiChecksums"),
+            ("repro.core", "bicg"),
+            ("repro.core", "cgne"),
+            ("repro.checkpoint", "DiskCheckpointStore"),
+        ],
+    )
+    def test_names_are_gone(self, package, name):
+        import importlib
+
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(package), name)
+        with pytest.raises(ImportError):
+            exec(f"from {package} import {name}", {})
+
+    def test_dense_is_an_unknown_backend(self, capsys):
+        from repro.api.cli import main
+        from repro.backends import get_backend
+
+        with pytest.raises(ValueError, match="unknown backend 'dense'; "
+                           "available: reference, scipy$"):
+            get_backend("dense")
+        assert main(["solve", "--backend", "dense"]) == 2
+        assert "unknown backend 'dense'" in capsys.readouterr().err
+
+    def test_checksums_refuse_a_row_block(self, small_lap):
+        from repro.abft import compute_checksums
+        from repro.sparse import CSRMatrix
+
+        lo, hi = int(small_lap.rowidx[100]), int(small_lap.rowidx[200])
+        block = CSRMatrix(
+            small_lap.val[lo:hi].copy(), small_lap.colid[lo:hi].copy(),
+            small_lap.rowidx[100:201] - lo, (100, small_lap.ncols),
+        )
+        assert block.shape == (100, 400)
+        with pytest.raises(ValueError, match="square"):
+            compute_checksums(block)
+
+    @staticmethod
+    def _non_square(a, shape):
+        dense = a.to_dense()
+        from repro.sparse import CSRMatrix
+
+        return CSRMatrix.from_dense(dense[100:200] if shape == "wide" else dense[:, 100:200])
+
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    def test_checksums_refuse_any_non_square_matrix(self, small_lap, shape):
+        from repro.abft import compute_checksums
+
+        a = self._non_square(small_lap, shape)
+        for nchecks in (1, 2):
+            with pytest.raises(ValueError) as ei:
+                compute_checksums(a, nchecks=nchecks)
+            assert str(ei.value) == f"matrix must be square, got shape {a.shape}"
+
+    @pytest.mark.parametrize(
+        "method, scheme",
+        [(m.value, s.value) for m in Method for s in m.supported_schemes],
+    )
+    def test_solve_refuses_a_non_square_matrix_in_every_cell(self, small_lap, method, scheme):
+        import repro
+
+        for shape, dims in (("wide", "100x400"), ("tall", "400x100")):
+            a = self._non_square(small_lap, shape)
+            with pytest.raises(ValueError, match=f"matrix must be square, got {dims}"):
+                repro.solve(a, np.ones(a.nrows), method=method, scheme=scheme)

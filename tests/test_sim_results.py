@@ -70,6 +70,25 @@ class TestRenderers:
         assert len([l for l in lines if l.startswith("|")]) == 10
         assert all(len(l) <= 42 for l in lines if l.startswith("|"))
 
+    def test_ascii_panel_renders_all_series(self):
+        pts = []
+        for scheme, base in [("online-detection", 30), ("abft-detection", 20), ("abft-correction", 10)]:
+            for mtbf in (16.0, 100.0, 1000.0):
+                pts.append(
+                    Figure1Point(
+                        uid=1, scheme=scheme, alpha=1 / mtbf,
+                        mean_time=base + 100 / mtbf, sem_time=0.0, s_used=1, d_used=1,
+                    )
+                )
+        text = ascii_panel(pts, 1)
+        assert "Matrix #1" in text
+        for marker in (":", "-", "#"):
+            assert marker in text
+
+    def test_ascii_panel_unknown_uid_raises(self):
+        with pytest.raises(ValueError):
+            ascii_panel([], 5)
+
     def test_single_rep_point_renders_na_error(self):
         # Regression: reps=1 has no standard error; sem_time is None
         # and the cell must render "±n/a", never divide by zero or

@@ -12,7 +12,10 @@ class TestAgainstDense:
     def test_matches_dense_product(self, rng, shape):
         a = dense_random_csr(rng, *shape, 0.4)
         x = rng.normal(size=shape[1])
-        np.testing.assert_allclose(spmv(a, x), a.to_dense() @ x, rtol=1e-12)
+        expected = a.to_dense() @ x
+        np.testing.assert_allclose(spmv(a, x), expected, rtol=1e-12)
+        a.assume_clean_structure()  # the stamped fast path agrees too
+        np.testing.assert_allclose(spmv(a, x), expected, rtol=1e-12)
 
     def test_vectorized_matches_reference(self, small_spd, rng):
         x = rng.normal(size=small_spd.ncols)
