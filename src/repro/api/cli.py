@@ -841,9 +841,8 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 max_worker_restarts=args.max_worker_restarts,
                 **run,
             )
-        except ServeInterrupted as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            return 128 + exc.signum
+        except ServeInterrupted:
+            raise  # main() exits 128 + signum, as for every campaign
         except (RuntimeError, StoreError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -880,6 +879,14 @@ def main(argv: "list[str] | None" = None) -> int:
         return args.func(parser, args)
     except SystemExit as exc:  # parser.error() inside a subcommand
         return _exit_code(exc)
+    except RuntimeError as exc:
+        from repro.campaign.serve import ServeInterrupted
+
+        if not isinstance(exc, ServeInterrupted):
+            raise
+        # A signal drained the fleet; what finished is in the store.
+        print(f"interrupted: {exc}", file=sys.stderr)
+        return 128 + exc.signum
 
 
 def _exit_code(exc: SystemExit) -> int:

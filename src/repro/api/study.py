@@ -552,7 +552,6 @@ class Study:
         jobs: "int | None" = 1,
         store: "StoreBackend | str | os.PathLike[str] | None" = None,
         progress: "bool | str" = False,
-        chunksize: "int | None" = None,
         reuse_workspace: bool = True,
         trace_dir: "str | os.PathLike[str] | None" = None,
         task_timeout: "float | None" = None,
@@ -622,7 +621,6 @@ class Study:
             jobs=jobs,
             store=store,
             progress=reporter,
-            chunksize=chunksize,
             reuse_workspace=reuse_workspace,
             trace_dir=trace_dir,
             task_timeout=task_timeout,

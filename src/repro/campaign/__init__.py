@@ -10,11 +10,11 @@ package turns such a grid into a first-class *campaign*:
   flat list of content-hashable tasks, preserving the library's
   deterministic ``spawn_named`` seed derivation so parallel and serial
   execution are bit-identical;
-- :mod:`repro.campaign.executor` — a :class:`concurrent.futures
-  .ProcessPoolExecutor`-based runner with chunked scheduling,
-  ordered-result collection and a serial fallback for ``jobs=1``;
-- :mod:`repro.campaign.serve` — the lease-coordinated worker fleet
-  (``repro serve``) over a concurrent store;
+- :mod:`repro.campaign.executor` — the campaign runner: resume,
+  ordered-result collection and serial execution for ``jobs=1``;
+- :mod:`repro.campaign.serve` — the supervised worker fleet behind
+  ``--jobs N`` (guided batches from the dispatcher) and ``repro
+  serve`` (leases over a concurrent store);
 - :mod:`repro.campaign.progress` — throughput / ETA reporting;
 - :mod:`repro.campaign.aggregate` — regrouping of raw per-task records
   into the existing :class:`~repro.sim.engine.RunStatistics` /

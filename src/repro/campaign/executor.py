@@ -1,46 +1,28 @@
-"""Process-pool campaign execution with ordered results.
+"""Campaign execution with ordered results.
 
 The executor maps a list of :class:`~repro.campaign.spec.TaskSpec`
 over worker processes and returns one result record per task, in task
 order, regardless of completion order.  Correctness never depends on
 scheduling: each task derives its RNG streams from its own identity
 (see :mod:`repro.campaign.spec`), so ``jobs=N`` is bit-identical to
-``jobs=1``.
+``jobs=1``.  ``jobs=1`` (the library default) runs inline in the
+calling process; ``jobs=N`` runs on the supervised worker fleet of
+:mod:`repro.campaign.serve`, whose workers rebuild matrices from
+``(uid, scale)`` through the process-local
+:func:`~repro.sim.matrices.get_matrix` cache.
 
-Design notes
-------------
-- Workers receive only the tiny ``TaskSpec``; matrices are rebuilt
-  inside the worker from ``(uid, scale)`` through the process-local
-  :func:`~repro.sim.matrices.get_matrix` cache, so a worker that runs
-  a whole sweep of intervals for one matrix builds it once.
-- Scheduling is chunked (``~4`` chunks per worker) so pool IPC costs
-  amortize over many short tasks while the tail stays balanced.
-- Each chunk is its own future, persisted to the optional
-  :class:`~repro.store.protocol.StoreBackend` *as it completes*, as
-  one batch (:func:`repro.store.protocol.append_many`: one committed
-  transaction under SQLite) — a slow chunk never holds finished
-  results hostage in parent memory, so a crash loses at most the
-  chunks still in flight.  The returned record list is reassembled in
-  task order regardless.
-- ``jobs=1`` (the library default) runs everything inline in the
-  calling process — no pool, no pickling, same records.
-- A task is executed in exactly one place: :func:`run_task` →
-  :func:`repro.chaos.run_guarded` → :func:`execute_task` → the
-  repetition loop (:func:`repro.sim.engine.repeat_run`).  The serial
-  loop, the pool's chunks and serve-mode workers differ only in who
-  calls ``run_task`` (with one picklable :class:`TaskContext`) and who
-  delivers the record.
+A task is executed in exactly one place: :func:`run_task` →
+:func:`repro.chaos.run_guarded` → :func:`execute_task` → the
+repetition loop (:func:`repro.sim.engine.repeat_run`).  The serial
+loop and the fleet's workers differ only in who calls ``run_task``
+(with one picklable :class:`TaskContext`) and who delivers the record.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import uuid
-import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -73,16 +55,6 @@ TELEMETRY_SCHEMA: int = 1
 #: Schema version stamped into ``partial`` (adaptive progress) records.
 PARTIAL_SCHEMA: int = 1
 
-#: Target chunks per worker: small enough to balance the tail, large
-#: enough to amortize pickling/IPC over many sub-second tasks.
-CHUNKS_PER_WORKER: int = 4
-
-#: How many times a *hardened* campaign (retries / --task-timeout /
-#: chaos enabled) rebuilds a broken process pool before degrading to
-#: serial in-process execution.  In an unhardened campaign a broken
-#: pool propagates.
-MAX_POOL_RESTARTS: int = 3
-
 #: Per-process JSONL trace shards, keyed by trace directory.  Each
 #: entry remembers the pid that opened it: a forked worker inherits the
 #: parent's dict (and possibly an open file handle), and writing the
@@ -102,13 +74,6 @@ def _worker_tracer(trace_dir):
         _WORKER_TRACERS[key] = (pid, tracer)
         return tracer
     return entry[1]
-
-
-#: Per-process stores opened from a URL for partial-progress writes,
-#: keyed by URL with the opening pid remembered (same fork-safety
-#: rationale as ``_WORKER_TRACERS``: a forked worker must open its own
-#: connection/handle, never reuse the parent's).
-_WORKER_PARTIAL_STORES: "dict[str, tuple[int, object]]" = {}
 
 
 def partial_hash(task_hash: str) -> str:
@@ -154,19 +119,6 @@ def load_partials(store, task_hashes: "set[str]") -> "dict[str, dict]":
         if h is not None and rec.get("kind") == "partial":
             newest[h] = rec  # iteration order == append order: last wins
     return {h: rec["per_rep"] for h, rec in newest.items()}
-
-
-def _resolve_partial_store(partial_store):
-    """Resolve the partial sink: a live backend passes through (serial
-    path); a URL opens one per-process cached backend (pool workers)."""
-    if not isinstance(partial_store, str):
-        return partial_store
-    pid = os.getpid()
-    entry = _WORKER_PARTIAL_STORES.get(partial_store)
-    if entry is None or entry[0] != pid:
-        entry = (pid, open_store(partial_store))
-        _WORKER_PARTIAL_STORES[partial_store] = entry
-    return entry[1]
 
 
 def _telemetry_state() -> dict:
@@ -265,11 +217,11 @@ def execute_task(
     under the task's :class:`repro.adaptive.SamplingPolicy`:
     ``prior`` is a per-rep payload recovered from a ``kind="partial"``
     store record (completed repetitions are not re-executed), and
-    ``partial_store`` — a live backend (serial path) or a store URL
-    (pool workers open their own per-process handle) — receives a
-    partial-progress record after every policy batch, so a crash mid-
-    task loses at most one batch of repetitions.  Both are ignored for
-    fixed-count tasks.
+    ``partial_store`` — any sink with ``append(record)``: the
+    campaign's store, or a ``--jobs`` worker's pipe to its dispatcher —
+    receives a partial-progress record after every policy batch, so a
+    crash mid-task loses at most one batch of repetitions.  Both are
+    ignored for fixed-count tasks.
     """
     from repro.adaptive import SamplingPolicy
     from repro.core.methods import CostModel, Scheme, SchemeConfig
@@ -295,10 +247,9 @@ def execute_task(
     if task.sampling:
         policy = SamplingPolicy.parse(task.sampling)
         if partial_store is not None:
-            sink = _resolve_partial_store(partial_store)
 
             def on_batch(per_rep):
-                sink.append(make_partial_record(task_hash, per_rep))
+                partial_store.append(make_partial_record(task_hash, per_rep))
 
     try:
         with METRICS.time_section("campaign.task_s"):
@@ -337,8 +288,8 @@ def execute_task(
 @dataclass(frozen=True)
 class TaskContext:
     """Everything one task execution needs besides the task itself:
-    built once per campaign and handed — pickled, for pool chunks and
-    serve workers — to every :func:`run_task` call."""
+    built once per campaign and handed — pickled, for fleet workers —
+    to every :func:`run_task` call."""
 
     reuse_workspace: bool = True
     #: Directory of per-process JSONL trace shards (``None`` = off).
@@ -348,9 +299,9 @@ class TaskContext:
     #: Per-rep payloads of adaptive tasks' newest partial records, by
     #: task hash (see :func:`load_partials`).
     priors: "dict[str, dict]" = field(default_factory=dict)
-    #: Sink for adaptive partial-progress records: a live backend, a
-    #: store URL (the worker opens its own handle), or ``None``.
-    partial_store: "StoreBackend | str | None" = None
+    #: Sink for adaptive partial-progress records (anything with
+    #: ``append(record)``: a store, a worker's pipe), or ``None``.
+    partial_store: "StoreBackend | None" = None
 
 
 def run_task(task: TaskSpec, ctx: TaskContext) -> dict:
@@ -382,12 +333,10 @@ def run_campaign(
     jobs: "int | None" = None,
     store: "StoreBackend | str | os.PathLike[str] | None" = None,
     progress: "ProgressReporter | None" = None,
-    chunksize: "int | None" = None,
     reuse_workspace: bool = True,
     trace_dir: "str | os.PathLike[str] | None" = None,
     task_timeout: "float | None" = None,
     retries: int = 0,
-    retry_backoff: float = 0.05,
     chaos: "ChaosPolicy | str | None" = None,
 ) -> "list[dict]":
     """Execute every task, reusing stored results, and return records
@@ -397,7 +346,8 @@ def run_campaign(
     ----------
     jobs:
         Worker processes; ``None`` → :func:`default_jobs`, ``1`` →
-        serial in-process execution.
+        serial in-process execution.  More than one runs the
+        supervised fleet (:func:`repro.campaign.serve.run_fleet`).
     store:
         Optional result store — a :class:`~repro.store.protocol
         .StoreBackend` instance or a URL-style selector resolved by
@@ -405,14 +355,12 @@ def run_campaign(
         ``sharded:dir`` → hash-partitioned shards, ``sqlite:file.db``
         → WAL-mode SQLite).  Tasks whose hash is already present are
         served from the store without recomputation; fresh results are
-        appended as they complete.  Resume matching streams over the
-        store, so pointing a small campaign at a multi-GB store does
-        not materialize it.
+        appended as they complete, by this process only.  Resume
+        matching streams over the store, so pointing a small campaign
+        at a multi-GB store does not materialize it.
     progress:
         Optional reporter; cache hits and fresh completions are both
         counted.
-    chunksize:
-        Tasks per pool chunk (``None`` → ``~4`` chunks per worker).
     reuse_workspace:
         Run repetitions through per-worker solve workspaces (the
         zero-copy hot path).  ``False`` restores the historical
@@ -425,25 +373,21 @@ def run_campaign(
         one shard for the calling process).  Events carry the task
         hash, so ``repro trace summarize`` regroups shards per task
         regardless of scheduling.
-    task_timeout, retries, retry_backoff:
-        Self-healing knobs (``docs/DESIGN.md`` §10; all off by
+    task_timeout, retries:
+        Self-healing knobs (``docs/DESIGN.md`` §10; both off by
         default, in which case :func:`repro.chaos.run_guarded` is a
         plain call of :func:`execute_task`).  ``task_timeout`` is a
-        per-attempt wall-clock deadline
-        in seconds; ``retries`` bounds re-attempts of a failing /
-        timed-out task with exponential backoff starting at
-        ``retry_backoff`` seconds.  A task that exhausts its attempts
-        is *quarantined*: a structured ``kind="quarantine"`` record is
-        stored under its hash, the campaign completes, and the
-        ``campaign.quarantined`` metric counts it.
+        per-attempt wall-clock deadline in seconds; ``retries`` bounds
+        re-attempts of a failing / timed-out task with exponential
+        backoff.  A task that exhausts its attempts is *quarantined*:
+        a structured ``kind="quarantine"`` record is stored under its
+        hash, the campaign completes, and the ``campaign.quarantined``
+        metric counts it.  Without them a raising task propagates.
     chaos:
         Deterministic fault injection (:class:`repro.chaos
         .ChaosPolicy`, a spec string, or ``None`` → the
         ``REPRO_CHAOS`` environment gate).  Faults only fire in worker
-        processes; a pool broken by injected (or real) crashes is
-        rebuilt up to :data:`MAX_POOL_RESTARTS` times — with the
-        chaos generation re-rolled so kill-fates converge — before the
-        campaign degrades to serial in-process execution.
+        processes, whose crashes the fleet supervisor heals.
 
     Notes
     -----
@@ -452,8 +396,10 @@ def run_campaign(
     appended after the task records: the merged per-worker metric
     deltas for this campaign (engine counters, cache hit/miss, phase
     time units, task timer).  The hash namespace cannot collide with
-    task content hashes, so resume-by-hash is unaffected and readers
-    that only look at task records skip it naturally.
+    task content hashes, so resume-by-hash is unaffected.
+    ``SIGINT``/``SIGTERM`` drain a ``jobs > 1`` campaign: what the
+    workers hand back is persisted, telemetry included, and
+    :class:`repro.campaign.serve.ServeInterrupted` is raised.
     """
     from repro.chaos import resolve_chaos, resolve_retry
 
@@ -461,9 +407,7 @@ def run_campaign(
     jobs = default_jobs() if jobs is None else int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    retry = resolve_retry(
-        retries=retries, task_timeout=task_timeout, backoff=retry_backoff
-    )
+    retry = resolve_retry(retries=retries, task_timeout=task_timeout)
     chaos = resolve_chaos(chaos)
     own_store = False
     if store is not None and isinstance(store, (str, os.PathLike)):
@@ -483,17 +427,7 @@ def run_campaign(
             else:
                 pending.append((i, task))
 
-        # Persist first, then slot into place and count: the append
-        # coming first keeps ``results[index] is None`` a reliable "not
-        # yet durably delivered" test for crash salvage.
-        def deliver(index: int, record: dict) -> None:
-            if store is not None:
-                store.append(record)
-            results[index] = record
-            if progress is not None:
-                progress.update()
-
-        def deliver_chunk(indices: "list[int]", records: "list[dict]") -> None:
+        def deliver(indices: "list[int]", records: "list[dict]") -> None:
             if store is not None:
                 append_many(store, records)
             for index, record in zip(indices, records):
@@ -517,13 +451,15 @@ def run_campaign(
             partial_store=store,
         )
         telemetry_parts: "list[dict]" = []
+        signum = None
         try:
             if pending and (jobs == 1 or len(pending) == 1):
                 telemetry_parts = [_run_serial(pending, ctx, deliver)]
             elif pending:
-                telemetry_parts = _run_pool(
-                    jobs, pending, chunksize, ctx, results, deliver, deliver_chunk
-                )
+                from repro.campaign.serve import run_fleet
+
+                workers = min(jobs, len(pending))
+                telemetry_parts, signum = run_fleet(workers, pending, ctx, deliver)
         finally:
             # Terminate the \r status line even when a task raised, so
             # the traceback doesn't print on top of it.
@@ -535,21 +471,25 @@ def run_campaign(
                     telemetry_parts,
                     jobs=jobs,
                     workers=len({p.get("pid") for p in telemetry_parts}),
-                    fresh=len(pending),
+                    fresh=sum(results[i] is not None for i, _ in pending),
                     cached=len(tasks) - len(pending),
                 )
             )
-        quarantined = sum(
-            1
-            for rec in results
-            if rec is not None and rec.get("kind") == "quarantine"
-        )
-        if quarantined:
-            METRICS.inc("campaign.quarantined", quarantined)
+        if signum is not None:
+            from repro.campaign.serve import ServeInterrupted
+
+            raise ServeInterrupted(signum)
+        _count_quarantined(results)
         return results  # type: ignore[return-value]
     finally:
         if own_store and store is not None:
             store.close()
+
+
+def _count_quarantined(records: "list[dict | None]") -> None:
+    quarantined = sum(1 for rec in records if rec and rec.get("kind") == "quarantine")
+    if quarantined:
+        METRICS.inc("campaign.quarantined", quarantined)
 
 
 def _run_serial(
@@ -558,163 +498,10 @@ def _run_serial(
     """Run ``todo`` inline in this process; returns its telemetry delta."""
     base = _telemetry_state()
     for i, task in todo:
-        deliver(i, run_task(task, ctx))
+        deliver([i], [run_task(task, ctx)])
     if ctx.trace_dir is not None:
         # Release the shard's fd; the cached tracer lazily reopens
         # (append) if this process runs another traced campaign over
         # the same dir.
         _worker_tracer(ctx.trace_dir).close()
     return _telemetry_delta(base)
-
-
-def _run_pool(
-    jobs: int,
-    pending: "list[tuple[int, TaskSpec]]",
-    chunksize: "int | None",
-    ctx: TaskContext,
-    results: "list[dict | None]",
-    deliver,
-    deliver_chunk,
-) -> "list[dict]":
-    """Fan pending tasks over a process pool, one future per chunk, and
-    return the telemetry deltas of every chunk that completed.  A
-    finished chunk is persisted as one batch (``deliver_chunk``);
-    ``deliver`` serves the serial degradation.
-
-    A hardened campaign (retry / timeout / chaos armed) that loses its
-    pool to worker crashes rebuilds it — re-running only the
-    undelivered tasks — up to :data:`MAX_POOL_RESTARTS` times, then
-    degrades to serial in-process execution.  In an unhardened campaign
-    a broken pool propagates.
-    """
-    # ``ctx`` arrives as the serial path uses it, writing partial
-    # records through the campaign's open store.  Pool workers open
-    # their own handle from its URL — only on multi-writer-safe backends
-    # (supports_leases): a single-file JSONL store is never written by
-    # two processes at once, so its pool runs flush no mid-task partials.
-    store = ctx.partial_store
-    partial_url = None
-    if store is not None and any(t.sampling for _, t in pending):
-        if store.supports_leases:
-            partial_url = store.url
-        else:
-            warnings.warn(
-                f"store {store.url!r} has no lease support, so pool workers "
-                "flush no mid-task partial records: a killed worker will "
-                "recompute its in-flight adaptive task from its first "
-                "repetition (a sharded: or sqlite: store checkpoints them)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    ctx = replace(ctx, partial_store=partial_url)
-    hardened = ctx.retry is not None or ctx.chaos is not None
-    telemetry_parts: "list[dict]" = []
-    todo = pending
-    restarts = 0
-    while True:
-        workers = min(jobs, len(todo))
-        chunk = chunksize or max(
-            1, math.ceil(len(todo) / (workers * CHUNKS_PER_WORKER))
-        )
-        groups = [todo[lo : lo + chunk] for lo in range(0, len(todo), chunk)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(
-                        execute_chunk,
-                        [t for _, t in group],
-                        _chunk_context(ctx, group),
-                    ): group
-                    for group in groups
-                }
-                try:
-                    for fut in as_completed(futures):
-                        payload = fut.result()
-                        telemetry_parts.append(payload["telemetry"])
-                        deliver_chunk(
-                            [i for i, _ in futures[fut]], payload["records"]
-                        )
-                except BaseException:
-                    # Don't let the pool's __exit__ burn through every
-                    # queued chunk only to discard the results: cancel
-                    # what hasn't started, wait out what has, and keep
-                    # what finished cleanly before propagating.
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    _salvage(futures, results, deliver_chunk)
-                    raise
-            return telemetry_parts
-        except BrokenProcessPool:
-            if not hardened:
-                raise
-        todo = [(i, t) for i, t in todo if results[i] is None]
-        if not todo:
-            return telemetry_parts
-        if partial_url is not None:
-            # Workers of the broken pool may have flushed newer partials
-            # than the campaign-start scan saw; pick them up so the
-            # rebuilt pool re-executes as little as possible.
-            adaptive = {t.task_hash() for _, t in todo if t.sampling}
-            ctx = replace(ctx, priors=load_partials(store, adaptive))
-        restarts += 1
-        METRICS.inc("campaign.pool_restarts")
-        if restarts > MAX_POOL_RESTARTS:
-            warnings.warn(
-                f"process pool broke {restarts} times; degrading to "
-                f"serial execution for the remaining {len(todo)} task(s)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            telemetry_parts.append(
-                _run_serial(todo, replace(ctx, partial_store=store), deliver)
-            )
-            return telemetry_parts
-        if ctx.chaos is not None:
-            # Re-roll the injection draws for the rebuilt pool so a
-            # kill-fated task cannot crash every successor pool too.
-            ctx = replace(
-                ctx, chaos=ctx.chaos.with_generation(ctx.chaos.generation + 1)
-            )
-
-
-def _salvage(futures: dict, results: "list[dict | None]", deliver_chunk) -> None:
-    """Persist the records of every chunk that finished cleanly in a
-    failed pool — those survive for ``--resume``.  Best-effort: if
-    persistence is what broke (disk full), the original error must
-    still be the one that propagates."""
-    try:
-        for fut, group in futures.items():
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                left = [  # not yet delivered
-                    (i, rec)
-                    for (i, _), rec in zip(group, fut.result()["records"])
-                    if results[i] is None
-                ]
-                if left:
-                    deliver_chunk(*zip(*left))
-    except Exception:
-        pass
-
-
-def _chunk_context(ctx: TaskContext, group) -> TaskContext:
-    """``ctx`` with only this chunk's priors: nothing else adaptive
-    crosses the pickle boundary (and nothing at all is hashed when no
-    task has a prior)."""
-    if not ctx.priors:
-        return ctx
-    hashes = (t.task_hash() for _, t in group)
-    return replace(
-        ctx, priors={h: ctx.priors[h] for h in hashes if h in ctx.priors}
-    )
-
-
-def execute_chunk(tasks: "list[TaskSpec]", ctx: TaskContext) -> dict:
-    """Worker entry point for one scheduling chunk (module-level so it
-    pickles under every multiprocessing start method).
-
-    Returns ``{"records": [...], "telemetry": {...}}`` — the task
-    records in task order plus this chunk's metric delta (diffed per
-    chunk, see :func:`_telemetry_delta`).
-    """
-    base = _telemetry_state()
-    records = [run_task(t, ctx) for t in tasks]
-    return {"records": records, "telemetry": _telemetry_delta(base)}

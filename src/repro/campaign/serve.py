@@ -1,70 +1,91 @@
-"""Serve mode: a warm worker fleet multiplexing campaigns over leases.
+"""The supervised worker fleet behind ``--jobs N`` and ``repro serve``.
 
-``repro serve --store sharded:dir --workers N spec.json …`` runs a
-*dispatcher* (the calling process) plus ``N`` long-lived worker
-processes that pull tasks from a shared concurrent store instead of
-being handed fixed chunks:
+Both parallel schedulers are one fleet of long-lived worker processes
+running tasks through :func:`~repro.campaign.executor.run_task`, under
+one supervisor (:class:`_Fleet`).  The modes differ only in where a
+worker gets its next task and who appends the record:
 
-- every worker sees the same pending set (tasks whose hash is not in
-  the store yet) and *claims* one at a time through the store's lease
-  protocol (:mod:`repro.store.protocol`) before executing it;
-- while a task runs, a background heartbeat thread keeps its lease
-  fresh; a worker that dies mid-task simply stops heartbeating, and
-  once the lease TTL passes any other worker **steals** the task and
-  reruns it;
-- the dispatcher *supervises* the fleet: a worker that exits with a
-  nonzero status (crash, OOM kill, injected chaos) is restarted — up
-  to ``max_worker_restarts`` times — so a campaign outlives its
-  workers, not the other way around;
-- ``SIGINT``/``SIGTERM`` drain the fleet gracefully: workers finish
-  their in-flight task, append their telemetry, release their leases
-  and exit 0, after which the dispatcher raises
-  :class:`ServeInterrupted` (the CLI maps it to exit ``128+signum``);
-- several dispatchers may serve different Studies against the *same*
-  store concurrently — their workers interleave freely, because
-  coordination lives entirely in the store.  That is how a warm fleet
-  (per-process matrix / checksum caches, reusable workspaces — see
-  :mod:`repro.perf`) is shared across campaigns.
+- ``--jobs N`` (:func:`run_fleet`): the dispatcher is the lease board.
+  It hands each worker its next batch over the worker's own pipe —
+  guided self-scheduling, ``ceil(remaining / (2 × workers))`` tasks,
+  never fewer than one — so it knows which tasks each worker holds.
+  It is the only writer: a finished batch lands with one
+  :func:`~repro.store.protocol.append_many`, and adaptive ``partial``
+  records come up the pipe.
+- ``repro serve`` (:func:`serve_campaign`): workers *claim* tasks from
+  a concurrent store's lease board (:mod:`repro.store.protocol`) and
+  append their own records; a worker that dies mid-task stops
+  heartbeating and loses its claim to a peer once the lease TTL
+  passes.  Several dispatchers may share one store and so one warm
+  fleet.
 
-Correctness never rests on the leases: they are advisory
-duplicate-work suppression.  Task records are idempotent — a task's
-result depends only on its content-hashed identity, so two workers
-racing the same task append bit-identical records and last-wins
-folding makes the race invisible.  A serve-mode run therefore
-produces per-task results identical to ``--jobs 1``, even under
-injected faults (``docs/DESIGN.md`` §10).
+The supervisor restarts a worker that exits nonzero in a fresh chaos
+generation, within a budget of ``4 × workers``; a ``--jobs`` worker's
+undelivered tasks go back on the queue at once.  Once the budget is
+spent ``--jobs`` runs the remainder serially in the dispatcher and
+``serve`` raises.  ``SIGINT``/``SIGTERM`` drain the fleet: workers
+finish their in-flight task, hand back (or append) their records and
+telemetry and exit 0, and the dispatcher raises
+:class:`ServeInterrupted`.  A task's record depends only on its
+content-hashed identity, so a task run twice (a stolen lease, a
+requeued batch) yields bit-identical records that last-wins folding
+makes invisible: either mode matches ``--jobs 1`` record for record
+(``docs/DESIGN.md`` §10).
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import os
 import signal
 import threading
 import time
 import uuid
+import warnings
+from collections import deque
 from dataclasses import replace
+from multiprocessing.connection import wait
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
+from repro.campaign.executor import (
+    TaskContext,
+    _count_quarantined,
+    _run_serial,
+    _telemetry_delta,
+    _telemetry_state,
+    _worker_tracer,
+    load_partials,
+    run_task,
+    telemetry_record,
+)
+from repro.obs.metrics import METRICS
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.campaign.executor import TaskContext
     from repro.campaign.progress import ProgressReporter
     from repro.campaign.spec import TaskSpec
     from repro.chaos import ChaosPolicy
     from repro.store.protocol import StoreBackend
 
-__all__ = ["ServeInterrupted", "serve_campaign", "serve_worker"]
+__all__ = ["ServeInterrupted", "run_fleet", "serve_campaign", "serve_worker"]
 
-#: How long a worker sleeps when every pending task is currently
+#: How often a dispatcher looks at its workers and at pending signals
+#: (and, in serve mode, polls the store for finished tasks).
+_POLL_S = 0.1
+
+#: How long a serve worker sleeps when every pending task is currently
 #: leased by a live peer.
 _IDLE_SLEEP_S = 0.05
 
-#: How long the dispatcher waits for a draining worker to finish its
-#: in-flight task before terminating it.
+#: How long a draining fleet may take to finish its in-flight tasks
+#: before the workers still running are killed.
 _DRAIN_JOIN_S = 30.0
 
 
 class ServeInterrupted(RuntimeError):
-    """The dispatcher was stopped by a signal after draining its fleet.
+    """A campaign dispatcher was stopped by a signal after draining its
+    fleet.
 
     Carries the ``signum`` so callers can re-exit conventionally
     (``128 + signum``, which the CLI does).
@@ -73,11 +94,245 @@ class ServeInterrupted(RuntimeError):
     def __init__(self, signum: int) -> None:
         self.signum = int(signum)
         super().__init__(
-            f"serve dispatcher interrupted by signal {self.signum}; "
+            f"campaign dispatcher interrupted by signal {self.signum}; "
             "workers drained"
         )
 
 
+class _Fleet:
+    """The one supervisor: ``workers`` processes started by
+    ``spawn(ctx, name)``, restarted on crash within ``budget``, drained
+    on ``SIGINT``/``SIGTERM`` (handlers go in on the main thread only).
+
+    Worker ``i`` starts in chaos generation ``i`` and the ``k``-th
+    restart in ``workers + k - 1``, so a restarted worker re-rolls its
+    injection draws and a kill-fated task cannot follow it.
+    """
+
+    def __init__(self, spawn, ctx: TaskContext, workers: int, budget: int, name: str):
+        self.spawn, self.ctx, self.name = spawn, ctx, name
+        self.workers, self.budget = workers, budget
+        self.live: "list[multiprocessing.Process]" = []
+        self.restarts = 0
+        self.interrupted: "list[int]" = []
+        self.draining_until: "float | None" = None
+        self.tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
+        self._handlers: "dict[int, object]" = {}
+
+    def __enter__(self) -> "_Fleet":
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                self._handlers[signum] = signal.signal(signum, self._on_signal)
+        for generation in range(self.workers):
+            self._start(generation)
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        for signum, handler in self._handlers.items():
+            signal.signal(signum, handler)
+        for proc in self.live:
+            if exc_type is not None:  # an error path: die with the dispatcher
+                proc.kill()
+            proc.join()
+        if self.tracer is not None:
+            self.tracer.close()
+
+    def _on_signal(self, signum, frame) -> None:  # pragma: no cover - signal context
+        self.interrupted.append(signum)
+
+    def _start(self, generation: int) -> None:
+        ctx = self.ctx
+        if ctx.chaos is not None:
+            ctx = replace(ctx, chaos=ctx.chaos.with_generation(generation))
+        self.live.append(self.spawn(ctx, f"{self.name}-g{generation}"))
+
+    def drain(self) -> None:
+        """Forward SIGTERM to every worker: each finishes its in-flight
+        task, hands back what it has and exits 0.  Nothing restarts
+        from here on."""
+        if self.draining_until is None:
+            self.draining_until = time.monotonic() + _DRAIN_JOIN_S
+            for proc in self.live:
+                proc.terminate()
+
+    def reap(self) -> "list[multiprocessing.Process]":
+        """Drop every worker that has exited from :attr:`live` and return
+        them, restarting each crash (nonzero exit) within the budget."""
+        if self.interrupted:
+            self.drain()
+        if self.draining_until is not None and time.monotonic() > self.draining_until:
+            for proc in self.live:  # pragma: no cover - stuck worker
+                proc.kill()
+        gone = [proc for proc in self.live if proc.exitcode is not None]
+        for proc in gone:
+            self.live.remove(proc)
+            if proc.exitcode and self.draining_until is None and self.restarts < self.budget:
+                self.restarts += 1
+                METRICS.inc("campaign.worker_restarts")
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        "worker-restart",
+                        exitcode=proc.exitcode,
+                        restarts=self.restarts,
+                        name=proc.name,
+                    )
+                self._start(self.workers + self.restarts - 1)
+        return gone
+
+
+def _start(name: str, target, *args) -> "multiprocessing.Process":
+    proc = multiprocessing.Process(target=target, args=args, name=name, daemon=True)
+    proc.start()
+    return proc
+
+
+def _drain_event() -> threading.Event:
+    """Set by SIGINT/SIGTERM in a worker: finish the in-flight task,
+    hand back what is done, exit 0 (which the supervisor never
+    restarts)."""
+    drain = threading.Event()
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda signum, frame: drain.set())
+    return drain
+
+
+# ----------------------------------------------------------------------
+# --jobs N: the dispatcher is the lease board
+# ----------------------------------------------------------------------
+def run_fleet(
+    workers: int,
+    todo: "list[tuple[int, TaskSpec]]",
+    ctx: TaskContext,
+    deliver: "Callable[[list[int], list[dict]], None]",
+) -> "tuple[list[dict], int | None]":
+    """Run ``todo`` (``(index, task)`` pairs) on ``workers`` fleet
+    workers, handing ``deliver`` each finished batch's indices and
+    records; returns the telemetry deltas and the signal that drained
+    the fleet (or ``None``).  ``ctx.partial_store`` receives the
+    adaptive partial records workers send up, the newest of which a
+    requeued task resumes from.  A raising task drains the fleet, then
+    propagates.
+    """
+    store, priors, queue = ctx.partial_store, dict(ctx.priors), deque(todo)
+    # worker -> [its pipe end, the batch it holds (None: wants one)]
+    links: "dict[multiprocessing.Process, list]" = {}
+    parts: "list[dict]" = []
+    errors: "list[BaseException]" = []
+
+    def spawn(worker_ctx: TaskContext, name: str) -> "multiprocessing.Process":
+        here, there = multiprocessing.Pipe()
+        proc = _start(name, fleet_worker, there, worker_ctx)
+        there.close()
+        links[proc] = [here, None]
+        return proc
+
+    def hand_out(link: list) -> None:
+        size = math.ceil(len(queue) / (2 * workers)) if fleet.draining_until is None else 0
+        link[1] = [queue.popleft() for _ in range(size)]
+        tasks = [t for _, t in link[1]]
+        wanted = (t.task_hash() for t in tasks if t.sampling) if priors else ()
+        try:
+            link[0].send((tasks, {h: priors[h] for h in wanted if h in priors}) if tasks else None)
+        except OSError:  # it died meanwhile; reap() requeues the batch
+            pass
+
+    def receive(proc) -> bool:
+        """Handle one message from ``proc``; ``False`` once it is gone."""
+        link = links[proc]
+        try:
+            message = link[0].recv()
+        except EOFError:
+            proc.join()
+            return False
+        if isinstance(message, dict):  # an adaptive partial record
+            if store is not None:
+                store.append(message)
+            priors[message["task_hash"]] = message["per_rep"]
+            return True
+        records, telemetry, error = message
+        held, link[1] = link[1], None
+        if records:
+            deliver([i for i, _ in held[: len(records)]], records)
+        queue.extendleft(reversed(held[len(records) :]))
+        parts.append(telemetry)
+        if error is not None:
+            errors.append(error)
+            fleet.drain()
+        return True
+
+    worker_ctx = replace(ctx, priors={}, partial_store=None)
+    fleet = _Fleet(spawn, worker_ctx, workers, 4 * workers, "repro-fleet")
+    with fleet:
+        while fleet.live:
+            for proc in fleet.live:
+                if links[proc][1] is None:
+                    hand_out(links[proc])
+            conns = {links[proc][0]: proc for proc in fleet.live}
+            for conn in wait(list(conns), _POLL_S):
+                receive(conns[conn])
+            for proc in fleet.reap():
+                while receive(proc):
+                    pass
+                conn, held = links.pop(proc)
+                conn.close()
+                queue.extendleft(reversed(held or ()))
+    if errors:
+        raise errors[0]
+    signum = fleet.interrupted[0] if fleet.interrupted else None
+    if queue and signum is None:
+        warnings.warn(
+            f"worker fleet spent its restart budget ({fleet.budget}); running "
+            f"the remaining {len(queue)} task(s) serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        parts.append(_run_serial(list(queue), replace(ctx, priors=priors), deliver))
+    return parts, signum
+
+
+def fleet_worker(conn, ctx: TaskContext) -> None:
+    """One ``--jobs`` worker: run each batch the dispatcher sends until
+    it sends ``None``.
+
+    Module-level so it pickles under every multiprocessing start
+    method.  A batch is answered with ``(records, telemetry delta,
+    error)``; adaptive partial records go up as they are made.  A drain
+    signal ends the batch after the in-flight task, and the answer
+    carries the records finished so far.  An orphaned worker (its
+    dispatcher died) exits.
+    """
+    drain = _drain_event()
+    parent = os.getppid()
+    ctx = replace(ctx, partial_store=SimpleNamespace(append=conn.send))
+    base = _telemetry_state()
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        batch = conn.recv()
+        if batch is None:
+            break
+        tasks, priors = batch
+        batch_ctx = replace(ctx, priors=priors)
+        records: "list[dict]" = []
+        error = None
+        try:
+            for task in tasks:
+                if drain.is_set() or os.getppid() != parent:
+                    break
+                records.append(run_task(task, batch_ctx))
+        except Exception as exc:  # noqa: BLE001 - handed to the dispatcher
+            error = exc
+        conn.send((records, _telemetry_delta(base), error))
+        base = _telemetry_state()
+    if ctx.trace_dir is not None:
+        _worker_tracer(ctx.trace_dir).close()
+
+
+# ----------------------------------------------------------------------
+# repro serve: workers claim from the store's lease board
+# ----------------------------------------------------------------------
 def _require_leases(store: "StoreBackend") -> None:
     from repro.store.protocol import LeaseUnsupported
 
@@ -97,7 +352,6 @@ def serve_campaign(
     lease_ttl: float = 60.0,
     progress: "ProgressReporter | None" = None,
     reuse_workspace: bool = True,
-    poll_interval: float = 0.1,
     task_timeout: "float | None" = None,
     retries: int = 0,
     chaos: "ChaosPolicy | str | None" = None,
@@ -107,10 +361,9 @@ def serve_campaign(
     """Run ``tasks`` through a lease-coordinated worker fleet.
 
     The dispatcher spawns ``workers`` processes, waits for every task's
-    record to appear in ``store`` (polling at ``poll_interval`` for
-    progress reporting), and returns the records aligned with
-    ``tasks`` — the same contract as
-    :func:`repro.campaign.executor.run_campaign`, and bit-identical
+    record to appear in ``store`` (polling it for progress reporting),
+    and returns the records aligned with ``tasks`` — the same contract
+    as :func:`repro.campaign.executor.run_campaign`, and bit-identical
     records to it.
 
     ``lease_ttl`` is the crash-detection horizon: a worker that stops
@@ -118,25 +371,19 @@ def serve_campaign(
     fleet.  Keep it comfortably above the longest single task; the
     heartbeat thread refreshes at ``lease_ttl / 3``.
 
-    Hardening knobs (all off by default, ``docs/DESIGN.md`` §10):
-    ``task_timeout`` / ``retries`` arm every worker's
-    :func:`repro.chaos.run_guarded` (deadline → retry with backoff →
-    quarantine record); ``chaos`` injects deterministic faults
-    (:mod:`repro.chaos`) into the workers — never the dispatcher;
-    ``max_worker_restarts`` caps fleet supervision (``None`` →
-    ``4 * workers``).  Quarantine records among the results are
-    counted into the ``campaign.quarantined`` metric.
+    ``task_timeout`` / ``retries`` / ``chaos`` are
+    :func:`~repro.campaign.executor.run_campaign`'s hardening keywords
+    (all off by default, ``docs/DESIGN.md`` §10), armed in every worker
+    and never in the dispatcher; ``max_worker_restarts`` caps fleet
+    supervision (``None`` → ``4 * workers``).  Quarantine records among
+    the results are counted into the ``campaign.quarantined`` metric.
 
     Tasks already present in the store are served from it without
     execution (serve mode *is* resume, like every store-backed
     campaign path).  A store named by URL is opened here and closed
     before returning; a store instance stays the caller's to close.
     """
-    import multiprocessing
-
-    from repro.campaign.executor import TaskContext, _worker_tracer
     from repro.chaos import resolve_chaos, resolve_retry
-    from repro.obs.metrics import METRICS
     from repro.store import opened_store
 
     if workers < 1:
@@ -145,12 +392,6 @@ def serve_campaign(
         raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
     with opened_store(store) as store:
         _require_leases(store)
-        retry = resolve_retry(retries=retries, task_timeout=task_timeout)
-        chaos = resolve_chaos(chaos)
-        restart_budget = (
-            4 * workers if max_worker_restarts is None else int(max_worker_restarts)
-        )
-
         tasks = list(tasks)
         done, pending = store.resume(tasks)
         if progress is not None:
@@ -161,143 +402,56 @@ def serve_campaign(
                 progress.finish()
             return [done[t.task_hash()] for t in tasks]
 
-        mp = multiprocessing.get_context()
         ctx = TaskContext(
             reuse_workspace=reuse_workspace,
             trace_dir=None if trace_dir is None else os.fspath(trace_dir),
-            retry=retry,
-            chaos=chaos,
+            retry=resolve_retry(retries=retries, task_timeout=task_timeout),
+            chaos=resolve_chaos(chaos),
         )
 
-        def spawn(generation: int) -> "multiprocessing.Process":
-            worker_ctx = ctx
-            if chaos is not None:
-                worker_ctx = replace(ctx, chaos=chaos.with_generation(generation))
-            proc = mp.Process(
-                target=serve_worker,
-                args=(store.url, pending, lease_ttl, worker_ctx),
-                name=f"repro-serve-g{generation}",
-                daemon=True,
-            )
-            proc.start()
-            return proc
+        def spawn(worker_ctx: TaskContext, name: str) -> "multiprocessing.Process":
+            return _start(name, serve_worker, store.url, pending, lease_ttl, worker_ctx)
 
-        # Worker i starts in generation i; every restart gets a fresh
-        # generation beyond the initial block, re-rolling its chaos draws
-        # so an injected kill-fate cannot follow the restarted worker.
-        procs = [spawn(i) for i in range(workers)]
-        restarts = 0
-        tracer = None if ctx.trace_dir is None else _worker_tracer(ctx.trace_dir)
-
-        # Graceful shutdown: a signal sets the flag; the poll loop drains
-        # the fleet and raises ServeInterrupted.  Signal handlers may only
-        # be installed on the process main thread — elsewhere (tests
-        # driving serve_campaign from a thread) drain-on-signal simply
-        # isn't armed.
-        interrupted: "list[int]" = []
-        previous_handlers: "dict[int, object]" = {}
-        if threading.current_thread() is threading.main_thread():
-
-            def _on_signal(signum, frame):  # pragma: no cover - signal context
-                interrupted.append(signum)
-
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous_handlers[signum] = signal.signal(signum, _on_signal)
-
+        budget = 4 * workers if max_worker_restarts is None else int(max_worker_restarts)
         wanted = {t.task_hash() for t in pending}
         try:
-            reported = 0
-            while True:
-                if interrupted:
-                    _drain_fleet(procs)
-                    raise ServeInterrupted(interrupted[0])
-                missing = _missing_hashes(store, wanted)
-                if progress is not None:
-                    finished = len(wanted) - len(missing)
-                    for _ in range(finished - reported):
+            with _Fleet(spawn, ctx, workers, budget, "repro-serve") as fleet:
+                while wanted:
+                    time.sleep(_POLL_S)
+                    fleet.reap()
+                    if fleet.interrupted:
+                        if not fleet.live:
+                            raise ServeInterrupted(fleet.interrupted[0])
+                        continue
+                    finished = _present_hashes(store, wanted)
+                    wanted -= finished
+                    for _ in finished if progress is not None else ():
                         progress.update()
-                    reported = finished
-                if not missing:
-                    break
-                # Supervision: restart crashed workers (nonzero exit — a
-                # clean drain exits 0 and stays down) until the budget is
-                # spent; after that the fleet is allowed to die off and the
-                # all-dead check below reports what was lost.
-                for i, proc in enumerate(procs):
-                    if proc.is_alive() or not proc.exitcode:
-                        continue
-                    if restarts >= restart_budget:
-                        continue
-                    restarts += 1
-                    METRICS.inc("campaign.worker_restarts")
-                    if tracer is not None:
-                        tracer.emit(
-                            "worker-restart",
-                            exitcode=proc.exitcode,
-                            restarts=restarts,
-                            name=proc.name,
+                    if wanted and not fleet.live:
+                        raise RuntimeError(
+                            f"all serve workers exited but {len(wanted)} task(s) "
+                            "never produced a record; see worker stderr"
                         )
-                    procs[i] = spawn(workers + restarts - 1)
-                if not any(p.is_alive() for p in procs):
-                    raise RuntimeError(
-                        f"all serve workers exited but {len(missing)} task(s) "
-                        "never produced a record; see worker stderr"
-                    )
-                time.sleep(poll_interval)
-            for proc in procs:
-                proc.join()
         finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
-            if tracer is not None:
-                tracer.close()
             if progress is not None:
                 progress.finish()
-
-        done, still_pending = store.resume(tasks)
-        if still_pending:  # pragma: no cover - the poll loop above waits for all
-            raise RuntimeError(f"{len(still_pending)} task(s) missing after serve")
+        done = store.resume(tasks)[0]
         records = [done[t.task_hash()] for t in tasks]
-        quarantined = sum(1 for r in records if r.get("kind") == "quarantine")
-        if quarantined:
-            METRICS.inc("campaign.quarantined", quarantined)
+        _count_quarantined(records)
         return records
 
 
-def _drain_fleet(procs) -> None:
-    """Forward SIGTERM to every live worker and wait for the drain:
-    each finishes its in-flight task, appends telemetry and exits 0."""
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()  # delivers SIGTERM -> worker drain handler
-    deadline = time.monotonic() + _DRAIN_JOIN_S
-    for proc in procs:
-        proc.join(max(0.0, deadline - time.monotonic()))
-        if proc.is_alive():  # pragma: no cover - stuck worker
-            proc.kill()
-            proc.join()
-
-
-def _missing_hashes(store: "StoreBackend", wanted: "set[str]") -> "set[str]":
-    present = set()
-    for rec in store.iter_records():
-        h = rec.get("hash")
-        if h in wanted:
-            present.add(h)
-    return wanted - present
+def _present_hashes(store: "StoreBackend", wanted: "set[str]") -> "set[str]":
+    return {h for rec in store.iter_records() if (h := rec.get("hash")) in wanted}
 
 
 def serve_worker(
     store_url: str,
     tasks: "list[TaskSpec]",
     lease_ttl: float,
-    ctx: "TaskContext",
+    ctx: TaskContext,
 ) -> None:
-    """One fleet worker: claim → execute → append → release, until no
+    """One serve worker: claim → execute → append → release, until no
     task is pending (or a drain signal arrives).
 
     Module-level so it pickles under every multiprocessing start
@@ -305,16 +459,8 @@ def serve_worker(
     connections never cross the process boundary) and identifies
     itself to the lease board as ``pid-<pid>-<nonce>``.  Tasks execute
     through :func:`repro.campaign.executor.run_task` under ``ctx``,
-    exactly as the serial loop and the pool run them.
+    exactly as the serial loop and ``--jobs`` workers run them.
     """
-    from repro.campaign.executor import (
-        _telemetry_delta,
-        _telemetry_state,
-        _worker_tracer,
-        load_partials,
-        run_task,
-        telemetry_record,
-    )
     from repro.store import open_store
 
     store = open_store(store_url)
@@ -334,18 +480,7 @@ def serve_worker(
     # Baseline for this worker's telemetry delta: values a forked
     # worker inherited from the dispatcher must not leak into it.
     telemetry_base = _telemetry_state()
-
-    # Drain protocol: SIGINT/SIGTERM set the event; the loop finishes
-    # its in-flight task, then falls through to the telemetry append
-    # and a clean exit 0 (which supervision knows not to restart).
-    drain = threading.Event()
-    if threading.current_thread() is threading.main_thread():
-
-        def _on_signal(signum, frame):  # pragma: no cover - signal context
-            drain.set()
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, _on_signal)
+    drain = _drain_event()
 
     while pending and not drain.is_set():
         # Refresh the view of finished work (ours and every peer's).
@@ -390,10 +525,6 @@ def serve_worker(
             )
         )
     store.close()
-
-
-def _present_hashes(store: "StoreBackend", wanted: "set[str]") -> "set[str]":
-    return wanted - _missing_hashes(store, wanted)
 
 
 def _execute_with_heartbeat(

@@ -59,6 +59,9 @@ __all__ = [
 #: Schema version stamped into ``quarantine`` store records.
 QUARANTINE_SCHEMA: int = 1
 
+#: Longest backoff between two attempts of one task, in seconds.
+BACKOFF_CAP_S: float = 2.0
+
 
 class TaskTimeout(RuntimeError):
     """A task overran its wall-clock deadline."""
@@ -71,47 +74,41 @@ class RetryPolicy:
     ``retries`` is the number of *re*-attempts (0 = one attempt, no
     retry).  ``timeout`` is the per-attempt wall-clock deadline in
     seconds (``None`` = unbounded).  Backoff before attempt ``k`` is
-    ``backoff * 2**(k-1)`` capped at ``backoff_cap``, scaled by a
+    ``backoff * 2**(k-1)`` capped at :data:`BACKOFF_CAP_S`, scaled by a
     deterministic jitter in ``[0.5, 1.0]`` derived from the task hash.
-    ``quarantine=False`` re-raises the final error instead of writing
-    a quarantine record.
+    A task that exhausts its attempts is quarantined.
     """
 
     retries: int = 0
     timeout: "float | None" = None
     backoff: float = 0.05
-    backoff_cap: float = 2.0
-    quarantine: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff and backoff_cap must be >= 0")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
 
     def delay(self, task_hash: str, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), jittered
         deterministically so peers retrying in lockstep spread out."""
-        base = min(self.backoff * (2.0 ** max(attempt - 1, 0)), self.backoff_cap)
+        base = min(self.backoff * (2.0 ** max(attempt - 1, 0)), BACKOFF_CAP_S)
         digest = hashlib.sha256(f"{task_hash}:{attempt}".encode()).digest()
         jitter = 0.5 + 0.5 * (digest[0] / 255.0)
         return base * jitter
 
 
 def resolve_retry(
-    *,
-    retries: int = 0,
-    task_timeout: "float | None" = None,
-    backoff: float = 0.05,
+    *, retries: int = 0, task_timeout: "float | None" = None
 ) -> "RetryPolicy | None":
     """Build a :class:`RetryPolicy` from the campaign-level knobs, or
     ``None`` when every knob is at its off value — with no policy
     (and no chaos) :func:`run_guarded` is a plain ``execute`` call."""
     if retries == 0 and task_timeout is None:
         return None
-    return RetryPolicy(retries=int(retries), timeout=task_timeout, backoff=backoff)
+    return RetryPolicy(retries=int(retries), timeout=task_timeout)
 
 
 #: Whether this process already warned that it cannot enforce deadlines.
@@ -199,9 +196,9 @@ def run_guarded(
     :class:`repro.obs.tracer.Tracer` or ``None``) receives ``retry`` /
     ``task-timeout`` / ``quarantine`` / ``chaos-inject`` events.
 
-    Returns the task's result record, or — when attempts are exhausted
-    and the policy quarantines — a :func:`quarantine_record`.  Without
-    quarantine the final error propagates.
+    Returns the task's result record, or — when a retry policy's
+    attempts are exhausted — a :func:`quarantine_record`.  Without a
+    retry policy an error propagates.
     """
     if retry is None and chaos is None:
         return execute(task, **execute_kwargs)
@@ -246,18 +243,18 @@ def run_guarded(
                     attempt=attempt, timeout_s=timeout,
                 )
         except Exception as exc:  # noqa: BLE001 - the retry boundary
+            if retry is None:
+                raise
             last_error = exc
 
     assert last_error is not None
-    if retry is not None and retry.quarantine:
-        METRICS.inc("harness.quarantined")
-        if tracer is not None:
-            tracer.emit(
-                "quarantine", task=task_hash, attempts=retries + 1,
-                error=f"{type(last_error).__name__}: {last_error}",
-            )
-        return quarantine_record(task, last_error, retries + 1)
-    raise last_error
+    METRICS.inc("harness.quarantined")
+    if tracer is not None:
+        tracer.emit(
+            "quarantine", task=task_hash, attempts=retries + 1,
+            error=f"{type(last_error).__name__}: {last_error}",
+        )
+    return quarantine_record(task, last_error, retries + 1)
 
 
 def _chaos_exit(tracer, site: str, task_hash: str, attempt: int) -> "None":

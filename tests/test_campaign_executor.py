@@ -131,7 +131,7 @@ class TestExecutorContract:
         tasks = [bad] + list(small_tasks[1:5])
         store = ResultStore(tmp_path / "fail.jsonl")
         with pytest.raises(ValueError):
-            run_campaign(tasks, jobs=2, store=store, chunksize=1)
+            run_campaign(tasks, jobs=2, store=store)
         loaded = store.load()  # must parse cleanly
         good_hashes = {t.task_hash() for t in tasks[1:]}
         assert set(loaded) <= good_hashes

@@ -8,13 +8,20 @@ still produce stores bit-identical to a clean ``--jobs 1`` run.
 
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
+from repro import Study
+from repro.api.cli import main
 from repro.campaign import CampaignSpec, ServeInterrupted, run_campaign, serve_campaign
+from repro.chaos import harness
 from repro.chaos import (
     CHAOS_ENV,
     CHAOS_EXIT_CODE,
@@ -128,11 +135,11 @@ class TestRetryPolicy:
         assert resolve_retry(task_timeout=1.5).timeout == 1.5
 
     def test_delay_backs_off_with_deterministic_jitter(self):
-        r = RetryPolicy(retries=5, backoff=0.1, backoff_cap=0.5)
-        d = [r.delay("h", k) for k in (1, 2, 3, 4, 5)]
-        assert d == [r.delay("h", k) for k in (1, 2, 3, 4, 5)]
-        assert all(0.05 <= d[0] <= 0.1 for _ in [0])
-        assert d[4] <= 0.5  # capped
+        r = RetryPolicy(retries=8, backoff=0.1)
+        d = [r.delay("h", k) for k in range(1, 9)]
+        assert d == [r.delay("h", k) for k in range(1, 9)]
+        assert 0.05 <= d[0] <= 0.1
+        assert d[7] <= harness.BACKOFF_CAP_S  # 0.1 * 2**7 = 12.8 s, capped
         assert r.delay("h", 1) != r.delay("other", 1)  # task-keyed jitter
 
     def test_validation(self):
@@ -185,16 +192,14 @@ class TestRunGuarded:
         assert "RuntimeError: poison" in rec["error"]
         assert rec["task"] == {"fake": True}
 
-    def test_quarantine_false_reraises(self):
+    def test_without_retry_policy_errors_propagate_under_chaos(self):
         def broken(task, **kw):
             raise RuntimeError("poison")
 
+        # Chaos armed (tear only fires in serve workers), no retry
+        # policy: nothing quarantines, the error propagates.
         with pytest.raises(RuntimeError, match="poison"):
-            run_guarded(
-                _FakeTask(),
-                retry=RetryPolicy(retries=1, backoff=0.001, quarantine=False),
-                execute=broken,
-            )
+            run_guarded(_FakeTask(), chaos=_armed(tear=1.0, seed=1), execute=broken)
 
     def test_deadline_turns_hang_into_timeout_then_quarantine(self):
         def hangs(task, **kw):
@@ -245,16 +250,17 @@ class TestRunGuarded:
 
 
 # ----------------------------------------------------------------------
-# hardened pool execution
+# self-healing --jobs execution
 # ----------------------------------------------------------------------
 class TestHardenedCampaign:
     def test_pool_chaos_kills_heal_to_identical_records(
         self, tmp_path, small_tasks, serial_records
     ):
-        # Injected worker crashes break the pool; supervision rebuilds
-        # it (re-rolling the kill draws) and, if the budget runs out,
-        # degrades to serial in the home process — where injection is
-        # suppressed.  Either way the records must be bit-identical.
+        # Injected worker crashes kill fleet workers; supervision
+        # restarts them (re-rolling the kill draws) and, if the budget
+        # runs out, runs the rest serially in the home process — where
+        # injection is suppressed.  Either way the records must be
+        # bit-identical.
         records = run_campaign(
             small_tasks,
             jobs=2,
@@ -262,6 +268,54 @@ class TestHardenedCampaign:
             chaos="kill=0.4,seed=11",
         )
         assert records == serial_records
+
+    def test_unhardened_kills_restart_workers_to_identical_records(
+        self, small_tasks, serial_records
+    ):
+        # No --retries, no --task-timeout: the one restart rule applies
+        # all the same, so injected crashes cost restarts, not the run.
+        from repro.obs.metrics import METRICS
+
+        before = METRICS.count("campaign.worker_restarts")
+        records = run_campaign(small_tasks, jobs=2, chaos="kill=0.3,seed=2015")
+        assert records == serial_records
+        assert METRICS.count("campaign.worker_restarts") > before
+
+    def test_sigkilled_worker_is_restarted_without_hardening(
+        self, small_tasks, serial_records, monkeypatch
+    ):
+        # A real SIGKILL of a worker, no flag armed: the dispatcher
+        # requeues what the worker held and restarts it.  Tasks are
+        # padded (forked workers inherit the patch) so the kill lands
+        # mid-campaign; run_campaign runs in a thread so this one can
+        # hunt the worker pid.
+        import repro.campaign.executor as executor
+        from repro.obs.metrics import METRICS
+
+        real = executor.execute_task
+
+        def slow(task, **kw):
+            time.sleep(0.2)
+            return real(task, **kw)
+
+        monkeypatch.setattr(executor, "execute_task", slow)
+        before = METRICS.count("campaign.worker_restarts")
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.update(records=run_campaign(small_tasks, jobs=2))
+        )
+        thread.start()
+        killed = False
+        deadline = time.monotonic() + 30
+        while not killed and time.monotonic() < deadline and thread.is_alive():
+            for proc in multiprocessing.active_children():
+                os.kill(proc.pid, signal.SIGKILL)
+                killed = True
+                break
+            time.sleep(0.02)
+        thread.join(120)
+        assert killed and out["records"] == serial_records
+        assert METRICS.count("campaign.worker_restarts") > before
 
     def test_quarantine_flows_through_run_campaign(self, small_tasks, monkeypatch):
         import repro.campaign.executor as executor
@@ -277,9 +331,7 @@ class TestHardenedCampaign:
 
         monkeypatch.setattr(executor, "execute_task", sometimes_poison)
         before = METRICS.count("campaign.quarantined")
-        records = run_campaign(
-            small_tasks, jobs=1, retries=1, retry_backoff=0.001
-        )
+        records = run_campaign(small_tasks, jobs=1, retries=1)
         assert METRICS.count("campaign.quarantined") == before + 1
         bad = [r for r in records if r.get("kind") == "quarantine"]
         assert len(bad) == 1 and bad[0]["hash"] == poison
@@ -417,3 +469,44 @@ class TestServeChaosSoak:
         assert CHAOS_EXIT_CODE == 86
         with pytest.raises(TaskTimeout):  # the exception type is public
             raise TaskTimeout("x")
+
+
+# ----------------------------------------------------------------------
+# --jobs drain: a signal stops the CLI like it stops serve
+# ----------------------------------------------------------------------
+def _count(url) -> int:
+    with open_store(url) as store:
+        return store.count()
+
+
+def test_sigterm_drains_jobs_campaign_and_resume_completes(tmp_path, capsys):
+    spec = tmp_path / "study.json"
+    Study("drain").axis("s", list(range(2, 14))).fix(
+        uid=2213, scale=48, reps=1, alpha=1 / 16.0
+    ).save(spec)
+    url = f"sqlite:{tmp_path / 'drain.db'}"
+    run = ["study", "run", str(spec), "--jobs", "2", "--store", url, "--progress", "none"]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    # Injected hangs pad every task by 0.5 s, so the campaign is still
+    # running when the first batch lands and the signal goes out.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *run, "--chaos", "hang=1.0,hang_s=0.5,seed=1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 120
+    while _count(url) == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    proc.send_signal(signal.SIGTERM)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    assert "interrupted" in err
+    stored = [r for r in open_store(url).iter_records() if r.get("kind") is None]
+    assert 0 < len(stored) < 12  # drained mid-campaign
+
+    assert main(["store", "verify", url]) == 0
+    capsys.readouterr()
+    assert main([*run, "--resume"]) == 0
+    resumed = capsys.readouterr().out
+    assert main(["study", "run", str(spec), "--jobs", "1", "--progress", "none"]) == 0
+    assert resumed == capsys.readouterr().out

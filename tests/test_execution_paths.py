@@ -1,8 +1,8 @@
 """One execution chain, many schedulers.
 
 A campaign task runs in exactly one place — ``run_task → run_guarded →
-execute_task → repeat loop`` — and the serial loop, the process pool
-and the serve fleet differ only in who calls ``run_task``.  These tests
+execute_task → repeat loop`` — and the serial loop, the ``--jobs``
+fleet and the serve fleet differ only in who calls ``run_task``.  These tests
 pin the invariant that makes that merge safe (every scheduler, armed or
 not, produces the same records *and* does the same amount of work) and
 keep the single path single at the source level.
@@ -140,14 +140,20 @@ def test_unenforceable_deadline_warns_once_per_process(monkeypatch):
     assert "task-timeout of 5s is not being enforced" in str(caught[0].message)
 
 
-def test_pool_over_leaseless_store_warns_about_partials(tmp_path, mixed_tasks):
+def test_pool_over_jsonl_store_checkpoints_adaptive_tasks(tmp_path, mixed_tasks):
+    # The dispatcher is the only writer, so a single-file JSONL store
+    # receives the workers' partial records exactly as a serial run
+    # writes them.
     adaptive = mixed_tasks[4:]
-    with pytest.warns(RuntimeWarning, match="flush no mid-task partial") as w:
-        run_campaign(adaptive, jobs=2, store=tmp_path / "single.jsonl")
-    assert len([x for x in w if "partial" in str(x.message)]) == 1
-    # Lease-capable store, fixed-count tasks or the serial path: silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run_campaign(adaptive, jobs=2, store=f"sharded:{tmp_path / 'ok.d'}")
-        run_campaign(mixed_tasks[:4], jobs=2, store=tmp_path / "fixed.jsonl")
-        run_campaign(adaptive[:2], jobs=1, store=tmp_path / "serial.jsonl")
+
+    def partials(jobs):
+        url = tmp_path / f"jobs{jobs}.jsonl"
+        run_campaign(adaptive, jobs=jobs, store=url)
+        return sorted(
+            (r["task_hash"], r["reps_done"])
+            for r in open_store(url).iter_records()
+            if r.get("kind") == "partial"
+        )
+
+    serial = partials(1)
+    assert serial and partials(2) == serial

@@ -423,7 +423,7 @@ class TestCampaignObservability:
         serial_dir = tmp_path / "serial"
         par_dir = tmp_path / "par"
         r1 = run_campaign(tasks, jobs=1, trace_dir=serial_dir)
-        r2 = run_campaign(tasks, jobs=4, chunksize=1, trace_dir=par_dir)
+        r2 = run_campaign(tasks, jobs=4, trace_dir=par_dir)
         assert r1 == r2  # tracing never perturbs records either
         assert len(list(serial_dir.glob("shard-*.jsonl"))) == 1
         assert len(list(par_dir.glob("shard-*.jsonl"))) >= 2

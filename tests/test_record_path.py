@@ -14,6 +14,7 @@ Four promises of the record path (docs/DESIGN.md §1, §9):
 """
 
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -31,6 +32,7 @@ from repro.api.cli import main
 from repro.api.report import format_summary, summarize_store
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign import executor
+from repro.campaign.progress import ProgressReporter
 from repro.obs.metrics import METRICS
 from repro.store import (
     ResultStore,
@@ -294,9 +296,9 @@ class TestAppendMany:
         assert verify_store(store)["corrupt"] == 0
 
     def test_parent_killed_between_chunk_arrival_and_commit(self, kind, tmp_path):
-        """The first chunk commits; SIGKILL lands as the second arrives.
+        """The first batch commits; SIGKILL lands as the second arrives.
         The store verifies clean and a resume recomputes exactly the
-        chunk that was in the parent's hands."""
+        tasks that were not committed."""
         url = BACKENDS[kind](tmp_path).url
         tasks = CampaignSpec(**_fixture_spec()).expand()
         proc = multiprocessing.Process(target=_killed_at_second_chunk, args=(url,))
@@ -304,23 +306,25 @@ class TestAppendMany:
         proc.join(180)
         assert proc.exitcode == -signal.SIGKILL
 
-        scan = verify_store(url)
-        assert (scan["records"], scan["corrupt"], scan["torn_tail"]) == (3, 0, False)
         stored = {r["hash"] for r in open_store(url).iter_records()}
-        halves = [{t.task_hash() for t in tasks[:3]}, {t.task_hash() for t in tasks[3:]}]
-        assert stored in halves  # one whole chunk, whichever finished first
+        # The first two batches go to the two workers: tasks[:2] and
+        # tasks[2:3] (guided sizes 2, 1); one whole batch committed,
+        # whichever finished first.
+        assert stored in ({t.task_hash() for t in tasks[:2]}, {tasks[2].task_hash()})
+        scan = verify_store(url)
+        assert (scan["records"], scan["corrupt"], scan["torn_tail"]) == (len(stored), 0, False)
 
         before = METRICS.count("campaign.tasks")
         records = run_campaign(tasks, jobs=1, store=url)
-        assert METRICS.count("campaign.tasks") - before == 3
+        assert METRICS.count("campaign.tasks") - before == len(tasks) - len(stored)
         assert records == run_campaign(tasks, jobs=1)
         assert verify_store(url)["corrupt"] == 0
 
 
 def _killed_at_second_chunk(url):
-    """Child: a 2-chunk pool campaign whose process group dies the
-    moment the second finished chunk reaches ``append_many``."""
-    os.setsid()  # the pool workers die with us, as in a machine crash
+    """Child: a 2-worker campaign whose process group dies the moment
+    the second finished batch reaches ``append_many``."""
+    os.setsid()  # the fleet workers die with us, as in a machine crash
     store = open_store(url)
     cls, real, seen = type(store), type(store).append_many, []
 
@@ -331,7 +335,7 @@ def _killed_at_second_chunk(url):
         real(self, records)
 
     cls.append_many = tapped
-    run_campaign(CampaignSpec(**_fixture_spec()).expand(), jobs=2, chunksize=3, store=store)
+    run_campaign(CampaignSpec(**_fixture_spec()).expand(), jobs=2, store=store)
 
 
 class TestDeliveryPaths:
@@ -351,8 +355,12 @@ class TestDeliveryPaths:
                 super().append_many(records)
 
         pool = Tapped(tmp_path / "pool.jsonl")
-        pooled = run_campaign(tasks, jobs=2, chunksize=3, store=pool)
-        assert pool.batches == [3, 3, 1]  # two chunks, then the telemetry record
+        pooled = run_campaign(tasks, jobs=2, store=pool)
+        # Guided batches of ceil(remaining / (2 x workers)): 6 tasks on
+        # 2 workers go out as 2, 1, 1, 1, 1 and land in completion
+        # order; then the telemetry record.
+        assert sorted(pool.batches[:-1]) == [1, 1, 1, 1, 2]
+        assert pool.batches[-1] == 1
         serial = Tapped(tmp_path / "serial.jsonl")
         assert run_campaign(tasks, jobs=1, store=serial) == pooled
         assert serial.batches == [1] * 7
@@ -376,15 +384,16 @@ class TestDeliveryPaths:
                 return iter(())
 
         double = AppendOnly()
-        assert run_campaign(tasks, jobs=2, chunksize=3, store=double) == pooled
+        assert run_campaign(tasks, jobs=2, store=double) == pooled
         assert sorted(r["hash"] for r in double.got[:6]) == sorted(r["hash"] for r in pooled)
         append_many(double, [{"hash": "x"}, {"hash": "y"}])
         assert [r["hash"] for r in double.got[-2:]] == ["x", "y"]
 
-    def test_salvage_persists_finished_chunks_once(self, tmp_path, monkeypatch):
-        # A failing chunk must not lose (or double-append) the chunks
-        # that finished: results[i] is None stays the "not yet durably
-        # delivered" test with chunk-level delivery.
+    def test_raising_task_propagates_and_delivered_records_persist_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Without retries a raising task propagates; every record
+        # delivered before it is stored exactly once.
         tasks = CampaignSpec(**_fixture_spec()).expand()
         poison = tasks[4].task_hash()
         real = executor.execute_task
@@ -396,11 +405,14 @@ class TestDeliveryPaths:
 
         monkeypatch.setattr(executor, "execute_task", flaky)
         url = tmp_path / "s.jsonl"
+        progress = ProgressReporter(len(tasks), stream=io.StringIO())
         with pytest.raises(RuntimeError, match="boom"):
-            run_campaign(tasks, jobs=2, chunksize=3, store=url)
+            run_campaign(tasks, jobs=2, store=url, progress=progress)
         texts = stored_texts(ResultStore(url))
-        assert len(texts) == len(set(texts)) == 3
-        assert {json.loads(t)["hash"] for t in texts} == {t.task_hash() for t in tasks[:3]}
+        assert len(texts) == len(set(texts)) == progress.fresh
+        hashes = {json.loads(t)["hash"] for t in texts}
+        assert poison not in hashes
+        assert hashes <= {t.task_hash() for t in tasks}
 
 
 # ----------------------------------------------------------------------
