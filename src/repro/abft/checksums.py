@@ -64,6 +64,9 @@ class SpmvChecksums:
         The constant ``k`` of Theorem 1; ``column_checksums[0] + shift``
         has no zero entry, which is what makes errors in ``x`` visible
         even for zero-sum columns (e.g. graph Laplacians).
+    shifted_first_row:
+        ``C[0, :] + k`` — the shifted checksum vector ``c`` of Theorem 1
+        that every single-check verification reads, stored once.
     rowidx_checksums:
         ``(nchecks,)`` weighted checksums of ``Rowidx[1..n]`` (the
         entries the running counter visits), in exact float arithmetic
@@ -77,15 +80,11 @@ class SpmvChecksums:
     column_checksums: np.ndarray
     weights_minus_checksums: np.ndarray
     shift: float
+    shifted_first_row: np.ndarray
     rowidx_checksums: np.ndarray
     rowidx_checksums_exact: tuple[int, ...]
     tolerance: ToleranceModel
     shape: tuple[int, int] = field(default=(0, 0))
-
-    @property
-    def shifted_first_row(self) -> np.ndarray:
-        """``C[0, :] + k`` — the shifted checksum vector ``c`` of Theorem 1."""
-        return self.column_checksums[0] + self.shift
 
     def x_checksums(self, x: np.ndarray) -> np.ndarray:
         """``cx = Wᵀx`` (Algorithm 2 line 10) for the current input vector.
@@ -139,6 +138,7 @@ def compute_checksums(
         if nchecks == 2:
             cks[1] = column_sums(a, weights=w[1])
     shift = choose_shift(cks[0], margin=shift_margin)
+    shifted = cks[0] + shift
 
     # Weighted checksums of the row-pointer entries the running counter
     # sr accumulates (Rowidx_1 .. Rowidx_n in the paper's 1-based
@@ -159,7 +159,7 @@ def compute_checksums(
         n=n,
         norm1_a=norm1(a),
         weights_inf=np.abs(w).max(axis=1),
-        shifted_c_inf=float(np.abs(cks[0] + shift).max(initial=0.0)),
+        shifted_c_inf=float(np.abs(shifted).max(initial=0.0)),
     )
     return SpmvChecksums(
         nchecks=nchecks,
@@ -167,6 +167,7 @@ def compute_checksums(
         column_checksums=cks,
         weights_minus_checksums=w - cks,
         shift=shift,
+        shifted_first_row=shifted,
         rowidx_checksums=cr,
         rowidx_checksums_exact=tuple(cr_exact),
         tolerance=tol,

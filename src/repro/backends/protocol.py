@@ -35,6 +35,7 @@ functions in :mod:`repro.backends`).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -137,7 +138,7 @@ class BaseBackend:
         return float(np.dot(u, v))
 
     def norm2(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
+        return math.sqrt(float(v @ v))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -17,6 +17,7 @@ through rounding, so the orthogonality threshold cannot be too tight).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,9 @@ def orthogonality_check(
     A zero vector (fault can zero out p) scores 0 but is treated as a
     failure because CG cannot continue with a null direction.
     """
-    np_norm = float(np.linalg.norm(p_next))
-    nq_norm = float(np.linalg.norm(q))
-    if np_norm == 0.0 or nq_norm == 0.0 or not np.isfinite(np_norm * nq_norm):
+    np_norm = math.sqrt(float(p_next @ p_next))
+    nq_norm = math.sqrt(float(q @ q))
+    if np_norm == 0.0 or nq_norm == 0.0 or not math.isfinite(np_norm * nq_norm):
         return False, float("inf")
     score = abs(float(p_next @ q)) / (np_norm * nq_norm)
     return bool(score <= tol), score
@@ -72,10 +73,11 @@ def residual_check(
     ``scratch`` is the solver workspace's SpMxV products buffer (see
     :func:`repro.sparse.spmv.spmv`); the floats are the same without.
     """
-    true_r = b - spmv(a, x, scratch=scratch, backend=backend)
-    scale = float(np.linalg.norm(b)) or 1.0
-    gap = float(np.linalg.norm(true_r - r)) / scale
-    if not np.isfinite(gap):
+    drift = b - spmv(a, x, scratch=scratch, backend=backend)
+    drift -= r
+    scale = math.sqrt(float(b @ b)) or 1.0
+    gap = math.sqrt(float(drift @ drift)) / scale
+    if not math.isfinite(gap):
         return False, float("inf")
     return bool(gap <= tol), gap
 

@@ -82,9 +82,10 @@ class FaultModel:
         """``q = e^{−λT}`` for a chunk of duration ``t_chunk``."""
         return float(np.exp(-self.rate * t_chunk))
 
-    def strikes_per_iteration(self, rng: np.random.Generator) -> int:
-        """Sample the number of faults striking one iteration (Poisson(α))."""
-        return int(rng.poisson(self.rate * self.t_iter))
+    @property
+    def strike_mean(self) -> float:
+        """Expected faults per iteration, ``λ · t_iter`` (= α)."""
+        return self.rate * self.t_iter
 
 
 class FaultInjector:
@@ -106,6 +107,8 @@ class FaultInjector:
     def __init__(self, model: FaultModel, rng: "int | np.random.Generator" = None) -> None:
         self.model = model
         self.rng = as_generator(rng)
+        # Hoisted out of sample_strikes, which runs once per iteration.
+        self._strike_mean = model.strike_mean
         self._targets: dict[str, np.ndarray] = {}
         self._on_strike: dict[str, "object"] = {}
         self._tables: "tuple[list[str], np.ndarray] | None" = None
@@ -153,7 +156,7 @@ class FaultInjector:
         if not self._targets:
             return []
         if n_strikes is None:
-            n_strikes = self.model.strikes_per_iteration(self.rng)
+            n_strikes = int(self.rng.poisson(self._strike_mean))
         if n_strikes == 0:
             return []
         # The name/probability tables depend only on the registry, which

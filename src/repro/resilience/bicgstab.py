@@ -19,6 +19,8 @@ unit, so compare within the method, not across methods).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.checkpoint.store import Checkpoint
@@ -122,10 +124,10 @@ class BiCGstabPlugin:
 
     def _rnorm(self) -> float:
         """Residual norm via the active backend (bit-identical: every
-        shipped backend inherits the NumPy reduction)."""
+        shipped backend inherits the same ``sqrt(r·r)``)."""
         if self.backend is not None:
             return float(self.backend.norm2(self.r))
-        return float(np.linalg.norm(self.r))
+        return math.sqrt(float(self.r @ self.r))
 
     def after_rollback(self) -> None:
         """BiCGstab keeps no verification-chunk state."""
@@ -190,7 +192,7 @@ class BiCGstabPlugin:
             return "abft"
         self.v[:] = y1
         denom = float(self.r_hat @ self.v)
-        if denom == 0.0 or not np.isfinite(denom):
+        if denom == 0.0 or not math.isfinite(denom):
             ctx.trace("breakdown", what="denom", value=denom)
             return "breakdown"
         alpha_k = rho_new / denom
@@ -200,7 +202,7 @@ class BiCGstabPlugin:
         if t is None:
             return "abft"
         tt = float(t @ t)
-        if tt == 0.0 or not np.isfinite(tt):
+        if tt == 0.0 or not math.isfinite(tt):
             ctx.trace("breakdown", what="tt", value=tt)
             return "breakdown"
         omega_k = float(t @ self.s) / tt
@@ -213,7 +215,7 @@ class BiCGstabPlugin:
 
     def _advanced(self, ctx) -> StepOutcome:
         rnorm = self.scal["rnorm"]
-        return StepOutcome.advanced(bool(np.isfinite(rnorm) and rnorm <= ctx.threshold))
+        return StepOutcome.advanced(bool(math.isfinite(rnorm) and rnorm <= ctx.threshold))
 
     def replay_step(self, ctx) -> None:
         """One strike-free step against the pristine matrix (trajectory

@@ -21,6 +21,8 @@ memory and persists until a verification catches it).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.checkpoint.store import Checkpoint
@@ -97,7 +99,7 @@ class CGPlugin:
         self.iteration = cp.iteration
 
     def initial_converged(self, threshold: float) -> bool:
-        return bool(np.sqrt(self.rr) <= threshold)
+        return bool(math.sqrt(self.rr) <= threshold)
 
     def after_rollback(self) -> None:
         self.iter_in_chunk = 0
@@ -161,7 +163,7 @@ class CGPlugin:
         follow from them (the engine then executes it)."""
         rr, pq = scalars["rr"], scalars["pq"]
         if ctx.scheme.uses_abft:
-            if not np.isfinite(pq) or pq <= 0.0:
+            if not math.isfinite(pq) or pq <= 0.0:
                 return None  # the ABFT step's breakdown guard fires here
             self.rr, self.pq = rr, pq
             return self._abft_advanced(ctx)
@@ -182,7 +184,7 @@ class CGPlugin:
     def _abft_advanced(self, ctx) -> StepOutcome:
         ctx.charge_verified_iteration()
         self.iteration += 1
-        return StepOutcome.advanced(bool(np.sqrt(self.rr) <= ctx.threshold))
+        return StepOutcome.advanced(bool(math.sqrt(self.rr) <= ctx.threshold))
 
     def _abft_iteration(self, ctx, strikes: "list[tuple[str, int, int]]") -> bool:
         if strikes:
@@ -204,7 +206,7 @@ class CGPlugin:
 
         # Reliable CG update (TMR-voted kernels).
         pq = float(self.p @ self.q)
-        if not np.isfinite(pq) or pq <= 0.0:
+        if not math.isfinite(pq) or pq <= 0.0:
             # Curvature corrupted below detection thresholds; treat as a
             # detected error rather than dividing by garbage.
             ctx.trace("breakdown", what="pq", value=pq)
@@ -225,7 +227,7 @@ class CGPlugin:
     def _verification_due(self, rr: float, ctx) -> "tuple[bool, bool]":
         """Whether the step arriving at ``rr`` ends at a verification
         point, and whether ``rr`` says converged (which forces one)."""
-        done = bool(np.isfinite(rr) and np.sqrt(rr) <= ctx.threshold)
+        done = bool(math.isfinite(rr) and math.sqrt(rr) <= ctx.threshold)
         return self.iter_in_chunk + 1 >= self.config.verification_interval or done, done
 
     def _online_advanced(self, ctx, *, virtual: bool = False) -> StepOutcome:

@@ -30,6 +30,7 @@ accounting order and the injector registration order are preserved.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from typing import TYPE_CHECKING, Callable
 
@@ -605,7 +606,7 @@ class EngineContext:
         if self.backend is not None:
             norm = float(self.backend.norm2(true_r))
         else:
-            norm = float(np.linalg.norm(true_r))
+            norm = math.sqrt(float(true_r @ true_r))
         if self.clean:
             self.memo.true_residual[k] = norm
         return norm

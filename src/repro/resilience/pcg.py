@@ -24,6 +24,8 @@ unpreconditioned CG recurrence.  Recovery follows the CG ledger
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.checkpoint.store import Checkpoint
@@ -110,10 +112,10 @@ class JacobiPCGPlugin:
 
     def _rnorm(self) -> float:
         """Residual norm via the active backend (bit-identical: every
-        shipped backend inherits the NumPy reduction)."""
+        shipped backend inherits the same ``sqrt(r·r)``)."""
         if self.backend is not None:
             return float(self.backend.norm2(self.r))
-        return float(np.linalg.norm(self.r))
+        return math.sqrt(float(self.r @ self.r))
 
     def after_rollback(self) -> None:
         """PCG keeps no verification-chunk state."""
@@ -151,7 +153,7 @@ class JacobiPCGPlugin:
 
         # Reliable PCG update (TMR-voted kernels, reliable M⁻¹ apply).
         pq = float(self.p @ self.q)
-        if not np.isfinite(pq) or pq <= 0.0:
+        if not math.isfinite(pq) or pq <= 0.0:
             ctx.trace("breakdown", what="pq", value=pq)
             return StepOutcome.rollback("breakdown")
         if not self._update(pq):
@@ -166,7 +168,7 @@ class JacobiPCGPlugin:
         self.r -= alpha_step * self.q
         self.z[:] = self.minv * self.r
         rz_new = float(self.r @ self.z)
-        if not np.isfinite(rz_new):
+        if not math.isfinite(rz_new):
             return False
         beta = rz_new / self.rz
         self.p *= beta
@@ -178,7 +180,7 @@ class JacobiPCGPlugin:
 
     def _advanced(self, ctx) -> StepOutcome:
         rnorm = self.rnorm
-        return StepOutcome.advanced(bool(np.isfinite(rnorm) and rnorm <= ctx.threshold))
+        return StepOutcome.advanced(bool(math.isfinite(rnorm) and rnorm <= ctx.threshold))
 
     def replay_step(self, ctx) -> None:
         """One strike-free step against the pristine matrix (trajectory

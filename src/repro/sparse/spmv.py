@@ -6,6 +6,9 @@ Two implementations of ``y = A @ x``:
   per row with :func:`numpy.add.reduceat`, which is the standard
   vectorization of a CSR row loop (see the scientific-python optimizing
   guide: vectorize the loop, avoid copies, operate on contiguous data).
+  Row pointers struck out of order, which reduceat cannot take, are
+  dotted row by row in batches of one length class — the floats of a
+  per-row ``@`` loop, without the Python loop.
 - :func:`spmv_reference` — a pure-Python row loop that mirrors the
   paper's Algorithm 2 line-by-line.  It is the kernel the ABFT proofs
   reason about and is kept as the oracle the vectorized kernel is
@@ -56,8 +59,8 @@ def spmv(
         Optional preallocated output vector (``float64``, length
         ``a.nrows``, must not alias ``x``).  Overwritten and returned.
     scratch:
-        Optional preallocated ``float64`` buffer of at least ``a.nnz``
-        elements for the per-nonzero products — the solver workspace
+        Optional preallocated contiguous ``float64`` buffer of at least
+        ``a.nnz`` elements for the per-nonzero products — the solver workspace
         passes one so the hot loop allocates nothing.
     backend:
         Optional kernel backend — a registered name (``"scipy"``) or
@@ -75,9 +78,9 @@ def spmv(
     taken modulo the valid range.  A flag in the result is unnecessary:
     ABFT's checksums are the detection mechanism under study.
 
-    Every product runs one routine (:func:`_products`): a clipping
-    gather, the multiply in place, and the wrapped read rewritten only
-    at the *wild* positions — none under the
+    Every product reads ``x`` through one gather (:func:`_gather`):
+    clipped, with the wrapped read rewritten only at the *wild*
+    positions — none under the
     :attr:`~repro.sparse.csr.CSRMatrix.structure_clean` stamp, the
     published wild-set hint of a workspace's live matrix, else one scan
     (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`).  When the row
@@ -85,6 +88,17 @@ def spmv(
     the row reduction skips the clipping and the monotone-segment
     guard: they probe exactly the invariants certified, so the result
     is bit-identical.
+
+    Struck row pointers are clipped into ``[0, nnz]``.  While the
+    clipped pointers stay monotone, ``val · x`` is multiplied in place
+    and reduced per row as on a clean matrix.  Otherwise every row is
+    the dot of ``val[lo:hi]`` with the gathered ``x[lo:hi]``, computed
+    by :func:`_row_dots` in batches of one length class, at most
+    :data:`_CHUNK` gathered entries each.  Each row goes through the
+    same ``DOUBLE_dot`` call as a per-row ``val[lo:hi] @ x[cols]``, so
+    the result is that row loop's, bit for bit.  With ``scratch`` the
+    path allocates nothing nnz-long: its temporaries are the clipped
+    pointers and one chunk.
     """
     if backend is not None:
         if type(backend) is not str:
@@ -113,57 +127,44 @@ def spmv(
         return y
 
     wild = a.wild_positions()
-    products = _products(a, x, wild, scratch)
     rowptr = a.rowidx
     if a.rows_clean:
-        starts = rowptr[:-1]
         if a._rows_nonempty:  # hoisted with the certificate: no per-call guard
-            np.add.reduceat(products, starts, out=y)
+            np.add.reduceat(_products(a, x, wild, scratch), rowptr[:-1], out=y)
             return y
-        y[:] = 0.0
-        nonempty = rowptr[1:] > starts
-        if nonempty.any():
-            y[nonempty] = np.add.reduceat(products, starts[nonempty])
-        return y
+        bounds = rowptr
+    else:
+        # Struck row pointers read clipped into [0, nnz].  Row i+1 starts
+        # where row i ends, so the segments suit reduceat exactly when
+        # the clipped pointers are monotone; otherwise the rows are
+        # dotted one length class at a time.
+        bounds = np.clip(rowptr, 0, nnz)
+        if not np.all(bounds[1:] >= bounds[:-1]):
+            _row_dots(a.val, _gather(a, x, wild, scratch), bounds, y)
+            return y
+    products = _products(a, x, wild, scratch)
     y[:] = 0.0
-
-    starts = np.clip(rowptr[:-1], 0, nnz)
-    ends = np.clip(rowptr[1:], 0, nnz)
-    # reduceat needs monotone segments; a corrupted rowidx can violate
-    # that, in which case we fall back to the (safe) reference loop.
-    if np.all(starts[1:] >= starts[:-1]) and np.all(ends >= starts):
-        nonempty = ends > starts
-        if nonempty.any():
-            seg = np.add.reduceat(products, starts[nonempty])
-            # reduceat sums from each start to the next start; trim the
-            # tail of each segment that spills past its row's end.
-            ends_ne = ends[nonempty]
-            starts_ne = starts[nonempty]
-            next_starts = np.empty_like(starts_ne)
-            next_starts[:-1] = starts_ne[1:]
-            next_starts[-1] = nnz
-            overshoot = next_starts - ends_ne
-            if np.any(overshoot > 0):
-                # rare (only for corrupted rowidx); correct per segment
-                idx = np.nonzero(overshoot > 0)[0]
-                for k in idx:
-                    seg[k] = products[starts_ne[k] : ends_ne[k]].sum()
-            y[nonempty] = seg
-        return y
-    looped = _spmv_loop(a.val, a.colid, rowptr, x, n, nnz, wild.size > 0)
-    if out is None:
-        return looped
-    out[:] = looped
-    return out
+    rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+    if rows.size:
+        starts = bounds[rows]
+        seg = np.add.reduceat(products, starts)
+        # Each segment runs to the next one's start, which is its row's
+        # end — except the last, which reduceat carries on to nnz: a
+        # shrunk final pointer re-sums it over the row's own span.
+        end = bounds[rows[-1] + 1]
+        if end < nnz:
+            seg[-1] = products[starts[-1] : end].sum()
+        y[rows] = seg
+    return y
 
 
-def _products(
+def _gather(
     a: CSRMatrix,
     x: np.ndarray,
     wild: np.ndarray,
     scratch: "np.ndarray | None",
 ) -> np.ndarray:
-    """``val[p] · x[colid[p] mod ncols]`` for every stored nonzero.
+    """``x[colid[p] mod ncols]`` for every stored nonzero.
 
     ``wild`` must hold every position whose index is out of range (a
     superset is fine: an in-range index reads the same either way).
@@ -172,40 +173,74 @@ def _products(
     nnz-length array (``scratch[:nnz]`` when given) is all it touches.
     """
     dst = None if scratch is None else scratch[: a.nnz]
+    gathered = np.take(x, a.colid, out=dst, mode="clip")
+    if wild.size:
+        gathered[wild] = x[np.mod(a.colid[wild], a.ncols)]
+    return gathered
+
+
+def _products(
+    a: CSRMatrix,
+    x: np.ndarray,
+    wild: np.ndarray,
+    scratch: "np.ndarray | None",
+) -> np.ndarray:
+    """``val[p] · x[colid[p] mod ncols]`` for every stored nonzero, in
+    place over :func:`_gather`'s array."""
+    products = _gather(a, x, wild, scratch)
     # Corrupted values can overflow to ±inf — that is the silent error
     # propagating, not a kernel bug; ABFT flags the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
-        products = np.take(x, a.colid, out=dst, mode="clip")
         np.multiply(a.val, products, out=products)
-        if wild.size:
-            products[wild] = a.val[wild] * x[np.mod(a.colid[wild], a.ncols)]
     return products
 
 
-def _spmv_loop(
-    val: np.ndarray,
-    colid: np.ndarray,
-    rowidx: np.ndarray,
-    x: np.ndarray,
-    n: int,
-    nnz: int,
-    wrap: bool,
-) -> np.ndarray:
-    """Row-loop kernel tolerant of corrupted row pointers (``wrap``:
-    some column index is out of range and reads modulo ``len(x)``)."""
-    y = np.zeros(n, dtype=np.float64)
-    # One vectorized clip + tolist instead of two np.clip scalar
-    # dispatches per row; the per-row dot products are unchanged.
-    bounds = np.clip(rowidx, 0, nnz).tolist()
-    for i in range(n):
-        lo = bounds[i]
-        hi = bounds[i + 1]
-        if hi > lo:
-            cols = colid[lo:hi]
-            if wrap:
-                cols = np.mod(cols, x.shape[0])
-            y[i] = float(val[lo:hi] @ x[cols])
-    return y
+#: Gathered entries per batched dot on the struck-pointer path: its two
+#: gathered operands stay at 64 KiB each, whatever ``nnz``.
+_CHUNK = 1 << 13
+#: Rows classed by length together: the per-block index arrays stay at
+#: 32 KiB each, so the clipped pointers are the one n-length temporary.
+_ROW_BLOCK = 1 << 12
+
+
+def _row_dots(val: np.ndarray, g: np.ndarray, bounds: np.ndarray, y: np.ndarray) -> None:
+    """``y[i] = val[lo:hi] @ g[lo:hi]`` with ``lo, hi = bounds[i:i+2]``
+    (0 where ``hi <= lo``), for row pointers reduceat cannot take.
+
+    Rows are classed by length, and each class is dotted in chunks of
+    at most :data:`_CHUNK` entries by one ``np.matmul`` of
+    ``(k, 1, L) @ (k, L, 1)`` operands gathered from length-``L``
+    windows.  Matmul hands each ``1 × L`` by ``L × 1`` product to the
+    same ``DOUBLE_dot`` (``cblas_ddot`` over unit strides) that a
+    per-row ``val[lo:hi] @ g[lo:hi]`` reaches, so every row's float is
+    the one a row loop computes.  A row that fills a chunk alone is
+    dotted through its window view, gathering nothing.
+    """
+    y[:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, y.shape[0], _ROW_BLOCK):
+            lo = bounds[b0 : b0 + _ROW_BLOCK + 1]
+            lens = lo[1:] - lo[:-1]
+            rows = np.flatnonzero(lens > 0)
+            rows = rows[np.argsort(lens[rows])]
+            lens = lens[rows]
+            # where the sorted lengths change, both ends included (lens > 0);
+            # none at all for a block whose rows all read nothing
+            edges = np.flatnonzero(np.diff(lens, prepend=0, append=0)).tolist()
+            for c0, c1 in zip(edges[:-1], edges[1:]):  # one length class each
+                length = int(lens[c0])
+                vw, gw = _windows(val, length), _windows(g, length)
+                per = max(_CHUNK // length, 1)
+                for k0 in range(c0, c1, per):
+                    r = rows[k0 : min(k0 + per, c1)]
+                    # one row: a window slice (a view); more: a gather
+                    at = lo[r] if r.size > 1 else slice(lo[r[0]], lo[r[0]] + 1)
+                    y[b0 + r] = np.matmul(vw[at][:, None, :], gw[at][:, :, None])[:, 0, 0]
+
+
+def _windows(a: np.ndarray, length: int) -> np.ndarray:
+    """View of contiguous 1-D ``a`` whose row ``p`` is ``a[p : p + length]``."""
+    return np.ndarray((a.shape[0] - length + 1, length), a.dtype, a, 0, a.strides * 2)
 
 
 def spmv_reference(a: CSRMatrix, x: np.ndarray) -> np.ndarray:

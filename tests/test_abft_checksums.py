@@ -22,6 +22,14 @@ class TestComputeChecksums:
         cks = compute_checksums(a, nchecks=1)
         assert np.all(np.abs(cks.shifted_first_row) > 0)
 
+    def test_shifted_first_row_is_stored_once(self, small_lap):
+        # Every single-check verification reads it: a field, not a sum
+        # recomputed per call — and the same floats as that sum.
+        cks = compute_checksums(small_lap, nchecks=1)
+        assert cks.shifted_first_row is cks.shifted_first_row
+        want = cks.column_checksums[0] + cks.shift
+        assert cks.shifted_first_row.tobytes() == want.tobytes()
+
     def test_rowidx_checksums(self, small_lap):
         cks = compute_checksums(small_lap, nchecks=2)
         ridx = small_lap.rowidx[1:].astype(float)

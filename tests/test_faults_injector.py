@@ -20,7 +20,9 @@ class TestFaultModel:
 
     def test_mean_strikes_matches_alpha(self, rng):
         m = FaultModel(alpha=0.5, memory_words=100)
-        samples = [m.strikes_per_iteration(rng) for _ in range(4000)]
+        inj = FaultInjector(m, rng=rng)
+        inj.register("a", np.zeros(100))
+        samples = [len(inj.sample_strikes()) for _ in range(4000)]
         assert np.mean(samples) == pytest.approx(0.5, abs=0.05)
 
     def test_validation(self):

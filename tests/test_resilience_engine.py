@@ -1,5 +1,8 @@
 """Tests for the resilience engine, its plugins and the method axis."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -283,6 +286,50 @@ class TestFinalResidual:
         del reliable_products[:]
         warm = run_ft_method("cg", a, b, cfg, alpha=0.0, eps=1e-3, x0=x)
         assert warm.iterations_executed == 0 and len(reliable_products) == 1
+
+
+class TestScalarMathPremises:
+    """The step loop takes norms as ``math.sqrt(float(v @ v))`` and tests
+    Python floats with ``math.isfinite`` / ``math.sqrt``.  Those are
+    the NumPy spellings' floats only while ``np.linalg.norm`` of a 1-D
+    float64 vector stays ``sqrt(v.dot(v))`` and both square roots stay
+    correctly rounded; a NumPy build where either premise breaks fails
+    here rather than moving a trajectory."""
+
+    @staticmethod
+    def _vectors():
+        rng = np.random.default_rng(21)
+        for n in (0, 1, 2, 7, 16, 33, 100, 625, 4097):
+            yield rng.normal(size=n)
+            yield rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        for big in (1e300, -1e300, 1e-300, -1e-300, 1e154, 1e-160):
+            yield np.full(9, big)
+        for special in (np.inf, -np.inf, np.nan):
+            v = rng.normal(size=12)
+            v[5] = special
+            yield v
+        yield np.array([-0.0, 0.0, -0.0])
+
+    def test_sqrt_of_the_dot_is_the_norm(self):
+        for v in self._vectors():
+            with np.errstate(all="ignore"):
+                got = math.sqrt(float(v @ v))
+                want = float(np.linalg.norm(v))
+            assert struct.pack("<d", got) == struct.pack("<d", want), v
+
+    def test_math_scalar_functions_agree_with_numpy(self):
+        rng = np.random.default_rng(22)
+        values = [0.0, -0.0, 1.0, 2.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan, -1.0, -1e-300]
+        values += (rng.random(200) * 10.0 ** rng.integers(-300, 300, size=200)).tolist()
+        for value in values:
+            for x in (value, np.float64(value)):
+                assert math.isfinite(x) == bool(np.isfinite(x)), x
+                if not (value >= 0.0 or math.isnan(value)):
+                    continue  # math.sqrt raises below zero; r·r never is
+                got = math.sqrt(x)
+                want = float(np.sqrt(x))
+                assert struct.pack("<d", got) == struct.pack("<d", want), x
 
 
 class TestRetiredSpellings:

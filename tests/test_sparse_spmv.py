@@ -5,6 +5,7 @@ import pytest
 
 from repro.sparse import CSRMatrix, spmv, spmv_reference
 from tests.conftest import dense_random_csr
+from tests.test_wild_reads import legacy_spmv
 
 
 class TestAgainstDense:
@@ -84,19 +85,23 @@ class TestCorruptedRowidxBranches:
     """Directed coverage of spmv's two corrupted-``rowidx`` code paths.
 
     The vectorized kernel has two rarely-taken branches that only a
-    corrupted row-pointer array can reach: the ``_spmv_loop`` fallback
-    (non-monotone segments break ``np.add.reduceat``'s precondition)
-    and the overshoot-trimming pass (a shrunk trailing pointer makes
-    ``reduceat`` sum past a row's true end).  Both must agree with the
-    reference oracle on the *same corrupted bytes* — that equivalence
-    is what lets the ABFT study treat the kernels interchangeably.
+    corrupted row-pointer array can reach: the batched row dots of
+    ``_row_dots`` (non-monotone segments break ``np.add.reduceat``'s
+    precondition) and the overshoot trim (a shrunk final pointer makes
+    ``reduceat`` sum the last segment past its row's end).  Both must
+    reproduce the legacy guarded branch — its per-row ``@`` loop and
+    ``.sum()`` trim — byte for byte on the *same corrupted bytes*, with
+    and without a scratch buffer.
     """
 
     def _assert_matches_reference(self, a, rng):
         x = rng.normal(size=a.ncols)
         y = spmv(a, x)
         assert y.shape == (a.nrows,)
-        np.testing.assert_allclose(y, spmv_reference(a, x), rtol=1e-12)
+        want = legacy_spmv(a, x).tobytes()
+        assert y.tobytes() == want
+        scratch = np.full(a.nnz, 3.0)
+        assert spmv(a, x, out=np.empty(a.nrows), scratch=scratch).tobytes() == want
         return y
 
     def test_non_monotone_rowidx_takes_loop_fallback(self, small_lap, rng, monkeypatch):
@@ -107,29 +112,27 @@ class TestCorruptedRowidxBranches:
         a.rowidx[7] = int(a.rowidx[9])  # start[7] > start[8]: non-monotone
         a.rowidx[8] = 1
         calls = []
-        real = mod._spmv_loop
+        real = mod._row_dots
         monkeypatch.setattr(
-            mod, "_spmv_loop", lambda *args: calls.append(1) or real(*args)
+            mod, "_row_dots", lambda *args: calls.append(1) or real(*args)
         )
         self._assert_matches_reference(a, rng)
-        assert calls, "corrupted rowidx should have routed through _spmv_loop"
+        assert calls, "corrupted rowidx should have routed through _row_dots"
 
     def test_clean_matrix_avoids_loop_fallback(self, small_lap, rng, monkeypatch):
         import importlib
 
         mod = importlib.import_module("repro.sparse.spmv")
         monkeypatch.setattr(
-            mod, "_spmv_loop",
-            lambda *args: pytest.fail("clean matrix must stay vectorized"),
+            mod, "_row_dots",
+            lambda *args: pytest.fail("clean matrix must stay on reduceat"),
         )
         x = rng.normal(size=small_lap.ncols)
-        np.testing.assert_allclose(
-            spmv(small_lap, x), spmv_reference(small_lap, x), rtol=1e-12
-        )
+        assert spmv(small_lap, x).tobytes() == legacy_spmv(small_lap, x).tobytes()
 
     def test_end_below_start_takes_loop_fallback(self, small_lap, rng):
         a = small_lap.copy()
-        # ends[4] < starts[4] while starts stay monotone after clipping.
+        # Clipped to 0, pointer 5 falls below pointer 4: ends[4] < starts[4].
         a.rowidx[5] = -17
         self._assert_matches_reference(a, rng)
 
@@ -148,8 +151,9 @@ class TestCorruptedRowidxBranches:
 
     def test_shrunk_middle_trailing_pointers_trim_each_segment(self, small_lap, rng):
         a = small_lap.copy()
-        # Shrink the last three pointers: several nonempty segments end
-        # early, so more than one overshoot entry needs trimming.
+        # Shrink the last three pointers: three one-entry rows, the last
+        # of which ends before nnz (each earlier row ends where the next
+        # starts, so only the final segment ever overshoots).
         base = int(a.rowidx[-4])
         a.rowidx[-3] = base + 1
         a.rowidx[-2] = base + 2

@@ -13,13 +13,16 @@ of gathering through an int64 row pattern.  Pinned here:
    oracles, and the new routines agree bit for bit under random strikes
    on ``colid`` (negative words, words ≥ n, ±2⁶²) and ``rowidx``, with
    and without scratch, with a published hint, without one and with a
-   stale-superset hint;
+   stale-superset hint; on directed out-of-order row pointers, the
+   batched row dots against the legacy per-row ``@`` loop, and the
+   NumPy premise they rest on (batched matmul ≡ per-row ``@``);
 2. *the hint's contract* — a superset of the wild positions, published
    only while ``rowidx`` equals the source, re-checked at every index
    mutation and restore;
 3. *work and memory* at n = 19 881 — one nnz-length array at most per
-   guarded product, Chen residual and decoder call; the memo budget
-   derived from the bound source;
+   guarded product, Chen residual and decoder call, and none beyond the
+   scratch for out-of-order row pointers; the memo budget derived from
+   the bound source;
 4. the exact ``engine.products_guarded`` counter and its report line.
 """
 
@@ -41,7 +44,7 @@ from repro.perf import SolveWorkspace
 from repro.perf.trajectory import BUDGET_BYTES, TrajectoryMemo
 from repro.sparse import CSRMatrix
 from repro.sparse.norms import column_sums
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import _CHUNK, _ROW_BLOCK, spmv
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +318,126 @@ def test_rowidx_repair_through_the_ledger_republishes_the_hint():
 
 
 # ----------------------------------------------------------------------
+# directed struck-pointer cases: the batched row dots
+# ----------------------------------------------------------------------
+def _rows_of(lengths, ncols: int, seed: int) -> CSRMatrix:
+    """Rows of the given lengths over random in-range columns, values
+    spread over 16 decades so a changed summation order shows."""
+    rng = np.random.default_rng(seed)
+    rowidx = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    nnz = int(rowidx[-1])
+    val = rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 8, size=nnz)
+    colid = rng.integers(0, ncols, size=nnz)
+    return CSRMatrix(val, colid, rowidx, (len(lengths), ncols), check=False)
+
+
+def _swap_strike(a: CSRMatrix, i: int) -> CSRMatrix:
+    """Pointer ``i`` takes ``i + 2``'s word: row ``i - 1`` grows over
+    row ``i``, which runs backward; every other row keeps its length."""
+    a.rowidx[i] = a.rowidx[i + 2]
+    return a
+
+
+def _case_lengths_1_to_130():
+    # three rows of every length 1..130, shuffled: batches of k > 1
+    # across OpenBLAS's 16- and 32-element ddot blocks
+    lengths = np.random.default_rng(1).permutation(np.repeat(np.arange(1, 131), 3))
+    return _swap_strike(_rows_of(lengths, 150, 1), 200), None
+
+
+def _case_backward_empty_overlapping():
+    a = _rows_of([5] * 8, 16, 2)
+    # [0,12) · [12,5) backward · [5,5) empty · [5,30) over row 0 ·
+    # [30,18) backward · [18,40) and [22,40) overlapping to the end
+    a.rowidx[:] = [0, 12, 5, 5, 30, 18, 40, 22, 40]
+    return a, None
+
+
+def _case_no_row_reads():
+    # every row runs backward or is empty: no length class at all
+    a = _rows_of([2, 3, 1], 3, 8)
+    a.rowidx[:] = [6, 2, 2, 0]
+    return a, None
+
+
+def _case_huge_pointers():
+    a = _rows_of(np.full(40, 7), 40, 3)
+    a.rowidx[0] = -(2**62)  # clips to 0
+    a.rowidx[9] = 2**62  # row 8 runs to nnz, row 9 backward from it
+    a.rowidx[25] = -(2**62)  # row 25 re-reads from the start
+    a.rowidx[31] = 2**63 - 1
+    return a, None
+
+
+def _case_wrapped_wild_colid():
+    a = _swap_strike(_rows_of(np.full(30, 6), 30, 4), 11)
+    for p, word in zip((0, 17, 64, 65, 179), (-1, 30 + 5, 2**62, -(2**63), -7)):
+        a.colid[p] = word
+    return a, None
+
+
+def _case_non_finite_x():
+    a = _swap_strike(_rows_of(np.full(30, 6), 30, 5), 4)
+    x = np.random.default_rng(5).normal(size=30)
+    x[[2, 9, 20]] = [np.inf, -np.inf, np.nan]
+    return a, x
+
+
+def _case_chunks_and_blocks():
+    # 9 000 rows of nine: two row blocks, each length class over a chunk
+    return _swap_strike(_rows_of(np.full(9000, 9), 9000, 6), 5000), None
+
+
+def _case_row_longer_than_a_chunk():
+    a = _rows_of(np.full(8, 5000), 64, 7)
+    a.rowidx[2] = 2**62  # row 1 runs on to nnz: 35 000 entries, in place
+    a.rowidx[5] = 3  # row 5 re-reads from near the start: 3 .. 30 000
+    return a, None
+
+
+STRUCK_POINTER_CASES = {
+    f.__name__[len("_case_"):]: f
+    for f in (_case_lengths_1_to_130, _case_backward_empty_overlapping, _case_no_row_reads,
+              _case_huge_pointers, _case_wrapped_wild_colid, _case_non_finite_x,
+              _case_chunks_and_blocks, _case_row_longer_than_a_chunk)
+}
+
+
+@pytest.mark.parametrize("with_scratch", [False, True], ids=["fresh", "scratch"])
+@pytest.mark.parametrize("case", list(STRUCK_POINTER_CASES))
+def test_batched_row_dots_equal_the_row_loop(case, with_scratch):
+    a, x = STRUCK_POINTER_CASES[case]()
+    clipped = np.clip(a.rowidx, 0, a.nnz)
+    assert np.any(clipped[1:] < clipped[:-1])  # reduceat cannot take it
+    if x is None:
+        x = np.random.default_rng(0).normal(size=a.ncols)
+    with np.errstate(all="ignore"):
+        want = _bytes(legacy_spmv(a, x))
+        if with_scratch:
+            scratch, out = np.full(a.nnz + 5, 7.0), np.full(a.nrows, -1.0)
+            got = spmv(a, x, out=out, scratch=scratch)
+            assert got is out
+        else:
+            got = spmv(a, x)
+    assert _bytes(got) == want
+
+
+def test_batched_matmul_is_the_per_row_dot():
+    """The premise the batched row dots rest on: matmul over a stack of
+    ``1 × L`` by ``L × 1`` operands computes each product as ``@`` on
+    the two rows does.  A NumPy or BLAS build where the two part ways
+    fails here, loudly, rather than shifting results."""
+    rng = np.random.default_rng(11)
+    for length in [*range(1, 131), 200, 1000, 40_000]:
+        k = 5
+        v = rng.normal(size=(k, length)) * 10.0 ** rng.integers(-150, 150, size=(k, length))
+        g = rng.normal(size=(k, length)) * 10.0 ** rng.integers(-150, 150, size=(k, length))
+        batched = np.matmul(v[:, None, :], g[:, :, None])[:, 0, 0]
+        rows = np.array([v[i] @ g[i] for i in range(k)])
+        assert _bytes(batched) == _bytes(rows), length
+
+
+# ----------------------------------------------------------------------
 # (3) work and memory at paper scale
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -340,30 +463,49 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("hinted", [True, False], ids=["hint", "scan"])
-def test_struck_paths_peak_at_one_nnz_array_at_paper_scale(paper, hinted):
+@pytest.mark.parametrize("struck", ["hint", "scan", "rowidx"])
+def test_struck_paths_peak_at_one_nnz_array_at_paper_scale(paper, struck):
+    """A wild ``colid`` read (hinted or scanned) costs at most one
+    nnz-length array; non-monotone row pointers, which take the batched
+    row dots, cost only the clipped pointers and one chunk."""
     a, ws, cks = paper
     n, nnz = a.nrows, a.nnz
     live = ws.acquire_live(a)  # strike-undo back to the source
-    p = nnz // 3
-    live.colid[p] = 2**40  # a wild read the decoder moves back (z = 2)
-    ws.note_matrix_mutation("colid", p)
-    assert live._wild.tolist() == [p]
-    if not hinted:
+    if struck == "rowidx":
+        word, p = "rowidx", n // 3
+        live.rowidx[p] = live.rowidx[p + 2]  # row p - 1 over row p: non-monotone
+    else:
+        word, p = "colid", nnz // 3
+        live.colid[p] = 2**40  # a wild read the decoder moves back (z = 2)
+    ws.note_matrix_mutation(word, p)
+    if struck == "hint":
+        assert live._wild.tolist() == [p]
+    else:
         live._wild = None
     rng = np.random.default_rng(0)
     x, b = rng.normal(size=n), rng.normal(size=n)
     scratch, y = ws.buffer("spmv.scratch", nnz), np.empty(n)
     one_array, small = 8 * nnz, 16 * 8 * n
+    if struck == "rowidx":
+        # The strike withdraws the hint, so spmv first scans colid (an
+        # nnz-byte mask); the row dots then hold one chunk's two gathered
+        # operands and a row block's index arrays.  Beside either: the
+        # clipped pointers, the one n-length temporary.
+        chunk = 2 * 8 * _CHUNK + 4 * 8 * _ROW_BLOCK
+        bound = max(nnz, chunk) + 8 * (n + 1)
+        assert bound < one_array / 4
+    else:
+        bound = one_array - 1  # strictly below one nnz array
 
-    assert _peak(lambda: spmv(live, x, out=y, scratch=scratch)) < one_array
+    assert _peak(lambda: spmv(live, x, out=y, scratch=scratch)) <= bound
     assert _peak(lambda: residual_check(live, b, x, b, scratch=scratch)) < one_array
     assert _peak(lambda: _current_column_checksums(live, cks)) <= one_array + small
     result = []
     assert _peak(lambda: result.append(
         protected_spmv(live, x, cks, workspace=ws, trust_structure_stamp=True)
     )) <= one_array + small
-    assert result[0].correction.kind == "colid" and live.colid[p] == a.colid[p]
+    assert result[0].correction.kind == word
+    assert getattr(live, word)[p] == getattr(a, word)[p]
 
 
 def test_memo_budget_is_derived_from_the_bound_source(paper):
