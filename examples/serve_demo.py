@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""Serve a campaign through a lease-coordinated worker fleet.
+"""Serve a campaign through a lease-coordinated dispatcher.
 
-``repro serve`` is the third way to run a campaign, after ``--jobs``
-fan-out and ``--resume``: a dispatcher plus N long-lived workers that
-*claim* pending tasks from a shared concurrent store (``sharded:dir``
-or ``sqlite:file.db``) via leases with heartbeats.  A worker that dies
-mid-task simply stops heartbeating; once the lease TTL passes, a peer
-steals the task and reruns it.  Leases are advisory — records are
-idempotent by content hash — so per-task results are **identical to
---jobs 1**, which this demo verifies, crash included.
+``repro serve`` is ``--jobs N`` in lease mode
+(``run_campaign(lease_ttl=...)``): the same dispatcher and worker
+fleet, except that the dispatcher first *claims* each task in a shared
+concurrent store's lease board (``sharded:dir`` or
+``sqlite:file.db``), heartbeats it while a worker runs it, and
+releases it once the record is appended.  So several dispatchers may
+share one store: a task a peer holds is left to the peer, and a
+dispatcher that dies stops heartbeating, so once its lease TTL passes
+a peer steals the task and reruns it.  Leases are advisory — records
+are idempotent by content hash — so per-task results are **identical
+to --jobs 1**, which this demo verifies, crash included.
 
 Run:  python examples/serve_demo.py
 """
@@ -17,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Study
-from repro.campaign import run_campaign, serve_campaign
+from repro.campaign import run_campaign
 from repro.store import migrate_store, open_store
 
 
@@ -30,25 +33,25 @@ def main() -> None:
     baseline = run_campaign(tasks, jobs=1)
 
     # --- a fleet of three workers over a sharded store --------------------
-    # Each record routes to the shard its content hash selects, so the
-    # workers rarely touch the same file; each shard keeps the JSONL
-    # torn-tail crash contract individually.
+    # Each record routes to the shard its content hash selects, so
+    # dispatchers sharing the store rarely touch the same file; each
+    # shard keeps the JSONL torn-tail crash contract individually.
     url = f"sharded:{workdir / 'fleet.d'}"
     print(f"serving {len(tasks)} tasks over 3 workers -> {url}")
-    records = serve_campaign(tasks, url, workers=3, lease_ttl=30.0)
+    records = run_campaign(tasks, jobs=3, store=url, lease_ttl=30.0)
     assert records == baseline  # bit-identical, scheduling-independent
     print("fleet results are bit-identical to jobs=1")
 
-    # --- crash tolerance: a stale lease from a "dead" worker --------------
-    # Claim one task on behalf of a worker that will never heartbeat,
-    # with a short TTL.  The fleet waits the TTL out, steals the lease,
-    # and still completes everything.
+    # --- crash tolerance: a stale lease from a "dead" dispatcher ----------
+    # Claim one task on behalf of a dispatcher that will never
+    # heartbeat, with a short TTL.  The live dispatcher defers the task,
+    # steals the lease once the TTL is out, and completes everything.
     url2 = f"sqlite:{workdir / 'fleet.db'}"
     store = open_store(url2)
     victim = tasks[0].task_hash()
     store.try_claim(victim, "pid-dead-00000000", ttl=1.0)
-    print(f"lease on {victim[:16]}… held by a dead worker (ttl 1s)")
-    records = serve_campaign(tasks, url2, workers=2, lease_ttl=1.0)
+    print(f"lease on {victim[:16]}… held by a dead dispatcher (ttl 1s)")
+    records = run_campaign(tasks, jobs=2, store=url2, lease_ttl=1.0)
     assert records == baseline
     print("stolen and completed: still bit-identical")
 

@@ -112,7 +112,7 @@ def _add_campaign_options(parser: argparse.ArgumentParser, *, fleet: bool = Fals
     group.add_argument(
         "--chaos", type=str, default=None, metavar="SPEC",
         help="deterministic fault injection for harness testing, e.g. "
-             "'kill=0.2,hang=0.05,seed=7' (sites: kill/hang/tear; "
+             "'kill=0.2,hang=0.05,seed=7' (sites: kill/hang; "
              "'off' disables; default: the REPRO_CHAOS environment)",
     )
 
@@ -365,11 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run Study specs through a lease-coordinated worker fleet",
-        description="Start N long-lived workers that claim tasks from a "
-                    "shared concurrent store (sharded:DIR or sqlite:FILE.db) "
-                    "via leases with heartbeats, stealing work from crashed "
-                    "peers.  Several serve invocations may share one store "
-                    "concurrently; per-task results are identical to "
+        description="Start N long-lived workers fed by one dispatcher that "
+                    "claims each task in a shared concurrent store's lease "
+                    "board (sharded:DIR or sqlite:FILE.db), heartbeats it "
+                    "and appends its record.  Several serve invocations may "
+                    "share one store concurrently, taking over the tasks of "
+                    "a crashed peer; per-task results are identical to "
                     "--jobs 1.",
     )
     p.add_argument(
@@ -388,13 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lease-ttl", type=float, default=60.0, metavar="SECONDS",
-        help="crash-detection horizon: a worker silent this long loses its "
-             "claimed tasks to the rest of the fleet (default: 60)",
-    )
-    p.add_argument(
-        "--max-worker-restarts", type=int, default=None, metavar="N",
-        help="how many crashed workers the dispatcher revives before "
-             "letting the fleet die off (default: 4x --workers)",
+        help="crash-detection horizon: a serve invocation silent this long "
+             "loses its claimed tasks to its peers on the store (default: 60)",
     )
     _add_campaign_options(p, fleet=True)
     p.set_defaults(func=_cmd_serve)
@@ -421,7 +417,7 @@ def _check_campaign_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace, *, fleet: bool = False
 ) -> dict:
     """Validate the shared campaign flags (see :func:`_add_campaign_options`)
-    and return the ``Study.run`` / ``serve_campaign`` keywords they map to."""
+    and return the ``Study.run`` / ``run_campaign`` keywords they map to."""
     run = dict(
         progress=args.progress,
         trace_dir=args.trace_dir,
@@ -800,15 +796,14 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.campaign.progress import ProgressReporter
-    from repro.campaign.serve import ServeInterrupted, serve_campaign
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.serve import ServeInterrupted
     from repro.store import StoreError, open_store
 
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.lease_ttl <= 0:
         parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl:g}")
-    if args.max_worker_restarts is not None and args.max_worker_restarts < 0:
-        parser.error(f"--max-worker-restarts must be >= 0, got {args.max_worker_restarts}")
     run = _check_campaign_args(parser, args, fleet=True)
     studies = [_load_study(parser, spec) for spec in args.specs]
     names = [study.name for study in studies]
@@ -817,7 +812,7 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         store = open_store(args.store)
     except (ValueError, StoreError) as exc:
         parser.error(f"--store {args.store!r}: {exc}")
-    with store:  # ours to close; serve_campaign leaves an instance open
+    with store:  # ours to close; run_campaign leaves an instance open
         if not store.supports_leases:
             parser.error(
                 f"--store {args.store!r}: serve mode needs a concurrent "
@@ -833,13 +828,8 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             file=sys.stderr,
         )
         try:
-            records = serve_campaign(
-                tasks,
-                store,
-                workers=args.workers,
-                lease_ttl=args.lease_ttl,
-                max_worker_restarts=args.max_worker_restarts,
-                **run,
+            records = run_campaign(
+                tasks, jobs=args.workers, store=store, lease_ttl=args.lease_ttl, **run
             )
         except ServeInterrupted:
             raise  # main() exits 128 + signum, as for every campaign

@@ -12,9 +12,10 @@ package turns such a grid into a first-class *campaign*:
   execution are bit-identical;
 - :mod:`repro.campaign.executor` — the campaign runner: resume,
   ordered-result collection and serial execution for ``jobs=1``;
-- :mod:`repro.campaign.serve` — the supervised worker fleet behind
-  ``--jobs N`` (guided batches from the dispatcher) and ``repro
-  serve`` (leases over a concurrent store);
+- :mod:`repro.campaign.serve` — the one dispatcher and supervised
+  worker fleet behind ``--jobs N`` (guided batches) and ``repro
+  serve`` (one task at a time, each claimed in a concurrent store's
+  lease board, so several dispatchers may share the store);
 - :mod:`repro.campaign.progress` — throughput / ETA reporting;
 - :mod:`repro.campaign.aggregate` — regrouping of raw per-task records
   into the existing :class:`~repro.sim.engine.RunStatistics` /
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.campaign.spec import CampaignSpec, TaskSpec
     from repro.campaign.progress import ProgressReporter
     from repro.campaign.executor import default_jobs, execute_task, run_campaign
-    from repro.campaign.serve import ServeInterrupted, serve_campaign
+    from repro.campaign.serve import ServeInterrupted
     from repro.campaign.aggregate import (
         aggregate_figure1,
         aggregate_figure1_store,
@@ -55,7 +56,6 @@ __all__ = [
     "default_jobs",
     "execute_task",
     "run_campaign",
-    "serve_campaign",
     "ServeInterrupted",
     "aggregate_table1",
     "aggregate_figure1",
@@ -71,7 +71,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.campaign.spec": ("CampaignSpec", "TaskSpec"),
         "repro.campaign.progress": ("ProgressReporter",),
         "repro.campaign.executor": ("default_jobs", "execute_task", "run_campaign"),
-        "repro.campaign.serve": ("ServeInterrupted", "serve_campaign"),
+        "repro.campaign.serve": ("ServeInterrupted",),
         "repro.campaign.aggregate": (
             "aggregate_figure1",
             "aggregate_figure1_store",

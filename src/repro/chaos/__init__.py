@@ -2,18 +2,18 @@
 
 The solver side of this repo survives *silent* errors (the paper's
 ABFT/checkpoint machinery); :mod:`repro.chaos` makes the *harness*
-survive loud ones — crashed or hung workers, poison tasks, torn store
-writes — and provides the seeded fault injector that proves it
+survive loud ones — crashed or hung workers, poison tasks — and
+provides the seeded fault injector that proves it
 (``docs/DESIGN.md`` §10).
 
 - :class:`ChaosPolicy` / :func:`resolve_chaos` — deterministic,
-  generation-salted fault injection (worker kills, hangs, store-write
-  tears), off by default and zero-overhead when off;
+  generation-salted fault injection (worker kills, hangs), off by
+  default and zero-overhead when off;
 - :class:`RetryPolicy` / :func:`run_guarded` — per-task wall-clock
   deadlines, bounded retry with backoff + jitter, and poison-task
   quarantine records;
 - wired through ``run_campaign(task_timeout=, retries=, chaos=)``,
-  ``serve_campaign`` worker supervision, and the matching CLI flags.
+  the worker fleet's supervision, and the matching CLI flags.
 """
 
 from repro.chaos.harness import (

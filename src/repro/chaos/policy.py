@@ -2,9 +2,9 @@
 
 The paper's engine survives *silent* errors inside the solver; this
 module injects the *loud* ones the harness around it must survive —
-worker crashes, hangs, and torn store writes — so the self-healing
-paths (``docs/DESIGN.md`` §10) can be exercised deterministically in
-tests and CI instead of waiting for real crashes.
+worker crashes and hangs — so the self-healing paths
+(``docs/DESIGN.md`` §10) can be exercised deterministically in tests
+and CI instead of waiting for real crashes.
 
 A :class:`ChaosPolicy` is a frozen value object: every injection
 decision is a pure function of ``(seed, generation, site, task_hash,
@@ -49,7 +49,7 @@ CHAOS_EXIT_CODE = 86
 CHAOS_ENV = "REPRO_CHAOS"
 
 #: Injection sites, fixed strings so draws are stable across versions.
-_SITES = ("kill", "hang", "tear")
+_SITES = ("kill", "hang")
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,10 @@ class ChaosPolicy:
 
     Parameters
     ----------
-    kill, hang, tear:
+    kill, hang:
         Per-(task, attempt) probabilities in ``[0, 1]`` of, at the
-        matching site, crashing the worker (``os._exit``), sleeping
-        ``hang_s`` seconds mid-task, or tearing the store write of a
-        finished record and then crashing.
+        matching site, crashing the worker (``os._exit``) or sleeping
+        ``hang_s`` seconds mid-task.
     hang_s:
         Injected hang duration — finite, so an un-timeouted campaign
         stalls rather than deadlocks (a ``--task-timeout`` below this
@@ -79,7 +78,6 @@ class ChaosPolicy:
 
     kill: float = 0.0
     hang: float = 0.0
-    tear: float = 0.0
     hang_s: float = 30.0
     seed: int = 0
     generation: int = 0
@@ -100,7 +98,7 @@ class ChaosPolicy:
     def parse(cls, spec: str) -> "ChaosPolicy | None":
         """Parse a ``--chaos`` spec: ``kill=0.2,hang=0.05,seed=7``.
 
-        Keys are the dataclass fields (``kill``/``hang``/``tear``
+        Keys are the dataclass fields (``kill``/``hang``
         probabilities, ``hang_s``, ``seed``); ``off``, ``0`` and the
         empty string mean "no chaos" and return ``None``.
         """
@@ -114,10 +112,10 @@ class ChaosPolicy:
                 continue
             key, sep, value = part.partition("=")
             key = key.strip()
-            if not sep or key not in ("kill", "hang", "tear", "hang_s", "seed"):
+            if not sep or key not in ("kill", "hang", "hang_s", "seed"):
                 raise ValueError(
                     f"bad chaos spec component {part!r} "
-                    "(expected kill=P, hang=P, tear=P, hang_s=S or seed=N)"
+                    "(expected kill=P, hang=P, hang_s=S or seed=N)"
                 )
             try:
                 kwargs[key] = int(value) if key == "seed" else float(value)
@@ -143,7 +141,7 @@ class ChaosPolicy:
     @property
     def enabled(self) -> bool:
         """Whether any injection site has a non-zero probability."""
-        return self.kill > 0 or self.hang > 0 or self.tear > 0
+        return self.kill > 0 or self.hang > 0
 
     @property
     def active(self) -> bool:
@@ -170,7 +168,7 @@ class ChaosPolicy:
     def to_spec(self) -> str:
         """The ``--chaos`` spec string this policy round-trips through."""
         return (
-            f"kill={self.kill:g},hang={self.hang:g},tear={self.tear:g},"
+            f"kill={self.kill:g},hang={self.hang:g},"
             f"hang_s={self.hang_s:g},seed={self.seed}"
         )
 

@@ -13,7 +13,7 @@ selected by a URL-style string, mirroring the kernel-backend registry
 
 ``sharded:path/to/store.d``
     A directory of hash-partitioned JSONL shards
-    (:class:`~repro.store.sharded.ShardedStore`): N workers appending
+    (:class:`~repro.store.sharded.ShardedStore`): N processes appending
     concurrently rarely touch the same file, torn-tail crash salvage
     is per shard, and advisory file leases back serve mode.
 

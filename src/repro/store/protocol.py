@@ -48,8 +48,8 @@ Concurrency
     :meth:`heartbeat` / :meth:`release`).  The lease protocol backs
     serve mode (:mod:`repro.campaign.serve`); leases are advisory —
     correctness always comes from content-hash idempotence (two
-    workers racing the same task write bit-identical records), leases
-    only keep duplicate work rare.
+    dispatchers racing the same task write bit-identical records),
+    leases only keep duplicate work rare.
 """
 
 from __future__ import annotations

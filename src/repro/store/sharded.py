@@ -13,12 +13,12 @@ Every record is routed to the shard its content hash selects
 (:meth:`ShardedStore.shard_index` — a pure function of the hash, so
 every process agrees on placement without coordination).  That gives
 the multi-writer property the single-file store cannot have: two
-workers writing *different* tasks usually touch different files, and
+processes writing *different* tasks usually touch different files, and
 when they do share one, each append is a single ``O_APPEND`` write of
 one whole line, so lines never interleave.  Each shard individually
 keeps the JSONL durability contract of
 :class:`~repro.store.jsonl.ResultStore` — torn-tail salvage is
-*per shard*: a crash in one worker can tear at most the tail of the
+*per shard*: a crash in one writer can tear at most the tail of the
 shards it was appending to, and every other shard stays pristine.
 
 Because shards have *concurrent* writers, their durability handling

@@ -507,7 +507,6 @@ serve --progress - 'bar' ('bar', 'json', 'none') None optional
 serve --task-timeout float None None None optional
 serve --retries int 0 None None optional
 serve --chaos str None None None optional
-serve --max-worker-restarts int None None None optional
 serve --trace-dir str None None None optional
 """
 

@@ -1,9 +1,9 @@
 """Fault injection and self-healing: repro.chaos plus the hardened
 campaign paths (docs/DESIGN.md §10).
 
-The soak tests at the bottom are the PR's acceptance bar: campaigns
-whose workers are repeatedly crashed, hung and torn mid-write must
-still produce stores bit-identical to a clean ``--jobs 1`` run.
+The soak tests at the bottom are the acceptance bar: campaigns whose
+workers are repeatedly crashed and hung must still produce stores
+bit-identical to a clean ``--jobs 1`` run.
 """
 
 import multiprocessing
@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro import Study
 from repro.api.cli import main
-from repro.campaign import CampaignSpec, ServeInterrupted, run_campaign, serve_campaign
+from repro.campaign import CampaignSpec, ServeInterrupted, run_campaign
 from repro.chaos import harness
 from repro.chaos import (
     CHAOS_ENV,
@@ -91,6 +91,8 @@ class TestChaosPolicy:
     def test_parse_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="chaos spec"):
             ChaosPolicy.parse("explode=0.5")
+        with pytest.raises(ValueError, match="chaos spec"):
+            ChaosPolicy.parse("tear=0.1")  # no campaign process tears a store write
         with pytest.raises(ValueError, match="chaos spec"):
             ChaosPolicy.parse("kill")
         with pytest.raises(ValueError, match="probability"):
@@ -196,10 +198,12 @@ class TestRunGuarded:
         def broken(task, **kw):
             raise RuntimeError("poison")
 
-        # Chaos armed (tear only fires in serve workers), no retry
-        # policy: nothing quarantines, the error propagates.
+        # Chaos armed (a short injected hang, then the task runs), no
+        # retry policy: nothing quarantines, the error propagates.
         with pytest.raises(RuntimeError, match="poison"):
-            run_guarded(_FakeTask(), chaos=_armed(tear=1.0, seed=1), execute=broken)
+            run_guarded(
+                _FakeTask(), chaos=_armed(hang=1.0, hang_s=0.01, seed=1), execute=broken
+            )
 
     def test_deadline_turns_hang_into_timeout_then_quarantine(self):
         def hangs(task, **kw):
@@ -367,21 +371,20 @@ class TestServeChaosSoak:
     def test_chaos_soak_matches_clean_jobs1(
         self, tmp_path, small_tasks, serial_records
     ):
-        # Workers are repeatedly crashed (seeded kill draws), hung
-        # (healed by --task-timeout) and torn mid-write; supervision
-        # restarts them and leases recover their tasks.  The store must
-        # end up with records bit-identical to a clean serial run —
-        # nothing lost, nothing duplicated, nothing quarantined.
+        # Workers are repeatedly crashed (seeded kill draws) and hung
+        # (healed by --task-timeout); supervision restarts them and the
+        # dispatcher requeues the tasks they held.  The store must end
+        # up with records bit-identical to a clean serial run — nothing
+        # lost, nothing duplicated, nothing quarantined.
         url = f"sharded:{tmp_path / 'soak.d'}"
-        records = serve_campaign(
+        records = run_campaign(
             small_tasks,
-            url,
-            workers=2,
+            jobs=2,
+            store=url,
             lease_ttl=1.0,
             task_timeout=20.0,
             retries=5,
-            max_worker_restarts=40,
-            chaos="kill=0.25,hang=0.1,tear=0.15,hang_s=0.5,seed=2015",
+            chaos="kill=0.25,hang=0.1,hang_s=0.5,seed=2015",
         )
         assert records == serial_records
         stored = _task_records(open_store(url).load())
@@ -394,16 +397,16 @@ class TestServeChaosSoak:
         self, tmp_path, small_tasks, serial_records
     ):
         # A real SIGKILL (not injected): the dispatcher must restart
-        # the dead worker and steal its lease.  serve_campaign runs in
-        # a background thread so this thread can hunt the worker pid —
-        # which also exercises the "no signal handlers off the main
-        # thread" guard.
+        # the dead worker and requeue the task it held, still under the
+        # dispatcher's lease.  The campaign runs in a background thread
+        # so this thread can hunt the worker pid — which also exercises
+        # the "no signal handlers off the main thread" guard.
         url = f"sharded:{tmp_path / 'kill.d'}"
         out = {}
 
         def run():
-            out["records"] = serve_campaign(
-                small_tasks, url, workers=2, lease_ttl=1.0
+            out["records"] = run_campaign(
+                small_tasks, jobs=2, store=url, lease_ttl=1.0
             )
 
         thread = threading.Thread(target=run)
@@ -412,7 +415,7 @@ class TestServeChaosSoak:
         deadline = time.monotonic() + 30
         while not killed and time.monotonic() < deadline and thread.is_alive():
             for proc in multiprocessing.active_children():
-                if proc.name.startswith("repro-serve") and proc.pid:
+                if proc.name.startswith("repro-fleet") and proc.pid:
                     os.kill(proc.pid, signal.SIGKILL)
                     killed = True
                     break
@@ -436,7 +439,7 @@ class TestServeChaosSoak:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 if any(
-                    p.name.startswith("repro-serve")
+                    p.name.startswith("repro-fleet")
                     for p in multiprocessing.active_children()
                 ):
                     time.sleep(0.2)
@@ -451,10 +454,10 @@ class TestServeChaosSoak:
         try:
             sender.start()
             with pytest.raises(ServeInterrupted) as excinfo:
-                serve_campaign(
+                run_campaign(
                     small_tasks,
-                    url,
-                    workers=2,
+                    jobs=2,
+                    store=url,
                     lease_ttl=30.0,
                     chaos="hang=1.0,hang_s=0.5,seed=1",
                 )
@@ -462,7 +465,7 @@ class TestServeChaosSoak:
         finally:
             sender.join(15)
             signal.signal(signal.SIGTERM, previous)
-        records = serve_campaign(small_tasks, url, workers=2, lease_ttl=30.0)
+        records = run_campaign(small_tasks, jobs=2, store=url, lease_ttl=30.0)
         assert records == serial_records
 
     def test_chaos_exit_code_is_distinctive(self):

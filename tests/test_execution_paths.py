@@ -1,8 +1,8 @@
 """One execution chain, many schedulers.
 
 A campaign task runs in exactly one place — ``run_task → run_guarded →
-execute_task → repeat loop`` — and the serial loop, the ``--jobs``
-fleet and the serve fleet differ only in who calls ``run_task``.  These tests
+execute_task → repeat loop`` — and the serial loop and the worker
+fleet (``--jobs`` or lease mode) differ only in who calls ``run_task``.  These tests
 pin the invariant that makes that merge safe (every scheduler, armed or
 not, produces the same records *and* does the same amount of work) and
 keep the single path single at the source level.
@@ -19,7 +19,6 @@ import repro
 from repro.campaign import CampaignSpec, run_campaign
 from repro.chaos import harness
 from repro.store import open_store
-from repro.campaign.serve import serve_campaign
 
 SRC = Path(repro.__file__).parent
 
@@ -34,12 +33,12 @@ CONSERVED = (
 )
 
 SCHEDULERS = {
-    "serial": (run_campaign, dict(jobs=1)),
-    "serial-retry": (run_campaign, dict(jobs=1, retries=1)),
-    "pool": (run_campaign, dict(jobs=2)),
-    "pool-hardened": (run_campaign, dict(jobs=2, retries=1, task_timeout=600)),
-    "fleet": (serve_campaign, dict(workers=2, lease_ttl=30.0)),
-    "fleet-retry": (serve_campaign, dict(workers=2, lease_ttl=30.0, retries=1)),
+    "serial": dict(jobs=1),
+    "serial-retry": dict(jobs=1, retries=1),
+    "pool": dict(jobs=2),
+    "pool-hardened": dict(jobs=2, retries=1, task_timeout=600),
+    "fleet": dict(jobs=2, lease_ttl=30.0),
+    "fleet-retry": dict(jobs=2, lease_ttl=30.0, retries=1),
 }
 
 
@@ -66,12 +65,8 @@ def reference(mixed_tasks, tmp_path_factory):
 
 def _run(name, tasks, tmp_path):
     """(records, conserved telemetry totals) of one scheduler's run."""
-    runner, kwargs = SCHEDULERS[name]
     url = f"sharded:{tmp_path / 'store.d'}"
-    if runner is serve_campaign:
-        records = runner(tasks, url, **kwargs)
-    else:
-        records = runner(tasks, store=url, **kwargs)
+    records = run_campaign(tasks, store=url, **SCHEDULERS[name])
     totals = dict.fromkeys(CONSERVED, 0)
     for rec in open_store(url).iter_records():
         if rec.get("kind") == "telemetry":

@@ -404,6 +404,7 @@ class TestRetiredLayerEdges:
             ("repro.core", "run_ft_method"),
             ("repro.campaign", "ResultStore"),
             ("repro.store", "serve_campaign"),
+            ("repro.campaign", "serve_campaign"),
         ],
     )
     def test_old_spellings_fail(self, package, name):

@@ -496,7 +496,7 @@ class TestClosesWhatItOpens:
     def test_url_opened_stores_are_closed(self, spy_scheme, tmp_path, monkeypatch, capsys):
         from repro import Study
         from repro.api.cli import main
-        from repro.campaign import serve_campaign
+        from repro.campaign import run_campaign
         from repro.campaign.aggregate import records_for_tasks
         from repro.store import compact_store, repair_store, verify_store
 
@@ -514,7 +514,9 @@ class TestClosesWhatItOpens:
             "verify_store": lambda: verify_store(full),
             "summarize_store": lambda: summarize_store(full),
             "records_for_tasks": lambda: records_for_tasks(tasks, full),
-            "serve_campaign": lambda: serve_campaign(tasks, full, workers=1),
+            "run_campaign lease mode": lambda: run_campaign(
+                tasks, jobs=1, store=full, lease_ttl=30.0
+            ),
             "cli --store check": lambda: main(
                 ["table1", "--store", full, "--scale", "128", "--uids", "2213"]
             ),

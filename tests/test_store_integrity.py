@@ -509,3 +509,46 @@ class TestKilledWriterSalvage:
         assert sorted(executed) == sorted(
             t.task_hash() for t in small_tasks[done:]
         )
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "sharded"])
+def test_torn_sealed_tail_is_counted_then_resumed(
+    kind, tmp_path, small_tasks, serial_records, monkeypatch, capsys
+):
+    # The footprint of a writer dying mid-append: the first half of the
+    # next record's sealed line, no newline, in the file (or shard)
+    # that record routes to.
+    import repro.campaign.executor as executor
+    from repro.store.integrity import seal_text
+
+    done = 3
+    url = str(tmp_path / "r.jsonl") if kind == "jsonl" else f"sharded:{tmp_path / 'r.d'}"
+    run_campaign(small_tasks[:done], jobs=1, store=url)
+    torn = serial_records[done]
+    if kind == "jsonl":
+        target = tmp_path / "r.jsonl"
+    else:
+        index = ShardedStore(tmp_path / "r.d").shard_index(torn["hash"])
+        target = tmp_path / "r.d" / f"shard-{index:02x}.jsonl"
+    line = seal_text(torn).encode()
+    with open(target, "ab") as fh:
+        fh.write(line[: len(line) // 2])
+
+    assert main(["store", "verify", url]) == 1
+    assert "torn_tail: True" in capsys.readouterr().out
+
+    real = executor.execute_task
+    executed = []
+
+    def counting(task, **kw):
+        executed.append(task.task_hash())
+        return real(task, **kw)
+
+    monkeypatch.setattr(executor, "execute_task", counting)
+    assert run_campaign(small_tasks, jobs=1, store=url) == serial_records
+    assert sorted(executed) == sorted(t.task_hash() for t in small_tasks[done:])
+    report = verify_store(url)
+    assert report["torn_tail"] is False
+    # A single-writer file truncates the fragment; a shared shard
+    # neutralizes it into one counted corrupt line.
+    assert report["corrupt"] == (kind == "sharded")

@@ -1,10 +1,17 @@
-"""Serve mode: worker fleets, lease coordination, crash stealing."""
+"""Serve mode: lease-mode dispatchers, peer coordination, crash stealing.
 
+``repro serve`` is ``run_campaign(lease_ttl=...)``: the one dispatcher
+of ``--jobs N`` claims every task in the store's lease board before a
+worker runs it, so several dispatchers may share one store.
+"""
+
+import multiprocessing
+import threading
 import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign, serve_campaign
+from repro.campaign import CampaignSpec, run_campaign
 from repro.store import (
     LeaseUnsupported,
     ResultStore,
@@ -26,80 +33,196 @@ def serial_records(small_tasks):
     return run_campaign(small_tasks, jobs=1)
 
 
+def _url(scheme, tmp_path):
+    if scheme == "sharded":
+        return f"sharded:{tmp_path / 'serve.d'}"
+    return f"sqlite:{tmp_path / 'serve.db'}"
+
+
 def _task_records(loaded: dict) -> dict:
     return {h: r for h, r in loaded.items() if r.get("kind") != "telemetry"}
+
+
+def _telemetry(url) -> list:
+    return [r for r in open_store(url).iter_records() if r.get("kind") == "telemetry"]
+
+
+def _serve(tasks, url, workers=2, lease_ttl=30.0, **kwargs):
+    return run_campaign(tasks, jobs=workers, store=url, lease_ttl=lease_ttl, **kwargs)
 
 
 class TestServeCampaign:
     @pytest.mark.parametrize("scheme", ["sharded", "sqlite"])
     def test_two_workers_match_jobs1(self, scheme, tmp_path, small_tasks,
                                      serial_records):
-        # The acceptance bar: a lease-coordinated fleet must produce
-        # per-task results identical to --jobs 1.
-        url = (
-            f"sharded:{tmp_path / 'serve.d'}" if scheme == "sharded"
-            else f"sqlite:{tmp_path / 'serve.db'}"
-        )
-        records = serve_campaign(small_tasks, url, workers=2, lease_ttl=30.0)
+        # The acceptance bar: a lease-mode fleet must produce per-task
+        # results identical to --jobs 1, and leave no lease behind.
+        url = _url(scheme, tmp_path)
+        records = _serve(small_tasks, url)
         assert records == serial_records
-        # ...and the store holds exactly those records (plus telemetry).
         stored = _task_records(open_store(url).load())
         assert stored == {t.task_hash(): r
                           for t, r in zip(small_tasks, serial_records)}
+        assert open_store(url).info()["active_leases"] == 0
+
+    def test_one_worker_still_runs_the_fleet(self, tmp_path, small_tasks,
+                                             serial_records):
+        url = _url("sqlite", tmp_path)
+        assert _serve(small_tasks[:3], url, workers=1) == serial_records[:3]
+        (tele,) = _telemetry(url)
+        assert tele["workers"] == 1 and tele["fresh"] == 3
 
     def test_serve_resumes_from_populated_store(self, tmp_path, small_tasks,
                                                 serial_records):
-        url = f"sqlite:{tmp_path / 'serve.db'}"
+        url = _url("sqlite", tmp_path)
         run_campaign(small_tasks, jobs=1, store=url)
         t0 = time.time()
-        records = serve_campaign(small_tasks, url, workers=2, lease_ttl=30.0)
+        records = _serve(small_tasks, url)
         assert records == serial_records
         assert time.time() - t0 < 10  # served from the store, not recomputed
 
     def test_partial_store_only_runs_whats_missing(self, tmp_path, small_tasks,
                                                    serial_records):
-        url = f"sqlite:{tmp_path / 'serve.db'}"
-        store = open_store(url)
-        with store:
-            for task, rec in list(zip(small_tasks, serial_records))[:-3]:
+        url = _url("sqlite", tmp_path)
+        with open_store(url) as store:
+            for rec in serial_records[:-3]:
                 store.append(rec)
-        assert serve_campaign(small_tasks, url, workers=2,
-                              lease_ttl=30.0) == serial_records
+        assert _serve(small_tasks, url) == serial_records
+        (tele,) = _telemetry(url)
+        assert (tele["fresh"], tele["cached"]) == (3, len(small_tasks) - 3)
 
-    def test_stale_lease_from_dead_worker_is_stolen(self, tmp_path,
-                                                    small_tasks,
-                                                    serial_records):
-        # A "crashed worker": a lease on a pending task whose owner
-        # never heartbeats.  The fleet must steal it after the TTL and
-        # still complete everything.
-        url = f"sharded:{tmp_path / 'serve.d'}"
+    def test_stale_lease_from_dead_dispatcher_is_stolen(self, tmp_path,
+                                                        small_tasks,
+                                                        serial_records):
+        # A "crashed dispatcher": a lease on a pending task whose owner
+        # never heartbeats.  The campaign must steal it after the TTL
+        # and still complete everything.
+        url = _url("sharded", tmp_path)
         store = open_store(url)
         dead = small_tasks[0].task_hash()
         assert store.try_claim(dead, "pid-dead-00000000", ttl=0.5)
-        records = serve_campaign(small_tasks, url, workers=2, lease_ttl=0.5)
+        records = _serve(small_tasks, url, lease_ttl=0.5)
         assert records == serial_records
 
     def test_jsonl_store_is_rejected(self, tmp_path, small_tasks):
         with pytest.raises(LeaseUnsupported, match="serve mode"):
-            serve_campaign(small_tasks, tmp_path / "r.jsonl", workers=2)
+            _serve(small_tasks, tmp_path / "r.jsonl")
+
+    def test_no_store_is_rejected(self, small_tasks):
+        with pytest.raises(LeaseUnsupported, match="serve mode"):
+            run_campaign(small_tasks, jobs=2, lease_ttl=30.0)
 
     def test_bad_worker_count_rejected(self, tmp_path, small_tasks):
-        with pytest.raises(ValueError, match="workers"):
-            serve_campaign(small_tasks, f"sqlite:{tmp_path / 'r.db'}",
-                           workers=0)
+        with pytest.raises(ValueError, match="jobs"):
+            _serve(small_tasks, _url("sqlite", tmp_path), workers=0)
 
     def test_bad_ttl_rejected(self, tmp_path, small_tasks):
         with pytest.raises(ValueError, match="lease_ttl"):
-            serve_campaign(small_tasks, f"sqlite:{tmp_path / 'r.db'}",
-                           workers=1, lease_ttl=0.0)
+            _serve(small_tasks, _url("sqlite", tmp_path), lease_ttl=0.0)
 
-    def test_worker_telemetry_carries_owner(self, tmp_path, small_tasks):
-        url = f"sqlite:{tmp_path / 'serve.db'}"
-        serve_campaign(small_tasks, url, workers=2, lease_ttl=30.0)
-        tele = [r for r in open_store(url).load().values()
-                if r.get("kind") == "telemetry"]
-        assert tele and all(t["serve_worker"].startswith("pid-") for t in tele)
-        assert sum(t["fresh"] for t in tele) == len(small_tasks)
+    def test_telemetry_carries_the_dispatcher_owner(self, tmp_path, small_tasks):
+        url = _url("sqlite", tmp_path)
+        _serve(small_tasks, url)
+        (tele,) = _telemetry(url)
+        assert tele["owner"].startswith("pid-")
+        assert tele["fresh"] == len(small_tasks)
+
+
+class _ReadCounting(ShardedStore):
+    """A sharded store that counts full reads."""
+
+    reads = 0
+
+    def iter_records(self):
+        self.reads += 1
+        return super().iter_records()
+
+
+def test_peer_free_lease_mode_reads_the_store_a_constant_number_of_times(
+    tmp_path, small_tasks
+):
+    # The dispatcher claims, heartbeats and appends without re-reading
+    # the store: the initial resume (plus load_partials for adaptive
+    # tasks) is all, whatever the task count.
+    reads = []
+    for n in (3, len(small_tasks)):
+        store = _ReadCounting(tmp_path / f"n{n}.d")
+        _serve(small_tasks[:n], store)
+        reads.append(store.reads)
+    assert reads[0] == reads[1] <= 2
+
+
+class TestPeerDispatchers:
+    @pytest.mark.parametrize("scheme", ["sharded", "sqlite"])
+    def test_peer_held_tasks_are_deferred_then_adopted(
+        self, scheme, tmp_path, small_tasks, serial_records
+    ):
+        # A foreign owner holds live, heartbeated leases on half the
+        # tasks.  The dispatcher runs the other half, defers the held
+        # half, and adopts the records the peer appends before letting
+        # its leases go.
+        url = _url(scheme, tmp_path)
+        peer = open_store(url)
+        held = list(zip(small_tasks, serial_records))[::2]
+        for task, _ in held:
+            assert peer.try_claim(task.task_hash(), "pid-peer-00000000", 30.0)
+        others = {t.task_hash() for t in small_tasks} - {t.task_hash() for t, _ in held}
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.update(records=_serve(small_tasks, url))
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                for task, _ in held:
+                    assert peer.heartbeat(task.task_hash(), "pid-peer-00000000", 30.0)
+                if others <= set(_task_records(open_store(url).load())):
+                    break
+                time.sleep(0.05)
+            assert thread.is_alive()  # waiting on the held half
+            for task, record in held:
+                peer.append(record)
+                peer.release(task.task_hash(), "pid-peer-00000000")
+        finally:
+            thread.join(120)
+        assert not thread.is_alive()
+        assert out["records"] == serial_records
+        (tele,) = _telemetry(url)
+        assert (tele["fresh"], tele["cached"]) == (len(others), len(held))
+
+    def test_two_dispatcher_processes_share_one_sqlite_store(
+        self, tmp_path, small_tasks, serial_records
+    ):
+        url = _url("sqlite", tmp_path)
+        links, procs = [], []
+        for _ in range(2):
+            here, there = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_dispatch, args=(small_tasks, url, there)
+            )
+            proc.start()
+            there.close()
+            links.append(here)
+            procs.append(proc)
+        for here in links:
+            assert here.poll(180), "a dispatcher never answered"
+        results = [here.recv() for here in links]
+        for proc in procs:
+            proc.join(30)
+            assert proc.exitcode == 0
+        assert results == [serial_records, serial_records]
+        stored = _task_records(open_store(url).load())
+        assert stored == {t.task_hash(): r
+                          for t, r in zip(small_tasks, serial_records)}
+        owners = {t["owner"] for t in _telemetry(url)}
+        assert len(owners) == 2
+
+
+def _dispatch(tasks, url, conn):
+    """Child: one lease-mode dispatcher, its records sent back."""
+    conn.send(_serve(tasks, url))
+    conn.close()
 
 
 class TestServeSupportsFlags:
@@ -117,18 +240,13 @@ class TestServeAdaptive:
             sampling="ci=0.5,conf=0.9,min=2,max=6",
         ).expand()
 
-    def test_fleet_matches_jobs1_and_resumes_partials(
-        self, tmp_path, adaptive_tasks
-    ):
-        # Adaptive tasks through the lease-coordinated fleet: same
-        # records as the serial executor, and a partial checkpoint
-        # seeded into the store is honoured (the worker resumes the
-        # prefix rather than recomputing it).
+    def test_fleet_matches_jobs1_and_resumes_partials(self, tmp_path, adaptive_tasks):
+        # Adaptive tasks through a lease-mode fleet: the workers' partial
+        # records go up their pipes and the dispatcher appends them.
         serial = run_campaign(adaptive_tasks, jobs=1)
-        url = f"sqlite:{tmp_path / 'ad.db'}"
-        records = serve_campaign(adaptive_tasks, url, workers=2,
-                                 lease_ttl=30.0)
-        assert records == serial
+        url = _url("sqlite", tmp_path)
+        assert _serve(adaptive_tasks, url) == serial
+        assert any(r.get("kind") == "partial" for r in open_store(url).iter_records())
 
     def test_seeded_partial_is_resumed_not_recomputed(
         self, tmp_path, adaptive_tasks
@@ -145,9 +263,7 @@ class TestServeAdaptive:
 
         execute_task(task, partial_store=Sink())
         assert captured
-        url = f"sqlite:{tmp_path / 'seeded.db'}"
+        url = _url("sqlite", tmp_path)
         store = open_store(url)
         store.append(captured[0])  # checkpoint after rep 1
-        records = serve_campaign(adaptive_tasks, url, workers=2,
-                                 lease_ttl=30.0)
-        assert records == serial
+        assert _serve(adaptive_tasks, url) == serial
