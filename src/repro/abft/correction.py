@@ -354,10 +354,11 @@ def correct_errors(
         # large τ back out leaves O(u·τ) cancellation residue that the
         # re-verification would flag, so the affected rows (column d's
         # support) are recomputed from the repaired x instead — same
-        # O(column) cost, exact result.
+        # O(column) cost, exact result.  (Sorted set, not np.unique,
+        # which would import numpy.ma into every repairing process.)
         rows, _ = _column_entries(a, d)
-        for i in np.unique(rows):
-            _recompute_row(a, x, y, int(i))
+        for i in sorted(set(rows.tolist())):
+            _recompute_row(a, x, y, i)
         return CorrectionOutcome(True, "x", position=d, detail=f"x[{d}] -= {tau:.6e}")
 
     return CorrectionOutcome(False, "none", detail="no residual flagged")

@@ -17,9 +17,9 @@ SpMxV hot kernel — from a :class:`~repro.backends.protocol
     with every guarded path — any matrix lacking the
     ``structure_clean`` stamp — routed back through the reference
     kernel so ABFT detection semantics are preserved.  Resolving the
-    name only checks that SciPy is installed; ``scipy.sparse`` is
-    imported by the first product, not with the package and not by
-    spec validation.  Without SciPy the name raises
+    name only checks that SciPy is installed; the first product loads
+    the compiled kernel's extension module, and ``scipy.sparse`` itself
+    is never imported.  Without SciPy the name raises
     :class:`BackendUnavailableError` (no silent reference fallback).
 
 Select a backend anywhere the solve stack is entered: ``spmv(a, x,

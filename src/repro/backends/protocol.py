@@ -89,7 +89,8 @@ class KernelBackend(Protocol):
 
         ``out``/``scratch`` are optional preallocated buffers (see
         :func:`repro.sparse.spmv.spmv`); a backend that cannot use them
-        must still honour ``out`` as the returned storage.
+        must still honour ``out`` as the returned storage, and must
+        read ``x`` before it writes ``out``, which may alias it.
         """
         ...
 

@@ -3,11 +3,13 @@
 SciPy is an interop dependency — Matrix-Market I/O, the generators
 other than :func:`~repro.sparse.generators.stencil_spd`, the scipy
 bridge on :class:`~repro.sparse.csr.CSRMatrix`, the ``scipy`` kernel
-backend — and costs ~0.25 s and ~25 MiB to import, so nothing imports
-it at module level.  The I/O functions and generators, which a user
-can reach without ever having handed us a SciPy object, go through
-:func:`import_scipy`, which turns a missing install into one clear
-line instead of a bare ``No module named``.
+backend.  The I/O helpers and generators import ``scipy.sparse``, which
+costs ~0.25 s and ~25 MiB, so nothing imports it at module level (the
+kernel backend loads only its compiled extension module, see
+:mod:`repro.backends.scipy_backend`).  The I/O functions and
+generators, which a user can reach without ever having handed us a
+SciPy object, go through :func:`import_scipy`, which turns a missing
+install into one clear line instead of a bare ``No module named``.
 """
 
 from __future__ import annotations

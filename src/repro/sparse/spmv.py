@@ -57,7 +57,8 @@ def spmv(
         Dense input vector of length ``a.ncols``.
     out:
         Optional preallocated output vector (``float64``, length
-        ``a.nrows``, must not alias ``x``).  Overwritten and returned.
+        ``a.nrows``; it may alias ``x``, which is read first).
+        Overwritten and returned.
     scratch:
         Optional preallocated contiguous ``float64`` buffer of at least
         ``a.nnz`` elements for the per-nonzero products — the solver workspace

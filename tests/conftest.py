@@ -114,11 +114,12 @@ class OwnKernel(BaseBackend):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (a.ncols,):
             raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+        products = a.val * x[a.colid]  # read x before out, which may alias it
         y = np.empty(a.nrows) if out is None else out
         y[:] = 0.0
         nonempty = np.diff(a.rowidx) > 0
         if nonempty.any():
-            y[nonempty] = np.add.reduceat(a.val * x[a.colid], a.rowidx[:-1][nonempty])
+            y[nonempty] = np.add.reduceat(products, a.rowidx[:-1][nonempty])
         return y
 
 

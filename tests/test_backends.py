@@ -655,6 +655,22 @@ class TestCleanKernelOnEveryBackend:
         assert y is out
         assert_substitutes(any_backend, out, spmv(a, x))
 
+    @pytest.mark.parametrize("alias", ["out=x", "shifted view"])
+    def test_out_aliasing_x_gives_the_product_of_x(self, any_backend, alias):
+        # The compiled kernel accumulates into a zeroed out: zeroing an
+        # out that is x (or overlaps it) must not clear the input first.
+        a = stamped(stencil_spd(16, kind="cross", radius=1))
+        x0 = np.random.default_rng(7).standard_normal(a.ncols)
+        want = spmv(a, x0.copy())
+        if alias == "out=x":
+            x = out = x0.copy()
+        else:
+            buf = np.concatenate([x0, [np.nan]])
+            x, out = buf[:-1], buf[1:]
+        y = any_backend.spmv(a, x, out=out)
+        assert y is out
+        assert_substitutes(any_backend, y, want)
+
     def test_empty_matrix_is_zero(self, any_backend):
         empty = stamped(CSRMatrix(
             np.zeros(0), np.zeros(0, dtype=np.int64),

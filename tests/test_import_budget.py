@@ -5,7 +5,9 @@ Every check runs the command in a fresh interpreter and looks at
 repeatable (no timing).  The second half blocks SciPy
 (``sys.modules["scipy"] = None``) and checks that the default campaign
 path does not notice, and that everything which *does* need SciPy says
-so in one line instead of silently degrading.
+so in one line instead of silently degrading.  A ``scipy``-backend
+campaign loads SciPy's compiled kernel module alone: neither
+``scipy.sparse`` nor ``numpy.ma`` (the x-repair's old ``np.unique``).
 """
 
 import json
@@ -21,10 +23,28 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     for argv in {commands!r}:
         codes.append(main(argv))
 json.dump({{"codes": codes, "stdout": out.getvalue(), "stderr": err.getvalue(),
-           "modules": sorted(sys.modules)}}, sys.stdout)
+           "modules": sorted(sys.modules), "probe": globals().get("probe", dict)()}},
+          sys.stdout)
 """
 
 BLOCK_SCIPY = 'sys.modules["scipy"] = None'
+
+#: Counts the in-process solves' ABFT repairs by kind; ``probe()`` (a
+#: prelude's hook, dumped after the commands) reports them and whether
+#: the ``scipy`` backend bound a kernel.
+COUNT_REPAIRS = """
+import collections
+from repro.resilience.accounting import RecoveryCounters
+repairs = collections.Counter()
+_record = RecoveryCounters.record_correction
+def _count(self, kind):
+    repairs[kind] += 1
+    _record(self, kind)
+RecoveryCounters.record_correction = _count
+def probe():
+    from repro.backends import get_backend
+    return {"repairs": dict(repairs), "bound": get_backend("scipy")._csr_matvec is not None}
+"""
 
 #: ``table1`` smoke campaign: one matrix, 19 one-rep tasks.
 SMOKE = ["table1", "--scale", "128", "--reps", "1", "--uids", "1312", "--s-span", "1",
@@ -174,3 +194,79 @@ def test_solve_a_mtx_workload_without_scipy_is_a_usage_error(run_cli, tmp_path):
     res = run_cli(["solve", "--matrix", "a.mtx"], prelude=BLOCK_SCIPY)
     assert res["codes"] == [2]
     assert "Matrix-Market input needs the scipy package" in res["stderr"]
+
+
+def test_scipy_campaign_loads_the_kernel_extension_only(run_cli):
+    """The first product binds ``csr_matvec`` from its extension module
+    file: no SciPy package, and no ``numpy.ma`` from the x-repair —
+    with the same output as a process that imported ``scipy.sparse``
+    first, whose entries the backend then leaves alone."""
+    pytest.importorskip("scipy")
+    cold = run_cli(SMOKE + ["--backend", "scipy"], prelude=COUNT_REPAIRS)
+    assert cold["codes"] == [0]
+    assert cold["probe"]["bound"] and cold["probe"]["repairs"].get("x", 0) >= 1
+    assert loaded(cold, "scipy", "numpy.ma") == []
+
+    preloaded = run_cli(SMOKE + ["--backend", "scipy"], prelude=COUNT_REPAIRS + """
+import scipy.sparse
+kernels = sys.modules["scipy.sparse._sparsetools"]
+_probe = probe
+def probe():
+    from repro.backends import get_backend
+    return {**_probe(),
+            "untouched": sys.modules["scipy.sparse._sparsetools"] is kernels
+                         and scipy.sparse._sparsetools is kernels,
+            "same_kernel": get_backend("scipy")._csr_matvec is kernels.csr_matvec}
+""")
+    assert preloaded["codes"] == [0]
+    assert preloaded["probe"]["untouched"] and preloaded["probe"]["same_kernel"]
+    assert preloaded["probe"]["repairs"] == cold["probe"]["repairs"]
+    assert preloaded["stdout"] == cold["stdout"]
+
+
+def test_scipy_sparse_imports_normally_after_the_kernel_is_bound(cold_python):
+    pytest.importorskip("scipy")
+    code = """
+import sys
+import numpy as np
+from repro.backends import get_backend
+from repro.sparse import stencil_spd
+be = get_backend("scipy")
+a = stencil_spd(16)
+a.assume_clean_structure()
+x = np.random.default_rng(3).standard_normal(a.ncols)
+y = be.spmv(a, x)
+left = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not left, left
+import scipy.sparse
+assert scipy.sparse._sparsetools.csr_matvec is be._csr_matvec
+m = scipy.sparse.csr_matrix((a.val, a.colid, a.rowidx), shape=a.shape)
+assert np.array_equal(m @ x, y)
+print("ok")
+"""
+    done = cold_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("prelude", [
+    # No file matches: every extension suffix is gone.
+    "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES.clear()",
+    # The file is there but will not load.
+    """
+import importlib.util
+_module_from_spec = importlib.util.module_from_spec
+def _refuse(spec):
+    if spec.name == "scipy.sparse._sparsetools":
+        raise ImportError("refused")
+    return _module_from_spec(spec)
+importlib.util.module_from_spec = _refuse
+""",
+], ids=["no-file", "load-error"])
+def test_kernel_falls_back_to_the_package_import(run_cli, prelude):
+    pytest.importorskip("scipy")
+    cold = run_cli(SMOKE + ["--backend", "scipy"])
+    fallback = run_cli(SMOKE + ["--backend", "scipy"], prelude=prelude)
+    assert fallback["codes"] == [0]
+    assert "scipy.sparse" in fallback["modules"]
+    assert fallback["stdout"] == cold["stdout"]
