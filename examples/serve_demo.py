@@ -4,8 +4,8 @@
 ``repro serve`` is ``--jobs N`` in lease mode
 (``run_campaign(lease_ttl=...)``): the same dispatcher and worker
 fleet, except that the dispatcher first *claims* each task in a shared
-concurrent store's lease board (``sharded:dir`` or
-``sqlite:file.db``), heartbeats it while a worker runs it, and
+store's lease board (``sqlite:file.db``, the shipped backend with
+one), heartbeats it while a worker runs it, and
 releases it once the record is appended.  So several dispatchers may
 share one store: a task a peer holds is left to the peer, and a
 dispatcher that dies stops heartbeating, so once its lease TTL passes
@@ -32,11 +32,10 @@ def main() -> None:
     # --- the baseline every other execution mode must reproduce -----------
     baseline = run_campaign(tasks, jobs=1)
 
-    # --- a fleet of three workers over a sharded store --------------------
-    # Each record routes to the shard its content hash selects, so
-    # dispatchers sharing the store rarely touch the same file; each
-    # shard keeps the JSONL torn-tail crash contract individually.
-    url = f"sharded:{workdir / 'fleet.d'}"
+    # --- a fleet of three workers over a SQLite store ---------------------
+    # Every append is one committed transaction and the store's leases
+    # table is the lease board, so several dispatchers may share it.
+    url = f"sqlite:{workdir / 'fleet.db'}"
     print(f"serving {len(tasks)} tasks over 3 workers -> {url}")
     records = run_campaign(tasks, jobs=3, store=url, lease_ttl=30.0)
     assert records == baseline  # bit-identical, scheduling-independent
@@ -46,7 +45,7 @@ def main() -> None:
     # Claim one task on behalf of a dispatcher that will never
     # heartbeat, with a short TTL.  The live dispatcher defers the task,
     # steals the lease once the TTL is out, and completes everything.
-    url2 = f"sqlite:{workdir / 'fleet.db'}"
+    url2 = f"sqlite:{workdir / 'stolen.db'}"
     store = open_store(url2)
     victim = tasks[0].task_hash()
     store.try_claim(victim, "pid-dead-00000000", ttl=1.0)

@@ -80,8 +80,7 @@ def _add_campaign_options(parser: argparse.ArgumentParser, *, fleet: bool = Fals
             "--store", type=str, default=None, metavar="URL",
             help="result store for crash-safe persistence / resume: a bare "
                  "path (single-file JSONL), sharded:DIR (hash-partitioned "
-                 "shards, concurrent writers) or sqlite:FILE.db (WAL "
-                 "database, concurrent writers)",
+                 "JSONL shards) or sqlite:FILE.db (WAL database)",
         )
         group.add_argument(
             "--resume", action="store_true",
@@ -366,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run Study specs through a lease-coordinated worker fleet",
         description="Start N long-lived workers fed by one dispatcher that "
-                    "claims each task in a shared concurrent store's lease "
-                    "board (sharded:DIR or sqlite:FILE.db), heartbeats it "
+                    "claims each task in a shared SQLite store's lease "
+                    "board (sqlite:FILE.db), heartbeats it "
                     "and appends its record.  Several serve invocations may "
                     "share one store concurrently, taking over the tasks of "
                     "a crashed peer; per-task results are identical to "
@@ -380,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--store", type=str, required=True, metavar="URL",
-        help="concurrent result store: sharded:DIR or sqlite:FILE.db "
-             "(single-file JSONL stores cannot coordinate workers)",
+        help="shared result store: sqlite:FILE.db (JSONL and sharded: "
+             "stores have one writer and cannot coordinate dispatchers)",
     )
     p.add_argument(
         "--workers", type=int, default=2,
@@ -816,8 +815,8 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if not store.supports_leases:
             parser.error(
                 f"--store {args.store!r}: serve mode needs a concurrent "
-                "backend (sharded:DIR or sqlite:FILE.db); single-file JSONL "
-                "stores cannot coordinate workers"
+                "backend (sqlite:FILE.db); this store has one writer and "
+                "cannot coordinate dispatchers"
             )
         run["progress"] = None if args.progress == "none" else ProgressReporter(
             len(tasks), stream=sys.stderr, label="+".join(names), mode=args.progress

@@ -11,7 +11,8 @@ render as an extra block (cache hit rates, buffer-pool reuse,
 per-phase time shares), and older stores report exactly as before.
 
 Any store backend works (:mod:`repro.store`): pass a bare JSONL path,
-``sharded:dir``, ``sqlite:file.db`` or a constructed backend.  The
+``sharded:dir`` (JSONL shards), ``sqlite:file.db`` or a constructed
+backend.  The
 fold is *streaming*: records are consumed one at a time from
 ``iter_records()`` and reduced on the spot to the handful of scalars a
 group needs, so a multi-GB store never materializes — and a *partial*

@@ -9,7 +9,7 @@ serial), a result store keyed by task content hash (any
 :mod:`repro.store` backend — single-file JSONL, ``sharded:`` or
 ``sqlite:``), and resume of a killed sweep without recomputation.
 Saved specs (:meth:`Study.save`) also feed ``repro serve``, the
-lease-coordinated multi-worker fleet over a shared concurrent store.
+lease-coordinated multi-worker fleet over a shared ``sqlite:`` store.
 
 ::
 
@@ -567,7 +567,7 @@ class Study:
         store only executes what is missing).  It accepts a constructed
         backend or a selector URL (:mod:`repro.store`): a bare path is
         the single-file JSONL store, ``sharded:dir`` hash-partitioned
-        shards, ``sqlite:file.db`` a WAL database — records and hence
+        JSONL shards, ``sqlite:file.db`` a WAL database — records and hence
         aggregates are bit-identical across all of them, and a store
         may be migrated between backends mid-campaign (``repro store
         migrate``) without losing resume.  ``progress`` prints a

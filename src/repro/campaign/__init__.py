@@ -23,8 +23,8 @@ package turns such a grid into a first-class *campaign*:
   :class:`~repro.sim.results.Figure1Point` shapes.
 
 Records persist in a result store of the layer below
-(:mod:`repro.store`: single-file JSONL by default, ``sharded:`` /
-``sqlite:`` for concurrent writers), keyed by task hash — crash-safe
+(:mod:`repro.store`: single-file JSONL by default, ``sharded:``
+JSONL shards, or ``sqlite:`` for several dispatchers), keyed by task hash — crash-safe
 append, cache-hit skipping and resume of half-finished campaigns.
 The paper's Table-1 / Figure-1 drivers (``Study.table1()`` /
 ``Study.figure1()``, ``python -m repro table1|figure1``) execute

@@ -355,8 +355,8 @@ def run_campaign(
         Optional result store — a :class:`~repro.store.protocol
         .StoreBackend` instance or a URL-style selector resolved by
         :func:`repro.store.open_store` (bare path → single-file JSONL,
-        ``sharded:dir`` → hash-partitioned shards, ``sqlite:file.db``
-        → WAL-mode SQLite).  Tasks whose hash is already present are
+        ``sharded:dir`` → hash-partitioned JSONL shards,
+        ``sqlite:file.db`` → WAL-mode SQLite).  Tasks whose hash is already present are
         served from the store without recomputation; fresh results are
         appended as they complete, by this process only.  Resume
         matching streams over the store, so pointing a small campaign
@@ -393,8 +393,9 @@ def run_campaign(
         processes, whose crashes the fleet supervisor heals.
     lease_ttl:
         Lease mode, behind ``repro serve``: claim each task in
-        ``store``'s lease board (``sharded:`` or ``sqlite:``) before a
-        worker runs it, so several dispatchers may share one store.
+        ``store``'s lease board (``sqlite:``, the one shipped backend
+        with leases) before a worker runs it, so several dispatchers
+        may share one store.
         The TTL is how long a dispatcher may go silent (it heartbeats
         every ``lease_ttl / 3``) before its peers take its claimed
         tasks over.  Lease mode always runs the worker fleet, even at

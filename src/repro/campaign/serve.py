@@ -15,7 +15,8 @@ out:
   lease board.
 - ``repro serve`` (``run_campaign(lease_ttl=...)``): one task per
   hand-out, each first claimed in the store's lease board
-  (:mod:`repro.store.protocol`), heartbeated from the poll loop and
+  (:mod:`repro.store.protocol`; ``sqlite:`` is the one shipped
+  backend with one), heartbeated from the poll loop and
   released once its record is appended — so several dispatchers may
   share one store.  A task a peer holds is deferred; while any is, the
   dispatcher re-reads the store at most once per poll tick, adopting
@@ -194,7 +195,7 @@ class Leases:
         if not getattr(store, "supports_leases", False):
             raise LeaseUnsupported(
                 f"store {getattr(store, 'url', store)!r} cannot coordinate "
-                "concurrent dispatchers; serve mode needs a sharded: or sqlite: "
+                "concurrent dispatchers; serve mode needs a sqlite:FILE.db "
                 "store (or a custom backend with lease support)"
             )
         self.store, self.ttl = store, ttl

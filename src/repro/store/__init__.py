@@ -13,15 +13,15 @@ selected by a URL-style string, mirroring the kernel-backend registry
 
 ``sharded:path/to/store.d``
     A directory of hash-partitioned JSONL shards
-    (:class:`~repro.store.sharded.ShardedStore`): N processes appending
-    concurrently rarely touch the same file, torn-tail crash salvage
-    is per shard, and advisory file leases back serve mode.
+    (:class:`~repro.store.sharded.ShardedStore`), each shard a
+    single-writer JSONL file with the same reader contract.
 
 ``sqlite:path/to/store.db``
     A WAL-mode SQLite database
     (:class:`~repro.store.sqlite.SqliteStore`): transactional appends
     (no torn tails at all), native upsert-by-hash, safe concurrent
-    multi-process writers and atomic leases.
+    multi-process writers and atomic leases — the one shipped backend
+    ``repro serve`` accepts.
 
 All three keep the same contract (:mod:`repro.store.protocol`):
 identical records in any backend yield bit-identical aggregates, and
@@ -77,7 +77,7 @@ __all__ = [
     "verify_store",
 ]
 
-# The concurrent backends load on first use: a JSONL-only process
+# The other backends load on first use: a JSONL-only process
 # (every default campaign, ``repro report``) never pays for sqlite3.
 __getattr__, __dir__ = lazy_exports(
     __name__,

@@ -54,15 +54,13 @@ class StoreError(RuntimeError):
 
 
 class StoreIntegrityWarning(UserWarning):
-    """A tolerant store reader skipped a corrupt record.
+    """``repro store repair`` skipped a corrupt record.
 
-    Emitted (once per distinct site, the default warning dedup) by the
-    concurrent backends, whose crash footprint can legitimately include
-    a corrupt joined line (see :meth:`ResultStore._repair_torn_tail`'s
-    shared mode); the skip is also counted on the store instance
-    (``corrupt_skipped``) and in ``METRICS`` as
-    ``store.corrupt_skipped``, so campaigns and ``repro store verify``
-    can surface it as a number, not just a warning.
+    Emitted (once per distinct site, the default warning dedup) by
+    :meth:`ResultStore.iter_intact`; the skip is also counted on the
+    store instance (``corrupt_skipped``) and in ``METRICS`` as
+    ``store.corrupt_skipped``, so it surfaces as a number, not just a
+    warning.
     """
 
 
@@ -70,6 +68,13 @@ class StoreIntegrityWarning(UserWarning):
 #: whole payload: every record the library writes starts exactly like
 #: this (``json.dumps`` of a dict whose first key is ``"hash"``).
 _HASH_PREFIX = '{"hash": "'
+
+#: How to recover from a corrupt complete line, named by every
+#: :class:`StoreError` that reports one.
+_REPAIR_HINT = (
+    "; copy the intact records to a new store with "
+    "`repro store repair SRC DST`, then --resume against it"
+)
 
 
 class ResultStore:
@@ -79,26 +84,9 @@ class ResultStore:
     ----------
     path:
         File to append to; created (with parents) on first write.
-    tolerant:
-        Reader mode for corrupt *complete* lines: ``False`` (default)
-        raises :class:`StoreError` — right for a single-writer file,
-        where mid-file corruption can only mean damage; ``True`` skips
-        the line with a :class:`StoreIntegrityWarning` and counts it
-        (``corrupt_skipped``) — right for files with concurrent
-        writers, where a crash can legitimately leave one corrupt
-        joined line (see ``shared``).
-    shared:
-        Multi-writer mode.  The default torn-tail salvage *truncates*
-        the fragment, which is unsafe when another process may have
-        already appended a fresh record after it; ``shared=True``
-        instead neutralizes the torn tail by appending a single
-        newline (an atomic ``O_APPEND`` write), turning the fragment
-        into one corrupt complete line that tolerant readers skip.
-        The fragment's record is lost either way — its task hash is
-        missing, so resume simply re-executes it.
 
-    The store is usable as a context manager; :meth:`close` is also
-    safe to call repeatedly.  Records are plain dicts with at least a
+    The file has one writer.  The store is usable as a context
+    manager; :meth:`close` is also safe to call repeatedly.  Records are plain dicts with at least a
     ``"hash"`` key (see :func:`repro.campaign.executor.execute_task`
     for the full schema); on append each is sealed with a per-record
     CRC32 (:mod:`repro.store.integrity`), and readers verify and strip
@@ -110,17 +98,9 @@ class ResultStore:
     #: atomicity a single append-only file cannot provide.
     supports_leases: bool = False
 
-    def __init__(
-        self,
-        path: "str | os.PathLike[str]",
-        *,
-        tolerant: bool = False,
-        shared: bool = False,
-    ) -> None:
+    def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = pathlib.Path(path)
-        self.tolerant = bool(tolerant)
-        self.shared = bool(shared)
-        #: Corrupt records skipped by tolerant reads since construction.
+        #: Corrupt records :meth:`iter_intact` skipped since construction.
         self.corrupt_skipped = 0
         self._fh = None
 
@@ -162,11 +142,11 @@ class ResultStore:
 
         A malformed line anywhere but the torn tail — including a
         corrupt but newline-terminated final record — means the file
-        was hand-edited or damaged (or, in ``shared`` files, a crashed
-        peer's joined write).  A line that parses but fails its CRC32
-        seal (:mod:`repro.store.integrity`) is bit rot and equally
-        corrupt.  The returned record has the seal stripped (it equals
-        the appended one); the verdict is ``True`` or ``None`` (unsealed).
+        was hand-edited or damaged.  A line that parses but fails its
+        CRC32 seal (:mod:`repro.store.integrity`) is bit rot and equally
+        corrupt.  Either error names ``repro store repair``.  The
+        returned record has the seal stripped (it equals the appended
+        one); the verdict is ``True`` or ``None`` (unsealed).
         """
         from repro.store.integrity import open_sealed
 
@@ -177,23 +157,24 @@ class ResultStore:
                 raise ValueError("record is not a dict with a 'hash' key")
         except ValueError as exc:
             raise StoreError(
-                f"{self.path}:{lineno}: corrupt record ({exc})"
+                f"{self.path}:{lineno}: corrupt record ({exc}){_REPAIR_HINT}"
             ) from exc
         if verdict is False:
             raise StoreError(
                 f"{self.path}:{lineno}: record failed its checksum "
-                f"(hash {str(rec.get('hash'))[:16]!r}...)"
+                f"(hash {str(rec.get('hash'))[:16]!r}...){_REPAIR_HINT}"
             )
         return rec, verdict
 
-    def _skip_corrupt(self, lineno: int, error: StoreError) -> None:
-        """Count and announce one tolerated corrupt line."""
+    def _skip_corrupt(self, error: StoreError) -> None:
+        """Count and announce one corrupt line that repair leaves out."""
         self.corrupt_skipped += 1
         from repro.obs.metrics import METRICS
 
         METRICS.inc("store.corrupt_skipped")
+        reason = str(error).removesuffix(_REPAIR_HINT)
         warnings.warn(
-            f"skipping corrupt store record ({error})", StoreIntegrityWarning,
+            f"skipping corrupt store record ({reason})", StoreIntegrityWarning,
             stacklevel=3,
         )
 
@@ -204,33 +185,24 @@ class ResultStore:
         constant memory regardless of store size.  Duplicate hashes are
         *not* collapsed here — a fold that needs last-wins semantics
         (like :meth:`load`) applies them itself, which a plain dict
-        update does for free.  In ``tolerant`` mode corrupt lines are
-        skipped with a counted :class:`StoreIntegrityWarning` instead
-        of raising (the lost record's task re-executes on resume).
+        update does for free.  A corrupt complete line raises
+        :class:`StoreError` (see :meth:`_parse`).
         """
         for lineno, line in self._complete_lines():
-            if not line.strip():
-                continue  # blank lines carry no record
-            try:
-                rec = self._parse(lineno, line)[0]
-            except StoreError as exc:
-                if not self.tolerant:
-                    raise
-                self._skip_corrupt(lineno, exc)
-                continue
-            yield rec
+            if line.strip():  # blank lines carry no record
+                yield self._parse(lineno, line)[0]
 
     def iter_intact(self) -> "Iterator[dict]":
-        """Stream only the records that parse and verify, regardless of
-        the store's ``tolerant`` mode — the ``repro store repair``
-        primitive (corrupt lines are counted, never raised)."""
+        """Stream only the records that parse and verify — the ``repro
+        store repair`` primitive (corrupt lines are skipped with a
+        counted :class:`StoreIntegrityWarning`, never raised)."""
         for lineno, line in self._complete_lines():
             if not line.strip():
                 continue
             try:
                 yield self._parse(lineno, line)[0]
             except StoreError as exc:
-                self._skip_corrupt(lineno, exc)
+                self._skip_corrupt(exc)
 
     def load(self) -> "dict[str, dict]":
         """Read all records, keyed by task hash (duplicates: last wins).
@@ -250,11 +222,9 @@ class ResultStore:
 
     def append_many(self, records: "Iterable[dict]") -> None:
         """Seal each record with its CRC32 (:mod:`repro.store.integrity`)
-        and flush the batch to the OS; a record without ``"hash"``
-        rejects the whole batch first.  A single-writer file takes it as
-        one ``write`` (a crash leaves whole lines plus at most one torn
-        tail); a ``shared`` file keeps one flushed ``write`` per line —
-        the unit peers' ``O_APPEND`` writes interleave at.
+        and flush the batch to the OS as one ``write``; a record without
+        ``"hash"`` rejects the whole batch first.  A crash leaves whole
+        lines plus at most one torn tail.
         """
         from repro.store.integrity import seal_text
 
@@ -265,27 +235,17 @@ class ResultStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._repair_torn_tail()
             self._fh = open(self.path, "a")
-        lines = (seal_text(record) + "\n" for record in records)
-        for chunk in lines if self.shared else ("".join(lines),):
-            self._fh.write(chunk)
-            self._fh.flush()
+        self._fh.write("".join(seal_text(record) + "\n" for record in records))
+        self._fh.flush()
 
     def _repair_torn_tail(self) -> None:
-        """Neutralize a torn trailing write before appending after it.
+        """Truncate a torn trailing write before appending after it.
 
         Each record is written as one ``line + "\\n"`` chunk, so a
         crash mid-append leaves a tail with *no* final newline.  Left
         in place, the next appended record would turn that fragment
         into a corrupt mid-file line and poison every later
-        :meth:`load`.  A single-writer file (default) truncates back to
-        the last newline.  A ``shared`` file must *not* truncate — a
-        concurrent peer may already have appended a whole record after
-        the point this process last saw, and truncation would destroy
-        it; instead the fragment is terminated with one atomic
-        ``O_APPEND`` newline, becoming a corrupt complete line that the
-        (tolerant) readers of shared files skip.  In the worst
-        interleaving two processes both append the newline — a blank
-        line, which readers already ignore.
+        :meth:`load`, so the file is cut back to its last newline.
         """
         if not self.path.exists():
             return
@@ -295,10 +255,6 @@ class ResultStore:
             except OSError:  # empty file
                 return
             if fh.read(1) == b"\n":
-                return
-            if self.shared:
-                with open(self.path, "ab") as afh:
-                    afh.write(b"\n")
                 return
             size = fh.tell()
             # Walk back in fixed-size blocks to find the last newline —
@@ -350,13 +306,7 @@ class ResultStore:
                 continue
             h = self._fast_hash(line)
             if h is None:
-                try:
-                    h = self._parse(lineno, line)[0]["hash"]
-                except StoreError as exc:
-                    if not self.tolerant:
-                        raise
-                    self._skip_corrupt(lineno, exc)
-                    continue
+                h = self._parse(lineno, line)[0]["hash"]
             hashes.add(h)
         return len(hashes)
 
@@ -364,9 +314,9 @@ class ResultStore:
     def _fast_hash(line: str) -> "str | None":
         """Extract the hash from a library-serialized line, or ``None``
         when the line needs a real parse (foreign key order, escapes).
-        The line must also close its JSON object — a neutralized torn
-        fragment (shared-mode salvage) starts like a real record but
-        never ends in ``}``, and must not be counted as one."""
+        The line must also close its JSON object — a newline-terminated
+        torn fragment starts like a real record but never ends in
+        ``}``, and must raise, not be counted."""
         if not line.startswith(_HASH_PREFIX) or not line.rstrip().endswith("}"):
             return None
         end = line.find('"', len(_HASH_PREFIX))

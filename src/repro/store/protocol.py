@@ -42,11 +42,12 @@ Streaming reads
     stores.
 
 Concurrency
-    A backend declares via :attr:`StoreBackend.supports_leases`
-    whether several *processes* may append concurrently and
-    coordinate through leases (:meth:`try_claim` /
-    :meth:`heartbeat` / :meth:`release`).  The lease protocol backs
-    serve mode (:mod:`repro.campaign.serve`); leases are advisory —
+    A store has one writer unless it declares
+    :attr:`StoreBackend.supports_leases`: then several *processes*
+    may append concurrently and coordinate through leases
+    (``try_claim`` / ``heartbeat`` / ``release``).  Of the shipped
+    backends only ``sqlite:`` does.  The lease protocol backs serve
+    mode (:mod:`repro.campaign.serve`); leases are advisory —
     correctness always comes from content-hash idempotence (two
     dispatchers racing the same task write bit-identical records),
     leases only keep duplicate work rare.
@@ -79,7 +80,7 @@ class StoreBackend(Protocol):
     """
 
     #: Whether concurrent multi-process appends and the lease protocol
-    #: are supported (serve mode requires it).
+    #: are supported (serve mode requires it); otherwise one writer.
     supports_leases: bool
 
     #: Filesystem location backing the store (file or directory).

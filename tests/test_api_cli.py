@@ -374,7 +374,7 @@ class TestServeCommand:
         assert main(["study", "run", str(spec), "--store", str(jsonl),
                      "--jobs", "1"]) == 0
         capsys.readouterr()
-        url = f"sharded:{tmp_path / 'serve.d'}"
+        url = f"sqlite:{tmp_path / 'serve.db'}"
         assert main(["serve", str(spec), "--store", url,
                      "--workers", "2", "--progress", "none"]) == 0
         capsys.readouterr()
@@ -391,6 +391,14 @@ class TestServeCommand:
         rc = main(["serve", str(spec), "--store", str(tmp_path / "r.jsonl")])
         assert rc == 2
         assert "concurrent backend" in capsys.readouterr().err
+
+    def test_serve_rejects_sharded_store(self, spec, tmp_path, capsys):
+        rc = main(["serve", str(spec), "--store", f"sharded:{tmp_path / 'r.d'}"])
+        assert rc == 2
+        assert "serve mode needs a concurrent backend (sqlite:FILE.db)" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.d").exists()
 
     def test_serve_rejects_bad_workers(self, spec, tmp_path, capsys):
         assert main(["serve", str(spec), "--store",

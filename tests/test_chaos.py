@@ -376,7 +376,7 @@ class TestServeChaosSoak:
         # dispatcher requeues the tasks they held.  The store must end
         # up with records bit-identical to a clean serial run — nothing
         # lost, nothing duplicated, nothing quarantined.
-        url = f"sharded:{tmp_path / 'soak.d'}"
+        url = f"sqlite:{tmp_path / 'soak.db'}"
         records = run_campaign(
             small_tasks,
             jobs=2,
@@ -401,7 +401,7 @@ class TestServeChaosSoak:
         # dispatcher's lease.  The campaign runs in a background thread
         # so this thread can hunt the worker pid — which also exercises
         # the "no signal handlers off the main thread" guard.
-        url = f"sharded:{tmp_path / 'kill.d'}"
+        url = f"sqlite:{tmp_path / 'kill.db'}"
         out = {}
 
         def run():
@@ -430,7 +430,7 @@ class TestServeChaosSoak:
         # SIGTERM mid-campaign: workers finish their in-flight task and
         # exit 0, the dispatcher raises ServeInterrupted, and a resumed
         # serve completes the remainder from the store.
-        url = f"sharded:{tmp_path / 'drain.d'}"
+        url = f"sqlite:{tmp_path / 'drain.db'}"
 
         # Fire SIGTERM only once the fleet is visibly up and mid-work;
         # injected hangs pad every task by 0.5s so the campaign cannot

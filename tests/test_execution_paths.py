@@ -64,9 +64,12 @@ def reference(mixed_tasks, tmp_path_factory):
 
 
 def _run(name, tasks, tmp_path):
-    """(records, conserved telemetry totals) of one scheduler's run."""
-    url = f"sharded:{tmp_path / 'store.d'}"
-    records = run_campaign(tasks, store=url, **SCHEDULERS[name])
+    """(records, conserved telemetry totals) of one scheduler's run
+    (lease mode needs a store with leases: ``sqlite:``)."""
+    kwargs = SCHEDULERS[name]
+    url = (f"sqlite:{tmp_path / 'store.db'}" if "lease_ttl" in kwargs
+           else f"sharded:{tmp_path / 'store.d'}")
+    records = run_campaign(tasks, store=url, **kwargs)
     totals = dict.fromkeys(CONSERVED, 0)
     for rec in open_store(url).iter_records():
         if rec.get("kind") == "telemetry":

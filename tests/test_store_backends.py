@@ -35,7 +35,18 @@ BACKENDS = {
     "sqlite": lambda tmp: SqliteStore(tmp / "r.db"),
 }
 
-CONCURRENT = {k: v for k, v in BACKENDS.items() if k != "jsonl"}
+
+def _sharded(path, shards):
+    """A new sharded store of ``shards`` partitions: the count lives in
+    its ``store.json``."""
+    path.mkdir()
+    (path / "store.json").write_text(json.dumps(
+        {"format": "repro-sharded-jsonl", "version": 1, "shards": shards}
+    ))
+    return ShardedStore(path)
+
+#: The backends with leases: several processes may write one store.
+CONCURRENT = {k: v for k, v in BACKENDS.items() if k == "sqlite"}
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -179,7 +190,7 @@ class TestProtocolContract:
 # ----------------------------------------------------------------------
 class TestShardedStore:
     def test_records_route_to_their_hash_shard(self, tmp_path):
-        store = ShardedStore(tmp_path / "r.d", shards=4)
+        store = _sharded(tmp_path / "r.d", 4)
         hashes = [f"{i:08x}ffff" for i in range(8)]
         with store:
             for h in hashes:
@@ -196,10 +207,17 @@ class TestShardedStore:
         assert store.count() == 1
 
     def test_shard_count_comes_from_metadata(self, tmp_path):
-        with ShardedStore(tmp_path / "r.d", shards=4) as store:
+        with _sharded(tmp_path / "r.d", 4) as store:
             store.append(_record("aaa"))
-        reopened = ShardedStore(tmp_path / "r.d", shards=32)
-        assert reopened.shards == 4  # store.json wins over the request
+        assert ShardedStore(tmp_path / "r.d").shards == 4
+
+    def test_new_store_publishes_the_default_count(self, tmp_path):
+        from repro.store import DEFAULT_SHARDS
+
+        with ShardedStore(tmp_path / "r.d") as store:
+            store.append(_record("aaa"))
+        meta = json.loads((tmp_path / "r.d" / "store.json").read_text())
+        assert meta["shards"] == DEFAULT_SHARDS == ShardedStore(tmp_path / "r.d").shards
 
     def test_shards_without_metadata_raise(self, tmp_path):
         (tmp_path / "r.d").mkdir()
@@ -210,14 +228,14 @@ class TestShardedStore:
             ShardedStore(tmp_path / "r.d").load()
 
     def test_torn_tail_salvage_is_per_shard(self, tmp_path):
-        store = ShardedStore(tmp_path / "r.d", shards=4)
+        store = _sharded(tmp_path / "r.d", 4)
         hashes = [f"{i:08x}ffff" for i in range(8)]
         with store:
             for h in hashes:
                 store.append(_record(h))
         # Tear the tails of two different shards (a two-worker crash).
         torn = []
-        for i, h in enumerate(("f0000000aa", "f1000000bb")):
+        for i, h in enumerate(("f0000000aa", "f0000001bb")):  # shards 0, 1
             shard = tmp_path / "r.d" / f"shard-{store.shard_index(h):02x}.jsonl"
             with open(shard, "a") as fh:
                 fh.write(json.dumps(_record(h))[: 20 + i])  # no newline
@@ -225,36 +243,91 @@ class TestShardedStore:
         fresh = ShardedStore(tmp_path / "r.d")
         assert set(fresh.load()) == set(hashes)  # torn fragments dropped
         with fresh:
-            fresh.append(_record("f2000000cc"))  # repairs its shard only
-        assert set(ShardedStore(tmp_path / "r.d").load()) == {*hashes, "f2000000cc"}
+            fresh.append(_record("f0000004cc"))  # truncates shard 0 only
+        assert set(ShardedStore(tmp_path / "r.d").load()) == {*hashes, "f0000004cc"}
         for h in torn:
             assert h not in json.dumps(ShardedStore(tmp_path / "r.d").load())
+        report = ShardedStore(tmp_path / "r.d").verify()
+        # Shard 1 keeps its torn tail until its own next append.
+        assert report["corrupt"] == 0 and report["torn_tail"] is True
 
-    def test_corrupt_midshard_line_skipped_and_counted(self, tmp_path):
-        # Shards are shared-writer files, so bit-rot in one line must
-        # not take down the rest of the store: tolerant readers skip
-        # it with a counted warning (docs/DESIGN.md §10); `repro store
-        # verify` / `repair` are the recovery tools.
-        from repro.store import StoreIntegrityWarning
-
-        with ShardedStore(tmp_path / "r.d", shards=1) as store:
+    def test_corrupt_midshard_line_raises(self, tmp_path):
+        # Shards are single-writer JSONL files with the JSONL reader
+        # contract: a corrupt complete line is damage and raises,
+        # naming the recovery tool (docs/DESIGN.md §10).
+        with _sharded(tmp_path / "r.d", 1) as store:
             store.append(_record("aaa"))
         shard = tmp_path / "r.d" / "shard-00.jsonl"
         shard.write_text("garbage\n" + shard.read_text())
         fresh = ShardedStore(tmp_path / "r.d")
-        with pytest.warns(StoreIntegrityWarning, match="skipping corrupt"):
-            assert set(fresh.load()) == {"aaa"}
-        assert fresh.corrupt_skipped == 1
+        with pytest.raises(StoreError, match="repro store repair"):
+            fresh.load()
+        with pytest.raises(StoreError, match="repro store repair"):
+            fresh.count()
         assert fresh.verify()["corrupt"] == 1
 
     def test_info_shard_fill(self, tmp_path):
-        store = ShardedStore(tmp_path / "r.d", shards=4)
+        store = _sharded(tmp_path / "r.d", 4)
         with store:
             for i in range(8):
                 store.append(_record(f"{i:08x}ffff"))
         info = store.info()
         assert info["shards"] == 4
         assert sum(info["shard_records"]) == 8 == info["records"]
+        assert "active_leases" not in info
+
+    def test_append_many_writes_once_per_shard_touched(self, tmp_path, monkeypatch):
+        # The JSONL rule, shard by shard: a batch is one write per
+        # shard it routes to, never one per record.
+        writes = []
+        real = ResultStore.append_many
+
+        def spy(self, records):
+            records = list(records)
+            writes.append((self.path.name, len(records)))
+            real(self, records)
+
+        monkeypatch.setattr(ResultStore, "append_many", spy)
+        store = _sharded(tmp_path / "r.d", 4)
+        hashes = [f"{i:08x}ffff" for i in range(8)]  # two per shard
+        with store:
+            store.append_many(_record(h) for h in hashes)
+            store.append_many([_record("00000004aa")])
+        assert sorted(writes[:4]) == [(f"shard-{i:02x}.jsonl", 2) for i in range(4)]
+        assert writes[4:] == [("shard-00.jsonl", 1)]
+        assert set(ShardedStore(tmp_path / "r.d").load()) == {*hashes, "00000004aa"}
+
+    def test_leftover_meta_temp_file_is_harmless(self, tmp_path):
+        # A crash between writing store.json's temp file and renaming
+        # it leaves the temp file behind; the next writer overwrites
+        # it, and readers never look at it.
+        root = tmp_path / "r.d"
+        root.mkdir()
+        (root / "store.json.tmp").write_text('{"format": "repro-sha')
+        (root / "store.json.4242-1").write_text("")  # an older temp name
+        assert ShardedStore(root).info()["records"] == 0
+        with ShardedStore(root) as store:
+            store.append(_record("aaa"))
+        assert not (root / "store.json.tmp").exists()
+        reopened = ShardedStore(root)
+        assert set(reopened.load()) == {"aaa"}
+        assert reopened.info()["records"] == 1
+
+    def test_old_leases_directory_is_ignored(self, tmp_path):
+        # Stores written while sharded: still had a lease board may
+        # carry a leases/ directory; it is inert now.
+        with ShardedStore(tmp_path / "r.d") as store:
+            store.append(_record("aaa"))
+        leases = tmp_path / "r.d" / "leases"
+        leases.mkdir()
+        (leases / "k.lease").write_text("pid-1-deadbeef\n60.0\n")
+        reopened = ShardedStore(tmp_path / "r.d")
+        assert set(reopened.load()) == {"aaa"}
+        info = reopened.info()
+        assert info["records"] == 1 and "active_leases" not in info
+        with reopened:
+            reopened.append(_record("bbb"))
+        assert ShardedStore(tmp_path / "r.d").count() == 2
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +546,7 @@ def spy_scheme():
 
     opened = []
 
-    class SpyStore(ShardedStore):
+    class SpyStore(SqliteStore):
         def __init__(self, path):
             super().__init__(path)
             self.closes = 0
@@ -504,13 +577,13 @@ class TestClosesWhatItOpens:
         study = Study("spy").fix(uid=2213, scale=128, reps=1, s=4)
         study.save("spec.json")
         tasks = study.tasks()
-        with ShardedStore("full.d") as seed:
+        with SqliteStore("full.db") as seed:
             seed.append({"hash": tasks[0].task_hash(), "task": tasks[0].to_json()})
-        full = "spy:full.d"
+        full = "spy:full.db"
         paths = {
-            "migrate_store": lambda: migrate_store(full, "spy:migrated.d"),
-            "compact_store": lambda: compact_store(full, "spy:compacted.d"),
-            "repair_store": lambda: repair_store(full, "spy:repaired.d"),
+            "migrate_store": lambda: migrate_store(full, "spy:migrated.db"),
+            "compact_store": lambda: compact_store(full, "spy:compacted.db"),
+            "repair_store": lambda: repair_store(full, "spy:repaired.db"),
             "verify_store": lambda: verify_store(full),
             "summarize_store": lambda: summarize_store(full),
             "records_for_tasks": lambda: records_for_tasks(tasks, full),
@@ -533,7 +606,7 @@ class TestClosesWhatItOpens:
         capsys.readouterr()
 
     def test_instances_stay_open(self, spy_scheme, tmp_path):
-        store = open_store(f"spy:{tmp_path / 'mine.d'}")
+        store = open_store(f"spy:{tmp_path / 'mine.db'}")
         store.append(_record("a" * 64))
         summarize_store(store)
         migrate_store(store, tmp_path / "copy.jsonl")

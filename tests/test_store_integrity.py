@@ -1,8 +1,8 @@
 """Record seals (CRC32), verify/repair/compact, and crash salvage.
 
 Covers the store half of docs/DESIGN.md §10: every JSONL-family append
-is checksummed, corruption is detected (and either raised or skipped,
-per backend contract), torn tails left by killed writers are salvaged,
+is checksummed, corruption is detected and raised (naming ``repro store
+repair``), torn tails left by killed writers are salvaged,
 and the ``repro store verify | repair | compact`` tooling turns a
 damaged store back into a clean one that resumes with zero recompute
 of the surviving records.
@@ -161,7 +161,9 @@ class TestBitRot:
             kept = [r["hash"] for r in fresh.iter_intact()]
         assert kept == ["bbb"] and fresh.corrupt_skipped == 1
 
-    def test_sharded_reader_skips_and_counts(self, tmp_path):
+    def test_sharded_strict_raises(self, tmp_path):
+        # Shards read as JSONL does: bit rot raises, and only repair's
+        # iter_intact skips (and counts) the rotten line.
         store = ShardedStore(tmp_path / "r.d")
         store.append(_record("aaa"))
         store.append(_record("bbb"))
@@ -172,8 +174,10 @@ class TestBitRot:
         )
         _rot_jsonl_line(shard, 0)
         fresh = ShardedStore(tmp_path / "r.d")
+        with pytest.raises(StoreError, match="checksum.*repro store repair"):
+            fresh.load()
         with pytest.warns(StoreIntegrityWarning, match="skipping corrupt"):
-            assert set(fresh.load()) == {"bbb"}
+            assert [r["hash"] for r in fresh.iter_intact()] == ["bbb"]
         assert fresh.corrupt_skipped == 1
 
     def test_sqlite_strict_raises_but_intact_skips(self, tmp_path):
@@ -548,7 +552,72 @@ def test_torn_sealed_tail_is_counted_then_resumed(
     assert run_campaign(small_tasks, jobs=1, store=url) == serial_records
     assert sorted(executed) == sorted(t.task_hash() for t in small_tasks[done:])
     report = verify_store(url)
-    assert report["torn_tail"] is False
-    # A single-writer file truncates the fragment; a shared shard
-    # neutralizes it into one counted corrupt line.
-    assert report["corrupt"] == (kind == "sharded")
+    # Both truncate the fragment on the next append to that file.
+    assert report["torn_tail"] is False and report["corrupt"] == 0
+
+
+class TestOldSharedFragment:
+    """A ``sharded:`` store written while shards had several writers:
+    a crash could leave a torn fragment terminated by a newline inside
+    a shard, with records appended after it.  The strict reader raises
+    on it and names the way out."""
+
+    LOST = 3
+
+    @pytest.fixture()
+    def old_store(self, tmp_path, small_tasks, serial_records):
+        from repro.store.integrity import seal_text
+
+        url = f"sharded:{tmp_path / 'old.d'}"
+        run_campaign(small_tasks[: self.LOST], jobs=1, store=url)
+        lost = serial_records[self.LOST]
+        index = ShardedStore(tmp_path / "old.d").shard_index(lost["hash"])
+        line = seal_text(lost)
+        with open(tmp_path / "old.d" / f"shard-{index:02x}.jsonl", "a") as fh:
+            fh.write(line[: len(line) // 2] + "\n")  # the old salvage
+        with open_store(url) as store:
+            store.append_many(serial_records[self.LOST + 1:])
+        return url
+
+    def test_load_and_count_raise_naming_repair(self, old_store):
+        store = open_store(old_store)
+        with pytest.raises(StoreError, match="corrupt record.*repro store repair"):
+            store.load()
+        with pytest.raises(StoreError, match="repro store repair"):
+            store.count()
+        assert verify_store(old_store)["corrupt"] == 1
+
+    def test_report_fails_naming_repair(self, old_store, capsys):
+        assert main(["report", old_store]) == 1
+        assert "repro store repair SRC DST" in capsys.readouterr().err
+
+    def test_repair_keeps_every_intact_record(
+        self, old_store, tmp_path, small_tasks, serial_records, capsys
+    ):
+        new = f"sqlite:{tmp_path / 'new.db'}"
+        assert main(["store", "repair", old_store, new]) == 0
+        assert "dropped 1 corrupt" in capsys.readouterr().out
+        kept = {h: r for h, r in open_store(new).load().items()
+                if r.get("kind") != "telemetry"}
+        assert kept == {
+            t.task_hash(): r for i, (t, r) in enumerate(zip(small_tasks, serial_records))
+            if i != self.LOST
+        }
+
+    def test_resume_reruns_only_the_lost_task(
+        self, old_store, tmp_path, small_tasks, serial_records, monkeypatch
+    ):
+        import repro.campaign.executor as executor
+
+        new = f"sqlite:{tmp_path / 'new.db'}"
+        repair_store(old_store, new)
+        real = executor.execute_task
+        executed = []
+
+        def counting(task, **kw):
+            executed.append(task.task_hash())
+            return real(task, **kw)
+
+        monkeypatch.setattr(executor, "execute_task", counting)
+        assert run_campaign(small_tasks, jobs=1, store=new) == serial_records
+        assert executed == [small_tasks[self.LOST].task_hash()]

@@ -2,7 +2,8 @@
 
 ``repro serve`` is ``run_campaign(lease_ttl=...)``: the one dispatcher
 of ``--jobs N`` claims every task in the store's lease board before a
-worker runs it, so several dispatchers may share one store.
+worker runs it, so several dispatchers may share one store.  The
+shipped backend with a lease board is ``sqlite:``.
 """
 
 import multiprocessing
@@ -33,9 +34,7 @@ def serial_records(small_tasks):
     return run_campaign(small_tasks, jobs=1)
 
 
-def _url(scheme, tmp_path):
-    if scheme == "sharded":
-        return f"sharded:{tmp_path / 'serve.d'}"
+def _url(tmp_path):
     return f"sqlite:{tmp_path / 'serve.db'}"
 
 
@@ -52,12 +51,11 @@ def _serve(tasks, url, workers=2, lease_ttl=30.0, **kwargs):
 
 
 class TestServeCampaign:
-    @pytest.mark.parametrize("scheme", ["sharded", "sqlite"])
-    def test_two_workers_match_jobs1(self, scheme, tmp_path, small_tasks,
+    def test_two_workers_match_jobs1(self, tmp_path, small_tasks,
                                      serial_records):
         # The acceptance bar: a lease-mode fleet must produce per-task
         # results identical to --jobs 1, and leave no lease behind.
-        url = _url(scheme, tmp_path)
+        url = _url(tmp_path)
         records = _serve(small_tasks, url)
         assert records == serial_records
         stored = _task_records(open_store(url).load())
@@ -67,14 +65,14 @@ class TestServeCampaign:
 
     def test_one_worker_still_runs_the_fleet(self, tmp_path, small_tasks,
                                              serial_records):
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         assert _serve(small_tasks[:3], url, workers=1) == serial_records[:3]
         (tele,) = _telemetry(url)
         assert tele["workers"] == 1 and tele["fresh"] == 3
 
     def test_serve_resumes_from_populated_store(self, tmp_path, small_tasks,
                                                 serial_records):
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         run_campaign(small_tasks, jobs=1, store=url)
         t0 = time.time()
         records = _serve(small_tasks, url)
@@ -83,7 +81,7 @@ class TestServeCampaign:
 
     def test_partial_store_only_runs_whats_missing(self, tmp_path, small_tasks,
                                                    serial_records):
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         with open_store(url) as store:
             for rec in serial_records[:-3]:
                 store.append(rec)
@@ -97,7 +95,7 @@ class TestServeCampaign:
         # A "crashed dispatcher": a lease on a pending task whose owner
         # never heartbeats.  The campaign must steal it after the TTL
         # and still complete everything.
-        url = _url("sharded", tmp_path)
+        url = _url(tmp_path)
         store = open_store(url)
         dead = small_tasks[0].task_hash()
         assert store.try_claim(dead, "pid-dead-00000000", ttl=0.5)
@@ -108,28 +106,37 @@ class TestServeCampaign:
         with pytest.raises(LeaseUnsupported, match="serve mode"):
             _serve(small_tasks, tmp_path / "r.jsonl")
 
+    def test_sharded_store_is_rejected(self, tmp_path, small_tasks):
+        # sharded: is a single-writer store: one message, naming the
+        # backend serve mode does accept, and nothing written.
+        url = f"sharded:{tmp_path / 'r.d'}"
+        with pytest.raises(LeaseUnsupported,
+                           match="serve mode needs a sqlite:FILE.db store"):
+            _serve(small_tasks, url)
+        assert not (tmp_path / "r.d").exists()
+
     def test_no_store_is_rejected(self, small_tasks):
         with pytest.raises(LeaseUnsupported, match="serve mode"):
             run_campaign(small_tasks, jobs=2, lease_ttl=30.0)
 
     def test_bad_worker_count_rejected(self, tmp_path, small_tasks):
         with pytest.raises(ValueError, match="jobs"):
-            _serve(small_tasks, _url("sqlite", tmp_path), workers=0)
+            _serve(small_tasks, _url(tmp_path), workers=0)
 
     def test_bad_ttl_rejected(self, tmp_path, small_tasks):
         with pytest.raises(ValueError, match="lease_ttl"):
-            _serve(small_tasks, _url("sqlite", tmp_path), lease_ttl=0.0)
+            _serve(small_tasks, _url(tmp_path), lease_ttl=0.0)
 
     def test_telemetry_carries_the_dispatcher_owner(self, tmp_path, small_tasks):
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         _serve(small_tasks, url)
         (tele,) = _telemetry(url)
         assert tele["owner"].startswith("pid-")
         assert tele["fresh"] == len(small_tasks)
 
 
-class _ReadCounting(ShardedStore):
-    """A sharded store that counts full reads."""
+class _ReadCounting(SqliteStore):
+    """A SQLite store that counts full reads."""
 
     reads = 0
 
@@ -146,22 +153,21 @@ def test_peer_free_lease_mode_reads_the_store_a_constant_number_of_times(
     # tasks) is all, whatever the task count.
     reads = []
     for n in (3, len(small_tasks)):
-        store = _ReadCounting(tmp_path / f"n{n}.d")
+        store = _ReadCounting(tmp_path / f"n{n}.db")
         _serve(small_tasks[:n], store)
         reads.append(store.reads)
     assert reads[0] == reads[1] <= 2
 
 
 class TestPeerDispatchers:
-    @pytest.mark.parametrize("scheme", ["sharded", "sqlite"])
     def test_peer_held_tasks_are_deferred_then_adopted(
-        self, scheme, tmp_path, small_tasks, serial_records
+        self, tmp_path, small_tasks, serial_records
     ):
         # A foreign owner holds live, heartbeated leases on half the
         # tasks.  The dispatcher runs the other half, defers the held
         # half, and adopts the records the peer appends before letting
         # its leases go.
-        url = _url(scheme, tmp_path)
+        url = _url(tmp_path)
         peer = open_store(url)
         held = list(zip(small_tasks, serial_records))[::2]
         for task, _ in held:
@@ -194,7 +200,7 @@ class TestPeerDispatchers:
     def test_two_dispatcher_processes_share_one_sqlite_store(
         self, tmp_path, small_tasks, serial_records
     ):
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         links, procs = [], []
         for _ in range(2):
             here, there = multiprocessing.Pipe(duplex=False)
@@ -227,8 +233,8 @@ def _dispatch(tasks, url, conn):
 
 class TestServeSupportsFlags:
     def test_backends_advertise_lease_support(self, tmp_path):
-        assert ShardedStore(tmp_path / "a.d").supports_leases
         assert SqliteStore(tmp_path / "a.db").supports_leases
+        assert not ShardedStore(tmp_path / "a.d").supports_leases
         assert not ResultStore(tmp_path / "a.jsonl").supports_leases
 
 
@@ -244,7 +250,7 @@ class TestServeAdaptive:
         # Adaptive tasks through a lease-mode fleet: the workers' partial
         # records go up their pipes and the dispatcher appends them.
         serial = run_campaign(adaptive_tasks, jobs=1)
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         assert _serve(adaptive_tasks, url) == serial
         assert any(r.get("kind") == "partial" for r in open_store(url).iter_records())
 
@@ -263,7 +269,7 @@ class TestServeAdaptive:
 
         execute_task(task, partial_store=Sink())
         assert captured
-        url = _url("sqlite", tmp_path)
+        url = _url(tmp_path)
         store = open_store(url)
         store.append(captured[0])  # checkpoint after rep 1
         assert _serve(adaptive_tasks, url) == serial
