@@ -51,8 +51,8 @@ SRC = ROOT / "src"
 LAYERS: "tuple[tuple[str, ...], ...]" = (
     ("_lazy", "util", "obs", "adaptive"),
     ("sparse", "backends", "faults", "abft", "checkpoint", "core", "model", "sim.matrices"),
-    ("resilience",),
     ("perf",),
+    ("resilience",),
     ("sim",),
     ("chaos",),
     ("store",),

@@ -35,8 +35,7 @@ The library provides:
   (:mod:`repro.store`);
 - the zero-copy hot path: reusable solve workspaces with strike-undo
   matrix restore and per-process checksum/matrix caches, bit-identical
-  to the fresh-allocation oracle on the reference backend
-  (:mod:`repro.perf`);
+  to a private workspace per solve (:mod:`repro.perf`);
 - pluggable sparse-kernel backends — the bit-identical ``reference``
   oracle and a SciPy-accelerated kernel — selectable on every solve
   entry point, with a registry for out-of-tree kernels

@@ -311,14 +311,14 @@ def solve(
         Zero-copy hot path for repeated solves of the same matrix
         object: ``True`` uses the process-wide
         :func:`repro.perf.default_workspace` (live-matrix strike-undo
-        reuse, cached ABFT checksums, preallocated buffers), or pass
-        your own :class:`repro.perf.SolveWorkspace`.  Bit-identical to
-        the default fresh-allocation path on the reference backend
-        only: under ``backend="scipy"`` the two paths can differ
-        (ROADMAP item 3(c)).  Leave off for one-shot solves or when
-        calling from multiple threads, and see
-        :func:`repro.perf.clear_caches` if you mutate a previously
-        solved matrix in place.
+        reuse, cached ABFT checksums, preallocated buffers, the
+        clean-trajectory memo), or pass your own
+        :class:`repro.perf.SolveWorkspace`.  Off (the default), the
+        solve runs on a private workspace of its own, with no memo and
+        freshly computed checksums; the result is bit-identical on
+        every backend.  Leave off for one-shot solves or when calling
+        from multiple threads, and see :func:`repro.perf.clear_caches`
+        if you mutate a previously solved matrix in place.
     backend:
         Kernel backend for every SpMxV of the solve — a registered
         name (``"reference"``, ``"scipy"``) or a

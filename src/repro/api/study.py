@@ -575,10 +575,10 @@ class Study:
         human status line, ``"json"`` for newline-delimited JSON
         objects schedulers can scrape, ``False``/``"none"`` for
         silence.  ``reuse_workspace`` (default on) runs repetitions
-        through per-worker solve workspaces — the zero-copy hot path.
-        Task hashes are identical either way, so stores mix freely
-        across the switch; records are too on the reference backend,
-        but under ``scipy`` they can differ (ROADMAP item 3(c)).
+        through per-worker solve workspaces — the zero-copy hot path;
+        ``False`` gives every solve a private workspace.  Task hashes
+        and records are identical either way, so stores mix freely
+        across the switch.
 
         ``trace_dir`` enables structured tracing (:mod:`repro.obs`):
         every worker appends its solve events to its own

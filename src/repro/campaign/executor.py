@@ -203,11 +203,10 @@ def execute_task(
     shared workspace, :func:`repro.perf.default_workspace`: one per
     worker, reused across every task it executes — repetitions restore
     the live matrix by strike-undo instead of recopying, and buffers
-    survive task boundaries.  The task's
+    survive task boundaries.  ``False`` runs every solve on a private
+    workspace (no trajectory memo, no checksum cache).  The task's
     content hash covers only the physics, so stores stay compatible
-    across the switch.  Results are bit-identical either way on the
-    reference backend; under ``scipy`` they can differ (ROADMAP item
-    3(c)).
+    across the switch, and results are bit-identical either way.
 
     ``trace_dir`` appends every solve event of this task to the
     process's ``shard-<pid>.jsonl`` in that directory (crash-safe,
@@ -366,10 +365,8 @@ def run_campaign(
         counted.
     reuse_workspace:
         Run repetitions through per-worker solve workspaces (the
-        zero-copy hot path).  ``False`` restores the historical
-        fresh-allocation path.  Records are bit-identical either way on
-        the reference backend only; under ``scipy`` they can differ
-        (ROADMAP item 3(c)).
+        zero-copy hot path).  ``False`` runs every solve on a private
+        workspace of its own.  Records are bit-identical either way.
     trace_dir:
         Optional directory receiving one crash-safe JSONL trace shard
         per worker process (``shard-<pid>.jsonl``; serial runs write

@@ -24,7 +24,8 @@ float:
   typically single digits) instead of recopying O(nnz) arrays, and
   restores the :attr:`~repro.sparse.csr.CSRMatrix.structure_clean`
   stamp so unfaulted SpMxVs skip their index scans — and while the
-  stamp is down, publishes the ``colid`` taint set as the wild-set hint
+  stamp is down, publishes the tainted ``colid`` words that deviate
+  from the source as the wild-set hint
   (:meth:`SolveWorkspace._publish_wild`), so struck ones skip them too;
 - **delta matrix checkpoints** — a checkpoint stores only the words
   currently deviating from the pristine source
@@ -67,6 +68,8 @@ __all__ = ["SolveWorkspace"]
 
 #: The corruptible matrix arrays, in injector registration order.
 _MATRIX_ARRAYS = ("val", "colid", "rowidx")
+#: An empty taint record (never written: a mutation appends a copy).
+_UNTAINTED = np.empty(0, dtype=np.int64)
 
 
 class SolveWorkspace:
@@ -75,15 +78,9 @@ class SolveWorkspace:
     One workspace serves one solve at a time; reusing it across
     repetitions (and across matrices — switching sources just rebuilds
     the live copy) is what :func:`repro.sim.engine.repeat_run`,
-    the campaign executor and ``solve(reuse_workspace=True)`` do.
-    On the reference backend every code path through a workspace is
-    locked bit-identical to the fresh-allocation path by
-    ``tests/test_perf_workspace.py``.  Under a non-reference backend the
-    two can differ: :meth:`restore_matrix_state` leaves the structure
-    stamp down whenever captured deltas name an index word, where the
-    fresh path restores it, so later products take different kernels
-    (ROADMAP item 3(c); pinned by an ``xfail`` in
-    ``tests/test_backends.py``).
+    the campaign executor and ``solve(reuse_workspace=True)`` do.  A
+    solve given no workspace runs on a :meth:`private` one, so every
+    protected solve takes this one path.
     """
 
     def __init__(self, *, backend: "object | None" = None) -> None:
@@ -93,6 +90,9 @@ class SolveWorkspace:
         #: entry point always wins — the attribute only fills the gap,
         #: so one workspace can serve tasks on different backends.
         self.backend = backend
+        #: Whether solves bind the clean-trajectory memo and read the
+        #: process checksum cache; ``False`` for a :meth:`private` one.
+        self.shared = True
         self._buffers: dict[str, np.ndarray] = {}
         self._abft_bundle: "tuple | None" = None  #: (n, nnz, buffers…)
         self._live: "CSRMatrix | None" = None
@@ -100,7 +100,11 @@ class SolveWorkspace:
         self._source_view: "CSRMatrix | None" = None
         self._live_clean = False  #: structure verdict for the *source*
         self._live_rows_nonempty: "bool | None" = None  #: hoisted with the verdict
-        self._taint: dict[str, set[int]] = {n: set() for n in _MATRIX_ARRAYS}
+        #: Per matrix array, the positions rewritten since the live copy
+        #: was last bit-equal to its source, as an index array (a
+        #: position struck twice is listed twice; rewriting it twice is
+        #: harmless).
+        self._taint: dict[str, np.ndarray] = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
         self._norm1: "float | None" = None
         self._jacobi_minv: "np.ndarray | None" = None
         self._trajectory: "TrajectoryMemo | None" = None
@@ -113,6 +117,19 @@ class SolveWorkspace:
         self.live_restores = 0
         self.buffer_requests = 0
         self.buffer_allocs = 0
+
+    @classmethod
+    def private(cls) -> "SolveWorkspace":
+        """The throwaway workspace of one solve given none.
+
+        It binds no clean-trajectory memo (nothing can replay it) and
+        computes its checksums instead of reading the process cache,
+        which keys on the matrix object: an in-place edit of the
+        matrix between two such solves is seen.
+        """
+        ws = cls()
+        ws.shared = False
+        return ws
 
     # ------------------------------------------------------------------
     # named buffer pool
@@ -195,8 +212,7 @@ class SolveWorkspace:
             self._live.mark_structure_dirty()
             self._live_rows_nonempty = None
             self._source_view = a
-        for s in self._taint.values():
-            s.clear()
+        self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
         self._norm1 = None
         self._jacobi_minv = None
         self._trajectory = None
@@ -231,13 +247,13 @@ class SolveWorkspace:
         matrix's ``structure_clean`` stamp and re-publish its wild-set
         hint (:meth:`_publish_wild`).
         """
-        self._taint[name].add(int(position))
+        self._taint[name] = np.append(self._taint[name], position)
         if name != "val" and self._live is not None:
             self._publish_wild()
 
     def _publish_wild(self) -> None:
-        """Drop the live stamp and publish the ``colid`` taint set as
-        the live matrix's wild-set hint
+        """Drop the live stamp and publish the tainted ``colid`` words
+        that deviate from the source as the live matrix's wild-set hint
         (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`).
 
         The hint is sound while the source is structurally clean and
@@ -251,17 +267,14 @@ class SolveWorkspace:
         assert live is not None
         live.mark_structure_dirty()
         if self._live_clean and self._pristine("rowidx"):
-            cols = self._taint["colid"]
-            live._wild = np.fromiter(cols, dtype=np.int64, count=len(cols))
+            idx = self._taint["colid"]
+            live._wild = idx[live.colid[idx] != self._live_source.colid[idx]]
             live._rows_nonempty = self._live_rows_nonempty
 
     def _pristine(self, name: str) -> bool:
         """Whether every tainted word of array ``name`` equals the
         source's again: O(#faults)."""
-        positions = self._taint[name]
-        if not positions:
-            return True
-        idx = np.fromiter(positions, dtype=np.int64, count=len(positions))
+        idx = self._taint[name]
         return bool(
             np.array_equal(getattr(self._live, name)[idx], getattr(self._live_source, name)[idx])
         )
@@ -271,12 +284,10 @@ class SolveWorkspace:
         pristine source (the single copy of the un-write mechanics)."""
         live, src = self._live, self._live_source
         assert live is not None and src is not None
-        for name, positions in self._taint.items():
-            if positions:
-                idx = np.fromiter(positions, dtype=np.int64, count=len(positions))
-                getattr(live, name)[idx] = getattr(src, name)[idx]
-                if clear:
-                    positions.clear()
+        for name, idx in self._taint.items():
+            getattr(live, name)[idx] = getattr(src, name)[idx]
+        if clear:
+            self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
 
     def _undo_taint(self) -> None:
         """Restore the live matrix to bit-equality with the source."""
@@ -296,12 +307,11 @@ class SolveWorkspace:
         """
         live = self._live
         assert live is not None
-        deltas = {}
-        for name, positions in self._taint.items():
-            if positions:
-                idx = np.fromiter(positions, dtype=np.int64, count=len(positions))
-                deltas[name] = (idx, getattr(live, name)[idx].copy())
-        return deltas
+        return {
+            name: (idx, getattr(live, name)[idx].copy())
+            for name, idx in self._taint.items()
+            if idx.size
+        }
 
     def restore_matrix_state(self, deltas: dict) -> None:
         """Restore the live matrix to a :meth:`capture_matrix_state` state.
@@ -355,32 +365,26 @@ class SolveWorkspace:
     # per-source caches
     # ------------------------------------------------------------------
     def source_norm1(self, a: CSRMatrix) -> float:
-        """``‖A‖₁`` of the pristine source, computed once per binding."""
-        if self._live_source is not a or self._norm1 is None:
+        """``‖A‖₁`` of the bound source ``a``, computed once per binding."""
+        assert self._live_source is a
+        if self._norm1 is None:
             from repro.sparse.norms import norm1
 
-            value = norm1(a)
-            if self._live_source is not a:
-                return value  # not bound to this source: don't cache
-            self._norm1 = value
+            self._norm1 = norm1(a)
         return self._norm1
 
     def jacobi_minv(self, a: CSRMatrix) -> np.ndarray:
-        """``diag(A)⁻¹`` of the pristine source, computed once per binding.
-
-        Same computation (and zero-diagonal ``ValueError``) as the
-        uncached path — both call
-        :func:`repro.core.pcg.jacobi_inverse_diagonal`.  The returned
-        array is shared read-only metadata (like the checksums) —
-        callers must not mutate it.
+        """``diag(A)⁻¹`` of the bound source ``a``, computed once per
+        binding by :func:`repro.core.pcg.jacobi_inverse_diagonal` (whose
+        zero-diagonal ``ValueError`` it passes on).  The returned array
+        is shared read-only metadata (like the checksums) — callers must
+        not mutate it.
         """
-        if self._live_source is not a or self._jacobi_minv is None:
+        assert self._live_source is a
+        if self._jacobi_minv is None:
             from repro.core.pcg import jacobi_inverse_diagonal
 
-            minv = jacobi_inverse_diagonal(a)
-            if self._live_source is not a:
-                return minv  # not bound to this source: don't cache
-            self._jacobi_minv = minv
+            self._jacobi_minv = jacobi_inverse_diagonal(a)
         return self._jacobi_minv
 
     def trajectory(
@@ -407,12 +411,15 @@ class SolveWorkspace:
     def checksums(
         self, a: CSRMatrix, *, nchecks: int, backend: "object | None" = None
     ) -> "SpmvChecksums":
-        """Process-cached ABFT metadata for ``a`` (see
-        :func:`repro.abft.checksums.cached_checksums`).  ``backend``
-        is the resolved kernel backend whose ``checksum_products``
-        runs the setup product (``None`` = reference)."""
-        from repro.abft.checksums import cached_checksums
+        """ABFT metadata for ``a``: process-cached (see
+        :func:`repro.abft.checksums.cached_checksums`), or computed
+        afresh by a :meth:`private` workspace.  ``backend`` is the
+        resolved kernel backend whose ``checksum_products`` runs the
+        setup product (``None`` = reference)."""
+        from repro.abft.checksums import cached_checksums, compute_checksums
 
+        if not self.shared:
+            return compute_checksums(a, nchecks=nchecks, backend=backend)
         return cached_checksums(a, nchecks=nchecks, backend=backend)
 
     def release(self) -> None:
@@ -430,8 +437,7 @@ class SolveWorkspace:
         self._source_view = None
         self._live_clean = False
         self._live_rows_nonempty = None
-        for s in self._taint.values():
-            s.clear()
+        self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
         self._norm1 = None
         self._jacobi_minv = None
         self._trajectory = None

@@ -54,37 +54,28 @@ class BiCGstabPlugin:
         b: np.ndarray,
         x0: "np.ndarray | None",
         config: SchemeConfig,
-        workspace=None,
+        workspace,
         backend=None,
     ) -> None:
         n = a.nrows
         self.live = live
         self.b = b
         self.backend = backend
+        # Workspace-backed vectors, fully overwritten (no state can
+        # leak between runs sharing the workspace).
+        self.x = workspace.zeros("bicgstab.x", n)
+        if x0 is not None:
+            self.x[:] = x0
+        self.r = workspace.buffer("bicgstab.r", n)
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = None
-        if workspace is None:
-            self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-            self.r = b - spmv(live, self.x, backend=backend)
-            self.r_hat = self.r.copy()
-            self.p = np.zeros(n)
-            self.v = np.zeros(n)
-            self.s = np.zeros(n)
-        else:
-            # Workspace-backed vectors, fully overwritten (no state can
-            # leak between runs sharing the workspace).
-            self.x = workspace.zeros("bicgstab.x", n)
-            if x0 is not None:
-                self.x[:] = x0
-            self.r = workspace.buffer("bicgstab.r", n)
-            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
-            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
-            np.subtract(b, self.r, out=self.r)
-            self.r_hat = workspace.buffer("bicgstab.r_hat", n)
-            self.r_hat[:] = self.r
-            self.p = workspace.zeros("bicgstab.p", n)
-            self.v = workspace.zeros("bicgstab.v", n)
-            self.s = workspace.zeros("bicgstab.s", n)
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        np.subtract(b, self.r, out=self.r)
+        self.r_hat = workspace.buffer("bicgstab.r_hat", n)
+        self.r_hat[:] = self.r
+        self.p = workspace.zeros("bicgstab.p", n)
+        self.v = workspace.zeros("bicgstab.v", n)
+        self.s = workspace.zeros("bicgstab.s", n)
         self.scal: dict[str, float] = {
             "rho": 1.0,
             "alpha": 1.0,

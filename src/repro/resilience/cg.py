@@ -51,7 +51,7 @@ class CGPlugin:
         b: np.ndarray,
         x0: "np.ndarray | None",
         config: SchemeConfig,
-        workspace=None,
+        workspace,
         backend=None,
     ) -> None:
         n = a.nrows
@@ -60,27 +60,20 @@ class CGPlugin:
         self.config = config
         self.workspace = workspace
         self.backend = backend
+        # Workspace-backed vectors, storage reused across runs (every
+        # entry is overwritten here, so nothing can leak from a previous
+        # repetition).
+        self.x = workspace.zeros("cg.x", n)
+        if x0 is not None:
+            self.x[:] = x0
+        self.r = workspace.buffer("cg.r", n)
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = None
-        if workspace is None:
-            self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-            self.r = b - spmv(live, self.x, backend=backend)
-            self.p = self.r.copy()
-            self.q = np.zeros(n)
-        else:
-            # Workspace-backed vectors: same names, same initial values,
-            # storage reused across runs (every entry is overwritten here,
-            # so nothing can leak from a previous repetition).
-            self.x = workspace.zeros("cg.x", n)
-            if x0 is not None:
-                self.x[:] = x0
-            self.r = workspace.buffer("cg.r", n)
-            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
-            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
-            np.subtract(b, self.r, out=self.r)
-            self.p = workspace.buffer("cg.p", n)
-            self.p[:] = self.r
-            self.q = workspace.zeros("cg.q", n)
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        np.subtract(b, self.r, out=self.r)
+        self.p = workspace.buffer("cg.p", n)
+        self.p[:] = self.r
+        self.q = workspace.zeros("cg.q", n)
         self.rr = float(self.r @ self.r)
         self.pq = 1.0  #: curvature ``pᵀAp`` of the step that produced this state
         self.iteration = 0
@@ -124,15 +117,13 @@ class CGPlugin:
 
         Zero denominators yield NaN (ONLINE-DETECTION iterates on
         corrupted data and leaves the catch to Chen's tests; the ABFT
-        step guards ``pq`` before calling).  With a workspace the axpy
-        temporary is a reused buffer — same floats either way.
+        step guards ``pq`` before calling).
         """
         alpha_step = self.rr / pq if pq != 0.0 else np.nan
-        ws = self.workspace
-        t = None if ws is None else ws.buffer("cg.tmp", self.x.shape[0])
-        t = np.multiply(alpha_step, self.p, out=t)
+        t = self.workspace.buffer("cg.tmp", self.x.shape[0])
+        np.multiply(alpha_step, self.p, out=t)
         self.x += t
-        t = np.multiply(alpha_step, self.q, out=t)
+        np.multiply(alpha_step, self.q, out=t)
         self.r -= t
         rr_new = float(self.r @ self.r)
         beta = rr_new / self.rr if self.rr != 0.0 else np.nan

@@ -5,7 +5,9 @@ protection schemes.  The engine owns every solver-independent piece of
 the fault-tolerance machinery that the seed tree used to duplicate in
 ``core/ft_cg.py`` and ``core/ft_krylov.py``:
 
-- the Poisson strike sampler and the live (corruptible) matrix copy;
+- the Poisson strike sampler and the live (corruptible) matrix copy,
+  drawn from a :class:`~repro.perf.SolveWorkspace` (the caller's, or a
+  private one per solve);
 - ABFT checksum metadata and the protected SpMxV service, with strikes
   routed into the pre-/post-product windows the plugin declares;
 - TMR voting over the vector-kernel phase (single strike out-voted,
@@ -36,7 +38,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.abft.checksums import compute_checksums
 from repro.abft.spmv import SpmvStatus, protected_spmv
 from repro.backends import resolve_backend
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
@@ -46,16 +47,15 @@ from repro.core.methods import SchemeConfig
 from repro.faults.injector import FaultInjector, FaultModel
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer, resolve_tracer
+from repro.perf.workspace import SolveWorkspace
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv
-from repro.sparse.validate import structure_arrays_clean
 from repro.util.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.trajectory import TrajectoryMemo
-    from repro.perf.workspace import SolveWorkspace
 
 __all__ = ["EngineContext", "run_protected"]
 
@@ -69,8 +69,8 @@ _MATRIX_CORRECTION_KINDS = frozenset({"val", "colid", "rowidx"})
 #: byte-equal to the clean trajectory's at ``ctx.plugin.iteration`` and
 #: the live matrix to its source — after a clean real step, after every
 #: materialisation, at solve end.  ``tests/test_trajectory_memo.py``
-#: sets it from a fixture to compare against an independent
-#: workspace-free, strike-free run.
+#: sets it from a fixture to compare against an independent memo-free,
+#: strike-free run.
 _clean_claim_hook: "Callable[[EngineContext, dict[str, np.ndarray]], None] | None" = None
 
 
@@ -91,7 +91,7 @@ class EngineContext:
         live: CSRMatrix,
         b: np.ndarray,
         config: SchemeConfig,
-        workspace: "SolveWorkspace | None" = None,
+        workspace: SolveWorkspace,
         backend: "object | None" = None,
     ) -> None:
         self.plugin = plugin
@@ -99,10 +99,9 @@ class EngineContext:
         #: used for every SpMxV the engine or its plugins issue.
         self.backend = backend
         self.a = a  #: pristine input matrix (reliable storage)
-        #: ``a`` through a flag-stamped view (same bytes, own structure
-        #: stamp) so reliable products skip the SpMxV guards; set by the
-        #: runner, defaults to ``a`` itself.
-        self.a_view = a
+        #: ``a`` through the workspace's flag-stamped view (same bytes,
+        #: own structure stamp) so reliable products skip the SpMxV guards.
+        self.a_view = workspace.source_view()
         self.live = live  #: the corruptible working copy
         self.b = b
         self.config = config
@@ -126,15 +125,11 @@ class EngineContext:
         #: Every emission below funnels through :meth:`trace`, whose
         #: ``None`` test is the whole cost of disabled tracing.
         self.tracer: "Tracer | None" = None
-        #: Structure verdict of the pristine input (set by the runner);
-        #: lets a refresh re-arm the live matrix's fast-path stamp.
-        self._live_clean0 = False
         # Recycling is safe here because the store is engine-private:
         # borrowed checkpoints are only read before the next save.
         self.store = CheckpointStore(keep=1, recycle=True)
-        #: Matrix deviations from ``a`` at the latest checkpoint, in
-        #: workspace mode (where checkpoints skip the O(nnz) matrix
-        #: copy and store only the tainted words).
+        #: Matrix deviations from ``a`` at the latest checkpoint (the
+        #: workspace's tainted words, not an O(nnz) matrix copy).
         self._cp_matrix_deltas: "dict | None" = None
         self.policy = PeriodicCheckpointPolicy(config.checkpoint_interval)
         # A rollback loop longer than this means the checkpoint itself
@@ -146,7 +141,7 @@ class EngineContext:
         self.stuck = 0
         # -- taint state (docs/DESIGN.md §4) ---------------------------
         #: The bound clean-trajectory memo ``T``; ``None`` = every
-        #: iteration is executed (no workspace, ``x0`` given, an
+        #: iteration is executed (a private workspace, ``x0`` given, an
         #: iteration observer attached, or a plugin without the
         #: ``advance_clean``/``replay_step`` pair).
         self.memo: "TrajectoryMemo | None" = None
@@ -247,7 +242,7 @@ class EngineContext:
             # The workspace only re-arms the live stamp on verified
             # byte-equality with the checksum source, so the stamp may
             # stand in for the exact row-pointer test.
-            trust_structure_stamp=self.workspace is not None,
+            trust_structure_stamp=True,
             backend=self.backend,
         )
         if not self.live.structure_clean:  # before any re-arm below
@@ -258,27 +253,15 @@ class EngineContext:
             and getattr(corr, "corrected", False)
             and corr.kind in _MATRIX_CORRECTION_KINDS
         ):
-            if self.workspace is not None:
-                # The decoder patched a matrix word in place (even an
-                # UNCORRECTABLE outcome may carry a patch that re-verify
-                # rejected): it must enter the strike-undo ledger.
-                self.workspace.note_matrix_mutation(corr.kind, corr.position)
-                if corr.kind != "val" and result.status is SpmvStatus.CORRECTED:
-                    # Forward repair restored the exact index word and
-                    # re-verified clean; nothing else will re-arm the
-                    # fast path (correction never rolls back).
-                    self.workspace.reverify_structure()
-            elif (
-                corr.kind != "val"
-                and result.status is SpmvStatus.CORRECTED
-                and self._live_clean0
-                and not self.live.structure_clean
-            ):
-                # Legacy mode has no taint ledger: one full O(nnz)
-                # re-check per (rare) index repair, amortized against
-                # the per-call scans it re-enables.
-                if structure_arrays_clean(self.live):
-                    self.live.assume_clean_structure()
+            # The decoder patched a matrix word in place (even an
+            # UNCORRECTABLE outcome may carry a patch that re-verify
+            # rejected): it must enter the strike-undo ledger.
+            self.workspace.note_matrix_mutation(corr.kind, corr.position)
+            if corr.kind != "val" and result.status is SpmvStatus.CORRECTED:
+                # Forward repair restored the exact index word and
+                # re-verified clean; nothing else will re-arm the
+                # fast path (correction never rolls back).
+                self.workspace.reverify_structure()
         if result.status is SpmvStatus.CORRECTED and corr is not None:
             self.counters.record_correction(corr.kind)
             self.trace("abft-correction", what=corr.kind, detail=corr.detail)
@@ -423,17 +406,12 @@ class EngineContext:
     def snapshot(self) -> None:
         """Checkpoint the full protected state (vectors + matrix + scalars).
 
-        In workspace mode the matrix member of the checkpoint is the
-        O(#faults) deviation record kept by the workspace instead of an
-        O(nnz) array copy — the restore path reproduces the same bytes
-        either way.  The checkpoint of a clean state whose vectors are
-        not materialised is stored as its trajectory index alone.
+        The matrix member of the checkpoint is the O(#faults) deviation
+        record kept by the workspace, not an O(nnz) array copy.  The
+        checkpoint of a clean state whose vectors are not materialised
+        is stored as its trajectory index alone.
         """
-        if self.workspace is not None:
-            self._cp_matrix_deltas = self.workspace.capture_matrix_state()
-            matrix = None
-        else:
-            matrix = self.live
+        self._cp_matrix_deltas = self.workspace.capture_matrix_state()
         k = self.plugin.iteration
         self._cp_clean = k if self.clean else None
         if self.clean and self.cursor != k:
@@ -442,10 +420,7 @@ class EngineContext:
             return
         self._stored_clean = self._cp_clean
         self.store.save(
-            self.plugin.iteration,
-            vectors=self.plugin.vectors,
-            matrix=matrix,
-            scalars=self.plugin.scalars(),
+            self.plugin.iteration, vectors=self.plugin.vectors, scalars=self.plugin.scalars()
         )
 
     def _restore(self) -> None:
@@ -467,22 +442,7 @@ class EngineContext:
             for name, vec in self.plugin.vectors.items():
                 vec[:] = cp.vectors[name]
             self.cursor = self._stored_clean
-        if self.workspace is not None:
-            assert self._cp_matrix_deltas is not None
-            self.workspace.restore_matrix_state(self._cp_matrix_deltas)
-        else:
-            assert cp.matrix is not None
-            self.live.val[:] = cp.matrix.val
-            self.live.colid[:] = cp.matrix.colid
-            self.live.rowidx[:] = cp.matrix.rowidx
-            # The snapshot carried its structure verdict (copy() and the
-            # recycling save both preserve it); restoring the bytes
-            # restores the verdict — typically re-arming the SpMxV fast
-            # path a structure strike had disarmed.
-            if cp.matrix._structure_clean:
-                self.live.assume_clean_structure()
-            else:
-                self.live.mark_structure_dirty()
+        self.workspace.restore_matrix_state(self._cp_matrix_deltas)
         # Back on the trajectory iff the checkpoint was — and, under a
         # non-reference backend, the stamp that routes its kernel came
         # back too (restore_matrix_state leaves it dirty whenever the
@@ -566,10 +526,7 @@ class EngineContext:
         self.cursor = None
         # The refresh re-read the pristine matrix wholesale: the input's
         # structure verdict holds again.
-        if self.workspace is not None:
-            self.workspace.mark_live_pristine()
-        elif self._live_clean0:
-            self.live.assume_clean_structure()
+        self.workspace.mark_live_pristine()
         self.snapshot()
         if pol.refresh_notifies_policy:
             self.policy.rolled_back()
@@ -597,9 +554,7 @@ class EngineContext:
             if norm is not None:
                 return norm
             self.materialise()
-        scratch = None if self.workspace is None else self.workspace.buffer(
-            "spmv.scratch", self.a.nnz
-        )
+        scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
         true_r = self.b - spmv(
             self.a_view, self.plugin.vectors["x"], scratch=scratch, backend=self.backend
         )
@@ -662,7 +617,8 @@ def run_protected(
     plugin:
         A fresh (single-use) recurrence plugin.
     a:
-        System matrix (never mutated; the engine works on a live copy).
+        System matrix (never mutated; the engine works on the
+        workspace's live copy).
     b:
         Right-hand side.
     config:
@@ -682,21 +638,21 @@ def run_protected(
         keep iterating if it is bogus (recommended; disable only to
         study undetected-error impact).
     workspace:
-        Optional :class:`repro.perf.SolveWorkspace`.  When given, the
-        live matrix, the per-iteration buffers and the checkpoint
-        staging come from the workspace (reused across runs, restored
-        between runs by strike-undo) and the ABFT metadata comes from
-        the per-process checksum cache.  A solve from the zero initial
-        guess also binds the workspace's clean-trajectory memo
-        (:mod:`repro.perf.trajectory`): iterations whose outcome is
-        already known — clean state, no strike drawn, inside the memo's
-        frontier — are accounted, not executed
-        (:meth:`EngineContext.step`).  On the reference backend this is
-        bit-identical to the fresh path, which remains the oracle
+        The :class:`repro.perf.SolveWorkspace` the live matrix, the
+        per-iteration buffers and the delta checkpoints come from
+        (reused across runs, restored between runs by strike-undo);
+        ``None`` runs the solve on a
+        :meth:`~repro.perf.SolveWorkspace.private` one.  A caller's
+        workspace also supplies the per-process checksum cache and,
+        for a solve from the zero initial guess, its clean-trajectory
+        memo (:mod:`repro.perf.trajectory`): iterations whose outcome
+        is already known — clean state, no strike drawn, inside the
+        memo's frontier — are accounted, not executed
+        (:meth:`EngineContext.step`).  The memo changes no result: a
+        private workspace per solve is its oracle
         (``tests/test_perf_workspace.py``,
-        ``tests/test_trajectory_memo.py``); under a non-reference
-        backend the two can differ (ROADMAP item 3(c)).  One workspace
-        must not be shared by concurrently running solves.
+        ``tests/test_trajectory_memo.py``).  One workspace must not be
+        shared by concurrently running solves.
     backend:
         Kernel backend for every SpMxV of the run — a registered name
         (``"scipy"``), a
@@ -723,7 +679,8 @@ def run_protected(
     SolveResult
     """
     plugin.check_scheme(config.scheme)
-    if backend is None and workspace is not None:
+    workspace = workspace or SolveWorkspace.private()
+    if backend is None:
         backend = workspace.backend
     backend = resolve_backend(backend)
     if backend is not None:
@@ -741,48 +698,25 @@ def run_protected(
     scheme = config.scheme
     b = np.asarray(b, dtype=np.float64)
 
-    if workspace is not None:
-        # Reused live copy, restored to bit-equality with ``a`` by
-        # un-writing exactly the previously tainted words.
-        restores0 = workspace.live_restores
-        live = workspace.acquire_live(a)
-        a_view = workspace.source_view()
-        if tr is not None:
-            tr.emit(
-                "workspace-acquire",
-                0,
-                live="restore" if workspace.live_restores > restores0 else "copy",
-            )
-    else:
-        live = a.copy()  # live matrix: the injector corrupts this copy
-        # One up-front structural check lets every SpMxV on the live
-        # copy skip its defensive colid/rowidx guards until an index
-        # array is actually struck (the guards would pass anyway, so
-        # results are unchanged).  An invalid input matrix keeps the
-        # seed's scan-and-wrap behaviour.
-        a_view = a
-        if structure_arrays_clean(live):
-            live.assume_clean_structure()
-            # Same stamp for products against the pristine input (the
-            # reliable convergence checks and refreshes), carried by a
-            # view sharing ``a``'s arrays so the caller's object is
-            # never touched.
-            a_view = CSRMatrix(a.val, a.colid, a.rowidx, a.shape, check=False)
-            a_view.assume_clean_structure()
+    # The live matrix the injector corrupts: a copy of ``a`` on first
+    # acquisition, else the reused one, restored to bit-equality with
+    # ``a`` by un-writing exactly the previously tainted words.
+    restores0 = workspace.live_restores
+    live = workspace.acquire_live(a)
+    if tr is not None:
+        tr.emit(
+            "workspace-acquire",
+            0,
+            live="restore" if workspace.live_restores > restores0 else "copy",
+        )
     ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
-    ctx.a_view = a_view
     ctx.tracer = tr
-    ctx._live_clean0 = live.structure_clean
     plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
     ctx.threshold = cg_tolerance_threshold(
-        a,
-        b,
-        plugin.vectors["r"],
-        eps,
-        norm1_a=workspace.source_norm1(a) if workspace is not None else None,
+        a, b, plugin.vectors["r"], eps, norm1_a=workspace.source_norm1(a)
     )
     if (
-        workspace is not None
+        workspace.shared
         and x0 is None
         and hasattr(plugin, "advance_clean")
         # An iteration observer reads the vectors after every step:
@@ -800,22 +734,18 @@ def run_protected(
     # reliable memory for the whole solve.
     if scheme.uses_abft:
         nchecks = 2 if scheme.corrects else 1
-        if workspace is not None:
-            if tr is not None:
-                from repro.abft.checksums import checksums_cached
+        if tr is not None:
+            from repro.abft.checksums import checksums_cached
 
-                cache_state = (
-                    "hit"
-                    if checksums_cached(a, nchecks=nchecks, backend=backend)
-                    else "miss"
-                )
-            ctx.checksums = workspace.checksums(a, nchecks=nchecks, backend=backend)
-            if tr is not None:
-                tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)
-        else:
-            ctx.checksums = compute_checksums(a, nchecks=nchecks, backend=backend)
-            if tr is not None:
-                tr.emit("abft-setup", 0, nchecks=nchecks, cache="off")
+            if not workspace.shared:
+                cache_state = "off"
+            elif checksums_cached(a, nchecks=nchecks, backend=backend):
+                cache_state = "hit"
+            else:
+                cache_state = "miss"
+        ctx.checksums = workspace.checksums(a, nchecks=nchecks, backend=backend)
+        if tr is not None:
+            tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)
 
     # Fault machinery: strikes are sampled centrally, then applied in
     # the operation window where each struck word is live.  The
@@ -824,23 +754,13 @@ def run_protected(
     if alpha > 0:
         words = live.memory_words + n * len(plugin.vectors)
         ctx.injector = FaultInjector(FaultModel(alpha=alpha, memory_words=words), rng)
-        if workspace is not None:
-            ws = workspace
 
-            def _ledger(name):
-                return lambda position: ws.note_matrix_mutation(name, position)
+        def _ledger(name):
+            return lambda position: workspace.note_matrix_mutation(name, position)
 
-            ctx.injector.register("val", live.val, on_strike=_ledger("val"))
-            ctx.injector.register("colid", live.colid, on_strike=_ledger("colid"))
-            ctx.injector.register("rowidx", live.rowidx, on_strike=_ledger("rowidx"))
-        else:
-
-            def _dirty(_position, _live=live):
-                _live.mark_structure_dirty()
-
-            ctx.injector.register("val", live.val)
-            ctx.injector.register("colid", live.colid, on_strike=_dirty)
-            ctx.injector.register("rowidx", live.rowidx, on_strike=_dirty)
+        ctx.injector.register("val", live.val, on_strike=_ledger("val"))
+        ctx.injector.register("colid", live.colid, on_strike=_ledger("colid"))
+        ctx.injector.register("rowidx", live.rowidx, on_strike=_ledger("rowidx"))
         for name, vec in plugin.vectors.items():
             ctx.injector.register(name, vec)
 
@@ -860,7 +780,6 @@ def run_protected(
             s=config.checkpoint_interval,
             d=config.verification_interval,
             backend=getattr(backend, "name", "custom") if backend is not None else "reference",
-            workspace=workspace is not None,
         )
 
     executed = 0

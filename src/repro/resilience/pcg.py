@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.checkpoint.store import Checkpoint
 from repro.core.methods import Scheme, SchemeConfig
-from repro.core.pcg import jacobi_inverse_diagonal
 from repro.resilience.protocol import CG_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv
@@ -55,42 +54,31 @@ class JacobiPCGPlugin:
         b: np.ndarray,
         x0: "np.ndarray | None",
         config: SchemeConfig,
-        workspace=None,
+        workspace,
         backend=None,
     ) -> None:
         n = a.nrows
         self.backend = backend
-        if workspace is None:
-            # Reliable metadata, like the checksums.
-            self.minv = jacobi_inverse_diagonal(a)
-        else:
-            # Same values, extracted once per matrix instead of per run.
-            self.minv = workspace.jacobi_minv(a)
+        # Reliable metadata, like the checksums: extracted once per
+        # matrix, not per run.
+        self.minv = workspace.jacobi_minv(a)
         self.live = live
         self.b = b
+        # Workspace-backed vectors, fully overwritten (no state can
+        # leak between runs sharing the workspace).
+        self.x = workspace.zeros("pcg.x", n)
+        if x0 is not None:
+            self.x[:] = x0
+        self.r = workspace.buffer("pcg.r", n)
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = None
-        if workspace is None:
-            self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-            self.r = b - spmv(live, self.x, backend=backend)
-            self.z = self.minv * self.r
-            self.p = self.z.copy()
-            self.q = np.zeros(n)
-        else:
-            # Workspace-backed vectors, fully overwritten (no state can
-            # leak between runs sharing the workspace).
-            self.x = workspace.zeros("pcg.x", n)
-            if x0 is not None:
-                self.x[:] = x0
-            self.r = workspace.buffer("pcg.r", n)
-            self.scratch = workspace.buffer("spmv.scratch", live.nnz)
-            spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
-            np.subtract(b, self.r, out=self.r)
-            self.z = workspace.buffer("pcg.z", n)
-            np.multiply(self.minv, self.r, out=self.z)
-            self.p = workspace.buffer("pcg.p", n)
-            self.p[:] = self.z
-            self.q = workspace.zeros("pcg.q", n)
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        np.subtract(b, self.r, out=self.r)
+        self.z = workspace.buffer("pcg.z", n)
+        np.multiply(self.minv, self.r, out=self.z)
+        self.p = workspace.buffer("pcg.p", n)
+        self.p[:] = self.z
+        self.q = workspace.zeros("pcg.q", n)
         self.rz = float(self.r @ self.z)
         self.rnorm = self._rnorm()
         self.iteration = 0

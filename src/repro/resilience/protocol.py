@@ -199,20 +199,19 @@ class RecurrencePlugin(Protocol):
         b: np.ndarray,
         x0: "np.ndarray | None",
         config: "SchemeConfig",
-        workspace=None,
+        workspace,
         backend=None,
     ) -> None:
         """Allocate the iteration vectors/scalars for one run.
 
         ``live`` is the engine-owned corruptible matrix copy; ``a`` is
         the pristine input (reliable storage, used only for refreshes
-        and preconditioner setup).  ``workspace`` is an optional
-        :class:`repro.perf.SolveWorkspace`: plugins should draw their
-        iteration vectors from it (``workspace.buffer``/``zeros``,
-        fully overwriting every entry so no state survives between
-        runs) and may pass its SpMxV scratch to kernels; with ``None``
-        they must allocate fresh arrays.  Either way the initial values
-        must be bit-identical.  ``backend`` is the engine-resolved
+        and preconditioner setup).  ``workspace`` is the run's
+        :class:`repro.perf.SolveWorkspace` — always given, the caller's
+        or the engine's private one: plugins draw their iteration
+        vectors from it (``workspace.buffer``/``zeros``, fully
+        overwriting every entry so no state survives between runs) and
+        may pass its SpMxV scratch to kernels.  ``backend`` is the engine-resolved
         kernel backend (``None`` = reference): plugins must store it
         and pass it to every direct :func:`repro.sparse.spmv.spmv`
         call they issue (initial residual, refresh, unprotected

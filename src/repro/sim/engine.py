@@ -221,12 +221,11 @@ def repeat_run(
     buffers and the checkpoint staging are allocated once and restored
     between repetitions by strike-undo, and the ABFT checksums come
     from the per-process cache — a fraction of the wall clock.  Pass
-    ``reuse_workspace=False`` for the historical fresh-allocation path,
-    or ``workspace=`` to share a caller-owned workspace across calls
-    (e.g. an interval sweep over one matrix).  The two paths give
-    identical results on the reference backend (there the fresh path
-    is the bit-identity oracle); under ``scipy`` they can differ
-    (ROADMAP item 3(c)).
+    ``reuse_workspace=False`` for a private workspace per solve (no
+    trajectory memo, no checksum cache: the memo-free oracle), or
+    ``workspace=`` to share a caller-owned workspace across calls
+    (e.g. an interval sweep over one matrix).  Results are identical
+    either way.
 
     Staleness caveat: the checksum cache keys on the matrix *object*.
     If you mutate ``a``'s arrays in place between calls, pass a fresh

@@ -362,8 +362,8 @@ class TestRepeatRunAndWorkspace:
         assert base == explicit
 
     def test_scipy_workspace_matches_scipy_fresh(self, small_system):
-        # On this grid the workspace hot path and the fresh path agree on
-        # the scipy backend; in general they do not (the xfail below).
+        # A private workspace per repetition (no memo, no checksum
+        # cache) against one shared workspace, on the scipy backend.
         a, b = small_system
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
         fresh = repeat_run(
@@ -376,15 +376,12 @@ class TestRepeatRunAndWorkspace:
         )
         assert fresh == ws
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 3(c)")
     def test_scipy_fresh_and_workspace_solves_agree(self):
-        # Under scipy a workspace rollback whose captured deltas name an
-        # index word leaves the structure stamp down, even when the word
-        # is pristine; the fresh path restores the stamp with the full
-        # matrix.  Later products then take different kernels.  The day
-        # the re-arm fix lands this passes, and the docs that state the
-        # reference-only contract (solve, SolveWorkspace, DESIGN §4)
-        # must change with it.
+        # The default solve runs on a private workspace: the same delta
+        # checkpoints and stamp rules as a caller's workspace, so under
+        # scipy too it returns what a campaign task computes, at a fault
+        # rate whose index-strike rollbacks leave the stamp down
+        # (tests/test_perf_workspace.py pins that slack, ROADMAP 3(c)).
         a = stencil_spd(400, kind="cross", radius=2)
         b = make_rhs(a)
         for seed in range(4):
@@ -393,7 +390,7 @@ class TestRepeatRunAndWorkspace:
                 checkpoint=8, backend="scipy", eps=1e-6, record_history=False,
             )
             with np.errstate(all="ignore"):
-                fresh = repro.solve(a, b, reuse_workspace=False, **kw)
+                fresh = repro.solve(a, b, **kw)
                 warm = repro.solve(a, b, reuse_workspace=SolveWorkspace(), **kw)
             assert (fresh.solution_sha256, fresh.time_units) == (
                 warm.solution_sha256, warm.time_units

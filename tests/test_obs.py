@@ -227,6 +227,15 @@ class TestEngineTracing:
         assert start["scheme"] == "abft-correction"
         assert start["n"] == a.nrows and start["nnz"] == a.nnz
         assert start["backend"] == "reference"
+        assert "workspace" not in start  # every solve runs on one
+
+    def test_a_solve_without_workspace_runs_on_a_private_one(self, problem):
+        a, b = problem
+        t = InMemoryTracer()
+        _run(a, b, tracer=t)
+        (acquire,) = t.of_kind("workspace-acquire")
+        (setup,) = t.of_kind("abft-setup")
+        assert acquire["live"] == "copy" and setup["cache"] == "off"
 
     def test_observer_combines_with_tracer(self, problem):
         a, b = problem

@@ -1,12 +1,14 @@
-"""The zero-copy hot path is bit-identical to the fresh-allocation oracle.
+"""A shared workspace is bit-identical to a private workspace per solve.
 
-Every workspace facility — preallocated SpMxV/ABFT buffers, the
-per-process checksum cache, strike-undo live-matrix restore, delta
-matrix checkpoints, the structure-stamped SpMxV fast path — must
-reproduce the legacy path bit for bit, including runs whose faults
-corrupt ``val``/``colid``/``rowidx`` and trigger corrections,
-rollbacks and refreshes, and no state may leak between consecutive
-runs sharing a workspace.
+Every facility of a shared workspace — reused SpMxV/ABFT buffers, the
+per-process checksum cache, strike-undo live-matrix restore, the
+clean-trajectory memo — must reproduce a private workspace per solve
+(what a solve given no workspace runs on) bit for bit, including runs
+whose faults corrupt ``val``/``colid``/``rowidx`` and trigger
+corrections, rollbacks and refreshes, and no state may leak between
+consecutive runs sharing a workspace.  The delta matrix checkpoints are
+held to a full-matrix :class:`~repro.checkpoint.store.CheckpointStore`
+copy, and the golden trajectories lock the whole path end to end.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.abft import cached_checksums, clear_checksum_cache, compute_checksums
 from repro.abft.spmv import protected_spmv
 from repro.checkpoint.store import CheckpointStore
 from repro.core import Scheme, SchemeConfig
 from repro.core.methods import CostModel, Method
-from repro.faults.bitflip import flip_bit_int64
+from repro.faults.bitflip import flip_bit_float64, flip_bit_int64
 from repro.perf import SolveWorkspace, clear_caches, default_workspace
 from repro.resilience.registry import run_ft_method
 from repro.sim.engine import make_rhs, repeat_run
-from repro.sparse import CSRMatrix, spmv, stencil_spd
+from repro.sparse import CSRMatrix, laplacian_2d, spmv, stencil_spd
 from repro.sparse.validate import structure_arrays_clean
 from repro.util.rng import spawn_named
 
@@ -194,7 +197,7 @@ class TestProtectedSpmvWorkspace:
 
 
 # ----------------------------------------------------------------------
-# engine: workspace runs vs the fresh oracle
+# engine: a shared workspace vs a private workspace per solve
 # ----------------------------------------------------------------------
 GRID = [
     (Method.CG, Scheme.ONLINE_DETECTION, 4),
@@ -213,7 +216,7 @@ class TestEngineWorkspace:
     )
     @pytest.mark.parametrize("alpha", [0.0, 0.4])
     def test_run_bit_identical_shared_workspace(self, problem, method, scheme, d, alpha):
-        """One workspace across reps == fresh engine per rep, for every
+        """One workspace across reps == a private workspace per rep, for every
         scheme×method, at a fault rate that corrupts all three matrix
         arrays (corrections, rollbacks, TMR votes, refreshes)."""
         a, b = problem
@@ -246,7 +249,7 @@ class TestEngineWorkspace:
                 run_protected(
                     CGPlugin(), a, b, cfg, alpha=0.4, rng=1000 + rep, eps=1e-6, workspace=ws
                 )
-            struck |= {name for name, s in ws._taint.items() if s}
+            struck |= {name for name, s in ws._taint.items() if s.size}
         assert struck == {"val", "colid", "rowidx"}
 
     def test_strike_undo_restores_live_bit_exact(self, problem):
@@ -356,6 +359,24 @@ class TestRepeatRunWorkspace:
         assert r1.time_units == r2.time_units == r3.time_units
         assert ws.live_copies == 1
 
+    def test_default_solve_sees_an_in_place_edit(self):
+        """The private workspace of a default solve computes its
+        checksums: it never reads the process cache, which keys on the
+        matrix object and would still describe the unedited values."""
+        from repro import FaultSpec, solve
+
+        a = laplacian_2d(16)
+        b = make_rhs(a)
+        kw = dict(scheme="abft-correction", faults=FaultSpec(0.3, seed=3))
+
+        def report(r):
+            return {k: v for k, v in r.to_dict().items() if k != "wall_seconds"}
+
+        solve(a, b, **kw)
+        a.val *= 1.5
+        edited = solve(a, b, **kw)
+        assert report(edited) == report(solve(a.copy(), b, **kw))
+
     def test_default_workspace_is_shared(self):
         assert default_workspace() is default_workspace()
         clear_caches()  # resets it
@@ -397,6 +418,81 @@ class TestGoldenThroughWorkspace:
             ), entry
             assert float(res.time_units).hex() == want["time_units"], entry
             assert res.iterations_executed == want["iterations_executed"], entry
+
+
+# ----------------------------------------------------------------------
+# delta matrix checkpoints
+# ----------------------------------------------------------------------
+_DELTA_A = stencil_spd(36, kind="cross", radius=1)
+_ARRAYS = ("val", "colid", "rowidx")
+
+
+def _mutate(live, ws, ops) -> None:
+    """Apply strikes (one bit flipped) and decoder-style repairs (an
+    index word rewritten to its source value, a ``val`` word to an
+    arithmetic estimate), each reported to the strike-undo ledger."""
+    for name, frac, bit, repair in ops:
+        arr = getattr(live, name)
+        pos = int(frac * arr.shape[0]) % arr.shape[0]
+        if repair:
+            src = getattr(_DELTA_A, name)[pos]
+            arr[pos] = src + 0.25 * frac if name == "val" else src
+        elif name == "val":
+            arr[pos] = flip_bit_float64(float(arr[pos]), bit)
+        else:
+            arr[pos] = flip_bit_int64(int(arr[pos]), bit)
+        ws.note_matrix_mutation(name, pos)
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(_ARRAYS),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 63),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
+class TestDeltaCheckpoints:
+    @settings(max_examples=60, deadline=None)
+    @given(before=_OPS, after=_OPS)
+    def test_restore_equals_a_full_matrix_checkpoint(self, before, after):
+        """``capture_matrix_state`` / ``restore_matrix_state`` give back
+        the bytes a full-matrix checkpoint taken at capture time holds,
+        and the restored stamp never claims a structure that fails the
+        exact check."""
+        ws = SolveWorkspace()
+        live = ws.acquire_live(_DELTA_A)
+        _mutate(live, ws, before)
+        deltas = ws.capture_matrix_state()
+        full = CheckpointStore(keep=1).save(0, vectors={}, matrix=live).matrix
+        _mutate(live, ws, after)
+        ws.restore_matrix_state(deltas)
+        for name in _ARRAYS:
+            assert getattr(live, name).tobytes() == getattr(full, name).tobytes(), name
+        if live.structure_clean:
+            assert structure_arrays_clean(live)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 3(c)")
+    def test_restore_of_pristine_index_words_rearms_the_stamp(self):
+        """The strike-undo ledger's slack: a captured index word that
+        equals the source again (struck, then repaired) still leaves the
+        stamp down after the restore, so later products take the
+        guarded kernel.  A re-arm on pristine words fixes it, and moves
+        non-reference results."""
+        a = _DELTA_A
+        ws = SolveWorkspace()
+        live = ws.acquire_live(a)
+        _mutate(live, ws, [("colid", 0.5, 40, False), ("colid", 0.5, 0, True)])
+        deltas = ws.capture_matrix_state()
+        idx, values = deltas["colid"]
+        assert np.array_equal(values, a.colid[idx])
+        _mutate(live, ws, [("colid", 0.25, 40, False)])
+        ws.restore_matrix_state(deltas)
+        assert all(getattr(live, n).tobytes() == getattr(a, n).tobytes() for n in _ARRAYS)
+        assert live.structure_clean
 
 
 # ----------------------------------------------------------------------

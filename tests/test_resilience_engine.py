@@ -17,6 +17,7 @@ from repro.resilience import (
 )
 from repro.sim.engine import make_rhs, repeat_run
 from repro.obs import InMemoryTracer
+from repro.perf import SolveWorkspace
 from repro.sparse import stencil_spd
 
 
@@ -210,7 +211,8 @@ class TestEngineGenerics:
 
 def _init_plugin(plugin, problem):
     a, b = problem
-    plugin.init_state(a, a.copy(), b, None, config(Scheme.ABFT_DETECTION))
+    ws = SolveWorkspace()
+    plugin.init_state(a, ws.acquire_live(a), b, None, config(Scheme.ABFT_DETECTION), ws)
     return plugin
 
 

@@ -17,13 +17,9 @@ things are pinned here, none of them by timing:
 3. *the work is really skipped* — exact SpMxV / protected-product /
    step counts.
 
-Oracles: on the reference backend, ``workspace=None`` (the fresh path
-of ``tests/test_perf_workspace.py``).  Under ``backend="scipy"`` the
-fresh path is *not* an exact oracle for the workspace path — the
-strike-undo ledger's slack keeps the live stamp dirty after a
-rolled-back index strike, which re-routes the kernel (DESIGN §4,
-ROADMAP) — so there the oracle is the workspace path with an iteration
-observer attached, for which the memo steps aside.
+Oracle, on every backend: ``workspace=None`` — a private workspace per
+solve, which binds no memo (``tests/test_perf_workspace.py`` holds it
+to a shared workspace).
 """
 
 from __future__ import annotations
@@ -128,7 +124,7 @@ def _sizes(method: str) -> "dict[str, int]":
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _oracle_trajectory(method: str, backend: str) -> "dict[int, dict[str, bytes]]":
-    """``T[k]`` as bytes per vector, from a workspace-free α = 0 run
+    """``T[k]`` as bytes per vector, from a memo-free α = 0 run
     observed after every iteration (plus a fresh plugin's initial
     state for ``T[0]``)."""
     states: "dict[int, dict[str, bytes]]" = {}
@@ -138,7 +134,8 @@ def _oracle_trajectory(method: str, backend: str) -> "dict[int, dict[str, bytes]
 
     cfg = _config("abft-detection", 10**6, 1)
     p0 = make_plugin(method)
-    p0.init_state(A, A.copy(), B, None, cfg, backend=resolve_backend(backend))
+    ws = SolveWorkspace()
+    p0.init_state(A, ws.acquire_live(A), B, None, cfg, ws, backend=resolve_backend(backend))
     grab(p0)
     with np.errstate(all="ignore"):
         run_ft_method(
@@ -187,10 +184,7 @@ def _solve(method, scheme, backend, *, alpha, s, d, eps, seed, workspace, tracer
 
 
 def _oracle_solve(method, scheme, backend, **kw):
-    if backend == "reference":
-        return _solve(method, scheme, backend, workspace=None, **kw)
-    observer = CallbackTracer(on_iteration=lambda ctx: None)
-    return _solve(method, scheme, backend, workspace=SolveWorkspace(), tracer=observer, **kw)
+    return _solve(method, scheme, backend, workspace=None, **kw)
 
 
 def _assert_same_solve(got, want) -> None:
@@ -325,11 +319,7 @@ def test_repeat_run_warm_memo_equals_oracle_and_is_reused(method, backend):
         got, want = {}, {}
         with np.errstate(all="ignore"):
             stats = repeat_run(A, B, cfg, workspace=ws, per_rep=got, **kw)
-            if backend == "reference":
-                ref = repeat_run(A, B, cfg, reuse_workspace=False, per_rep=want, **kw)
-            else:
-                ref = repeat_run(A, B, cfg, workspace=SolveWorkspace(), per_rep=want,
-                                 tracer=CallbackTracer(on_iteration=lambda ctx: None), **kw)
+            ref = repeat_run(A, B, cfg, reuse_workspace=False, per_rep=want, **kw)
         assert stats == ref
         assert set(got) == set(PER_REP_KEYS) and got == want
     # a different eps, s, d and scheme: still the one trajectory
@@ -472,9 +462,9 @@ def test_event_sinks_keep_the_memo_and_see_the_identical_stream():
         t = InMemoryTracer()
         _solve("cg", "online-detection", "reference", alpha=1 / 16, s=2, d=3, eps=1e-6,
                seed=8, tracer=t, **run)
-        skip = {"workspace-acquire"}  # the one event that names the storage
+        skip = {"workspace-acquire"}  # live copy vs restore: the workspace's history
         return [
-            {k: v for k, v in ev.items() if k not in ("workspace", "cache")}
+            {k: v for k, v in ev.items() if k != "cache"}
             for ev in t.events if ev["kind"] not in skip
         ]
 
@@ -498,8 +488,8 @@ def test_rolled_back_index_strike_leaves_the_scipy_trajectory(scripted, clean_cl
     of a *second* index strike leaves the live stamp dirty and every
     later product runs the reference kernel.  The engine must stop
     claiming ``clean`` there (the checker would catch a false claim:
-    different floats), and the records still equal the memo-free
-    workspace path's."""
+    different floats), and the records still equal a private
+    workspace's."""
     ws = SolveWorkspace()
     kw = dict(method="cg", scheme="abft-detection", backend="scipy", alpha=1 / 64, s=2, d=1,
               eps=1e-6, seed=3)

@@ -527,8 +527,7 @@ def test_memo_budget_is_derived_from_the_bound_source(paper):
 # ----------------------------------------------------------------------
 # (4) the guarded-product counter
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("workspace", [True, False], ids=["workspace", "fresh"])
-def test_products_guarded_counts_every_kernel_run_on_a_dirty_stamp(monkeypatch, workspace):
+def test_products_guarded_counts_every_kernel_run_on_a_dirty_stamp(monkeypatch):
     import repro.abft.spmv as abft_spmv
     from repro.core.methods import CostModel, Scheme, SchemeConfig
     from repro.resilience.registry import run_ft_method
@@ -549,7 +548,7 @@ def test_products_guarded_counts_every_kernel_run_on_a_dirty_stamp(monkeypatch, 
     with np.errstate(all="ignore"):
         for seed in range(4):
             run_ft_method("cg", a, np.ones(a.nrows), config, alpha=1.0, rng=seed, eps=1e-6,
-                          maxiter=300, workspace=SolveWorkspace() if workspace else None)
+                          maxiter=300, workspace=SolveWorkspace())
     guarded = METRICS.count("engine.products_guarded") - g0
     assert guarded == stamps.count(False) > 0
 
