@@ -89,15 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     )
     from repro.faults import FaultInjector, FaultModel
     from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
-    from repro.core import (
-        cg,
-        pcg,
-        jacobi_preconditioner,
-        Scheme,
-        Method,
-        SchemeConfig,
-        CostModel,
-    )
+    from repro.core.cg import cg
+    from repro.core.pcg import pcg, jacobi_preconditioner
+    from repro.core import Scheme, Method, SchemeConfig, CostModel
     from repro.resilience import run_ft_method
     from repro.model import (
         expected_frame_time,
@@ -215,10 +209,9 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.faults": ("FaultInjector", "FaultModel"),
         "repro.checkpoint": ("CheckpointStore", "PeriodicCheckpointPolicy"),
+        "repro.core.cg": ("cg",),
+        "repro.core.pcg": ("pcg", "jacobi_preconditioner"),
         "repro.core": (
-            "cg",
-            "pcg",
-            "jacobi_preconditioner",
             "Scheme",
             "Method",
             "SchemeConfig",

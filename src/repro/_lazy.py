@@ -6,7 +6,7 @@ heaviest third-party imports) before a CLI process could look at its
 arguments; :func:`lazy_exports` instead resolves a name on first
 attribute access and caches it in the package namespace, so later
 lookups are plain dict hits.  See ``docs/DESIGN.md`` §1 for the rule
-and its one exception (names that are both a submodule and a
+and its one exception (``repro.sparse.spmv``, both a submodule and a
 function).
 """
 

@@ -67,7 +67,7 @@ from repro.campaign.aggregate import (
 )
 from repro.campaign.spec import TABLE1_ALPHA, CampaignSpec, TaskSpec
 from repro.core.methods import Method, Scheme
-from repro.sim.engine import RunStatistics
+from repro.sim.results import RunStatistics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.protocol import StoreBackend
@@ -127,7 +127,7 @@ class StudyPoint:
     d: int
     n: int  #: matrix dimension actually run
     density: float
-    stats: object  #: :class:`~repro.sim.engine.RunStatistics`
+    stats: object  #: :class:`~repro.sim.results.RunStatistics`
 
     @property
     def normalized_mtbf(self) -> float:
@@ -306,7 +306,7 @@ class Study:
         return self
 
     def metrics(self, *names: str) -> "Study":
-        """Select the :class:`~repro.sim.engine.RunStatistics` fields reported
+        """Select the :class:`~repro.sim.results.RunStatistics` fields reported
         by :meth:`StudyResult.format_table`."""
         known = {f.name for f in fields(RunStatistics)} | {"sem_time"}
         bad = [n for n in names if n not in known]
@@ -480,10 +480,10 @@ class Study:
 
         from repro.core.methods import CostModel
         from repro.model.instantiate import resolve_intervals
-        from repro.sim.matrices import get_matrix
+        from repro.sim.matrices import size_facts
 
         # resolve_intervals evaluates the costs callable — and hence
-        # builds the matrix — only for points that actually need the
+        # counts the matrix — only for points that actually need the
         # model; the cache spans the method axis (the optimum depends
         # only on (uid, scheme, alpha, s, d)).
         resolution_cache: dict = {}
@@ -494,7 +494,7 @@ class Study:
                 resolution_cache[key] = resolve_intervals(
                     scheme,
                     alpha,
-                    lambda: CostModel.from_matrix(get_matrix(uid, settings["scale"])),
+                    lambda: CostModel.from_matrix(size_facts(uid, settings["scale"])),
                     s=s_raw,
                     d=d_raw,
                 )

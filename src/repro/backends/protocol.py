@@ -38,9 +38,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -130,12 +130,16 @@ class BaseBackend:
 
     def checksum_products(self, a: "CSRMatrix", weights: np.ndarray) -> np.ndarray:
         """``WᵀA`` via the reference scatter-reduction (reliable path)."""
+        import numpy as np
+
         from repro.sparse.norms import column_sums
 
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         return np.stack([column_sums(a, weights=w) for w in weights])
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        import numpy as np
+
         return float(np.dot(u, v))
 
     def norm2(self, v: np.ndarray) -> float:

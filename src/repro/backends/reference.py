@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.backends.protocol import BaseBackend
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.sparse.csr import CSRMatrix
 
 __all__ = ["ReferenceBackend"]

@@ -51,11 +51,11 @@ import sys
 from types import ModuleType
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.backends.protocol import BackendUnavailableError, BaseBackend
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.sparse.csr import CSRMatrix
 
 __all__ = ["ScipyBackend"]
@@ -141,12 +141,17 @@ class ScipyBackend(BaseBackend):
         out: "np.ndarray | None" = None,
         scratch: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        from repro.sparse.spmv import spmv
-
         if not a.structure_clean:
             # Guarded path: uncertified (possibly corrupted) index
             # arrays keep the reference kernel's wild-read emulation.
+            from repro.sparse.spmv import spmv
+
             return spmv(a, x, out=out, scratch=scratch)
+        # Imported here, not at module level: naming the backend (a
+        # campaign's compile step) must not load NumPy.  A repeat import
+        # is a sys.modules hit.
+        import numpy as np
+
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (a.ncols,):
             raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")

@@ -18,7 +18,7 @@ package turns such a grid into a first-class *campaign*:
   lease board, so several dispatchers may share the store);
 - :mod:`repro.campaign.progress` — throughput / ETA reporting;
 - :mod:`repro.campaign.aggregate` — regrouping of raw per-task records
-  into the existing :class:`~repro.sim.engine.RunStatistics` /
+  into the existing :class:`~repro.sim.results.RunStatistics` /
   :class:`~repro.sim.results.Table1Row` /
   :class:`~repro.sim.results.Figure1Point` shapes.
 

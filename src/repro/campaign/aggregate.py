@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.campaign.spec import TaskSpec
-from repro.sim.engine import RunStatistics
-from repro.sim.results import Figure1Point, Table1Row
+from repro.sim.results import DEFAULT_CONFIDENCE, Figure1Point, RunStatistics, Table1Row
 from repro.store import opened_store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +67,6 @@ def _stats_ci(stats: RunStatistics) -> "tuple[float, float] | None":
         return (stats.ci_low, stats.ci_high)
     if stats.reps > 1:
         from repro.adaptive import ci_bounds
-        from repro.sim.engine import DEFAULT_CONFIDENCE
 
         return ci_bounds(
             stats.mean_time, stats.std_time, stats.reps, DEFAULT_CONFIDENCE

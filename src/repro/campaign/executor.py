@@ -93,7 +93,7 @@ def make_partial_record(task_hash: str, per_rep: dict) -> dict:
     """Partial-progress record for an adaptive task (``kind="partial"``).
 
     Carries the per-repetition payload lists
-    (:data:`repro.sim.engine.PER_REP_KEYS`) of every completed
+    (:data:`repro.sim.results.PER_REP_KEYS`) of every completed
     repetition; the values JSON round-trip exactly, so a resumed run
     continues bit-identically.  Superseded by the task's final record
     (``repro store compact`` drops a partial once the final exists).
@@ -478,6 +478,12 @@ def run_campaign(
                 telemetry_parts = [_run_serial(pending, ctx, deliver)]
             elif pending:
                 from repro.campaign.serve import run_fleet
+
+                # Compiling loads no NumPy, so load the rep loop and the
+                # matrix generator here, once: the forked workers inherit
+                # them instead of each importing its own copy.
+                import repro.sim.engine  # noqa: F401
+                import repro.sparse.generators  # noqa: F401
 
                 workers = min(jobs, len(pending))
                 telemetry_parts, signum = run_fleet(workers, pending, ctx, deliver, leases)

@@ -316,20 +316,20 @@ class CampaignSpec:
             return self._expand_table1()
         return self._expand_figure1()
 
-    # The imports below are deliberately local: expanding a grid builds
-    # matrices and runs the model, which a process that only reads or
-    # hashes tasks never pays for.
+    # The imports below are deliberately local: expanding a grid runs the
+    # model on each matrix's size facts, which a process that only reads
+    # or hashes tasks never pays for.
 
     def _expand_table1(self) -> "list[TaskSpec]":
         from repro.core.methods import CostModel, Method, Scheme
         from repro.model.instantiate import MODEL_S_MAX, model_interval_for
-        from repro.sim.matrices import get_matrix, suite_specs
+        from repro.sim.matrices import size_facts, suite_specs
 
         s_max = MODEL_S_MAX if self.model_s_max is None else self.model_s_max
         reps = self._task_reps()
         tasks: list[TaskSpec] = []
         for spec in suite_specs(list(self.uids) if self.uids is not None else None):
-            costs = CostModel.from_matrix(get_matrix(spec.uid, self.scale))
+            costs = CostModel.from_matrix(size_facts(spec.uid, self.scale))
             # The Eq.-6 optimization depends only on (matrix, scheme),
             # so hoist it out of the method loop.
             sweeps: "dict[Scheme, tuple[int, list[int]]]" = {}
@@ -374,14 +374,14 @@ class CampaignSpec:
     def _expand_figure1(self) -> "list[TaskSpec]":
         from repro.core.methods import CostModel, Method
         from repro.model.instantiate import MODEL_S_MAX, model_interval_for
-        from repro.sim.matrices import get_matrix, suite_specs
+        from repro.sim.matrices import size_facts, suite_specs
 
         s_max = MODEL_S_MAX if self.model_s_max is None else self.model_s_max
         mtbfs = DEFAULT_MTBF_VALUES if self.mtbf_values is None else self.mtbf_values
         reps = self._task_reps()
         tasks: list[TaskSpec] = []
         for spec in suite_specs(list(self.uids) if self.uids is not None else None):
-            costs = CostModel.from_matrix(get_matrix(spec.uid, self.scale))
+            costs = CostModel.from_matrix(size_facts(spec.uid, self.scale))
             # The interval optimization depends only on (matrix, mtbf,
             # scheme); cache it so extra methods don't re-run it.
             intervals: "dict[tuple[float, object], tuple[int, int]]" = {}

@@ -22,21 +22,19 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# ``cg`` / ``pcg`` are both submodules and exported functions: importing
-# the submodule rebinds the package attribute to the module, so the
-# functions are bound eagerly, after that import (docs/DESIGN.md §1).
-from repro.core.cg import cg, CGResult
-from repro.core.pcg import pcg, jacobi_preconditioner, ssor_preconditioner
-
 if TYPE_CHECKING:  # pragma: no cover - static tools only
+    from repro.core.cg import CGResult
+    from repro.core.pcg import jacobi_preconditioner, ssor_preconditioner
     from repro.core.krylov import bicgstab
     from repro.core.stability import orthogonality_check, residual_check, chen_verify
     from repro.core.methods import Scheme, Method, CostModel, SchemeConfig
 
+# ``repro.core.cg`` and ``repro.core.pcg`` are the submodules; the plain
+# solvers are the functions ``repro.cg`` / ``repro.pcg`` (or
+# ``repro.core.cg.cg``), so importing this package runs no solver code
+# (docs/DESIGN.md §1).
 __all__ = [
-    "cg",
     "CGResult",
-    "pcg",
     "jacobi_preconditioner",
     "ssor_preconditioner",
     "bicgstab",
@@ -52,6 +50,8 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        "repro.core.cg": ("CGResult",),
+        "repro.core.pcg": ("jacobi_preconditioner", "ssor_preconditioner"),
         "repro.core.krylov": ("bicgstab",),
         "repro.core.stability": (
             "orthogonality_check",

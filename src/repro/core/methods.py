@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from repro.sparse.csr import CSRMatrix
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sparse.csr import CSRMatrix
+    from repro.sim.matrices import SizeFacts
 
 __all__ = ["Scheme", "Method", "CostModel", "SchemeConfig"]
 
@@ -142,9 +145,17 @@ class CostModel:
 
     @classmethod
     def from_matrix(
-        cls, a: CSRMatrix, *, vector_ops: int = 10, include_tmr: bool = False
+        cls,
+        a: "CSRMatrix | SizeFacts",
+        *,
+        vector_ops: int = 10,
+        include_tmr: bool = False,
     ) -> "CostModel":
         """Flop-count-based cost model for matrix ``a``.
+
+        Only ``a.nrows``, ``a.nnz`` and ``a.memory_words`` are read, so a
+        matrix's :class:`repro.sim.matrices.SizeFacts` give the same
+        model without building it.
 
         One CG iteration costs ``2·nnz`` flops for the SpMxV plus
         ``vector_ops·n`` for the dots/axpys (Algorithm 1 has two dots

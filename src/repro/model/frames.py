@@ -12,8 +12,6 @@ closed forms including the ``q → 1`` (error-free) limits.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.util.validate import check_nonnegative, check_positive, check_probability
 
 __all__ = ["expected_time_lost", "expected_frame_time", "frame_overhead"]
@@ -91,7 +89,3 @@ def _check_common(s: int, t: float, t_verif: float, q: float) -> None:
     check_probability("q", q)
     if q == 0.0:
         raise ValueError("q must be positive: a chunk with q=0 never succeeds")
-
-
-def _as_float_array(x) -> np.ndarray:  # pragma: no cover - helper for sweeps
-    return np.asarray(x, dtype=np.float64)

@@ -30,8 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         suite_specs,
         workload_registry,
     )
-    from repro.sim.engine import RunStatistics, repeat_run
-    from repro.sim.results import Table1Row, Figure1Point, format_table1, format_figure1
+    from repro.sim.engine import repeat_run
+    from repro.sim.results import (
+        RunStatistics,
+        Table1Row,
+        Figure1Point,
+        format_table1,
+        format_figure1,
+    )
 
 __all__ = [
     "MatrixSpec",
@@ -63,8 +69,9 @@ __getattr__, __dir__ = lazy_exports(
             "suite_specs",
             "workload_registry",
         ),
-        "repro.sim.engine": ("RunStatistics", "repeat_run"),
+        "repro.sim.engine": ("repeat_run",),
         "repro.sim.results": (
+            "RunStatistics",
             "Table1Row",
             "Figure1Point",
             "format_table1",

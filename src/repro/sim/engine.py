@@ -12,21 +12,20 @@ campaigns stay bit-identical.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
 from repro.adaptive import SamplingPolicy, Welford, ci_bounds
 from repro.sparse.csr import CSRMatrix
 from repro.core.methods import Method, SchemeConfig
+from repro.sim.results import DEFAULT_CONFIDENCE, PER_REP_KEYS, RunStatistics
 from repro.util.rng import spawn_named
 
 # repro.resilience (the whole solve stack) is imported inside the rep
-# loop: aggregation and reporting import this module for RunStatistics
-# and must not pay for the engine.
+# loop.  RunStatistics and PER_REP_KEYS live in repro.sim.results, so
+# aggregation and reporting read records without importing this module,
+# which imports NumPy.
 
 __all__ = [
     "RunStatistics",
@@ -34,62 +33,6 @@ __all__ = [
     "make_rhs",
     "PER_REP_KEYS",
 ]
-
-#: Keys of the per-repetition payload dict shared by :func:`repeat_run`
-#: (``per_rep=`` / ``prior=`` / ``on_batch``) and the campaign
-#: partial-progress records: parallel lists, one entry per repetition,
-#: in repetition order.  Because the values are plain ints/floats/bools
-#: they JSON round-trip exactly, so a resumed run continues from a
-#: partial record bit-identically.
-PER_REP_KEYS = (
-    "times",
-    "iterations",
-    "rollbacks",
-    "corrections",
-    "faults",
-    "converged",
-)
-
-#: Confidence level used for the CI reported on fixed-count runs
-#: (adaptive runs use their policy's confidence instead).
-DEFAULT_CONFIDENCE = 0.95
-
-
-@dataclass(frozen=True)
-class RunStatistics:
-    """Aggregate of repeated runs at one parameter point."""
-
-    mean_time: float  #: mean simulated execution time (units of Titer)
-    std_time: float
-    min_time: float
-    max_time: float
-    mean_iterations: float  #: mean executed iterations
-    mean_rollbacks: float
-    mean_corrections: float
-    mean_faults: float
-    convergence_rate: float  #: fraction of reps that converged
-    reps: int
-    #: Student-t CI bounds on ``mean_time`` at ``confidence`` (None when
-    #: ``reps < 2`` or when rehydrating records from before the adaptive
-    #: layer existed).
-    ci_low: "float | None" = None
-    ci_high: "float | None" = None
-    confidence: "float | None" = None
-
-    @property
-    def sem_time(self) -> float:
-        """Standard error of the mean time."""
-        return self.std_time / math.sqrt(self.reps) if self.reps > 1 else 0.0
-
-    def to_json(self) -> dict:
-        """The record's ``"stats"`` payload (every field is a scalar, so
-        this equals ``dataclasses.asdict`` without its deep copy);
-        ``RunStatistics(**payload)`` inverts it."""
-        return dict(zip(_STATS_FIELDS, _stats_values(self)))
-
-
-_STATS_FIELDS = tuple(f.name for f in fields(RunStatistics))
-_stats_values = attrgetter(*_STATS_FIELDS)
 
 
 @lru_cache(maxsize=4)

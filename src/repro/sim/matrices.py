@@ -26,6 +26,13 @@ matrices cannot be rescaled (``scale`` must be 1 for explicit
 paths/names).  Note the environment does not enter campaign task
 hashes: don't resume a synthetic-suite store with ``REPRO_MATRIX_DIR``
 pointing at real matrices (or vice versa) — use separate stores.
+
+Size facts: the Section-4 model reads a matrix only through its
+dimension, its nonzeros and its word count M (:meth:`repro.core.methods
+.CostModel.from_matrix`).  :func:`size_facts` gives those three in
+closed form for a synthetic suite entry (``docs/DESIGN.md`` §2), so
+compiling a campaign builds no matrix and imports no NumPy; file-backed
+workloads are loaded to count them.
 """
 
 from __future__ import annotations
@@ -34,12 +41,15 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.generators import stencil_spd
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "MatrixSpec",
+    "SizeFacts",
+    "size_facts",
     "PAPER_SUITE",
     "MATRIX_DIR_ENV",
     "suite_specs",
@@ -54,6 +64,15 @@ MATRIX_DIR_ENV = "REPRO_MATRIX_DIR"
 
 #: Recognized Matrix-Market suffixes (scipy reads ``.gz`` transparently).
 _MM_SUFFIXES = (".mtx", ".mtx.gz")
+
+
+class SizeFacts(NamedTuple):
+    """What the Section-4 model reads of a matrix, under the attribute
+    names :class:`repro.sparse.csr.CSRMatrix` gives them."""
+
+    nrows: int
+    nnz: int
+    memory_words: int  #: M = 2·nnz + nrows + 1 (values, column ids, row pointers)
 
 
 @dataclass(frozen=True)
@@ -101,8 +120,30 @@ class MatrixSpec:
             raise ValueError(f"scale must be >= 1, got {scale}")
         return max(512, self.n // scale)
 
+    def size_facts(self, scale: int = 1) -> SizeFacts:
+        """``instantiate(scale)``'s size, counted without building it.
+
+        The stencil lives on a ``side × side`` grid with ``side =
+        max(2, round(√scaled_n))``, and stencil offset ``(dx, dy)``
+        couples the ``(side − |dx|)·(side − |dy|)`` grid points whose
+        neighbour at that offset is inside the grid (the centre is the
+        diagonal), so ``nnz`` is the sum of those counts.
+        """
+        side = max(2, int(round(self.scaled_n(scale) ** 0.5)))
+        reach = range(-self.radius, self.radius + 1)
+        nnz = sum(
+            max(0, side - abs(dx)) * max(0, side - abs(dy))
+            for dx in reach
+            for dy in reach
+            if self.kind == "box" or dx == 0 or dy == 0
+        )
+        nrows = side * side
+        return SizeFacts(nrows, nnz, 2 * nnz + nrows + 1)
+
     def instantiate(self, scale: int = 1) -> CSRMatrix:
         """Build the matrix at the given scale (deterministic per uid)."""
+        from repro.sparse.generators import stencil_spd
+
         return stencil_spd(
             self.scaled_n(scale),
             kind=self.kind,
@@ -223,6 +264,22 @@ def get_matrix(uid: "int | str | os.PathLike", scale: int = 1) -> CSRMatrix:
         if real is not None:
             return _load_workload(str(real))
     return _synthesize(uid, scale)
+
+
+def size_facts(uid: "int | str | os.PathLike", scale: int = 1) -> SizeFacts:
+    """``(nrows, nnz, memory_words)`` of ``get_matrix(uid, scale)``.
+
+    A synthetic suite entry is counted in closed form
+    (:meth:`MatrixSpec.size_facts`) and nothing is built; a
+    Matrix-Market path, a registered workload name, or a paper id that
+    ``REPRO_MATRIX_DIR`` registers at ``scale=1`` is loaded through
+    :func:`get_matrix` (and cached there) to count it.
+    """
+    if not isinstance(uid, (str, os.PathLike)) and matrix_source(uid, scale) == "synthetic":
+        (spec,) = suite_specs([uid])
+        return spec.size_facts(scale)
+    a = get_matrix(uid, scale)
+    return SizeFacts(a.nrows, a.nnz, a.memory_words)
 
 
 def matrix_source(uid: "int | str | os.PathLike", scale: int = 1) -> str:

@@ -1,5 +1,11 @@
 """Result containers and paper-style rendering.
 
+:class:`RunStatistics` is the aggregate of one parameter point's
+repetitions (:func:`repro.sim.engine.repeat_run` builds it; campaign
+records carry it as their ``"stats"`` payload).  It lives here, with the
+rows built from it, so that aggregation and reporting read records
+without importing the rep loop or NumPy.
+
 The formatters print the same rows/series the paper reports: Table 1's
 ``(id, n, density, s̃, Et(s̃), s*, Et(s*), l)`` per scheme, and Figure
 1's per-matrix time-vs-MTBF series (rendered as aligned text columns —
@@ -10,9 +16,14 @@ straight into any plotting tool).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 __all__ = [
+    "RunStatistics",
+    "PER_REP_KEYS",
+    "DEFAULT_CONFIDENCE",
     "Table1Row",
     "Figure1Point",
     "format_table1",
@@ -21,6 +32,62 @@ __all__ = [
     "to_csv",
 ]
 
+
+#: Keys of the per-repetition payload dict shared by
+#: :func:`repro.sim.engine.repeat_run` (``per_rep=`` / ``prior=`` /
+#: ``on_batch``) and the campaign partial-progress records: parallel
+#: lists, one entry per repetition, in repetition order.  Because the
+#: values are plain ints/floats/bools they JSON round-trip exactly, so
+#: a resumed run continues from a partial record bit-identically.
+PER_REP_KEYS = (
+    "times",
+    "iterations",
+    "rollbacks",
+    "corrections",
+    "faults",
+    "converged",
+)
+
+#: Confidence level used for the CI reported on fixed-count runs
+#: (adaptive runs use their policy's confidence instead).
+DEFAULT_CONFIDENCE = 0.95
+
+
+@dataclass(frozen=True)
+class RunStatistics:
+    """Aggregate of repeated runs at one parameter point."""
+
+    mean_time: float  #: mean simulated execution time (units of Titer)
+    std_time: float
+    min_time: float
+    max_time: float
+    mean_iterations: float  #: mean executed iterations
+    mean_rollbacks: float
+    mean_corrections: float
+    mean_faults: float
+    convergence_rate: float  #: fraction of reps that converged
+    reps: int
+    #: Student-t CI bounds on ``mean_time`` at ``confidence`` (None when
+    #: ``reps < 2`` or when rehydrating records from before the adaptive
+    #: layer existed).
+    ci_low: "float | None" = None
+    ci_high: "float | None" = None
+    confidence: "float | None" = None
+
+    @property
+    def sem_time(self) -> float:
+        """Standard error of the mean time."""
+        return self.std_time / math.sqrt(self.reps) if self.reps > 1 else 0.0
+
+    def to_json(self) -> dict:
+        """The record's ``"stats"`` payload (every field is a scalar, so
+        this equals ``dataclasses.asdict`` without its deep copy);
+        ``RunStatistics(**payload)`` inverts it."""
+        return dict(zip(_STATS_FIELDS, _stats_values(self)))
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(RunStatistics))
+_stats_values = attrgetter(*_STATS_FIELDS)
 
 @dataclass(frozen=True)
 class Table1Row:

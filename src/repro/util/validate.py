@@ -6,7 +6,10 @@ broadcast errors surface deep inside a solver loop.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "check_positive",
@@ -47,6 +50,8 @@ def check_square(name: str, shape: tuple[int, ...]) -> int:
 
 def check_vector(name: str, x: np.ndarray, n: int | None = None) -> np.ndarray:
     """Require a 1-D float array, optionally of length ``n``."""
+    import numpy as np
+
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got ndim={arr.ndim}")

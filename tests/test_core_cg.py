@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import cg
+from repro import cg
 from repro.sparse import laplacian_2d, random_spd, stencil_spd
 
 

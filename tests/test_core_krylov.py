@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import bicgstab, cg
+from repro import cg
+from repro.core import bicgstab
 from repro.sparse import CSRMatrix, stencil_spd
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.abft import SpmvStatus, compute_checksums, protected_spmv
-from repro.core import cg, pcg, jacobi_preconditioner, ssor_preconditioner
+from repro import cg, pcg
+from repro.core import jacobi_preconditioner, ssor_preconditioner
 from repro.sim.engine import make_rhs
 from repro.sim.matrices import get_matrix
 from repro.sparse import CSRMatrix, stencil_spd

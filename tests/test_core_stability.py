@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import cg, chen_verify, orthogonality_check, residual_check
+from repro import cg
+from repro.core import chen_verify, orthogonality_check, residual_check
 from repro.core.stability import VerificationReport
 from repro.sparse import spmv
 

@@ -2,7 +2,10 @@
 
 Every check runs the command in a fresh interpreter and looks at
 ``sys.modules`` after ``main()`` returns, so the numbers are exact and
-repeatable (no timing).  The second half blocks SciPy
+repeatable (no timing).  A dry run and a resume that finds nothing
+pending compile from closed-form matrix size facts and load neither
+NumPy nor the solve stack; with NumPy refused they print the same
+bytes.  The second half blocks SciPy
 (``sys.modules["scipy"] = None``) and checks that the default campaign
 path does not notice, and that everything which *does* need SciPy says
 so in one line instead of silently degrading.  A ``scipy``-backend
@@ -28,6 +31,18 @@ json.dump({{"codes": codes, "stdout": out.getvalue(), "stderr": err.getvalue(),
 """
 
 BLOCK_SCIPY = 'sys.modules["scipy"] = None'
+
+#: A meta-path finder that refuses NumPy (and so everything built on it).
+BLOCK_NUMPY = """
+class _RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+sys.meta_path.insert(0, _RefuseNumpy())
+"""
+
+#: What a dry run or a settled resume must not load.
+SOLVE_STACK = ("numpy", "scipy", "repro.sim.engine", "repro.sparse", "repro.resilience")
 
 #: Counts the in-process solves' ABFT repairs by kind; ``probe()`` (a
 #: prelude's hook, dumped after the commands) reports them and whether
@@ -103,15 +118,37 @@ def test_store_readers_load_no_solver_stack(run_cli, settled_store, command, bud
     assert len(loaded(res, "repro")) <= budget
 
 
-def test_dry_run_loads_no_engine_no_fleet(run_cli, tmp_path):
+def _save_studies(root):
+    """The three dry-run specs: a table1 sweep, a figure1 grid at the
+    paper's scale, and an adaptive ``scipy``-backend study."""
     from repro import Study
 
-    Study.table1(scale=128, reps=1, uids=[1312], s_span=1).save(tmp_path / "spec.json")
-    res = run_cli(["study", "run", "spec.json", "--dry-run"])
-    assert res["codes"] == [0] and "study 'table1': 19 tasks" in res["stdout"]
-    assert loaded(
-        res, "scipy", "repro.resilience", "repro.campaign.serve", "repro.chaos"
-    ) == []
+    specs = {
+        "table1": Study.table1(scale=128, reps=1, uids=[1312], s_span=1),
+        "figure1-scale1": Study.figure1(scale=1, reps=1, uids=[2213, 341],
+                                        mtbf_values=[4.0, 16.0]),
+        "adaptive-scipy": Study.figure1(scale=64, reps=1, uids=[1312], mtbf_values=[16.0],
+                                        backend="scipy",
+                                        sampling="ci=0.25,conf=0.9,min=2,max=4"),
+    }
+    for name, study in specs.items():
+        study.save(root / f"{name}.json")
+    return sorted(specs)
+
+
+def test_dry_run_loads_no_engine_no_fleet(run_cli, tmp_path):
+    """Compiling reads each matrix's size facts in closed form, so no
+    spec needs NumPy, the rep loop or ``repro.sparse`` to list its
+    tasks, and a process that refuses NumPy prints the same listing."""
+    names = _save_studies(tmp_path)
+    commands = [["study", "run", f"{n}.json", "--dry-run"] for n in names]
+    free = run_cli(*commands)
+    assert free["codes"] == [0, 0, 0]
+    assert "study 'table1': 19 tasks" in free["stdout"] and "backend=scipy" in free["stdout"]
+    assert loaded(free, *SOLVE_STACK, "repro.campaign.serve", "repro.chaos") == []
+    blocked = run_cli(*commands, prelude=BLOCK_NUMPY)
+    assert blocked["codes"] == [0, 0, 0]
+    assert blocked["stdout"] == free["stdout"]
 
 
 def test_dry_run_of_a_scipy_backend_study_never_imports_scipy(run_cli, tmp_path):
@@ -128,9 +165,24 @@ def test_dry_run_of_a_scipy_backend_study_never_imports_scipy(run_cli, tmp_path)
 
 
 def test_resume_on_a_settled_store_loads_no_engine(run_cli, settled_store):
-    res = run_cli(SMOKE + ["--store", "store.jsonl", "--resume"])
+    free = run_cli(SMOKE + ["--store", "store.jsonl", "--resume"], ["report", "store.jsonl"])
+    assert free["codes"] == [0, 0]
+    assert loaded(free, *SOLVE_STACK, "repro.abft", "repro.faults") == []
+    blocked = run_cli(SMOKE + ["--store", "store.jsonl", "--resume"], ["report", "store.jsonl"],
+                      prelude=BLOCK_NUMPY)
+    assert blocked["codes"] == [0, 0]
+    assert blocked["stdout"] == free["stdout"]
+
+
+def test_fleet_dispatcher_loads_the_rep_loop_before_forking(run_cli):
+    """Compiling no longer loads NumPy, so the ``--jobs`` dispatcher
+    imports the rep loop and the matrix generator itself, once, for its
+    forked workers to inherit (it runs no task, so nothing else would)."""
+    jobs = SMOKE[: SMOKE.index("--jobs")] + ["--jobs", "2", "--progress", "none"]
+    res = run_cli(jobs)
     assert res["codes"] == [0]
-    assert loaded(res, "scipy", "repro.resilience", "repro.abft", "repro.faults") == []
+    assert {"numpy", "repro.sim.engine", "repro.sparse.generators"} <= set(res["modules"])
+    assert loaded(res, "repro.resilience") == []
 
 
 def test_reference_campaign_never_imports_scipy(run_cli):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Scheme, SchemeConfig, cg
+from repro import cg
+from repro.core import CostModel, Scheme, SchemeConfig
 from repro.resilience import run_ft_method
 from repro.model import model_for_scheme
 from repro.sim.engine import make_rhs, repeat_run

@@ -4,7 +4,8 @@ What must keep working exactly as when every ``__init__`` imported its
 submodules eagerly: ``__all__`` resolves name by name, ``import *``,
 ``dir()``, identity with the defining module, attribute access to
 never-imported subpackages, pickling across the campaign fork pool —
-and the three names that are both a submodule and a function.
+and ``repro.sparse.spmv``, the one name that is both a submodule and a
+function.
 """
 
 import importlib
@@ -61,14 +62,11 @@ def test_lazy_name_is_the_defining_modules_object():
     assert vars(repro)["Study"] is repro.Study
 
 
-@pytest.mark.parametrize(
-    "package, name",
-    [("repro.sparse", "spmv"), ("repro.core", "cg"), ("repro.core", "pcg")],
-)
+@pytest.mark.parametrize("package, name", [("repro.sparse", "spmv")])
 def test_submodule_function_collisions_stay_functions(package, name, cold_python):
-    """Importing ``pkg.name`` the *module* rebinds ``pkg.name``; these
-    three are bound eagerly after that import, so whatever order
-    modules load in, the package attribute is the function."""
+    """Importing ``pkg.name`` the *module* rebinds ``pkg.name``; this one
+    is bound eagerly after that import, so whatever order modules load
+    in, the package attribute is the function."""
     code = (
         f"import importlib, types\n"
         f"import {package}.{name}\n"
@@ -84,6 +82,32 @@ def test_submodule_function_collisions_stay_functions(package, name, cold_python
     pkg = importlib.import_module(package)
     assert isinstance(getattr(pkg, name), types.FunctionType)
     assert isinstance(sys.modules[f"{package}.{name}"], types.ModuleType)
+
+
+class TestRetiredSpellings:
+    """``from repro.core import cg`` / ``pcg`` no longer name the plain
+    solvers: ``repro.core`` runs no solver code on import, so those names
+    are its submodules, and the functions are ``repro.cg`` / ``repro.pcg``
+    (or ``repro.core.cg.cg`` / ``repro.core.pcg.pcg``)."""
+
+    @pytest.mark.parametrize("name", ["cg", "pcg"])
+    def test_core_names_the_submodule_and_repro_the_function(self, name, cold_python):
+        code = (
+            f"import sys, types\n"
+            f"import repro.core\n"
+            f"assert 'numpy' not in sys.modules\n"
+            f"from repro.core import {name} as mod\n"
+            f"assert isinstance(mod, types.ModuleType), mod\n"
+            f"assert mod is sys.modules['repro.core.{name}']\n"
+            f"import repro\n"
+            f"fn = repro.{name}\n"
+            f"assert isinstance(fn, types.FunctionType), fn\n"
+            f"assert fn is mod.{name}\n"
+            f"assert repro.core.{name} is mod\n"
+        )
+        done = cold_python(code)
+        assert done.returncode == 0, done.stderr
+        assert name not in repro.core.__all__ and name in repro.__all__
 
 
 def test_unimported_subpackages_are_reachable_as_attributes(cold_python):

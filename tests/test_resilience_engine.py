@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core import Method, Scheme, SchemeConfig, pcg
+from repro import pcg
+from repro.core import Method, Scheme, SchemeConfig
 from repro.resilience import (
     BiCGstabPlugin,
     CGPlugin,

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.methods import CostModel
 from repro.sim import PAPER_SUITE, get_matrix, suite_specs
+from repro.sim.matrices import MATRIX_DIR_ENV, SizeFacts, clear_matrix_cache, size_facts
 from repro.sparse.validate import is_structurally_valid
 
 
@@ -66,3 +68,44 @@ class TestInstantiation:
     def test_deterministic(self):
         spec = suite_specs([924])[0]
         assert spec.instantiate(scale=64).equals(spec.instantiate(scale=64))
+
+
+class TestSizeFacts:
+    """Compile reads a matrix's size in closed form; these lock it to
+    the synthesized matrix's counts, and the cost model built from them
+    to the one built from the matrix, float for float."""
+
+    SCALES = (1, 2, 4, 8, 16, 32, 64, 128, 10**4)
+
+    @pytest.fixture(autouse=True)
+    def _no_registry_and_no_kept_matrices(self, monkeypatch):
+        monkeypatch.delenv(MATRIX_DIR_ENV, raising=False)
+        yield
+        clear_matrix_cache()  # every suite matrix at every scale: don't keep them
+
+    @pytest.mark.parametrize("uid", [s.uid for s in PAPER_SUITE])
+    def test_closed_form_equals_the_synthesized_matrix(self, uid):
+        for scale in self.SCALES:
+            a = get_matrix(uid, scale)
+            facts = size_facts(uid, scale)
+            assert facts == (a.nrows, a.nnz, a.memory_words), scale
+            assert facts == suite_specs([uid])[0].size_facts(scale)
+            assert CostModel.from_matrix(facts) == CostModel.from_matrix(a), scale
+
+    def test_a_uid_registered_at_paper_scale_takes_the_file(self, tmp_path, monkeypatch):
+        from repro.sparse import stencil_spd
+        from repro.sparse.io import save_matrix_market
+
+        real = stencil_spd(81, kind="box", radius=2)
+        save_matrix_market(real, tmp_path / "1312.mtx")
+        monkeypatch.setenv(MATRIX_DIR_ENV, str(tmp_path))
+        assert size_facts(1312, 1) == SizeFacts(real.nrows, real.nnz, real.memory_words)
+        assert size_facts(str(tmp_path / "1312.mtx")) == size_facts(1312, 1)
+        # Scaled-down requests keep the closed form of the suite entry.
+        assert size_facts(1312, 64) == suite_specs([1312])[0].size_facts(64)
+
+    def test_unknown_uid_and_bad_scale_raise_as_get_matrix_does(self):
+        with pytest.raises(KeyError, match="unknown matrix ids"):
+            size_facts(4242, 8)
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            size_facts(341, 0)
