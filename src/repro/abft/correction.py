@@ -128,8 +128,9 @@ def _current_column_checksums(
     (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`) may be passed
     in when the caller evaluates several candidate repairs against an
     unchanged ``rowidx`` with in-range trial indices (the z = 2 colid
-    trial loop).  One nnz-length array is live at a time: each check's
-    weights, expanded per row and multiplied by ``val`` in place.
+    trial loop).  At most one nnz-length array is live: the ramp
+    check's weights, expanded per row and multiplied by ``val`` in
+    place (the unit check scatters ``val`` itself).
     """
     n_cols = a.ncols
     out = np.zeros((cks.nchecks, n_cols), dtype=np.float64)
@@ -149,15 +150,15 @@ def _current_column_checksums(
     if wild.size:
         a.colid[wild] = np.mod(held, n_cols)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for l in range(cks.nchecks):
-                w = np.repeat(cks.weights[l], counts)[:m]
-                np.multiply(val, w, out=w)
-                # bincount accumulates in the same sequential item order
-                # as the np.add.at it replaces (bit-identical sums), at a
-                # fraction of the cost.
-                out[l] = np.bincount(cols, weights=w, minlength=n_cols)
-                del w  # before the next check's: never two at once
+        # bincount accumulates in the same sequential item order as the
+        # np.add.at it replaces (bit-identical sums), at a fraction of
+        # the cost.  Check 0's weights are all ones and ``val · 1`` is
+        # ``val`` bit for bit, so only the ramp row is expanded.
+        out[0] = np.bincount(cols, weights=val, minlength=n_cols)
+        for l in range(1, cks.nchecks):
+            w = np.repeat(cks.weights[l], counts)[:m]
+            np.multiply(val, w, out=w)
+            out[l] = np.bincount(cols, weights=w, minlength=n_cols)
     finally:
         if wild.size:
             a.colid[wild] = held
@@ -188,7 +189,9 @@ def correct_errors(
 
     Parameters mirror the state of :func:`repro.abft.spmv.protected_spmv`
     at verification time; ``residuals`` is the failed
-    :class:`~repro.abft.spmv.SpmvResiduals`.
+    :class:`~repro.abft.spmv.SpmvResiduals`.  The caller owns the
+    floating-point error state (:func:`~repro.abft.spmv.protected_spmv`
+    silences it): a decode of corrupted data overflows by design.
     """
     n = a.nrows
 
@@ -251,8 +254,7 @@ def correct_errors(
             # announces itself: locate the unique non-finite or
             # astronomically large entry of y and fall through to the
             # column-checksum decode.
-            with np.errstate(invalid="ignore"):
-                suspicious = np.nonzero(~np.isfinite(y) | (np.abs(y) > 1e150))[0]
+            suspicious = np.nonzero(~np.isfinite(y) | (np.abs(y) > 1e150))[0]
             if suspicious.size != 1:
                 return CorrectionOutcome(
                     False, "none", detail="dx residuals non-finite, row ambiguous"
@@ -260,8 +262,7 @@ def correct_errors(
             d = int(suspicious[0])
 
         cur = _current_column_checksums(a, cks)
-        with np.errstate(invalid="ignore"):
-            diff = cks.column_checksums - cur
+        diff = cks.column_checksums - cur
         col_tol = cks.tolerance.per_check_factor[:, None]
         flagged = np.nonzero(
             np.any(~np.isfinite(diff) | (np.abs(diff) > col_tol), axis=0)

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import spmv_kernel
 from repro.abft.checksums import SpmvChecksums, compute_checksums
 
 __all__ = ["SpmvStatus", "SpmvResiduals", "ProtectedSpmvResult", "protected_spmv", "detect_errors"]
@@ -60,6 +60,45 @@ class SpmvStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"  #: ≥ 2 errors; caller must roll back
 
 
+#: One verification pass's residual groups as Python floats:
+#: ``(dr, dx, dxp, thresholds)``, one entry per checksum row each.
+Check = tuple[list[float], list[float], list[float], list[float]]
+
+
+def _rows_flagged(dr: "list[float]") -> bool:
+    """The exact row-pointer test fails.
+
+    Pointers are integers, so any true discrepancy is ≥ 1; a non-finite
+    residual (overflowed corrupted pointer) also flags.
+    """
+    for v in dr:
+        if not math.isfinite(v) or abs(v) >= 0.5:
+            return True
+    return False
+
+
+def _over(residuals: "list[float]", thresholds: "list[float]") -> bool:
+    """A residual exceeds its Theorem-2 threshold.
+
+    NaN/inf residuals — a flipped exponent bit can push a value to
+    ~1e300 and overflow the checksum algebra — always flag.
+    """
+    for v, t in zip(residuals, thresholds):
+        if not math.isfinite(v) or abs(v) > t:
+            return True
+    return False
+
+
+def _clean(check: Check) -> bool:
+    """The verdict: every test of one pass passes.
+
+    Scalar arithmetic on purpose: the groups hold one or two floats,
+    and ndarray reductions over them cost more than the comparisons.
+    """
+    dr, dx, dxp, thresholds = check
+    return not (_rows_flagged(dr) or _over(dx, thresholds) or _over(dxp, thresholds))
+
+
 @dataclass(frozen=True)
 class SpmvResiduals:
     """The raw checksum residuals of one verification pass."""
@@ -69,48 +108,34 @@ class SpmvResiduals:
     dxp: np.ndarray  #: input-vector residuals, one per checksum row
     thresholds: np.ndarray  #: Theorem-2 thresholds for dx/dxp rows
 
+    @classmethod
+    def from_check(cls, check: Check) -> "SpmvResiduals":
+        """The arrays of one pass's float groups."""
+        return cls(*(np.array(group, dtype=np.float64) for group in check))
+
     @property
     def rowidx_flagged(self) -> bool:
-        """True when the (exact) row-pointer test fails.
-
-        Pointers are integers, so any true discrepancy is ≥ 1; a
-        non-finite residual (overflowed corrupted pointer) also flags.
-        """
-        # Scalar arithmetic on purpose: these residual vectors have one
-        # or two entries, and the ndarray reductions this replaces cost
-        # ~15µs per protected product — pure dispatch overhead.
-        for v in self.dr.tolist():
-            if not math.isfinite(v) or abs(v) >= 0.5:
-                return True
-        return False
+        """True when the (exact) row-pointer test fails (see :func:`_rows_flagged`)."""
+        return _rows_flagged(self.dr.tolist())
 
     @property
     def dx_flagged(self) -> bool:
-        """True when the matrix/computation test exceeds tolerance.
-
-        NaN/inf residuals — a flipped exponent bit can push a value to
-        ~1e300 and overflow the checksum algebra — always flag.
-        """
-        for v, t in zip(self.dx.tolist(), self.thresholds.tolist()):
-            if not math.isfinite(v) or abs(v) > t:
-                return True
-        return False
+        """True when the matrix/computation test exceeds tolerance (NaN/inf flags)."""
+        return _over(self.dx.tolist(), self.thresholds.tolist())
 
     @property
     def dxp_flagged(self) -> bool:
         """True when the input-vector test exceeds tolerance (NaN/inf flags)."""
-        for v, t in zip(self.dxp.tolist(), self.thresholds.tolist()):
-            if not math.isfinite(v) or abs(v) > t:
-                return True
-        return False
+        return _over(self.dxp.tolist(), self.thresholds.tolist())
 
     @property
     def clean(self) -> bool:
         """True when every test passes."""
-        return not (self.rowidx_flagged or self.dx_flagged or self.dxp_flagged)
+        return _clean(
+            (self.dr.tolist(), self.dx.tolist(), self.dxp.tolist(), self.thresholds.tolist())
+        )
 
 
-@dataclass
 class ProtectedSpmvResult:
     """Result of :func:`protected_spmv`.
 
@@ -123,15 +148,34 @@ class ProtectedSpmvResult:
         See :class:`SpmvStatus`.
     residuals:
         The residuals of the *first* verification pass (before any
-        correction), for diagnostics.
+        correction), for diagnostics.  A product that verified clean
+        keeps them as floats and builds the :class:`SpmvResiduals`
+        only when this is read.
     correction:
         The correction outcome when a repair was attempted, else None.
     """
 
-    y: np.ndarray
-    status: SpmvStatus
-    residuals: SpmvResiduals
-    correction: "object | None" = field(default=None)
+    __slots__ = ("y", "status", "correction", "_residuals")
+
+    def __init__(
+        self,
+        y: np.ndarray,
+        status: SpmvStatus,
+        residuals: "SpmvResiduals | Check",
+        correction: "object | None" = None,
+    ) -> None:
+        self.y = y
+        self.status = status
+        self.correction = correction
+        # The SpmvResiduals, or a clean product's float groups until read.
+        self._residuals = residuals
+
+    @property
+    def residuals(self) -> SpmvResiduals:
+        res = self._residuals
+        if type(res) is tuple:
+            res = self._residuals = SpmvResiduals.from_check(res)
+        return res
 
     @property
     def trusted(self) -> bool:
@@ -155,8 +199,13 @@ def _verify(
     cks: SpmvChecksums,
     buffers: "tuple | None" = None,
     dr_zero: bool = False,
-) -> SpmvResiduals:
+) -> Check:
     """Evaluate all checksum residuals for the current state.
+
+    Each group comes back as Python floats, for :func:`_clean`.  The
+    caller owns the floating-point error state: corrupted data can hold
+    ±1e300-scale values whose checksum algebra overflows, and the
+    resulting inf/NaN residuals flag, so the overflow is expected.
 
     ``buffers`` — optional workspace pair ``(ridx, xdiff)`` of O(n)
     ``float64`` scratch arrays for the row-pointer cast and the
@@ -169,55 +218,50 @@ def _verify(
     the same bytes.
     """
     w = cks.weights
-    c = cks.column_checksums
-    # Corrupted data can hold ±1e300-scale values whose checksum algebra
-    # overflows; the resulting inf/NaN residuals are flagged as errors,
-    # so the overflow itself is expected, not exceptional.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Row-pointer test (exact integer arithmetic in float64).
-        if dr_zero:
-            dr = np.zeros(cks.nchecks, dtype=np.float64)
+    # Row-pointer test (exact integer arithmetic in float64).
+    if dr_zero:
+        dr = [0.0] * cks.nchecks
+    else:
+        if buffers is None:
+            ridx = a.rowidx[1:].astype(np.float64)
         else:
-            if buffers is None:
-                ridx = a.rowidx[1:].astype(np.float64)
-            else:
-                ridx = buffers[0]
-                np.copyto(ridx, a.rowidx[1:])  # casting copy ≡ astype
-            sr = w @ ridx
-            dr = cks.rowidx_checksums - sr
-        # Matrix/computation test: Wᵀy − Cᵀx̃.
-        dx = w @ y - c @ x
-        # Input-vector test.
-        if cks.nchecks == 1:
-            # Theorem-1 shifted form: (c+k)ᵀx' − (Σy + kΣx̃).
-            shifted = cks.shifted_first_row
-            dxp = np.array([float(shifted @ x_ref - (y.sum() + cks.shift * x.sum()))])
-        else:
-            # Algorithm-2 line-22 form: Wᵀ(x'−y) − (W−C)ᵀx̃.
-            wmc = cks.weights_minus_checksums
-            if buffers is None:
-                dxp = w @ (x_ref - y) - wmc @ x
-            else:
-                diff = buffers[1]
-                np.subtract(x_ref, y, out=diff)
-                dxp = w @ diff - wmc @ x
-        # Theorem 2 bounds the rounding of the products actually computed,
-        # which involve the *live* x̃ (possibly corrupted, hence possibly
-        # much larger than the snapshot); take the max of both magnitudes
-        # so a large corruption of x cannot push benign rounding of the
-        # matrix test over its threshold.
-        if x_ref is x:  # no snapshot was needed: one magnitude
-            x_inf = float(np.abs(x).max()) if x.shape[0] else 0.0
-        elif x.shape[0]:
-            # ``initial=0.0`` is redundant for nonempty |·| arrays (all
-            # entries ≥ 0) and routes through the slow reduction wrapper.
-            x_inf = float(max(np.abs(x_ref).max(), np.abs(x).max()))
-        else:
-            x_inf = 0.0
+            ridx = buffers[0]
+            np.copyto(ridx, a.rowidx[1:])  # casting copy ≡ astype
+        dr = (cks.rowidx_checksums - w.dot(ridx)).tolist()
+    # Matrix/computation test: Wᵀy − Cᵀx̃.  (``ndarray.dot`` makes the
+    # BLAS call ``@`` makes, bit for bit, with less dispatch around it.)
+    dx = (w.dot(y) - cks.column_checksums.dot(x)).tolist()
+    # Input-vector test.
+    if cks.nchecks == 1:
+        # Theorem-1 shifted form: (c+k)ᵀx' − (Σy + kΣx̃).  ``add.reduce``
+        # is what ``ndarray.sum`` calls, without its Python wrapper.  The
+        # arithmetic stays on NumPy scalars: with two NaN operands, which
+        # one's sign survives depends on the operand order they use.
+        sy, sx = np.add.reduce(y), np.add.reduce(x)
+        dxp = [float(cks.shifted_first_row.dot(x_ref) - (sy + cks.shift * sx))]
+    else:
+        # Algorithm-2 line-22 form: Wᵀ(x'−y) − (W−C)ᵀx̃.
+        diff = x_ref - y if buffers is None else np.subtract(x_ref, y, out=buffers[1])
+        dxp = (w.dot(diff) - cks.weights_minus_checksums.dot(x)).tolist()
+    # Theorem 2 bounds the rounding of the products actually computed,
+    # which involve the *live* x̃ (possibly corrupted, hence possibly
+    # much larger than the snapshot); take the max of both magnitudes
+    # so a large corruption of x cannot push benign rounding of the
+    # matrix test over its threshold.  ``maximum.reduce`` is what
+    # ``ndarray.max`` calls, without its Python wrapper.
+    if not x.shape[0]:
+        x_inf = 0.0
+    elif x_ref is x:  # no snapshot was needed: one magnitude
+        mag = np.abs(x) if buffers is None else np.abs(x, out=buffers[1])
+        x_inf = float(np.maximum.reduce(mag))
+    else:
+        # Python's max of the two: a NaN second operand loses to the first.
+        x_inf = max(
+            float(np.maximum.reduce(np.abs(x_ref))), float(np.maximum.reduce(np.abs(x)))
+        )
     if not math.isfinite(x_inf):
         x_inf = float(np.abs(x_ref).max(initial=0.0))
-    thresholds = cks.tolerance.thresholds(x_inf)
-    return SpmvResiduals(dr=dr, dx=dx, dxp=dxp, thresholds=thresholds)
+    return dr, dx, dxp, cks.tolerance.threshold_list(x_inf)
 
 
 def protected_spmv(
@@ -293,7 +337,41 @@ def protected_spmv(
         raise ValueError(
             f"checksums were computed for shape {checksums.shape}, matrix is {a.shape}"
         )
+    if x.shape != (a.ncols,):
+        raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+    # Corrupted data overflows the kernel and the checksum algebra; the
+    # inf/NaN it leaves is what flags, so the overflow is expected.
+    with np.errstate(all="ignore"):
+        return verified_spmv(
+            a,
+            x,
+            checksums,
+            correct,
+            fault_hook,
+            ratio_tol,
+            workspace,
+            trust_structure_stamp,
+            backend,
+        )
 
+
+def verified_spmv(
+    a: CSRMatrix,
+    x: np.ndarray,
+    checksums: SpmvChecksums,
+    correct: bool,
+    fault_hook: "Callable | None" = None,
+    ratio_tol: float = 1e-4,
+    workspace: "object | None" = None,
+    trust_structure_stamp: bool = False,
+    backend: "object | None" = None,
+) -> ProtectedSpmvResult:
+    """:func:`protected_spmv` without its per-call guards, for callers
+    that own them: ``x`` is a ``float64`` array of shape ``(a.ncols,)``,
+    ``checksums`` fit ``a`` and ``correct``, and the caller sets the
+    floating-point error state.  The resilience engine's protected
+    products come here, under the one ``np.errstate`` of their solve.
+    """
     # Reliable snapshot (Algorithm 2 line 3) and input checksum (line 10),
     # taken before any unreliable work — when something can still write
     # x.  Without a fault hook nothing does before verification, so the
@@ -311,11 +389,11 @@ def protected_spmv(
         x_ref = _snapshot(x, x_buf)
         cx = checksums.x_checksums(x)
         fault_hook("pre", a, x, None)
-    y = spmv(a, x, out=y_buf, scratch=scratch, backend=backend)
+    y = spmv_kernel(a, x, y_buf, scratch, backend)
     if fault_hook is not None:
         fault_hook("post", a, x, y)
 
-    residuals = _verify(
+    check = _verify(
         a,
         x,
         y,
@@ -325,16 +403,17 @@ def protected_spmv(
         # The stamp, or a workspace's wild-set hint: both certify rowidx.
         dr_zero=trust_structure_stamp and a.rows_clean,
     )
-    if residuals.clean:
-        return ProtectedSpmvResult(y=y, status=SpmvStatus.OK, residuals=residuals)
+    if _clean(check):
+        return ProtectedSpmvResult(y, SpmvStatus.OK, check)
 
     # Metrics only on the rare non-clean outcomes: the clean path above
     # (the overwhelmingly common one) stays counter-free by design.
     from repro.obs.metrics import METRICS
 
+    residuals = SpmvResiduals.from_check(check)
     if not correct:
         METRICS.inc("abft.detected")
-        return ProtectedSpmvResult(y=y, status=SpmvStatus.DETECTED, residuals=residuals)
+        return ProtectedSpmvResult(y, SpmvStatus.DETECTED, residuals)
 
     from repro.abft.correction import correct_errors
 
@@ -348,16 +427,11 @@ def protected_spmv(
     )
     if outcome.corrected:
         # Re-verify after repair: the repaired state must be fully clean.
-        post = _verify(a, x, y, x_ref, checksums, verify_buffers)
-        if post.clean:
+        if _clean(_verify(a, x, y, x_ref, checksums, verify_buffers)):
             METRICS.inc("abft.corrected")
-            return ProtectedSpmvResult(
-                y=y, status=SpmvStatus.CORRECTED, residuals=residuals, correction=outcome
-            )
+            return ProtectedSpmvResult(y, SpmvStatus.CORRECTED, residuals, outcome)
     METRICS.inc("abft.uncorrectable")
-    return ProtectedSpmvResult(
-        y=y, status=SpmvStatus.UNCORRECTABLE, residuals=residuals, correction=outcome
-    )
+    return ProtectedSpmvResult(y, SpmvStatus.UNCORRECTABLE, residuals, outcome)
 
 
 def detect_errors(
@@ -373,4 +447,6 @@ def detect_errors(
     with their own kernels; :func:`protected_spmv` is the normal entry
     point.
     """
-    return _verify(a, np.asarray(x, dtype=np.float64), y, x_ref, checksums)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return SpmvResiduals.from_check(_verify(a, x, y, x_ref, checksums))

@@ -106,4 +106,10 @@ class ToleranceModel:
 
     def thresholds(self, x_inf: float) -> np.ndarray:
         """Per-checksum-row comparison thresholds for input magnitude ``‖x‖∞``."""
-        return self.per_check_factor * max(x_inf, _TINY)
+        return np.array(self.threshold_list(x_inf), dtype=np.float64)
+
+    def threshold_list(self, x_inf: float) -> "list[float]":
+        """:meth:`thresholds` as Python floats, for the per-product
+        verdict's scalar comparisons (the same products, bit for bit)."""
+        scale = max(x_inf, _TINY)
+        return [f * scale for f in self.per_check_factor.tolist()]

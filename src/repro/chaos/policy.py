@@ -9,9 +9,12 @@ and CI instead of waiting for real crashes.
 A :class:`ChaosPolicy` is a frozen value object: every injection
 decision is a pure function of ``(seed, generation, site, task_hash,
 attempt)`` hashed through SHA-256, so two processes holding the same
-policy agree on which task dies, and a re-run with the same seed
-replays the same fault schedule.  Two properties make the injected
-faults *healable* rather than fatal:
+policy agree on which task dies.  Each such draw is reproducible; a
+campaign's fault schedule is not.  Under ``--jobs N`` the generation a
+task runs under depends on which worker took it and on the restarts
+before it, so a re-run with the same seed can kill different tasks —
+what it reproduces is the healed records, not the faults on the way.
+Two properties make the injected faults *healable* rather than fatal:
 
 - **Home-process suppression.**  A policy remembers the pid it was
   resolved in (the dispatcher / test process).  Injection only fires
@@ -152,7 +155,7 @@ class ChaosPolicy:
         """The uniform ``[0, 1)`` decision draw for one injection site.
 
         Pure: every process computes the same value for the same
-        arguments, which is what makes chaos runs replayable.
+        arguments, which is what makes each draw reproducible.
         """
         key = f"{self.seed}:{self.generation}:{site}:{task_hash}:{attempt}"
         digest = hashlib.sha256(key.encode()).digest()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import spmv_kernel
 
 __all__ = ["VerificationReport", "orthogonality_check", "residual_check", "chen_verify"]
 
@@ -72,8 +72,12 @@ def residual_check(
     maintained residuals come from the same summation order.
     ``scratch`` is the solver workspace's SpMxV products buffer (see
     :func:`repro.sparse.spmv.spmv`); the floats are the same without.
+    The product is :func:`repro.sparse.spmv.spmv_kernel`: ``x`` must be
+    a ``float64`` array of length ``a.ncols``, and the caller owns the
+    floating-point error state (the resilience engine sets it once per
+    solve).
     """
-    drift = b - spmv(a, x, scratch=scratch, backend=backend)
+    drift = b - spmv_kernel(a, x, scratch=scratch, backend=backend)
     drift -= r
     scale = math.sqrt(float(b @ b)) or 1.0
     gap = math.sqrt(float(drift @ drift)) / scale

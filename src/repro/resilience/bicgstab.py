@@ -27,7 +27,7 @@ from repro.checkpoint.store import Checkpoint
 from repro.core.methods import Scheme, SchemeConfig
 from repro.resilience.protocol import KRYLOV_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import spmv_kernel
 
 __all__ = ["BiCGstabPlugin"]
 
@@ -69,7 +69,7 @@ class BiCGstabPlugin:
         self.r = workspace.buffer("bicgstab.r", n)
         #: The SpMxV products scratch every direct product shares.
         self.scratch = workspace.buffer("spmv.scratch", live.nnz)
-        spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
         np.subtract(b, self.r, out=self.r)
         self.r_hat = workspace.buffer("bicgstab.r_hat", n)
         self.r_hat[:] = self.r
@@ -135,7 +135,7 @@ class BiCGstabPlugin:
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
         self.x[:] = cp.vectors["x"]
-        self.r[:] = b - spmv(a, self.x, scratch=self.scratch, backend=self.backend)
+        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, backend=self.backend)
         self.r_hat[:] = self.r
         self.p[:] = 0.0
         self.v[:] = 0.0

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.abft.spmv import SpmvStatus, protected_spmv
+from repro.abft.spmv import SpmvStatus, verified_spmv
 from repro.backends import resolve_backend
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.checkpoint.store import Checkpoint, CheckpointStore
@@ -51,7 +51,7 @@ from repro.perf.workspace import SolveWorkspace
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import spmv_kernel
 from repro.util.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -232,12 +232,12 @@ class EngineContext:
                     for s in post:  # the output vector, struck before its copy-out
                         self.injector.apply_strike(plugin.iteration, s, into=y)
 
-        result = protected_spmv(
+        result = verified_spmv(
             self.live,
             x_in,
             self.checksums,
-            correct=self.scheme.corrects,
-            fault_hook=hook,
+            self.scheme.corrects,
+            hook,
             workspace=self.workspace,
             # The workspace only re-arms the live stamp on verified
             # byte-equality with the checksum source, so the stamp may
@@ -247,6 +247,8 @@ class EngineContext:
         )
         if not self.live.structure_clean:  # before any re-arm below
             self.guarded += 1
+        if result.status is SpmvStatus.OK:  # verified clean: nothing to book
+            return result.y
         corr = result.correction
         if (
             corr is not None
@@ -387,7 +389,7 @@ class EngineContext:
         kernel — the floats a strike-free step's product computes (for
         the plugins' ``replay_step``)."""
         scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
-        return spmv(self.a_view, x, out=out, scratch=scratch, backend=self.backend)
+        return spmv_kernel(self.a_view, x, out, scratch, self.backend)
 
     def note_chen(self, k: int, check_orthogonality: bool, passed: bool) -> None:
         """A real step ran Chen's tests on arriving at index ``k``; on
@@ -555,7 +557,7 @@ class EngineContext:
                 return norm
             self.materialise()
         scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
-        true_r = self.b - spmv(
+        true_r = self.b - spmv_kernel(
             self.a_view, self.plugin.vectors["x"], scratch=scratch, backend=self.backend
         )
         if self.backend is not None:
@@ -678,236 +680,241 @@ def run_protected(
     -------
     SolveResult
     """
-    plugin.check_scheme(config.scheme)
-    workspace = workspace or SolveWorkspace.private()
-    if backend is None:
-        backend = workspace.backend
-    backend = resolve_backend(backend)
-    if backend is not None:
-        # Pre-solve hook, before the wall clock: backends bind or
-        # compile their kernels here, so first-call warm-up never
-        # pollutes per-task timing.
-        prepare = getattr(backend, "prepare", None)
-        if prepare is not None:
-            prepare(a)
-    wall_start = _time.perf_counter()
-    tr = resolve_tracer(tracer)
-    rng = as_generator(rng)
-    n = a.nrows
-    maxiter = 20 * n if maxiter is None else int(maxiter)
-    scheme = config.scheme
-    b = np.asarray(b, dtype=np.float64)
+    # The solve owns the floating-point error state: strikes overflow
+    # the kernel, the checksum algebra, the decoder and Chen's tests,
+    # and the inf/NaN they leave is what detection reads.  One
+    # ``errstate`` here stands for all of them (docs/DESIGN.md §4).
+    with np.errstate(all="ignore"):
+        plugin.check_scheme(config.scheme)
+        workspace = workspace or SolveWorkspace.private()
+        if backend is None:
+            backend = workspace.backend
+        backend = resolve_backend(backend)
+        if backend is not None:
+            # Pre-solve hook, before the wall clock: backends bind or
+            # compile their kernels here, so first-call warm-up never
+            # pollutes per-task timing.
+            prepare = getattr(backend, "prepare", None)
+            if prepare is not None:
+                prepare(a)
+        wall_start = _time.perf_counter()
+        tr = resolve_tracer(tracer)
+        rng = as_generator(rng)
+        n = a.nrows
+        maxiter = 20 * n if maxiter is None else int(maxiter)
+        scheme = config.scheme
+        b = np.asarray(b, dtype=np.float64)
 
-    # The live matrix the injector corrupts: a copy of ``a`` on first
-    # acquisition, else the reused one, restored to bit-equality with
-    # ``a`` by un-writing exactly the previously tainted words.
-    restores0 = workspace.live_restores
-    live = workspace.acquire_live(a)
-    if tr is not None:
-        tr.emit(
-            "workspace-acquire",
-            0,
-            live="restore" if workspace.live_restores > restores0 else "copy",
-        )
-    ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
-    ctx.tracer = tr
-    plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
-    ctx.threshold = cg_tolerance_threshold(
-        a, b, plugin.vectors["r"], eps, norm1_a=workspace.source_norm1(a)
-    )
-    if (
-        workspace.shared
-        and x0 is None
-        and hasattr(plugin, "advance_clean")
-        # An iteration observer reads the vectors after every step:
-        # the memo steps aside for that solve.
-        and not (tr is not None and tr.observes_iterations)
-        # Kernel routing is part of a non-reference trajectory.
-        and (backend is None or live.structure_clean)
-    ):
-        ctx.memo = workspace.trajectory(plugin.name, backend, b)
-        ctx.clean = True
-        ctx.cursor = 0
-        ctx.memo.record(0, plugin.scalars(), plugin.vectors)
-
-    # ABFT metadata comes from the clean input matrix and lives in
-    # reliable memory for the whole solve.
-    if scheme.uses_abft:
-        nchecks = 2 if scheme.corrects else 1
+        # The live matrix the injector corrupts: a copy of ``a`` on first
+        # acquisition, else the reused one, restored to bit-equality with
+        # ``a`` by un-writing exactly the previously tainted words.
+        restores0 = workspace.live_restores
+        live = workspace.acquire_live(a)
         if tr is not None:
-            from repro.abft.checksums import checksums_cached
-
-            if not workspace.shared:
-                cache_state = "off"
-            elif checksums_cached(a, nchecks=nchecks, backend=backend):
-                cache_state = "hit"
-            else:
-                cache_state = "miss"
-        ctx.checksums = workspace.checksums(a, nchecks=nchecks, backend=backend)
-        if tr is not None:
-            tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)
-
-    # Fault machinery: strikes are sampled centrally, then applied in
-    # the operation window where each struck word is live.  The
-    # registration order (matrix arrays, then the plugin's vectors in
-    # declaration order) is part of the RNG contract.
-    if alpha > 0:
-        words = live.memory_words + n * len(plugin.vectors)
-        ctx.injector = FaultInjector(FaultModel(alpha=alpha, memory_words=words), rng)
-
-        def _ledger(name):
-            return lambda position: workspace.note_matrix_mutation(name, position)
-
-        ctx.injector.register("val", live.val, on_strike=_ledger("val"))
-        ctx.injector.register("colid", live.colid, on_strike=_ledger("colid"))
-        ctx.injector.register("rowidx", live.rowidx, on_strike=_ledger("rowidx"))
-        for name, vec in plugin.vectors.items():
-            ctx.injector.register(name, vec)
-
-    # Initial checkpoint = the initial data (the paper: the first frame
-    # recovers "by reading initial data again", at the same cost).
-    ctx.snapshot()
-
-    if tr is not None:
-        tr.emit(
-            "solve-start",
-            0,
-            method=plugin.name,
-            scheme=scheme.value,
-            alpha=float(alpha),
-            n=n,
-            nnz=a.nnz,
-            s=config.checkpoint_interval,
-            d=config.verification_interval,
-            backend=getattr(backend, "name", "custom") if backend is not None else "reference",
+            tr.emit(
+                "workspace-acquire",
+                0,
+                live="restore" if workspace.live_restores > restores0 else "copy",
+            )
+        ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
+        ctx.tracer = tr
+        plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
+        ctx.threshold = cg_tolerance_threshold(
+            a, b, plugin.vectors["r"], eps, norm1_a=workspace.source_norm1(a)
         )
+        if (
+            workspace.shared
+            and x0 is None
+            and hasattr(plugin, "advance_clean")
+            # An iteration observer reads the vectors after every step:
+            # the memo steps aside for that solve.
+            and not (tr is not None and tr.observes_iterations)
+            # Kernel routing is part of a non-reference trajectory.
+            and (backend is None or live.structure_clean)
+        ):
+            ctx.memo = workspace.trajectory(plugin.name, backend, b)
+            ctx.clean = True
+            ctx.cursor = 0
+            ctx.memo.record(0, plugin.scalars(), plugin.vectors)
 
-    executed = 0
-    pol = plugin.recovery
-    converged = plugin.initial_converged(ctx.threshold)
-    while not converged and executed < maxiter:
-        # Only the check of the step that ends the loop may be reused.
-        ctx.accepted_residual = None
-        if max_time_units is not None and ctx.time_units > max_time_units:
-            break
-        strikes = ctx.injector.sample_strikes() if ctx.injector is not None else []
-        ctx.counters.faults_injected += len(strikes)
-        executed += 1
-        if tr is not None and strikes:
-            for target, position, bit in strikes:
-                tr.emit(
-                    "strike",
-                    plugin.iteration,
-                    target=target,
-                    position=int(position),
-                    bit=int(bit),
-                )
+        # ABFT metadata comes from the clean input matrix and lives in
+        # reliable memory for the whole solve.
+        if scheme.uses_abft:
+            nchecks = 2 if scheme.corrects else 1
+            if tr is not None:
+                from repro.abft.checksums import checksums_cached
 
-        outcome = ctx.step(strikes)
-        if outcome.rolled_back:
-            ctx.rollback(outcome.reason)
-            converged = False
+                if not workspace.shared:
+                    cache_state = "off"
+                elif checksums_cached(a, nchecks=nchecks, backend=backend):
+                    cache_state = "hit"
+                else:
+                    cache_state = "miss"
+            ctx.checksums = workspace.checksums(a, nchecks=nchecks, backend=backend)
+            if tr is not None:
+                tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)
+
+        # Fault machinery: strikes are sampled centrally, then applied in
+        # the operation window where each struck word is live.  The
+        # registration order (matrix arrays, then the plugin's vectors in
+        # declaration order) is part of the RNG contract.
+        if alpha > 0:
+            words = live.memory_words + n * len(plugin.vectors)
+            ctx.injector = FaultInjector(FaultModel(alpha=alpha, memory_words=words), rng)
+
+            def _ledger(name):
+                return lambda position: workspace.note_matrix_mutation(name, position)
+
+            ctx.injector.register("val", live.val, on_strike=_ledger("val"))
+            ctx.injector.register("colid", live.colid, on_strike=_ledger("colid"))
+            ctx.injector.register("rowidx", live.rowidx, on_strike=_ledger("rowidx"))
+            for name, vec in plugin.vectors.items():
+                ctx.injector.register(name, vec)
+
+        # Initial checkpoint = the initial data (the paper: the first frame
+        # recovers "by reading initial data again", at the same cost).
+        ctx.snapshot()
+
+        if tr is not None:
+            tr.emit(
+                "solve-start",
+                0,
+                method=plugin.name,
+                scheme=scheme.value,
+                alpha=float(alpha),
+                n=n,
+                nnz=a.nnz,
+                s=config.checkpoint_interval,
+                d=config.verification_interval,
+                backend=getattr(backend, "name", "custom") if backend is not None else "reference",
+            )
+
+        executed = 0
+        pol = plugin.recovery
+        converged = plugin.initial_converged(ctx.threshold)
+        while not converged and executed < maxiter:
+            # Only the check of the step that ends the loop may be reused.
+            ctx.accepted_residual = None
+            if max_time_units is not None and ctx.time_units > max_time_units:
+                break
+            strikes = ctx.injector.sample_strikes() if ctx.injector is not None else []
+            ctx.counters.faults_injected += len(strikes)
+            executed += 1
+            if tr is not None and strikes:
+                for target, position, bit in strikes:
+                    tr.emit(
+                        "strike",
+                        plugin.iteration,
+                        target=target,
+                        position=int(position),
+                        bit=int(bit),
+                    )
+
+            outcome = ctx.step(strikes)
+            if outcome.rolled_back:
+                ctx.rollback(outcome.reason)
+                converged = False
+                if tr is not None:
+                    tr.emit(
+                        "step",
+                        plugin.iteration,
+                        outcome="rollback",
+                        reason=outcome.reason,
+                        time_units=ctx.time_units,
+                    )
+                    tr.iteration(ctx)
+                continue
+            if outcome.converged:
+                converged = True
+            elif outcome.verified:
+                ctx.maybe_checkpoint()
+
+            if converged and final_check and not ctx.reliably_converged():
+                ctx.counters.final_check_failures += 1
+                if pol.final_check_counts_detection:
+                    ctx.counters.detections += 1
+                if tr is not None:
+                    tr.emit("final-check", plugin.iteration, passed=False)
+                if pol.final_check_refreshes:
+                    ctx.refresh_rollback()
+                else:
+                    ctx.rollback("final-check")
+                converged = False
             if tr is not None:
                 tr.emit(
                     "step",
                     plugin.iteration,
-                    outcome="rollback",
-                    reason=outcome.reason,
+                    outcome="converged" if converged else "advanced",
+                    verified=bool(outcome.verified),
                     time_units=ctx.time_units,
                 )
                 tr.iteration(ctx)
-            continue
-        if outcome.converged:
-            converged = True
-        elif outcome.verified:
-            ctx.maybe_checkpoint()
 
-        if converged and final_check and not ctx.reliably_converged():
-            ctx.counters.final_check_failures += 1
-            if pol.final_check_counts_detection:
-                ctx.counters.detections += 1
-            if tr is not None:
-                tr.emit("final-check", plugin.iteration, passed=False)
-            if pol.final_check_refreshes:
-                ctx.refresh_rollback()
-            else:
-                ctx.rollback("final-check")
-            converged = False
+        # Work executed since the last checkpoint but never rolled back
+        # counts as useful (the run ends with it in the solution).
+        ctx.breakdown.useful_work += ctx.uncommitted
+
+        # The loop's last reliable check, when it accepted this very x, is
+        # the final residual; every other exit takes the explicit product.
+        true_residual = ctx.accepted_residual
+        if true_residual is None:
+            true_residual = ctx.true_residual()
+        result = SolveResult(
+            x=ctx.solution(),
+            converged=bool(true_residual <= ctx.threshold or (converged and not final_check)),
+            iterations=int(plugin.iteration),
+            iterations_executed=executed,
+            time_units=ctx.time_units,
+            wall_seconds=_time.perf_counter() - wall_start,
+            residual_norm=true_residual,
+            threshold=ctx.threshold,
+            counters=ctx.counters,
+            breakdown=ctx.breakdown,
+            config=config,
+        )
+
+        # One batch of counter folds per solve — never per iteration, so
+        # the metrics layer stays invisible on the hot path.
+        bd, cnt = ctx.breakdown, ctx.counters
+        m = METRICS
+        m.inc("engine.solves")
+        m.inc("engine.converged" if result.converged else "engine.diverged")
+        m.inc("engine.iterations_executed", executed)
+        m.inc("engine.iterations_virtual", ctx.virtual)
+        m.inc("engine.iterations_replayed", ctx.replayed)
+        m.inc("engine.products_guarded", ctx.guarded)
+        m.inc("engine.faults_injected", cnt.faults_injected)
+        m.inc("engine.rollbacks", cnt.rollbacks)
+        m.inc("engine.corrections", cnt.total_corrections)
+        m.inc("engine.detections", cnt.detections)
+        m.inc("engine.checkpoints", cnt.checkpoints)
+        m.inc("engine.time_units.useful", bd.useful_work)
+        m.inc("engine.time_units.wasted", bd.wasted_work)
+        m.inc("engine.time_units.verification", bd.verification)
+        m.inc("engine.time_units.checkpoint", bd.checkpoint)
+        m.inc("engine.time_units.recovery", bd.recovery)
+        m.inc(
+            "engine.backend."
+            + (getattr(backend, "name", "custom") if backend is not None else "reference")
+        )
+        m.observe("engine.solve_wall_s", result.wall_seconds)
+
         if tr is not None:
             tr.emit(
-                "step",
+                "solve-converge" if result.converged else "solve-diverge",
                 plugin.iteration,
-                outcome="converged" if converged else "advanced",
-                verified=bool(outcome.verified),
+                executed=executed,
                 time_units=ctx.time_units,
+                residual=true_residual,
+                useful=bd.useful_work,
+                wasted=bd.wasted_work,
+                verification=bd.verification,
+                checkpoint=bd.checkpoint,
+                recovery=bd.recovery,
+                rollbacks=cnt.rollbacks,
+                corrections=cnt.total_corrections,
+                detections=cnt.detections,
+                checkpoints=cnt.checkpoints,
+                faults=cnt.faults_injected,
             )
-            tr.iteration(ctx)
-
-    # Work executed since the last checkpoint but never rolled back
-    # counts as useful (the run ends with it in the solution).
-    ctx.breakdown.useful_work += ctx.uncommitted
-
-    # The loop's last reliable check, when it accepted this very x, is
-    # the final residual; every other exit takes the explicit product.
-    true_residual = ctx.accepted_residual
-    if true_residual is None:
-        true_residual = ctx.true_residual()
-    result = SolveResult(
-        x=ctx.solution(),
-        converged=bool(true_residual <= ctx.threshold or (converged and not final_check)),
-        iterations=int(plugin.iteration),
-        iterations_executed=executed,
-        time_units=ctx.time_units,
-        wall_seconds=_time.perf_counter() - wall_start,
-        residual_norm=true_residual,
-        threshold=ctx.threshold,
-        counters=ctx.counters,
-        breakdown=ctx.breakdown,
-        config=config,
-    )
-
-    # One batch of counter folds per solve — never per iteration, so
-    # the metrics layer stays invisible on the hot path.
-    bd, cnt = ctx.breakdown, ctx.counters
-    m = METRICS
-    m.inc("engine.solves")
-    m.inc("engine.converged" if result.converged else "engine.diverged")
-    m.inc("engine.iterations_executed", executed)
-    m.inc("engine.iterations_virtual", ctx.virtual)
-    m.inc("engine.iterations_replayed", ctx.replayed)
-    m.inc("engine.products_guarded", ctx.guarded)
-    m.inc("engine.faults_injected", cnt.faults_injected)
-    m.inc("engine.rollbacks", cnt.rollbacks)
-    m.inc("engine.corrections", cnt.total_corrections)
-    m.inc("engine.detections", cnt.detections)
-    m.inc("engine.checkpoints", cnt.checkpoints)
-    m.inc("engine.time_units.useful", bd.useful_work)
-    m.inc("engine.time_units.wasted", bd.wasted_work)
-    m.inc("engine.time_units.verification", bd.verification)
-    m.inc("engine.time_units.checkpoint", bd.checkpoint)
-    m.inc("engine.time_units.recovery", bd.recovery)
-    m.inc(
-        "engine.backend."
-        + (getattr(backend, "name", "custom") if backend is not None else "reference")
-    )
-    m.observe("engine.solve_wall_s", result.wall_seconds)
-
-    if tr is not None:
-        tr.emit(
-            "solve-converge" if result.converged else "solve-diverge",
-            plugin.iteration,
-            executed=executed,
-            time_units=ctx.time_units,
-            residual=true_residual,
-            useful=bd.useful_work,
-            wasted=bd.wasted_work,
-            verification=bd.verification,
-            checkpoint=bd.checkpoint,
-            recovery=bd.recovery,
-            rollbacks=cnt.rollbacks,
-            corrections=cnt.total_corrections,
-            detections=cnt.detections,
-            checkpoints=cnt.checkpoints,
-            faults=cnt.faults_injected,
-        )
-    return result
+        return result

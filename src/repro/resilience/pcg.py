@@ -32,7 +32,7 @@ from repro.checkpoint.store import Checkpoint
 from repro.core.methods import Scheme, SchemeConfig
 from repro.resilience.protocol import CG_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv
+from repro.sparse.spmv import spmv_kernel
 
 __all__ = ["JacobiPCGPlugin"]
 
@@ -72,7 +72,7 @@ class JacobiPCGPlugin:
         self.r = workspace.buffer("pcg.r", n)
         #: The SpMxV products scratch every direct product shares.
         self.scratch = workspace.buffer("spmv.scratch", live.nnz)
-        spmv(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
         np.subtract(b, self.r, out=self.r)
         self.z = workspace.buffer("pcg.z", n)
         np.multiply(self.minv, self.r, out=self.z)
@@ -114,7 +114,7 @@ class JacobiPCGPlugin:
         self.live.val[:] = a.val
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
-        self.r[:] = b - spmv(a, self.x, scratch=self.scratch, backend=self.backend)
+        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, backend=self.backend)
         self.z[:] = self.minv * self.r
         self.p[:] = self.z
         self.q[:] = 0.0

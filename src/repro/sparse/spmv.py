@@ -25,6 +25,12 @@ the corruption flow into ``y``.
 route guarded (non-``structure_clean``) matrices back here — the
 wild-read emulation below is the single definition of the fault
 physics.
+
+:func:`spmv` checks its input and silences the floating-point errors a
+corrupted product raises, once per call.  :func:`spmv_kernel` is the
+same product without either, for callers that own both: every product
+of a protected solve goes there, under the one ``np.errstate`` its
+solve enters (docs/DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def spmv(
         Optional kernel backend — a registered name (``"scipy"``) or
         a :class:`repro.backends.KernelBackend` instance.  ``None`` / ``"reference"`` runs this function's own
         kernel (the bit-identity default); any other backend receives
-        the call verbatim and is contractually required to route
+        the call and is contractually required to route
         non-``structure_clean`` matrices back here, so the fault
         physics below is backend-invariant.
 
@@ -101,6 +107,30 @@ def spmv(
     path allocates nothing nnz-long: its temporaries are the clipped
     pointers and one chunk.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (a.ncols,):
+        raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+    # Corrupted values can overflow to ±inf — that is the silent error
+    # propagating, not a kernel bug; ABFT flags the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spmv_kernel(a, x, out, scratch, backend)
+
+
+def spmv_kernel(
+    a: CSRMatrix,
+    x: np.ndarray,
+    out: "np.ndarray | None" = None,
+    scratch: "np.ndarray | None" = None,
+    backend: "object | None" = None,
+) -> np.ndarray:
+    """:func:`spmv` without its per-call guards, for callers that own them.
+
+    ``x`` must be a ``float64`` array of shape ``(a.ncols,)``, and the
+    caller sets the floating-point error state: a corrupted product
+    overflows, and only :func:`spmv` silences that per call.  The
+    resilience engine enters ``np.errstate(all="ignore")`` once per
+    solve and issues every product of it here (docs/DESIGN.md §4).
+    """
     if backend is not None:
         if type(backend) is not str:
             # Hot path: the engine resolves names once and hands the
@@ -113,9 +143,6 @@ def spmv(
         be = resolve_backend(backend)
         if be is not None:
             return be.spmv(a, x, out=out, scratch=scratch)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.ncols,):
-        raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
     n = a.nrows
     nnz = a.nnz
     if out is None:
@@ -174,7 +201,7 @@ def _gather(
     nnz-length array (``scratch[:nnz]`` when given) is all it touches.
     """
     dst = None if scratch is None else scratch[: a.nnz]
-    gathered = np.take(x, a.colid, out=dst, mode="clip")
+    gathered = x.take(a.colid, out=dst, mode="clip")
     if wild.size:
         gathered[wild] = x[np.mod(a.colid[wild], a.ncols)]
     return gathered
@@ -189,10 +216,7 @@ def _products(
     """``val[p] · x[colid[p] mod ncols]`` for every stored nonzero, in
     place over :func:`_gather`'s array."""
     products = _gather(a, x, wild, scratch)
-    # Corrupted values can overflow to ±inf — that is the silent error
-    # propagating, not a kernel bug; ABFT flags the non-finite result.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a.val, products, out=products)
+    np.multiply(a.val, products, out=products)
     return products
 
 
@@ -218,25 +242,24 @@ def _row_dots(val: np.ndarray, g: np.ndarray, bounds: np.ndarray, y: np.ndarray)
     dotted through its window view, gathering nothing.
     """
     y[:] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, y.shape[0], _ROW_BLOCK):
-            lo = bounds[b0 : b0 + _ROW_BLOCK + 1]
-            lens = lo[1:] - lo[:-1]
-            rows = np.flatnonzero(lens > 0)
-            rows = rows[np.argsort(lens[rows])]
-            lens = lens[rows]
-            # where the sorted lengths change, both ends included (lens > 0);
-            # none at all for a block whose rows all read nothing
-            edges = np.flatnonzero(np.diff(lens, prepend=0, append=0)).tolist()
-            for c0, c1 in zip(edges[:-1], edges[1:]):  # one length class each
-                length = int(lens[c0])
-                vw, gw = _windows(val, length), _windows(g, length)
-                per = max(_CHUNK // length, 1)
-                for k0 in range(c0, c1, per):
-                    r = rows[k0 : min(k0 + per, c1)]
-                    # one row: a window slice (a view); more: a gather
-                    at = lo[r] if r.size > 1 else slice(lo[r[0]], lo[r[0]] + 1)
-                    y[b0 + r] = np.matmul(vw[at][:, None, :], gw[at][:, :, None])[:, 0, 0]
+    for b0 in range(0, y.shape[0], _ROW_BLOCK):
+        lo = bounds[b0 : b0 + _ROW_BLOCK + 1]
+        lens = lo[1:] - lo[:-1]
+        rows = np.flatnonzero(lens > 0)
+        rows = rows[np.argsort(lens[rows])]
+        lens = lens[rows]
+        # where the sorted lengths change, both ends included (lens > 0);
+        # none at all for a block whose rows all read nothing
+        edges = np.flatnonzero(np.diff(lens, prepend=0, append=0)).tolist()
+        for c0, c1 in zip(edges[:-1], edges[1:]):  # one length class each
+            length = int(lens[c0])
+            vw, gw = _windows(val, length), _windows(g, length)
+            per = max(_CHUNK // length, 1)
+            for k0 in range(c0, c1, per):
+                r = rows[k0 : min(k0 + per, c1)]
+                # one row: a window slice (a view); more: a gather
+                at = lo[r] if r.size > 1 else slice(lo[r[0]], lo[r[0]] + 1)
+                y[b0 + r] = np.matmul(vw[at][:, None, :], gw[at][:, :, None])[:, 0, 0]
 
 
 def _windows(a: np.ndarray, length: int) -> np.ndarray:

@@ -250,13 +250,13 @@ class TestFinalResidual:
         from repro.resilience import engine
 
         calls = []
-        real = engine.spmv
+        real = engine.spmv_kernel
 
-        def counting(a, x, **kwargs):
+        def counting(a, x, *args, **kwargs):
             calls.append(1)
-            return real(a, x, **kwargs)
+            return real(a, x, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "spmv", counting)
+        monkeypatch.setattr(engine, "spmv_kernel", counting)
         return calls
 
     @pytest.mark.parametrize("method", ["cg", "bicgstab", "pcg"])
@@ -515,3 +515,138 @@ class TestRetiredSurfaceEdges:
             a = self._non_square(small_lap, shape)
             with pytest.raises(ValueError, match=f"matrix must be square, got {dims}"):
                 repro.solve(a, np.ones(a.nrows), method=method, scheme=scheme)
+
+
+# ----------------------------------------------------------------------
+# Floating-point error state: one owner per solve, one per public call
+# ----------------------------------------------------------------------
+_FP_GRID = [(m, s) for m in Method for s in Scheme if m.supports(s)]
+
+
+@pytest.fixture
+def exponent_strikes(monkeypatch):
+    """Every sampled strike lands on an exponent bit of ``val`` or of the
+    iterate ``x``: corrupted values of up to ~1e308 that overflow the
+    kernel, the checksum algebra, the decoder and Chen's tests."""
+    from repro.faults.injector import FaultInjector
+
+    real = FaultInjector.sample_strikes
+
+    def sample(self, *, n_strikes=None):
+        out = []
+        for target, position, bit in real(self, n_strikes=n_strikes):
+            target = "val" if target in ("val", "colid", "rowidx") else "x"
+            out.append((target, position % self._targets[target].size, 52 + bit % 11))
+        return out
+
+    monkeypatch.setattr(FaultInjector, "sample_strikes", sample)
+
+
+@pytest.fixture
+def errstate_entries(monkeypatch):
+    """Counts every ``np.errstate`` entered through the ``numpy`` module."""
+    entries = []
+    real = np.errstate
+
+    class Counting(real):
+        def __enter__(self):
+            entries.append(1)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counting)
+    return entries
+
+
+@pytest.fixture
+def residuals_built(monkeypatch):
+    """Counts :class:`~repro.abft.spmv.SpmvResiduals` constructions."""
+    from repro.abft.spmv import SpmvResiduals
+
+    built = []
+    real = SpmvResiduals.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpmvResiduals, "__init__", init)
+    return built
+
+
+class TestFloatingPointState:
+    @pytest.mark.parametrize("method,scheme", _FP_GRID,
+                             ids=[f"{m.value}-{s.value}" for m, s in _FP_GRID])
+    def test_no_runtime_warning_escapes_a_struck_solve(self, method, scheme, exponent_strikes):
+        import warnings
+
+        a = stencil_spd(100, kind="cross", radius=1)
+        b = make_rhs(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(3):
+                for workspace in (None, SolveWorkspace()):
+                    d = 1 if scheme.uses_abft else 2
+                    res = run_ft_method(method, a, b, config(scheme, s=3, d=d), alpha=0.5,
+                                        rng=seed, eps=1e-6, maxiter=200, workspace=workspace)
+                    assert res.counters.faults_injected > 0
+
+    def test_no_runtime_warning_escapes_a_public_call(self):
+        import warnings
+
+        from repro.abft import compute_checksums, detect_errors, protected_spmv
+        from repro.sparse.spmv import spmv
+
+        a = stencil_spd(100, kind="cross", radius=1)
+        cks = {k: compute_checksums(a, nchecks=k) for k in (1, 2)}
+        x = np.full(a.ncols, 1e300)
+        struck = a.copy()
+        struck.val[7] = 1e308  # overflows the product, then the checksums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = spmv(struck, x)
+            assert not np.all(np.isfinite(y))
+            for correct in (False, True):
+                res = protected_spmv(struck.copy(), x.copy(), cks[2 if correct else 1],
+                                     correct=correct)
+                assert not res.trusted
+            assert not detect_errors(struck, x, y, x.copy(), cks[2]).clean
+
+    def test_one_errstate_per_solve_whatever_the_iterations(self, problem, errstate_entries):
+        a, b = problem
+        solves = 0
+        for method, scheme in _FP_GRID:
+            for maxiter, alpha in ((3, 0.0), (60, 0.0), (60, 0.3)):
+                run_ft_method(method, a, b, config(scheme), alpha=alpha, rng=5, eps=1e-6,
+                              maxiter=maxiter, workspace=SolveWorkspace())
+                solves += 1
+        assert len(errstate_entries) == solves
+
+    def test_strike_free_solve_builds_no_residuals(self, problem, residuals_built):
+        a, b = problem
+        for method in Method:
+            res = run_ft_method(method, a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0,
+                                eps=1e-6)
+            assert res.converged and res.iterations_executed > 0
+        assert residuals_built == []
+
+    @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])
+    def test_struck_solve_builds_residuals_per_unclean_product(
+        self, problem, residuals_built, monkeypatch, scheme
+    ):
+        from repro.abft.spmv import SpmvStatus
+        from repro.resilience import engine
+
+        unclean = []
+        real = engine.verified_spmv
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            unclean.append(result.status is not SpmvStatus.OK)
+            return result
+
+        monkeypatch.setattr(engine, "verified_spmv", counting)
+        a, b = problem
+        for method in Method:
+            run_ft_method(method, a, b, config(scheme), alpha=0.5, rng=11, eps=1e-6,
+                          maxiter=300)
+        assert 0 < len(residuals_built) == sum(unclean) < len(unclean)

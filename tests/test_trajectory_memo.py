@@ -366,8 +366,8 @@ def work(monkeypatch):
         return wrapped
 
     for mod in (engine, cg, pcg, bicgstab, stability):
-        monkeypatch.setattr(mod, "spmv", counting("spmv", mod.spmv))
-    monkeypatch.setattr(engine, "protected_spmv", counting("protected", engine.protected_spmv))
+        monkeypatch.setattr(mod, "spmv_kernel", counting("spmv", mod.spmv_kernel))
+    monkeypatch.setattr(engine, "verified_spmv", counting("protected", engine.verified_spmv))
     for cls in (cg.CGPlugin, pcg.JacobiPCGPlugin, bicgstab.BiCGstabPlugin):
         monkeypatch.setattr(cls, "step", counting("steps", cls.step))
     return counts

@@ -535,13 +535,13 @@ def test_products_guarded_counts_every_kernel_run_on_a_dirty_stamp(monkeypatch):
 
     a = stencil_spd(256, kind="cross", radius=2)
     stamps = []
-    real = abft_spmv.spmv
+    real = abft_spmv.spmv_kernel
 
-    def spy(m, x, **kw):
+    def spy(m, x, *args):
         stamps.append(m.structure_clean)
-        return real(m, x, **kw)
+        return real(m, x, *args)
 
-    monkeypatch.setattr(abft_spmv, "spmv", spy)
+    monkeypatch.setattr(abft_spmv, "spmv_kernel", spy)
     config = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=3,
                           costs=CostModel.from_matrix(a))
     g0 = METRICS.count("engine.products_guarded")
