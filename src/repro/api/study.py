@@ -58,6 +58,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.campaign.aggregate import (
@@ -100,10 +101,13 @@ SETTING_DEFAULTS: dict = {
 }
 
 
+#: The RunStatistics fields with a default (``None``): a record written
+#: before they existed lacks them.
+_OPTIONAL_STATS = frozenset(f.name for f in fields(RunStatistics) if f.default is None)
+
 #: ASCII unit separator: joins the formatted cells of one table row (no
 #: axis value or formatted number can contain it).
 _CELL_SEP = "\x1f"
-
 
 def _canonical_sampling(spec) -> str:
     """Normalize a sampling spec (policy / string / None) to the
@@ -216,28 +220,44 @@ class StudyResult:
         return aggregate_figure1(self.tasks, self.records)
 
     def format_table(self) -> str:
-        """Plain-text table: the point coordinates plus the study's metrics."""
+        """Plain-text table: the point coordinates plus the study's metrics.
+
+        Formats straight from the records: the coordinates come from
+        the task and ``n`` and the metrics from the ``"stats"`` payload,
+        so no :class:`StudyPoint` or :class:`RunStatistics` is built per
+        row (``sem_time``, a derived metric, is the one exception).
+        """
         point_cols = ("uid", "method", "backend", "scheme", "alpha", "s", "d", "n")
         cols = point_cols + tuple(self.metrics)
+        coords = attrgetter(*point_cols[:-1])
 
         def cell(v) -> str:
             return f"{v:.4g}" if isinstance(v, float) else str(v)
+
+        def metric(rec: dict, name: str):
+            if name == "sem_time":
+                return stats_from_record(rec).sem_time
+            if name in _OPTIONAL_STATS:  # absent from records of older schemas
+                return rec["stats"].get(name)
+            return rec["stats"][name]
 
         # One pass formats every cell once and learns the column widths;
         # a row waits for them as one joined string, not a list of cells.
         widths = [len(c) for c in cols]
         rows = []
-        for p in self:
-            cells = [cell(getattr(p, c)) for c in point_cols]
-            cells += [cell(getattr(p.stats, c)) for c in self.metrics]
-            widths = [max(w, len(c)) for w, c in zip(widths, cells)]
+        for task, rec in zip(self.tasks, self.records):
+            if rec.get("kind") == "quarantine":
+                continue
+            cells = [cell(v) for v in coords(task)]
+            cells.append(cell(rec["n"]))
+            cells += [cell(metric(rec, c)) for c in self.metrics]
+            widths = list(map(max, widths, map(len, cells)))
             rows.append(_CELL_SEP.join(cells))
-        head = " ".join(c.rjust(w) for c, w in zip(cols, widths))
+        head = " ".join(map(str.rjust, cols, widths))
         out = io.StringIO()
         out.write(f"{head}\n{'-' * len(head)}\n")
         for row in rows:
-            cells = row.split(_CELL_SEP)
-            out.write(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
+            out.write(" ".join(map(str.rjust, row.split(_CELL_SEP), widths)) + "\n")
         return out.getvalue()
 
 

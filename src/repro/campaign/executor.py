@@ -25,12 +25,14 @@ from __future__ import annotations
 import os
 import uuid
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import TaskSpec
 from repro.obs.metrics import METRICS, diff_snapshots, merge_snapshots
+from repro.sim.matrices import SizeFacts, get_matrix, matrix_source
 from repro.store import open_store
 from repro.store.protocol import append_many
 
@@ -224,29 +226,21 @@ def execute_task(
     crash mid-task loses at most one batch of repetitions.  Both are
     ignored for fixed-count tasks.
     """
-    from repro.adaptive import SamplingPolicy
-    from repro.core.methods import CostModel, Scheme, SchemeConfig
-    from repro.perf import default_workspace
-    from repro.sim.engine import make_rhs, repeat_run
-    from repro.sim.matrices import get_matrix, matrix_source
-
+    _, perf, engine = _task_modules()
     task_hash = task.task_hash()
     tracer = None
     if trace_dir is not None:
         tracer = _worker_tracer(trace_dir)
         tracer.context["task"] = task_hash
+    # The matrix is looked up per task (get_matrix caches it, and a
+    # cache clear or a REPRO_MATRIX_DIR change must be seen); what is
+    # built from it is keyed by its size facts, never by the object.
     a = get_matrix(task.uid, task.scale)
-    b = make_rhs(a)
-    costs = CostModel.from_matrix(a)
-    cfg = SchemeConfig(
-        Scheme.parse(task.scheme),
-        checkpoint_interval=task.s,
-        verification_interval=task.d,
-        costs=costs,
-    )
+    b = engine.make_rhs(a)
+    cfg = _scheme_config(task.scheme, task.s, task.d, (a.nrows, a.nnz, a.memory_words))
     policy = on_batch = None
     if task.sampling:
-        policy = SamplingPolicy.parse(task.sampling)
+        policy = _sampling_policy(task.sampling)
         if partial_store is not None:
 
             def on_batch(per_rep):
@@ -254,7 +248,7 @@ def execute_task(
 
     try:
         with METRICS.time_section("campaign.task_s"):
-            stats = repeat_run(
+            stats = engine.repeat_run(
                 a,
                 b,
                 cfg,
@@ -268,7 +262,7 @@ def execute_task(
                 eps=task.eps,
                 method=task.method,
                 reuse_workspace=reuse_workspace,
-                workspace=default_workspace() if reuse_workspace else None,
+                workspace=perf.default_workspace() if reuse_workspace else None,
                 backend=task.backend,
                 tracer=tracer,
             )
@@ -284,6 +278,51 @@ def execute_task(
         "matrix_source": matrix_source(task.uid, task.scale),
         "stats": stats.to_json(),
     }
+
+
+@lru_cache(maxsize=None)
+def _task_modules():
+    """``(repro.chaos, repro.perf, repro.sim.engine)``, imported by this
+    process's first task: compiling or resuming a campaign loads
+    neither NumPy nor the harness (``tests/test_import_budget.py``), so
+    they are no module imports."""
+    import repro.chaos
+    import repro.perf
+    import repro.sim.engine
+
+    return repro.chaos, repro.perf, repro.sim.engine
+
+
+@lru_cache(maxsize=None)
+def _cost_model(facts: "tuple[int, int, int]"):
+    """:meth:`~repro.core.methods.CostModel.from_matrix` of a matrix with
+    these ``(nrows, nnz, memory_words)``: the model reads nothing else."""
+    from repro.core.methods import CostModel
+
+    return CostModel.from_matrix(SizeFacts(*facts))
+
+
+@lru_cache(maxsize=None)
+def _scheme_config(scheme: str, s: int, d: int, facts: "tuple[int, int, int]"):
+    """The frozen :class:`~repro.core.methods.SchemeConfig` of a task,
+    one per distinct (scheme, s, d, cost model) in this process."""
+    from repro.core.methods import Scheme, SchemeConfig
+
+    return SchemeConfig(
+        Scheme.parse(scheme),
+        checkpoint_interval=s,
+        verification_interval=d,
+        costs=_cost_model(facts),
+    )
+
+
+@lru_cache(maxsize=None)
+def _sampling_policy(spec: str):
+    """The frozen :class:`~repro.adaptive.SamplingPolicy` a task's
+    ``sampling`` string parses to."""
+    from repro.adaptive import SamplingPolicy
+
+    return SamplingPolicy.parse(spec)
 
 
 @dataclass(frozen=True)
@@ -313,8 +352,7 @@ def run_task(task: TaskSpec, ctx: TaskContext) -> dict:
     :func:`execute_task` (this module's global, looked up per call)
     when neither a retry nor a chaos policy is armed.
     """
-    from repro.chaos import run_guarded
-
+    run_guarded = _task_modules()[0].run_guarded
     return run_guarded(
         task,
         execute=execute_task,

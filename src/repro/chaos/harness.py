@@ -38,11 +38,12 @@ import signal
 import threading
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.chaos.policy import CHAOS_EXIT_CODE, ChaosPolicy
+from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import TaskSpec
@@ -110,6 +111,9 @@ def resolve_retry(
         return None
     return RetryPolicy(retries=int(retries), timeout=task_timeout)
 
+
+#: What :func:`deadline` is without a deadline (reusable: it holds no state).
+_NO_DEADLINE = nullcontext()
 
 #: Whether this process already warned that it cannot enforce deadlines.
 _warned_unenforced = False
@@ -203,8 +207,6 @@ def run_guarded(
     if retry is None and chaos is None:
         return execute(task, **execute_kwargs)
 
-    from repro.obs.metrics import METRICS
-
     task_hash = task.task_hash()
     retries = retry.retries if retry is not None else 0
     timeout = retry.timeout if retry is not None else None
@@ -225,7 +227,7 @@ def run_guarded(
         try:
             if chaos is not None and chaos.should("kill", task_hash, attempt):
                 _chaos_exit(tracer, "kill", task_hash, attempt)
-            with deadline(timeout, task_hash):
+            with _NO_DEADLINE if timeout is None else deadline(timeout, task_hash):
                 if chaos is not None and chaos.should("hang", task_hash, attempt):
                     if tracer is not None:
                         tracer.emit(

@@ -11,6 +11,7 @@ with ``‖A‖`` taken as the 1-norm (computable exactly for CSR).  A
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import norm1
 from repro.util.validate import check_positive, check_vector
 
-__all__ = ["CGResult", "cg", "cg_tolerance_threshold"]
+__all__ = ["CGResult", "cg", "cg_tolerance_threshold", "norm2", "tolerance_threshold"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,20 @@ class CGResult:
     threshold: float
 
 
+def norm2(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a float64 vector, bit for bit,
+    without its dispatch: the same ``ravel(order="K")``, dot product and
+    correctly rounded square root (``tests/test_core_cg.py`` pins it)."""
+    x = v.ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
+
+
+def tolerance_threshold(eps: float, norm1_a: float, r0_norm: float, b_norm: float) -> float:
+    """Algorithm 1's stopping threshold ``ε (‖A‖·‖r₀‖ + ‖b‖)`` from its
+    three norms — the one place the formula is spelled."""
+    return eps * (norm1_a * r0_norm + b_norm)
+
+
 def cg_tolerance_threshold(
     a: CSRMatrix,
     b: np.ndarray,
@@ -60,11 +75,13 @@ def cg_tolerance_threshold(
 
     ``norm1_a`` lets a caller supply a cached ``‖A‖₁`` (the solve
     workspace computes it once per matrix) instead of the O(nnz)
-    evaluation; the formula stays in one place either way.
+    evaluation.
     """
     if norm1_a is None:
         norm1_a = norm1(a)
-    return eps * (norm1_a * float(np.linalg.norm(r0)) + float(np.linalg.norm(b)))
+    return tolerance_threshold(
+        eps, norm1_a, float(np.linalg.norm(r0)), float(np.linalg.norm(b))
+    )
 
 
 def cg(

@@ -28,7 +28,7 @@ from repro.faults.record import FaultRecord
 from repro.util.rng import as_generator
 from repro.util.validate import check_positive
 
-__all__ = ["FaultModel", "FaultInjector"]
+__all__ = ["FaultModel", "FaultTargets", "FaultInjector"]
 
 
 @dataclass(frozen=True)
@@ -88,36 +88,28 @@ class FaultModel:
         return self.rate * self.t_iter
 
 
-class FaultInjector:
-    """Samples strikes and applies bit flips to registered arrays.
+class FaultTargets:
+    """The corruptible arrays strikes land on, by name.
 
-    Targets are registered by name with a weight equal to their word
-    count, so a strike lands on any word of the protected state with
-    uniform probability, matching the paper's "each memory location …
-    is given the chance to fail just once per iteration".
+    Registration order is part of the RNG contract.  Each target carries
+    an optional ``on_strike`` hook, and its weight is its word count, so
+    a strike lands on any word of the protected state with uniform
+    probability, matching the paper's "each memory location … is given
+    the chance to fail just once per iteration".
 
-    Parameters
-    ----------
-    model:
-        The :class:`FaultModel` supplying the strike distribution.
-    rng:
-        Seed or generator driving all sampling.
+    A table depends only on the arrays, not on the fault process: the
+    resilience engine registers one workspace binding's live matrix and
+    plugin vectors once and hands the table to the injector of every
+    solve of that binding.
     """
 
-    def __init__(self, model: FaultModel, rng: "int | np.random.Generator" = None) -> None:
-        self.model = model
-        self.rng = as_generator(rng)
-        # Hoisted out of sample_strikes, which runs once per iteration.
-        self._strike_mean = model.strike_mean
-        self._targets: dict[str, np.ndarray] = {}
-        self._on_strike: dict[str, "object"] = {}
-        self._tables: "tuple[list[str], np.ndarray] | None" = None
-        self.records: list[FaultRecord] = []
-        self._reverted = 0
+    __slots__ = ("arrays", "hooks", "_sampling")
 
-    # ------------------------------------------------------------------
-    # target registry
-    # ------------------------------------------------------------------
+    def __init__(self) -> None:
+        self.arrays: "dict[str, np.ndarray]" = {}
+        self.hooks: "dict[str, object]" = {}
+        self._sampling: "tuple[list[str], np.ndarray] | None" = None
+
     def register(self, name: str, arr: np.ndarray, *, on_strike=None) -> None:
         """Register (or re-register) a corruptible array under ``name``.
 
@@ -129,12 +121,58 @@ class FaultInjector:
         """
         if arr.dtype not in (np.dtype(np.float64), np.dtype(np.int64)):
             raise TypeError(f"target {name!r} must be float64 or int64, got {arr.dtype}")
-        self._targets[name] = arr
+        self.arrays[name] = arr
         if on_strike is not None:
-            self._on_strike[name] = on_strike
+            self.hooks[name] = on_strike
         else:
-            self._on_strike.pop(name, None)
-        self._tables = None
+            self.hooks.pop(name, None)
+        self._sampling = None
+
+    def sampling(self) -> "tuple[list[str], np.ndarray]":
+        """The target names and their strike probabilities (word share),
+        built on first use after a registration."""
+        if self._sampling is None:
+            names = list(self.arrays)
+            sizes = np.array([self.arrays[n].size for n in names], dtype=np.float64)
+            self._sampling = (names, sizes / sizes.sum())
+        return self._sampling
+
+
+class FaultInjector:
+    """Samples strikes and applies bit flips to registered arrays.
+
+    Parameters
+    ----------
+    model:
+        The :class:`FaultModel` supplying the strike distribution.
+    rng:
+        Seed or generator driving all sampling.
+    targets:
+        A :class:`FaultTargets` table to strike (shared, not copied);
+        ``None`` starts an empty one for :meth:`register`.
+    """
+
+    def __init__(
+        self,
+        model: FaultModel,
+        rng: "int | np.random.Generator" = None,
+        *,
+        targets: "FaultTargets | None" = None,
+    ) -> None:
+        self.model = model
+        self.rng = as_generator(rng)
+        # Hoisted out of sample_strikes, which runs once per iteration.
+        self._strike_mean = model.strike_mean
+        self.targets = FaultTargets() if targets is None else targets
+        self.records: list[FaultRecord] = []
+        self._reverted = 0
+
+    # ------------------------------------------------------------------
+    # target registry
+    # ------------------------------------------------------------------
+    def register(self, name: str, arr: np.ndarray, *, on_strike=None) -> None:
+        """:meth:`FaultTargets.register` on this injector's table."""
+        self.targets.register(name, arr, on_strike=on_strike)
 
     # ------------------------------------------------------------------
     # injection
@@ -153,24 +191,18 @@ class FaultInjector:
         n_strikes:
             Override the Poisson sample (used by tests for determinism).
         """
-        if not self._targets:
+        arrays = self.targets.arrays
+        if not arrays:
             return []
         if n_strikes is None:
             n_strikes = int(self.rng.poisson(self._strike_mean))
         if n_strikes == 0:
             return []
-        # The name/probability tables depend only on the registry, which
-        # changes rarely (normally: never after solver setup) — caching
-        # them keeps the per-iteration sampling allocation-free.
-        if self._tables is None:
-            names = list(self._targets)
-            sizes = np.array([self._targets[n].size for n in names], dtype=np.float64)
-            self._tables = (names, sizes / sizes.sum())
-        names, probs = self._tables
+        names, probs = self.targets.sampling()
         strikes: list[tuple[str, int, int]] = []
         for _ in range(n_strikes):
             name = names[int(self.rng.choice(len(names), p=probs))]
-            pos = int(self.rng.integers(self._targets[name].size))
+            pos = int(self.rng.integers(arrays[name].size))
             bit = int(self.rng.integers(64))
             strikes.append((name, pos, bit))
         return strikes
@@ -189,7 +221,7 @@ class FaultInjector:
 
     def revert(self, record: FaultRecord) -> None:
         """Undo a recorded flip (models TMR restoring a voted value)."""
-        arr = self._targets[record.target].reshape(-1)
+        arr = self.targets.arrays[record.target].reshape(-1)
         flip_bits_array(arr, np.array([record.position]), np.array([record.bit]))
         self._reverted += 1
 
@@ -221,7 +253,7 @@ class FaultInjector:
         before it is copied into the struck vector — while the record
         and the ``on_strike`` hook still name ``name``.
         """
-        arr = (self._targets[name] if into is None else into).reshape(-1)
+        arr = (self.targets.arrays[name] if into is None else into).reshape(-1)
         old = arr[position].item()
         flip_bits_array(arr, np.array([position]), np.array([bit]))
         rec = FaultRecord(
@@ -233,7 +265,7 @@ class FaultInjector:
             new_value=arr[position].item(),
         )
         self.records.append(rec)
-        hook = self._on_strike.get(name)
+        hook = self.targets.hooks.get(name)
         if hook is not None:
             hook(position)
         return rec

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = [
     "Metrics",
@@ -46,6 +46,13 @@ class Metrics:
     def inc(self, name: str, value: "int | float" = 1) -> None:
         """Add ``value`` (default 1) to the named counter."""
         self._counters[name] = self._counters.get(name, 0) + value
+
+    def inc_many(self, items: "Iterable[tuple[str, int | float]]") -> None:
+        """:meth:`inc` for every ``(name, value)`` pair, in one call (the
+        engine folds a solve's counters through it)."""
+        counters = self._counters
+        for name, value in items:
+            counters[name] = counters.get(name, 0) + value
 
     def count(self, name: str) -> "int | float":
         """Current value of the named counter (0 if never incremented)."""

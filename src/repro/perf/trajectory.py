@@ -17,7 +17,11 @@ engine needs to *account* such an iteration instead of executing it:
   :attr:`budget`, from which any ``T[k]`` is rebuilt by strike-free
   replay through the plugin's own arithmetic;
 - one pinned terminal iterate (``x`` alone), so a solve that never left
-  the trajectory returns its solution without touching a vector.
+  the trajectory returns its solution without touching a vector;
+- the origin ``T[0]`` — its vectors and the norms ``‖r₀‖`` and ``‖b‖``
+  the stopping threshold is built from — so a solve starts on the
+  trajectory without computing its initial residual, and its vectors
+  stay unwritten until a strike or a check needs them.
 
 The memo is filled lazily by the real clean steps of whichever solve
 walks an index first; it never computes anything itself.  It lives in
@@ -62,9 +66,9 @@ class TrajectoryMemo:
     ) -> None:
         self.method = method
         self.backend = backend
-        #: Own copy: the key compares by value (callers hand a fresh
-        #: ``b`` per task) and must survive in-place edits of theirs.
-        self.b = b.copy()
+        #: ``b``'s bytes, the key's own copy: callers hand a fresh ``b``
+        #: per task, and the key must survive in-place edits of theirs.
+        self.b_bytes = b.tobytes()
         #: ``steps[k]`` = the plugin's ``scalars()`` at ``T[k]``; the
         #: frontier (highest known index) is ``len(steps) - 1``.
         self.steps: "list[dict]" = []
@@ -75,6 +79,11 @@ class TrajectoryMemo:
         #: Chen's verdict by ``(k, check_orthogonality)``.
         self.chen: "dict[tuple[int, bool], bool]" = {}
         self._terminal: "tuple[int, np.ndarray] | None" = None
+        #: ``T[0]``'s vectors, kept by the first solve (outside the
+        #: budget: every later solve starts from them).
+        self.origin: "dict[str, np.ndarray] | None" = None
+        #: ``(‖r₀‖, ‖b‖)`` at ``T[0]``, for the stopping threshold.
+        self.origin_norms: "tuple[float, float] | None" = None
         #: Byte budget for vector data, derived from the bound source.
         self.budget = BUDGET_BYTES
         if source is not None:
@@ -82,11 +91,12 @@ class TrajectoryMemo:
         self.nbytes = 0  #: snapshot + terminal bytes held (≤ budget)
 
     def matches(self, method: str, backend: "object | None", b: np.ndarray) -> bool:
-        """Whether this memo describes the trajectory of that solve."""
+        """Whether this memo describes the trajectory of that solve
+        (``b`` compared by its bytes: the exact key of the floats)."""
         return (
             self.method == method
             and self.backend is backend
-            and bool(np.array_equal(self.b, b))
+            and self.b_bytes == b.tobytes()
         )
 
     def next_scalars(self, k: int) -> "dict | None":
@@ -100,6 +110,15 @@ class TrajectoryMemo:
         if k == len(self.steps):
             self.steps.append(scalars)
         self.offer_snapshot(k, vectors)
+
+    def record_origin(
+        self, scalars: dict, vectors: "dict[str, np.ndarray]", norms: "tuple[float, float]"
+    ) -> None:
+        """The first solve computed ``T[0]``: keep its scalars, a copy of
+        its vectors and its threshold norms ``(‖r₀‖, ‖b‖)``."""
+        self.steps.append(scalars)
+        self.origin = {name: v.copy() for name, v in vectors.items()}
+        self.origin_norms = norms
 
     # ------------------------------------------------------------------
     # vector data under the byte budget
@@ -134,8 +153,16 @@ class TrajectoryMemo:
         return True
 
     def nearest_snapshot(self, k: int) -> int:
-        """Largest snapshot index ``≤ k`` (−1 when there is none)."""
-        return max((j for j in self.snapshots if j <= k), default=-1)
+        """Largest index ``≤ k`` whose vectors are kept: a snapshot, else
+        the origin (−1 when there is none)."""
+        return max(
+            (j for j in self.snapshots if j <= k),
+            default=-1 if self.origin is None else 0,
+        )
+
+    def vectors_at(self, j: int) -> "dict[str, np.ndarray]":
+        """The kept vectors of :meth:`nearest_snapshot`'s index ``j``."""
+        return self.origin if j == 0 else self.snapshots[j]
 
     def terminal_x(self, k: int) -> "np.ndarray | None":
         """The pinned iterate if it is ``T[k]``'s (read-only loan)."""

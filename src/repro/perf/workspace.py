@@ -108,6 +108,11 @@ class SolveWorkspace:
         self._norm1: "float | None" = None
         self._jacobi_minv: "np.ndarray | None" = None
         self._trajectory: "TrajectoryMemo | None" = None
+        #: State kept between the solves of one binding (plugin vector
+        #: sets, the engine's fault-target table), by owner key; it
+        #: refers to the live copy and the buffers, so it is dropped
+        #: whenever the binding changes.
+        self.bound: dict = {}
         # Telemetry for tests/benchmarks (no behavioural role).  The
         # buffer-pool pair uses plain int attributes, not the METRICS
         # registry: buffer() sits on the per-iteration hot path, where
@@ -156,6 +161,19 @@ class SolveWorkspace:
         buf = self.buffer(name, size)
         buf[:] = 0.0
         return buf
+
+    def vector_set(self, owner: str, names: "tuple[str, ...]", n: int) -> tuple:
+        """The buffers ``owner.name`` for every name, length ``n`` each:
+        the same array objects on every call of one binding, so what
+        is built over them (the engine's fault-target table) is built
+        once.  Contents are unspecified, as for :meth:`buffer`."""
+        key = ("vectors", owner, names, n)
+        vecs = self.bound.get(key)
+        if vecs is None:
+            vecs = self.bound[key] = tuple(self.buffer(f"{owner}.{name}", n) for name in names)
+        else:
+            self.buffer_requests += len(names)
+        return vecs
 
     def abft_buffers(self, nrows: int, ncols: int, nnz: int) -> tuple:
         """The protected-SpMxV buffer set, resolved in one call.
@@ -216,6 +234,7 @@ class SolveWorkspace:
         self._norm1 = None
         self._jacobi_minv = None
         self._trajectory = None
+        self.bound = {}
         self.live_copies += 1
         METRICS.inc("workspace.live_copy")
         return self._live
@@ -285,7 +304,8 @@ class SolveWorkspace:
         live, src = self._live, self._live_source
         assert live is not None and src is not None
         for name, idx in self._taint.items():
-            getattr(live, name)[idx] = getattr(src, name)[idx]
+            if idx.size:
+                getattr(live, name)[idx] = getattr(src, name)[idx]
         if clear:
             self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
 
@@ -441,6 +461,7 @@ class SolveWorkspace:
         self._norm1 = None
         self._jacobi_minv = None
         self._trajectory = None
+        self.bound = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nbuf = len(self._buffers)

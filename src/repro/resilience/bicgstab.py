@@ -47,6 +47,32 @@ class BiCGstabPlugin:
         if not scheme.uses_abft:
             raise ValueError(f"{self.name} supports the ABFT schemes only")
 
+    def bind(
+        self,
+        a: CSRMatrix,
+        live: CSRMatrix,
+        b: np.ndarray,
+        config: SchemeConfig,
+        workspace,
+        backend=None,
+    ) -> None:
+        self.live = live
+        self.b = b
+        self.backend = backend
+        # Workspace-backed vectors, storage reused across runs.
+        self.x, self.r, self.r_hat, self.p, self.v, self.s = workspace.vector_set(
+            "bicgstab", ("x", "r", "r_hat", "p", "v", "s"), a.nrows
+        )
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.scal: dict[str, float] = {
+            "rho": 1.0,
+            "alpha": 1.0,
+            "omega": 1.0,
+            "iteration": 0,
+            "rnorm": math.nan,  # set by init_state or a loaded state
+        }
+
     def init_state(
         self,
         a: CSRMatrix,
@@ -57,32 +83,19 @@ class BiCGstabPlugin:
         workspace,
         backend=None,
     ) -> None:
-        n = a.nrows
-        self.live = live
-        self.b = b
-        self.backend = backend
-        # Workspace-backed vectors, fully overwritten (no state can
-        # leak between runs sharing the workspace).
-        self.x = workspace.zeros("bicgstab.x", n)
+        self.bind(a, live, b, config, workspace, backend)
+        # Fully overwritten: no state can leak between runs sharing the
+        # workspace.
+        self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        self.r = workspace.buffer("bicgstab.r", n)
-        #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
         spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
         np.subtract(b, self.r, out=self.r)
-        self.r_hat = workspace.buffer("bicgstab.r_hat", n)
         self.r_hat[:] = self.r
-        self.p = workspace.zeros("bicgstab.p", n)
-        self.v = workspace.zeros("bicgstab.v", n)
-        self.s = workspace.zeros("bicgstab.s", n)
-        self.scal: dict[str, float] = {
-            "rho": 1.0,
-            "alpha": 1.0,
-            "omega": 1.0,
-            "iteration": 0,
-            "rnorm": self._rnorm(),
-        }
+        self.p[:] = 0.0
+        self.v[:] = 0.0
+        self.s[:] = 0.0
+        self.scal["rnorm"] = self._rnorm()
 
     @property
     def iteration(self) -> int:

@@ -44,6 +44,31 @@ class CGPlugin:
     def check_scheme(self, scheme: Scheme) -> None:
         """CG supports all three schemes."""
 
+    def bind(
+        self,
+        a: CSRMatrix,
+        live: CSRMatrix,
+        b: np.ndarray,
+        config: SchemeConfig,
+        workspace,
+        backend=None,
+    ) -> None:
+        self.live = live
+        self.b = b
+        self.config = config
+        self.workspace = workspace
+        self.backend = backend
+        # Workspace-backed vectors, storage reused across runs; the
+        # ``tmp`` member holds the update's ``α·p`` / ``α·q``.
+        self.x, self.r, self.p, self.q, self.tmp = workspace.vector_set(
+            "cg", ("x", "r", "p", "q", "tmp"), a.nrows
+        )
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.pq = 1.0  #: curvature ``pᵀAp`` of the step that produced this state
+        self.iteration = 0
+        self.iter_in_chunk = 0  #: ONLINE-DETECTION's position inside the chunk
+
     def init_state(
         self,
         a: CSRMatrix,
@@ -54,31 +79,17 @@ class CGPlugin:
         workspace,
         backend=None,
     ) -> None:
-        n = a.nrows
-        self.live = live
-        self.b = b
-        self.config = config
-        self.workspace = workspace
-        self.backend = backend
-        # Workspace-backed vectors, storage reused across runs (every
-        # entry is overwritten here, so nothing can leak from a previous
-        # repetition).
-        self.x = workspace.zeros("cg.x", n)
+        self.bind(a, live, b, config, workspace, backend)
+        # Every entry is overwritten here, so nothing can leak from a
+        # previous repetition.
+        self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        self.r = workspace.buffer("cg.r", n)
-        #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
         spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
         np.subtract(b, self.r, out=self.r)
-        self.p = workspace.buffer("cg.p", n)
         self.p[:] = self.r
-        self.q = workspace.zeros("cg.q", n)
-        self.tmp = workspace.buffer("cg.tmp", n)  #: the update's ``α·p`` / ``α·q``
+        self.q[:] = 0.0
         self.rr = float(self.r.dot(self.r))
-        self.pq = 1.0  #: curvature ``pᵀAp`` of the step that produced this state
-        self.iteration = 0
-        self.iter_in_chunk = 0  #: ONLINE-DETECTION's position inside the chunk
 
     @property
     def vectors(self) -> dict[str, np.ndarray]:

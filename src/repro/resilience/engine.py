@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -42,9 +43,9 @@ from repro.abft.spmv import SpmvStatus, verified_spmv
 from repro.backends import resolve_backend
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.checkpoint.store import Checkpoint, CheckpointStore
-from repro.core.cg import cg_tolerance_threshold
+from repro.core.cg import norm2, tolerance_threshold
 from repro.core.methods import SchemeConfig
-from repro.faults.injector import FaultInjector, FaultModel
+from repro.faults.injector import FaultInjector, FaultModel, FaultTargets
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.perf.workspace import SolveWorkspace
@@ -370,11 +371,13 @@ class EngineContext:
         here = self.cursor if self.cursor is not None and self.cursor <= k else -1
         snap = memo.nearest_snapshot(k)
         # While a clean state or an index-only checkpoint exists, the
-        # stored checkpoint is a clean one at or below it (a tainted
-        # save ends every clean stretch of the solve for good).
-        start = max(here, self._stored_clean, snap)
+        # stored checkpoint (if any: a solve that started on the memo's
+        # origin may have none) is a clean one at or below it (a
+        # tainted save ends every clean stretch of the solve for good).
+        stored = -1 if self._stored_clean is None else self._stored_clean
+        start = max(here, stored, snap)
         if start != here:
-            source = memo.snapshots[snap] if start == snap else self.store.latest.vectors
+            source = memo.vectors_at(snap) if start == snap else self.store.latest.vectors
             for name, vec in vectors.items():
                 vec[:] = source[name]
         plugin.load_scalars(Checkpoint(start, {}, scalars=memo.steps[start]))
@@ -595,6 +598,33 @@ class EngineContext:
         return False
 
 
+def _backend_name(backend: "object | None") -> str:
+    return getattr(backend, "name", "custom") if backend is not None else "reference"
+
+
+def _fault_targets(
+    workspace: SolveWorkspace, method: str, live: CSRMatrix, vectors: "dict[str, np.ndarray]"
+) -> FaultTargets:
+    """The strike table of a solve: the live matrix arrays (their
+    strikes enter the workspace's strike-undo ledger), then the plugin's
+    vectors in declaration order — the registration order is part of
+    the RNG contract.  Built once per workspace binding and kept while
+    the solves of that binding hand in the same array objects."""
+    wanted = [("val", live.val), ("colid", live.colid), ("rowidx", live.rowidx)]
+    wanted.extend(vectors.items())
+    key = ("fault-targets", method)
+    table = workspace.bound.get(key)
+    if table is None or any(table.arrays.get(name) is not arr for name, arr in wanted):
+        table = FaultTargets()
+        for name, arr in wanted:
+            ledger = None
+            if name in _MATRIX_CORRECTION_KINDS:
+                ledger = partial(workspace.note_matrix_mutation, name)
+            table.register(name, arr, on_strike=ledger)
+        workspace.bound[key] = table
+    return table
+
+
 def run_protected(
     plugin: RecurrencePlugin,
     a: CSRMatrix,
@@ -718,10 +748,7 @@ def run_protected(
             )
         ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
         ctx.tracer = tr
-        plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
-        ctx.threshold = cg_tolerance_threshold(
-            a, b, plugin.vectors["r"], eps, norm1_a=workspace.source_norm1(a)
-        )
+        memo = None
         if (
             workspace.shared
             and x0 is None
@@ -732,10 +759,24 @@ def run_protected(
             # Kernel routing is part of a non-reference trajectory.
             and (backend is None or live.structure_clean)
         ):
-            ctx.memo = workspace.trajectory(plugin.name, backend, b)
+            memo = workspace.trajectory(plugin.name, backend, b)
+        if memo is not None and memo.origin is not None:
+            # T[0] is known: start on it with the vectors unwritten
+            # (``cursor`` None); the first strike or check that needs
+            # them materialises them from the memo's origin.
+            plugin.bind(a, live, b, config, workspace, backend)
+            plugin.load_scalars(Checkpoint(0, {}, scalars=memo.steps[0]))
+            r0_norm, b_norm = memo.origin_norms
+        else:
+            plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
+            r0_norm, b_norm = norm2(plugin.vectors["r"]), norm2(b)
+            if memo is not None:
+                memo.record_origin(plugin.scalars(), plugin.vectors, (r0_norm, b_norm))
+                ctx.cursor = 0
+        ctx.threshold = tolerance_threshold(eps, workspace.source_norm1(a), r0_norm, b_norm)
+        if memo is not None:
+            ctx.memo = memo
             ctx.clean = True
-            ctx.cursor = 0
-            ctx.memo.record(0, plugin.scalars(), plugin.vectors)
 
         # ABFT metadata comes from the clean input matrix and lives in
         # reliable memory for the whole solve.
@@ -759,17 +800,13 @@ def run_protected(
         # registration order (matrix arrays, then the plugin's vectors in
         # declaration order) is part of the RNG contract.
         if alpha > 0:
-            words = live.memory_words + n * len(plugin.vectors)
-            ctx.injector = FaultInjector(FaultModel(alpha=alpha, memory_words=words), rng)
-
-            def _ledger(name):
-                return lambda position: workspace.note_matrix_mutation(name, position)
-
-            ctx.injector.register("val", live.val, on_strike=_ledger("val"))
-            ctx.injector.register("colid", live.colid, on_strike=_ledger("colid"))
-            ctx.injector.register("rowidx", live.rowidx, on_strike=_ledger("rowidx"))
-            for name, vec in plugin.vectors.items():
-                ctx.injector.register(name, vec)
+            vectors = plugin.vectors
+            words = live.memory_words + n * len(vectors)
+            ctx.injector = FaultInjector(
+                FaultModel(alpha=alpha, memory_words=words),
+                rng,
+                targets=_fault_targets(workspace, plugin.name, live, vectors),
+            )
 
         # Initial checkpoint = the initial data (the paper: the first frame
         # recovers "by reading initial data again", at the same cost).
@@ -786,7 +823,7 @@ def run_protected(
                 nnz=a.nnz,
                 s=config.checkpoint_interval,
                 d=config.verification_interval,
-                backend=getattr(backend, "name", "custom") if backend is not None else "reference",
+                backend=_backend_name(backend),
             )
 
         executed = 0
@@ -876,28 +913,28 @@ def run_protected(
         # One batch of counter folds per solve — never per iteration, so
         # the metrics layer stays invisible on the hot path.
         bd, cnt = ctx.breakdown, ctx.counters
-        m = METRICS
-        m.inc("engine.solves")
-        m.inc("engine.converged" if result.converged else "engine.diverged")
-        m.inc("engine.iterations_executed", executed)
-        m.inc("engine.iterations_virtual", ctx.virtual)
-        m.inc("engine.iterations_replayed", ctx.replayed)
-        m.inc("engine.products_guarded", ctx.guarded)
-        m.inc("engine.faults_injected", cnt.faults_injected)
-        m.inc("engine.rollbacks", cnt.rollbacks)
-        m.inc("engine.corrections", cnt.total_corrections)
-        m.inc("engine.detections", cnt.detections)
-        m.inc("engine.checkpoints", cnt.checkpoints)
-        m.inc("engine.time_units.useful", bd.useful_work)
-        m.inc("engine.time_units.wasted", bd.wasted_work)
-        m.inc("engine.time_units.verification", bd.verification)
-        m.inc("engine.time_units.checkpoint", bd.checkpoint)
-        m.inc("engine.time_units.recovery", bd.recovery)
-        m.inc(
-            "engine.backend."
-            + (getattr(backend, "name", "custom") if backend is not None else "reference")
+        METRICS.inc_many(
+            (
+                ("engine.solves", 1),
+                ("engine.converged" if result.converged else "engine.diverged", 1),
+                ("engine.iterations_executed", executed),
+                ("engine.iterations_virtual", ctx.virtual),
+                ("engine.iterations_replayed", ctx.replayed),
+                ("engine.products_guarded", ctx.guarded),
+                ("engine.faults_injected", cnt.faults_injected),
+                ("engine.rollbacks", cnt.rollbacks),
+                ("engine.corrections", cnt.total_corrections),
+                ("engine.detections", cnt.detections),
+                ("engine.checkpoints", cnt.checkpoints),
+                ("engine.time_units.useful", bd.useful_work),
+                ("engine.time_units.wasted", bd.wasted_work),
+                ("engine.time_units.verification", bd.verification),
+                ("engine.time_units.checkpoint", bd.checkpoint),
+                ("engine.time_units.recovery", bd.recovery),
+                ("engine.backend." + _backend_name(backend), 1),
+            )
         )
-        m.observe("engine.solve_wall_s", result.wall_seconds)
+        METRICS.observe("engine.solve_wall_s", result.wall_seconds)
 
         if tr is not None:
             tr.emit(

@@ -47,6 +47,29 @@ class JacobiPCGPlugin:
         if not scheme.uses_abft:
             raise ValueError(f"{self.name} supports the ABFT schemes only")
 
+    def bind(
+        self,
+        a: CSRMatrix,
+        live: CSRMatrix,
+        b: np.ndarray,
+        config: SchemeConfig,
+        workspace,
+        backend=None,
+    ) -> None:
+        self.backend = backend
+        # Reliable metadata, like the checksums: extracted once per
+        # matrix, not per run.
+        self.minv = workspace.jacobi_minv(a)
+        self.live = live
+        self.b = b
+        # Workspace-backed vectors, storage reused across runs.
+        self.x, self.r, self.p, self.q, self.z = workspace.vector_set(
+            "pcg", ("x", "r", "p", "q", "z"), a.nrows
+        )
+        #: The SpMxV products scratch every direct product shares.
+        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.iteration = 0
+
     def init_state(
         self,
         a: CSRMatrix,
@@ -57,31 +80,19 @@ class JacobiPCGPlugin:
         workspace,
         backend=None,
     ) -> None:
-        n = a.nrows
-        self.backend = backend
-        # Reliable metadata, like the checksums: extracted once per
-        # matrix, not per run.
-        self.minv = workspace.jacobi_minv(a)
-        self.live = live
-        self.b = b
-        # Workspace-backed vectors, fully overwritten (no state can
-        # leak between runs sharing the workspace).
-        self.x = workspace.zeros("pcg.x", n)
+        self.bind(a, live, b, config, workspace, backend)
+        # Fully overwritten: no state can leak between runs sharing the
+        # workspace.
+        self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        self.r = workspace.buffer("pcg.r", n)
-        #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
         spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
         np.subtract(b, self.r, out=self.r)
-        self.z = workspace.buffer("pcg.z", n)
         np.multiply(self.minv, self.r, out=self.z)
-        self.p = workspace.buffer("pcg.p", n)
         self.p[:] = self.z
-        self.q = workspace.zeros("pcg.q", n)
+        self.q[:] = 0.0
         self.rz = float(self.r @ self.z)
         self.rnorm = self._rnorm()
-        self.iteration = 0
 
     @property
     def vectors(self) -> dict[str, np.ndarray]:

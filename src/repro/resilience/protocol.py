@@ -14,12 +14,24 @@ checkpoint/rollback orchestration and the time/recovery ledger.  A
 - a convergence test and a refresh (restart-from-reliable-data) reset.
 
 Plugins are *single-use*: the engine instantiates one per run via the
-:mod:`repro.resilience.registry` factories, and :meth:`bind` /
-:meth:`init_state` wire it to that run's live state.
+:mod:`repro.resilience.registry` factories, and
+:meth:`~RecurrencePlugin.init_state` wires it to that run's live state
+and computes the initial state.
 
 A plugin whose recurrence is deterministic may additionally offer the
-pair the engine's clean-trajectory memo needs (docs/DESIGN.md §4); a
-plugin without it is simply always executed:
+three methods the engine's clean-trajectory memo needs (docs/DESIGN.md
+§4); a plugin without them is simply always executed:
+
+``bind(a, live, b, config, workspace, backend) -> None``
+    :meth:`~RecurrencePlugin.init_state` without its arithmetic: store
+    the references and draw the vectors from the workspace, contents
+    unspecified.  A solve whose initial state the memo already holds
+    binds the plugin, loads that state's scalars and leaves the
+    vectors to the engine, which writes them only when a strike or a
+    check needs them.  The vectors should come from
+    :meth:`repro.perf.SolveWorkspace.vector_set`: the same array
+    objects on every solve of one workspace binding, over which the
+    engine builds its fault-target table once.
 
 ``advance_clean(ctx, scalars) -> StepOutcome | None``
     Account one clean, strike-free iteration arriving at the state

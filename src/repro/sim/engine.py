@@ -19,11 +19,12 @@ import numpy as np
 from repro.adaptive import SamplingPolicy, Welford, ci_bounds
 from repro.sparse.csr import CSRMatrix
 from repro.core.methods import Method, SchemeConfig
+from repro.obs.metrics import METRICS
+from repro.obs.tracer import resolve_tracer
 from repro.sim.results import DEFAULT_CONFIDENCE, PER_REP_KEYS, RunStatistics
 from repro.util.rng import spawn_named
 
-# repro.resilience (the whole solve stack) is imported inside the rep
-# loop.  RunStatistics and PER_REP_KEYS live in repro.sim.results, so
+# RunStatistics and PER_REP_KEYS live in repro.sim.results, so
 # aggregation and reporting read records without importing this module,
 # which imports NumPy.
 
@@ -56,6 +57,23 @@ def make_rhs(a: CSRMatrix, seed: int = 1234) -> np.ndarray:
     return _rhs(a.nrows, seed).copy()
 
 
+@lru_cache(maxsize=None)
+def _registry():
+    """:mod:`repro.resilience.registry` (the whole solve stack), imported
+    by the first repetition: a ``--jobs`` dispatcher imports this module
+    for its forked workers but runs no solve, and so loads no solver."""
+    import repro.resilience.registry
+
+    return repro.resilience.registry
+
+
+@lru_cache(maxsize=None)
+def _fixed_policy(reps: int) -> SamplingPolicy:
+    """The policy of a fixed ``reps``-count loop, one per rep count (it
+    is frozen, so every task with that count shares it)."""
+    return SamplingPolicy(min_reps=reps, max_reps=reps, confidence=DEFAULT_CONFIDENCE)
+
+
 def _copy_payload(prior: dict) -> dict:
     """Validated copy of a prior payload (e.g. a store partial record)."""
     payload = {}
@@ -75,21 +93,40 @@ def _aggregate(payload: dict, confidence: float) -> RunStatistics:
 
     This is the single aggregation path for both fixed-count and
     adaptive runs: an adaptive run that stopped at k reps aggregates
-    exactly like a fixed ``reps=k`` run (same numpy reductions in the
-    same order), so the two produce identical statistics by
-    construction.
+    exactly like a fixed ``reps=k`` run (same reductions in the same
+    order), so the two produce identical statistics by construction.
 
     The six means are one pairwise float64 row reduction divided by
     ``reps`` — bit for bit what ``np.mean`` returns for each list
     (ints and bools convert exactly; ``tests/test_sim_engine.py`` keeps
-    the per-list form as the reference).
+    the per-list form as the reference).  A single repetition folds in
+    plain Python: NumPy's row sum of one element is ``0.0 + x`` (so
+    ``-0.0`` sums to ``0.0``) and its min and max are ``x`` itself.
+    Two or more stay on NumPy, whose min/max pick among equal zeros
+    and NaN payloads by rules of their own.
     """
     reps = len(payload["times"])
+    if reps == 1:
+        t0 = float(payload["times"][0])
+        means = {k: 0.0 + float(payload[k][0]) for k in PER_REP_KEYS}
+        return RunStatistics(
+            mean_time=means["times"],
+            std_time=0.0,
+            min_time=t0,
+            max_time=t0,
+            mean_iterations=means["iterations"],
+            mean_rollbacks=means["rollbacks"],
+            mean_corrections=means["corrections"],
+            mean_faults=means["faults"],
+            convergence_rate=means["converged"],
+            reps=1,
+            confidence=confidence,
+        )
     rows = np.array([payload[k] for k in PER_REP_KEYS], dtype=np.float64)
     means = dict(zip(PER_REP_KEYS, (rows.sum(axis=1) / reps).tolist()))
     t = rows[0]
     mean = means["times"]
-    std = float(t.std(ddof=1)) if reps > 1 else 0.0
+    std = float(t.std(ddof=1))
     ci = ci_bounds(mean, std, reps, confidence)
     return RunStatistics(
         mean_time=mean,
@@ -195,14 +232,9 @@ def repeat_run(
     if not adaptive:
         if reps < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")
-        policy = SamplingPolicy(
-            min_reps=reps, max_reps=reps, confidence=DEFAULT_CONFIDENCE
-        )
+        policy = _fixed_policy(reps)
     method = Method.parse(method)
-    from repro.obs.metrics import METRICS
-    from repro.obs.tracer import resolve_tracer
-    from repro.resilience.registry import run_ft_method
-
+    run_ft_method = _registry().run_ft_method
     tr = resolve_tracer(tracer)
     ws = workspace
     if ws is None and reuse_workspace:

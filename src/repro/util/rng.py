@@ -46,4 +46,6 @@ def spawn_named(base_seed: int, *labels: object) -> np.random.Generator:
     """
     digest = hashlib.sha256(repr((base_seed, *labels)).encode()).digest()
     entropy = int.from_bytes(digest[:16], "little")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    # What ``np.random.default_rng(SeedSequence(entropy))`` builds, minus
+    # its argument dispatch (one per repetition of every campaign task).
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

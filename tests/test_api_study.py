@@ -1,15 +1,45 @@
 """Declarative Study sweeps: compilation, presets, serialization, runs."""
 
+import io
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro import Study
+from repro.api.study import StudyResult
+from repro.sim.results import RunStatistics
 from repro.campaign import CampaignSpec
 from repro.core.methods import CostModel, Scheme
 from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import get_matrix
 from repro.store import ResultStore
+
+
+def _format_table_from_points(result) -> str:
+    """``StudyResult.format_table`` as it was when it read every row
+    through a :class:`StudyPoint` and its :class:`RunStatistics`: the
+    reference for the record-dict formatter."""
+    point_cols = ("uid", "method", "backend", "scheme", "alpha", "s", "d", "n")
+    cols = point_cols + tuple(result.metrics)
+
+    def cell(v) -> str:
+        return f"{v:.4g}" if isinstance(v, float) else str(v)
+
+    widths = [len(c) for c in cols]
+    rows = []
+    for p in result:
+        cells = [cell(getattr(p, c)) for c in point_cols]
+        cells += [cell(getattr(p.stats, c)) for c in result.metrics]
+        widths = [max(w, len(c)) for w, c in zip(widths, cells)]
+        rows.append("\x1f".join(cells))
+    head = " ".join(c.rjust(w) for c, w in zip(cols, widths))
+    out = io.StringIO()
+    out.write(f"{head}\n{'-' * len(head)}\n")
+    for row in rows:
+        cells = row.split("\x1f")
+        out.write(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
+    return out.getvalue()
 
 
 class TestCompilation:
@@ -208,6 +238,38 @@ class TestExecution:
         text = result.format_table()
         assert "mean_time" in text and "convergence_rate" in text
         assert "2213" in text
+
+    def test_format_table_is_the_point_view_table_byte_for_byte(self):
+        tasks, records = [], []
+        for reps in (1, 3):  # one rep carries no CI; three do
+            study = (Study("pin")
+                     .axis("method", ["cg", "bicgstab"])
+                     .axis("mtbf", [16.0, 1e4])
+                     .axis("s", [1, 3])
+                     .fix(uid=2213, scale=128, eps=0.03, reps=reps))
+            tasks += study.tasks()
+            records += study.run(jobs=1).records
+        for i, rec in enumerate(records):
+            rec = records[i] = json.loads(json.dumps(rec))
+            if i % 5 == 1:  # a poison task the harness gave up on
+                records[i] = {"hash": rec["hash"], "kind": "quarantine", "task": rec["task"],
+                              "error": "RuntimeError: boom"}
+            elif i % 5 == 2:  # a record from before the CI fields existed
+                for key in ("ci_low", "ci_high", "confidence"):
+                    rec["stats"].pop(key)
+        metric_sets = [
+            ("mean_time", "convergence_rate"),
+            ("sem_time", "reps", "ci_low", "ci_high", "confidence", "std_time"),
+            tuple(f.name for f in fields(RunStatistics)) + ("sem_time",),
+        ]
+        for metrics in metric_sets:
+            result = StudyResult(tasks, records, metrics)
+            assert result.quarantined == 3
+            assert result.format_table() == _format_table_from_points(result), metrics
+        quarantined = [i for i, rec in enumerate(records) if rec.get("kind") == "quarantine"]
+        for picked in ([], quarantined):  # no rows at all
+            result = StudyResult([tasks[i] for i in picked], [records[i] for i in picked])
+            assert result.format_table() == _format_table_from_points(result)
 
     def test_store_records_keyed_by_hash(self, small_study, tmp_path):
         store = tmp_path / "s.jsonl"

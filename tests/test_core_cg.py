@@ -1,9 +1,13 @@
 """Unit tests for the plain CG solver (paper Algorithm 1)."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import cg
+from repro.core.cg import norm2
 from repro.sparse import laplacian_2d, random_spd, stencil_spd
 
 
@@ -95,3 +99,25 @@ class TestCG:
         ref, info = spla.cg(a.to_scipy(), b, rtol=1e-12, atol=0.0)
         assert info == 0
         np.testing.assert_allclose(ours.x, ref, atol=1e-6)
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300]),
+)
+
+
+class TestNorm2:
+    """``norm2`` is ``np.linalg.norm`` of a float64 vector, bit for bit:
+    the engine's stopping threshold is built from it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        values=st.lists(_ENTRIES, min_size=0, max_size=300),
+        step=st.sampled_from([1, 2, 3, -1, -2]),
+    )
+    def test_matches_numpy_norm_on_any_layout(self, values, step):
+        v = np.array(values, dtype=np.float64)[::step]  # strided and reversed views too
+        want = float(np.linalg.norm(v))
+        assert struct.pack("<d", norm2(v)) == struct.pack("<d", want)

@@ -68,7 +68,7 @@ class TestInjector:
         # access the registered array through a fresh strike to confirm
         strikes = injector.sample_strikes(n_strikes=0)
         assert strikes == []
-        assert injector._targets["b"][5] == 0
+        assert injector.targets.arrays["b"][5] == 0
 
     def test_inject_iteration_deterministic(self):
         m = FaultModel(alpha=0.5, memory_words=30)

@@ -536,7 +536,7 @@ def exponent_strikes(monkeypatch):
         out = []
         for target, position, bit in real(self, n_strikes=n_strikes):
             target = "val" if target in ("val", "colid", "rowidx") else "x"
-            out.append((target, position % self._targets[target].size, 52 + bit % 11))
+            out.append((target, position % self.targets.arrays[target].size, 52 + bit % 11))
         return out
 
     monkeypatch.setattr(FaultInjector, "sample_strikes", sample)

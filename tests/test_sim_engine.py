@@ -1,7 +1,11 @@
 """Unit tests for the experiment engine."""
 
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import Scheme, SchemeConfig
 from repro.sim import repeat_run
@@ -95,6 +99,83 @@ class TestAggregate:
                 assert type(got[key]) is type(value), key
                 # repr distinguishes -0.0 from 0.0 and equates NaN with NaN.
                 assert repr(got[key]) == repr(value), (reps, key)
+
+
+def _aggregate_oracle(payload: dict, confidence: float) -> RunStatistics:
+    """Verbatim the NumPy fold ``_aggregate`` was before single-rep
+    payloads folded in plain Python: the oracle for both its paths."""
+    reps = len(payload["times"])
+    rows = np.array([payload[k] for k in PER_REP_KEYS], dtype=np.float64)
+    means = dict(zip(PER_REP_KEYS, (rows.sum(axis=1) / reps).tolist()))
+    t = rows[0]
+    mean = means["times"]
+    std = float(t.std(ddof=1)) if reps > 1 else 0.0
+    ci = ci_bounds(mean, std, reps, confidence)
+    return RunStatistics(
+        mean_time=mean,
+        std_time=std,
+        min_time=float(t.min()),
+        max_time=float(t.max()),
+        mean_iterations=means["iterations"],
+        mean_rollbacks=means["rollbacks"],
+        mean_corrections=means["corrections"],
+        mean_faults=means["faults"],
+        convergence_rate=means["converged"],
+        reps=reps,
+        ci_low=ci[0] if ci else None,
+        ci_high=ci[1] if ci else None,
+        confidence=confidence,
+    )
+
+
+def _bits(value):
+    """A field as comparable bits: floats by their IEEE bytes (so -0.0
+    differs from 0.0 and NaN payloads count), everything else as is."""
+    if isinstance(value, float):
+        return "float", struct.pack("<d", value)
+    return type(value).__name__, value
+
+
+_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_COUNTS = st.one_of(
+    st.lists(st.integers(-(2**62), 2**62), min_size=64, max_size=64),
+    st.lists(st.booleans(), min_size=64, max_size=64),
+)
+
+
+@st.composite
+def _payloads(draw):
+    reps = draw(st.one_of(st.just(1), st.integers(1, 64)))  # half the draws take the Python path
+    payload = {"times": draw(st.lists(_TIMES, min_size=reps, max_size=reps))}
+    for key in PER_REP_KEYS[1:]:
+        payload[key] = draw(_COUNTS)[:reps]
+    return payload
+
+
+class TestFoldOracle:
+    """``_aggregate`` equals the NumPy oracle field for field, bit for
+    bit, whichever path the rep count selects (one rep folds in plain
+    Python, more on NumPy)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(payload=_payloads(), confidence=st.sampled_from([0.9, 0.95, 0.99]))
+    def test_every_field_matches_the_numpy_fold(self, payload, confidence):
+        got = _aggregate(payload, confidence)
+        with np.errstate(all="ignore"):
+            want = _aggregate_oracle(payload, confidence)
+        for f in fields(RunStatistics):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("time", [0.0, -0.0, float("inf"), float("-inf"), float("nan")])
+    def test_one_rep_edge_values(self, time):
+        payload = {"times": [time], "iterations": [3], "rollbacks": [0],
+                   "corrections": [True], "faults": [2**60 + 1], "converged": [False]}
+        got, want = _aggregate(payload, 0.95), _aggregate_oracle(payload, 0.95)
+        for f in fields(RunStatistics):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
 
 class TestRepeatRun:

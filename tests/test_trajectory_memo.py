@@ -385,7 +385,8 @@ def test_strike_free_repetition_executes_nothing(method, scheme, work):
     v0 = METRICS.count("engine.iterations_virtual")
     again, _ = _solve(workspace=ws, **kw)
     assert again.x.tobytes() == first.x.tobytes() and again.time_units == first.time_units
-    assert work == {"spmv": 1, "protected": 0, "steps": 0}  # the initial residual, only
+    # Not even the initial residual: the solve starts on the memo's origin.
+    assert work == {"spmv": 0, "protected": 0, "steps": 0}
     assert METRICS.count("engine.iterations_virtual") - v0 == again.iterations_executed
 
 
