@@ -6,7 +6,10 @@
 
 REV (any git revision) is exported with ``git archive`` into a
 temporary directory; the other side is the checkout this script lives
-in, uncommitted edits included.  Each side runs *its own*
+in, uncommitted edits included, copied into another one.  Both sides
+thus start from fresh trees without bytecode, and each compiles its
+own on its first run: neither side's ``setup_s`` is paid from a warm
+``__pycache__`` the other lacks.  Each side runs *its own*
 ``benchmarks/e2e/run.py --workload W --trace 0 --runs 1 --seconds 0
 --seed K``: the ledger puts its own tree's ``src/`` on ``PYTHONPATH``,
 so that is what chooses the side.  Pair ``i`` gives both sides the seed
@@ -28,8 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,21 @@ def export(rev: str, dest: pathlib.Path) -> pathlib.Path:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
     if not (dest / LEDGER).is_file():
         raise SystemExit(f"error: {rev} has no {LEDGER}")
+    return dest
+
+
+def copy_checkout(root: pathlib.Path, dest: pathlib.Path) -> pathlib.Path:
+    """Copy the working tree of the git checkout ``root`` into ``dest``:
+    tracked files as they are on disk and untracked files git does not
+    ignore, so uncommitted edits come along and bytecode does not."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True).stdout
+    dest.mkdir(parents=True)
+    for rel in filter(None, os.fsdecode(listed).split("\0")):
+        if (root / rel).is_file():  # a tracked file deleted on disk is still listed
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / rel, dest / rel)
     return dest
 
 
@@ -166,7 +186,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
         work = pathlib.Path(tmp)
-        trees = {"base": export(args.rev, work / "base"), "change": ROOT}
+        trees = {"base": export(args.rev, work / "base"),
+                 "change": copy_checkout(ROOT, work / "change")}
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i

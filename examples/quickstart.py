@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import FaultSpec, cg, solve, stencil_spd
+from repro import FaultSpec, solve, stencil_spd
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     b = rng.standard_normal(a.nrows)
 
     print(f"matrix: n={a.nrows}, nnz={a.nnz}, {a.nnz / a.nrows:.1f} nnz/row")
-    baseline = cg(a, b, eps=1e-8)
+    baseline = solve(a, b, faults=None, eps=1e-8)
     print(f"fault-free CG: {baseline.iterations} iterations\n")
 
     # The three-line version — one bit flip every ~10 iterations in

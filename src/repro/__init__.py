@@ -20,7 +20,8 @@ The library provides:
   ABFT-DETECTION / ABFT-CORRECTION schemes, with the one
   fault-tolerant entry point ``run_ft_method``
   (:mod:`repro.resilience`);
-- plain CG / PCG / BiCGstab baselines (:mod:`repro.core`);
+- the scheme descriptors, cost model and Chen's verification tests
+  (:mod:`repro.core`);
 - the abstract performance model with numerical interval optimization
   (:mod:`repro.model`);
 - the paper's matrix suite and repeated fault-injected runs
@@ -89,8 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     )
     from repro.faults import FaultInjector, FaultModel
     from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
-    from repro.core.cg import cg
-    from repro.core.pcg import pcg, jacobi_preconditioner
     from repro.core import Scheme, Method, SchemeConfig, CostModel
     from repro.resilience import run_ft_method
     from repro.model import (
@@ -150,9 +149,6 @@ __all__ = [
     "FaultModel",
     "CheckpointStore",
     "PeriodicCheckpointPolicy",
-    "cg",
-    "pcg",
-    "jacobi_preconditioner",
     "Scheme",
     "Method",
     "SchemeConfig",
@@ -209,8 +205,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.faults": ("FaultInjector", "FaultModel"),
         "repro.checkpoint": ("CheckpointStore", "PeriodicCheckpointPolicy"),
-        "repro.core.cg": ("cg",),
-        "repro.core.pcg": ("pcg", "jacobi_preconditioner"),
         "repro.core": (
             "Scheme",
             "Method",

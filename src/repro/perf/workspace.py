@@ -394,17 +394,18 @@ class SolveWorkspace:
         return self._norm1
 
     def jacobi_minv(self, a: CSRMatrix) -> np.ndarray:
-        """``diag(A)⁻¹`` of the bound source ``a``, computed once per
-        binding by :func:`repro.core.pcg.jacobi_inverse_diagonal` (whose
-        zero-diagonal ``ValueError`` it passes on).  The returned array
-        is shared read-only metadata (like the checksums) — callers must
-        not mutate it.
+        """``diag(A)⁻¹`` of the bound source ``a`` (the Jacobi
+        preconditioner), computed once per binding; raises
+        ``ValueError`` when the diagonal has a zero (the matrix would not
+        be SPD anyway).  The returned array is shared read-only metadata
+        (like the checksums) — callers must not mutate it.
         """
         assert self._live_source is a
         if self._jacobi_minv is None:
-            from repro.core.pcg import jacobi_inverse_diagonal
-
-            self._jacobi_minv = jacobi_inverse_diagonal(a)
+            diag = a.diagonal()
+            if np.any(diag == 0.0):
+                raise ValueError("Jacobi preconditioner requires a zero-free diagonal")
+            self._jacobi_minv = 1.0 / diag
         return self._jacobi_minv
 
     def trajectory(

@@ -43,7 +43,6 @@ from repro.abft.spmv import SpmvStatus, verified_spmv
 from repro.backends import resolve_backend
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.checkpoint.store import Checkpoint, CheckpointStore
-from repro.core.cg import norm2, tolerance_threshold
 from repro.core.methods import SchemeConfig
 from repro.faults.injector import FaultInjector, FaultModel, FaultTargets
 from repro.obs.metrics import METRICS
@@ -52,6 +51,7 @@ from repro.perf.workspace import SolveWorkspace
 from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreakdown
 from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.norms import norm2
 from repro.sparse.spmv import spmv_kernel
 from repro.util.rng import as_generator
 
@@ -73,6 +73,12 @@ _MATRIX_CORRECTION_KINDS = frozenset({"val", "colid", "rowidx"})
 #: sets it from a fixture to compare against an independent memo-free,
 #: strike-free run.
 _clean_claim_hook: "Callable[[EngineContext, dict[str, np.ndarray]], None] | None" = None
+
+
+def _tolerance_threshold(eps: float, norm1_a: float, r0_norm: float, b_norm: float) -> float:
+    """Algorithm 1's stopping threshold ``ε (‖A‖·‖r₀‖ + ‖b‖)`` from its
+    three norms (``‖A‖`` is the 1-norm, exact for CSR)."""
+    return eps * (norm1_a * r0_norm + b_norm)
 
 
 class EngineContext:
@@ -658,9 +664,14 @@ def run_protected(
     alpha:
         Fault-rate constant: strikes per iteration ~ Poisson(α)
         (``λ = α/M`` per word).  Zero disables injection.
-    eps, maxiter, x0:
-        As in :func:`repro.core.cg.cg`; ``maxiter`` caps *executed*
-        iterations and defaults to ``20 n`` (faulty runs need headroom).
+    eps:
+        The ε of Algorithm 1's stopping criterion ``‖r‖ ≤ ε (‖A‖₁·‖r₀‖
+        + ‖b‖)``.
+    maxiter:
+        Cap on *executed* iterations; defaults to ``20 n`` (faulty runs
+        need headroom).
+    x0:
+        Initial guess (the zero vector when ``None``).
     rng:
         Seed or generator for the fault process.
     max_time_units:
@@ -773,7 +784,7 @@ def run_protected(
             if memo is not None:
                 memo.record_origin(plugin.scalars(), plugin.vectors, (r0_norm, b_norm))
                 ctx.cursor = 0
-        ctx.threshold = tolerance_threshold(eps, workspace.source_norm1(a), r0_norm, b_norm)
+        ctx.threshold = _tolerance_threshold(eps, workspace.source_norm1(a), r0_norm, b_norm)
         if memo is not None:
             ctx.memo = memo
             ctx.clean = True

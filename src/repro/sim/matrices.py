@@ -304,8 +304,11 @@ def clear_matrix_cache() -> None:
     """Explicitly drop every cached matrix (synthetic and file-backed).
 
     Also invalidates (by garbage collection) the per-matrix checksum
-    cache entries keyed on the dropped instances.  Campaign workers may
-    call this between tasks to bound memory on huge sweeps.
+    cache entries keyed on the dropped instances.  It does not free a
+    matrix a workspace is still bound to — the default workspace keeps
+    the last task's matrix alive.  To bound memory between tasks of a
+    huge sweep call :func:`repro.perf.clear_caches`, which also releases
+    that binding.
     """
     _synthesize.cache_clear()
     _load_workload.cache_clear()

@@ -2,16 +2,19 @@
 
 The Theorem-2 tolerance needs ``‖A‖₁ = max_j Σ_i |a_ij|`` (Eq. 8 of the
 paper) and the ABFT checksums need exact column sums; both are simple
-scatter-reductions over the CSR arrays.
+scatter-reductions over the CSR arrays.  Algorithm 1's stopping
+threshold adds the vector 2-norm :func:`norm2`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["column_sums", "row_sums", "norm1", "norm_inf", "max_row_nnz", "max_col_nnz"]
+__all__ = ["column_sums", "row_sums", "norm1", "norm2", "norm_inf", "max_row_nnz", "max_col_nnz"]
 
 
 def column_sums(a: CSRMatrix, weights: np.ndarray | None = None) -> np.ndarray:
@@ -54,6 +57,15 @@ def norm1(a: CSRMatrix) -> float:
     sums = np.zeros(n_cols, dtype=np.float64)
     np.add.at(sums, a.colid, np.abs(a.val))
     return float(sums.max(initial=0.0))
+
+
+def norm2(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a float64 vector, bit for bit,
+    without its dispatch: the same ``ravel(order="K")``, dot product and
+    correctly rounded square root (``tests/test_sparse_norms.py`` pins
+    it).  The resilience engine builds its stopping threshold from it."""
+    x = v.ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
 
 
 def norm_inf(a: CSRMatrix) -> float:

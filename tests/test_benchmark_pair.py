@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import random
+import subprocess
 import textwrap
 
 import pytest
@@ -42,6 +43,28 @@ def test_a_to_a_smoke_pair_reports_every_metric(pair, tmp_path, capsys):
         assert row["pairs"] == 1 and row["won"] + row["lost"] <= 1
         assert row["ci95"][0] == row["ci95"][1] == pytest.approx(row["ratio"])
         assert f"\n{row['name']} " in printed
+
+
+def test_change_side_is_a_fresh_copy_without_bytecode(pair, tmp_path):
+    """The change side is a copy of the checkout, edits included, in the
+    bytecode state of the base side's ``git archive`` export: none."""
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("committed\n")
+    (repo / "pkg" / "gone.py").write_text("deleted later\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    (repo / "pkg" / "mod.py").write_text("edited\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    tree = pair.copy_checkout(repo, tmp_path / "change")
+    assert sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()) == [
+        ".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (tree / "pkg" / "mod.py").read_text() == "edited\n"
 
 
 def test_sides_take_turns_going_first(pair):

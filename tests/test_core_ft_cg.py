@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import cg
 from repro.core import CostModel, Scheme, SchemeConfig
 from repro.resilience import run_ft_method
 from repro.sparse import stencil_spd
 from repro.obs import InMemoryTracer
+from tests.spec.protected_cg import ProtectedCG
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,13 @@ class TestFaultFree:
         assert res.counters.faults_injected == 0
 
     def test_matches_plain_cg_solution(self, problem):
+        """At α = 0 the protected solve is Algorithm 1, bit for bit: the
+        spec with an empty strike schedule."""
         a, b = problem
-        plain = cg(a, b, eps=1e-6)
-        ft = run_ft_method("cg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
-        np.testing.assert_allclose(ft.x, plain.x, rtol=1e-6, atol=1e-8)
+        cfg = config(Scheme.ABFT_CORRECTION)
+        plain = ProtectedCG(a, b, cfg, eps=1e-6).run()
+        ft = run_ft_method("cg", a, b, cfg, alpha=0.0, rng=0, eps=1e-6)
+        assert ft.x.tobytes() == plain.x.tobytes()
         assert ft.iterations == plain.iterations
 
     def test_time_accounting_fault_free(self, problem):

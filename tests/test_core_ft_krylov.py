@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import Scheme, SchemeConfig, bicgstab
+from repro.core import Scheme, SchemeConfig
 from repro.resilience import run_ft_method
 from repro.sim.engine import make_rhs
-from repro.sparse import stencil_spd
+from repro.sparse import CSRMatrix, stencil_spd
+from tests.spec.plain import bicgstab
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,32 @@ class TestFaultFree:
         plain = bicgstab(a, b, eps=1e-6)
         ft = run_ft_method("bicgstab", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
         np.testing.assert_allclose(a.matvec(ft.x), b, atol=10 * plain.threshold)
+
+    def test_solves_nonsymmetric(self, problem):
+        """BiCGstab's reason to exist: a nonsymmetric system (a
+        diagonally dominant perturbation of the stencil)."""
+        a, b = problem
+        dense = a.to_dense().copy()
+        rng = np.random.default_rng(5)
+        rows, cols = rng.integers(0, a.nrows, size=(2, 60))
+        dense[rows, cols] += 0.2 * rng.random(60)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1))
+        nonsym = CSRMatrix.from_dense(dense)
+        res = run_ft_method("bicgstab", nonsym, b, config(Scheme.ABFT_DETECTION), eps=1e-10)
+        assert res.converged
+        np.testing.assert_allclose(nonsym.matvec(res.x), b, atol=1e-5)
+
+    def test_agrees_with_cg_on_spd(self, problem):
+        a, b = problem
+        cfg = config(Scheme.ABFT_DETECTION)
+        ours = run_ft_method("bicgstab", a, b, cfg, eps=1e-10)
+        ref = run_ft_method("cg", a, b, cfg, eps=1e-10)
+        np.testing.assert_allclose(ours.x, ref.x, atol=1e-4)
+
+    def test_maxiter(self, problem):
+        a, b = problem
+        res = run_ft_method("bicgstab", a, b, config(Scheme.ABFT_DETECTION), eps=1e-14, maxiter=2)
+        assert res.iterations_executed == 2 and not res.converged
 
     def test_online_scheme_rejected(self, problem):
         a, b = problem

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import cg
+from repro import solve
 from repro.core import CostModel, Scheme, SchemeConfig
 from repro.resilience import run_ft_method
 from repro.model import model_for_scheme
@@ -24,7 +24,7 @@ class TestSchemesAgree:
 
     def test_same_solution_all_schemes(self, suite_matrix):
         a, b = suite_matrix
-        plain = cg(a, b, eps=1e-8)
+        plain = solve(a, b, faults=None, eps=1e-8)
         xs = []
         for scheme, d in [
             (Scheme.ONLINE_DETECTION, 3),

@@ -1,13 +1,14 @@
 """Tests for the resilience engine, its plugins and the method axis."""
 
+import itertools
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from repro import pcg
 from repro.core import Method, Scheme, SchemeConfig
+from repro.faults.injector import FaultInjector
 from repro.resilience import (
     BiCGstabPlugin,
     CGPlugin,
@@ -19,7 +20,9 @@ from repro.resilience import (
 from repro.sim.engine import make_rhs, repeat_run
 from repro.obs import InMemoryTracer
 from repro.perf import SolveWorkspace
+from repro.sim.matrices import get_matrix
 from repro.sparse import stencil_spd
+from tests.spec.plain import jacobi_pcg
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +91,7 @@ class TestFTPCG:
     def test_matches_plain_pcg_iterations(self, problem):
         """Fault-free FT-PCG is plain Jacobi-PCG plus protection."""
         a, b = problem
-        from repro.core import jacobi_preconditioner
-
-        plain = pcg(a, b, preconditioner=jacobi_preconditioner(a), eps=1e-6)
+        plain = jacobi_pcg(a, b, eps=1e-6)
         ft = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.0, rng=0, eps=1e-6)
         assert ft.converged
         np.testing.assert_allclose(ft.x, plain.x, rtol=1e-6, atol=1e-8)
@@ -141,6 +142,27 @@ class TestFTPCG:
         a, b = problem
         with pytest.raises(ValueError, match="ABFT"):
             run_ft_method("pcg", a, b, SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=4))
+
+    def test_jacobi_minv_is_the_inverse_diagonal(self, problem):
+        a, _ = problem
+        ws = SolveWorkspace()
+        ws.acquire_live(a)
+        np.testing.assert_array_equal(ws.jacobi_minv(a), 1.0 / a.diagonal())
+
+    def test_corrects_a_val_strike_on_suite_matrix(self, monkeypatch):
+        """A corrupted ``val`` word in PCG's protected product (suite
+        #1288) is repaired in place and the solve still converges."""
+        a = get_matrix(1288, 32)
+        b = make_rhs(a)
+        draws = itertools.count()
+        monkeypatch.setattr(
+            FaultInjector,
+            "sample_strikes",
+            lambda self, **_: [("val", 7, 61)] if next(draws) == 3 else [],
+        )
+        res = run_ft_method("pcg", a, b, config(Scheme.ABFT_CORRECTION), alpha=0.5, eps=1e-8)
+        assert res.converged and res.counters.rollbacks == 0
+        assert res.counters.corrections == {"val": 1}
 
     def test_zero_diagonal_rejected(self):
         from repro.sparse import CSRMatrix
@@ -342,6 +364,18 @@ class TestRetiredSpellings:
 
     RETIRED = ["run_ft_cg", "run_ft_bicgstab", "run_ft_pcg", "FTCGResult",
                "IterationFaultPlan", "CGTargets"]
+    #: The plain solvers: a fault-free solve is ``repro.solve(a, b,
+    #: faults=None)`` (or ``run_ft_method`` at ``alpha=0``).
+    PLAIN_SOLVERS = [
+        ("repro", "cg"),
+        ("repro", "pcg"),
+        ("repro", "jacobi_preconditioner"),
+        ("repro.core", "CGResult"),
+        ("repro.core", "jacobi_preconditioner"),
+        ("repro.core", "ssor_preconditioner"),
+        ("repro.core", "bicgstab"),
+        ("repro.core", "cg_tolerance_threshold"),
+    ]
 
     @pytest.mark.parametrize("name", RETIRED)
     def test_top_level_import_fails(self, name):
@@ -352,8 +386,25 @@ class TestRetiredSpellings:
         with pytest.raises(ImportError):
             from repro.sim.engine import repeat_run_batched  # noqa: F401
 
+    @pytest.mark.parametrize("package, name", PLAIN_SOLVERS)
+    def test_plain_solvers_are_gone(self, package, name):
+        import importlib
+
+        with pytest.raises(ImportError):
+            exec(f"from {package} import {name}", {})
+        pkg = importlib.import_module(package)
+        assert name not in pkg.__all__ and name not in dir(pkg)
+
     @pytest.mark.parametrize(
-        "module", ["repro.core.ft_cg", "repro.core.ft_krylov", "repro.faults.scenarios"]
+        "module",
+        [
+            "repro.core.ft_cg",
+            "repro.core.ft_krylov",
+            "repro.faults.scenarios",
+            "repro.core.cg",
+            "repro.core.pcg",
+            "repro.core.krylov",
+        ],
     )
     def test_wrapper_modules_are_gone(self, module):
         import importlib

@@ -1,10 +1,13 @@
 """Unit tests for CSR norms and checksum reductions."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sparse import norm1, norm_inf, column_sums, row_sums
-from repro.sparse.norms import max_col_nnz, max_row_nnz
+from repro.sparse.norms import max_col_nnz, max_row_nnz, norm2
 from tests.conftest import dense_random_csr
 
 
@@ -57,3 +60,25 @@ class TestNnzCounts:
 
     def test_laplacian_max_col_nnz_is_stencil_size(self, small_lap):
         assert max_col_nnz(small_lap) == 5
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300]),
+)
+
+
+class TestNorm2:
+    """``norm2`` is ``np.linalg.norm`` of a float64 vector, bit for bit:
+    the engine's stopping threshold is built from it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        values=st.lists(_ENTRIES, min_size=0, max_size=300),
+        step=st.sampled_from([1, 2, 3, -1, -2]),
+    )
+    def test_matches_numpy_norm_on_any_layout(self, values, step):
+        v = np.array(values, dtype=np.float64)[::step]  # strided and reversed views too
+        want = float(np.linalg.norm(v))
+        assert struct.pack("<d", norm2(v)) == struct.pack("<d", want)

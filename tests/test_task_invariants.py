@@ -21,7 +21,7 @@ from repro.campaign import executor, run_campaign
 from repro.campaign.spec import TaskSpec
 from repro.core.methods import CostModel, SchemeConfig
 from repro.faults.injector import FaultTargets
-from repro.perf import clear_caches, default_workspace
+from repro.perf import clear_caches
 from repro.sim import engine as sim_engine
 from repro.sim.matrices import MATRIX_DIR_ENV, clear_matrix_cache, get_matrix
 
@@ -98,13 +98,14 @@ def test_clear_matrix_cache_still_frees_every_matrix_tasks_ran_on():
     private = weakref.ref(get_matrix(2213, 128))
     run_campaign(tasks, jobs=1)  # the default workspace binds 2213 ...
     run_campaign(_grid(uid=1312).tasks()[:10], jobs=1)  # ... then 1312
+    bound = weakref.ref(get_matrix(1312, 128))
     clear_matrix_cache()
     gc.collect()
     assert private() is None
-    # The default workspace holds its current binding until released.
-    bound = weakref.ref(get_matrix(1312, 128))
-    default_workspace().release()
-    clear_matrix_cache()
+    # The default workspace keeps its current binding's matrix alive:
+    # clear_caches() releases the binding too.
+    assert bound() is not None
+    clear_caches()
     gc.collect()
     assert bound() is None
     _clear_invariant_caches()
