@@ -26,9 +26,8 @@ The library provides:
   (:mod:`repro.model`);
 - the paper's matrix suite and repeated fault-injected runs
   (:mod:`repro.sim`);
-- a parallel, resumable experiment-campaign engine whose serve mode
-  lets several dispatchers share one store through leases
-  (:mod:`repro.campaign`);
+- a parallel, resumable experiment-campaign engine whose ``--jobs N``
+  worker fleet is bit-identical to serial (:mod:`repro.campaign`);
   the paper's Table 1 and Figure 1 are its preset studies;
 - pluggable campaign stores — single-file JSONL, hash-partitioned
   shards and WAL-mode SQLite behind one URL-selected protocol, with

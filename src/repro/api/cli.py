@@ -15,9 +15,8 @@ script (``pyproject.toml``) and doubling as ``python -m repro``:
 The campaign flags (``--jobs`` / ``--store`` / ``--resume`` /
 ``--progress`` / ``--trace-dir`` / ``--task-timeout`` / ``--retries`` /
 ``--chaos``) are declared once, in one option group shared by every
-subcommand that executes tasks (``serve`` takes all but the first
-three), so fan-out, resume, tracing and hardening behave identically
-everywhere.
+subcommand that executes tasks, so fan-out, resume, tracing and
+hardening behave identically everywhere.
 
 :func:`main` returns an exit code instead of raising ``SystemExit``
 (argparse's exits — including ``--help``'s code 0 and usage-error code
@@ -64,28 +63,25 @@ class _BackendHelp(str):
 _BACKEND_HELP = _BackendHelp("kernel backend (default: %(default)s)")
 
 
-def _add_campaign_options(parser: argparse.ArgumentParser, *, fleet: bool = False) -> None:
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     """The shared campaign-engine flags (fan-out, persistence, resume,
-    progress, tracing, hardening).  ``fleet`` (``serve``) leaves out
-    ``--jobs`` / ``--store`` / ``--resume``: a fleet is sized by
-    ``--workers`` and needs a concurrent store of its own."""
+    progress, tracing, hardening)."""
     group = parser.add_argument_group("campaign engine")
-    if not fleet:
-        group.add_argument(
-            "--jobs", type=int, default=None,
-            help="parallel worker processes (default: all cores; 1 = serial; "
-                 "any value is bit-identical to serial)",
-        )
-        group.add_argument(
-            "--store", type=str, default=None, metavar="URL",
-            help="result store for crash-safe persistence / resume: a bare "
-                 "path (single-file JSONL), sharded:DIR (hash-partitioned "
-                 "JSONL shards) or sqlite:FILE.db (WAL database)",
-        )
-        group.add_argument(
-            "--resume", action="store_true",
-            help="reuse finished tasks from --store instead of starting fresh",
-        )
+    group.add_argument(
+        "--jobs", type=int, default=None,
+        help="parallel worker processes (default: all cores; 1 = serial; "
+             "any value is bit-identical to serial)",
+    )
+    group.add_argument(
+        "--store", type=str, default=None, metavar="URL",
+        help="result store for crash-safe persistence / resume: a bare "
+             "path (single-file JSONL), sharded:DIR (hash-partitioned "
+             "JSONL shards) or sqlite:FILE.db (WAL database)",
+    )
+    group.add_argument(
+        "--resume", action="store_true",
+        help="reuse finished tasks from --store instead of starting fresh",
+    )
     group.add_argument(
         "--progress", choices=("bar", "json", "none"), default="bar",
         help="stderr progress style: human status line (default), "
@@ -310,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "info",
         help="show a store's backend, record count and layout",
         description="Print the resolved backend, distinct record count and "
-                    "backend-specific layout details (shard fill, lease "
-                    "activity) without materializing the store.",
+                    "backend-specific layout details (shard fill) without "
+                    "materializing the store.",
     )
     pi.add_argument("store", type=str, help="result store path or URL")
     pi.add_argument("--json", action="store_true", help="print as JSON")
@@ -360,40 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("dst", type=str, help="destination store path or URL (must be empty)")
     p.set_defaults(func=_cmd_store)
 
-    # --- serve ------------------------------------------------------------
-    p = sub.add_parser(
-        "serve",
-        help="run Study specs through a lease-coordinated worker fleet",
-        description="Start N long-lived workers fed by one dispatcher that "
-                    "claims each task in a shared SQLite store's lease "
-                    "board (sqlite:FILE.db), heartbeats it "
-                    "and appends its record.  Several serve invocations may "
-                    "share one store concurrently, taking over the tasks of "
-                    "a crashed peer; per-task results are identical to "
-                    "--jobs 1.",
-    )
-    p.add_argument(
-        "specs", type=str, nargs="+", metavar="SPEC",
-        help="Study spec JSON file(s) (written by Study.save()); several "
-             "specs multiplex over the same fleet",
-    )
-    p.add_argument(
-        "--store", type=str, required=True, metavar="URL",
-        help="shared result store: sqlite:FILE.db (JSONL and sharded: "
-             "stores have one writer and cannot coordinate dispatchers)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes in the fleet (default: 2)",
-    )
-    p.add_argument(
-        "--lease-ttl", type=float, default=60.0, metavar="SECONDS",
-        help="crash-detection horizon: a serve invocation silent this long "
-             "loses its claimed tasks to its peers on the store (default: 60)",
-    )
-    _add_campaign_options(p, fleet=True)
-    p.set_defaults(func=_cmd_serve)
-
     return parser
 
 
@@ -412,28 +374,17 @@ def _parse_methods(parser: argparse.ArgumentParser, raw: str) -> "list[str]":
     return methods
 
 
-def _check_campaign_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, *, fleet: bool = False
-) -> dict:
+def _check_campaign_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """Validate the shared campaign flags (see :func:`_add_campaign_options`)
     and return the ``Study.run`` / ``run_campaign`` keywords they map to."""
-    run = dict(
-        progress=args.progress,
-        trace_dir=args.trace_dir,
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        chaos=args.chaos,
-    )
-    if not fleet:
-        from repro.campaign.executor import default_jobs
+    from repro.campaign.executor import default_jobs
 
-        if args.jobs is not None and args.jobs < 1:
-            parser.error(f"--jobs must be >= 1, got {args.jobs}")
-        if args.resume and not args.store:
-            parser.error("--resume requires --store")
-        if args.store:
-            _check_store_arg(parser, args.store, resume=args.resume)
-        run.update(jobs=default_jobs() if args.jobs is None else args.jobs, store=args.store)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.resume and not args.store:
+        parser.error("--resume requires --store")
+    if args.store:
+        _check_store_arg(parser, args.store, resume=args.resume)
     if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error(f"--task-timeout must be > 0, got {args.task_timeout:g}")
     if args.retries < 0:
@@ -445,7 +396,15 @@ def _check_campaign_args(
             ChaosPolicy.parse(args.chaos)
         except ValueError as exc:
             parser.error(f"--chaos {args.chaos!r}: {exc}")
-    return run
+    return dict(
+        jobs=default_jobs() if args.jobs is None else args.jobs,
+        store=args.store,
+        progress=args.progress,
+        trace_dir=args.trace_dir,
+        task_timeout=args.task_timeout,
+        retries=args.retries,
+        chaos=args.chaos,
+    )
 
 
 def _quarantine_exit(quarantined: int) -> int:
@@ -585,6 +544,8 @@ def _run_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     if args.paper_scale:
         args.scale, args.reps = 1, 50
     methods = _parse_methods(parser, args.method)
+    if not 0 < args.eps < float("inf"):
+        parser.error(f"--eps must be finite and positive, got {args.eps:g}")
     try:
         from repro.backends import get_backend
 
@@ -637,7 +598,10 @@ def _cmd_study(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     study = _load_study(parser, args.spec)
     if args.adaptive is not None:
         study.adaptive(_check_adaptive_arg(parser, args.adaptive))
-    tasks = study.tasks()
+    try:
+        tasks = study.tasks()
+    except ValueError as exc:  # a field no task can take, e.g. eps=0
+        parser.error(f"study spec {args.spec!r}: {exc}")
     if args.dry_run:
         print(f"study {study.name!r}: {len(tasks)} tasks")
         for t in tasks:
@@ -783,62 +747,13 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
-    for key in ("backend", "url", "exists", "records", "bytes",
-                "shards", "active_leases"):
+    for key in ("backend", "url", "exists", "records", "bytes", "shards"):
         if key in info:
             print(f"{key}: {info[key]}")
     fill = info.get("shard_records")
     if fill is not None:
         print("shard fill: " + " ".join(str(n) for n in fill))
     return 0
-
-
-def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.campaign.progress import ProgressReporter
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.serve import ServeInterrupted
-    from repro.store import StoreError, open_store
-
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.lease_ttl <= 0:
-        parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl:g}")
-    run = _check_campaign_args(parser, args, fleet=True)
-    studies = [_load_study(parser, spec) for spec in args.specs]
-    names = [study.name for study in studies]
-    tasks = [task for study in studies for task in study.tasks()]
-    try:
-        store = open_store(args.store)
-    except (ValueError, StoreError) as exc:
-        parser.error(f"--store {args.store!r}: {exc}")
-    with store:  # ours to close; run_campaign leaves an instance open
-        if not store.supports_leases:
-            parser.error(
-                f"--store {args.store!r}: serve mode needs a concurrent "
-                "backend (sqlite:FILE.db); this store has one writer and "
-                "cannot coordinate dispatchers"
-            )
-        run["progress"] = None if args.progress == "none" else ProgressReporter(
-            len(tasks), stream=sys.stderr, label="+".join(names), mode=args.progress
-        )
-        print(
-            f"serving {len(tasks)} task(s) from {len(args.specs)} spec(s) "
-            f"over {args.workers} worker(s) -> {store.url}",
-            file=sys.stderr,
-        )
-        try:
-            records = run_campaign(
-                tasks, jobs=args.workers, store=store, lease_ttl=args.lease_ttl, **run
-            )
-        except ServeInterrupted:
-            raise  # main() exits 128 + signum, as for every campaign
-        except (RuntimeError, StoreError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        from repro.api.report import format_summary, summarize_store
-
-        print(format_summary(summarize_store(store)))
-        return _quarantine_exit(sum(r.get("kind") == "quarantine" for r in records))
 
 
 # ----------------------------------------------------------------------

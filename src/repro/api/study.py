@@ -8,8 +8,7 @@ for free: ``jobs`` fan-out over worker processes (bit-identical to
 serial), a result store keyed by task content hash (any
 :mod:`repro.store` backend — single-file JSONL, ``sharded:`` or
 ``sqlite:``), and resume of a killed sweep without recomputation.
-Saved specs (:meth:`Study.save`) also feed ``repro serve``, the
-lease-coordinated multi-worker fleet over a shared ``sqlite:`` store.
+Saved specs (:meth:`Study.save`) feed ``repro study run SPEC``.
 
 ::
 

@@ -13,9 +13,7 @@ package turns such a grid into a first-class *campaign*:
 - :mod:`repro.campaign.executor` — the campaign runner: resume,
   ordered-result collection and serial execution for ``jobs=1``;
 - :mod:`repro.campaign.serve` — the one dispatcher and supervised
-  worker fleet behind ``--jobs N`` (guided batches) and ``repro
-  serve`` (one task at a time, each claimed in a concurrent store's
-  lease board, so several dispatchers may share the store);
+  worker fleet behind ``--jobs N`` (guided batches);
 - :mod:`repro.campaign.progress` — throughput / ETA reporting;
 - :mod:`repro.campaign.aggregate` — regrouping of raw per-task records
   into the existing :class:`~repro.sim.results.RunStatistics` /
@@ -24,7 +22,7 @@ package turns such a grid into a first-class *campaign*:
 
 Records persist in a result store of the layer below
 (:mod:`repro.store`: single-file JSONL by default, ``sharded:``
-JSONL shards, or ``sqlite:`` for several dispatchers), keyed by task hash — crash-safe
+JSONL shards, or ``sqlite:``), keyed by task hash — crash-safe
 append, cache-hit skipping and resume of half-finished campaigns.
 The paper's Table-1 / Figure-1 drivers (``Study.table1()`` /
 ``Study.figure1()``, ``python -m repro table1|figure1``) execute

@@ -6,12 +6,11 @@ order, regardless of completion order.  Correctness never depends on
 scheduling: each task derives its RNG streams from its own identity
 (see :mod:`repro.campaign.spec`), so ``jobs=N`` is bit-identical to
 ``jobs=1``.  ``jobs=1`` (the library default) runs inline in the
-calling process; ``jobs=N`` and lease mode (``lease_ttl=``, behind
-``repro serve``) run on the supervised worker fleet of
+calling process; ``jobs=N`` runs on the supervised worker fleet of
 :mod:`repro.campaign.serve`, whose workers rebuild matrices from
 ``(uid, scale)`` through the process-local
-:func:`~repro.sim.matrices.get_matrix` cache.  In every mode the
-calling process is the store's only writer.
+:func:`~repro.sim.matrices.get_matrix` cache.  Either way the calling
+process is the store's only writer.
 
 A task is executed in exactly one place: :func:`run_task` →
 :func:`repro.chaos.run_guarded` → :func:`execute_task` → the
@@ -155,8 +154,8 @@ def _telemetry_delta(base: dict) -> dict:
 def telemetry_record(parts: "list[dict]", **fields) -> dict:
     """The ``kind="telemetry"`` store record for the merged metric
     deltas ``parts``; ``fields`` (``jobs``, ``workers``, ``fresh``,
-    ``cached`` — lease-mode dispatchers lead with ``owner``) sit between
-    the schema stamp and the merged counters, in call order."""
+    ``cached``) sit between the schema stamp and the merged counters, in
+    call order."""
     merged = merge_snapshots(parts)
     return {
         "hash": f"telemetry:{uuid.uuid4().hex}",
@@ -377,7 +376,6 @@ def run_campaign(
     task_timeout: "float | None" = None,
     retries: int = 0,
     chaos: "ChaosPolicy | str | None" = None,
-    lease_ttl: "float | None" = None,
 ) -> "list[dict]":
     """Execute every task, reusing stored results, and return records
     aligned with ``tasks``.
@@ -426,15 +424,6 @@ def run_campaign(
         .ChaosPolicy`, a spec string, or ``None`` → the
         ``REPRO_CHAOS`` environment gate).  Faults only fire in worker
         processes, whose crashes the fleet supervisor heals.
-    lease_ttl:
-        Lease mode, behind ``repro serve``: claim each task in
-        ``store``'s lease board (``sqlite:``, the one shipped backend
-        with leases) before a worker runs it, so several dispatchers
-        may share one store.
-        The TTL is how long a dispatcher may go silent (it heartbeats
-        every ``lease_ttl / 3``) before its peers take its claimed
-        tasks over.  Lease mode always runs the worker fleet, even at
-        ``jobs=1``.
 
     Notes
     -----
@@ -442,10 +431,8 @@ def run_campaign(
     record (``kind="telemetry"``, hash ``"telemetry:<uuid>"``) is
     appended after the task records: the merged per-worker metric
     deltas for this campaign (engine counters, cache hit/miss, phase
-    time units, task timer); in lease mode it carries the dispatcher's
-    ``owner`` id, and records adopted from peers count as ``cached``.
-    The hash namespace cannot collide with task content hashes, so
-    resume-by-hash is unaffected.
+    time units, task timer).  The hash namespace cannot collide with
+    task content hashes, so resume-by-hash is unaffected.
     ``SIGINT``/``SIGTERM`` drain a ``jobs > 1`` campaign: what the
     workers hand back is persisted, telemetry included, and
     :class:`repro.campaign.serve.ServeInterrupted` is raised.
@@ -464,11 +451,6 @@ def run_campaign(
         own_store = True
 
     try:
-        leases = None
-        if lease_ttl is not None:
-            from repro.campaign.serve import Leases
-
-            leases = Leases(store, lease_ttl)
         done = store.resume(tasks)[0] if store is not None else {}
         results: "list[dict | None]" = [None] * len(tasks)
         pending: "list[tuple[int, TaskSpec]]" = []
@@ -483,16 +465,15 @@ def run_campaign(
 
         counts = {"fresh": 0, "cached": len(tasks) - len(pending)}
 
-        def deliver(indices: "list[int]", records: "list[dict]", fresh: bool = True) -> None:
-            """Slot ``records`` in; only ``fresh`` ones (not settled by a
-            lease-mode peer) are appended."""
-            if store is not None and fresh:
+        def deliver(indices: "list[int]", records: "list[dict]") -> None:
+            """Append fresh ``records`` and slot them in."""
+            if store is not None:
                 append_many(store, records)
             for index, record in zip(indices, records):
                 results[index] = record
                 if progress is not None:
-                    progress.update(cached=not fresh)
-            counts["fresh" if fresh else "cached"] += len(records)
+                    progress.update()
+            counts["fresh"] += len(records)
 
         # Adaptive tasks: recover partial progress (completed reps of
         # tasks whose final record never landed) in one store pass.
@@ -512,7 +493,7 @@ def run_campaign(
         telemetry_parts: "list[dict]" = []
         signum = None
         try:
-            if pending and leases is None and (jobs == 1 or len(pending) == 1):
+            if pending and (jobs == 1 or len(pending) == 1):
                 telemetry_parts = [_run_serial(pending, ctx, deliver)]
             elif pending:
                 from repro.campaign.serve import run_fleet
@@ -524,18 +505,16 @@ def run_campaign(
                 import repro.sparse.generators  # noqa: F401
 
                 workers = min(jobs, len(pending))
-                telemetry_parts, signum = run_fleet(workers, pending, ctx, deliver, leases)
+                telemetry_parts, signum = run_fleet(workers, pending, ctx, deliver)
         finally:
             # Terminate the \r status line even when a task raised, so
             # the traceback doesn't print on top of it.
             if progress is not None:
                 progress.finish()
         if store is not None and telemetry_parts:
-            owner = {} if leases is None else {"owner": leases.owner}
             store.append(
                 telemetry_record(
                     telemetry_parts,
-                    **owner,
                     jobs=jobs,
                     workers=len({p.get("pid") for p in telemetry_parts}),
                     **counts,

@@ -1,41 +1,26 @@
-"""The supervised worker fleet behind ``--jobs N`` and ``repro serve``.
+"""The supervised worker fleet behind ``--jobs N``.
 
-Both parallel schedulers are one dispatcher (:func:`run_fleet`) handing
-tasks to long-lived worker processes (:func:`fleet_worker`) over each
-worker's own pipe, under one supervisor (:class:`_Fleet`).  Workers
-never open the store: they run tasks through
-:func:`~repro.campaign.executor.run_task` and send records (and
-adaptive ``partial`` records) up the pipe, and the dispatcher is the
-only writer.  The modes differ only in how the dispatcher hands tasks
-out:
-
-- ``--jobs N``: guided self-scheduling, ``ceil(remaining / (2 ×
-  workers))`` tasks per hand-out, never fewer than one.  The
-  dispatcher's own bookkeeping of what each worker holds is the whole
-  lease board.
-- ``repro serve`` (``run_campaign(lease_ttl=...)``): one task per
-  hand-out, each first claimed in the store's lease board
-  (:mod:`repro.store.protocol`; ``sqlite:`` is the one shipped
-  backend with one), heartbeated from the poll loop and
-  released once its record is appended — so several dispatchers may
-  share one store.  A task a peer holds is deferred; while any is, the
-  dispatcher re-reads the store at most once per poll tick, adopting
-  the records peers settled and reclaiming the leases they let go or
-  let expire.
+One dispatcher (:func:`run_fleet`) hands tasks to long-lived worker
+processes (:func:`fleet_worker`) over each worker's own pipe, under one
+supervisor (:class:`_Fleet`).  Workers never open the store: they run
+tasks through :func:`~repro.campaign.executor.run_task` and send
+records (and adaptive ``partial`` records) up the pipe, and the
+dispatcher is the only writer.  Hand-outs follow guided
+self-scheduling, ``ceil(remaining / (2 × workers))`` tasks each, never
+fewer than one; the dispatcher's own bookkeeping of what each worker
+holds is all the coordination there is.
 
 The supervisor restarts a worker that exits nonzero in a fresh chaos
 generation, within a budget of ``4 × workers``, and the tasks the dead
-worker held go back on the queue at once (still claimed, in lease
-mode).  Once the budget is spent the remainder runs serially in the
-dispatcher.  A crashed *dispatcher* stops heartbeating; its leases
-expire after the TTL and peers take its tasks over.
+worker held go back on the queue at once.  Once the budget is spent
+the remainder runs serially in the dispatcher.
 ``SIGINT``/``SIGTERM`` drain the fleet: workers finish their in-flight
 task, hand back their records and telemetry and exit 0, and the
 dispatcher raises :class:`ServeInterrupted`.  A task's record depends
-only on its content-hashed identity, so a task run twice (a stolen
-lease, a requeued batch) yields bit-identical records that last-wins
-folding makes invisible: either mode matches ``--jobs 1`` record for
-record (``docs/DESIGN.md`` §10).
+only on its content-hashed identity, so a task run twice (a requeued
+batch) yields bit-identical records that last-wins folding makes
+invisible: the fleet matches ``--jobs 1`` record for record
+(``docs/DESIGN.md`` §10).
 """
 
 from __future__ import annotations
@@ -46,13 +31,12 @@ import os
 import signal
 import threading
 import time
-import uuid
 import warnings
 from collections import deque
 from dataclasses import replace
 from multiprocessing.connection import wait
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.campaign.executor import (
     TaskContext,
@@ -66,13 +50,10 @@ from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import TaskSpec
-    from repro.store.protocol import StoreBackend
 
-__all__ = ["Leases", "ServeInterrupted", "fleet_worker", "run_fleet"]
+__all__ = ["ServeInterrupted", "fleet_worker", "run_fleet"]
 
-#: How often a dispatcher looks at its workers and at pending signals
-#: (and, in lease mode, at most how often it re-reads the store while
-#: peers hold some of its tasks).
+#: How often a dispatcher looks at its workers and at pending signals.
 _POLL_S = 0.1
 
 #: How long a draining fleet may take to finish its in-flight tasks
@@ -81,8 +62,8 @@ _DRAIN_JOIN_S = 30.0
 
 
 class ServeInterrupted(RuntimeError):
-    """A campaign dispatcher was stopped by a signal after draining its
-    fleet.
+    """A ``--jobs N`` campaign was stopped by a signal after draining its
+    worker fleet.
 
     Carries the ``signum`` so callers can re-exit conventionally
     (``128 + signum``, which the CLI does).
@@ -178,63 +159,11 @@ class _Fleet:
         return gone
 
 
-class Leases:
-    """A dispatcher's claims in a store's lease board (lease mode).
-
-    ``owner`` (``pid-<pid>-<nonce>``) names the dispatcher to its peers
-    and stamps its telemetry record.  Leases are advisory: they keep
-    peers from duplicating work, while correctness rests on records
-    being idempotent by content hash.
-    """
-
-    def __init__(self, store: "StoreBackend | None", ttl: float) -> None:
-        from repro.store.protocol import LeaseUnsupported
-
-        if ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {ttl}")
-        if not getattr(store, "supports_leases", False):
-            raise LeaseUnsupported(
-                f"store {getattr(store, 'url', store)!r} cannot coordinate "
-                "concurrent dispatchers; serve mode needs a sqlite:FILE.db "
-                "store (or a custom backend with lease support)"
-            )
-        self.store, self.ttl = store, ttl
-        self.owner = f"pid-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        self.held: "set[str]" = set()
-        self._beat_at = time.monotonic() + ttl / 3
-
-    def claim(self, key: str) -> bool:
-        """Whether this dispatcher holds ``key``, claiming it if not.
-        (Both backends refuse a holder's re-claim, so a task requeued
-        after a worker crash keeps its lease.)"""
-        if key not in self.held:
-            if not self.store.try_claim(key, self.owner, self.ttl):
-                return False
-            self.held.add(key)
-        return True
-
-    def beat(self) -> None:
-        """Heartbeat every held lease, at most once per ``ttl / 3``.  A
-        lease lost meanwhile is run anyway: the records are identical."""
-        now = time.monotonic()
-        if now >= self._beat_at:
-            self._beat_at = now + self.ttl / 3
-            for key in self.held:
-                self.store.heartbeat(key, self.owner, self.ttl)
-
-    def release(self, keys: "Iterable[str]") -> None:
-        for key in list(keys):
-            if key in self.held:
-                self.held.discard(key)
-                self.store.release(key, self.owner)
-
-
 def run_fleet(
     workers: int,
     todo: "list[tuple[int, TaskSpec]]",
     ctx: TaskContext,
-    deliver: "Callable[..., None]",
-    leases: "Leases | None" = None,
+    deliver: "Callable[[list[int], list[dict]], None]",
 ) -> "tuple[list[dict], int | None]":
     """Run ``todo`` (``(index, task)`` pairs) on ``workers`` fleet
     workers, handing ``deliver`` each finished batch's indices and
@@ -243,13 +172,8 @@ def run_fleet(
     adaptive partial records workers send up, the newest of which a
     requeued task resumes from.  A raising task drains the fleet, then
     propagates.
-
-    With ``leases`` every hand-out is one task, claimed first and
-    released once delivered; a task a peer holds is deferred, and the
-    records peers settle reach ``deliver`` with ``fresh=False``.
     """
     store, priors, queue = ctx.partial_store, dict(ctx.priors), deque(todo)
-    deferred: "list[tuple[int, TaskSpec]]" = []
     # worker -> [its pipe end, the batch it holds (None: wants one)]
     links: "dict[multiprocessing.Process, list]" = {}
     parts: "list[dict]" = []
@@ -265,47 +189,17 @@ def run_fleet(
         links[proc] = [here, None]
         return proc
 
-    def take() -> "list | None":
-        """The next hand-out: ``[]`` ends the worker, ``None`` leaves it
-        idle while peers hold the remaining tasks."""
-        if fleet.draining_until is not None:
-            return []
-        if leases is None:
-            return [queue.popleft() for _ in range(math.ceil(len(queue) / (2 * workers)))]
-        while queue:
-            item = queue.popleft()
-            if leases.claim(item[1].task_hash()):
-                return [item]
-            deferred.append(item)
-        return None if deferred else []
-
     def hand_out(link: list) -> None:
-        batch = take()
-        if batch is None:
-            return
-        link[1] = batch
-        tasks = [t for _, t in batch]
+        """Send ``link``'s worker its next batch; an empty one (a drain or
+        an empty queue) ends the worker."""
+        size = 0 if fleet.draining_until is not None else math.ceil(len(queue) / (2 * workers))
+        link[1] = [queue.popleft() for _ in range(size)]
+        tasks = [t for _, t in link[1]]
         wanted = (t.task_hash() for t in tasks if t.sampling) if priors else ()
         try:
             link[0].send((tasks, {h: priors[h] for h in wanted if h in priors}) if tasks else None)
         except OSError:  # it died meanwhile; reap() requeues the batch
             pass
-
-    def settle() -> None:
-        """Reclaim the deferred tasks peers let go of, then read the
-        store once.  A peer appends before it releases, so a task won
-        here that a peer finished already shows its record."""
-        won = {h for _, t in deferred if leases.claim(h := t.task_hash())}
-        settled = leases.store.resume([t for _, t in deferred])[0]
-        adopted, waiting = [], []
-        for item in deferred:
-            h = item[1].task_hash()
-            (adopted if h in settled else queue if h in won else waiting).append(item)
-        deferred[:] = waiting
-        if adopted:
-            hashes = [t.task_hash() for _, t in adopted]
-            deliver([i for i, _ in adopted], [settled[h] for h in hashes], fresh=False)
-            leases.release(hashes)
 
     def receive(proc) -> bool:
         """Handle one message from ``proc``; ``False`` once it is gone."""
@@ -324,8 +218,6 @@ def run_fleet(
         held, link[1] = link[1], None
         if records:
             deliver([i for i, _ in held[: len(records)]], records)
-            if leases is not None:
-                leases.release(t.task_hash() for _, t in held[: len(records)])
         queue.extendleft(reversed(held[len(records) :]))
         parts.append(telemetry)
         if error is not None:
@@ -335,42 +227,31 @@ def run_fleet(
 
     worker_ctx = replace(ctx, priors={}, partial_store=None)
     fleet = _Fleet(spawn, worker_ctx, workers)
-    settle_at = 0.0
-    try:
-        with fleet:
-            while fleet.live:
-                for proc in fleet.live:
-                    if links[proc][1] is None:
-                        hand_out(links[proc])
-                conns = {links[proc][0]: proc for proc in fleet.live}
-                for conn in wait(list(conns), _POLL_S):
-                    receive(conns[conn])
-                for proc in fleet.reap():
-                    while receive(proc):
-                        pass
-                    conn, held = links.pop(proc)
-                    conn.close()
-                    queue.extendleft(reversed(held or ()))
-                if leases is not None:
-                    leases.beat()
-                    if deferred and not queue and time.monotonic() >= settle_at:
-                        settle_at = time.monotonic() + _POLL_S
-                        settle()
-        if errors:
-            raise errors[0]
-        signum = fleet.interrupted[0] if fleet.interrupted else None
-        queue.extend(deferred)
-        if queue and signum is None:
-            warnings.warn(
-                f"worker fleet spent its restart budget ({fleet.budget}); running "
-                f"the remaining {len(queue)} task(s) serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            parts.append(_run_serial(list(queue), replace(ctx, priors=priors), deliver))
-    finally:
-        if leases is not None:
-            leases.release(leases.held)
+    with fleet:
+        while fleet.live:
+            for proc in fleet.live:
+                if links[proc][1] is None:
+                    hand_out(links[proc])
+            conns = {links[proc][0]: proc for proc in fleet.live}
+            for conn in wait(list(conns), _POLL_S):
+                receive(conns[conn])
+            for proc in fleet.reap():
+                while receive(proc):
+                    pass
+                conn, held = links.pop(proc)
+                conn.close()
+                queue.extendleft(reversed(held or ()))
+    if errors:
+        raise errors[0]
+    signum = fleet.interrupted[0] if fleet.interrupted else None
+    if queue and signum is None:
+        warnings.warn(
+            f"worker fleet spent its restart budget ({fleet.budget}); running "
+            f"the remaining {len(queue)} task(s) serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        parts.append(_run_serial(list(queue), replace(ctx, priors=priors), deliver))
     return parts, signum
 
 

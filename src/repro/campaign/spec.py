@@ -23,6 +23,7 @@ store can recognize completed work across process restarts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
@@ -165,6 +166,12 @@ class TaskSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            # Compiling imports no validation module unless it must fail.
+            from repro.util.validate import check_positive
+
+            check_positive("eps", self.eps)
+            raise ValueError(f"eps must be finite, got {self.eps!r}")
         _check_names(
             self.method, self.scheme, self.backend, self.sampling, self.reps
         )

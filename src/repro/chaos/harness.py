@@ -166,9 +166,9 @@ def quarantine_record(
 ) -> dict:
     """The structured store record of a poison task.
 
-    Keyed by the task's own content hash, so resume and serve mode
-    treat the task as settled (no retry storm on every resume); carries
-    the full task spec so ``repro report`` can say *what* was
+    Keyed by the task's own content hash, so a resume treats the task
+    as settled (no retry storm on every resume); carries the full task
+    spec so ``repro report`` can say *what* was
     quarantined and a later ``repro store compact --drop-quarantined``
     can clear it for re-execution.
     """

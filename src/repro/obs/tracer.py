@@ -70,7 +70,7 @@ EVENT_KINDS = frozenset(
         "final-check",
         "workspace-acquire",
         # Harness self-healing events (docs/DESIGN.md §10): emitted by
-        # repro.chaos.run_guarded and the serve-mode dispatcher, not
+        # repro.chaos.run_guarded and the fleet dispatcher, not
         # the solver — iteration is always 0.
         "retry",
         "task-timeout",

@@ -54,6 +54,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import norm2
 from repro.sparse.spmv import spmv_kernel
 from repro.util.rng import as_generator
+from repro.util.validate import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.trajectory import TrajectoryMemo
@@ -666,10 +667,10 @@ def run_protected(
         (``λ = α/M`` per word).  Zero disables injection.
     eps:
         The ε of Algorithm 1's stopping criterion ``‖r‖ ≤ ε (‖A‖₁·‖r₀‖
-        + ‖b‖)``.
+        + ‖b‖)``; finite and positive, else :class:`ValueError`.
     maxiter:
-        Cap on *executed* iterations; defaults to ``20 n`` (faulty runs
-        need headroom).
+        Cap on *executed* iterations, at least 1; defaults to ``20 n``
+        (faulty runs need headroom).
     x0:
         Initial guess (the zero vector when ``None``).
     rng:
@@ -721,6 +722,10 @@ def run_protected(
     -------
     SolveResult
     """
+    if not math.isfinite(check_positive("eps", eps)):
+        raise ValueError(f"eps must be finite, got {eps!r}")
+    if maxiter is not None and not maxiter >= 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter!r}")
     # The solve owns the floating-point error state: strikes overflow
     # the kernel, the checksum algebra, the decoder and Chen's tests,
     # and the inf/NaN they leave is what detection reads.  One

@@ -19,9 +19,7 @@ selected by a URL-style string, mirroring the kernel-backend registry
 ``sqlite:path/to/store.db``
     A WAL-mode SQLite database
     (:class:`~repro.store.sqlite.SqliteStore`): transactional appends
-    (no torn tails at all), native upsert-by-hash, safe concurrent
-    multi-process writers and atomic leases — the one shipped backend
-    ``repro serve`` accepts.
+    (no torn tails at all) and native upsert-by-hash.
 
 All three keep the same contract (:mod:`repro.store.protocol`):
 identical records in any backend yield bit-identical aggregates, and
@@ -35,9 +33,7 @@ works everywhere a store is named — ``run_campaign(store=...)``,
 
 Every function here that takes a selector closes the store it opened
 from a URL before returning (:func:`opened_store`); a store instance
-passed in stays the caller's to close.  The lease-coordinated serve
-fleet built on these stores is a scheduler and lives in
-:mod:`repro.campaign.serve`.
+passed in stays the caller's to close.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro._lazy import lazy_exports
 from repro.store.jsonl import ResultStore, StoreError, StoreIntegrityWarning
-from repro.store.protocol import LeaseUnsupported, StoreBackend
+from repro.store.protocol import StoreBackend
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.store.sharded import DEFAULT_SHARDS, ShardedStore
@@ -60,7 +56,6 @@ __all__ = [
     "StoreBackend",
     "StoreError",
     "StoreIntegrityWarning",
-    "LeaseUnsupported",
     "ResultStore",
     "ShardedStore",
     "SqliteStore",

@@ -94,10 +94,6 @@ class ResultStore:
     appended.  Pre-checksum stores read fine (no seal → no verdict).
     """
 
-    #: Leases (:mod:`repro.store.protocol`) need multi-writer claim
-    #: atomicity a single append-only file cannot provide.
-    supports_leases: bool = False
-
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = pathlib.Path(path)
         #: Corrupt records :meth:`iter_intact` skipped since construction.

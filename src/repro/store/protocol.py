@@ -41,16 +41,11 @@ Streaming reads
     folds over it incrementally, so reports work on partial multi-GB
     stores.
 
-Concurrency
-    A store has one writer unless it declares
-    :attr:`StoreBackend.supports_leases`: then several *processes*
-    may append concurrently and coordinate through leases
-    (``try_claim`` / ``heartbeat`` / ``release``).  Of the shipped
-    backends only ``sqlite:`` does.  The lease protocol backs serve
-    mode (:mod:`repro.campaign.serve`); leases are advisory —
-    correctness always comes from content-hash idempotence (two
-    dispatchers racing the same task write bit-identical records),
-    leases only keep duplicate work rare.
+One writer: the dispatcher
+    A campaign's store has one writer, the process that runs
+    :func:`repro.campaign.run_campaign`; ``--jobs N`` workers send
+    their records up a pipe and never open the store
+    (:mod:`repro.campaign.serve`).
 """
 
 from __future__ import annotations
@@ -61,11 +56,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkabl
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import TaskSpec
 
-__all__ = ["StoreBackend", "LeaseUnsupported", "append_many"]
-
-
-class LeaseUnsupported(RuntimeError):
-    """The backend cannot coordinate concurrent writers via leases."""
+__all__ = ["StoreBackend", "append_many"]
 
 
 @runtime_checkable
@@ -78,10 +69,6 @@ class StoreBackend(Protocol):
     reads on a store that was never written behave as reads of an
     empty store.
     """
-
-    #: Whether concurrent multi-process appends and the lease protocol
-    #: are supported (serve mode requires it); otherwise one writer.
-    supports_leases: bool
 
     #: Filesystem location backing the store (file or directory).
     path: "os.PathLike[str]"

@@ -15,8 +15,7 @@ keeps the JSONL contract shard by shard (``docs/DESIGN.md`` §10): one
 writer, strict readers that raise
 :class:`~repro.store.jsonl.StoreError` on a corrupt complete line, and
 a torn tail that readers drop and the next append to that shard
-truncates.  Several dispatchers sharing one store (``repro serve``)
-need leases, which only ``sqlite:`` provides.
+truncates.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ class ShardedStore:
     Construction never touches the filesystem; reads of a store that
     was never written behave as reads of an empty store.
     """
-
-    #: One writer per shard file, as for the single-file store.
-    supports_leases: bool = False
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = pathlib.Path(path)

@@ -1,9 +1,11 @@
-"""SQLite store: transactional multi-process campaign persistence.
+"""SQLite store: transactional campaign persistence.
 
 One store is one SQLite database in WAL mode::
 
     records(hash TEXT PRIMARY KEY, body TEXT)   -- body = json.dumps(record)
-    leases(key TEXT PRIMARY KEY, owner TEXT, deadline REAL)
+
+(Stores written by older versions may also hold a ``leases`` table;
+nothing reads it, so they open, report and resume unchanged.)
 
 Records keep the *same JSON text* the JSONL backends write — floats
 round-trip via ``repr`` bit for bit, so migrating a store between
@@ -19,10 +21,9 @@ Durability and concurrency come from SQLite itself:
   last-wins identity natively while keeping the record's original
   ``rowid`` — iteration order is first-insertion order with updated
   values, exactly the dict-fold semantics of the JSONL backends;
-- writers from several processes serialize on SQLite's own locking
-  (with a generous ``busy_timeout``), which also makes the lease table
-  a real atomic claim: ``INSERT OR IGNORE`` either wins the key or
-  does nothing, with no advisory race window at all.
+- connections from several processes (the dispatcher appending, a
+  ``repro report`` reading) serialize on SQLite's own locking, with a
+  generous ``busy_timeout``.
 
 Connections are per ``(instance, pid)``: a forked campaign worker
 never reuses its parent's connection (SQLite connections must not
@@ -47,11 +48,6 @@ CREATE TABLE IF NOT EXISTS records (
     hash TEXT PRIMARY KEY,
     body TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS leases (
-    key TEXT PRIMARY KEY,
-    owner TEXT NOT NULL,
-    deadline REAL NOT NULL
-);
 """
 
 #: How long a writer waits on a locked database before giving up (ms).
@@ -65,8 +61,6 @@ class SqliteStore:
     be validated and inspected before it exists); the database file and
     schema are created on first append.
     """
-
-    supports_leases: bool = True
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = pathlib.Path(path)
@@ -239,20 +233,15 @@ class SqliteStore:
         return int(n)
 
     def info(self) -> dict:
-        """Layout facts for ``repro store info``: record and lease row
-        counts straight from SQL, no payloads."""
+        """Layout facts for ``repro store info``: the record count
+        straight from SQL, no payloads."""
         exists = self.path.exists()
-        conn = self._connect(create=False)
-        leases = 0
-        if conn is not None:
-            (leases,) = conn.execute("SELECT COUNT(*) FROM leases").fetchone()
         return {
             "backend": "sqlite",
             "url": self.url,
             "exists": exists,
             "records": self.count(),
             "bytes": self.path.stat().st_size if exists else 0,
-            "active_leases": int(leases),
         }
 
     def close(self) -> None:
@@ -269,58 +258,3 @@ class SqliteStore:
 
     def __len__(self) -> int:
         return self.count()
-
-    # ------------------------------------------------------------------
-    # leases (serve mode)
-    # ------------------------------------------------------------------
-    def try_claim(self, key: str, owner: str, ttl: float) -> bool:
-        """Atomically claim ``key`` for ``owner``; ``True`` if won.
-
-        A free key is won by ``INSERT OR IGNORE``; a held key is won
-        only by the single ``UPDATE`` that observes its deadline
-        expired — SQLite serializes both, so exactly one claimer
-        succeeds.
-        """
-        conn = self._connect(create=True)
-        now = time.time()
-        with conn:
-            cur = conn.execute(
-                "INSERT OR IGNORE INTO leases(key, owner, deadline) VALUES(?, ?, ?)",
-                (key, owner, now + ttl),
-            )
-            if cur.rowcount:
-                return True
-            cur = conn.execute(
-                "UPDATE leases SET owner = ?, deadline = ? "
-                "WHERE key = ? AND deadline < ?",
-                (owner, now + ttl, key, now),
-            )
-            return bool(cur.rowcount)
-
-    def heartbeat(self, key: str, owner: str, ttl: float = 60.0) -> bool:
-        """Push the lease deadline out; ``False`` if no longer held."""
-        conn = self._connect(create=True)
-        with conn:
-            cur = conn.execute(
-                "UPDATE leases SET deadline = ? WHERE key = ? AND owner = ?",
-                (time.time() + ttl, key, owner),
-            )
-            return bool(cur.rowcount)
-
-    def release(self, key: str, owner: str) -> None:
-        """Drop the lease if still held by ``owner`` (idempotent)."""
-        conn = self._connect(create=True)
-        with conn:
-            conn.execute(
-                "DELETE FROM leases WHERE key = ? AND owner = ?", (key, owner)
-            )
-
-    def holds(self, key: str, owner: str) -> bool:
-        """Whether ``owner`` currently holds the lease."""
-        conn = self._connect(create=False)
-        if conn is None:
-            return False
-        row = conn.execute(
-            "SELECT owner FROM leases WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None and row[0] == owner

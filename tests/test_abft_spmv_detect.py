@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.abft import compute_checksums, protected_spmv, SpmvStatus
-from repro.sparse import graph_laplacian_spd
+from repro.faults.bitflip import flip_bit_int64
+from repro.sparse import graph_laplacian_spd, stencil_spd
 
 
 class TestDetectionMode:
@@ -26,6 +27,30 @@ class TestDetectionMode:
         a.colid[11] = (a.colid[11] + 7) % a.ncols
         res = protected_spmv(a, xvec.copy(), checks1, correct=False)
         assert res.status is SpmvStatus.DETECTED
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 11(e)")
+    def test_every_colid_bit_flip_changes_the_column_read(self):
+        """A wild index reads ``x[colid mod n]``, so at n = 2**m a flip
+        of a ``colid`` bit >= m reads the very column it struck: at
+        n = 64, 58 of the 64 flips of ``colid[5]`` come back OK with the
+        clean product bit for bit, and 6 are DETECTED (docs/DESIGN.md
+        §4).  Another wild-read mapping moves results, so it waits for
+        an epoch."""
+        a = stencil_spd(64)
+        assert a.nrows == 64
+        checks = compute_checksums(a, nchecks=1)
+        x = np.random.default_rng(0).standard_normal(a.nrows)
+        clean = protected_spmv(a, x.copy(), checks, correct=False).y
+        unseen = []
+        for bit in range(64):
+            def hook(stage, m, xs, y, bit=bit):
+                if stage == "pre":
+                    m.colid[5] = flip_bit_int64(int(m.colid[5]), bit)
+
+            res = protected_spmv(a.copy(), x.copy(), checks, correct=False, fault_hook=hook)
+            if res.status is SpmvStatus.OK and res.y.tobytes() == clean.tobytes():
+                unseen.append(bit)
+        assert unseen == []
 
     def test_rowidx_error_detected(self, small_lap, checks1, xvec):
         a = small_lap.copy()

@@ -200,6 +200,36 @@ class TestPartialRecordPlumbing:
         assert METRICS.count("adaptive.reps") - before == total - 3
         assert records[0] == fresh
 
+    def test_fleet_hands_a_seeded_partial_to_its_worker(self, tmp_path):
+        # The same resume through a --jobs 2 fleet on a sqlite: store:
+        # the dispatcher loads the partial and sends it out with the
+        # task, and the worker finishes it to the serial record.
+        tasks = CampaignSpec(
+            kind="table1", scale=48, uids=(2213,), s_span=0,
+            sampling="ci=0.5,conf=0.9,min=2,max=6",
+        ).expand()
+        serial_url = f"sqlite:{tmp_path / 'serial.db'}"
+        serial = run_campaign(tasks, jobs=1, store=serial_url)
+        captured = []
+
+        class Sink:
+            def append(self, rec):
+                captured.append(rec)
+
+        execute_task(tasks[0], partial_store=Sink())
+        assert captured
+        url = f"sqlite:{tmp_path / 'seeded.db'}"
+        with open_store(url) as store:
+            store.append(captured[0])  # checkpoint after rep 1
+        assert run_campaign(tasks, jobs=2, store=url) == serial
+
+        def reps_run(store_url):
+            return sum(r["counters"].get("adaptive.reps", 0)
+                       for r in open_store(store_url).iter_records()
+                       if r.get("kind") == "telemetry")
+
+        assert reps_run(url) == reps_run(serial_url) - 1  # rep 1 not rerun
+
     def test_make_partial_record_roundtrip(self, tmp_path):
         per_rep = {
             "times": [1.5, 2.5], "iterations": [10, 11],

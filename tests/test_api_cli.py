@@ -352,33 +352,25 @@ class TestStoreCommand:
         assert "unknown store scheme" in capsys.readouterr().err
 
 
-class TestServeCommand:
+class TestFleetCommand:
+    """``--jobs N`` is the one way to run a campaign in parallel."""
+
     @pytest.fixture()
     def spec(self, tmp_path):
         path = tmp_path / "study.json"
-        (Study("serve-sweep")
+        (Study("fleet-sweep")
          .axis("s", [2, 4])
          .fix(uid=2213, scale=48, reps=1, alpha=1 / 16.0)).save(path)
         return path
 
-    def test_serve_runs_fleet_and_reports(self, spec, tmp_path, capsys):
-        url = f"sqlite:{tmp_path / 'serve.db'}"
-        rc = main(["serve", str(spec), "--store", url,
-                   "--workers", "2", "--progress", "none"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "records: 2" in out and "study:serve-sweep" in out
-
-    def test_serve_matches_study_run_output(self, spec, tmp_path, capsys):
+    def test_jobs2_over_sqlite_matches_jobs1(self, spec, tmp_path, capsys):
         jsonl = tmp_path / "serial.jsonl"
         assert main(["study", "run", str(spec), "--store", str(jsonl),
                      "--jobs", "1"]) == 0
+        url = f"sqlite:{tmp_path / 'fleet.db'}"
+        assert main(["study", "run", str(spec), "--store", url,
+                     "--jobs", "2", "--progress", "none"]) == 0
         capsys.readouterr()
-        url = f"sqlite:{tmp_path / 'serve.db'}"
-        assert main(["serve", str(spec), "--store", url,
-                     "--workers", "2", "--progress", "none"]) == 0
-        capsys.readouterr()
-        # Per-task records identical to --jobs 1 (the tentpole bar).
         from repro.store import open_store
 
         def task_records(spec_url):
@@ -387,28 +379,11 @@ class TestServeCommand:
 
         assert task_records(url) == task_records(str(jsonl))
 
-    def test_serve_rejects_jsonl_store(self, spec, tmp_path, capsys):
-        rc = main(["serve", str(spec), "--store", str(tmp_path / "r.jsonl")])
-        assert rc == 2
-        assert "concurrent backend" in capsys.readouterr().err
-
-    def test_serve_rejects_sharded_store(self, spec, tmp_path, capsys):
-        rc = main(["serve", str(spec), "--store", f"sharded:{tmp_path / 'r.d'}"])
-        assert rc == 2
-        assert "serve mode needs a concurrent backend (sqlite:FILE.db)" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "r.d").exists()
-
-    def test_serve_rejects_bad_workers(self, spec, tmp_path, capsys):
+    def test_serve_is_not_a_command(self, spec, tmp_path, capsys):
         assert main(["serve", str(spec), "--store",
-                     f"sqlite:{tmp_path / 'r.db'}", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_serve_rejects_unreadable_spec(self, tmp_path, capsys):
-        assert main(["serve", str(tmp_path / "nope.json"), "--store",
                      f"sqlite:{tmp_path / 'r.db'}"]) == 2
-        assert "cannot load" in capsys.readouterr().err
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+        assert not (tmp_path / "r.db").exists()
 
 
 class TestModuleEntryCompat:
@@ -507,15 +482,6 @@ store verify store str None None None required
 store verify --json - False None 0 optional
 store repair src str None None None required
 store repair dst str None None None required
-serve specs str None None '+' required
-serve --store str None None None required
-serve --workers int 2 None None optional
-serve --lease-ttl float 60.0 None None optional
-serve --progress - 'bar' ('bar', 'json', 'none') None optional
-serve --task-timeout float None None None optional
-serve --retries int 0 None None optional
-serve --chaos str None None None optional
-serve --trace-dir str None None None optional
 """
 
 
@@ -547,10 +513,10 @@ def test_flag_surface_is_pinned():
 _COMMANDS = [
     "solve", "table1", "figure1", "study run", "report", "store info",
     "store migrate", "store compact", "store verify", "store repair",
-    "serve", "trace summarize",
+    "trace summarize",
 ]
 #: The commands that take the shared campaign-engine option group.
-_CAMPAIGN_COMMANDS = ("table1", "figure1", "study run", "serve")
+_CAMPAIGN_COMMANDS = ("table1", "figure1", "study run")
 
 
 def _leaf_commands(parser, path=""):

@@ -108,6 +108,20 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="shape"):
             solve(a, np.ones(3))
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, problem, eps):
+        # run_protected's check, so every solve (campaign tasks too)
+        # refuses a threshold it could never meet or always meets.
+        a, b = problem
+        with pytest.raises(ValueError, match="eps must be"):
+            solve(a, b, faults=None, eps=eps)
+
+    @pytest.mark.parametrize("maxiter", [0, -1, float("nan")])
+    def test_maxiter_must_be_at_least_one(self, problem, maxiter):
+        a, b = problem
+        with pytest.raises(ValueError, match="maxiter must be >= 1"):
+            solve(a, b, faults=None, maxiter=maxiter)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             FaultSpec(alpha=-0.5)

@@ -11,7 +11,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.api.study import Study
-from repro.store import ResultStore
+from repro.store import ResultStore, SqliteStore, open_store
 
 
 def _table1_rows(jobs=1):
@@ -112,6 +112,39 @@ class TestResume:
         assert progress.done == len(small_tasks)
         assert progress.cached == 3
         assert progress.fresh == len(small_tasks) - 3
+
+    def test_fleet_over_sqlite_runs_only_whats_missing(self, small_tasks,
+                                                       serial_records, tmp_path):
+        # grid_store's configuration (sqlite:, jobs=2) resuming a partial
+        # store: only the missing tasks run, the rest count as cached.
+        url = f"sqlite:{tmp_path / 'c.db'}"
+        with open_store(url) as store:
+            for rec in serial_records[:-3]:
+                store.append(rec)
+        assert run_campaign(small_tasks, jobs=2, store=url) == serial_records
+        (tele,) = [r for r in open_store(url).iter_records()
+                   if r.get("kind") == "telemetry"]
+        assert (tele["fresh"], tele["cached"]) == (3, len(small_tasks) - 3)
+        assert "owner" not in tele
+
+    def test_fleet_reads_the_store_a_constant_number_of_times(self, small_tasks,
+                                                              tmp_path):
+        # The dispatcher appends without re-reading the store: the
+        # initial resume (plus load_partials for adaptive tasks) is all,
+        # whatever the task count.
+        class ReadCounting(SqliteStore):
+            reads = 0
+
+            def iter_records(self):
+                self.reads += 1
+                return super().iter_records()
+
+        reads = []
+        for n in (3, len(small_tasks)):
+            store = ReadCounting(tmp_path / f"n{n}.db")
+            run_campaign(small_tasks[:n], jobs=2, store=store)
+            reads.append(store.reads)
+        assert reads[0] == reads[1] <= 2
 
 
 class TestExecutorContract:
@@ -307,6 +340,19 @@ class TestCli:
 
         assert _main(["table1", "--s-span", "-3"]) == 2
         assert "--s-span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_cli_eps_the_engine_cannot_honour_is_a_usage_error(self, eps, capsys, tmp_path):
+        from repro.__main__ import main as _main
+
+        assert _main(["table1", "--eps", eps]) == 2
+        assert "--eps must be finite and positive" in capsys.readouterr().err
+        spec = tmp_path / "study.json"
+        Study("bad-eps").axis("s", [4]).fix(
+            uid=2213, scale=48, reps=1, alpha=1 / 16, eps=float(eps)
+        ).save(spec)
+        assert _main(["study", "run", str(spec), "--dry-run"]) == 2
+        assert "eps must be" in capsys.readouterr().err
 
     def test_cli_base_seed_changes_results(self, capsys):
         from repro.__main__ import main as _main

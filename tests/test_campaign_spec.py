@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.api.study import Study
 from repro.campaign import CampaignSpec, TaskSpec
 from repro.core import CostModel, Scheme, SchemeConfig
 from repro.sim.engine import RunStatistics
@@ -35,6 +36,32 @@ class TestTaskSpec:
         assert t.task_hash() == (
             "96e27dde61b7f2dff3c6dda5a25318f828d169f446cda4473846b93b66bf6482"
         )
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # A stopping threshold the engine cannot honour fails when the
+        # task is built, so a bad Study.fix(eps=...) fails at compile.
+        with pytest.raises(ValueError, match="eps must be"):
+            TaskSpec("table1", uid=2213, scale=48, scheme="abft-detection",
+                     alpha=0.0625, s=5, eps=eps)
+        study = Study("bad-eps").axis("s", [4]).fix(
+            uid=2213, scale=48, reps=1, alpha=1 / 16, eps=eps
+        )
+        with pytest.raises(ValueError, match="eps must be"):
+            study.tasks()
+
+    @pytest.mark.parametrize("eps, digest", [
+        (1e-8, "656093dd160fb58ea789974a3e2022e78f766bb27b3cb6da2d271eabf62640f9"),
+        (0.5, "d5a98b82792eeea96091ee9ee91659afdbade7681a4669a62ca0f3c3fb5ff7ef"),
+        (5e-324, "5bb5909068051bec768421ad7bbfa6eb6012c023da32a9d3f210e470a91b7bea"),
+        (1e300, "1540a1b18618e21f3d3c00ae412cfd28f731ba04213aef5c5e50acff5895fded"),
+    ], ids=["1e-08", "0.5", "5e-324", "1e+300"])
+    def test_valid_eps_hashes_as_before(self, eps, digest):
+        # Regression pin: the eps check rejects, it never rewrites, so
+        # every valid eps (the subnormal minimum included) keeps its hash.
+        t = TaskSpec("figure1", uid=341, scale=16, scheme="online-detection",
+                     alpha=0.01, s=9, d=3, eps=eps)
+        assert t.task_hash() == digest
 
     def test_method_in_hash(self):
         base = dict(experiment="table1", uid=2213, scale=48,

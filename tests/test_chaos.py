@@ -365,9 +365,9 @@ class TestHardenedCampaign:
 
 
 # ----------------------------------------------------------------------
-# serve-mode soak: the acceptance bar
+# fleet soak over a sqlite: store: the acceptance bar
 # ----------------------------------------------------------------------
-class TestServeChaosSoak:
+class TestFleetChaosSoak:
     def test_chaos_soak_matches_clean_jobs1(
         self, tmp_path, small_tasks, serial_records
     ):
@@ -381,7 +381,6 @@ class TestServeChaosSoak:
             small_tasks,
             jobs=2,
             store=url,
-            lease_ttl=1.0,
             task_timeout=20.0,
             retries=5,
             chaos="kill=0.25,hang=0.1,hang_s=0.5,seed=2015",
@@ -393,43 +392,12 @@ class TestServeChaosSoak:
         }
         assert not [r for r in records if r.get("kind") == "quarantine"]
 
-    def test_sigkilled_worker_is_restarted_and_campaign_completes(
-        self, tmp_path, small_tasks, serial_records
-    ):
-        # A real SIGKILL (not injected): the dispatcher must restart
-        # the dead worker and requeue the task it held, still under the
-        # dispatcher's lease.  The campaign runs in a background thread
-        # so this thread can hunt the worker pid — which also exercises
-        # the "no signal handlers off the main thread" guard.
-        url = f"sqlite:{tmp_path / 'kill.db'}"
-        out = {}
-
-        def run():
-            out["records"] = run_campaign(
-                small_tasks, jobs=2, store=url, lease_ttl=1.0
-            )
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        killed = False
-        deadline = time.monotonic() + 30
-        while not killed and time.monotonic() < deadline and thread.is_alive():
-            for proc in multiprocessing.active_children():
-                if proc.name.startswith("repro-fleet") and proc.pid:
-                    os.kill(proc.pid, signal.SIGKILL)
-                    killed = True
-                    break
-            time.sleep(0.02)
-        thread.join(120)
-        assert not thread.is_alive()
-        assert out["records"] == serial_records
-
     def test_graceful_shutdown_drains_and_resumes(
         self, tmp_path, small_tasks, serial_records
     ):
         # SIGTERM mid-campaign: workers finish their in-flight task and
         # exit 0, the dispatcher raises ServeInterrupted, and a resumed
-        # serve completes the remainder from the store.
+        # campaign completes the remainder from the store.
         url = f"sqlite:{tmp_path / 'drain.db'}"
 
         # Fire SIGTERM only once the fleet is visibly up and mid-work;
@@ -458,14 +426,13 @@ class TestServeChaosSoak:
                     small_tasks,
                     jobs=2,
                     store=url,
-                    lease_ttl=30.0,
                     chaos="hang=1.0,hang_s=0.5,seed=1",
                 )
             assert excinfo.value.signum == signal.SIGTERM
         finally:
             sender.join(15)
             signal.signal(signal.SIGTERM, previous)
-        records = run_campaign(small_tasks, jobs=2, store=url, lease_ttl=30.0)
+        records = run_campaign(small_tasks, jobs=2, store=url)
         assert records == serial_records
 
     def test_chaos_exit_code_is_distinctive(self):
@@ -475,7 +442,7 @@ class TestServeChaosSoak:
 
 
 # ----------------------------------------------------------------------
-# --jobs drain: a signal stops the CLI like it stops serve
+# --jobs drain through the CLI
 # ----------------------------------------------------------------------
 def _count(url) -> int:
     with open_store(url) as store:

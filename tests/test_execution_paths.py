@@ -2,7 +2,7 @@
 
 A campaign task runs in exactly one place — ``run_task → run_guarded →
 execute_task → repeat loop`` — and the serial loop and the worker
-fleet (``--jobs`` or lease mode) differ only in who calls ``run_task``.  These tests
+fleet (``--jobs N``) differ only in who calls ``run_task``.  These tests
 pin the invariant that makes that merge safe (every scheduler, armed or
 not, produces the same records *and* does the same amount of work) and
 keep the single path single at the source level.
@@ -37,8 +37,8 @@ SCHEDULERS = {
     "serial-retry": dict(jobs=1, retries=1),
     "pool": dict(jobs=2),
     "pool-hardened": dict(jobs=2, retries=1, task_timeout=600),
-    "fleet": dict(jobs=2, lease_ttl=30.0),
-    "fleet-retry": dict(jobs=2, lease_ttl=30.0, retries=1),
+    "pool-sqlite": dict(jobs=2),
+    "pool-sqlite-retry": dict(jobs=2, retries=1),
 }
 
 
@@ -64,12 +64,12 @@ def reference(mixed_tasks, tmp_path_factory):
 
 
 def _run(name, tasks, tmp_path):
-    """(records, conserved telemetry totals) of one scheduler's run
-    (lease mode needs a store with leases: ``sqlite:``)."""
-    kwargs = SCHEDULERS[name]
-    url = (f"sqlite:{tmp_path / 'store.db'}" if "lease_ttl" in kwargs
+    """(records, conserved telemetry totals) of one scheduler's run, on
+    a ``sqlite:`` store for the ``-sqlite`` ones (``grid_store``'s
+    configuration) and a ``sharded:`` one otherwise."""
+    url = (f"sqlite:{tmp_path / 'store.db'}" if "sqlite" in name
            else f"sharded:{tmp_path / 'store.d'}")
-    records = run_campaign(tasks, store=url, **kwargs)
+    records = run_campaign(tasks, store=url, **SCHEDULERS[name])
     totals = dict.fromkeys(CONSERVED, 0)
     for rec in open_store(url).iter_records():
         if rec.get("kind") == "telemetry":

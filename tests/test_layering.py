@@ -58,15 +58,19 @@ def test_unresolved_roles_names_only_missing_targets():
     ]
 
 
-#: Spellings of the library deleted with the ``dense`` backend (the
+#: Spellings of deleted library surfaces: the ``dense`` backend's (the
 #: ``ProtectedOperator`` wrapper, k-error checksums, the disk checkpoint
-#: store, BiCG / CGNE, rectangular ABFT blocks): the pages and sources
-#: that describe the package must not name them.
+#: store, BiCG / CGNE, rectangular ABFT blocks), ``repro serve`` and its
+#: lease board, and the plain unprotected solvers.  The pages and
+#: sources that describe the package must not name them.
 _RETIRED_SPELLINGS = [
     "ProtectedOperator", "UncorrectableError", "OperatorStats", "MultiChecksums",
     "DiskCheckpointStore", "DenseBackend", "BackendCapacityError", "column_weights",
     "repro.abft.operator", "repro.abft.multi", "repro.checkpoint.disk",
     "repro.backends.dense", "bicg(", "cgne(",
+    "repro serve", "lease_ttl", "--lease-ttl", "LeaseUnsupported", "supports_leases",
+    "try_claim", "serve_demo",
+    "repro.cg", "repro.pcg", "jacobi_preconditioner", "repro.core.bicgstab",
 ]
 
 

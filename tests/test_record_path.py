@@ -368,7 +368,6 @@ class TestDeliveryPaths:
         class AppendOnly:
             """A backend that predates ``append_many``."""
 
-            supports_leases = False
             url = "double:"
 
             def __init__(self):
@@ -492,3 +491,32 @@ class TestParentWrittenStores:
         # The migrated shards are the parent's own migration, byte for byte.
         assert stored_texts(moved) == stored_texts(
             ShardedStore(GOLDEN / "parent.d"))
+
+
+def test_a_sqlite_store_with_the_old_leases_table_still_opens(tmp_path, monkeypatch, capsys):
+    # parent.db was written while sqlite: stores carried a lease board,
+    # so its `leases` table is the old layout (never regenerate it).  It
+    # opens, reports and resumes like any store, `store info` says
+    # nothing about leases, and nothing reads or drops the table.
+    store = _fixture_copy("sqlite", tmp_path)
+
+    def tables():
+        conn = sqlite3.connect(store.path)
+        try:
+            rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+            return {name for (name,) in rows}
+        finally:
+            conn.close()
+
+    assert tables() == {"records", "leases"}
+    assert main(["store", "info", store.url]) == 0
+    info = capsys.readouterr().out
+    assert "records: 7" in info and "lease" not in info
+    assert main(["report", store.url]) == 0
+    report = capsys.readouterr().out.replace(str(store.url), "STORE")
+    assert report == (GOLDEN / "report.txt").read_text()
+    tasks = CampaignSpec(**_fixture_spec()).expand()
+    monkeypatch.setattr(executor, "execute_task", _forbidden("task execution on resume"))
+    assert len(run_campaign(tasks, jobs=2, store=store)) == len(tasks)
+    store.close()
+    assert tables() == {"records", "leases"}

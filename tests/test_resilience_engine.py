@@ -459,6 +459,9 @@ class TestRetiredLayerEdges:
             ("repro.campaign", "ResultStore"),
             ("repro.store", "serve_campaign"),
             ("repro.campaign", "serve_campaign"),
+            ("repro.store", "LeaseUnsupported"),
+            ("repro.store.protocol", "LeaseUnsupported"),
+            ("repro.campaign.serve", "Leases"),
         ],
     )
     def test_old_spellings_fail(self, package, name):
