@@ -1,23 +1,22 @@
 #!/usr/bin/env python
-"""One protected solve, every kernel backend.
+"""One protected solve, on both kernels.
 
-The solve stack draws its numerical primitives — the SpMxV hot kernel,
-the ABFT checksum setup, the residual norms — from a pluggable
-**kernel backend** (``repro.backends``).  This demo runs the *same*
-fault-tolerant solve (same matrix, same fault stream) on every backend
-this machine can run and compares:
+Every SpMxV of a solve runs on one of two kernels (``repro.backends``):
+``reference``, the repository's own NumPy kernel, or ``scipy``, SciPy's
+compiled CSR matvec for structure-clean products.  This demo runs the
+*same* fault-tolerant solve (same matrix, same fault stream) on both and
+compares:
 
 - **physics**: iterations, simulated time and injected faults are
-  identical on every backend — the backend never enters the fault
-  seed derivation, only the task hash;
+  identical — the kernel never enters the fault seed derivation, only
+  the task hash;
 - **bits**: ``reference`` is the bit-identity oracle; ``scipy`` is
   numerically equivalent (few-ULP summation-order differences);
 - **wall time**: where the compiled kernel pays — under fault
-  injection too, where strikes dirty the structure stamp and every
-  backend hands those products to the reference kernel.
+  injection too, where strikes dirty the structure stamp and those
+  products take the reference kernel on both.
 
-Backends that cannot run here (a missing dependency) are skipped with
-the reason.
+Without SciPy the ``scipy`` row is skipped with the reason.
 
 Run:  python examples/backend_comparison.py
 """
@@ -27,7 +26,6 @@ import time
 import numpy as np
 
 from repro import FaultSpec, solve, stencil_spd
-from repro.backends import available_backends, get_backend
 
 
 def main() -> None:
@@ -43,27 +41,26 @@ def main() -> None:
 
     reference = solve(a, b, backend="reference", **kwargs)
 
-    header = (f"{'backend':10s} {'wall':>8s} {'iters':>6s} {'faults':>6s} "
+    header = (f"{'kernel':10s} {'wall':>8s} {'iters':>6s} {'faults':>6s} "
               f"{'sim time':>8s} {'solution':>12s}")
     print(header)
     print("-" * len(header))
-    for name in sorted(available_backends()):
+    for name in ("reference", "scipy"):
         try:
-            be = get_backend(name)
-            solve(a, b, backend=be, **kwargs)  # warm: caches, kernel binding
-        except ValueError as exc:  # a missing dependency
+            solve(a, b, backend=name, **kwargs)  # warm: caches, kernel binding
+        except ValueError as exc:  # SciPy is not installed
             print(f"{name:10s}  skipped: {exc}")
             continue
         t0 = time.perf_counter()
-        report = solve(a, b, backend=be, **kwargs)
+        report = solve(a, b, backend=name, **kwargs)
         wall = time.perf_counter() - t0
 
-        # Identical physics on every backend ...
+        # Identical physics on both kernels ...
         assert report.iterations == reference.iterations
         assert report.time_units == reference.time_units
         assert report.counters.faults_injected == \
             reference.counters.faults_injected
-        # ... and identical *bits* where the backend promises them.
+        # ... and identical *bits* where the kernel promises them.
         bit_identical = report.solution_sha256 == reference.solution_sha256
         if name == "reference":
             assert bit_identical, f"{name} broke its bit-identity contract"
@@ -73,11 +70,11 @@ def main() -> None:
               f"{'bit-identical' if bit_identical else 'equivalent':>12s}")
 
     print(
-        "\nSame iterations, same simulated clock, same fault stream\n"
-        "everywhere: the backend axis changes how fast the floats are\n"
-        "computed, never the physics under study.  The full contract is\n"
-        "docs/DESIGN.md §6; the campaign ledger (benchmarks/e2e/) times\n"
-        "the kernels as backends.spmv_us."
+        "\nSame iterations, same simulated clock, same fault stream on\n"
+        "both: the kernel changes how fast the floats are computed, never\n"
+        "the physics under study.  The routing rule is docs/DESIGN.md §6;\n"
+        "the campaign ledger (benchmarks/e2e/) times the kernels as\n"
+        "backends.spmv_us."
     )
 
 

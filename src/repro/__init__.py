@@ -36,10 +36,9 @@ The library provides:
 - the zero-copy hot path: reusable solve workspaces with strike-undo
   matrix restore and per-process checksum/matrix caches, bit-identical
   to a private workspace per solve (:mod:`repro.perf`);
-- pluggable sparse-kernel backends — the bit-identical ``reference``
-  oracle and a SciPy-accelerated kernel — selectable on every solve
-  entry point, with a registry for out-of-tree kernels
-  (:mod:`repro.backends`);
+- a kernel choice of two, selectable on every solve entry point: the
+  bit-identical ``reference`` oracle and SciPy's compiled kernel for
+  structure-clean products (:mod:`repro.backends`);
 - structured tracing, process metrics and trace summaries — pure
   observation, zero overhead when off (:mod:`repro.obs`);
 - adaptive sequential sampling: per-task repetitions stop once the
@@ -112,18 +111,8 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         summarize_trace,
     )
     from repro.perf import SolveWorkspace
-    from repro.backends import (
-        KernelBackend,
-        available_backends,
-        get_backend,
-        register_backend,
-    )
-    from repro.store import (
-        StoreBackend,
-        available_store_schemes,
-        open_store,
-        register_store,
-    )
+    from repro.backends import available_backends, get_backend
+    from repro.store import StoreBackend, available_store_schemes, open_store
     from repro.adaptive import SamplingPolicy
 
 __version__ = "1.9.0"
@@ -168,14 +157,11 @@ __all__ = [
     "JsonlTracer",
     "summarize_trace",
     "SolveWorkspace",
-    "KernelBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "StoreBackend",
     "available_store_schemes",
     "open_store",
-    "register_store",
     "SamplingPolicy",
     "__version__",
 ]
@@ -226,18 +212,8 @@ __getattr__, __dir__ = lazy_exports(
             "summarize_trace",
         ),
         "repro.perf": ("SolveWorkspace",),
-        "repro.backends": (
-            "KernelBackend",
-            "available_backends",
-            "get_backend",
-            "register_backend",
-        ),
-        "repro.store": (
-            "StoreBackend",
-            "available_store_schemes",
-            "open_store",
-            "register_store",
-        ),
+        "repro.backends": ("available_backends", "get_backend"),
+        "repro.store": ("StoreBackend", "available_store_schemes", "open_store"),
         "repro.adaptive": ("SamplingPolicy",),
     },
 )

@@ -99,7 +99,6 @@ def compute_checksums(
     *,
     nchecks: int = 2,
     shift_margin: float = 1.0,
-    backend: "object | None" = None,
 ) -> SpmvChecksums:
     """Build the reliable checksum metadata for matrix ``a``.
 
@@ -116,27 +115,16 @@ def compute_checksums(
         correct one).
     shift_margin:
         Safety margin passed to :func:`repro.abft.weights.choose_shift`.
-    backend:
-        Optional resolved :class:`repro.backends.KernelBackend` whose
-        ``checksum_products`` computes ``WᵀA``.  Backends are
-        contractually bit-identical here (reliable arithmetic), so this
-        changes who runs the scatter loop, not the metadata.  ``None``
-        uses the reference scatter directly.
+
+    The metadata is reliable arithmetic, the same bits whichever kernel
+    (:mod:`repro.backends`) the products it protects run on.
     """
     n = check_square("matrix", a.shape)
     w = weight_matrix(n, nchecks)
-    if backend is not None:
-        cks = np.asarray(backend.checksum_products(a, w), dtype=np.float64)
-        if cks.shape != (nchecks, n):
-            raise ValueError(
-                f"backend checksum_products returned shape {cks.shape}, "
-                f"expected {(nchecks, n)}"
-            )
-    else:
-        cks = np.empty((nchecks, n), dtype=np.float64)
-        cks[0] = column_sums(a)  # w⁽¹⁾ = ones: plain column sums
-        if nchecks == 2:
-            cks[1] = column_sums(a, weights=w[1])
+    cks = np.empty((nchecks, n), dtype=np.float64)
+    cks[0] = column_sums(a)  # w⁽¹⁾ = ones: plain column sums
+    if nchecks == 2:
+        cks[1] = column_sums(a, weights=w[1])
     shift = choose_shift(cks[0], margin=shift_margin)
     shifted = cks[0] + shift
 
@@ -184,27 +172,11 @@ def compute_checksums(
 _CACHE: "weakref.WeakKeyDictionary[CSRMatrix, dict]" = weakref.WeakKeyDictionary()
 
 
-def _cache_key(
-    nchecks: int, shift_margin: float, backend: "object | None"
-) -> tuple:
-    """Cache key for one checksum configuration.
-
-    Shipped backends are contractually bit-identical on checksum
-    arithmetic, but the key still includes the backend name for
-    non-reference backends so a custom backend that (wrongly) deviates
-    can never leak its floats into another backend's run.
-    """
-    if backend is None:
-        return (nchecks, shift_margin)
-    return (nchecks, shift_margin, getattr(backend, "name", "custom"))
-
-
 def cached_checksums(
     a: CSRMatrix,
     *,
     nchecks: int = 2,
     shift_margin: float = 1.0,
-    backend: "object | None" = None,
 ) -> SpmvChecksums:
     """Per-process memoized :func:`compute_checksums`.
 
@@ -225,12 +197,12 @@ def cached_checksums(
     per_matrix = _CACHE.get(a)
     if per_matrix is None:
         per_matrix = _CACHE[a] = {}
-    key = _cache_key(nchecks, shift_margin, backend)
+    key = (nchecks, shift_margin)  # one set serves both kernels
     cks = per_matrix.get(key)
     if cks is None:
         METRICS.inc("abft.checksum_cache.miss")
         cks = per_matrix[key] = compute_checksums(
-            a, nchecks=nchecks, shift_margin=shift_margin, backend=backend
+            a, nchecks=nchecks, shift_margin=shift_margin
         )
     else:
         METRICS.inc("abft.checksum_cache.hit")
@@ -242,7 +214,6 @@ def checksums_cached(
     *,
     nchecks: int = 2,
     shift_margin: float = 1.0,
-    backend: "object | None" = None,
 ) -> bool:
     """Whether :func:`cached_checksums` would hit for this key.
 
@@ -250,7 +221,7 @@ def checksums_cached(
     label its ``abft-setup`` trace event before the cache call.
     """
     per_matrix = _CACHE.get(a)
-    return bool(per_matrix) and _cache_key(nchecks, shift_margin, backend) in per_matrix
+    return bool(per_matrix) and (nchecks, shift_margin) in per_matrix
 
 
 def clear_checksum_cache() -> None:

@@ -33,6 +33,12 @@ checksum arithmetic itself is reliable — selective reliability):
 
 All floating-point comparisons use the Theorem-2 tolerance, so a
 fault-free product can never be flagged (no false positives).
+
+Only the raw product depends on the kernel choice (:mod:`repro.backends`):
+it goes through :func:`repro.sparse.spmv.spmv_kernel`, whose one routing
+test gives a struck matrix the wild-read kernel on ``scipy`` too.  The
+snapshot, the checksums, the residuals and the decoder are the same
+NumPy arithmetic on both kernels.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.backends import kernel_matvec
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv_kernel
 from repro.abft.checksums import SpmvChecksums, compute_checksums
@@ -274,7 +281,7 @@ def protected_spmv(
     ratio_tol: float = 1e-4,
     workspace: "object | None" = None,
     trust_structure_stamp: bool = False,
-    backend: "object | None" = None,
+    backend: "str | object | None" = None,
 ) -> ProtectedSpmvResult:
     """Compute ``y = A x`` with ABFT protection.
 
@@ -316,13 +323,13 @@ def protected_spmv(
         the O(n) evaluation.  Leave False for hand-stamped matrices,
         where the stamp certifies validity, not equality.
     backend:
-        Optional kernel backend (name or instance, see
-        :mod:`repro.backends`) for the *unreliable* product only.  The
-        checksum arithmetic — snapshot, residuals, thresholds — always
-        runs on the reference primitives (selective reliability), and
-        a non-reference backend must itself route guarded matrices
-        back through the reference kernel, so detection semantics are
-        backend-invariant.
+        The kernel of the *unreliable* product, ``"reference"`` (or
+        ``None``) or ``"scipy"``, by name or as the object of
+        :func:`repro.backends.get_backend`.  The checksum arithmetic —
+        snapshot, residuals, thresholds — is the same NumPy either
+        way (selective reliability), and a matrix without the
+        ``structure_clean`` stamp is multiplied by the wild-read
+        kernel on both, so detection semantics do not depend on it.
 
     Returns
     -------
@@ -339,6 +346,7 @@ def protected_spmv(
         )
     if x.shape != (a.ncols,):
         raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+    matvec = kernel_matvec(backend)
     # Corrupted data overflows the kernel and the checksum algebra; the
     # inf/NaN it leaves is what flags, so the overflow is expected.
     with np.errstate(all="ignore"):
@@ -351,7 +359,7 @@ def protected_spmv(
             ratio_tol,
             workspace,
             trust_structure_stamp,
-            backend,
+            matvec,
         )
 
 
@@ -364,12 +372,13 @@ def verified_spmv(
     ratio_tol: float = 1e-4,
     workspace: "object | None" = None,
     trust_structure_stamp: bool = False,
-    backend: "object | None" = None,
+    matvec: "Callable | None" = None,
 ) -> ProtectedSpmvResult:
     """:func:`protected_spmv` without its per-call guards, for callers
     that own them: ``x`` is a ``float64`` array of shape ``(a.ncols,)``,
-    ``checksums`` fit ``a`` and ``correct``, and the caller sets the
-    floating-point error state.  The resilience engine's protected
+    ``checksums`` fit ``a`` and ``correct``, ``matvec`` is the kernel
+    as :func:`repro.backends.kernel_matvec` resolves it, and the caller
+    sets the floating-point error state.  The resilience engine's protected
     products come here, under the one ``np.errstate`` of their solve.
     """
     # Reliable snapshot (Algorithm 2 line 3) and input checksum (line 10),
@@ -389,7 +398,7 @@ def verified_spmv(
         x_ref = _snapshot(x, x_buf)
         cx = checksums.x_checksums(x)
         fault_hook("pre", a, x, None)
-    y = spmv_kernel(a, x, y_buf, scratch, backend)
+    y = spmv_kernel(a, x, y_buf, scratch, matvec)
     if fault_hook is not None:
         fault_hook("post", a, x, y)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -75,8 +76,8 @@ class FaultSpec:
     seed: "int | np.random.Generator | None" = None
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     @classmethod
     def coerce(cls, value: "FaultSpec | float | None") -> "FaultSpec":
@@ -160,7 +161,7 @@ class SolveReport:
     breakdown: Any  #: :class:`~repro.resilience.accounting.TimeBreakdown`
     method: str
     scheme: str
-    backend: str  #: kernel backend the solve ran on (repro.backends)
+    backend: str  #: kernel the solve ran on (repro.backends)
     alpha: float
     n: int
     nnz: int
@@ -268,7 +269,7 @@ def solve(
     validate: bool = True,
     record_history: bool = True,
     reuse_workspace: "bool | object" = False,
-    backend: "str | object | None" = None,
+    backend: str = "reference",
     trace: "object | None" = None,
 ) -> SolveReport:
     """Solve ``A x = b`` with a fault-tolerant iterative method.
@@ -316,21 +317,17 @@ def solve(
         :class:`repro.perf.SolveWorkspace`.  Off (the default), the
         solve runs on a private workspace of its own, with no memo and
         freshly computed checksums; the result is bit-identical on
-        every backend.  Leave off for one-shot solves or when calling
+        either kernel.  Leave off for one-shot solves or when calling
         from multiple threads, and see :func:`repro.perf.clear_caches`
         if you mutate a previously solved matrix in place.
     backend:
-        Kernel backend for every SpMxV of the solve — a registered
-        name (``"reference"``, ``"scipy"``) or a
-        :class:`repro.backends.KernelBackend` instance.  ``None``
-        (default) takes the workspace's
-        :attr:`~repro.perf.SolveWorkspace.backend` when a workspace
-        with one is passed, else the reference backend — the
-        bit-identity oracle.  ``"scipy"`` delegates structure-clean
-        products to SciPy's compiled kernel (numerically equivalent,
-        typically 2–4× faster on large matrices) while every guarded
-        path stays on the reference kernels, so fault detection
-        semantics are unchanged.
+        The kernel of every SpMxV of the solve (:mod:`repro.backends`):
+        ``"reference"`` (default), the bit-identity oracle, or
+        ``"scipy"``, which computes structure-clean products with
+        SciPy's compiled kernel (numerically equivalent, typically
+        2–4× faster on large matrices) while every struck product
+        stays on the wild-read kernel, so fault detection semantics
+        are unchanged.
     trace:
         Optional structured-event sink: a :class:`repro.obs.Tracer`
         instance, or a path (``str``/``os.PathLike``) that opens a
@@ -367,12 +364,7 @@ def solve(
             f"got {reuse_workspace!r}"
         )
 
-    if backend is None:
-        # Defer to the workspace's kernel axis when one is set;
-        # "reference" otherwise.  (An explicit backend always wins.)
-        ws_backend = workspace.backend if workspace is not None else None
-        backend = ws_backend if ws_backend is not None else "reference"
-    backend_obj = get_backend(backend)  # raises on an unknown name
+    get_backend(backend)  # raises on an unknown name
 
     mat = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
@@ -451,7 +443,7 @@ def solve(
             rng=fa.seed,
             tracer=tr,
             workspace=workspace,
-            backend=backend_obj,
+            backend=backend,
         )
     finally:
         if own_trace:
@@ -473,7 +465,7 @@ def solve(
         breakdown=res.breakdown,
         method=meth.value,
         scheme=sch.value,
-        backend=backend_obj.name,
+        backend=backend,
         alpha=fa.alpha,
         n=mat.nrows,
         nnz=mat.nnz,

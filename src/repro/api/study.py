@@ -24,8 +24,8 @@ Saved specs (:meth:`Study.save`) feed ``repro study run SPEC``.
 
 Axes
 ----
-``uid`` (suite matrix id), ``method``, ``backend`` (kernel backend
-name, see :mod:`repro.backends`), ``scheme``, ``alpha`` (fault
+``uid`` (suite matrix id), ``method``, ``backend`` (``reference`` or
+``scipy``, see :mod:`repro.backends`), ``scheme``, ``alpha`` (fault
 constant) or ``mtbf`` (its reciprocal — declare one, not both), ``s``
 (checkpoint interval; ``"auto"`` = model-optimal) and ``d``
 (verification interval; ``"auto"`` = Chen's value for ONLINE-DETECTION,
@@ -36,8 +36,8 @@ call order.  Invalid combinations are skipped rather than aborting the
 sweep: schemes a solver does not support (ONLINE-DETECTION under
 anything but CG, mirroring :class:`~repro.campaign.spec.CampaignSpec`)
 and ``d > 1`` under an ABFT scheme (they verify every iteration).
-Backends share fault streams at equal points (the backend enters the
-task hash but not the seed derivation), so ``axis("backend",
+The two kernels share fault streams at equal points (the kernel enters
+the task hash but not the seed derivation), so ``axis("backend",
 ["reference", "scipy"])`` is a controlled kernel comparison.
 
 The paper's own evaluation artifacts are preset studies:
@@ -359,15 +359,23 @@ class Study:
                 if name != "uid" and value == "auto":
                     return value
                 raise ValueError(f"{name} must be an int" + ("" if name == "uid" else " or 'auto'"))
+            # int() would truncate 2.5 to 2 and fail on nan/inf with an
+            # unrelated error: refuse what is not a whole number here.
+            v = float(value)
+            if not (v == v // 1 and (name == "uid" or v >= 1)):
+                raise ValueError(
+                    f"{name} must be a whole number" + ("" if name == "uid" else " >= 1")
+                    + f", got {value!r}"
+                )
             return int(value)
         if name == "alpha":
             v = float(value)
-            if v <= 0:
-                raise ValueError(f"alpha must be > 0, got {v}")
+            if not 0 <= v < float("inf"):  # 0 is a fault-free point
+                raise ValueError(f"alpha must be finite and >= 0, got {v}")
             return v
         if name == "mtbf":
             v = float(value)
-            if v <= 0:
+            if not v > 0:
                 raise ValueError(f"mtbf must be > 0, got {v}")
             return 1.0 / v
         if name == "method":
@@ -377,10 +385,10 @@ class Study:
 
             if not isinstance(value, str):
                 raise ValueError(
-                    "backend axis values must be registered names "
+                    "backend axis values must be kernel names "
                     f"(task specs are JSON), got {value!r}"
                 )
-            get_backend(value)  # raises on an unknown backend
+            get_backend(value)  # raises on an unknown kernel
             return value
         if name == "scheme":
             return Scheme.parse(value).value

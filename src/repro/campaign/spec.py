@@ -91,6 +91,17 @@ def _check_names(
             )
 
 
+def _check_point(alpha: float, s, d) -> None:
+    """Refuse a fault rate that is negative or not finite, and an
+    interval that is not a whole number >= 1 (a whole ``float`` such
+    as ``4.0`` passes, and hashes as it is)."""
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    for name, value in (("s", s), ("d", d)):
+        if not (1 <= value < math.inf and value == int(value)):
+            raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One schedulable unit: ``reps`` runs of a single parameter point.
@@ -106,9 +117,10 @@ class TaskSpec:
     scheme:
         :class:`repro.core.methods.Scheme` value string.
     alpha:
-        Fault-rate constant (strikes per iteration).
+        Fault-rate constant (strikes per iteration), finite and >= 0.
     s, d:
-        Checkpoint and verification intervals under test.
+        Checkpoint and verification intervals under test, whole
+        numbers >= 1.
     reps, base_seed, eps:
         Forwarded to :func:`repro.sim.engine.repeat_run`.
     labels:
@@ -124,12 +136,12 @@ class TaskSpec:
         schema (stores written before the solver axis existed are not
         recognized and their tasks recompute).
     backend:
-        Kernel-backend name (:mod:`repro.backends`) — the kernel axis
-        of the grid.  Adding this field bumped the task-hash schema
-        again (pre-backend stores recompute); the backend is part of
-        the task's *identity* but deliberately not of its seed
-        derivation, so the same point on two backends faces the same
-        fault stream.
+        Kernel name, ``"reference"`` or ``"scipy"``
+        (:mod:`repro.backends`) — the kernel axis of the grid.  Adding
+        this field bumped the task-hash schema again (pre-backend
+        stores recompute); the kernel is part of the task's *identity*
+        but deliberately not of its seed derivation, so the same point
+        on both kernels faces the same fault stream.
     sampling:
         Canonical :class:`repro.adaptive.SamplingPolicy` spec string,
         or ``""`` for fixed-count sampling (the default).  When set,
@@ -160,10 +172,10 @@ class TaskSpec:
     sampling: str = ""
 
     def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        s, d = self.s, self.d
+        if not (type(s) is int and s >= 1 and type(d) is int and d >= 1
+                and 0 <= self.alpha < math.inf):
+            _check_point(self.alpha, s, d)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
@@ -301,6 +313,12 @@ class CampaignSpec:
         for m in self.methods:
             Method.parse(m)  # raises on an unknown solver
         get_backend(self.backend)  # raises on an unknown backend
+        if self.mtbf_values is not None and not all(
+            0 < m < math.inf for m in self.mtbf_values
+        ):
+            raise ValueError(
+                f"mtbf_values must be finite and > 0, got {list(self.mtbf_values)}"
+            )
         if self.sampling:
             from repro.adaptive import SamplingPolicy
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,14 +62,15 @@ def residual_check(
     r: np.ndarray,
     *,
     tol: float = 1e-8,
-    backend: "object | None" = None,
+    matvec: "Callable | None" = None,
     scratch: "np.ndarray | None" = None,
 ) -> tuple[bool, float]:
     """Recompute ``b − A x`` and compare against the maintained ``r``.
 
     The gap is normalized by ``‖b‖`` (or 1 if ``b = 0``).  Costs one
     SpMxV — the dominant part of ONLINE-DETECTION's ``Tverif`` —
-    issued on the run's kernel ``backend`` so the recomputed and
+    issued on the run's kernel ``matvec``
+    (:func:`repro.backends.kernel_matvec`) so the recomputed and
     maintained residuals come from the same summation order.
     ``scratch`` is the solver workspace's SpMxV products buffer (see
     :func:`repro.sparse.spmv.spmv`); the floats are the same without.
@@ -77,7 +79,7 @@ def residual_check(
     floating-point error state (the resilience engine sets it once per
     solve).
     """
-    drift = b - spmv_kernel(a, x, scratch=scratch, backend=backend)
+    drift = b - spmv_kernel(a, x, scratch=scratch, matvec=matvec)
     drift -= r
     scale = math.sqrt(float(b @ b)) or 1.0
     gap = math.sqrt(float(drift @ drift)) / scale
@@ -97,7 +99,7 @@ def chen_verify(
     orth_tol: float = 1e-8,
     res_tol: float = 1e-8,
     check_orthogonality: bool = True,
-    backend: "object | None" = None,
+    matvec: "Callable | None" = None,
     scratch: "np.ndarray | None" = None,
 ) -> VerificationReport:
     """Full ONLINE-DETECTION verification (both tests).
@@ -115,7 +117,7 @@ def chen_verify(
     else:
         orth_ok, orth_score = True, float("nan")
     res_ok, res_gap = residual_check(
-        a, b, x, r, tol=res_tol, backend=backend, scratch=scratch
+        a, b, x, r, tol=res_tol, matvec=matvec, scratch=scratch
     )
     return VerificationReport(
         passed=orth_ok and res_ok,

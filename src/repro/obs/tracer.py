@@ -10,8 +10,7 @@ also the engine's only per-iteration observation surface, via
 The design contract is *zero overhead when off*: ``resolve_tracer``
 maps both ``None`` and the stock :class:`NullTracer` to ``None``, so
 the engine's hot loop pays a single ``is not None`` test per event
-site and nothing else (mirroring how ``resolve_backend`` collapses the
-reference backend).  Tracing therefore cannot perturb trajectories:
+site and nothing else.  Tracing therefore cannot perturb trajectories:
 sinks observe, they never touch RNG state or simulated time
 (``tests/test_obs_golden.py`` locks this bit-for-bit).
 
@@ -294,9 +293,8 @@ def resolve_tracer(tracer: "Tracer | None") -> "Tracer | None":
     """Collapse disabled sinks to ``None`` (the hot-path contract).
 
     ``None`` and :class:`NullTracer` instances resolve to ``None`` so
-    every emission site downstream is a single ``is not None`` test —
-    the exact analogue of ``resolve_backend`` returning ``None`` for
-    the reference backend.  Any other :class:`Tracer` passes through
+    every emission site downstream is a single ``is not None`` test.
+    Any other :class:`Tracer` passes through
     unchanged; non-tracers raise ``TypeError`` immediately rather than
     failing mid-solve.
     """

@@ -1,7 +1,7 @@
 """The clean-trajectory memo: a strike-free solve, computed once.
 
 CG, BiCGstab and PCG are deterministic recurrences: for one (matrix,
-method, kernel backend, right-hand side, zero initial guess) the
+method, kernel, right-hand side, zero initial guess) the
 strike-free trajectory ``T[0], T[1], …`` is a fixed sequence of states,
 and every repetition of every task on that matrix walks along it until
 a strike lands and returns to it after a rollback to a clean checkpoint
@@ -31,7 +31,7 @@ changes) and is not user-settable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -59,13 +59,15 @@ class TrajectoryMemo:
     def __init__(
         self,
         method: str,
-        backend: "object | None",
+        matvec: "Callable | None",
         b: np.ndarray,
         *,
         source: "CSRMatrix | None" = None,
     ) -> None:
         self.method = method
-        self.backend = backend
+        #: The kernel the trajectory ran on (``None`` = ``reference``):
+        #: ``scipy`` products differ from it in the last bits.
+        self.matvec = matvec
         #: ``b``'s bytes, the key's own copy: callers hand a fresh ``b``
         #: per task, and the key must survive in-place edits of theirs.
         self.b_bytes = b.tobytes()
@@ -90,12 +92,12 @@ class TrajectoryMemo:
             self.budget = max(BUDGET_BYTES, 8 * source.memory_words)
         self.nbytes = 0  #: snapshot + terminal bytes held (≤ budget)
 
-    def matches(self, method: str, backend: "object | None", b: np.ndarray) -> bool:
+    def matches(self, method: str, matvec: "Callable | None", b: np.ndarray) -> bool:
         """Whether this memo describes the trajectory of that solve
         (``b`` compared by its bytes: the exact key of the floats)."""
         return (
             self.method == method
-            and self.backend is backend
+            and self.matvec is matvec
             and self.b_bytes == b.tobytes()
         )
 

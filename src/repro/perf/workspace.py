@@ -52,7 +52,7 @@ rewritten with the value they already hold.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -83,13 +83,7 @@ class SolveWorkspace:
     protected solve takes this one path.
     """
 
-    def __init__(self, *, backend: "object | None" = None) -> None:
-        #: Default kernel backend (name or :class:`repro.backends
-        #: .KernelBackend`) for solves run through this workspace;
-        #: ``None`` = reference.  An explicit ``backend=`` on the solve
-        #: entry point always wins — the attribute only fills the gap,
-        #: so one workspace can serve tasks on different backends.
-        self.backend = backend
+    def __init__(self) -> None:
         #: Whether solves bind the clean-trajectory memo and read the
         #: process checksum cache; ``False`` for a :meth:`private` one.
         self.shared = True
@@ -409,12 +403,12 @@ class SolveWorkspace:
         return self._jacobi_minv
 
     def trajectory(
-        self, method: str, backend: "object | None", b: np.ndarray
+        self, method: str, matvec: "Callable | None", b: np.ndarray
     ) -> TrajectoryMemo:
         """The clean-trajectory memo of ``method`` on the bound source
         from a zero initial guess (see :mod:`repro.perf.trajectory`).
 
-        One slot: a solve whose (method, resolved backend, ``b`` by
+        One slot: a solve whose (method, kernel, ``b`` by
         value) differs from the held memo's starts a new one, and
         re-binding the live copy to another source drops it — campaigns
         walk their grids matrix by matrix and method by method, so the
@@ -422,26 +416,22 @@ class SolveWorkspace:
         ``d`` and ``eps`` in between.
         """
         memo = self._trajectory
-        if memo is None or not memo.matches(method, backend, b):
+        if memo is None or not memo.matches(method, matvec, b):
             memo = self._trajectory = TrajectoryMemo(
-                method, backend, b, source=self._live_source
+                method, matvec, b, source=self._live_source
             )
             METRICS.inc("workspace.trajectory_builds")
         return memo
 
-    def checksums(
-        self, a: CSRMatrix, *, nchecks: int, backend: "object | None" = None
-    ) -> "SpmvChecksums":
+    def checksums(self, a: CSRMatrix, *, nchecks: int) -> "SpmvChecksums":
         """ABFT metadata for ``a``: process-cached (see
         :func:`repro.abft.checksums.cached_checksums`), or computed
-        afresh by a :meth:`private` workspace.  ``backend`` is the
-        resolved kernel backend whose ``checksum_products`` runs the
-        setup product (``None`` = reference)."""
+        afresh by a :meth:`private` workspace."""
         from repro.abft.checksums import cached_checksums, compute_checksums
 
         if not self.shared:
-            return compute_checksums(a, nchecks=nchecks, backend=backend)
-        return cached_checksums(a, nchecks=nchecks, backend=backend)
+            return compute_checksums(a, nchecks=nchecks)
+        return cached_checksums(a, nchecks=nchecks)
 
     def release(self) -> None:
         """Drop every held array and matrix reference.

@@ -54,11 +54,11 @@ class BiCGstabPlugin:
         b: np.ndarray,
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
         self.live = live
         self.b = b
-        self.backend = backend
+        self.matvec = matvec
         # Workspace-backed vectors, storage reused across runs.
         self.x, self.r, self.r_hat, self.p, self.v, self.s = workspace.vector_set(
             "bicgstab", ("x", "r", "r_hat", "p", "v", "s"), a.nrows
@@ -81,15 +81,15 @@ class BiCGstabPlugin:
         x0: "np.ndarray | None",
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
-        self.bind(a, live, b, config, workspace, backend)
+        self.bind(a, live, b, config, workspace, matvec)
         # Fully overwritten: no state can leak between runs sharing the
         # workspace.
         self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, matvec=matvec)
         np.subtract(b, self.r, out=self.r)
         self.r_hat[:] = self.r
         self.p[:] = 0.0
@@ -127,10 +127,7 @@ class BiCGstabPlugin:
         return self.scal["rnorm"] <= threshold
 
     def _rnorm(self) -> float:
-        """Residual norm via the active backend (bit-identical: every
-        shipped backend inherits the same ``sqrt(r·r)``)."""
-        if self.backend is not None:
-            return float(self.backend.norm2(self.r))
+        """Residual norm ``sqrt(r·r)``, on either kernel."""
         return math.sqrt(float(self.r @ self.r))
 
     def after_rollback(self) -> None:
@@ -148,7 +145,7 @@ class BiCGstabPlugin:
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
         self.x[:] = cp.vectors["x"]
-        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, backend=self.backend)
+        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.r_hat[:] = self.r
         self.p[:] = 0.0
         self.v[:] = 0.0

@@ -51,13 +51,13 @@ class CGPlugin:
         b: np.ndarray,
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
         self.live = live
         self.b = b
         self.config = config
         self.workspace = workspace
-        self.backend = backend
+        self.matvec = matvec
         # Workspace-backed vectors, storage reused across runs; the
         # ``tmp`` member holds the update's ``α·p`` / ``α·q``.
         self.x, self.r, self.p, self.q, self.tmp = workspace.vector_set(
@@ -77,15 +77,15 @@ class CGPlugin:
         x0: "np.ndarray | None",
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
-        self.bind(a, live, b, config, workspace, backend)
+        self.bind(a, live, b, config, workspace, matvec)
         # Every entry is overwritten here, so nothing can leak from a
         # previous repetition.
         self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, matvec=matvec)
         np.subtract(b, self.r, out=self.r)
         self.p[:] = self.r
         self.q[:] = 0.0
@@ -115,7 +115,7 @@ class CGPlugin:
         self.live.val[:] = a.val
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
-        self.r[:] = self.b - spmv_kernel(a, self.x, scratch=self.scratch, backend=self.backend)
+        self.r[:] = self.b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.p[:] = self.r
         self.q[:] = 0.0
         self.rr = float(self.r.dot(self.r))
@@ -224,7 +224,7 @@ class CGPlugin:
         if ctx.injector is not None:
             for s in strikes:
                 ctx.injector.apply_strike(self.iteration, s)
-        spmv_kernel(self.live, self.p, out=self.q, scratch=self.scratch, backend=self.backend)
+        spmv_kernel(self.live, self.p, out=self.q, scratch=self.scratch, matvec=self.matvec)
         self._update(float(self.p.dot(self.q)))
         return self._online_advanced(ctx)
 
@@ -263,7 +263,7 @@ class CGPlugin:
             self.p,
             self.q,
             check_orthogonality=check_orthogonality,
-            backend=self.backend,
+            matvec=self.matvec,
             scratch=self.scratch,
         )
         ctx.note_chen(self.iteration, check_orthogonality, bool(report.passed))

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.abft.spmv import SpmvStatus, verified_spmv
-from repro.backends import resolve_backend
+from repro.backends import kernel_matvec
 from repro.checkpoint.policy import PeriodicCheckpointPolicy
 from repro.checkpoint.store import Checkpoint, CheckpointStore
 from repro.core.methods import SchemeConfig
@@ -100,12 +100,13 @@ class EngineContext:
         b: np.ndarray,
         config: SchemeConfig,
         workspace: SolveWorkspace,
-        backend: "object | None" = None,
+        matvec: "Callable | None" = None,
     ) -> None:
         self.plugin = plugin
-        #: Resolved kernel backend (``None`` = reference fast path);
-        #: used for every SpMxV the engine or its plugins issue.
-        self.backend = backend
+        #: The run's kernel (:func:`repro.backends.kernel_matvec`:
+        #: ``None`` = ``reference``) for every SpMxV the engine or its
+        #: plugins issue.
+        self.matvec = matvec
         self.a = a  #: pristine input matrix (reliable storage)
         #: ``a`` through the workspace's flag-stamped view (same bytes,
         #: own structure stamp) so reliable products skip the SpMxV guards.
@@ -154,9 +155,9 @@ class EngineContext:
         #: ``advance_clean``/``replay_step`` pair).
         self.memo: "TrajectoryMemo | None" = None
         #: The logical state is ``T[plugin.iteration]`` and the live
-        #: matrix is byte-equal to its source (under a non-reference
-        #: backend: and carries the structure stamp, which routes the
-        #: kernel).  Only ever true with a memo bound.
+        #: matrix is byte-equal to its source (on ``scipy``: and carries
+        #: the structure stamp, which routes the kernel).  Only ever
+        #: true with a memo bound.
         self.clean = False
         #: Index ``c`` such that the plugin's real vectors hold
         #: ``T[c]``; ``None`` once anything off the trajectory was
@@ -251,7 +252,7 @@ class EngineContext:
             # byte-equality with the checksum source, so the stamp may
             # stand in for the exact row-pointer test.
             trust_structure_stamp=True,
-            backend=self.backend,
+            matvec=self.matvec,
         )
         if not self.live.structure_clean:  # before any re-arm below
             self.guarded += 1
@@ -399,7 +400,7 @@ class EngineContext:
         kernel — the floats a strike-free step's product computes (for
         the plugins' ``replay_step``)."""
         scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
-        return spmv_kernel(self.a_view, x, out, scratch, self.backend)
+        return spmv_kernel(self.a_view, x, out, scratch, self.matvec)
 
     def note_chen(self, k: int, check_orthogonality: bool, passed: bool) -> None:
         """A real step ran Chen's tests on arriving at index ``k``; on
@@ -455,12 +456,12 @@ class EngineContext:
                 vec[:] = cp.vectors[name]
             self.cursor = self._stored_clean
         self.workspace.restore_matrix_state(self._cp_matrix_deltas)
-        # Back on the trajectory iff the checkpoint was — and, under a
-        # non-reference backend, the stamp that routes its kernel came
-        # back too (restore_matrix_state leaves it dirty whenever the
-        # captured deltas name an index word, even a pristine one).
+        # Back on the trajectory iff the checkpoint was — and, on
+        # ``scipy``, the stamp that routes its kernel came back too
+        # (restore_matrix_state leaves it dirty whenever the captured
+        # deltas name an index word, even a pristine one).
         self.clean = self._cp_clean is not None and (
-            self.backend is None or self.live.structure_clean
+            self.matvec is None or self.live.structure_clean
         )
         if index_only and not self.clean:
             # T[k]'s bytes on another kernel: the solve goes on for real.
@@ -568,12 +569,9 @@ class EngineContext:
             self.materialise()
         scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
         true_r = self.b - spmv_kernel(
-            self.a_view, self.plugin.vectors["x"], scratch=scratch, backend=self.backend
+            self.a_view, self.plugin.vectors["x"], scratch=scratch, matvec=self.matvec
         )
-        if self.backend is not None:
-            norm = float(self.backend.norm2(true_r))
-        else:
-            norm = math.sqrt(float(true_r @ true_r))
+        norm = math.sqrt(float(true_r @ true_r))
         if self.clean:
             self.memo.true_residual[k] = norm
         return norm
@@ -603,10 +601,6 @@ class EngineContext:
             self.accepted_residual = norm
             return True
         return False
-
-
-def _backend_name(backend: "object | None") -> str:
-    return getattr(backend, "name", "custom") if backend is not None else "reference"
 
 
 def _fault_targets(
@@ -646,7 +640,7 @@ def run_protected(
     max_time_units: "float | None" = None,
     final_check: bool = True,
     workspace: "SolveWorkspace | None" = None,
-    backend: "object | None" = None,
+    backend: "str | object | None" = None,
     tracer: "Tracer | None" = None,
 ) -> SolveResult:
     """Run one recurrence plugin under silent-error injection.
@@ -669,8 +663,8 @@ def run_protected(
         The ε of Algorithm 1's stopping criterion ``‖r‖ ≤ ε (‖A‖₁·‖r₀‖
         + ‖b‖)``; finite and positive, else :class:`ValueError`.
     maxiter:
-        Cap on *executed* iterations, at least 1; defaults to ``20 n``
-        (faulty runs need headroom).
+        Cap on *executed* iterations, a whole number at least 1 (``5``
+        or ``5.0``); defaults to ``20 n`` (faulty runs need headroom).
     x0:
         Initial guess (the zero vector when ``None``).
     rng:
@@ -698,15 +692,12 @@ def run_protected(
         ``tests/test_trajectory_memo.py``).  One workspace must not be
         shared by concurrently running solves.
     backend:
-        Kernel backend for every SpMxV of the run — a registered name
-        (``"scipy"``), a
-        :class:`repro.backends.KernelBackend` instance, or ``None``:
-        the workspace's :attr:`~repro.perf.SolveWorkspace.backend` if
-        one is set, else the reference kernels.  The reference backend
-        is the raw-kernel fast path (bit-identical to the pre-backend
-        engine); non-reference backends substitute only
-        structure-clean products and route guarded ones back through
-        the reference kernel, so detection semantics are unchanged.
+        The kernel of every SpMxV of the run (:mod:`repro.backends`):
+        ``"reference"`` (or ``None``, the default) or ``"scipy"``, by
+        name or as the object of :func:`repro.backends.get_backend`.
+        ``"scipy"`` computes only structure-clean products with SciPy's
+        kernel; a struck product takes the wild-read kernel on both,
+        so detection semantics are unchanged.
     tracer:
         Optional :class:`repro.obs.Tracer` receiving the run's event
         stream (solve lifecycle, step outcomes, strikes, recoveries)
@@ -724,8 +715,8 @@ def run_protected(
     """
     if not math.isfinite(check_positive("eps", eps)):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    if maxiter is not None and not maxiter >= 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter!r}")
+    if maxiter is not None and not (1 <= maxiter < math.inf and maxiter == int(maxiter)):
+        raise ValueError(f"maxiter must be >= 1, finite and whole, got {maxiter!r}")
     # The solve owns the floating-point error state: strikes overflow
     # the kernel, the checksum algebra, the decoder and Chen's tests,
     # and the inf/NaN they leave is what detection reads.  One
@@ -733,16 +724,10 @@ def run_protected(
     with np.errstate(all="ignore"):
         plugin.check_scheme(config.scheme)
         workspace = workspace or SolveWorkspace.private()
-        if backend is None:
-            backend = workspace.backend
-        backend = resolve_backend(backend)
-        if backend is not None:
-            # Pre-solve hook, before the wall clock: backends bind or
-            # compile their kernels here, so first-call warm-up never
-            # pollutes per-task timing.
-            prepare = getattr(backend, "prepare", None)
-            if prepare is not None:
-                prepare(a)
+        # Before the wall clock: the first ``scipy`` solve of a process
+        # binds SciPy's kernel here, outside per-task timing.
+        matvec = kernel_matvec(backend)
+        kernel = "reference" if matvec is None else "scipy"
         wall_start = _time.perf_counter()
         tr = resolve_tracer(tracer)
         rng = as_generator(rng)
@@ -762,7 +747,7 @@ def run_protected(
                 0,
                 live="restore" if workspace.live_restores > restores0 else "copy",
             )
-        ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, backend=backend)
+        ctx = EngineContext(plugin, a, live, b, config, workspace=workspace, matvec=matvec)
         ctx.tracer = tr
         memo = None
         if (
@@ -772,19 +757,19 @@ def run_protected(
             # An iteration observer reads the vectors after every step:
             # the memo steps aside for that solve.
             and not (tr is not None and tr.observes_iterations)
-            # Kernel routing is part of a non-reference trajectory.
-            and (backend is None or live.structure_clean)
+            # Kernel routing is part of a ``scipy`` trajectory.
+            and (matvec is None or live.structure_clean)
         ):
-            memo = workspace.trajectory(plugin.name, backend, b)
+            memo = workspace.trajectory(plugin.name, matvec, b)
         if memo is not None and memo.origin is not None:
             # T[0] is known: start on it with the vectors unwritten
             # (``cursor`` None); the first strike or check that needs
             # them materialises them from the memo's origin.
-            plugin.bind(a, live, b, config, workspace, backend)
+            plugin.bind(a, live, b, config, workspace, matvec)
             plugin.load_scalars(Checkpoint(0, {}, scalars=memo.steps[0]))
             r0_norm, b_norm = memo.origin_norms
         else:
-            plugin.init_state(a, live, b, x0, config, workspace=workspace, backend=backend)
+            plugin.init_state(a, live, b, x0, config, workspace=workspace, matvec=matvec)
             r0_norm, b_norm = norm2(plugin.vectors["r"]), norm2(b)
             if memo is not None:
                 memo.record_origin(plugin.scalars(), plugin.vectors, (r0_norm, b_norm))
@@ -803,11 +788,11 @@ def run_protected(
 
                 if not workspace.shared:
                     cache_state = "off"
-                elif checksums_cached(a, nchecks=nchecks, backend=backend):
+                elif checksums_cached(a, nchecks=nchecks):
                     cache_state = "hit"
                 else:
                     cache_state = "miss"
-            ctx.checksums = workspace.checksums(a, nchecks=nchecks, backend=backend)
+            ctx.checksums = workspace.checksums(a, nchecks=nchecks)
             if tr is not None:
                 tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)
 
@@ -839,7 +824,7 @@ def run_protected(
                 nnz=a.nnz,
                 s=config.checkpoint_interval,
                 d=config.verification_interval,
-                backend=_backend_name(backend),
+                backend=kernel,
             )
 
         executed = 0
@@ -947,7 +932,7 @@ def run_protected(
                 ("engine.time_units.verification", bd.verification),
                 ("engine.time_units.checkpoint", bd.checkpoint),
                 ("engine.time_units.recovery", bd.recovery),
-                ("engine.backend." + _backend_name(backend), 1),
+                ("engine.backend." + kernel, 1),
             )
         )
         METRICS.observe("engine.solve_wall_s", result.wall_seconds)

@@ -54,9 +54,9 @@ class JacobiPCGPlugin:
         b: np.ndarray,
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
-        self.backend = backend
+        self.matvec = matvec
         # Reliable metadata, like the checksums: extracted once per
         # matrix, not per run.
         self.minv = workspace.jacobi_minv(a)
@@ -78,15 +78,15 @@ class JacobiPCGPlugin:
         x0: "np.ndarray | None",
         config: SchemeConfig,
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
-        self.bind(a, live, b, config, workspace, backend)
+        self.bind(a, live, b, config, workspace, matvec)
         # Fully overwritten: no state can leak between runs sharing the
         # workspace.
         self.x[:] = 0.0
         if x0 is not None:
             self.x[:] = x0
-        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, backend=backend)
+        spmv_kernel(live, self.x, out=self.r, scratch=self.scratch, matvec=matvec)
         np.subtract(b, self.r, out=self.r)
         np.multiply(self.minv, self.r, out=self.z)
         self.p[:] = self.z
@@ -110,10 +110,7 @@ class JacobiPCGPlugin:
         return self.rnorm <= threshold
 
     def _rnorm(self) -> float:
-        """Residual norm via the active backend (bit-identical: every
-        shipped backend inherits the same ``sqrt(r·r)``)."""
-        if self.backend is not None:
-            return float(self.backend.norm2(self.r))
+        """Residual norm ``sqrt(r·r)``, on either kernel."""
         return math.sqrt(float(self.r @ self.r))
 
     def after_rollback(self) -> None:
@@ -125,7 +122,7 @@ class JacobiPCGPlugin:
         self.live.val[:] = a.val
         self.live.colid[:] = a.colid
         self.live.rowidx[:] = a.rowidx
-        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, backend=self.backend)
+        self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.z[:] = self.minv * self.r
         self.p[:] = self.z
         self.q[:] = 0.0

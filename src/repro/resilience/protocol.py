@@ -22,7 +22,7 @@ A plugin whose recurrence is deterministic may additionally offer the
 three methods the engine's clean-trajectory memo needs (docs/DESIGN.md
 §4); a plugin without them is simply always executed:
 
-``bind(a, live, b, config, workspace, backend) -> None``
+``bind(a, live, b, config, workspace, matvec) -> None``
     :meth:`~RecurrencePlugin.init_state` without its arithmetic: store
     the references and draw the vectors from the workspace, contents
     unspecified.  A solve whose initial state the memo already holds
@@ -212,7 +212,7 @@ class RecurrencePlugin(Protocol):
         x0: "np.ndarray | None",
         config: "SchemeConfig",
         workspace,
-        backend=None,
+        matvec=None,
     ) -> None:
         """Allocate the iteration vectors/scalars for one run.
 
@@ -223,11 +223,12 @@ class RecurrencePlugin(Protocol):
         or the engine's private one: plugins draw their iteration
         vectors from it (``workspace.buffer``/``zeros``, fully
         overwriting every entry so no state survives between runs) and
-        may pass its SpMxV scratch to kernels.  ``backend`` is the engine-resolved
-        kernel backend (``None`` = reference): plugins must store it
-        and pass it to every direct :func:`repro.sparse.spmv.spmv`
-        call they issue (initial residual, refresh, unprotected
-        steps), so the whole run sits on one kernel axis.
+        may pass its SpMxV scratch to kernels.  ``matvec`` is the run's
+        kernel (:func:`repro.backends.kernel_matvec`; ``None`` =
+        ``reference``): plugins must store it and pass it to every
+        direct :func:`repro.sparse.spmv.spmv_kernel` call they issue
+        (initial residual, refresh, unprotected steps), so the whole
+        run sits on one kernel.
         """
         ...
 

@@ -189,12 +189,12 @@ def repeat_run(
     recurrence plugin) and, when it is not CG, additionally enters the
     seed tuple so methods never share fault streams either.
 
-    ``backend`` selects the kernel backend (:mod:`repro.backends`;
-    ``None`` = reference).  It deliberately does *not* enter the seed
-    tuple: the same parameter point on two backends faces the same
-    strike sequence, which is exactly what a backend comparison wants
-    (campaign stores still keep them apart — the backend is part of
-    the task content hash).
+    ``backend`` names the kernel, ``"reference"`` (``None``) or
+    ``"scipy"`` (:mod:`repro.backends`).  It deliberately does *not*
+    enter the seed tuple: the same parameter point on both kernels
+    faces the same strike sequence, which is exactly what a kernel
+    comparison wants (campaign stores still keep them apart — the
+    kernel is part of the task content hash).
 
     ``reuse_workspace`` (default on) runs every repetition through one
     :class:`repro.perf.SolveWorkspace`: the live matrix, the solver

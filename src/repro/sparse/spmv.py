@@ -19,12 +19,12 @@ canonicalization, no duplicate folding.  That property is what lets the
 fault-injection study corrupt ``Val``/``Colid``/``Rowidx`` and observe
 the corruption flow into ``y``.
 
-:func:`spmv` is also the dispatch point of the pluggable kernel axis:
-``backend=`` hands the product to a registered
-:class:`repro.backends.KernelBackend` (e.g. ``"scipy"``), which must
-route guarded (non-``structure_clean``) matrices back here — the
-wild-read emulation below is the single definition of the fault
-physics.
+The kernel choice (:mod:`repro.backends`) is routed by one test, at
+the top of :func:`spmv_kernel`: a product may use SciPy's compiled
+``csr_matvec`` only when the solve runs on ``scipy`` and the matrix
+carries the :attr:`~repro.sparse.csr.CSRMatrix.structure_clean`
+stamp.  Every other product takes the wild-read emulation below — the
+single definition of the fault physics.
 
 :func:`spmv` checks its input and silences the floating-point errors a
 corrupted product raises, once per call.  :func:`spmv_kernel` is the
@@ -35,8 +35,11 @@ solve enters (docs/DESIGN.md §4).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from repro.backends import kernel_matvec
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["spmv", "spmv_reference"]
@@ -48,7 +51,7 @@ def spmv(
     *,
     out: "np.ndarray | None" = None,
     scratch: "np.ndarray | None" = None,
-    backend: "object | None" = None,
+    backend: "str | object | None" = None,
 ) -> np.ndarray:
     """Vectorized CSR SpMxV.
 
@@ -70,12 +73,12 @@ def spmv(
         ``a.nnz`` elements for the per-nonzero products — the solver workspace
         passes one so the hot loop allocates nothing.
     backend:
-        Optional kernel backend — a registered name (``"scipy"``) or
-        a :class:`repro.backends.KernelBackend` instance.  ``None`` / ``"reference"`` runs this function's own
-        kernel (the bit-identity default); any other backend receives
-        the call and is contractually required to route
-        non-``structure_clean`` matrices back here, so the fault
-        physics below is backend-invariant.
+        The kernel: ``"reference"`` (or ``None``, the bit-identity
+        default) or ``"scipy"``, by name or as the object of
+        :func:`repro.backends.get_backend`.  ``"scipy"`` computes a
+        ``structure_clean`` product with SciPy's ``csr_matvec`` and
+        every other one here (:func:`spmv_kernel`), so the fault
+        physics below is the same on both.
 
     Notes
     -----
@@ -110,10 +113,11 @@ def spmv(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.ncols,):
         raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
+    matvec = kernel_matvec(backend)
     # Corrupted values can overflow to ±inf — that is the silent error
     # propagating, not a kernel bug; ABFT flags the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
-        return spmv_kernel(a, x, out, scratch, backend)
+        return spmv_kernel(a, x, out, scratch, matvec)
 
 
 def spmv_kernel(
@@ -121,7 +125,7 @@ def spmv_kernel(
     x: np.ndarray,
     out: "np.ndarray | None" = None,
     scratch: "np.ndarray | None" = None,
-    backend: "object | None" = None,
+    matvec: "Callable | None" = None,
 ) -> np.ndarray:
     """:func:`spmv` without its per-call guards, for callers that own them.
 
@@ -130,19 +134,12 @@ def spmv_kernel(
     overflows, and only :func:`spmv` silences that per call.  The
     resilience engine enters ``np.errstate(all="ignore")`` once per
     solve and issues every product of it here (docs/DESIGN.md §4).
+    ``matvec`` is the solve's kernel as
+    :func:`repro.backends.kernel_matvec` resolves it: ``None`` on
+    ``reference``, SciPy's ``csr_matvec`` on ``scipy``.
     """
-    if backend is not None:
-        if type(backend) is not str:
-            # Hot path: the engine resolves names once and hands the
-            # instance down, so per-product calls skip the registry
-            # (the stock reference backend resolves to None upstream;
-            # a reference *instance* passed here just round-trips).
-            return backend.spmv(a, x, out=out, scratch=scratch)
-        from repro.backends import resolve_backend
-
-        be = resolve_backend(backend)
-        if be is not None:
-            return be.spmv(a, x, out=out, scratch=scratch)
+    if matvec is not None and a.structure_clean:
+        return _compiled(a, x, out, matvec)
     n = a.nrows
     nnz = a.nnz
     if out is None:
@@ -183,6 +180,33 @@ def spmv_kernel(
         if end < nnz:
             seg[-1] = products[starts[-1] : end].sum()
         y[rows] = seg
+    return y
+
+
+def _compiled(
+    a: CSRMatrix, x: np.ndarray, out: "np.ndarray | None", matvec: Callable
+) -> np.ndarray:
+    """``y = A x`` through SciPy's ``csr_matvec`` on the raw arrays, for
+    a matrix whose stamp certifies its index arrays: the compiled
+    kernel reads wherever an index points.  Its summation order is not
+    the reduction's above, so it agrees with it to rounding, not bit
+    for bit."""
+    x = np.ascontiguousarray(x)
+    if out is None:
+        y = np.zeros(a.nrows, dtype=np.float64)
+    else:
+        # The compiled kernel does no bounds checking: a short buffer
+        # would be an out-of-bounds write, so it is refused here.
+        if out.shape != (a.nrows,):
+            raise ValueError(f"out must have shape ({a.nrows},), got {out.shape}")
+        if np.may_share_memory(out, x):
+            x = x.copy()  # zeroing y below must not clear the input
+        y = out
+        y[:] = 0.0  # csr_matvec accumulates into y
+    if a.nnz:
+        # Corrupted values can overflow to ±inf inside the compiled
+        # kernel: the non-finite result is the silent error for ABFT.
+        matvec(a.nrows, a.ncols, a.rowidx, a.colid, a.val, x, y)
     return y
 
 

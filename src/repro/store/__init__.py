@@ -1,9 +1,8 @@
 """Pluggable campaign result stores (the storage layer, DESIGN.md §9).
 
 Every campaign persists one JSON record per completed task, keyed by
-the task's content hash.  Where those records live is a *backend*
-selected by a URL-style string, mirroring the kernel-backend registry
-(:mod:`repro.backends`):
+the task's content hash.  Where those records live is one of three
+*backends*, selected by a URL-style string:
 
 ``path/to/store.jsonl`` (bare path — the default, ``jsonl:`` explicit)
     The original single-file append-only JSONL store
@@ -26,10 +25,11 @@ identical records in any backend yield bit-identical aggregates, and
 ``--resume`` recognizes completed tasks across a migration
 (:func:`migrate_store` is lossless in both directions).
 
-Custom backends register with :func:`register_store`; the scheme then
-works everywhere a store is named — ``run_campaign(store=...)``,
-``Study.run(store=...)``, every CLI ``--store``, ``repro report`` and
-``repro store info/migrate``.
+The selector works everywhere a store is named —
+``run_campaign(store=...)``, ``Study.run(store=...)``, every CLI
+``--store``, ``repro report`` and ``repro store info/migrate``; a
+constructed :class:`~repro.store.protocol.StoreBackend` instance passes
+through :func:`open_store` untouched.
 
 Every function here that takes a selector closes the store it opened
 from a URL before returning (:func:`opened_store`); a store instance
@@ -61,7 +61,6 @@ __all__ = [
     "SqliteStore",
     "DEFAULT_SHARDS",
     "DEFAULT_STORE_SCHEME",
-    "register_store",
     "available_store_schemes",
     "parse_store_url",
     "open_store",
@@ -98,9 +97,10 @@ def _sqlite(path: str) -> StoreBackend:
     return SqliteStore(path)
 
 
-#: scheme -> path factory.  Factories take the path part of the URL
-#: and return an unopened backend (construction must not touch disk).
-_FACTORIES: "dict[str, Callable[[str], StoreBackend]]" = {
+#: scheme -> path factory, default first.  Factories take the path part
+#: of the URL and return an unopened backend (construction must not
+#: touch disk).
+_SCHEMES: "dict[str, Callable[[str], StoreBackend]]" = {
     "jsonl": ResultStore,
     "sharded": _sharded,
     "sqlite": _sqlite,
@@ -111,48 +111,18 @@ _FACTORIES: "dict[str, Callable[[str], StoreBackend]]" = {
 _SCHEME = re.compile(r"^([A-Za-z][A-Za-z0-9+._-]+):(.*)$")
 
 
-def register_store(
-    scheme: str, factory: "Callable[[str], StoreBackend]", *, replace: bool = False
-) -> None:
-    """Register a custom store backend under ``scheme``.
-
-    ``factory`` takes the path part of ``scheme:path`` and returns a
-    :class:`~repro.store.protocol.StoreBackend`.  The scheme is then
-    accepted everywhere a store is named.  Shipped schemes cannot be
-    overwritten unless ``replace=True``.
-
-    Process-scope caveat (as for :func:`repro.backends
-    .register_backend`): the registry is per-process state; campaign
-    workers inherit it under ``fork`` but a ``spawn`` worker must
-    re-register at import time.
-    """
-    if len(scheme) < 2 or not _SCHEME.match(f"{scheme}:x"):
-        raise ValueError(
-            f"store scheme must be at least two characters of "
-            f"[A-Za-z0-9+._-] starting with a letter, got {scheme!r}"
-        )
-    if scheme in _FACTORIES and not replace:
-        raise ValueError(
-            f"store scheme {scheme!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _FACTORIES[scheme] = factory
-
-
 def available_store_schemes() -> "list[str]":
-    """Registered scheme names, default first."""
-    names = sorted(_FACTORIES)
-    names.remove(DEFAULT_STORE_SCHEME)
-    return [DEFAULT_STORE_SCHEME, *names]
+    """The scheme names, default first: ``jsonl``, ``sharded``, ``sqlite``."""
+    return list(_SCHEMES)
 
 
 def parse_store_url(spec: "str | os.PathLike[str]") -> "tuple[str, str]":
     """Split a store selector into ``(scheme, path)``.
 
     ``sharded:dir`` / ``sqlite:file.db`` / ``jsonl:file`` select a
-    registered backend; a bare path (or any ``os.PathLike``) is the
+    backend; a bare path (or any ``os.PathLike``) is the
     default JSONL store.  Unknown schemes raise ``ValueError`` naming
-    the registered ones — a mistyped scheme must fail loudly, not
+    the known ones — a mistyped scheme must fail loudly, not
     silently become a strange filename.
     """
     if isinstance(spec, os.PathLike):
@@ -161,7 +131,7 @@ def parse_store_url(spec: "str | os.PathLike[str]") -> "tuple[str, str]":
     if match is None:
         return DEFAULT_STORE_SCHEME, spec
     scheme, path = match.groups()
-    if scheme not in _FACTORIES:
+    if scheme not in _SCHEMES:
         raise ValueError(
             f"unknown store scheme {scheme!r} "
             f"(expected one of: {', '.join(available_store_schemes())}; "
@@ -187,7 +157,7 @@ def open_store(spec: "StoreBackend | str | os.PathLike[str]") -> StoreBackend:
             f"store must be a StoreBackend, str or os.PathLike, got {type(spec)!r}"
         )
     scheme, path = parse_store_url(spec)
-    return _FACTORIES[scheme](path)
+    return _SCHEMES[scheme](path)
 
 
 @contextmanager

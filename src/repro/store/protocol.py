@@ -2,7 +2,7 @@
 
 A campaign store persists one JSON-serializable *record* per completed
 task, keyed by the task's content hash.  :class:`StoreBackend` is the
-structural protocol every backend implements; the registry in
+structural protocol every backend implements; the scheme table in
 :mod:`repro.store` resolves URL-style selectors (``sharded:dir/``,
 ``sqlite:file.db``, bare path → ``jsonl``) to instances.
 

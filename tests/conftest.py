@@ -12,10 +12,7 @@ import pytest
 from hypothesis import settings
 
 from repro.sparse import CSRMatrix, laplacian_2d, random_spd, stencil_spd
-from repro.sparse.spmv import spmv
 from repro.abft import compute_checksums
-from repro.backends import BaseBackend, get_backend, register_backend
-from repro.backends import _FACTORIES, _INSTANCES
 
 
 # Tests that leave ``max_examples`` to the profile (the clean-trajectory
@@ -90,45 +87,3 @@ def dense_random_csr(rng: np.random.Generator, nrows: int, ncols: int, density: 
     mask = rng.random((nrows, ncols)) < density
     dense = np.where(mask, rng.normal(size=(nrows, ncols)), 0.0)
     return CSRMatrix.from_dense(dense)
-
-
-class OwnKernel(BaseBackend):
-    """A registered out-of-tree kernel: it runs structure-clean products
-    on its own reduction, which repeats the reference kernel's
-    arithmetic exactly, and hands every other product to
-    :func:`repro.sparse.spmv.spmv`."""
-
-    name = "own-kernel"
-
-    def __init__(self):
-        self.prepared = self.owned = self.deferred = 0
-
-    def prepare(self, a):
-        self.prepared += 1
-
-    def spmv(self, a, x, *, out=None, scratch=None):
-        if not a.structure_clean:
-            self.deferred += 1
-            return spmv(a, x, out=out, scratch=scratch)
-        self.owned += 1
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (a.ncols,):
-            raise ValueError(f"x must have shape ({a.ncols},), got {x.shape}")
-        products = a.val * x[a.colid]  # read x before out, which may alias it
-        y = np.empty(a.nrows) if out is None else out
-        y[:] = 0.0
-        nonempty = np.diff(a.rowidx) > 0
-        if nonempty.any():
-            y[nonempty] = np.add.reduceat(products, a.rowidx[:-1][nonempty])
-        return y
-
-
-@pytest.fixture
-def own_kernel():
-    """:class:`OwnKernel` registered as ``"own-kernel"``; yields the
-    shared instance and unregisters it afterwards."""
-    register_backend(OwnKernel.name, OwnKernel)
-    yield get_backend(OwnKernel.name)
-    _FACTORIES.pop(OwnKernel.name, None)
-    _INSTANCES.pop(OwnKernel.name, None)
-

@@ -41,12 +41,9 @@ def _system():
 
 
 def _cells():
-    # ``own-kernel`` is the registered out-of-tree stand-in of
-    # ``tests/conftest.py``: a backend name that is not shipped must not
-    # enter seed derivation either.
     for method in Method:
         for scheme in method.supported_schemes:
-            for backend in [*sorted(available_backends()), "own-kernel"]:
+            for backend in sorted(available_backends()):
                 yield method, scheme, backend
 
 
@@ -55,8 +52,7 @@ def _cells():
     list(_cells()),
     ids=lambda v: getattr(v, "value", v),
 )
-def test_adaptive_prefix_bit_identical(method, scheme, backend, request):
-    own = request.getfixturevalue("own_kernel") if backend == "own-kernel" else None
+def test_adaptive_prefix_bit_identical(method, scheme, backend):
     a, b = _system()
     cfg = SchemeConfig(
         scheme=scheme,
@@ -83,7 +79,6 @@ def test_adaptive_prefix_bit_identical(method, scheme, backend, request):
     assert stats_adaptive.std_time == stats_fixed.std_time
     assert stats_adaptive.min_time == stats_fixed.min_time
     assert stats_adaptive.max_time == stats_fixed.max_time
-    assert own is None or own.owned > 0
 
 
 def test_adaptive_is_prefix_of_longer_fixed_run():

@@ -116,15 +116,29 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="eps must be"):
             solve(a, b, faults=None, eps=eps)
 
-    @pytest.mark.parametrize("maxiter", [0, -1, float("nan")])
+    @pytest.mark.parametrize(
+        "maxiter", [0, -1, float("nan"), float("inf"), -float("inf"), 2.5, 0.5]
+    )
     def test_maxiter_must_be_at_least_one(self, problem, maxiter):
         a, b = problem
         with pytest.raises(ValueError, match="maxiter must be >= 1"):
             solve(a, b, faults=None, maxiter=maxiter)
 
+    def test_integral_maxiter_runs_as_before(self, problem):
+        a, b = problem
+        runs = [solve(a, b, faults=None, maxiter=m, record_history=False)
+                for m in (5, 5.0)]
+        assert [r.iterations_executed for r in runs] == [5, 5]
+        assert runs[0].solution_sha256 == runs[1].solution_sha256
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             FaultSpec(alpha=-0.5)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            FaultSpec(alpha=alpha)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError, match="interval"):

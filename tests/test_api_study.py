@@ -111,6 +111,40 @@ class TestCompilation:
         alphas = [t.alpha for t in study.tasks()]
         assert alphas == [0.01, 0.001]
 
+    @pytest.mark.parametrize("name, value", [
+        ("s", 2.5), ("s", float("nan")), ("s", float("inf")), ("s", 0),
+        ("d", 2.5), ("d", float("-inf")), ("d", -3), ("uid", 2213.5),
+    ])
+    def test_interval_values_no_task_can_take_are_refused(self, name, value):
+        # int() would truncate 2.5 to a point never asked for (s=2).
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            Study("bad").axis(name, [value])
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            Study("bad").fix(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", -0.5), ("alpha", float("nan")), ("alpha", float("inf")),
+        ("mtbf", 0.0), ("mtbf", -10.0), ("mtbf", float("nan")),
+    ])
+    def test_rate_values_no_task_can_take_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Study("bad").axis(name, [value])
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Study("bad").fix(**{name: value})
+
+    def test_whole_float_values_compile_to_the_int_points(self):
+        fixed = dict(scheme="online-detection", scale=48)
+        as_floats = Study("w").axis("s", [4.0]).fix(uid=2213.0, d=2.0, **fixed)
+        as_ints = Study("w").axis("s", [4]).fix(uid=2213, d=2, **fixed)
+        assert ([t.task_hash() for t in as_floats.tasks()]
+                == [t.task_hash() for t in as_ints.tasks()])
+        assert [(type(t.s), t.d) for t in as_floats.tasks()] == [(int, 2)]
+
+    def test_fault_free_alpha_is_a_point(self):
+        # alpha = 0 is the fault-free point TaskSpec and FaultSpec take too.
+        tasks = Study("ff").axis("alpha", [0.0, 0.1]).fix(uid=2213, s=4, scale=48).tasks()
+        assert [t.alpha for t in tasks] == [0.0, 0.1]
+
     def test_alpha_and_mtbf_conflict(self):
         with pytest.raises(ValueError, match="both"):
             Study("bad").axis("alpha", [0.1]).axis("mtbf", [100.0])

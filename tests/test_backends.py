@@ -1,53 +1,45 @@
-"""The pluggable kernel-backend axis (:mod:`repro.backends`).
+"""The kernel choice (:mod:`repro.backends`): ``reference`` or ``scipy``.
 
-Locks the three contracts the backend axis stands on:
+Locks the three contracts the choice stands on:
 
 1. **Reference is the oracle.** ``backend="reference"`` — explicit,
-   default, by instance — is bit-identical to the pre-backend code
-   path on every entry point (``spmv``, ``protected_spmv``,
+   default, as the shared object — is bit-identical to the pre-backend
+   code path on every entry point (``spmv``, ``protected_spmv``,
    ``solve``, ``repeat_run``).
-2. **Guarded paths are backend-invariant.** Any matrix without the
-   ``structure_clean`` stamp routes through the reference kernel on
-   every backend, so fault emulation and ABFT detection semantics
-   cannot depend on the backend choice.
+2. **One rule routes every product.** A product uses SciPy's
+   ``csr_matvec`` only on ``scipy`` *and* under the ``structure_clean``
+   stamp; every other product is the wild-read kernel's, so fault
+   emulation and ABFT detection semantics cannot depend on the kernel.
+   :class:`TestRoutingProperty` holds it on generated matrices, clean
+   and struck (CI's chaos-smoke runs it at ``--hypothesis-profile
+   soak``).
 3. **SciPy is numerically equivalent where it substitutes.** On
    structure-clean products it agrees with the reference kernel to
    rounding, and fault-free solves on the paper suite produce
    identical convergence histories (same iterations, same events).
-
-The seam an out-of-tree backend plugs into (``register_backend``,
-``BaseBackend``, ``prepare()``) is locked by a registered stand-in,
-``own-kernel`` (``tests/conftest.py``), whose own clean kernel carries
-the reference bits: every golden trajectory replays byte-identically
-through it, and every per-backend suite runs against it too.
 """
 
+import contextlib
 import hashlib
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.abft.spmv import SpmvStatus, protected_spmv
-from repro.backends import (
-    BackendUnavailableError,
-    ReferenceBackend,
-    ScipyBackend,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.backends import _FACTORIES, _INSTANCES
+from repro.backends import available_backends, get_backend, kernel_matvec
+from repro.obs.metrics import METRICS
 from repro.perf import SolveWorkspace
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sim.matrices import get_matrix
 from repro.sparse import CSRMatrix, stencil_spd
 from repro.sparse.spmv import spmv
-from repro.core.methods import Method, Scheme, SchemeConfig
+from repro.core.methods import Scheme, SchemeConfig
 
 
 def stamped(a: CSRMatrix) -> CSRMatrix:
@@ -72,18 +64,9 @@ class TestRegistry:
         names = available_backends()
         assert names[:2] == ("reference", "scipy")
 
-    def test_backend_available_probe_never_raises(self):
-        assert backend_available("reference")
-        assert backend_available("scipy")
-        assert not backend_available("cuda")
-
     def test_get_backend_by_name_is_shared_instance(self):
         assert get_backend("scipy") is get_backend("scipy")
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-
-    def test_get_backend_passes_instances_through(self):
-        be = ScipyBackend()
-        assert get_backend(be) is be
+        assert get_backend("reference").name == "reference"
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="reference"):
@@ -93,55 +76,16 @@ class TestRegistry:
         with pytest.raises(TypeError):
             get_backend(42)
 
-    def test_resolve_reference_to_none(self):
-        # The fast-path contract: every spelling of "reference"
-        # resolves to None so hot loops skip backend dispatch entirely.
-        assert resolve_backend(None) is None
-        assert resolve_backend("reference") is None
-        assert resolve_backend(ReferenceBackend()) is None
-        assert resolve_backend("scipy") is get_backend("scipy")
+    def test_kernel_matvec_resolves_reference_to_none(self):
+        # The per-solve form: every spelling of "reference" is None, so
+        # the routing test of a reference product is one identity check.
+        from repro.sparse._scipy import csr_matvec
 
-    def test_register_custom_backend(self):
-        class Doubling(ReferenceBackend):
-            name = "doubling"
-
-            def spmv(self, a, x, *, out=None, scratch=None):
-                return 2.0 * super().spmv(a, x, out=None, scratch=scratch)
-
-        register_backend("doubling", Doubling)
-        try:
-            a = stamped(stencil_spd(25, kind="cross", radius=1))
-            x = np.ones(a.ncols)
-            assert np.array_equal(
-                spmv(a, x, backend="doubling"), 2.0 * spmv(a, x)
-            )
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("doubling", Doubling)
-        finally:
-            _FACTORIES.pop("doubling", None)
-            _INSTANCES.pop("doubling", None)
-
-    def test_shipped_names_protected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("reference", ReferenceBackend)
-
-    def test_replaced_reference_honoured_on_every_dispatch_path(self):
-        # replace=True on "reference" must change name-based dispatch
-        # everywhere, not only on entry points that call get_backend.
-        class Doubling(ReferenceBackend):
-            def spmv(self, a, x, *, out=None, scratch=None):
-                return 2.0 * super().spmv(a, x, out=None, scratch=scratch)
-
-        original = _FACTORIES["reference"]
-        register_backend("reference", Doubling, replace=True)
-        try:
-            a = stamped(stencil_spd(25, kind="cross", radius=1))
-            x = np.ones(a.ncols)
-            raw = spmv(a, x)
-            assert np.array_equal(spmv(a, x, backend="reference"), 2.0 * raw)
-            assert resolve_backend("reference") is get_backend("reference")
-        finally:
-            register_backend("reference", original, replace=True)
+        for spelling in (None, "reference", get_backend("reference")):
+            assert kernel_matvec(spelling) is None
+        assert kernel_matvec("scipy") is kernel_matvec(get_backend("scipy")) is csr_matvec()
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            kernel_matvec("gpu")
 
 
 class TestSpmvDispatch:
@@ -151,7 +95,7 @@ class TestSpmvDispatch:
         assert np.array_equal(spmv(suite_matrix, x, backend="reference"), base)
         assert np.array_equal(spmv(suite_matrix, x, backend=None), base)
         assert np.array_equal(
-            spmv(suite_matrix, x, backend=ReferenceBackend()), base
+            spmv(suite_matrix, x, backend=get_backend("reference")), base
         )
 
     def test_scipy_matches_reference_to_rounding(self, suite_matrix):
@@ -218,27 +162,6 @@ class TestSpmvDispatch:
         x = np.ones(a.ncols)
         with pytest.raises(ValueError, match="out"):
             spmv(a, x, out=np.empty(a.nrows - 1), backend="scipy")
-
-
-class TestBackendPrimitives:
-    def test_checksum_products_match_column_sums(self, suite_matrix):
-        from repro.sparse.norms import column_sums
-
-        w = np.vstack([np.ones(suite_matrix.nrows),
-                       np.arange(1.0, suite_matrix.nrows + 1.0)])
-        for name in ("reference", "scipy"):
-            prods = get_backend(name).checksum_products(suite_matrix, w)
-            assert prods.shape == (2, suite_matrix.ncols)
-            for i in range(2):
-                assert np.array_equal(prods[i], column_sums(suite_matrix, weights=w[i]))
-
-    def test_dot_and_norm(self):
-        u = np.arange(5.0)
-        v = np.ones(5)
-        for name in ("reference", "scipy"):
-            be = get_backend(name)
-            assert be.dot(u, v) == float(u @ v)
-            assert be.norm2(u) == float(np.linalg.norm(u))
 
 
 class TestProtectedSpmv:
@@ -335,22 +258,6 @@ class TestSolveFacade:
         with pytest.raises(ValueError, match="unknown backend"):
             repro.solve(a, b, backend="gpu")
 
-    def test_workspace_backend_attribute_used(self, small_system):
-        # SolveWorkspace(backend=...) supplies the default kernel axis;
-        # an explicit backend on the entry point still wins.
-        a, b = small_system
-        ws = SolveWorkspace(backend="scipy")
-        via_ws = repro.solve(a, b, eps=1e-8, reuse_workspace=ws)
-        pinned = repro.solve(a, b, eps=1e-8, backend="scipy")
-        assert via_ws.iterations == pinned.iterations
-        assert via_ws.solution_sha256 == pinned.solution_sha256
-        explicit = repro.solve(
-            a, b, eps=1e-8, reuse_workspace=ws, backend="reference"
-        )
-        ref = repro.solve(a, b, eps=1e-8)
-        assert explicit.solution_sha256 == ref.solution_sha256
-
-
 class TestRepeatRunAndWorkspace:
     def test_reference_repeat_run_bit_identical(self, small_system):
         a, b = small_system
@@ -421,8 +328,8 @@ class TestStudyAndCampaign:
             repro.Study("bad").axis("backend", ["gpu"])
 
     def test_backend_axis_requires_names_not_instances(self):
-        with pytest.raises(ValueError, match="registered names"):
-            repro.Study("bad").axis("backend", [ScipyBackend()])
+        with pytest.raises(ValueError, match="kernel names"):
+            repro.Study("bad").axis("backend", [get_backend("scipy")])
 
     def test_study_round_trips_backend_axis(self, tmp_path):
         from repro.api.study import Study
@@ -520,21 +427,17 @@ class TestCli:
         assert report["backend"] == name and report["converged"]
 
     @pytest.mark.parametrize("command", ["solve", "table1", "figure1"])
-    def test_backend_help_lists_the_shipped_backends(self, command, own_kernel, capsys):
-        # Built from the registry when printed: a registered backend
-        # shows up, a deleted one cannot linger.
+    def test_backend_help_lists_the_shipped_backends(self, command, capsys):
         from repro.api.cli import main
 
         assert main([command, "--help"]) == 0
         entry = capsys.readouterr().out.split("--backend BACKEND")[-1].split("--")[0]
-        assert " ".join(entry.split()) == (
-            "kernel backend: reference (bit-identical default), scipy, own-kernel"
-        )
+        assert " ".join(entry.split()) == "kernel: reference (bit-identical default) or scipy"
 
     def test_scipy_unavailable_hint_names_a_shipped_fallback(self):
-        from repro.backends.scipy_backend import _unavailable
+        from repro.backends import scipy_unavailable
 
-        msg = str(_unavailable("blocked"))
+        msg = str(scipy_unavailable("blocked"))
         assert "pip install scipy" in msg and "'reference'" in msg
         assert "threaded" not in msg and "numba" not in msg
 
@@ -544,9 +447,8 @@ class TestCli:
 # ---------------------------------------------------------------------------
 
 #: Directed corruptions covering all three matrix arrays the fault model
-#: can strike.  Every case dirties the structure stamp, so every backend
-#: must produce the *bits* of the reference guarded kernel by handing the
-#: product to it.
+#: can strike.  Every case dirties the structure stamp, so both kernels
+#: must produce the *bits* of the reference guarded kernel.
 CORRUPTIONS = {
     "colid_oob": lambda a: a.colid.__setitem__(3, a.ncols + 17),
     "colid_negative": lambda a: a.colid.__setitem__(5, -3),
@@ -562,13 +464,9 @@ CORRUPTIONS = {
 }
 
 
-@pytest.fixture(params=[*sorted(available_backends()), "own-kernel"])
+@pytest.fixture(params=sorted(available_backends()))
 def any_backend(request):
-    """Every shipped backend, and the registered out-of-tree
-    ``own-kernel`` (``tests/conftest.py``): the contracts below are the
-    protocol's, not properties of the two kernels that ship."""
-    if request.param == "own-kernel":
-        return request.getfixturevalue("own_kernel")
+    """The shared object of either kernel."""
     return get_backend(request.param)
 
 
@@ -586,7 +484,7 @@ class TestAllBackendsCorruptionGrid:
     def test_fault_free_solve_runs_on_every_backend(self, any_backend):
         a = stencil_spd(100, kind="cross", radius=1)
         b = make_rhs(a)
-        report = repro.solve(a, b, backend=any_backend, eps=1e-8)
+        report = repro.solve(a, b, backend=any_backend.name, eps=1e-8)
         assert report.converged
         ref = repro.solve(a, b, eps=1e-8)
         assert report.iterations == ref.iterations
@@ -610,16 +508,16 @@ def _random_csr(rng, nrows, ncols, max_row):
 
 
 def assert_substitutes(backend, y, y_ref):
-    """A stamped product: the reference backend reproduces the kernel's
-    bits, every other backend agrees with it to rounding."""
-    if isinstance(backend, ReferenceBackend):
+    """A stamped product: the reference kernel reproduces its own bits,
+    SciPy's agrees with it to rounding."""
+    if backend.name == "reference":
         assert np.array_equal(y, y_ref)
     else:
         np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-13)
 
 
 class TestCleanKernelOnEveryBackend:
-    """Structure-clean products, where a backend may use its own kernel."""
+    """Structure-clean products, where ``scipy`` uses SciPy's kernel."""
 
     def test_stencil_products(self, any_backend):
         a = stamped(stencil_spd(256, kind="box", radius=2))
@@ -701,23 +599,8 @@ class TestCleanKernelOnEveryBackend:
         assert after[2] == pytest.approx(before[2] + 1000.0)
         assert_substitutes(any_backend, after, spmv(a, x))
 
-    def test_prepare_is_idempotent(self, any_backend):
-        a = stamped(stencil_spd(64, kind="cross", radius=1))
-        x = np.random.default_rng(6).standard_normal(a.ncols)
-        first = any_backend.spmv(a, x).copy()
-        any_backend.prepare(a)
-        any_backend.prepare(a)
-        assert np.array_equal(any_backend.spmv(a, x), first)
-
-    def test_satisfies_the_protocol_under_its_registered_name(self, any_backend):
-        from repro.backends import KernelBackend
-
-        assert isinstance(any_backend, KernelBackend)
-        assert get_backend(any_backend.name) is any_backend
-
-
 class TestGuardedKernelOnEveryBackend:
-    """Unstamped products: every backend yields the reference kernel's bits."""
+    """Unstamped products: both kernels yield the wild-read kernel's bits."""
 
     def test_random_rowidx_fuzz(self, any_backend):
         rng = np.random.default_rng(12)
@@ -755,7 +638,7 @@ class TestGuardedKernelOnEveryBackend:
 
 class TestProtectedProductOnEveryBackend:
     """The guarded path at the ABFT level: status, repair and output of a
-    protected product on a struck matrix do not depend on the backend."""
+    protected product on a struck matrix do not depend on the kernel."""
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
     def test_struck_protected_product_bit_identical(self, any_backend, kind):
@@ -775,23 +658,9 @@ class TestProtectedProductOnEveryBackend:
                          a.val.tobytes(), a.colid.tobytes(), a.rowidx.tobytes()))
         assert runs[0] == runs[1]
 
-    def test_checksums_through_the_backend_are_the_reference_bits(self, any_backend):
-        from repro.abft.checksums import compute_checksums
-
-        a = get_matrix(2213, 48)
-        ref = compute_checksums(a, nchecks=2)
-        via = compute_checksums(a, nchecks=2, backend=any_backend)
-        assert np.array_equal(via.column_checksums, ref.column_checksums)
-        assert via.shift == ref.shift
-        assert np.array_equal(via.rowidx_checksums, ref.rowidx_checksums)
-        assert np.array_equal(via.tolerance.thresholds(1.0), ref.tolerance.thresholds(1.0))
-
-
-@pytest.mark.parametrize("name", ["scipy", "own-kernel"])
-def test_faulty_runs_face_the_reference_strike_stream(name, small_system, request):
-    # The backend does not enter the seed derivation.
-    if name == "own-kernel":
-        request.getfixturevalue("own_kernel")
+@pytest.mark.parametrize("name", ["scipy"])
+def test_faulty_runs_face_the_reference_strike_stream(name, small_system):
+    # The kernel does not enter the seed derivation.
     a, b = small_system
     cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
     ref = repeat_run(a, b, cfg, alpha=0.1, reps=3, base_seed=13)
@@ -801,49 +670,54 @@ def test_faulty_runs_face_the_reference_strike_stream(name, small_system, reques
 
 
 # ---------------------------------------------------------------------------
-# a registered backend that cannot run here, and names no longer shipped
+# SciPy that cannot be imported, and names no longer shipped
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def unavailable_backend():
-    """A registered stand-in whose factory raises, as an out-of-tree
-    backend does without its dependency."""
+def scipy_missing(monkeypatch):
+    """A process in which ``import scipy`` fails (``find_spec`` finds
+    nothing); the per-combination name check of task specs is cleared
+    on both sides, so neither an earlier pass nor this failure leaks."""
+    from repro.campaign.spec import _check_names
 
-    def factory():
-        raise BackendUnavailableError(
-            "backend 'needs-dep' requires the optional package needsdep; "
-            "install it with `pip install needsdep`"
-        )
-
-    register_backend("needs-dep", factory)
-    yield "needs-dep"
-    _FACTORIES.pop("needs-dep", None)
-    _INSTANCES.pop("needs-dep", None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    _check_names.cache_clear()
+    yield
+    _check_names.cache_clear()
 
 
 class TestUnavailableBackend:
-    def test_get_backend_surfaces_unavailable(self, unavailable_backend):
-        with pytest.raises(BackendUnavailableError, match="pip install needsdep"):
-            get_backend(unavailable_backend)
+    """Naming ``scipy`` where SciPy cannot load fails loudly, before any
+    work, with the install hint — never a silent reference fallback."""
 
-    def test_backend_available_reports_false_without_raising(self, unavailable_backend):
-        assert backend_available(unavailable_backend) is False
+    HINT = "backend 'scipy' requires the scipy package"
 
-    def test_study_axis_rejects_with_clear_error(self, unavailable_backend):
-        with pytest.raises(BackendUnavailableError, match="optional"):
-            repro.Study("dep").axis("backend", [unavailable_backend])
+    def test_get_backend_surfaces_unavailable(self, scipy_missing):
+        with pytest.raises(ValueError, match="pip install scipy"):
+            get_backend("scipy")
 
-    def test_solve_rejects_with_clear_error(self, unavailable_backend, small_system):
+    def test_study_axis_rejects_with_clear_error(self, scipy_missing):
+        with pytest.raises(ValueError, match=self.HINT):
+            repro.Study("dep").axis("backend", ["scipy"])
+
+    def test_solve_rejects_with_clear_error(self, scipy_missing, small_system):
         a, b = small_system
-        with pytest.raises(BackendUnavailableError, match="needs-dep"):
-            repro.solve(a, b, backend=unavailable_backend)
+        with pytest.raises(ValueError, match=self.HINT):
+            repro.solve(a, b, backend="scipy")
 
-    def test_cli_flag_is_usage_error(self, unavailable_backend, capsys):
+    def test_taskspec_rejects_with_clear_error(self, scipy_missing):
+        from repro.campaign.spec import TaskSpec
+
+        with pytest.raises(ValueError, match=self.HINT):
+            TaskSpec(experiment="dep", uid=2213, scale=64, scheme="abft-correction",
+                     alpha=0.01, s=4, backend="scipy")
+
+    def test_cli_flag_is_usage_error(self, scipy_missing, capsys):
         from repro.api.cli import main
 
-        assert main(["solve", "--scale", "64", "--backend", unavailable_backend]) == 2
-        assert "needs-dep" in capsys.readouterr().err
+        assert main(["solve", "--scale", "64", "--backend", "scipy"]) == 2
+        assert self.HINT in capsys.readouterr().err
 
 
 def _store_of(path, *backends):
@@ -927,7 +801,6 @@ class TestRetiredBackendNames:
 
     @pytest.mark.parametrize("name", RETIRED)
     def test_registry_refuses_them_naming_the_shipped_ones(self, name):
-        assert backend_available(name) is False
         with pytest.raises(ValueError) as ei:
             get_backend(name)
         assert str(ei.value) == unknown(name)
@@ -982,90 +855,143 @@ class TestRetiredBackendNames:
 
 
 # ---------------------------------------------------------------------------
-# an out-of-tree backend, through the seam kept for one
+# the one routing rule, on generated matrices
 # ---------------------------------------------------------------------------
 
 
-_GOLD = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "ft_trajectories.json").read_text()
-)
-#: One golden entry per (driver, scheme) pair.
-_GOLD_ENTRIES = list({(e["driver"], e["scheme"]): e for e in _GOLD["entries"]}.values())
+@contextlib.contextmanager
+def _spied_csr_matvec():
+    """SciPy's bound ``csr_matvec`` behind a call counter for the
+    duration of the block; yields the real kernel and the counter."""
+    from repro.sparse import _scipy
+
+    real = _scipy.csr_matvec()
+    calls = []
+
+    def spy(nrows, ncols, rowidx, colid, val, x, y):
+        calls.append(1)
+        # A struck index would read or write out of bounds: refuse it
+        # here, so a routing bug fails the assertion instead of the process.
+        if (rowidx[0] == 0 and np.all(np.diff(rowidx) >= 0) and rowidx[-1] == val.size
+                and np.all((colid >= 0) & (colid < ncols))):
+            real(nrows, ncols, rowidx, colid, val, x, y)
+
+    _scipy._csr_matvec = spy
+    try:
+        yield real, calls
+    finally:
+        _scipy._csr_matvec = real
 
 
-def _sha(v) -> str:
-    return hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
-
-
-class TestOutOfTreeBackend:
-    """A backend whose clean products carry the reference bits leaves
-    every trajectory byte-identical: the engine's non-reference path
-    (instance dispatch, ``prepare()``, deferral of struck products)
-    adds nothing to the physics."""
-
-    @pytest.mark.parametrize(
-        "entry", _GOLD_ENTRIES,
-        ids=lambda e: f"{e['driver']}-{e['scheme']}-a{e['alpha']}-seed{e['seed']}",
+@st.composite
+def routed_products(draw):
+    """A random CSR matrix (rows of 0..5 entries), an input with
+    non-finite entries allowed, and — unless the draw is clean — strikes
+    on ``colid`` / ``rowidx`` (``rowidx[0]`` included) that may point
+    far outside the arrays."""
+    n = draw(st.integers(1, 16))
+    ncols = draw(st.integers(1, 16))
+    lens = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    rowidx = np.zeros(n + 1, dtype=np.int64)
+    rowidx[1:] = np.cumsum(lens)
+    nnz = int(rowidx[-1])
+    colid = np.array(draw(st.lists(st.integers(0, ncols - 1), min_size=nnz, max_size=nnz)),
+                     dtype=np.int64)
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    val = np.array(draw(st.lists(finite, min_size=nnz, max_size=nnz)), dtype=np.float64)
+    entry = st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf]))
+    x = np.array(draw(st.lists(entry, min_size=ncols, max_size=ncols)), dtype=np.float64)
+    a = CSRMatrix(val, colid, rowidx, (n, ncols))
+    wild = st.one_of(
+        st.sampled_from([-1, -(2**62), 2**62, n, ncols, nnz, nnz + 1]),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-3, 3).map(lambda k: max(n, ncols, nnz) + k),
     )
-    def test_golden_trajectories(self, own_kernel, entry):
-        from repro.core import Method
+    targets = [("rowidx", n + 1)] + ([("colid", nnz)] if nnz else [])
+    strikes = draw(st.lists(
+        st.sampled_from(targets).flatmap(lambda t: st.tuples(
+            st.just(t[0]), st.integers(0, t[1] - 1), wild)),
+        max_size=3,
+    ))
+    for name, pos, value in strikes:
+        getattr(a, name)[pos] = value
+    if strikes:
+        a.mark_structure_dirty()
+    else:
+        a.assume_clean_structure()
+    return a, x
+
+
+def _bits(y):
+    return np.ascontiguousarray(y).tobytes()
+
+
+class TestRoutingProperty:
+    """The routing rule of :func:`repro.sparse.spmv.spmv_kernel`, held
+    on generated matrices: the only per-product difference between the
+    two kernels is SciPy's kernel on a stamped matrix."""
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    @given(routed_products())
+    def test_one_rule_routes_every_product(self, product):
+        a, x = product
+        scipy = get_backend("scipy")
+        with np.errstate(all="ignore"), _spied_csr_matvec() as (real, calls):
+            ref = spmv(a, x)
+            ys = [spmv(a, x, backend="scipy"), scipy.spmv(a, x)]
+            # out may alias x: the kernel reads x before it writes out
+            for call in (lambda v: spmv(a, v, out=v, backend="scipy"),
+                         lambda v: scipy.spmv(a, v, out=v)):
+                v = x.copy() if a.nrows == a.ncols else None
+                if v is not None:
+                    y = call(v)
+                    assert y is v
+                    ys.append(y)
+            if a.structure_clean:
+                want = np.zeros(a.nrows)
+                real(a.nrows, a.ncols, a.rowidx, a.colid, a.val, x, want)
+                assert calls or not a.nnz  # SciPy's kernel did the clean products
+            else:
+                # Memory safety: a struck index never reaches the
+                # compiled kernel, which does no bounds checking.
+                want = ref
+                assert calls == []
+        for y in ys:
+            assert _bits(y) == _bits(want)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from(["cg", "bicgstab", "pcg"]))
+    def test_kernels_share_checksums_not_trajectories(self, seed, method):
+        from repro.abft.checksums import _CACHE, compute_checksums
         from repro.resilience import run_ft_method
+        from repro.sparse import random_spd
 
-        a = stencil_spd(529, kind="cross", radius=2)
-        b = np.random.default_rng(_GOLD["rhs_seed"]).normal(size=a.nrows)
-        cfg = SchemeConfig(
-            Scheme(entry["scheme"]),
-            checkpoint_interval=_GOLD["s"],
-            verification_interval=entry["d"],
-        )
-        method = Method.CG if entry["driver"] == "ft_cg" else Method.BICGSTAB
-        with np.errstate(all="ignore"):
-            res = run_ft_method(
-                method, a, b, cfg, alpha=entry["alpha"], rng=entry["seed"],
-                eps=_GOLD["eps"], backend="own-kernel",
-            )
-        want = entry["result"]
-        assert _sha(res.x) == want["x_sha256"]
-        assert float(res.time_units).hex() == want["time_units"]
-        assert float(res.residual_norm).hex() == want["residual_norm"]
-        assert res.counters.rollbacks == want["counters"]["rollbacks"]
-        assert res.counters.faults_injected == want["counters"]["faults_injected"]
-        assert own_kernel.prepared == 1 and own_kernel.owned > 0
-
-    @pytest.mark.parametrize("method,scheme,alpha", [
-        (Method.CG, Scheme.ABFT_CORRECTION, 0.0),
-        (Method.CG, Scheme.ABFT_CORRECTION, 0.2),
-        (Method.CG, Scheme.ABFT_DETECTION, 0.2),
-        (Method.BICGSTAB, Scheme.ABFT_CORRECTION, 0.2),
-    ], ids=lambda v: getattr(v, "value", v))
-    def test_protected_replays(self, own_kernel, method, scheme, alpha):
-        from repro.resilience import run_ft_method
-
-        a = stencil_spd(100, kind="cross", radius=1)
+        a = random_spd(40, 0.15, seed=seed)
         b = make_rhs(a)
-        cfg = SchemeConfig(scheme, checkpoint_interval=5)
-        runs = []
-        for backend in ("reference", own_kernel):
-            with np.errstate(all="ignore"):
-                runs.append(run_ft_method(method, a, b, cfg, alpha=alpha, rng=17,
-                                          eps=1e-8, backend=backend))
-        ref, own = runs
-        assert _sha(own.x) == _sha(ref.x)
-        assert float(own.time_units).hex() == float(ref.time_units).hex()
-        assert float(own.residual_norm).hex() == float(ref.residual_norm).hex()
-        assert (own.iterations, own.iterations_executed) == (
-            ref.iterations, ref.iterations_executed)
-        assert own.counters.faults_injected == ref.counters.faults_injected
-        assert own.counters.rollbacks == ref.counters.rollbacks
-        assert own.counters.detections == ref.counters.detections
-        if alpha == 0.0:
-            assert own_kernel.deferred == 0
+        cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=4)
+        ws = SolveWorkspace()
 
-    def test_study_axis_runs_it_by_name(self, own_kernel):
-        study = (repro.Study("own-kernel")
-                 .axis("backend", ["reference", "own-kernel"])
-                 .fix(uid=2213, scale=64, reps=2, s=4, alpha=1 / 16))
-        ref, own = study.run(jobs=1).points()
-        assert own.backend == "own-kernel"
-        assert own.stats == ref.stats
-        assert own_kernel.owned > 0
+        def solve(backend, workspace):
+            return run_ft_method(method, a, b, cfg, alpha=0.0, eps=1e-10, maxiter=25,
+                                 workspace=workspace, backend=backend)
+
+        counts = [METRICS.count(f"engine.backend.{k}") for k in ("reference", "scipy")]
+        solve("reference", ws)
+        warmed = ws._trajectory
+        cks = _CACHE[a][(2, 1.0)]
+        got = solve("scipy", ws)
+        assert [METRICS.count(f"engine.backend.{k}") for k in ("reference", "scipy")] == [
+            counts[0] + 1, counts[1] + 1]
+        # one checksum set for both kernels, with the reference bits
+        assert list(_CACHE[a]) == [(2, 1.0)] and _CACHE[a][(2, 1.0)] is cks
+        fresh = compute_checksums(a, nchecks=2)
+        assert _bits(cks.column_checksums) == _bits(fresh.column_checksums)
+        assert cks.shift == fresh.shift
+        # the scipy solve keyed a memo of its own kernel …
+        assert ws._trajectory is not warmed
+        assert ws._trajectory.matvec is kernel_matvec("scipy")
+        assert warmed.matvec is None
+        # … and returns what a memo-free scipy solve returns
+        oracle = solve("scipy", None)
+        assert _bits(got.x) == _bits(oracle.x)
+        assert float(got.time_units).hex() == float(oracle.time_units).hex()

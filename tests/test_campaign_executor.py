@@ -1,5 +1,7 @@
 """Campaign execution: determinism across jobs, resume, aggregation."""
 
+import json
+
 import pytest
 
 from repro.campaign import (
@@ -353,6 +355,57 @@ class TestCli:
         ).save(spec)
         assert _main(["study", "run", str(spec), "--dry-run"]) == 2
         assert "eps must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mtbf", ["nan", "0", "-1", "inf"])
+    def test_cli_mtbf_no_task_can_take_is_a_usage_error(self, mtbf, capsys):
+        from repro.__main__ import main as _main
+
+        assert _main(["figure1", "--scale", "128", "--uids", "2213", "--mtbf", "16", mtbf]) == 2
+        captured = capsys.readouterr()
+        assert "--mtbf values must be finite and > 0" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_cli_rate_no_task_can_take_is_a_usage_error(self, alpha, capsys, tmp_path):
+        from repro.__main__ import main as _main
+
+        # The Study edge refuses the value, so the spec is written by hand.
+        data = Study("bad-alpha").axis("s", [4]).fix(uid=2213, scale=48, reps=1).to_json()
+        data["fixed"]["alpha"] = alpha
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps(data))
+        assert _main(["study", "run", str(spec), "--dry-run"]) == 2
+        assert "alpha must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["s", "d"])
+    def test_cli_saved_spec_with_a_fractional_interval_is_a_usage_error(self, name, capsys,
+                                                                        tmp_path):
+        # Loading the spec refuses 2.5 rather than running the point 2.
+        from repro.__main__ import main as _main
+
+        data = Study("frac").axis("scheme", ["online-detection"]).fix(
+            uid=2213, scale=48, reps=1, s=4, d=2).to_json()
+        data["fixed"][name] = 2.5
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps(data))
+        assert _main(["study", "run", str(spec), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be a whole number >= 1, got 2.5" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mtbf", [0.0, -1.0])
+    def test_cli_saved_figure1_spec_with_a_bad_mtbf_is_a_usage_error(self, mtbf, capsys,
+                                                                      tmp_path):
+        from repro.__main__ import main as _main
+
+        data = Study.figure1(scale=48, reps=1, uids=[2213], mtbf_values=[16.0]).to_json()
+        data["campaign"]["mtbf_values"] = [16.0, mtbf]
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps(data))
+        assert _main(["study", "run", str(spec), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert "mtbf_values must be finite and > 0" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_cli_base_seed_changes_results(self, capsys):
         from repro.__main__ import main as _main

@@ -63,6 +63,47 @@ class TestTaskSpec:
                      alpha=0.01, s=9, d=3, eps=eps)
         assert t.task_hash() == digest
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("nan")), ("alpha", -1.0), ("alpha", float("inf")),
+        ("s", float("nan")), ("s", 2.5), ("s", float("inf")), ("s", 0), ("s", -3),
+        ("d", float("nan")), ("d", 2.5), ("d", float("-inf")), ("d", 0),
+    ])
+    def test_point_values_no_task_can_take_are_rejected(self, field, value):
+        # A point no solve can run fails when the task is built, so a
+        # bad Study.fix(...) or spec file fails at compile.
+        base = dict(experiment="t", uid=2213, scale=48, scheme="online-detection",
+                    alpha=0.0625, s=5, d=2)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TaskSpec(**{**base, field: value})
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_study_with_a_non_finite_rate_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Study("bad-alpha").axis("s", [4]).fix(uid=2213, scale=48, reps=1, alpha=alpha)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (dict(experiment="table1", uid=2213, scale=16, scheme="abft-correction",
+              alpha=1 / 16, s=4),
+         "4cbca424c90cb100bf19c0edd35397cce73d481691f62b11983235eb7821b6d1"),
+        (dict(experiment="figure1", uid=1312, scale=32, scheme="online-detection",
+              alpha=0.01, s=3, d=5, reps=7, labels=("figure1", 1312, 100.0), s_model=3),
+         "240c1c663cc1e1a7329589a2d6e210c9155900b10c2f2184fe220b7bf91ec4da"),
+        (dict(experiment="t", uid=2213, scale=64, scheme="abft-detection", alpha=0.0,
+              s=1, d=1, method="pcg", backend="scipy"),
+         "f052635e7992d6abbc9431f7bf53b735e1543223caf160e9856959d3a3dcebd6"),
+        (dict(experiment="t", uid=341, scale=8, scheme="abft-correction", alpha=0.25,
+              s=12, method="bicgstab", backend="reference", reps=40,
+              sampling="ci=0.05,conf=0.95,min=4,max=40,batch=4"),
+         "9ecb9368ac2f2aab7da13fbbe765cf0472b818bbd82d1b5f9fb3b25bc886aead"),
+        (dict(experiment="t", uid=2213, scale=16, scheme="abft-correction",
+              alpha=1 / 16, s=4.0, d=1.0),
+         "1e3c834872e7677a28609b22d392c5592fe22cddefe0ae12a672d0361b2c5044"),
+    ], ids=["table1", "online", "scipy", "adaptive", "whole-floats"])
+    def test_valid_points_hash_as_before(self, spec, digest):
+        # Regression pin: the alpha / s / d checks reject, they never
+        # rewrite, so every valid point keeps its hash.
+        assert TaskSpec(**spec).task_hash() == digest
+
     def test_method_in_hash(self):
         base = dict(experiment="table1", uid=2213, scale=48,
                     scheme="abft-detection", alpha=0.0625, s=5)
@@ -194,6 +235,16 @@ class TestCampaignSpecExpansion:
         assert all(t.alpha in (1 / 16.0, 1 / 500.0) for t in tasks)
         online = [t for t in tasks if t.scheme == "online-detection"]
         assert all(t.d >= 1 for t in online)
+
+    @pytest.mark.parametrize("mtbf", [0.0, -1.0, float("inf"), float("nan")])
+    def test_mtbf_values_no_campaign_can_take_are_rejected(self, mtbf):
+        # 1/mtbf would divide by zero, or give a rate no task can take.
+        with pytest.raises(ValueError, match="mtbf_values must be finite and > 0"):
+            CampaignSpec(kind="figure1", scale=48, uids=(2213,), mtbf_values=(100.0, mtbf))
+
+    def test_figure1_preset_refuses_a_zero_mtbf(self):
+        with pytest.raises(ValueError, match="mtbf_values must be finite and > 0"):
+            Study.figure1(scale=48, uids=[2213], mtbf_values=[0.0])
 
     def test_expansion_is_deterministic(self):
         spec = CampaignSpec(kind="table1", scale=48, reps=2, uids=(2213,), s_span=2)

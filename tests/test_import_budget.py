@@ -57,8 +57,8 @@ def _count(self, kind):
     _record(self, kind)
 RecoveryCounters.record_correction = _count
 def probe():
-    from repro.backends import get_backend
-    return {"repairs": dict(repairs), "bound": get_backend("scipy")._csr_matvec is not None}
+    from repro.sparse import _scipy
+    return {"repairs": dict(repairs), "bound": _scipy._csr_matvec is not None}
 """
 
 #: ``table1`` smoke campaign: one matrix, 19 one-rep tasks.
@@ -211,12 +211,11 @@ def test_scipy_dependent_helpers_name_the_missing_package(cold_python, tmp_path)
     code = f"""
 import sys
 {BLOCK_SCIPY}
-from repro.backends import BackendUnavailableError, backend_available, get_backend
+from repro.backends import get_backend
 from repro.sparse import laplacian_2d, load_matrix_market, random_spd, stencil_spd
-assert not backend_available("scipy")
 try:
     get_backend("scipy")
-except BackendUnavailableError as exc:
+except ValueError as exc:
     print("backend:", exc)
 for call in (lambda: laplacian_2d(4), lambda: random_spd(10, 0.5),
              lambda: load_matrix_market("missing.mtx")):
@@ -264,11 +263,11 @@ import scipy.sparse
 kernels = sys.modules["scipy.sparse._sparsetools"]
 _probe = probe
 def probe():
-    from repro.backends import get_backend
+    from repro.sparse import _scipy
     return {**_probe(),
             "untouched": sys.modules["scipy.sparse._sparsetools"] is kernels
                          and scipy.sparse._sparsetools is kernels,
-            "same_kernel": get_backend("scipy")._csr_matvec is kernels.csr_matvec}
+            "same_kernel": _scipy._csr_matvec is kernels.csr_matvec}
 """)
     assert preloaded["codes"] == [0]
     assert preloaded["probe"]["untouched"] and preloaded["probe"]["same_kernel"]
@@ -291,7 +290,8 @@ y = be.spmv(a, x)
 left = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not left, left
 import scipy.sparse
-assert scipy.sparse._sparsetools.csr_matvec is be._csr_matvec
+from repro.sparse import _scipy
+assert scipy.sparse._sparsetools.csr_matvec is _scipy._csr_matvec
 m = scipy.sparse.csr_matrix((a.val, a.colid, a.rowidx), shape=a.shape)
 assert np.array_equal(m @ x, y)
 print("ok")

@@ -45,7 +45,7 @@ def test_unresolved_roles_names_only_missing_targets():
     text = (
         ":mod:`repro.abft.spmv`, :class:`~repro.abft.SpmvChecksums`, "
         ":meth:`repro.obs.Tracer.iteration`, :func:`repro.backends\n"
-        "    #: .get_backend`, :attr:`~repro.perf.SolveWorkspace.backend`, "
+        "    #: .get_backend`, :attr:`~repro.perf.SolveWorkspace.shared`, "
         ":class:`repro.abft.operator.ProtectedOperator`, :func:`repro.core.cgne`, "
         ":attr:`repro.perf.NoSuchClass.backend`, :mod:`repro.nowhere`, "
         ":class:`numpy.ndarray`"
@@ -61,8 +61,9 @@ def test_unresolved_roles_names_only_missing_targets():
 #: Spellings of deleted library surfaces: the ``dense`` backend's (the
 #: ``ProtectedOperator`` wrapper, k-error checksums, the disk checkpoint
 #: store, BiCG / CGNE, rectangular ABFT blocks), ``repro serve`` and its
-#: lease board, and the plain unprotected solvers.  The pages and
-#: sources that describe the package must not name them.
+#: lease board, the plain unprotected solvers, and the kernel and store
+#: plugin registries.  The pages and sources that describe the package
+#: must not name them.
 _RETIRED_SPELLINGS = [
     "ProtectedOperator", "UncorrectableError", "OperatorStats", "MultiChecksums",
     "DiskCheckpointStore", "DenseBackend", "BackendCapacityError", "column_weights",
@@ -71,6 +72,9 @@ _RETIRED_SPELLINGS = [
     "repro serve", "lease_ttl", "--lease-ttl", "LeaseUnsupported", "supports_leases",
     "try_claim", "serve_demo",
     "repro.cg", "repro.pcg", "jacobi_preconditioner", "repro.core.bicgstab",
+    "register_backend", "KernelBackend", "BaseBackend", "ReferenceBackend", "ScipyBackend",
+    "resolve_backend", "backend_available", "checksum_products", "register_store",
+    "BackendUnavailableError",
 ]
 
 
@@ -98,13 +102,13 @@ def test_docs_and_sources_do_not_name_the_retired_library(spelling):
         (":class:`repro.abft.operator.ProtectedOperator`", False),
         (":func:`repro.backends.get_backend`", True),
         (":func:`repro.core.cgne`", False),
-        (":exc:`repro.backends.BackendUnavailableError`", True),
+        (":exc:`repro.backends.BackendUnavailableError`", False),
         (":exc:`repro.backends.protocol.BackendCapacityError`", False),
         (":data:`repro.backends.DEFAULT_BACKEND`", True),
         (":data:`repro.backends.NO_SUCH_DEFAULT`", False),
         (":meth:`repro.obs.Tracer.iteration`", True),
         (":meth:`repro.obs.Tracer.no_such_hook`", False),
-        (":attr:`repro.perf.SolveWorkspace.backend`", True),  # an instance attribute
+        (":attr:`repro.perf.SolveWorkspace.shared`", True),  # an instance attribute
         (":attr:`repro.perf.NoSuchClass.backend`", False),
     ],
 )

@@ -19,7 +19,6 @@ from repro.store import (
     migrate_store,
     open_store,
     parse_store_url,
-    register_store,
     store_exists,
 )
 
@@ -96,15 +95,7 @@ class TestStoreUrls:
     def test_available_schemes_default_first(self):
         schemes = available_store_schemes()
         assert schemes[0] == DEFAULT_STORE_SCHEME
-        assert set(schemes) >= {"jsonl", "sharded", "sqlite"}
-
-    def test_register_rejects_shipped_scheme(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_store("sqlite", SqliteStore)
-
-    def test_register_rejects_short_scheme(self):
-        with pytest.raises(ValueError, match="at least two characters"):
-            register_store("x", SqliteStore)
+        assert schemes == ["jsonl", "sharded", "sqlite"]
 
 
 # ----------------------------------------------------------------------
@@ -490,9 +481,10 @@ class TestResumeAcrossBackends:
 # closing what is opened
 # ----------------------------------------------------------------------
 @pytest.fixture
-def spy_scheme():
-    """A ``spy:`` scheme whose stores count their ``close()`` calls;
-    yields the list of every instance the factory built."""
+def spy_scheme(monkeypatch):
+    """A ``spy:`` scheme whose stores count their ``close()`` calls,
+    patched into the private scheme table; yields the list of every
+    instance the factory built."""
     import repro.store as store_pkg
 
     opened = []
@@ -507,9 +499,8 @@ def spy_scheme():
             self.closes += 1
             super().close()
 
-    register_store("spy", SpyStore)
-    yield opened
-    store_pkg._FACTORIES.pop("spy")
+    monkeypatch.setitem(store_pkg._SCHEMES, "spy", SpyStore)
+    return opened
 
 
 class TestClosesWhatItOpens:

@@ -25,13 +25,14 @@ to a shared workspace).
 from __future__ import annotations
 
 import functools
+import importlib.util
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.facade import REPORT_EVENT_KINDS
-from repro.backends import backend_available, resolve_backend
+from repro.backends import kernel_matvec
 from repro.core.methods import CostModel, Scheme, SchemeConfig
 from repro.faults.injector import FaultInjector
 from repro.obs import CallbackTracer, InMemoryTracer, MultiTracer
@@ -57,7 +58,7 @@ GRID = [
     ("pcg", "abft-detection"),
     ("pcg", "abft-correction"),
 ]
-BACKENDS = ["reference"] + (["scipy"] if backend_available("scipy") else [])
+BACKENDS = ["reference"] + (["scipy"] if importlib.util.find_spec("scipy") else [])
 
 
 def _config(scheme: str, s: int, d: int) -> SchemeConfig:
@@ -135,7 +136,7 @@ def _oracle_trajectory(method: str, backend: str) -> "dict[int, dict[str, bytes]
     cfg = _config("abft-detection", 10**6, 1)
     p0 = make_plugin(method)
     ws = SolveWorkspace()
-    p0.init_state(A, ws.acquire_live(A), B, None, cfg, ws, backend=resolve_backend(backend))
+    p0.init_state(A, ws.acquire_live(A), B, None, cfg, ws, matvec=kernel_matvec(backend))
     grab(p0)
     with np.errstate(all="ignore"):
         run_ft_method(
@@ -152,7 +153,7 @@ def clean_claims(monkeypatch):
     claims: "list[tuple[str, int]]" = []
 
     def check(ctx, vectors) -> None:
-        be = "reference" if ctx.backend is None else ctx.backend.name
+        be = "reference" if ctx.matvec is None else "scipy"
         want = _oracle_trajectory(ctx.plugin.name, be)[ctx.plugin.iteration]
         for name, vec in vectors.items():
             assert vec.tobytes() == want[name], (
@@ -511,3 +512,27 @@ def test_rolled_back_index_strike_leaves_the_scipy_trajectory(scripted, clean_cl
     # last claim is the materialisation that strike forced, at k=13
     assert virtual == 13 and [k for _, k in clean_claims] == [6, 13]
     assert not ws._live.structure_clean
+
+
+@pytest.mark.skipif("scipy" not in BACKENDS, reason="scipy backend unavailable")
+@pytest.mark.parametrize("backend, memo_used", [("reference", True), ("scipy", False)])
+def test_a_scipy_solve_takes_the_memo_only_under_the_live_stamp(backend, memo_used):
+    """Which kernel a live product runs on is part of a ``scipy``
+    trajectory: a solve whose live copy starts with the stamp down binds
+    no memo on ``scipy``, while ``reference`` (float-identical either
+    way) keeps it."""
+    ws = SolveWorkspace()
+    kw = dict(method="cg", scheme="abft-correction", backend=backend, alpha=0.0, s=3, d=1,
+              eps=1e-6, seed=1)
+    _solve(workspace=ws, **kw)  # warm: the memo holds the whole trajectory
+    acquire = ws.acquire_live
+
+    def acquire_dirty(a):
+        live = acquire(a)
+        live.mark_structure_dirty()
+        return live
+
+    ws.acquire_live = acquire_dirty
+    v0 = METRICS.count("engine.iterations_virtual")
+    _solve(workspace=ws, **kw)
+    assert (METRICS.count("engine.iterations_virtual") > v0) is memo_used
