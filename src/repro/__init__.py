@@ -82,9 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         compute_checksums,
         protected_spmv,
         SpmvStatus,
-        tmr_dot,
-        tmr_norm2,
-        tmr_axpy,
     )
     from repro.faults import FaultInjector, FaultModel
     from repro.checkpoint import CheckpointStore, PeriodicCheckpointPolicy
@@ -130,9 +127,6 @@ __all__ = [
     "compute_checksums",
     "protected_spmv",
     "SpmvStatus",
-    "tmr_dot",
-    "tmr_norm2",
-    "tmr_axpy",
     "FaultInjector",
     "FaultModel",
     "CheckpointStore",
@@ -184,9 +178,6 @@ __getattr__, __dir__ = lazy_exports(
             "compute_checksums",
             "protected_spmv",
             "SpmvStatus",
-            "tmr_dot",
-            "tmr_norm2",
-            "tmr_axpy",
         ),
         "repro.faults": ("FaultInjector", "FaultModel"),
         "repro.checkpoint": ("CheckpointStore", "PeriodicCheckpointPolicy"),

@@ -11,9 +11,10 @@ Implements the paper's Algorithm 2 and its supporting machinery:
 - :mod:`repro.abft.correction` — the ``CORRECTERRORS`` decoder for
   errors in ``Rowidx``, ``Val``, ``Colid``, ``x`` and the computation;
 - :mod:`repro.abft.tolerance` — the Theorem-2 floating-point tolerance
-  that guarantees no false positives;
-- :mod:`repro.abft.tmr` — triple modular redundancy for the dot/norm/
-  axpy kernels the paper protects by replication rather than checksums.
+  that guarantees no false positives.
+
+The vector kernels the paper protects by replication rather than
+checksums are voted by the resilience engine (``EngineContext.tmr_vote``).
 """
 
 from typing import TYPE_CHECKING
@@ -32,11 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         ProtectedSpmvResult,
         SpmvStatus,
         protected_spmv,
-        detect_errors,
     )
     from repro.abft.correction import CorrectionOutcome, correct_errors
     from repro.abft.tolerance import gamma, spmv_checksum_tolerance, ToleranceModel
-    from repro.abft.tmr import tmr_dot, tmr_norm2, tmr_axpy, majority_vote, TMRError
 
 __all__ = [
     "ones_weights",
@@ -50,17 +49,11 @@ __all__ = [
     "ProtectedSpmvResult",
     "SpmvStatus",
     "protected_spmv",
-    "detect_errors",
     "CorrectionOutcome",
     "correct_errors",
     "gamma",
     "spmv_checksum_tolerance",
     "ToleranceModel",
-    "tmr_dot",
-    "tmr_norm2",
-    "tmr_axpy",
-    "majority_vote",
-    "TMRError",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -82,20 +75,12 @@ __getattr__, __dir__ = lazy_exports(
             "ProtectedSpmvResult",
             "SpmvStatus",
             "protected_spmv",
-            "detect_errors",
         ),
         "repro.abft.correction": ("CorrectionOutcome", "correct_errors"),
         "repro.abft.tolerance": (
             "gamma",
             "spmv_checksum_tolerance",
             "ToleranceModel",
-        ),
-        "repro.abft.tmr": (
-            "tmr_dot",
-            "tmr_norm2",
-            "tmr_axpy",
-            "majority_vote",
-            "TMRError",
         ),
     },
 )

@@ -55,7 +55,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmv_kernel
 from repro.abft.checksums import SpmvChecksums, compute_checksums
 
-__all__ = ["SpmvStatus", "SpmvResiduals", "ProtectedSpmvResult", "protected_spmv", "detect_errors"]
+__all__ = ["SpmvStatus", "SpmvResiduals", "ProtectedSpmvResult", "protected_spmv"]
 
 
 class SpmvStatus(enum.Enum):
@@ -441,21 +441,3 @@ def verified_spmv(
             return ProtectedSpmvResult(y, SpmvStatus.CORRECTED, residuals, outcome)
     METRICS.inc("abft.uncorrectable")
     return ProtectedSpmvResult(y, SpmvStatus.UNCORRECTABLE, residuals, outcome)
-
-
-def detect_errors(
-    a: CSRMatrix,
-    x: np.ndarray,
-    y: np.ndarray,
-    x_ref: np.ndarray,
-    checksums: SpmvChecksums,
-) -> SpmvResiduals:
-    """Stand-alone verification of an already-computed product.
-
-    Exposed for tests and for callers that interleave fault injection
-    with their own kernels; :func:`protected_spmv` is the normal entry
-    point.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        return SpmvResiduals.from_check(_verify(a, x, y, x_ref, checksums))

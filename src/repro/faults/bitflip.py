@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.rng import as_generator
-
 __all__ = ["flip_bit_float64", "flip_bit_int64", "flip_bits_array"]
 
 
@@ -55,19 +53,3 @@ def flip_bits_array(
     else:
         raise TypeError(f"unsupported dtype for bit flips: {arr.dtype}")
     view[positions] ^= np.uint64(1) << bits
-
-
-def random_flip(
-    arr: np.ndarray, rng: "int | np.random.Generator" = None
-) -> tuple[int, int]:
-    """Flip one uniformly random bit of one uniformly random element.
-
-    Returns ``(position, bit)`` for audit.
-    """
-    rng = as_generator(rng)
-    if arr.size == 0:
-        raise ValueError("cannot flip a bit in an empty array")
-    pos = int(rng.integers(arr.size))
-    bit = int(rng.integers(64))
-    flip_bits_array(arr.reshape(-1), np.array([pos]), np.array([bit]))
-    return pos, bit

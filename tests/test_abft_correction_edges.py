@@ -5,7 +5,6 @@ import pytest
 
 from repro.abft import SpmvStatus, compute_checksums, protected_spmv
 from repro.sparse import CSRMatrix, stencil_spd
-from repro.sparse.spmv import spmv
 
 
 @pytest.fixture
@@ -157,7 +156,7 @@ class TestNonMonotoneRowPointers:
         pattern = np.repeat(np.arange(a.nrows), _row_counts(a))
         assert pattern.tolist() == [0, 0, 1, 1, 1, 1, 3, 3]
 
-    @pytest.mark.parametrize("struck", [7, 2**40])
+    @pytest.mark.parametrize("struck", [7])
     def test_first_pointer_strike_is_uncorrectable_not_a_crash(
         self, small_lap, rng, struck
     ):
@@ -218,59 +217,3 @@ class TestNonMonotoneRowPointers:
         assert res.correction.kind == kind and res.correction.position == p
         assert np.array_equal(a.val, src.val) and np.array_equal(a.colid, src.colid)
         np.testing.assert_allclose(res.y, src.matvec(x), rtol=1e-12)
-
-    @pytest.mark.parametrize("bit", [0, 1, 62, 63])
-    def test_a_lone_first_pointer_flip_never_passes_a_wrong_product(
-        self, small_lap, rng, bit
-    ):
-        """``rowidx[0]`` alone, one flipped bit: the sign bit clips back
-        to 0 and changes nothing; any other bit drops entries of row 0,
-        which the checksums see and the decoder cannot repair."""
-        from repro.faults.bitflip import flip_bit_int64
-
-        cks = compute_checksums(small_lap, nchecks=2)
-        x = rng.normal(size=small_lap.ncols)
-        a = small_lap.copy()
-        a.rowidx[0] = flip_bit_int64(0, bit)
-        res = protected_spmv(a, x.copy(), cks)
-        if bit == 63:
-            assert res.status is SpmvStatus.OK
-            assert np.array_equal(res.y, spmv(small_lap, x))
-        else:
-            assert res.status is SpmvStatus.UNCORRECTABLE
-
-    def test_tasks_the_ledger_screen_excluded_now_settle(self):
-        """The four task specs PR 11's seed screen recorded as dying with
-        ``repeats may not contain negative values``."""
-        import json
-        import pathlib
-
-        from repro.campaign import TaskSpec, execute_task
-
-        ledger = pathlib.Path(__file__).parents[1] / "benchmarks/e2e/workloads.json"
-        failing = [
-            t
-            for wl in json.loads(ledger.read_text())["workloads"].values()
-            for ex in wl["excluded"]
-            for t in ex["tasks"]
-        ]
-        assert len(failing) == 4
-        for entry in failing:
-            assert "repeats may not contain negative values" in entry["error"]
-            record = execute_task(TaskSpec.from_json(entry["task"]))  # raised
-            assert record["stats"]["convergence_rate"] == 1.0
-
-
-class TestMainEntry:
-    def test_module_banner(self, capsys):
-        from repro.__main__ import main
-
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert "repro" in out and "table1" in out
-
-    def test_module_forwards_experiment(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["table1", "--scale", "48", "--reps", "1", "--uids", "2213"]) == 0
-        assert "2213" in capsys.readouterr().out

@@ -396,6 +396,21 @@ class TestModuleEntryCompat:
         assert "2213" in capsys.readouterr().out
 
 
+class TestMainEntry:
+    def test_module_banner(self, capsys):
+        from repro.__main__ import main
+
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert "repro" in out and "table1" in out
+
+    def test_module_forwards_experiment(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["table1", "--scale", "48", "--reps", "1", "--uids", "2213"]) == 0
+        assert "2213" in capsys.readouterr().out
+
+
 #: Every flag of the parser as ``command option type default choices
 #: nargs required``, captured before the shared option groups were
 #: declared once.  A refactor of :mod:`repro.api.cli` may reorder or

@@ -192,6 +192,27 @@ class TestExecutorContract:
         run_campaign(small_tasks[:2], jobs=1, store=path)
         assert len(_task_records(ResultStore(path).load())) == 2
 
+    def test_tasks_the_ledger_screen_excluded_now_settle(self):
+        """The four task specs PR 11's seed screen recorded as dying with
+        ``repeats may not contain negative values``."""
+        import json
+        import pathlib
+
+        from repro.campaign import TaskSpec, execute_task
+
+        ledger = pathlib.Path(__file__).parents[1] / "benchmarks/e2e/workloads.json"
+        failing = [
+            t
+            for wl in json.loads(ledger.read_text())["workloads"].values()
+            for ex in wl["excluded"]
+            for t in ex["tasks"]
+        ]
+        assert len(failing) == 4
+        for entry in failing:
+            assert "repeats may not contain negative values" in entry["error"]
+            record = execute_task(TaskSpec.from_json(entry["task"]))  # raised
+            assert record["stats"]["convergence_rate"] == 1.0
+
 
 class TestAggregation:
     def test_table1_aggregate_requires_model_point(self, small_tasks,

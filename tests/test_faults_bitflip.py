@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.faults import flip_bit_float64, flip_bit_int64, flip_bits_array
-from repro.faults.bitflip import random_flip
 
 
 class TestScalarFlips:
@@ -65,14 +64,3 @@ class TestArrayFlips:
         with pytest.raises(ValueError, match="same shape"):
             flip_bits_array(np.ones(3), np.array([0, 1]), np.array([1]))
 
-    def test_random_flip_reports_location(self, rng):
-        arr = np.ones(100)
-        pos, bit = random_flip(arr, rng)
-        assert 0 <= pos < 100
-        assert 0 <= bit < 64
-        assert arr[pos] != 1.0 or bit == 0  # bit 0 flip of 1.0 still changes it
-        assert (arr != 1.0).sum() == 1
-
-    def test_random_flip_empty_rejected(self, rng):
-        with pytest.raises(ValueError, match="empty"):
-            random_flip(np.array([]), rng)

@@ -75,6 +75,8 @@ _RETIRED_SPELLINGS = [
     "register_backend", "KernelBackend", "BaseBackend", "ReferenceBackend", "ScipyBackend",
     "resolve_backend", "backend_available", "checksum_products", "register_store",
     "BackendUnavailableError",
+    "detect_errors", "repro.abft.tmr", "tmr_dot", "tmr_norm2", "tmr_axpy", "majority_vote",
+    "TMRError", "random_flip",
 ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abft import SpmvStatus, compute_checksums, protected_spmv, majority_vote
+from repro.abft import SpmvStatus, compute_checksums, protected_spmv
 from repro.faults.bitflip import flip_bit_float64, flip_bit_int64
 from repro.model import expected_frame_time, frame_overhead
 from repro.sparse import CSRMatrix, laplacian_2d, spmv, spmv_reference
@@ -148,22 +148,6 @@ def test_clean_product_never_flagged(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=_A.ncols) * 10.0 ** rng.integers(-8, 8)
     assert protected_spmv(_A, x, _CKS2).status is SpmvStatus.OK
-
-
-# ----------------------------------------------------------------------
-# TMR properties
-# ----------------------------------------------------------------------
-@given(
-    vals=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20),
-    corrupt_idx=st.integers(0, 2),
-    offset=st.floats(0.5, 1e6),
-)
-@settings(max_examples=50, deadline=None)
-def test_tmr_masks_any_single_corruption(vals, corrupt_idx, offset):
-    truth = np.array(vals)
-    replicas = [truth.copy() for _ in range(3)]
-    replicas[corrupt_idx] = replicas[corrupt_idx] + offset
-    np.testing.assert_array_equal(majority_vote(replicas), truth)
 
 
 # ----------------------------------------------------------------------
