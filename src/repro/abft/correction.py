@@ -40,6 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.norms import scatter_weighted
+from repro.sparse.spmv import scan
 from repro.abft.checksums import SpmvChecksums
 
 __all__ = ["CorrectionOutcome", "correct_errors"]
@@ -110,8 +112,8 @@ def _recompute_row(a: CSRMatrix, x: np.ndarray, y: np.ndarray, i: int) -> None:
 
 def _column_entries(a: CSRMatrix, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows and values of column ``j`` (O(nnz) scan; correction-path only)."""
-    mask = a.colid == j
-    positions = np.nonzero(mask)[0]
+    colid = a.colid
+    positions = scan(a.nnz, lambda p0, p1: colid[p0:p1] == j)
     rows = np.searchsorted(a.rowidx, positions, side="right") - 1
     return rows, a.val[positions]
 
@@ -128,9 +130,9 @@ def _current_column_checksums(
     (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`) may be passed
     in when the caller evaluates several candidate repairs against an
     unchanged ``rowidx`` with in-range trial indices (the z = 2 colid
-    trial loop).  At most one nnz-length array is live: the ramp
-    check's weights, expanded per row and multiplied by ``val`` in
-    place (the unit check scatters ``val`` itself).
+    trial loop).  The unit check scatters ``val`` itself; the ramp
+    check goes through :func:`~repro.sparse.norms.scatter_weighted`,
+    one kernel tile at a time, over the pointers the counts imply.
     """
     n_cols = a.ncols
     out = np.zeros((cks.nchecks, n_cols), dtype=np.float64)
@@ -150,15 +152,19 @@ def _current_column_checksums(
     if wild.size:
         a.colid[wild] = np.mod(held, n_cols)
     try:
-        # bincount accumulates in the same sequential item order as the
-        # np.add.at it replaces (bit-identical sums), at a fraction of
-        # the cost.  Check 0's weights are all ones and ``val · 1`` is
-        # ``val`` bit for bit, so only the ramp row is expanded.
+        # bincount accumulates in the same sequential item order as
+        # np.add.at (bit-identical sums).  Check 0's weights are all
+        # ones and ``val · 1`` is ``val`` bit for bit, so only the ramp
+        # row is expanded.
         out[0] = np.bincount(cols, weights=val, minlength=n_cols)
-        for l in range(1, cks.nchecks):
-            w = np.repeat(cks.weights[l], counts)[:m]
-            np.multiply(val, w, out=w)
-            out[l] = np.bincount(cols, weights=w, minlength=n_cols)
+        if cks.nchecks > 1:
+            # Entry p carries the weight of the row its count places it
+            # in: the pointers the counts imply, truncated at m.
+            ends = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+            np.cumsum(counts, out=ends[1:])
+            np.minimum(ends, m, out=ends)
+            for l in range(1, cks.nchecks):
+                scatter_weighted(out[l], ends, cks.weights[l], val, cols)
     finally:
         if wild.size:
             a.colid[wild] = held
@@ -290,7 +296,8 @@ def correct_errors(
                 # The corrupted value overflowed the checksum delta;
                 # rebuild val[p] directly from the clean (unit-weight)
                 # column checksum minus the other entries of column f.
-                others = np.nonzero(np.mod(a.colid, a.ncols) == f)[0]
+                colid, ncols = a.colid, a.ncols
+                others = scan(a.nnz, lambda p0, p1: np.mod(colid[p0:p1], ncols) == f)
                 others = others[others != p]
                 a.val[p] = float(cks.column_checksums[0, f] - a.val[others].sum())
             _recompute_row(a, x, y, d)

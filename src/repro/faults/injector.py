@@ -129,12 +129,22 @@ class FaultTargets:
         self._sampling = None
 
     def sampling(self) -> "tuple[list[str], np.ndarray]":
-        """The target names and their strike probabilities (word share),
-        built on first use after a registration."""
+        """The target names and the cumulative distribution of their
+        strike probabilities (word share), built on first use after a
+        registration.
+
+        The distribution is normalised as ``Generator.choice(k, p=probs)``
+        normalises it (``cdf = probs.cumsum(); cdf /= cdf[-1]``), so
+        ``cdf.searchsorted(rng.random(), side="right")`` draws what that
+        call draws, from the same one uniform, without its per-call
+        validation of ``p``.
+        """
         if self._sampling is None:
             names = list(self.arrays)
             sizes = np.array([self.arrays[n].size for n in names], dtype=np.float64)
-            self._sampling = (names, sizes / sizes.sum())
+            cdf = (sizes / sizes.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._sampling = (names, cdf)
         return self._sampling
 
 
@@ -198,10 +208,10 @@ class FaultInjector:
             n_strikes = int(self.rng.poisson(self._strike_mean))
         if n_strikes == 0:
             return []
-        names, probs = self.targets.sampling()
+        names, cdf = self.targets.sampling()
         strikes: list[tuple[str, int, int]] = []
         for _ in range(n_strikes):
-            name = names[int(self.rng.choice(len(names), p=probs))]
+            name = names[int(cdf.searchsorted(self.rng.random(), side="right"))]
             pos = int(self.rng.integers(arrays[name].size))
             bit = int(self.rng.integers(64))
             strikes.append((name, pos, bit))

@@ -59,6 +59,7 @@ import numpy as np
 from repro.obs.metrics import METRICS
 from repro.perf.trajectory import TrajectoryMemo
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.spmv import scratch_size
 from repro.sparse.validate import structure_arrays_clean
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,9 +174,12 @@ class SolveWorkspace:
         """The protected-SpMxV buffer set, resolved in one call.
 
         Returns ``(x_ref, y, scratch, ridx, xdiff)`` with ``x_ref``
-        input-sized and the rest output/nnz-sized; one protected
-        product draws five buffers per call, so the per-name dict
-        lookups are folded into a single shape-keyed slot.
+        input-sized, ``scratch`` the SpMxV products scratch of one tile
+        (:func:`~repro.sparse.spmv.scratch_size`: ``min(nnz, TILE)``
+        elements, the size every ``"spmv.scratch"`` request asks for)
+        and the rest output-sized; one protected product draws five
+        buffers per call, so the per-name dict lookups are folded into
+        a single shape-keyed slot.
         """
         bundle = self._abft_bundle
         if bundle is not None and bundle[0] == (nrows, ncols, nnz):
@@ -183,7 +187,7 @@ class SolveWorkspace:
         bufs = (
             self.buffer("abft.xref", ncols),
             self.buffer("abft.y", nrows),
-            self.buffer("spmv.scratch", nnz),
+            self.buffer("spmv.scratch", scratch_size(nnz)),
             self.buffer("verify.ridx", nrows),
             self.buffer("verify.xdiff", nrows),
         )
@@ -266,7 +270,8 @@ class SolveWorkspace:
 
     def _publish_wild(self) -> None:
         """Drop the live stamp and publish the tainted ``colid`` words
-        that deviate from the source as the live matrix's wild-set hint
+        that deviate from the source, ascending, as the live matrix's
+        wild-set hint
         (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`).
 
         The hint is sound while the source is structurally clean and
@@ -281,7 +286,7 @@ class SolveWorkspace:
         live.mark_structure_dirty()
         if self._live_clean and self._pristine("rowidx"):
             idx = self._taint["colid"]
-            live._wild = idx[live.colid[idx] != self._live_source.colid[idx]]
+            live._wild = np.sort(idx[live.colid[idx] != self._live_source.colid[idx]])
             live._rows_nonempty = self._live_rows_nonempty
 
     def _pristine(self, name: str) -> bool:

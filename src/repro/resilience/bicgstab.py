@@ -27,7 +27,7 @@ from repro.checkpoint.store import Checkpoint
 from repro.core.methods import Scheme, SchemeConfig
 from repro.resilience.protocol import KRYLOV_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv_kernel
+from repro.sparse.spmv import scratch_size, spmv_kernel
 
 __all__ = ["BiCGstabPlugin"]
 
@@ -64,7 +64,7 @@ class BiCGstabPlugin:
             "bicgstab", ("x", "r", "r_hat", "p", "v", "s"), a.nrows
         )
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.scratch = workspace.buffer("spmv.scratch", scratch_size(live.nnz))
         self.scal: dict[str, float] = {
             "rho": 1.0,
             "alpha": 1.0,

@@ -30,7 +30,7 @@ from repro.core.methods import Scheme, SchemeConfig
 from repro.core.stability import chen_verify
 from repro.resilience.protocol import CG_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv_kernel
+from repro.sparse.spmv import scratch_size, spmv_kernel
 
 __all__ = ["CGPlugin"]
 
@@ -64,7 +64,7 @@ class CGPlugin:
             "cg", ("x", "r", "p", "q", "tmp"), a.nrows
         )
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.scratch = workspace.buffer("spmv.scratch", scratch_size(live.nnz))
         self.pq = 1.0  #: curvature ``pᵀAp`` of the step that produced this state
         self.iteration = 0
         self.iter_in_chunk = 0  #: ONLINE-DETECTION's position inside the chunk

@@ -52,7 +52,7 @@ from repro.resilience.accounting import RecoveryCounters, SolveResult, TimeBreak
 from repro.resilience.protocol import RecurrencePlugin, StepOutcome
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import norm2
-from repro.sparse.spmv import spmv_kernel
+from repro.sparse.spmv import scratch_size, spmv_kernel
 from repro.util.rng import as_generator
 from repro.util.validate import check_positive
 
@@ -399,7 +399,7 @@ class EngineContext:
         """``out = A·x`` against the pristine matrix through the run's
         kernel — the floats a strike-free step's product computes (for
         the plugins' ``replay_step``)."""
-        scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
+        scratch = self.workspace.buffer("spmv.scratch", scratch_size(self.a.nnz))
         return spmv_kernel(self.a_view, x, out, scratch, self.matvec)
 
     def note_chen(self, k: int, check_orthogonality: bool, passed: bool) -> None:
@@ -567,7 +567,7 @@ class EngineContext:
             if norm is not None:
                 return norm
             self.materialise()
-        scratch = self.workspace.buffer("spmv.scratch", self.a.nnz)
+        scratch = self.workspace.buffer("spmv.scratch", scratch_size(self.a.nnz))
         true_r = self.b - spmv_kernel(
             self.a_view, self.plugin.vectors["x"], scratch=scratch, matvec=self.matvec
         )

@@ -32,7 +32,7 @@ from repro.checkpoint.store import Checkpoint
 from repro.core.methods import Scheme, SchemeConfig
 from repro.resilience.protocol import CG_RECOVERY, SPMV_PRE_TARGETS, StepOutcome
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmv_kernel
+from repro.sparse.spmv import scratch_size, spmv_kernel
 
 __all__ = ["JacobiPCGPlugin"]
 
@@ -67,7 +67,7 @@ class JacobiPCGPlugin:
             "pcg", ("x", "r", "p", "q", "z"), a.nrows
         )
         #: The SpMxV products scratch every direct product shares.
-        self.scratch = workspace.buffer("spmv.scratch", live.nnz)
+        self.scratch = workspace.buffer("spmv.scratch", scratch_size(live.nnz))
         self.iteration = 0
 
     def init_state(

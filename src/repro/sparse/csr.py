@@ -127,7 +127,8 @@ class CSRMatrix:
         The hint (the private ``_wild``) is set with the stamp down, by
         the one owner able to certify it —
         :class:`repro.perf.SolveWorkspace`, for its live matrix.  It is
-        an int64 array of ``colid`` positions and certifies two facts:
+        an ascending int64 array of ``colid`` positions (the tiled
+        kernel bisects it) and certifies two facts:
         ``rowidx`` is byte-equal to a structurally validated source (so
         ``_rows_nonempty`` holds as well), and every ``colid`` word
         *outside* the array is in range — a superset of the wild
@@ -137,17 +138,22 @@ class CSRMatrix:
         return self._structure_clean or self._wild is not None
 
     def wild_positions(self) -> np.ndarray:
-        """Positions ``p`` whose ``colid[p]`` may lie outside ``[0, ncols)``.
+        """Positions ``p`` whose ``colid[p]`` may lie outside ``[0, ncols)``,
+        in ascending order.
 
         Empty under the stamp; the published hint when there is one;
         otherwise one scan (through the unsigned view, negative words
-        compare above ``ncols`` too).
+        compare above ``ncols`` too), a kernel tile at a time so its
+        mask stays :data:`~repro.sparse.spmv.TILE` bytes long.
         """
         if self._structure_clean:
             return _NO_POSITIONS
         if self._wild is not None:
             return self._wild
-        return np.flatnonzero(self.colid.view(np.uint64) >= self.ncols)
+        from repro.sparse.spmv import scan
+
+        words, ncols = self.colid.view(np.uint64), self.ncols
+        return scan(self.nnz, lambda p0, p1: words[p0:p1] >= ncols)
 
     # ------------------------------------------------------------------
     # basic properties

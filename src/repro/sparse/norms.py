@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.spmv import row_tiles, spans
 
 __all__ = ["column_sums", "row_sums", "norm1", "norm2", "norm_inf", "max_row_nnz", "max_col_nnz"]
 
@@ -21,24 +22,43 @@ def column_sums(a: CSRMatrix, weights: np.ndarray | None = None) -> np.ndarray:
     """Column sums ``c_j = Σ_i w_i a_ij`` (unweighted when ``weights`` is None).
 
     This is the checksum primitive ``wᵀA`` of the paper: a row-weighted
-    column reduction computed with one scatter-add over the nonzeros.
+    column reduction computed with one scatter-add over the nonzeros
+    (:func:`scatter_weighted`, a tile at a time).
     """
     n_rows, n_cols = a.shape
     out = np.zeros(n_cols, dtype=np.float64)
     if a.nnz == 0:
         return out
     if weights is None:
-        contrib = a.val
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n_rows,):
-            raise ValueError(f"weights must have shape ({n_rows},), got {weights.shape}")
-        # Each row's weight expanded over its nonzeros, then scaled by
-        # val in place: one nnz-length array, the same products.
-        contrib = np.repeat(weights, np.diff(a.rowidx))
-        np.multiply(a.val, contrib, out=contrib)
-    np.add.at(out, a.colid, contrib)
+        np.add.at(out, a.colid, a.val)
+        return out
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n_rows,):
+        raise ValueError(f"weights must have shape ({n_rows},), got {weights.shape}")
+    scatter_weighted(out, a.rowidx, weights, a.val, a.colid)
     return out
+
+
+def scatter_weighted(
+    out: np.ndarray, bounds: np.ndarray, weights: np.ndarray, val: np.ndarray, cols: np.ndarray
+) -> None:
+    """``out[cols[p]] += weights[i] · val[p]`` for every entry ``p`` of
+    every row ``i`` (``bounds[i] <= p < bounds[i + 1]``, monotone
+    pointers), in item order.
+
+    One row-aligned kernel tile (:func:`~repro.sparse.spmv.row_tiles`)
+    at a time: each row's weight is expanded over the tile's entries
+    and scaled by ``val`` in place, so no temporary is longer than a
+    tile (or than one row that alone holds more).  ``np.add.at`` adds
+    in item order across the tiles, so into a zeroed ``out`` the sums
+    are one whole-array ``np.add.at``'s, or ``np.bincount``'s, bit for
+    bit.
+    """
+    for r0, r1 in row_tiles(bounds):
+        p0, p1 = int(bounds[r0]), int(bounds[r1])
+        w = np.repeat(weights[r0:r1], np.diff(bounds[r0 : r1 + 1]))
+        np.multiply(val[p0:p1], w, out=w)
+        np.add.at(out, cols[p0:p1], w)
 
 
 def row_sums(a: CSRMatrix) -> np.ndarray:
@@ -52,10 +72,13 @@ def row_sums(a: CSRMatrix) -> np.ndarray:
 
 
 def norm1(a: CSRMatrix) -> float:
-    """``‖A‖₁`` — maximum absolute column sum (paper Eq. 8)."""
+    """``‖A‖₁`` — maximum absolute column sum (paper Eq. 8), scattered
+    one kernel tile of ``|val|`` at a time (the same item order, so the
+    same sums as one whole-array scatter)."""
     n_cols = a.ncols
     sums = np.zeros(n_cols, dtype=np.float64)
-    np.add.at(sums, a.colid, np.abs(a.val))
+    for p0, p1 in spans(a.nnz):
+        np.add.at(sums, a.colid[p0:p1], np.abs(a.val[p0:p1]))
     return float(sums.max(initial=0.0))
 
 

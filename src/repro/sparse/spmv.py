@@ -6,7 +6,10 @@ Two implementations of ``y = A @ x``:
   per row with :func:`numpy.add.reduceat`, which is the standard
   vectorization of a CSR row loop (see the scientific-python optimizing
   guide: vectorize the loop, avoid copies, operate on contiguous data).
-  Row pointers struck out of order, which reduceat cannot take, are
+  A matrix of more than :data:`TILE` stored entries is walked in
+  row-aligned tiles through one ``TILE``-long scratch, so no
+  solve-time array but the matrix itself scales with nnz.  Row
+  pointers struck out of order, which reduceat cannot take, are
   dotted row by row in batches of one length class — the floats of a
   per-row ``@`` loop, without the Python loop.
 - :func:`spmv_reference` — a pure-Python row loop that mirrors the
@@ -35,14 +38,66 @@ solve enters (docs/DESIGN.md §4).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.backends import kernel_matvec
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["spmv", "spmv_reference"]
+__all__ = ["spmv", "spmv_reference", "TILE", "scratch_size"]
+
+#: Stored entries per tile.  A product over more nonzeros walks
+#: row-aligned tiles of at most this many entries through one
+#: ``TILE``-long scratch, and checksum setup and the decoder accumulate
+#: tile by tile too; every suite matrix at ``scale`` ≥ 32 is one tile.
+TILE = 1 << 15
+
+
+def scratch_size(nnz: int) -> int:
+    """Elements of the products scratch a matrix of ``nnz`` stored
+    entries needs (:func:`spmv`'s ``scratch``): one tile, or the whole
+    matrix when it is smaller.  Every workspace request for
+    ``"spmv.scratch"`` is sized here."""
+    return min(nnz, TILE)
+
+
+def spans(nnz: int) -> "Iterator[tuple[int, int]]":
+    """``(p0, p1)`` position spans of at most :data:`TILE` entries that
+    cover ``[0, nnz)`` in order: the tiles of a scan or a scatter that
+    need not respect rows."""
+    tile = TILE
+    for p0 in range(0, nnz, tile):
+        yield p0, min(p0 + tile, nnz)
+
+
+def scan(nnz: int, hit: "Callable[[int, int], np.ndarray]") -> np.ndarray:
+    """Ascending positions ``p < nnz`` that ``hit(p0, p1)`` marks, where
+    ``hit`` returns the boolean mask of the span ``[p0, p1)``; one
+    :func:`spans` span at a time, so no mask is longer than a tile."""
+    found = [np.flatnonzero(hit(p0, p1)) + p0 for p0, p1 in spans(nnz)]
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def row_tiles(bounds: np.ndarray) -> "Iterator[tuple[int, int]]":
+    """Row-aligned tiles of monotone row pointers ``bounds``, in order.
+
+    Each is a pair ``(r0, r1)``: rows ``r0 .. r1 - 1`` hold the entries
+    ``bounds[r0] .. bounds[r1]``, at most :data:`TILE` of them, and a
+    tile is cut from its own start, never at a multiple of ``TILE``.  A
+    row that alone holds more is a tile by itself, together with the
+    empty rows after it, so the tile holding the last nonempty row
+    always ends at row ``n``.
+    """
+    tile = TILE
+    n = bounds.shape[0] - 1
+    r0 = 0
+    while r0 < n:
+        r1 = int(bounds.searchsorted(bounds[r0] + tile, side="right")) - 1
+        if r1 == r0:
+            r1 = int(bounds.searchsorted(bounds[r0 + 1], side="right")) - 1
+        yield r0, r1
+        r0 = r1
 
 
 def spmv(
@@ -70,8 +125,10 @@ def spmv(
         Overwritten and returned.
     scratch:
         Optional preallocated contiguous ``float64`` buffer of at least
-        ``a.nnz`` elements for the per-nonzero products — the solver workspace
-        passes one so the hot loop allocates nothing.
+        :func:`scratch_size` ``(a.nnz)`` = ``min(nnz, TILE)`` elements
+        (a longer one works too) for the per-nonzero products of one
+        tile — the solver workspace passes one so the hot loop
+        allocates nothing nnz-long.
     backend:
         The kernel: ``"reference"`` (or ``None``, the bit-identity
         default) or ``"scipy"``, by name or as the object of
@@ -88,16 +145,25 @@ def spmv(
     taken modulo the valid range.  A flag in the result is unnecessary:
     ABFT's checksums are the detection mechanism under study.
 
-    Every product reads ``x`` through one gather (:func:`_gather`):
-    clipped, with the wrapped read rewritten only at the *wild*
-    positions — none under the
+    Every product reads ``x`` through one clipped gather per tile
+    (:func:`_gather`), with the wrapped read rewritten only at the
+    *wild* positions — none under the
     :attr:`~repro.sparse.csr.CSRMatrix.structure_clean` stamp, the
     published wild-set hint of a workspace's live matrix, else one scan
     (:meth:`~repro.sparse.csr.CSRMatrix.wild_positions`).  When the row
-    pointers are certified (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`)
-    the row reduction skips the clipping and the monotone-segment
-    guard: they probe exactly the invariants certified, so the result
-    is bit-identical.
+    pointers are certified
+    (:attr:`~repro.sparse.csr.CSRMatrix.rows_clean`) the row reduction
+    skips the clipping and the monotone-segment guard: they probe
+    exactly the invariants certified, so the result is bit-identical.
+
+    The product walks row-aligned tiles (:func:`row_tiles`) of at most
+    :data:`TILE` entries through ``scratch``; a matrix of at most
+    ``TILE`` entries is one tile.  A row's reduceat value is its first
+    entry plus NumPy's pairwise sum of the rest, so it depends on that
+    row alone and the tiles change no float.  A row longer than a tile
+    gets a temporary of its own length.  When ``out`` aliases ``x``
+    and there is more than one tile, the tiles fill a temporary
+    n-vector, copied into ``out`` once all of ``x`` is read.
 
     Struck row pointers are clipped into ``[0, nnz]``.  While the
     clipped pointers stay monotone, ``val · x`` is multiplied in place
@@ -106,9 +172,9 @@ def spmv(
     by :func:`_row_dots` in batches of one length class, at most
     :data:`_CHUNK` gathered entries each.  Each row goes through the
     same ``DOUBLE_dot`` call as a per-row ``val[lo:hi] @ x[cols]``, so
-    the result is that row loop's, bit for bit.  With ``scratch`` the
-    path allocates nothing nnz-long: its temporaries are the clipped
-    pointers and one chunk.
+    the result is that row loop's, bit for bit.  That path's
+    temporaries are the clipped pointers and one chunk — except for a
+    row longer than a chunk, which gathers its own entries.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.ncols,):
@@ -154,32 +220,22 @@ def spmv_kernel(
     wild = a.wild_positions()
     rowptr = a.rowidx
     if a.rows_clean:
-        if a._rows_nonempty:  # hoisted with the certificate: no per-call guard
-            np.add.reduceat(_products(a, x, wild, scratch), rowptr[:-1], out=y)
-            return y
+        dense = a._rows_nonempty  # hoisted with the certificate: no per-call guard
         bounds = rowptr
     else:
         # Struck row pointers read clipped into [0, nnz].  Row i+1 starts
         # where row i ends, so the segments suit reduceat exactly when
         # the clipped pointers are monotone; otherwise the rows are
         # dotted one length class at a time.
+        dense = False
         bounds = np.clip(rowptr, 0, nnz)
         if not np.all(bounds[1:] >= bounds[:-1]):
-            _row_dots(a.val, _gather(a, x, wild, scratch), bounds, y)
+            _unaliased(_row_dots, a, x, y, wild, bounds)
             return y
-    products = _products(a, x, wild, scratch)
-    y[:] = 0.0
-    rows = np.flatnonzero(bounds[1:] > bounds[:-1])
-    if rows.size:
-        starts = bounds[rows]
-        seg = np.add.reduceat(products, starts)
-        # Each segment runs to the next one's start, which is its row's
-        # end — except the last, which reduceat carries on to nnz: a
-        # shrunk final pointer re-sums it over the row's own span.
-        end = bounds[rows[-1] + 1]
-        if end < nnz:
-            seg[-1] = products[starts[-1] : end].sum()
-        y[rows] = seg
+    if nnz > TILE:
+        _unaliased(_tiles, a, x, y, wild, bounds, dense, scratch)
+    else:  # one tile: all of x is gathered before y is written
+        _tiles(a, x, y, wild, bounds, dense, scratch)
     return y
 
 
@@ -214,57 +270,135 @@ def _gather(
     a: CSRMatrix,
     x: np.ndarray,
     wild: np.ndarray,
-    scratch: "np.ndarray | None",
+    dst: "np.ndarray | None",
+    p0: int = 0,
+    p1: "int | None" = None,
 ) -> np.ndarray:
-    """``x[colid[p] mod ncols]`` for every stored nonzero.
+    """``x[colid[p] mod ncols]`` for every stored position ``p0 <= p <
+    p1`` (all of them by default), into ``dst`` when given.
 
-    ``wild`` must hold every position whose index is out of range (a
-    superset is fine: an in-range index reads the same either way).
-    The gather clips instead of bounds-checking each element, and only
-    the wild positions are rewritten with the wrapped read — so one
-    nnz-length array (``scratch[:nnz]`` when given) is all it touches.
+    ``wild`` must hold every position of the span whose index is out of
+    range (a superset is fine: an in-range index reads the same either
+    way).  The gather clips instead of bounds-checking each element,
+    and only the wild positions are rewritten with the wrapped read.
     """
-    dst = None if scratch is None else scratch[: a.nnz]
-    gathered = x.take(a.colid, out=dst, mode="clip")
+    gathered = x.take(a.colid[p0:p1], out=dst, mode="clip")
     if wild.size:
-        gathered[wild] = x[np.mod(a.colid[wild], a.ncols)]
+        gathered[wild - p0] = x[np.mod(a.colid[wild], a.ncols)]
     return gathered
+
+
+def _share(wild: np.ndarray, p0: int, p1: int) -> np.ndarray:
+    """The positions of ascending ``wild`` that lie in ``[p0, p1)``."""
+    if not wild.size:
+        return wild
+    lo, hi = wild.searchsorted((p0, p1))
+    return wild[lo:hi]
 
 
 def _products(
     a: CSRMatrix,
     x: np.ndarray,
     wild: np.ndarray,
-    scratch: "np.ndarray | None",
+    dst: "np.ndarray | None",
+    p0: int = 0,
+    p1: "int | None" = None,
 ) -> np.ndarray:
-    """``val[p] · x[colid[p] mod ncols]`` for every stored nonzero, in
-    place over :func:`_gather`'s array."""
-    products = _gather(a, x, wild, scratch)
-    np.multiply(a.val, products, out=products)
+    """``val[p] · x[colid[p] mod ncols]`` over :func:`_gather`'s span,
+    in place over its array."""
+    products = _gather(a, x, wild, dst, p0, p1)
+    np.multiply(a.val[p0:p1], products, out=products)
     return products
 
 
-#: Gathered entries per batched dot on the struck-pointer path: its two
-#: gathered operands stay at 64 KiB each, whatever ``nnz``.
+def _unaliased(fill: Callable, a: CSRMatrix, x: np.ndarray, y: np.ndarray, *args) -> None:
+    """``fill(a, x, y, *args)``, for a fill that writes ``y`` before it
+    has read all of ``x``: when the two share memory it fills a
+    temporary n-vector, copied into ``y`` at the end."""
+    if not np.may_share_memory(y, x):
+        fill(a, x, y, *args)
+        return
+    tmp = np.empty_like(y)
+    fill(a, x, tmp, *args)
+    y[:] = tmp
+
+
+def _tiles(
+    a: CSRMatrix,
+    x: np.ndarray,
+    y: np.ndarray,
+    wild: np.ndarray,
+    bounds: np.ndarray,
+    dense: bool,
+    scratch: "np.ndarray | None",
+) -> None:
+    """The monotone-pointer product, one row-aligned tile
+    (:func:`row_tiles`) at a time; a matrix of at most :data:`TILE`
+    entries is one tile.
+
+    ``bounds`` are monotone pointers into ``[0, nnz]``; ``dense``
+    certifies every row nonempty, so each tile is one reduceat straight
+    into ``y``.  ``wild`` is ascending (the scan's order, and the
+    published hint's), so each tile finds its share by bisection.  The
+    floats are the whole-array product's: a row's reduceat value
+    depends on that row alone.  A last row that ends short of nnz (a
+    shrunk final pointer) is re-summed with ``.sum()`` over its own
+    span, whose order is not reduceat's, as before tiling.
+    """
+    nnz, n = a.nnz, a.nrows
+    tiles = row_tiles(bounds) if nnz > TILE else ((0, n),)
+    if scratch is None:
+        scratch = np.empty(scratch_size(nnz))
+    for r0, r1 in tiles:
+        p0, p1 = int(bounds[r0]), int(bounds[r1])
+        dst = scratch[: p1 - p0] if p1 - p0 <= scratch.shape[0] else None  # one long row
+        products = _products(a, x, _share(wild, p0, p1), dst, p0, p1)
+        if dense:
+            starts = bounds[r0:r1] if p0 == 0 else bounds[r0:r1] - p0
+            np.add.reduceat(products, starts, out=y[r0:r1])
+            continue
+        seg = bounds[r0 : r1 + 1]
+        rows = np.flatnonzero(seg[1:] > seg[:-1])
+        y[r0:r1] = 0.0
+        if rows.size:
+            starts = seg[rows] - p0
+            y[r0 + rows] = np.add.reduceat(products, starts)
+            if r1 == n and p1 < nnz:  # a shrunk final pointer
+                y[r0 + rows[-1]] = products[starts[-1] :].sum()
+
+
+#: Gathered entries per batched dot on the struck-pointer path: its
+#: gathered operands (``val``, ``colid`` and ``x``) stay at 64 KiB each,
+#: whatever ``nnz``.
 _CHUNK = 1 << 13
 #: Rows classed by length together: the per-block index arrays stay at
 #: 32 KiB each, so the clipped pointers are the one n-length temporary.
 _ROW_BLOCK = 1 << 12
 
 
-def _row_dots(val: np.ndarray, g: np.ndarray, bounds: np.ndarray, y: np.ndarray) -> None:
-    """``y[i] = val[lo:hi] @ g[lo:hi]`` with ``lo, hi = bounds[i:i+2]``
-    (0 where ``hi <= lo``), for row pointers reduceat cannot take.
+def _row_dots(
+    a: CSRMatrix, x: np.ndarray, y: np.ndarray, wild: np.ndarray, bounds: np.ndarray
+) -> None:
+    """``y[i] = val[lo:hi] @ x[colid[lo:hi] mod ncols]`` with ``lo, hi =
+    bounds[i:i+2]`` (0 where ``hi <= lo``), for row pointers reduceat
+    cannot take.
 
     Rows are classed by length, and each class is dotted in chunks of
     at most :data:`_CHUNK` entries by one ``np.matmul`` of
-    ``(k, 1, L) @ (k, L, 1)`` operands gathered from length-``L``
-    windows.  Matmul hands each ``1 × L`` by ``L × 1`` product to the
+    ``(k, 1, L) @ (k, L, 1)`` operands: ``val`` and ``colid`` read
+    through length-``L`` windows, ``x`` gathered per chunk (its
+    ``colid`` words wrapped modulo ``ncols`` when ``wild`` is not
+    empty).  Matmul hands each ``1 × L`` by ``L × 1`` product to the
     same ``DOUBLE_dot`` (``cblas_ddot`` over unit strides) that a
     per-row ``val[lo:hi] @ g[lo:hi]`` reaches, so every row's float is
-    the one a row loop computes.  A row that fills a chunk alone is
-    dotted through its window view, gathering nothing.
+    the one a row loop computes.  A row that fills a chunk alone reads
+    its ``val`` window as a view and gathers only its own entries
+    (:func:`_gather`: clipped, its share of the ascending ``wild``
+    rewritten), the one temporary that can reach O(nnz).  That happens
+    after most high-bit ``rowidx`` strikes: a pointer clipped to 0 or
+    nnz makes one row span a large part of the matrix.
     """
+    val, colid, ncols = a.val, a.colid, a.ncols
     y[:] = 0.0
     for b0 in range(0, y.shape[0], _ROW_BLOCK):
         lo = bounds[b0 : b0 + _ROW_BLOCK + 1]
@@ -277,13 +411,22 @@ def _row_dots(val: np.ndarray, g: np.ndarray, bounds: np.ndarray, y: np.ndarray)
         edges = np.flatnonzero(np.diff(lens, prepend=0, append=0)).tolist()
         for c0, c1 in zip(edges[:-1], edges[1:]):  # one length class each
             length = int(lens[c0])
-            vw, gw = _windows(val, length), _windows(g, length)
+            vw, cw = _windows(val, length), _windows(colid, length)
             per = max(_CHUNK // length, 1)
             for k0 in range(c0, c1, per):
                 r = rows[k0 : min(k0 + per, c1)]
-                # one row: a window slice (a view); more: a gather
-                at = lo[r] if r.size > 1 else slice(lo[r[0]], lo[r[0]] + 1)
-                y[b0 + r] = np.matmul(vw[at][:, None, :], gw[at][:, :, None])[:, 0, 0]
+                if r.size > 1:  # a gather of the rows' windows
+                    at = lo[r]
+                    cols = cw[at]
+                    if wild.size:
+                        np.mod(cols, ncols, out=cols)
+                    g = x.take(cols, mode="clip")  # every index in range
+                else:  # one row: a window slice (a view) and its own gather
+                    p0 = int(lo[r[0]])
+                    at = slice(p0, p0 + 1)
+                    g = _gather(a, x, _share(wild, p0, p0 + length), None, p0, p0 + length)
+                    g = g[None, :]
+                y[b0 + r] = np.matmul(vw[at][:, None, :], g[:, :, None])[:, 0, 0]
 
 
 def _windows(a: np.ndarray, length: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector, FaultModel
 
@@ -95,3 +96,56 @@ class TestInjector:
         m = FaultModel(alpha=1.0, memory_words=10)
         inj = FaultInjector(m, rng=0)
         assert inj.sample_strikes(n_strikes=3) == []
+
+
+# ----------------------------------------------------------------------
+# the target draw is Generator.choice's, from the same uniform
+# ----------------------------------------------------------------------
+def _engine_targets(method: str):
+    """The strike table the resilience engine builds for ``method``'s
+    solve: live matrix arrays, then the plugin's vectors."""
+    from repro.core.methods import CostModel, Scheme, SchemeConfig
+    from repro.perf import SolveWorkspace
+    from repro.resilience.registry import run_ft_method
+    from repro.sparse import stencil_spd
+
+    a = stencil_spd(49)
+    ws = SolveWorkspace()
+    config = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=5,
+                          costs=CostModel.from_matrix(a))
+    run_ft_method(method, a, np.ones(a.nrows), config, alpha=0.5, rng=0, maxiter=3,
+                  workspace=ws)
+    return ws.bound[("fault-targets", method)]
+
+
+def _choice_strikes(rng, arrays, mean):
+    """The pre-CDF sampler: ``rng.choice`` with the word-share ``p``."""
+    n_strikes = int(rng.poisson(mean))
+    names = list(arrays)
+    sizes = np.array([arrays[n].size for n in names], dtype=np.float64)
+    probs = sizes / sizes.sum()
+    strikes = []
+    for _ in range(n_strikes):
+        name = names[int(rng.choice(len(names), p=probs))]
+        strikes.append((name, int(rng.integers(arrays[name].size)), int(rng.integers(64))))
+    return strikes
+
+
+@pytest.fixture(scope="module", params=["cg", "pcg", "bicgstab"])
+def engine_table(request):
+    return _engine_targets(request.param)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**63 - 1), st.floats(0.05, 4.0), st.integers(1, 60))
+def test_strike_targets_draw_what_generator_choice_draws(engine_table, seed, mean, iterations):
+    """Identical strike lists and generator state, iteration after
+    iteration, on the engine's own CG / PCG / BiCGstab tables."""
+    table = engine_table
+    assert list(table.arrays)[:3] == ["val", "colid", "rowidx"] and len(table.arrays) > 3
+    words = sum(arr.size for arr in table.arrays.values())
+    inj = FaultInjector(FaultModel(alpha=mean, memory_words=words), rng=seed, targets=table)
+    want_rng = np.random.default_rng(seed)
+    for _ in range(iterations):
+        assert inj.sample_strikes() == _choice_strikes(want_rng, table.arrays, mean)
+    assert inj.rng.bit_generator.state == want_rng.bit_generator.state

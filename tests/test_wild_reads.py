@@ -19,10 +19,10 @@ of gathering through an int64 row pattern.  Pinned here:
 2. *the hint's contract* — a superset of the wild positions, published
    only while ``rowidx`` equals the source, re-checked at every index
    mutation and restore;
-3. *work and memory* at n = 19 881 — one nnz-length array at most per
-   guarded product, Chen residual and decoder call, and none beyond the
-   scratch for out-of-order row pointers; the memo budget derived from
-   the bound source;
+3. *work and memory* at n = 19 881 — two kernel tiles and O(n) at most
+   per guarded product, Chen residual, decoder call, checksum setup and
+   correcting solve, and one chunk for out-of-order row pointers; the
+   memo budget derived from the bound source;
 4. the exact ``engine.products_guarded`` counter and its report line.
 """
 
@@ -44,7 +44,7 @@ from repro.perf import SolveWorkspace
 from repro.perf.trajectory import BUDGET_BYTES, TrajectoryMemo
 from repro.sparse import CSRMatrix
 from repro.sparse.norms import column_sums
-from repro.sparse.spmv import _CHUNK, _ROW_BLOCK, spmv
+from repro.sparse.spmv import _CHUNK, _ROW_BLOCK, TILE, scratch_size, spmv
 
 
 # ----------------------------------------------------------------------
@@ -464,10 +464,13 @@ def _peak(fn) -> int:
 
 
 @pytest.mark.parametrize("struck", ["hint", "scan", "rowidx"])
-def test_struck_paths_peak_at_one_nnz_array_at_paper_scale(paper, struck):
-    """A wild ``colid`` read (hinted or scanned) costs at most one
-    nnz-length array; non-monotone row pointers, which take the batched
-    row dots, cost only the clipped pointers and one chunk."""
+def test_struck_paths_peak_within_two_tiles_and_o_n_at_paper_scale(paper, struck):
+    """A wild ``colid`` read (hinted or scanned), a Chen residual, the
+    decoder and a correcting protected product each peak at two kernel
+    tiles plus O(n) (sixteen n-vectors); non-monotone row pointers,
+    which take the batched row dots, cost a tile-byte scan mask, one
+    chunk and the clipped pointers.  Nothing nnz-long: the workspace
+    scratch itself is one tile."""
     a, ws, cks = paper
     n, nnz = a.nrows, a.nnz
     live = ws.acquire_live(a)  # strike-undo back to the source
@@ -484,28 +487,73 @@ def test_struck_paths_peak_at_one_nnz_array_at_paper_scale(paper, struck):
         live._wild = None
     rng = np.random.default_rng(0)
     x, b = rng.normal(size=n), rng.normal(size=n)
-    scratch, y = ws.buffer("spmv.scratch", nnz), np.empty(n)
-    one_array, small = 8 * nnz, 16 * 8 * n
+    scratch, y = ws.buffer("spmv.scratch", scratch_size(nnz)), np.empty(n)
+    assert scratch.shape == (TILE,) and ws.abft_buffers(n, n, nnz)[2].shape == (TILE,)
+    tiles, small = 2 * 8 * TILE, 16 * 8 * n
+    assert tiles + small < 8 * nnz
     if struck == "rowidx":
-        # The strike withdraws the hint, so spmv first scans colid (an
-        # nnz-byte mask); the row dots then hold one chunk's two gathered
-        # operands and a row block's index arrays.  Beside either: the
-        # clipped pointers, the one n-length temporary.
-        chunk = 2 * 8 * _CHUNK + 4 * 8 * _ROW_BLOCK
-        bound = max(nnz, chunk) + 8 * (n + 1)
-        assert bound < one_array / 4
+        # The strike withdraws the hint, so spmv first scans colid (a
+        # TILE-byte mask at a time); the row dots then hold one chunk's
+        # three gathered operands and a row block's index arrays.
+        # Beside them: the clipped pointers, the one n-length temporary.
+        chunk = 3 * 8 * _CHUNK + 4 * 8 * _ROW_BLOCK
+        bound = TILE + chunk + 8 * (n + 1)
     else:
-        bound = one_array - 1  # strictly below one nnz array
+        bound = tiles + 8 * (n + 1)
 
     assert _peak(lambda: spmv(live, x, out=y, scratch=scratch)) <= bound
-    assert _peak(lambda: residual_check(live, b, x, b, scratch=scratch)) < one_array
-    assert _peak(lambda: _current_column_checksums(live, cks)) <= one_array + small
+    assert _peak(lambda: residual_check(live, b, x, b, scratch=scratch)) <= tiles + small
+    assert _peak(lambda: _current_column_checksums(live, cks)) <= tiles + small
     result = []
     assert _peak(lambda: result.append(
         protected_spmv(live, x, cks, workspace=ws, trust_structure_stamp=True)
-    )) <= one_array + small
+    )) <= tiles + small
     assert result[0].correction.kind == word
     assert getattr(live, word)[p] == getattr(a, word)[p]
+
+
+def test_checksum_setup_peaks_within_two_tiles_and_o_n_at_paper_scale(paper):
+    a = paper[0]
+    assert _peak(lambda: compute_checksums(a, nchecks=2)) <= 2 * 8 * TILE + 16 * 8 * a.nrows
+
+
+@pytest.mark.parametrize(
+    "target, bit", [("val", 52), ("colid", 40), ("rowidx", 3), ("rowidx", 40)]
+)
+def test_correcting_solve_peaks_within_two_tiles_and_o_n_at_paper_scale(paper, target, bit):
+    """A correction-scheme CG solve on a bound workspace whose matrix is
+    struck once, and repaired: above the workspace, its peak is two
+    tiles and O(n) — checkpoints, decoder and the products included.
+    A high ``rowidx`` bit clips the pointer to nnz, so the row before it
+    spans the rest of the matrix; the batched row dots gather that one
+    row, ``8·L`` bytes more (the documented single-long-row case)."""
+    from repro.core.methods import CostModel, Scheme, SchemeConfig
+    from repro.faults.injector import FaultInjector
+    from repro.resilience.registry import run_ft_method
+
+    a = paper[0]
+    n = a.nrows
+    config = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=10,
+                          costs=CostModel.from_matrix(a))
+    ws = SolveWorkspace()
+
+    def solve(schedule):
+        draws = iter(range(10**6))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FaultInjector, "sample_strikes",
+                       lambda self, **_: list(schedule.get(next(draws), ())))
+            return run_ft_method("cg", a, np.ones(n), config, alpha=0.5, eps=1e-30,
+                                 maxiter=30, workspace=ws)
+
+    solve({})  # binds the workspace: live copy, checksums, buffers, memo
+    position = (a.nnz if target != "rowidx" else n) // 3
+    result = []
+    peak = _peak(lambda: result.append(solve({5: [(target, position, bit)]})))
+    assert result[0].counters.corrections == {target: 1}
+    long_row = 0
+    if target == "rowidx" and 1 << bit > a.nnz:
+        long_row = a.nnz - int(a.rowidx[position - 1])
+    assert peak <= 2 * 8 * TILE + 8 * long_row + 16 * 8 * n
 
 
 def test_memo_budget_is_derived_from_the_bound_source(paper):
