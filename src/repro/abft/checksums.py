@@ -22,6 +22,7 @@ reliable memory (selective reliability).
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ from repro.abft.tolerance import ToleranceModel
 __all__ = [
     "SpmvChecksums",
     "compute_checksums",
+    "exact_rowidx_checksums",
     "cached_checksums",
     "checksums_cached",
     "clear_checksum_cache",
@@ -138,10 +140,7 @@ def compute_checksums(
     # fine for *detection* (any corruption leaves a residual ≥ 0.5) but
     # the *correction* delta must be bit-exact even when a flipped
     # pointer is ~2⁶² and the float sum rounds low bits away.
-    ridx_int = [int(v) for v in a.rowidx[1:]]
-    cr_exact = [sum(ridx_int)]
-    if nchecks == 2:
-        cr_exact.append(sum((i + 1) * v for i, v in enumerate(ridx_int)))
+    cr_exact = exact_rowidx_checksums(a.rowidx, nchecks)
 
     tol = ToleranceModel.for_matrix(
         n=n,
@@ -157,10 +156,27 @@ def compute_checksums(
         shift=shift,
         shifted_first_row=shifted,
         rowidx_checksums=cr,
-        rowidx_checksums_exact=tuple(cr_exact),
+        rowidx_checksums_exact=cr_exact,
         tolerance=tol,
         shape=a.shape,
     )
+
+
+def exact_rowidx_checksums(rowidx: np.ndarray, nchecks: int) -> "tuple[int, ...]":
+    """``cr[l] = Σ_i w⁽ˡ⁾_i · Rowidx_i`` over ``rowidx[1:]`` in Python
+    integers, exact whatever the pointers hold (a sign-bit flip makes
+    one ≈ −2⁶³, and the weighted sum overflows int64).
+
+    The pointers are boxed once (``tolist``) and summed and multiplied
+    by builtins (``sum``, ``map(operator.mul, …)``), so no Python
+    bytecode runs per element and nothing n-long is held beside the
+    one list.
+    """
+    pointers = rowidx[1:].tolist()
+    sums = (sum(pointers),)
+    if nchecks == 2:
+        sums += (sum(map(operator.mul, range(1, len(pointers) + 1), pointers)),)
+    return sums
 
 
 # ----------------------------------------------------------------------

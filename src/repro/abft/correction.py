@@ -42,7 +42,7 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import scatter_weighted
 from repro.sparse.spmv import scan
-from repro.abft.checksums import SpmvChecksums
+from repro.abft.checksums import SpmvChecksums, exact_rowidx_checksums
 
 __all__ = ["CorrectionOutcome", "correct_errors"]
 
@@ -208,11 +208,9 @@ def correct_errors(
         # Recompute the residuals in exact integer arithmetic: a flipped
         # pointer can be ~2⁶², where the float64 sums used for the fast
         # detection pass round away the low bits the repair delta needs.
-        ridx_int = [int(v) for v in a.rowidx[1:]]
-        dr0 = cks.rowidx_checksums_exact[0] - sum(ridx_int)
-        dr1 = cks.rowidx_checksums_exact[1] - sum(
-            (i + 1) * v for i, v in enumerate(ridx_int)
-        )
+        s0, s1 = exact_rowidx_checksums(a.rowidx, 2)
+        dr0 = cks.rowidx_checksums_exact[0] - s0
+        dr1 = cks.rowidx_checksums_exact[1] - s1
         if dr0 == 0:
             # Second checksum trips but the first cancels: two pointer
             # errors of opposite sign — beyond single-error correction.

@@ -730,11 +730,7 @@ def _cmd_store(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         )
     try:
         with opened_store(args.store) as store:
-            info = store.info() if hasattr(store, "info") else {
-                "backend": type(store).__name__,
-                "url": store.url,
-                "records": store.count(),
-            }
+            info = store.info()
     except (ValueError, StoreError) as exc:
         parser.error(f"store {args.store!r}: {exc}")
     if args.json:

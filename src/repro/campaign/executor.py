@@ -33,7 +33,6 @@ from repro.campaign.spec import TaskSpec
 from repro.obs.metrics import METRICS, diff_snapshots, merge_snapshots
 from repro.sim.matrices import SizeFacts, get_matrix, matrix_source
 from repro.store import open_store
-from repro.store.protocol import append_many
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosPolicy, RetryPolicy
@@ -468,7 +467,7 @@ def run_campaign(
         def deliver(indices: "list[int]", records: "list[dict]") -> None:
             """Append fresh ``records`` and slot them in."""
             if store is not None:
-                append_many(store, records)
+                store.append_many(records)
             for index, record in zip(indices, records):
                 results[index] = record
                 if progress is not None:

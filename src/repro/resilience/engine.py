@@ -753,7 +753,6 @@ def run_protected(
         if (
             workspace.shared
             and x0 is None
-            and hasattr(plugin, "advance_clean")
             # An iteration observer reads the vectors after every step:
             # the memo steps aside for that solve.
             and not (tr is not None and tr.observes_iterations)

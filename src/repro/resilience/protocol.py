@@ -18,35 +18,10 @@ Plugins are *single-use*: the engine instantiates one per run via the
 :meth:`~RecurrencePlugin.init_state` wires it to that run's live state
 and computes the initial state.
 
-A plugin whose recurrence is deterministic may additionally offer the
-three methods the engine's clean-trajectory memo needs (docs/DESIGN.md
-§4); a plugin without them is simply always executed:
-
-``bind(a, live, b, config, workspace, matvec) -> None``
-    :meth:`~RecurrencePlugin.init_state` without its arithmetic: store
-    the references and draw the vectors from the workspace, contents
-    unspecified.  A solve whose initial state the memo already holds
-    binds the plugin, loads that state's scalars and leaves the
-    vectors to the engine, which writes them only when a strike or a
-    check needs them.  The vectors should come from
-    :meth:`repro.perf.SolveWorkspace.vector_set`: the same array
-    objects on every solve of one workspace binding, over which the
-    engine builds its fault-target table once.
-
-``advance_clean(ctx, scalars) -> StepOutcome | None``
-    Account one clean, strike-free iteration arriving at the state
-    whose :meth:`~RecurrencePlugin.scalars` are given — charges,
-    counters, iteration count and verdict exactly as :meth:`step`
-    would, no arithmetic on vectors.  ``scalars()`` must therefore
-    carry everything the step's guards and convergence test read.
-    ``None`` declines (the outcome does not follow from the scalars);
-    the engine then executes the step.
-
-``replay_step(ctx) -> None``
-    Execute one strike-free step's arithmetic against the pristine
-    matrix (``ctx.clean_product``): same floats as :meth:`step` on a
-    clean state, no charge, no verification, no bookkeeping beyond the
-    iteration count.
+Every plugin also implements the three members the engine's
+clean-trajectory memo drives (docs/DESIGN.md §4):
+:meth:`~RecurrencePlugin.bind`, :meth:`~RecurrencePlugin.advance_clean`
+and :meth:`~RecurrencePlugin.replay_step`.
 """
 
 from __future__ import annotations
@@ -264,4 +239,39 @@ class RecurrencePlugin(Protocol):
     def after_rollback(self) -> None:
         """Hook invoked after every rollback/refresh (e.g. to reset a
         verification-chunk counter)."""
+        ...
+
+    def bind(self, a: "CSRMatrix", live: "CSRMatrix", b: np.ndarray,
+             config: "SchemeConfig", workspace, matvec=None) -> None:
+        """:meth:`init_state` without its arithmetic: store the
+        references and draw the vectors from the workspace, contents
+        unspecified.
+
+        A solve whose initial state the memo already holds binds the
+        plugin, loads that state's scalars and leaves the vectors to
+        the engine, which writes them only when a strike or a check
+        needs them.  The vectors should come from
+        :meth:`repro.perf.SolveWorkspace.vector_set`: the same array
+        objects on every solve of one workspace binding, over which the
+        engine builds its fault-target table once.
+        """
+        ...
+
+    def advance_clean(
+        self, ctx: "EngineContext", scalars: "dict[str, float]"
+    ) -> "StepOutcome | None":
+        """Account one clean, strike-free iteration arriving at the
+        state whose :meth:`scalars` are given — charges, counters,
+        iteration count and verdict exactly as :meth:`step` would, no
+        arithmetic on vectors.  ``scalars()`` must therefore carry
+        everything the step's guards and convergence test read.
+        ``None`` declines (the outcome does not follow from the
+        scalars); the engine then executes the step."""
+        ...
+
+    def replay_step(self, ctx: "EngineContext") -> None:
+        """Execute one strike-free step's arithmetic against the
+        pristine matrix (``ctx.clean_product``): same floats as
+        :meth:`step` on a clean state, no charge, no verification, no
+        bookkeeping beyond the iteration count."""
         ...

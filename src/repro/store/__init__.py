@@ -45,8 +45,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro._lazy import lazy_exports
-from repro.store.jsonl import ResultStore, StoreError, StoreIntegrityWarning
-from repro.store.protocol import StoreBackend
+from repro.store.jsonl import ResultStore
+from repro.store.protocol import StoreBackend, StoreError, StoreIntegrityWarning
 
 if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.store.sharded import DEFAULT_SHARDS, ShardedStore
@@ -289,16 +289,9 @@ def compact_store(
 def verify_store(spec: "StoreBackend | str | os.PathLike[str]") -> dict:
     """Integrity-scan a store without raising: counts of intact
     (sealed / unsealed) and corrupt records plus a ``torn_tail`` flag
-    — see :meth:`repro.store.jsonl.ResultStore.verify`."""
+    — see :meth:`repro.store.protocol.StoreBackend.verify`."""
     with opened_store(spec) as store:
-        scan = getattr(store, "verify", None)
-        if scan is None:  # custom backend without an integrity scan
-            report = {
-                "records": store.count(), "corrupt": 0, "sealed": 0,
-                "unsealed": store.count(), "torn_tail": False,
-            }
-        else:
-            report = scan()
+        report = store.verify()
         report["url"] = store.url
         return report
 
@@ -317,9 +310,8 @@ def repair_store(
     """
     with _opened_pair(src, dst, verb="repair") as (src_store, dst_store):
         before = verify_store(src_store)
-        intact = getattr(src_store, "iter_intact", src_store.iter_records)
         kept_hashes: "set[str]" = set()
-        for rec in intact():
+        for rec in src_store.iter_intact():
             dst_store.append(rec)
             kept_hashes.add(rec["hash"])
         return len(kept_hashes), int(before["corrupt"])

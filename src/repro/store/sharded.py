@@ -13,7 +13,7 @@ Every record is routed to the shard its content hash selects
 shard is a plain :class:`~repro.store.jsonl.ResultStore`, so the store
 keeps the JSONL contract shard by shard (``docs/DESIGN.md`` §10): one
 writer, strict readers that raise
-:class:`~repro.store.jsonl.StoreError` on a corrupt complete line, and
+:class:`~repro.store.protocol.StoreError` on a corrupt complete line, and
 a torn tail that readers drop and the next append to that shard
 truncates.
 """
@@ -26,8 +26,8 @@ import os
 import pathlib
 from typing import Iterable, Iterator
 
-from repro.store.jsonl import ResultStore, StoreError
-from repro.store.protocol import default_resume
+from repro.store.jsonl import ResultStore
+from repro.store.protocol import StoreBackend, StoreError
 
 __all__ = ["ShardedStore", "DEFAULT_SHARDS"]
 
@@ -39,7 +39,7 @@ _META_NAME = "store.json"
 _FORMAT = "repro-sharded-jsonl"
 
 
-class ShardedStore:
+class ShardedStore(StoreBackend):
     """Task-hash-partitioned JSONL store (directory of shards).
 
     ``path`` is the store directory, created (with parents) on first
@@ -52,18 +52,16 @@ class ShardedStore:
     was never written behave as reads of an empty store.
     """
 
+    scheme = "sharded"
+
     def __init__(self, path: "str | os.PathLike[str]") -> None:
-        self.path = pathlib.Path(path)
+        super().__init__(path)
         self._shards: "int | None" = None  # resolved lazily against store.json
         self._stores: "dict[int, ResultStore]" = {}
 
     # ------------------------------------------------------------------
-    # layout
+    # partitions
     # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        return f"sharded:{self.path}"
-
     @property
     def shards(self) -> int:
         """Partition count (resolving ``store.json`` on first use)."""
@@ -130,12 +128,8 @@ class ShardedStore:
         return store
 
     # ------------------------------------------------------------------
-    # StoreBackend protocol
+    # StoreBackend layout
     # ------------------------------------------------------------------
-    def append(self, record: dict) -> None:
-        """Durably append one record: :meth:`append_many` of one."""
-        self.append_many((record,))
-
     def append_many(self, records: "Iterable[dict]") -> None:
         """Route each record to its hash's shard and append the batch
         with one write per shard touched (a record without ``"hash"``
@@ -155,9 +149,9 @@ class ShardedStore:
         for index, batch in by_shard.items():
             self._shard_store(index).append_many(batch)
 
-    def iter_records(self) -> "Iterator[dict]":
-        """Stream records shard by shard (index order), file order
-        within each shard.
+    def _entries(self) -> "Iterator[tuple[str, str, None]]":
+        """Every shard's entries, shard by shard (index order), file
+        order within each shard.
 
         The order is stable but *not* the global append order — shards
         are independent logs.  Every fold in the library is either
@@ -166,60 +160,28 @@ class ShardedStore:
         aggregates do not depend on it.
         """
         for index in range(self.shards):
-            yield from self._shard_store(index).iter_records()
+            yield from self._shard_store(index)._entries()
 
-    def load(self) -> "dict[str, dict]":
-        records: "dict[str, dict]" = {}
-        for rec in self.iter_records():
-            records[rec["hash"]] = rec
-        return records
-
-    def resume(self, tasks):
-        return default_resume(self, tasks)
+    def _torn_tail(self) -> bool:
+        """Whether *any* shard ends in a torn write."""
+        return any(self._shard_store(index)._torn_tail() for index in range(self.shards))
 
     def count(self) -> int:
         # A hash's shard is fixed, so distinct-per-shard sums to
         # distinct overall.
-        return sum(
-            self._shard_store(index).count() for index in range(self.shards)
-        )
-
-    @property
-    def corrupt_skipped(self) -> int:
-        """Corrupt lines :meth:`iter_intact` skipped (summed over shards)."""
-        return sum(s.corrupt_skipped for s in self._stores.values())
-
-    def iter_intact(self) -> "Iterator[dict]":
-        """Stream only records that parse and verify (``repro store
-        repair``); corrupt lines are counted, never raised."""
-        for index in range(self.shards):
-            yield from self._shard_store(index).iter_intact()
-
-    def verify(self) -> dict:
-        """Integrity scan summed over shards (see
-        :meth:`repro.store.jsonl.ResultStore.verify`); ``torn_tail``
-        is true if *any* shard ends torn."""
-        totals = {"records": 0, "corrupt": 0, "sealed": 0, "unsealed": 0,
-                  "torn_tail": False}
-        for index in range(self.shards):
-            part = self._shard_store(index).verify()
-            for key in ("records", "corrupt", "sealed", "unsealed"):
-                totals[key] += part[key]
-            totals["torn_tail"] = totals["torn_tail"] or part["torn_tail"]
-        return totals
+        return sum(self._shard_store(index).count() for index in range(self.shards))
 
     def info(self) -> dict:
         """Layout facts for ``repro store info``: per-shard fill,
         without materializing any payload."""
-        shard_records = []
-        shard_bytes = 0
-        for index in range(self.shards):
-            shard_records.append(self._shard_store(index).count())
-            shard_path = self._shard_path(index)
-            if shard_path.exists():
-                shard_bytes += shard_path.stat().st_size
+        shard_records = [self._shard_store(index).count() for index in range(self.shards)]
+        shard_bytes = sum(
+            path.stat().st_size
+            for path in map(self._shard_path, range(self.shards))
+            if path.exists()
+        )
         return {
-            "backend": "sharded",
+            "backend": self.scheme,
             "url": self.url,
             "exists": self.path.exists(),
             "records": sum(shard_records),
@@ -231,12 +193,3 @@ class ShardedStore:
     def close(self) -> None:
         for store in self._stores.values():
             store.close()
-
-    def __enter__(self) -> "ShardedStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        return self.count()

@@ -33,13 +33,11 @@ cross ``fork``), it lazily opens its own.
 from __future__ import annotations
 
 import os
-import pathlib
 import sqlite3
 import time
 from typing import Iterable, Iterator
 
-from repro.store.jsonl import StoreError
-from repro.store.protocol import default_resume
+from repro.store.protocol import StoreBackend, StoreError
 
 __all__ = ["SqliteStore"]
 
@@ -54,7 +52,7 @@ CREATE TABLE IF NOT EXISTS records (
 _BUSY_TIMEOUT_MS = 30_000
 
 
-class SqliteStore:
+class SqliteStore(StoreBackend):
     """Campaign result store backed by a WAL-mode SQLite database.
 
     Construction never touches the filesystem (so ``sqlite:new.db`` can
@@ -62,14 +60,12 @@ class SqliteStore:
     schema are created on first append.
     """
 
+    scheme = "sqlite"
+
     def __init__(self, path: "str | os.PathLike[str]") -> None:
-        self.path = pathlib.Path(path)
+        super().__init__(path)
         self._conn: "sqlite3.Connection | None" = None
         self._pid: "int | None" = None
-
-    @property
-    def url(self) -> str:
-        return f"sqlite:{self.path}"
 
     # ------------------------------------------------------------------
     # connection management
@@ -120,12 +116,8 @@ class SqliteStore:
         return conn
 
     # ------------------------------------------------------------------
-    # StoreBackend protocol
+    # StoreBackend layout
     # ------------------------------------------------------------------
-    def append(self, record: dict) -> None:
-        """Durably append one record: :meth:`append_many` of one."""
-        self.append_many((record,))
-
     def append_many(self, records: "Iterable[dict]") -> None:
         """Seal each record (per-record CRC32,
         :mod:`repro.store.integrity`) and upsert the batch by hash in
@@ -147,83 +139,18 @@ class SqliteStore:
                 rows(),
             )
 
-    def _rows(self) -> "Iterator[tuple[str, str]]":
-        """``(hash, body)`` of every row in first-insertion order."""
+    def _entries(self) -> "Iterator[tuple[str, str, str]]":
+        """Every row in first-insertion (rowid) order, keyed by its
+        ``hash`` column, which the body must match.
+
+        A hash appears at most once — the upsert already applied
+        last-wins — and transactional appends leave no benign crash
+        footprint, so every damaged row is reported.
+        """
         conn = self._connect(create=False)
         if conn is not None:
-            yield from conn.execute("SELECT hash, body FROM records ORDER BY rowid")
-
-    def _decode(self, row_hash: str, body: str) -> "tuple[dict, bool | None]":
-        """Parse and verify one row's body: ``(record, verdict)`` with
-        the seal stripped and the verdict ``True`` (sealed) or ``None``
-        (pre-checksum record).  Raises :class:`StoreError` on malformed
-        JSON, a hash/key mismatch, or a failing CRC32 seal."""
-        from repro.store.integrity import open_sealed
-
-        try:
-            rec, verdict = open_sealed(body)
-            if not isinstance(rec, dict) or rec.get("hash") != row_hash:
-                raise ValueError("record body does not match its key")
-        except ValueError as exc:
-            raise StoreError(
-                f"{self.path}: corrupt record for hash {row_hash!r} ({exc})"
-            ) from exc
-        if verdict is False:
-            raise StoreError(
-                f"{self.path}: record {row_hash!r} failed its checksum"
-            )
-        return rec, verdict
-
-    def iter_records(self) -> "Iterator[dict]":
-        """Stream records in first-insertion (rowid) order.
-
-        Unlike the JSONL backends a hash appears at most once here —
-        the upsert already applied last-wins — so downstream dict folds
-        are no-ops, not corrections.  Corruption (malformed body, a
-        hash/key mismatch, a failing CRC32 seal) raises
-        :class:`StoreError`: SQLite's transactional appends mean there
-        is no benign crash footprint to tolerate here.
-        """
-        for row_hash, body in self._rows():
-            yield self._decode(row_hash, body)[0]
-
-    def iter_intact(self) -> "Iterator[dict]":
-        """Stream only the rows that parse and verify (``repro store
-        repair``); corrupt rows are skipped and counted in METRICS."""
-        for row_hash, body in self._rows():
-            try:
-                yield self._decode(row_hash, body)[0]
-            except StoreError:
-                from repro.obs.metrics import METRICS
-
-                METRICS.inc("store.corrupt_skipped")
-
-    def verify(self) -> dict:
-        """Integrity scan for ``repro store verify`` (see
-        :meth:`repro.store.jsonl.ResultStore.verify`; SQLite has no
-        torn tails, so ``torn_tail`` is always ``False``)."""
-        sealed = unsealed = corrupt = 0
-        for row_hash, body in self._rows():
-            try:
-                verdict = self._decode(row_hash, body)[1]
-            except StoreError:
-                corrupt += 1
-            else:
-                sealed += verdict is True
-                unsealed += verdict is None
-        return {
-            "records": sealed + unsealed,
-            "corrupt": corrupt,
-            "sealed": sealed,
-            "unsealed": unsealed,
-            "torn_tail": False,
-        }
-
-    def load(self) -> "dict[str, dict]":
-        return {rec["hash"]: rec for rec in self.iter_records()}
-
-    def resume(self, tasks):
-        return default_resume(self, tasks)
+            for row_hash, body in conn.execute("SELECT hash, body FROM records ORDER BY rowid"):
+                yield f"{self.path} (hash {row_hash!r})", body, row_hash
 
     def count(self) -> int:
         conn = self._connect(create=False)
@@ -232,29 +159,8 @@ class SqliteStore:
         (n,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
         return int(n)
 
-    def info(self) -> dict:
-        """Layout facts for ``repro store info``: the record count
-        straight from SQL, no payloads."""
-        exists = self.path.exists()
-        return {
-            "backend": "sqlite",
-            "url": self.url,
-            "exists": exists,
-            "records": self.count(),
-            "bytes": self.path.stat().st_size if exists else 0,
-        }
-
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
             self._conn.close()
         self._conn = None
         self._pid = None
-
-    def __enter__(self) -> "SqliteStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        return self.count()

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.abft import compute_checksums
+from repro.abft.checksums import exact_rowidx_checksums
 from repro.sparse import graph_laplacian_spd
+
+_INT64 = np.iinfo(np.int64)
 
 
 class TestComputeChecksums:
@@ -41,6 +46,24 @@ class TestComputeChecksums:
         cks = compute_checksums(small_lap, nchecks=2)
         assert all(isinstance(v, int) for v in cks.rowidx_checksums_exact)
         assert cks.rowidx_checksums_exact[0] == int(small_lap.rowidx[1:].sum())
+
+    @given(
+        nnz=st.integers(0, 2**40),
+        picks=st.lists(st.sampled_from(["-2**63", "2**63-1", "-1", "0", "nnz", "any"]),
+                       max_size=40),
+        fill=st.integers(_INT64.min, _INT64.max),
+    )
+    def test_exact_rowidx_checksums_equal_the_python_int_loop(self, nnz, picks, fill):
+        # Struck pointers hold anything an int64 can: the boxed object
+        # sums must equal the plain Python-int loop, never wrap.
+        value = {"-2**63": _INT64.min, "2**63-1": _INT64.max, "-1": -1, "0": 0,
+                 "nnz": nnz, "any": fill}
+        rowidx = np.array([0] + [value[p] for p in picks], dtype=np.int64)
+        ints = [int(v) for v in rowidx[1:]]
+        want = (sum(ints), sum((i + 1) * v for i, v in enumerate(ints)))
+        assert exact_rowidx_checksums(rowidx, 2) == want
+        assert exact_rowidx_checksums(rowidx, 1) == want[:1]
+        assert all(type(v) is int for v in exact_rowidx_checksums(rowidx, 2))
 
     def test_x_checksums(self, small_lap, rng):
         cks = compute_checksums(small_lap, nchecks=2)

@@ -108,12 +108,13 @@ def test_import_repro_loads_only_the_lazy_helper(cold_python):
 @pytest.mark.parametrize("command, budget", [(["report"], 11), (["store", "info"], 7)])
 def test_store_readers_load_no_solver_stack(run_cli, settled_store, command, budget):
     """Reading a JSONL store stays inside the store layer (plus the
-    report fold): no campaign package, no solver stack."""
+    report fold): no campaign package, no solver stack, no sqlite3 and
+    — the store base class included — no NumPy."""
     res = run_cli(command + ["store.jsonl"])
     assert res["codes"] == [0]
     assert loaded(
         res, "scipy", "repro.resilience", "repro.abft", "repro.faults", "repro.backends",
-        "repro.chaos", "repro.campaign",
+        "repro.chaos", "repro.campaign", "sqlite3", "numpy",
     ) == []
     assert len(loaded(res, "repro")) <= budget
 

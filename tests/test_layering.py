@@ -77,6 +77,7 @@ _RETIRED_SPELLINGS = [
     "BackendUnavailableError",
     "detect_errors", "repro.abft.tmr", "tmr_dot", "tmr_norm2", "tmr_axpy", "majority_vote",
     "TMRError", "random_flip",
+    "default_resume", "repro.store.protocol.append_many",
 ]
 
 

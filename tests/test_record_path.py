@@ -51,7 +51,6 @@ from repro.store.integrity import (
     seal_text,
     strip_seal,
 )
-from repro.store.protocol import append_many
 
 BACKENDS = {
     "jsonl": lambda tmp: ResultStore(tmp / "r.jsonl"),
@@ -152,16 +151,17 @@ class TestSealText:
         assert parsed > 100 and judged_false > 50
 
     def test_trailing_newline_is_not_part_of_the_sealed_bytes(self, tmp_path):
-        # ResultStore hands _parse whole lines; were the "\n" left on, the
-        # raw check would fail and every line would take the slow path.
+        # ResultStore strips the "\n" off each line it hands the decoder;
+        # were it left on, the raw check would fail and every line would
+        # take the slow path.
         store = ResultStore(tmp_path / "r.jsonl")
         store.append({"hash": "a", "x": 1.5})
         store.close()
-        (lineno, line), = store._complete_lines()
-        assert line.endswith("\n")
+        (where, text, key), = store._entries()
+        assert where.endswith("r.jsonl:1") and not text.endswith("\n")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(json, "dumps", _forbidden("json.dumps on the read path"))
-            assert store._parse(lineno, line) == ({"hash": "a", "x": 1.5}, True)
+            assert store._decode(where, text, key) == ({"hash": "a", "x": 1.5}, True)
 
     def test_non_dict_json_is_left_for_the_store_to_refuse(self):
         assert open_sealed("[1, 2]") == ([1, 2], None)
@@ -339,7 +339,7 @@ def _killed_at_second_chunk(url):
 
 
 class TestDeliveryPaths:
-    def test_pool_batches_serial_appends_and_doubles_without_append_many_work(
+    def test_pool_batches_serial_appends_one_by_one(
         self, tmp_path
     ):
         tasks = CampaignSpec(**_fixture_spec()).expand()
@@ -364,29 +364,6 @@ class TestDeliveryPaths:
         serial = Tapped(tmp_path / "serial.jsonl")
         assert run_campaign(tasks, jobs=1, store=serial) == pooled
         assert serial.batches == [1] * 7
-
-        class AppendOnly:
-            """A backend that predates ``append_many``."""
-
-            url = "double:"
-
-            def __init__(self):
-                self.got = []
-
-            def append(self, record):
-                self.got.append(record)
-
-            def resume(self, tasks):
-                return {}, list(tasks)
-
-            def iter_records(self):
-                return iter(())
-
-        double = AppendOnly()
-        assert run_campaign(tasks, jobs=2, store=double) == pooled
-        assert sorted(r["hash"] for r in double.got[:6]) == sorted(r["hash"] for r in pooled)
-        append_many(double, [{"hash": "x"}, {"hash": "y"}])
-        assert [r["hash"] for r in double.got[-2:]] == ["x", "y"]
 
     def test_raising_task_propagates_and_delivered_records_persist_once(
         self, tmp_path, monkeypatch

@@ -142,6 +142,30 @@ def _rot_jsonl_line(path: pathlib.Path, index: int = 0) -> None:
     path.write_text("".join(line + "\n" for line in lines))
 
 
+def _corrupt_one(store, record_hash: str) -> None:
+    """Rot the stored record ``record_hash`` in place, whatever the
+    layout (the store must be closed)."""
+    if isinstance(store, SqliteStore):
+        import sqlite3
+
+        conn = sqlite3.connect(store.path)
+        with conn:
+            conn.execute(
+                "UPDATE records SET body = replace(body, '1.5', '9.5') WHERE hash = ?",
+                (record_hash,),
+            )
+        conn.close()
+        return
+    if isinstance(store, ShardedStore):
+        path = store.path / f"shard-{store.shard_index(record_hash):02x}.jsonl"
+    else:
+        path = store.path
+    lines = path.read_text().splitlines()
+    _rot_jsonl_line(path, next(
+        i for i, line in enumerate(lines) if line.startswith(f'{{"hash": "{record_hash}"')
+    ))
+
+
 class TestBitRot:
     def test_jsonl_strict_raises(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
@@ -195,13 +219,26 @@ class TestBitRot:
         conn.commit()
         conn.close()
         fresh = SqliteStore(tmp_path / "r.db")
-        with pytest.raises(StoreError, match="checksum"):
+        with pytest.raises(StoreError, match="checksum.*repro store repair"):
             list(fresh.iter_records())
         # transactional appends leave no benign crash footprint, so
         # corruption raises on the normal path; repair's intact walk
-        # still skips and counts instead.
-        assert [r["hash"] for r in fresh.iter_intact()] == ["bbb"]
+        # skips, warns and counts instead, as the JSONL layouts do.
+        with pytest.warns(StoreIntegrityWarning, match="skipping corrupt"):
+            assert [r["hash"] for r in fresh.iter_intact()] == ["bbb"]
+        assert fresh.corrupt_skipped == 1
         assert fresh.verify()["corrupt"] == 1
+
+    def test_skip_warning_points_at_the_caller(self, any_store, tmp_path):
+        # One degraded mode: whatever the layout, the warning names the
+        # line that iterated iter_intact, not the store's own code.
+        any_store.append(_record("aaa"))
+        any_store.close()
+        _corrupt_one(any_store, "aaa")
+        with pytest.warns(StoreIntegrityWarning) as caught:
+            assert list(any_store.iter_intact()) == []
+        assert [w.filename for w in caught] == [__file__]
+        assert any_store.corrupt_skipped == 1
 
 
 # ----------------------------------------------------------------------
@@ -234,22 +271,6 @@ class TestVerifyStore:
         assert report["corrupt"] == 1 and report["records"] == 1
 
 
-class TestRepairStore:
-    def test_repair_keeps_intact_drops_corrupt(self, tmp_path):
-        src = ResultStore(tmp_path / "src.jsonl")
-        for h in ("aaa", "bbb", "ccc"):
-            src.append(_record(h))
-        _rot_jsonl_line(tmp_path / "src.jsonl", 1)
-        with pytest.warns(StoreIntegrityWarning):
-            kept, dropped = repair_store(
-                str(tmp_path / "src.jsonl"), str(tmp_path / "dst.jsonl")
-            )
-        assert (kept, dropped) == (2, 1)
-        dst = ResultStore(tmp_path / "dst.jsonl")
-        assert set(dst.load()) == {"aaa", "ccc"}
-        assert dst.verify()["corrupt"] == 0
-
-
 class TestCompactStore:
     def _populated(self, tmp_path):
         src = ResultStore(tmp_path / "src.jsonl")
@@ -259,25 +280,6 @@ class TestCompactStore:
         src.append({"hash": "telemetry:x", "kind": "telemetry", "counters": {}})
         src.append(_record("ccc", kind="quarantine"))
         return src
-
-    def test_folds_last_wins_and_drops_telemetry(self, tmp_path):
-        self._populated(tmp_path)
-        kept = compact_store(
-            str(tmp_path / "src.jsonl"), str(tmp_path / "dst.jsonl")
-        )
-        assert kept == 3
-        loaded = ResultStore(tmp_path / "dst.jsonl").load()
-        assert loaded == {
-            "aaa": _record("aaa", v=2),
-            "bbb": _record("bbb"),
-            "ccc": _record("ccc", kind="quarantine"),
-        }
-        # first-appearance order is preserved on disk
-        order = [
-            json.loads(line)["hash"]
-            for line in (tmp_path / "dst.jsonl").read_text().splitlines()
-        ]
-        assert order == ["aaa", "bbb", "ccc"]
 
     def test_drop_quarantined_unsettles_the_task(self, tmp_path):
         self._populated(tmp_path)
