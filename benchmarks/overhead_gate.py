@@ -41,6 +41,7 @@ from repro.campaign import CampaignSpec, run_campaign  # noqa: E402
 from repro.core import Scheme, SchemeConfig  # noqa: E402
 from repro.core.methods import CostModel  # noqa: E402
 from repro.obs import NULL_TRACER  # noqa: E402
+from repro.perf import SolveWorkspace  # noqa: E402
 from repro.sim.engine import make_rhs, repeat_run  # noqa: E402
 from repro.sim.matrices import get_matrix  # noqa: E402
 
@@ -91,7 +92,8 @@ def tracer_workload():
 
     def run(**kw) -> None:
         for alpha in (0.0, 0.01):
-            repeat_run(a, b, cfg, alpha=alpha, reps=200, base_seed=0, eps=1e-6, **kw)
+            repeat_run(a, b, cfg, alpha=alpha, reps=200, base_seed=0, eps=1e-6,
+                       workspace=SolveWorkspace(), **kw)
 
     return run, lambda: run(tracer=NULL_TRACER)
 

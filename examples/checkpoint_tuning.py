@@ -17,6 +17,7 @@ from repro.model import (
     optimal_checkpoint_positions,
     young_period,
 )
+from repro.perf import SolveWorkspace
 from repro.sim.engine import make_rhs, repeat_run
 from repro.sparse import stencil_spd
 
@@ -51,9 +52,12 @@ def main() -> None:
 
     # --- does the model's interval survive contact with simulation? ---
     print("\nsimulated mean time (5 reps) around the model interval:")
+    ws = SolveWorkspace()  # one live copy and checksum set for the whole sweep
     for s in sorted({1, best.s // 2, best.s, 2 * best.s, 4 * best.s} - {0}):
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=s, costs=costs)
-        stats = repeat_run(a, b, cfg, alpha=alpha, reps=5, base_seed=1, labels=(s,), eps=1e-6)
+        stats = repeat_run(
+            a, b, cfg, alpha=alpha, reps=5, base_seed=1, labels=(s,), eps=1e-6, workspace=ws
+        )
         marker = "  <- model choice" if s == best.s else ""
         print(f"  s={s:4d}  {stats.mean_time:8.1f} ± {stats.sem_time:5.1f}{marker}")
 

@@ -12,6 +12,7 @@ Run:  python examples/fault_injection_study.py [uid] [scale]
 import sys
 
 from repro.core import CostModel, Scheme, SchemeConfig
+from repro.perf import SolveWorkspace
 from repro.sim.engine import make_rhs, repeat_run
 from repro.model.instantiate import model_interval_for
 from repro.sim.matrices import suite_specs
@@ -32,6 +33,7 @@ def main() -> None:
     schemes = (Scheme.ONLINE_DETECTION, Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION)
     print(f"{'1/alpha':>8} | " + " | ".join(f"{s.value:>24}" for s in schemes))
     print("-" * (11 + 27 * 3))
+    ws = SolveWorkspace()  # one live copy and checksum set for the whole sweep
     for mtbf in (16, 50, 100, 316, 1000, 10000):
         alpha = 1.0 / mtbf
         cells = []
@@ -41,7 +43,8 @@ def main() -> None:
                 scheme, checkpoint_interval=s, verification_interval=d, costs=costs
             )
             stats = repeat_run(
-                a, b, cfg, alpha=alpha, reps=5, base_seed=7, labels=(uid, mtbf), eps=1e-6
+                a, b, cfg, alpha=alpha, reps=5, base_seed=7, labels=(uid, mtbf), eps=1e-6,
+                workspace=ws,
             )
             cells.append(f"{stats.mean_time:10.1f} (s={s:3d},d={d:3d})")
         print(f"{mtbf:>8} | " + " | ".join(f"{c:>24}" for c in cells))

@@ -34,8 +34,9 @@ The library provides:
   lossless migration and streaming aggregation over partial stores
   (:mod:`repro.store`);
 - the zero-copy hot path: reusable solve workspaces with strike-undo
-  matrix restore and per-process checksum/matrix caches, bit-identical
-  to a private workspace per solve (:mod:`repro.perf`);
+  matrix restore, holding what a solve derives from its matrix
+  (checksums, ``‖A‖₁``, the trajectory memo) once per binding,
+  bit-identical to a private workspace per solve (:mod:`repro.perf`);
 - a kernel choice of two, selectable on every solve entry point: the
   bit-identical ``reference`` oracle and SciPy's compiled kernel for
   structure-clean products (:mod:`repro.backends`);

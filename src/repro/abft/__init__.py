@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
     from repro.abft.checksums import (
         SpmvChecksums,
         compute_checksums,
-        cached_checksums,
-        clear_checksum_cache,
     )
     from repro.abft.spmv import (
         ProtectedSpmvResult,
@@ -44,8 +42,6 @@ __all__ = [
     "choose_shift",
     "SpmvChecksums",
     "compute_checksums",
-    "cached_checksums",
-    "clear_checksum_cache",
     "ProtectedSpmvResult",
     "SpmvStatus",
     "protected_spmv",
@@ -68,8 +64,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.abft.checksums": (
             "SpmvChecksums",
             "compute_checksums",
-            "cached_checksums",
-            "clear_checksum_cache",
         ),
         "repro.abft.spmv": (
             "ProtectedSpmvResult",

@@ -17,18 +17,18 @@ This is ``COMPUTECHECKSUMS`` of the paper's Algorithm 2.  For a matrix
 Everything here is computed **once per matrix** — the paper stresses
 that amortization ("in the common scenario of many SpMxVs with the same
 matrix, it is enough to invoke it once") — and is assumed to live in
-reliable memory (selective reliability).
+reliable memory (selective reliability).  The solve's workspace owns
+that once: :meth:`repro.perf.SolveWorkspace.checksums` keeps each set
+for as long as the workspace stays bound to its matrix.
 """
 
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.metrics import METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import column_sums, norm1
 from repro.util.validate import check_square
@@ -39,9 +39,6 @@ __all__ = [
     "SpmvChecksums",
     "compute_checksums",
     "exact_rowidx_checksums",
-    "cached_checksums",
-    "checksums_cached",
-    "clear_checksum_cache",
 ]
 
 
@@ -178,68 +175,3 @@ def exact_rowidx_checksums(rowidx: np.ndarray, nchecks: int) -> "tuple[int, ...]
         sums += (sum(map(operator.mul, range(1, len(pointers) + 1), pointers)),)
     return sums
 
-
-# ----------------------------------------------------------------------
-# per-process checksum cache
-# ----------------------------------------------------------------------
-#: matrix → {(nchecks, shift_margin): SpmvChecksums}.  Weak keys: an
-#: entry lives exactly as long as its matrix object, so the cache can
-#: never serve metadata for a recycled ``id()``.
-_CACHE: "weakref.WeakKeyDictionary[CSRMatrix, dict]" = weakref.WeakKeyDictionary()
-
-
-def cached_checksums(
-    a: CSRMatrix,
-    *,
-    nchecks: int = 2,
-    shift_margin: float = 1.0,
-) -> SpmvChecksums:
-    """Per-process memoized :func:`compute_checksums`.
-
-    The paper stresses that checksum setup amortizes over "many SpMxVs
-    with the same matrix"; this pushes the amortization across *runs*:
-    a campaign's ``repeat_run`` pays the O(nchecks·nnz) setup once per
-    matrix instead of once per repetition.  Keyed by matrix **object
-    identity** (mirroring :func:`repro.sim.matrices.get_matrix`, whose
-    cache hands out one shared instance per ``(uid, scale)``).
-
-    The caller owns the staleness contract: checksums describe the
-    matrix *as it was at first call*.  Mutate a matrix in place and you
-    must call :func:`clear_checksum_cache` (or use a fresh object).
-    The resilience engine satisfies this for free — it computes
-    checksums from the pristine input matrix, never from the live copy
-    the injector corrupts.
-    """
-    per_matrix = _CACHE.get(a)
-    if per_matrix is None:
-        per_matrix = _CACHE[a] = {}
-    key = (nchecks, shift_margin)  # one set serves both kernels
-    cks = per_matrix.get(key)
-    if cks is None:
-        METRICS.inc("abft.checksum_cache.miss")
-        cks = per_matrix[key] = compute_checksums(
-            a, nchecks=nchecks, shift_margin=shift_margin
-        )
-    else:
-        METRICS.inc("abft.checksum_cache.hit")
-    return cks
-
-
-def checksums_cached(
-    a: CSRMatrix,
-    *,
-    nchecks: int = 2,
-    shift_margin: float = 1.0,
-) -> bool:
-    """Whether :func:`cached_checksums` would hit for this key.
-
-    A pure peek (no cache mutation, no metrics); the engine uses it to
-    label its ``abft-setup`` trace event before the cache call.
-    """
-    per_matrix = _CACHE.get(a)
-    return bool(per_matrix) and (nchecks, shift_margin) in per_matrix
-
-
-def clear_checksum_cache() -> None:
-    """Drop all cached checksum metadata (see :func:`cached_checksums`)."""
-    _CACHE.clear()

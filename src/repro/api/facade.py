@@ -312,8 +312,8 @@ def solve(
         Zero-copy hot path for repeated solves of the same matrix
         object: ``True`` uses the process-wide
         :func:`repro.perf.default_workspace` (live-matrix strike-undo
-        reuse, cached ABFT checksums, preallocated buffers, the
-        clean-trajectory memo), or pass your own
+        reuse, ABFT checksums kept per bound matrix, preallocated
+        buffers, the clean-trajectory memo), or pass your own
         :class:`repro.perf.SolveWorkspace`.  Off (the default), the
         solve runs on a private workspace of its own, with no memo and
         freshly computed checksums; the result is bit-identical on

@@ -204,7 +204,7 @@ def execute_task(
     worker, reused across every task it executes — repetitions restore
     the live matrix by strike-undo instead of recopying, and buffers
     survive task boundaries.  ``False`` runs every solve on a private
-    workspace (no trajectory memo, no checksum cache).  The task's
+    workspace (no trajectory memo).  The task's
     content hash covers only the physics, so stores stay compatible
     across the switch, and results are bit-identical either way.
 
@@ -259,7 +259,6 @@ def execute_task(
                 labels=task.labels,
                 eps=task.eps,
                 method=task.method,
-                reuse_workspace=reuse_workspace,
                 workspace=perf.default_workspace() if reuse_workspace else None,
                 backend=task.backend,
                 tracer=tracer,

@@ -91,17 +91,6 @@ def _check_names(
             )
 
 
-def _check_point(alpha: float, s, d) -> None:
-    """Refuse a fault rate that is negative or not finite, and an
-    interval that is not a whole number >= 1 (a whole ``float`` such
-    as ``4.0`` passes, and hashes as it is)."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    for name, value in (("s", s), ("d", d)):
-        if not (1 <= value < math.inf and value == int(value)):
-            raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """One schedulable unit: ``reps`` runs of a single parameter point.
@@ -173,13 +162,17 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         s, d = self.s, self.d
+        # Compiling imports no validation module unless it must fail;
+        # a whole ``float`` interval such as ``4.0`` passes, and hashes
+        # as it is.
         if not (type(s) is int and s >= 1 and type(d) is int and d >= 1
                 and 0 <= self.alpha < math.inf):
-            _check_point(self.alpha, s, d)
+            from repro.util.validate import check_fault_point
+
+            check_fault_point(self.alpha, s=s, d=d)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
-            # Compiling imports no validation module unless it must fail.
             from repro.util.validate import check_positive
 
             check_positive("eps", self.eps)

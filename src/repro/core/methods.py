@@ -27,6 +27,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from repro.util.validate import check_fault_point
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.csr import CSRMatrix
     from repro.sim.matrices import SizeFacts
@@ -217,12 +219,10 @@ class SchemeConfig:
     costs: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ValueError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
-        if self.verification_interval < 1:
-            raise ValueError(
-                f"verification_interval must be >= 1, got {self.verification_interval}"
-            )
+        check_fault_point(
+            checkpoint_interval=self.checkpoint_interval,
+            verification_interval=self.verification_interval,
+        )
         if self.scheme.uses_abft and self.verification_interval != 1:
             raise ValueError("ABFT schemes verify every iteration (d must be 1)")
 

@@ -1,4 +1,4 @@
-"""Zero-copy hot-path support: workspaces and per-process caches.
+"""Zero-copy hot-path support: solve workspaces.
 
 The perf layer keeps repeated protected solves allocation-free without
 changing any result bit (see :mod:`repro.perf.workspace` for the
@@ -6,13 +6,14 @@ correctness argument):
 
 - :class:`SolveWorkspace` — preallocated SpMxV/ABFT/checkpoint buffers
   plus live-matrix reuse with strike-undo restore between repetitions;
+  what a solve derives from its matrix (checksums, ``‖A‖₁``, the
+  Jacobi ``M⁻¹``, the trajectory memo) is kept per binding;
 - :func:`default_workspace` — the process's shared workspace, used by
   ``repro.solve(reuse_workspace=True)`` and by every campaign task a
   process executes;
-- :func:`clear_caches` — explicit reset hook for every per-process
-  cache (checksums, suite matrices, the default workspace); call it if
-  you mutate a previously-solved matrix in place or need to bound
-  memory in a long-lived process.
+- :func:`clear_caches` — reset hook for the suite-matrix cache and the
+  default workspace; call it if you mutate a previously-solved matrix
+  in place or need to bound memory in a long-lived process.
 """
 
 from __future__ import annotations
@@ -39,16 +40,14 @@ def default_workspace() -> SolveWorkspace:
 def clear_caches() -> None:
     """Reset every per-process perf cache.
 
-    Drops the ABFT checksum cache, the suite-matrix cache
-    (:func:`repro.sim.matrices.get_matrix`) and the default workspace.
-    Safe at any quiescent point; required after mutating a matrix that
-    previously went through a cached code path.
+    Drops the suite-matrix cache (:func:`repro.sim.matrices.get_matrix`)
+    and the default workspace, with everything it derived from its
+    bound matrix.  Safe at any quiescent point; required after mutating
+    a matrix that previously went through a cached code path.
     """
     global _DEFAULT
-    from repro.abft.checksums import clear_checksum_cache
     from repro.sim.matrices import clear_matrix_cache
 
-    clear_checksum_cache()
     clear_matrix_cache()
     if _DEFAULT is not None:
         _DEFAULT.release()

@@ -31,9 +31,11 @@ float:
   currently deviating from the pristine source
   (:meth:`capture_matrix_state`), and a rollback restores them in
   O(#faults) (:meth:`restore_matrix_state`);
-- **per-source caches** — ``‖A‖₁`` for the stopping threshold (the
-  checksum cache itself is process-global, see
-  :func:`repro.abft.checksums.cached_checksums`).
+- **per-binding derived state** — ``‖A‖₁`` for the stopping
+  threshold, the Jacobi ``M⁻¹``, the ABFT checksum sets and the
+  clean-trajectory memo live in :attr:`SolveWorkspace.bound` and are
+  computed at most once per binding: rebinding to another source (or
+  :meth:`~SolveWorkspace.release`) drops them with one assignment.
 
 Workspaces are **not** thread-safe and must not be shared across
 concurrently running solves; the campaign executor keeps one per
@@ -44,8 +46,8 @@ at every instant, the set of live-matrix words differing from the
 pristine source is a subset of the recorded taint. Strikes and ABFT
 repairs are recorded at the point of mutation; a checkpoint restore
 copies values whose deviations were recorded before the snapshot; an
-engine refresh copies pristine data (removing deviations, never adding
-any). Rewriting the tainted words from the source therefore restores
+engine refresh un-writes the tainted words (removing deviations, never
+adding any). Rewriting the tainted words from the source therefore restores
 bit-equality — positions tainted but not currently deviating are
 rewritten with the value they already hold.
 """
@@ -78,15 +80,16 @@ class SolveWorkspace:
 
     One workspace serves one solve at a time; reusing it across
     repetitions (and across matrices — switching sources just rebuilds
-    the live copy) is what :func:`repro.sim.engine.repeat_run`,
-    the campaign executor and ``solve(reuse_workspace=True)`` do.  A
-    solve given no workspace runs on a :meth:`private` one, so every
-    protected solve takes this one path.
+    the live copy and drops :attr:`bound`) is what
+    :func:`repro.sim.engine.repeat_run` given one, the campaign
+    executor and ``solve(reuse_workspace=True)`` do.  A solve given no
+    workspace runs on a :meth:`private` one, so every protected solve
+    takes this one path.
     """
 
     def __init__(self) -> None:
-        #: Whether solves bind the clean-trajectory memo and read the
-        #: process checksum cache; ``False`` for a :meth:`private` one.
+        #: Whether solves bind the clean-trajectory memo and count their
+        #: checksum-set reuse; ``False`` for a :meth:`private` one.
         self.shared = True
         self._buffers: dict[str, np.ndarray] = {}
         self._abft_bundle: "tuple | None" = None  #: (n, nnz, buffers…)
@@ -100,12 +103,11 @@ class SolveWorkspace:
         #: position struck twice is listed twice; rewriting it twice is
         #: harmless).
         self._taint: dict[str, np.ndarray] = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
-        self._norm1: "float | None" = None
-        self._jacobi_minv: "np.ndarray | None" = None
-        self._trajectory: "TrajectoryMemo | None" = None
-        #: State kept between the solves of one binding (plugin vector
-        #: sets, the engine's fault-target table), by owner key; it
-        #: refers to the live copy and the buffers, so it is dropped
+        #: What the solves of one binding derive from its source or keep
+        #: between them (``‖A‖₁``, the Jacobi ``M⁻¹``, the checksum
+        #: sets, the trajectory memo, plugin vector sets, the engine's
+        #: fault-target table), by owner key; it describes the source
+        #: and refers to the live copy and the buffers, so it is dropped
         #: whenever the binding changes.
         self.bound: dict = {}
         # Telemetry for tests/benchmarks (no behavioural role).  The
@@ -123,9 +125,8 @@ class SolveWorkspace:
         """The throwaway workspace of one solve given none.
 
         It binds no clean-trajectory memo (nothing can replay it) and
-        computes its checksums instead of reading the process cache,
-        which keys on the matrix object: an in-place edit of the
-        matrix between two such solves is seen.
+        derives everything from the matrix afresh: an in-place edit of
+        the matrix between two such solves is seen.
         """
         ws = cls()
         ws.shared = False
@@ -229,9 +230,6 @@ class SolveWorkspace:
             self._live_rows_nonempty = None
             self._source_view = a
         self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
-        self._norm1 = None
-        self._jacobi_minv = None
-        self._trajectory = None
         self.bound = {}
         self.live_copies += 1
         METRICS.inc("workspace.live_copy")
@@ -370,27 +368,18 @@ class SolveWorkspace:
         if self._pristine("colid") and self._pristine("rowidx"):
             self._rearm_live()
 
-    def mark_live_pristine(self) -> None:
-        """Declare the live matrix byte-equal to the source *right now*.
-
-        Called by the engine after a refresh re-read the pristine data
-        into the live arrays wholesale; restores the source's structure
-        verdict (the taint ledger is untouched — it is a superset
-        contract, and re-undoing an already-pristine word is harmless).
-        """
-        self._rearm_live()
-
     # ------------------------------------------------------------------
-    # per-source caches
+    # per-binding derived state
     # ------------------------------------------------------------------
     def source_norm1(self, a: CSRMatrix) -> float:
         """``‖A‖₁`` of the bound source ``a``, computed once per binding."""
         assert self._live_source is a
-        if self._norm1 is None:
+        norm = self.bound.get("norm1")
+        if norm is None:
             from repro.sparse.norms import norm1
 
-            self._norm1 = norm1(a)
-        return self._norm1
+            norm = self.bound["norm1"] = norm1(a)
+        return norm
 
     def jacobi_minv(self, a: CSRMatrix) -> np.ndarray:
         """``diag(A)⁻¹`` of the bound source ``a`` (the Jacobi
@@ -400,12 +389,13 @@ class SolveWorkspace:
         (like the checksums) — callers must not mutate it.
         """
         assert self._live_source is a
-        if self._jacobi_minv is None:
+        minv = self.bound.get("jacobi_minv")
+        if minv is None:
             diag = a.diagonal()
             if np.any(diag == 0.0):
                 raise ValueError("Jacobi preconditioner requires a zero-free diagonal")
-            self._jacobi_minv = 1.0 / diag
-        return self._jacobi_minv
+            minv = self.bound["jacobi_minv"] = 1.0 / diag
+        return minv
 
     def trajectory(
         self, method: str, matvec: "Callable | None", b: np.ndarray
@@ -420,23 +410,34 @@ class SolveWorkspace:
         slot is hit by every repetition of every scheme, α, ``s``,
         ``d`` and ``eps`` in between.
         """
-        memo = self._trajectory
+        memo = self.bound.get("trajectory")
         if memo is None or not memo.matches(method, matvec, b):
-            memo = self._trajectory = TrajectoryMemo(
+            memo = self.bound["trajectory"] = TrajectoryMemo(
                 method, matvec, b, source=self._live_source
             )
             METRICS.inc("workspace.trajectory_builds")
         return memo
 
     def checksums(self, a: CSRMatrix, *, nchecks: int) -> "SpmvChecksums":
-        """ABFT metadata for ``a``: process-cached (see
-        :func:`repro.abft.checksums.cached_checksums`), or computed
-        afresh by a :meth:`private` workspace."""
-        from repro.abft.checksums import cached_checksums, compute_checksums
+        """ABFT metadata (:func:`~repro.abft.checksums.compute_checksums`)
+        of the bound source ``a``, built once per ``nchecks`` and binding.
 
-        if not self.shared:
-            return compute_checksums(a, nchecks=nchecks)
-        return cached_checksums(a, nchecks=nchecks)
+        A shared workspace counts each call as an
+        ``abft.checksum_cache`` hit or miss; a :meth:`private` one
+        serves one solve, so it counts nothing.
+        """
+        assert self._live_source is a
+        key = ("checksums", nchecks)
+        cks = self.bound.get(key)
+        if cks is None:
+            from repro.abft.checksums import compute_checksums
+
+            cks = self.bound[key] = compute_checksums(a, nchecks=nchecks)
+            if self.shared:
+                METRICS.inc("abft.checksum_cache.miss")
+        elif self.shared:
+            METRICS.inc("abft.checksum_cache.hit")
+        return cks
 
     def release(self) -> None:
         """Drop every held array and matrix reference.
@@ -454,9 +455,6 @@ class SolveWorkspace:
         self._live_clean = False
         self._live_rows_nonempty = None
         self._taint = dict.fromkeys(_MATRIX_ARRAYS, _UNTAINTED)
-        self._norm1 = None
-        self._jacobi_minv = None
-        self._trajectory = None
         self.bound = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -136,14 +136,12 @@ class BiCGstabPlugin:
     def refresh(self, cp: Checkpoint, a: CSRMatrix, b: np.ndarray) -> None:
         """Re-read initial data: heal a tainted checkpoint.
 
-        The recurrence restarts from the checkpointed iterate with the
-        matrix from reliable storage and a reliably recomputed
-        residual; the logical iteration count is kept (the restart is
-        a continuation, not a rewind).
+        The recurrence restarts from the checkpointed iterate against
+        the matrix from reliable storage (the engine has restored the
+        live copy) with a reliably recomputed residual; the logical
+        iteration count is kept (the restart is a continuation, not a
+        rewind).
         """
-        self.live.val[:] = a.val
-        self.live.colid[:] = a.colid
-        self.live.rowidx[:] = a.rowidx
         self.x[:] = cp.vectors["x"]
         self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.r_hat[:] = self.r

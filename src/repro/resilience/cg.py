@@ -112,9 +112,6 @@ class CGPlugin:
     def refresh(self, cp: Checkpoint, a: CSRMatrix, b: np.ndarray) -> None:
         """Restart CG from the checkpointed iterate with reliable data."""
         self.x[:] = cp.vectors["x"]
-        self.live.val[:] = a.val
-        self.live.colid[:] = a.colid
-        self.live.rowidx[:] = a.rowidx
         self.r[:] = self.b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.p[:] = self.r
         self.q[:] = 0.0

@@ -54,7 +54,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.norms import norm2
 from repro.sparse.spmv import scratch_size, spmv_kernel
 from repro.util.rng import as_generator
-from repro.util.validate import check_positive
+from repro.util.validate import check_fault_point, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.trajectory import TrajectoryMemo
@@ -506,11 +506,12 @@ class EngineContext:
         """Recovery from state the checkpoints cannot heal.
 
         The paper's recovery baseline — re-reading initial data —
-        applies: the plugin restores the solution vector from the
-        checkpoint, the matrix from the original input (reliable
-        storage), and recomputes the residual reliably.  The refreshed
-        (known-good) state is re-checkpointed so future rollbacks
-        return here rather than to the tainted snapshot.
+        applies: the workspace restores the matrix from the original
+        input (reliable storage), and the plugin restores the solution
+        vector from the checkpoint and recomputes the residual
+        reliably.  The refreshed (known-good) state is re-checkpointed
+        so future rollbacks return here rather than to the tainted
+        snapshot.
         """
         pol = self.plugin.recovery
         if pol.refresh_counts_rollback:
@@ -533,13 +534,13 @@ class EngineContext:
         # Borrowed, not copied: the plugin only reads the checkpointed
         # iterate, and the snapshot below happens after that read.
         cp = self.store.borrow_latest()
+        # The matrix from reliable storage: un-write every tainted word
+        # (O(#faults)) and re-arm the source's structure verdict.
+        self.workspace.restore_matrix_state({})
         self.plugin.refresh(cp, self.a_view, self.b)
         # r is recomputed, not the recurrence's: off the trajectory for good.
         self.clean = False
         self.cursor = None
-        # The refresh re-read the pristine matrix wholesale: the input's
-        # structure verdict holds again.
-        self.workspace.mark_live_pristine()
         self.snapshot()
         if pol.refresh_notifies_policy:
             self.policy.rolled_back()
@@ -681,8 +682,8 @@ def run_protected(
         (reused across runs, restored between runs by strike-undo);
         ``None`` runs the solve on a
         :meth:`~repro.perf.SolveWorkspace.private` one.  A caller's
-        workspace also supplies the per-process checksum cache and,
-        for a solve from the zero initial guess, its clean-trajectory
+        workspace also keeps the ABFT checksums of its bound matrix
+        and, for a solve from the zero initial guess, its clean-trajectory
         memo (:mod:`repro.perf.trajectory`): iterations whose outcome
         is already known — clean state, no strike drawn, inside the
         memo's frontier — are accounted, not executed
@@ -715,6 +716,7 @@ def run_protected(
     """
     if not math.isfinite(check_positive("eps", eps)):
         raise ValueError(f"eps must be finite, got {eps!r}")
+    check_fault_point(alpha)
     if maxiter is not None and not (1 <= maxiter < math.inf and maxiter == int(maxiter)):
         raise ValueError(f"maxiter must be >= 1, finite and whole, got {maxiter!r}")
     # The solve owns the floating-point error state: strikes overflow
@@ -783,14 +785,10 @@ def run_protected(
         if scheme.uses_abft:
             nchecks = 2 if scheme.corrects else 1
             if tr is not None:
-                from repro.abft.checksums import checksums_cached
-
                 if not workspace.shared:
                     cache_state = "off"
-                elif checksums_cached(a, nchecks=nchecks):
-                    cache_state = "hit"
                 else:
-                    cache_state = "miss"
+                    cache_state = "hit" if ("checksums", nchecks) in workspace.bound else "miss"
             ctx.checksums = workspace.checksums(a, nchecks=nchecks)
             if tr is not None:
                 tr.emit("abft-setup", 0, nchecks=nchecks, cache=cache_state)

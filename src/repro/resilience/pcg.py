@@ -119,9 +119,6 @@ class JacobiPCGPlugin:
     def refresh(self, cp: Checkpoint, a: CSRMatrix, b: np.ndarray) -> None:
         """Restart PCG from the checkpointed iterate with reliable data."""
         self.x[:] = cp.vectors["x"]
-        self.live.val[:] = a.val
-        self.live.colid[:] = a.colid
-        self.live.rowidx[:] = a.rowidx
         self.r[:] = b - spmv_kernel(a, self.x, scratch=self.scratch, matvec=self.matvec)
         self.z[:] = self.minv * self.r
         self.p[:] = self.z

@@ -233,7 +233,10 @@ class RecurrencePlugin(Protocol):
     def refresh(self, cp: "Checkpoint", a: "CSRMatrix", b: np.ndarray) -> None:
         """Restart from reliable data: heal state the checkpoints
         cannot (e.g. a sub-tolerance matrix corruption that slipped
-        into a snapshot).  Must leave the recurrence consistent."""
+        into a snapshot).  The engine has already restored the live
+        matrix to the source ``a``; the plugin restarts its recurrence
+        from the checkpointed iterate against ``a`` and must leave it
+        consistent."""
         ...
 
     def after_rollback(self) -> None:

@@ -158,7 +158,6 @@ def repeat_run(
     maxiter: int | None = None,
     max_time_units: float | None = None,
     method: "Method | str" = Method.CG,
-    reuse_workspace: bool = True,
     workspace: "object | None" = None,
     backend: "str | object | None" = None,
     tracer: "object | None" = None,
@@ -196,21 +195,20 @@ def repeat_run(
     comparison wants (campaign stores still keep them apart — the
     kernel is part of the task content hash).
 
-    ``reuse_workspace`` (default on) runs every repetition through one
-    :class:`repro.perf.SolveWorkspace`: the live matrix, the solver
-    buffers and the checkpoint staging are allocated once and restored
-    between repetitions by strike-undo, and the ABFT checksums come
-    from the per-process cache — a fraction of the wall clock.  Pass
-    ``reuse_workspace=False`` for a private workspace per solve (no
-    trajectory memo, no checksum cache: the memo-free oracle), or
-    ``workspace=`` to share a caller-owned workspace across calls
-    (e.g. an interval sweep over one matrix).  Results are identical
-    either way.
+    ``workspace`` (a :class:`repro.perf.SolveWorkspace`) runs every
+    repetition through it: the live matrix, the solver buffers and the
+    checkpoint staging are allocated once and restored between
+    repetitions by strike-undo, and the ABFT checksums, ``‖A‖₁`` and
+    the clean-trajectory memo are derived once per binding — a
+    fraction of the wall clock, and shared across calls on one matrix
+    (e.g. an interval sweep).  ``None`` (the default) gives each solve
+    a private workspace (no trajectory memo: the memo-free oracle).
+    Results are identical either way.
 
-    Staleness caveat: the checksum cache keys on the matrix *object*.
+    Staleness caveat: a workspace stays bound to the matrix *object*.
     If you mutate ``a``'s arrays in place between calls, pass a fresh
-    object or call :func:`repro.perf.clear_caches` first — otherwise
-    the cached ABFT metadata describes the old values.
+    object or :meth:`~repro.perf.SolveWorkspace.release` the workspace
+    first — otherwise its derived state describes the old values.
 
     ``tracer`` forwards a :class:`repro.obs.Tracer` to every
     repetition's solve; the repetition index is bound into the tracer's
@@ -236,11 +234,6 @@ def repeat_run(
     method = Method.parse(method)
     run_ft_method = _registry().run_ft_method
     tr = resolve_tracer(tracer)
-    ws = workspace
-    if ws is None and reuse_workspace:
-        from repro.perf import SolveWorkspace
-
-        ws = SolveWorkspace()
     payload = _copy_payload(prior) if prior else {k: [] for k in PER_REP_KEYS}
     acc = Welford(payload["times"])
     if adaptive and acc.n:
@@ -261,7 +254,7 @@ def repeat_run(
                 maxiter=maxiter,
                 rng=_rep_rng(base_seed, method, config, alpha, labels, rep),
                 max_time_units=max_time_units,
-                workspace=ws,
+                workspace=workspace,
                 backend=backend,
                 tracer=tr,
             )

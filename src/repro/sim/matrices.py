@@ -245,12 +245,13 @@ def get_matrix(uid: "int | str | os.PathLike", scale: int = 1) -> CSRMatrix:
     Both caches are unbounded on purpose: a wide Study sweep touches up
     to 9 uids × several scales interleaved, and an evicting LRU could
     drop entries mid-campaign — silently re-paying matrix synthesis
-    *and* invalidating the identity-keyed checksum cache that hangs off
-    each instance.  The working set is small (a paper-scale matrix is a
-    few MB); a long-lived process that wants the memory back calls
-    :func:`clear_matrix_cache` (or :func:`repro.perf.clear_caches`) at
-    a quiescent point.  File-backed entries are keyed by path, not
-    content — after rewriting a file in place, clear the cache.
+    *and* forcing the worker's workspace, which is bound to one matrix
+    object, to rebind and rebuild its checksums.  The working set is
+    small (a paper-scale matrix is a few MB); a long-lived process that
+    wants the memory back calls :func:`clear_matrix_cache` (or
+    :func:`repro.perf.clear_caches`) at a quiescent point.  File-backed
+    entries are keyed by path, not content — after rewriting a file in
+    place, clear the cache.
     """
     if isinstance(uid, (str, os.PathLike)):
         if scale != 1:

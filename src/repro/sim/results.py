@@ -28,7 +28,6 @@ __all__ = [
     "Figure1Point",
     "format_table1",
     "format_figure1",
-    "ascii_panel",
     "to_csv",
 ]
 
@@ -276,49 +275,6 @@ def format_figure1(points: "list[Figure1Point]") -> str:
             )
         buf.write("\n")
     return buf.getvalue()
-
-
-def ascii_panel(
-    points: "list[Figure1Point]",
-    uid: int,
-    *,
-    width: int = 64,
-    height: int = 16,
-) -> str:
-    """Render one Figure-1 panel as an ASCII plot (log-x, linear-y).
-
-    Series markers follow the paper's line styles: ``:`` for
-    ONLINE-DETECTION (dotted), ``-`` for ABFT-DETECTION (dashed),
-    ``#`` for ABFT-CORRECTION (solid).
-    """
-    import math
-
-    pts = [p for p in points if p.uid == uid]
-    if not pts:
-        raise ValueError(f"no points for matrix {uid}")
-    markers = {"online-detection": ":", "abft-detection": "-", "abft-correction": "#"}
-    xs = sorted({p.normalized_mtbf for p in pts})
-    ymin = min(p.mean_time for p in pts)
-    ymax = max(p.mean_time for p in pts)
-    span = (ymax - ymin) or 1.0
-    lx = [math.log10(x) for x in xs]
-    lx_min, lx_max = lx[0], lx[-1]
-    lspan = (lx_max - lx_min) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for p in pts:
-        col = int((math.log10(p.normalized_mtbf) - lx_min) / lspan * (width - 1))
-        row = int((1.0 - (p.mean_time - ymin) / span) * (height - 1))
-        grid[row][col] = markers.get(p.scheme, "?")
-    lines = [f"Matrix #{uid}  (y: {ymin:.0f}..{ymax:.0f} Titer units; x: 1/alpha, log)"]
-    for row in grid:
-        lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
-    lines.append(
-        f" {xs[0]:<10.0f}{' ' * max(0, width - 22)}{xs[-1]:>10.0f}"
-    )
-    lines.append(" legend: ':' online-detection  '-' abft-detection  '#' abft-correction")
-    return "\n".join(lines) + "\n"
 
 
 def to_csv(points: "list", path: str) -> None:

@@ -185,29 +185,26 @@ def migrate_store(
     src: "StoreBackend | str | os.PathLike[str]",
     dst: "StoreBackend | str | os.PathLike[str]",
 ) -> int:
-    """Copy every record of ``src`` into ``dst``; returns the count.
+    """Copy ``src``'s records into ``dst``; returns the count written.
 
-    Lossless by construction: records stream through unmodified (same
+    Lossless by construction: records pass through unmodified (same
     dict, hence the same JSON text and bit-identical floats), so task
     hashes — and with them ``--resume`` — survive any
     jsonl↔sharded↔sqlite round trip, and aggregates computed from the
     copy equal the original's bit for bit.  Duplicate hashes collapse
-    to their last-wins record, exactly as every reader already folds
-    them.
+    to their last-wins record (the fold of
+    :meth:`~repro.store.protocol.StoreBackend.load`, which every reader
+    already performs), written in one batch.
 
     ``dst`` must be empty (or not exist): merging two live stores is a
     decision the caller should make explicitly, record by record, not
     a silent side effect of a copy.
     """
     with _opened_pair(src, dst, verb="migrate") as (src_store, dst_store):
-        moved = 0
-        seen: "set[str]" = set()
-        for rec in src_store.iter_records():
-            dst_store.append(rec)
-            if rec["hash"] not in seen:
-                seen.add(rec["hash"])
-                moved += 1
-        return moved
+        latest = src_store.load()
+        if latest:  # an empty source leaves no destination behind
+            dst_store.append_many(latest.values())
+        return len(latest)
 
 
 @contextmanager

@@ -10,6 +10,7 @@ if TYPE_CHECKING:  # pragma: no cover - static tools only
         check_positive,
         check_nonnegative,
         check_probability,
+        check_fault_point,
         check_square,
         check_vector,
     )
@@ -21,6 +22,7 @@ __all__ = [
     "check_positive",
     "check_nonnegative",
     "check_probability",
+    "check_fault_point",
     "check_square",
     "check_vector",
 ]
@@ -33,6 +35,7 @@ __getattr__, __dir__ = lazy_exports(
             "check_positive",
             "check_nonnegative",
             "check_probability",
+            "check_fault_point",
             "check_square",
             "check_vector",
         ),

@@ -6,6 +6,7 @@ broadcast errors surface deep inside a solver loop.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -15,6 +16,7 @@ __all__ = [
     "check_positive",
     "check_nonnegative",
     "check_probability",
+    "check_fault_point",
     "check_square",
     "check_vector",
 ]
@@ -39,6 +41,17 @@ def check_probability(name: str, value: float) -> float:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+def check_fault_point(alpha: "float | None" = None, **intervals: float) -> None:
+    """Refuse a fault rate ``alpha`` that is negative or not finite, and
+    any named interval that is not a whole number >= 1 (a whole
+    ``float`` such as ``4.0`` passes)."""
+    if alpha is not None and not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    for name, value in intervals.items():
+        if not (1 <= value < math.inf and value == int(value)):
+            raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 def check_square(name: str, shape: tuple[int, ...]) -> int:

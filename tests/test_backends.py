@@ -269,17 +269,14 @@ class TestRepeatRunAndWorkspace:
         assert base == explicit
 
     def test_scipy_workspace_matches_scipy_fresh(self, small_system):
-        # A private workspace per repetition (no memo, no checksum
-        # cache) against one shared workspace, on the scipy backend.
+        # A private workspace per repetition (no memo) against one
+        # shared workspace, on the scipy backend.
         a, b = small_system
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=5)
-        fresh = repeat_run(
-            a, b, cfg, alpha=0.05, reps=3, base_seed=7,
-            backend="scipy", reuse_workspace=False,
-        )
+        fresh = repeat_run(a, b, cfg, alpha=0.05, reps=3, base_seed=7, backend="scipy")
         ws = repeat_run(
             a, b, cfg, alpha=0.05, reps=3, base_seed=7,
-            backend="scipy", reuse_workspace=True,
+            backend="scipy", workspace=SolveWorkspace(),
         )
         assert fresh == ws
 
@@ -962,7 +959,7 @@ class TestRoutingProperty:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**16), st.sampled_from(["cg", "bicgstab", "pcg"]))
     def test_kernels_share_checksums_not_trajectories(self, seed, method):
-        from repro.abft.checksums import _CACHE, compute_checksums
+        from repro.abft.checksums import compute_checksums
         from repro.resilience import run_ft_method
         from repro.sparse import random_spd
 
@@ -977,19 +974,20 @@ class TestRoutingProperty:
 
         counts = [METRICS.count(f"engine.backend.{k}") for k in ("reference", "scipy")]
         solve("reference", ws)
-        warmed = ws._trajectory
-        cks = _CACHE[a][(2, 1.0)]
+        warmed = ws.bound["trajectory"]
+        cks = ws.bound[("checksums", 2)]
         got = solve("scipy", ws)
         assert [METRICS.count(f"engine.backend.{k}") for k in ("reference", "scipy")] == [
             counts[0] + 1, counts[1] + 1]
         # one checksum set for both kernels, with the reference bits
-        assert list(_CACHE[a]) == [(2, 1.0)] and _CACHE[a][(2, 1.0)] is cks
+        assert [k for k in ws.bound if k[0] == "checksums"] == [("checksums", 2)]
+        assert ws.bound[("checksums", 2)] is cks
         fresh = compute_checksums(a, nchecks=2)
         assert _bits(cks.column_checksums) == _bits(fresh.column_checksums)
         assert cks.shift == fresh.shift
         # the scipy solve keyed a memo of its own kernel …
-        assert ws._trajectory is not warmed
-        assert ws._trajectory.matvec is kernel_matvec("scipy")
+        assert ws.bound["trajectory"] is not warmed
+        assert ws.bound["trajectory"].matvec is kernel_matvec("scipy")
         assert warmed.matvec is None
         # … and returns what a memo-free scipy solve returns
         oracle = solve("scipy", None)

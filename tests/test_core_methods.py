@@ -107,6 +107,27 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(Scheme.ONLINE_DETECTION, verification_interval=0)
 
+    @pytest.mark.parametrize("field", ["checkpoint_interval", "verification_interval"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf")])
+    def test_a_fractional_or_non_finite_interval_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a whole number >= 1"):
+            SchemeConfig(Scheme.ONLINE_DETECTION, **{field: value})
+
+    def test_a_whole_float_interval_runs_as_its_int(self):
+        import numpy as np
+
+        from repro.resilience import run_ft_method
+        from repro.sparse import laplacian_2d
+
+        a = laplacian_2d(8)
+        b = np.ones(a.nrows)
+        kw = dict(alpha=0.2, rng=3, eps=1e-8)
+        as_float = run_ft_method(
+            "cg", a, b, SchemeConfig(Scheme.ONLINE_DETECTION, 4.0, 2.0), **kw)
+        as_int = run_ft_method("cg", a, b, SchemeConfig(Scheme.ONLINE_DETECTION, 4, 2), **kw)
+        assert as_float.x.tobytes() == as_int.x.tobytes()
+        assert as_float.time_units == as_int.time_units
+
     def test_verification_cost_property(self):
         costs = CostModel(t_verif_correct=0.42)
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, costs=costs)

@@ -78,6 +78,8 @@ _RETIRED_SPELLINGS = [
     "detect_errors", "repro.abft.tmr", "tmr_dot", "tmr_norm2", "tmr_axpy", "majority_vote",
     "TMRError", "random_flip",
     "default_resume", "repro.store.protocol.append_many",
+    "cached_checksums", "checksums_cached", "clear_checksum_cache", "mark_live_pristine",
+    "ascii_panel",
 ]
 
 

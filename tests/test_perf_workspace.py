@@ -1,7 +1,7 @@
 """A shared workspace is bit-identical to a private workspace per solve.
 
 Every facility of a shared workspace — reused SpMxV/ABFT buffers, the
-per-process checksum cache, strike-undo live-matrix restore, the
+checksum sets kept per binding, strike-undo live-matrix restore, the
 clean-trajectory memo — must reproduce a private workspace per solve
 (what a solve given no workspace runs on) bit for bit, including runs
 whose faults corrupt ``val``/``colid``/``rowidx`` and trigger
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abft import cached_checksums, clear_checksum_cache, compute_checksums
+from repro.abft import compute_checksums
 from repro.abft.spmv import protected_spmv
 from repro.checkpoint.store import CheckpointStore
 from repro.core import Scheme, SchemeConfig
@@ -137,28 +137,65 @@ class TestSpmvBuffers:
 
 
 # ----------------------------------------------------------------------
-# checksum cache
+# checksum sets, kept per binding
 # ----------------------------------------------------------------------
 class TestChecksumCache:
-    def test_identity_and_equality(self, small_lap):
-        clear_checksum_cache()
-        c1 = cached_checksums(small_lap, nchecks=2)
-        assert cached_checksums(small_lap, nchecks=2) is c1
-        assert cached_checksums(small_lap, nchecks=1) is not c1
-        fresh = compute_checksums(small_lap, nchecks=2)
-        np.testing.assert_array_equal(c1.column_checksums, fresh.column_checksums)
-        np.testing.assert_array_equal(c1.rowidx_checksums, fresh.rowidx_checksums)
-        assert c1.rowidx_checksums_exact == fresh.rowidx_checksums_exact
-        assert c1.shift == fresh.shift
+    def test_one_set_per_binding_and_nchecks(self, small_lap, monkeypatch):
+        """A workspace builds one set per (binding, nchecks); a rebind
+        or ``release()`` drops it; ``abft-setup`` labels each solve
+        off / miss / hit and the telemetry counts shared workspaces
+        only."""
+        import repro.abft.checksums as checksums_module
+        from repro.obs.metrics import METRICS
+        from repro.obs.tracer import CallbackTracer
 
-    def test_clear_hook(self, small_lap):
-        c1 = cached_checksums(small_lap, nchecks=2)
-        clear_checksum_cache()
-        assert cached_checksums(small_lap, nchecks=2) is not c1
+        builds = []
+        real = checksums_module.compute_checksums
 
-    def test_keyed_by_object_identity(self, small_lap):
-        c1 = cached_checksums(small_lap, nchecks=2)
-        assert cached_checksums(small_lap.copy(), nchecks=2) is not c1
+        def counting(a, **kw):
+            builds.append((id(a), kw["nchecks"]))
+            return real(a, **kw)
+
+        monkeypatch.setattr(checksums_module, "compute_checksums", counting)
+        other = laplacian_2d(7)
+        correct = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=4)
+        detect = SchemeConfig(Scheme.ABFT_DETECTION, checkpoint_interval=4)
+
+        def setup(a, cfg, workspace):
+            labels = []
+            tracer = CallbackTracer(
+                on_event=lambda e: labels.append(e["cache"]) if e["kind"] == "abft-setup" else None
+            )
+            run_ft_method("cg", a, make_rhs(a), cfg, alpha=0.0, eps=1e-6,
+                          workspace=workspace, tracer=tracer)
+            return labels[0]
+
+        ws = SolveWorkspace()
+        counts = [METRICS.count(f"abft.checksum_cache.{k}") for k in ("miss", "hit")]
+        assert [setup(small_lap, correct, ws), setup(small_lap, correct, ws)] == ["miss", "hit"]
+        first = ws.bound[("checksums", 2)]
+        assert setup(small_lap, detect, ws) == "miss"  # one set per nchecks
+        assert ws.bound[("checksums", 1)] is not first
+        assert setup(small_lap, correct, ws) == "hit" and ws.bound[("checksums", 2)] is first
+        assert builds == [(id(small_lap), 2), (id(small_lap), 1)]
+        assert setup(other, correct, ws) == "miss"  # a rebind drops the sets …
+        assert setup(small_lap, correct, ws) == "miss"
+        assert ws.bound[("checksums", 2)] is not first
+        ws.release()  # … and so does a release
+        assert ws.bound == {}
+        assert setup(small_lap, correct, ws) == "miss"
+        assert len(builds) == 5
+        assert [METRICS.count(f"abft.checksum_cache.{k}") for k in ("miss", "hit")] == [
+            counts[0] + 5, counts[1] + 2]
+        # a private workspace computes its set and counts nothing
+        assert setup(small_lap, correct, None) == "off"
+        assert len(builds) == 6
+        assert [METRICS.count(f"abft.checksum_cache.{k}") for k in ("miss", "hit")] == [
+            counts[0] + 5, counts[1] + 2]
+        fresh = real(small_lap, nchecks=2)
+        assert first.column_checksums.tobytes() == fresh.column_checksums.tobytes()
+        assert first.rowidx_checksums_exact == fresh.rowidx_checksums_exact
+        assert first.shift == fresh.shift
 
     def test_precomputed_w_minus_c(self, small_lap):
         cks = compute_checksums(small_lap, nchecks=2)
@@ -300,13 +337,10 @@ class TestRepeatRunWorkspace:
         a, b = problem
         cfg = SchemeConfig(Scheme.ABFT_CORRECTION, checkpoint_interval=4)
         with np.errstate(all="ignore"):
-            fresh = repeat_run(
-                a, b, cfg, alpha=alpha, reps=5, base_seed=2, eps=1e-6,
-                reuse_workspace=False,
-            )
+            fresh = repeat_run(a, b, cfg, alpha=alpha, reps=5, base_seed=2, eps=1e-6)
             ws = repeat_run(
                 a, b, cfg, alpha=alpha, reps=5, base_seed=2, eps=1e-6,
-                reuse_workspace=True,
+                workspace=SolveWorkspace(),
             )
         for f in STATS_FIELDS:
             assert getattr(fresh, f) == getattr(ws, f), f
@@ -493,6 +527,52 @@ class TestDeltaCheckpoints:
         ws.restore_matrix_state(deltas)
         assert all(getattr(live, n).tobytes() == getattr(a, n).tobytes() for n in _ARRAYS)
         assert live.structure_clean
+
+    def test_refresh_under_an_index_strike_restores_the_source(self):
+        """A refresh reached with a struck index word still live leaves the
+        live matrix byte-equal to the source with its stamp armed.
+
+        The struck ``colid`` word sits under a stored zero, so no product
+        and no Chen test can see it; a low ``val`` flip in the same
+        iteration slips into the checkpoints until the final check
+        against the source fails and refreshes."""
+        import itertools
+
+        from repro.faults.injector import FaultInjector
+        from repro.resilience.engine import EngineContext
+
+        s = stencil_spd(35, kind="cross", radius=1)
+        rows = np.repeat(np.arange(s.nrows), np.diff(s.rowidx))
+        hidden = int(np.flatnonzero((rows == 0) & (s.colid == 1))[0])
+        mirror = int(np.flatnonzero((rows == 1) & (s.colid == 0))[0])
+        val = s.val.copy()
+        val[hidden] = val[mirror] = 0.0  # still SPD: diagonally dominant
+        a = CSRMatrix(val, s.colid.copy(), s.rowidx.copy(), s.shape)
+        b = np.random.default_rng(70).standard_normal(a.nrows)
+        cfg = SchemeConfig(Scheme.ONLINE_DETECTION, checkpoint_interval=1, verification_interval=2)
+        seen = []
+        refresh = EngineContext.refresh_rollback
+
+        def state(live):
+            same = all(getattr(live, n).tobytes() == getattr(a, n).tobytes() for n in _ARRAYS)
+            return live.structure_clean, same, int(live.colid[hidden])
+
+        def spy(ctx):
+            seen.append(state(ctx.live))
+            refresh(ctx)
+            seen.append(state(ctx.live))
+
+        strikes = {1: [("colid", hidden, 0), ("val", 0, 30)]}
+        draws = itertools.count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FaultInjector, "sample_strikes",
+                       lambda self, **_: list(strikes.get(next(draws), ())))
+            mp.setattr(EngineContext, "refresh_rollback", spy)
+            with np.errstate(all="ignore"):
+                res = run_ft_method("cg", a, b, cfg, alpha=0.5, eps=1e-8,
+                                    workspace=SolveWorkspace())
+        assert res.converged and res.counters.final_check_failures == 1
+        assert seen == [(False, False, 0), (True, True, 1)]
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,15 @@ class TestDispatch:
     def test_plugins_are_single_use_fresh(self):
         assert make_plugin("cg") is not make_plugin("cg")
 
+    @pytest.mark.parametrize("method", ["cg", "bicgstab", "pcg"])
+    @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
+    def test_a_negative_or_non_finite_rate_is_refused(self, problem, method, alpha):
+        # Before the check, -0.1 and NaN ran fault-free and reported
+        # convergence; inf died in NumPy's Poisson draw.
+        a, b = problem
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            run_ft_method(method, a, b, config(Scheme.ABFT_DETECTION), alpha=alpha, rng=1)
+
 
 class TestFTPCG:
     @pytest.mark.parametrize("scheme", [Scheme.ABFT_DETECTION, Scheme.ABFT_CORRECTION])

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.results import (
     Figure1Point,
     Table1Row,
-    ascii_panel,
     format_figure1,
     format_table1,
     to_csv,
@@ -63,31 +62,6 @@ class TestRenderers:
         text = format_figure1(points)
         for scheme in ("online-detection", "abft-detection", "abft-correction"):
             assert scheme in text
-
-    def test_ascii_panel_dimensions(self, points):
-        text = ascii_panel(points, 341, width=40, height=10)
-        lines = text.splitlines()
-        assert len([l for l in lines if l.startswith("|")]) == 10
-        assert all(len(l) <= 42 for l in lines if l.startswith("|"))
-
-    def test_ascii_panel_renders_all_series(self):
-        pts = []
-        for scheme, base in [("online-detection", 30), ("abft-detection", 20), ("abft-correction", 10)]:
-            for mtbf in (16.0, 100.0, 1000.0):
-                pts.append(
-                    Figure1Point(
-                        uid=1, scheme=scheme, alpha=1 / mtbf,
-                        mean_time=base + 100 / mtbf, sem_time=0.0, s_used=1, d_used=1,
-                    )
-                )
-        text = ascii_panel(pts, 1)
-        assert "Matrix #1" in text
-        for marker in (":", "-", "#"):
-            assert marker in text
-
-    def test_ascii_panel_unknown_uid_raises(self):
-        with pytest.raises(ValueError):
-            ascii_panel([], 5)
 
     def test_single_rep_point_renders_na_error(self):
         # Regression: reps=1 has no standard error; sem_time is None

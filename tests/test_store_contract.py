@@ -245,7 +245,8 @@ class StoreContract(RuleBasedStateMachine):
         for i, store in enumerate(self.stores):
             dst = self._new_store(SCHEMES[(SCHEMES.index(self.schemes[i]) + 1) % len(SCHEMES)])
             assert migrate_store(store, dst) == len(self.model)
-            self._replace(i, dst, self.model, folded=False)
+            assert dst.verify()["records"] == len(self.model)  # duplicates folded
+            self._replace(i, dst, self.model, folded=True)
 
     @rule(tasks=st.lists(st.sampled_from(TASKS), max_size=4, unique_by=lambda t: t.task_hash()))
     def resume(self, tasks):

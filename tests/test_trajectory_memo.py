@@ -47,6 +47,11 @@ from repro.sparse import stencil_spd
 A = stencil_spd(256, kind="cross", radius=2)
 B = make_rhs(A)
 COSTS = CostModel.from_matrix(A)
+#: The generative test's second source: the warm workspaces rebind
+#: between its examples (A → A2 → A), dropping what they derived.
+A2 = stencil_spd(256, kind="cross", radius=1)
+#: matrix name → (matrix, right-hand side, cost model)
+SOURCES = {"A": (A, B, COSTS), "A2": (A2, make_rhs(A2), CostModel.from_matrix(A2))}
 MAXITER = 400  # bounds runaway rollback loops; equality must hold at the cap too
 
 GRID = [
@@ -61,13 +66,13 @@ GRID = [
 BACKENDS = ["reference"] + (["scipy"] if importlib.util.find_spec("scipy") else [])
 
 
-def _config(scheme: str, s: int, d: int) -> SchemeConfig:
+def _config(scheme: str, s: int, d: int, costs: CostModel = COSTS) -> SchemeConfig:
     sch = Scheme.parse(scheme)
     return SchemeConfig(
         sch,
         checkpoint_interval=s,
         verification_interval=d if sch is Scheme.ONLINE_DETECTION else 1,
-        costs=COSTS,
+        costs=costs,
     )
 
 
@@ -110,21 +115,23 @@ def _records(injector: FaultInjector) -> "list[str]":
     return [repr(rec) for rec in injector.records]
 
 
-def _sizes(method: str) -> "dict[str, int]":
-    n = A.nrows
+def _sizes(method: str, a=A) -> "dict[str, int]":
+    n = a.nrows
     vectors = {
         "cg": ("x", "r", "p", "q"),
         "bicgstab": ("x", "r", "r_hat", "p", "v", "s"),
         "pcg": ("x", "r", "p", "q", "z"),
     }[method]
-    return {"val": A.nnz, "colid": A.nnz, "rowidx": n + 1, **{v: n for v in vectors}}
+    return {"val": a.nnz, "colid": a.nnz, "rowidx": n + 1, **{v: n for v in vectors}}
 
 
 # ----------------------------------------------------------------------
 # the independent strike-free trajectory and the claim checker
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
-def _oracle_trajectory(method: str, backend: str) -> "dict[int, dict[str, bytes]]":
+def _oracle_trajectory(
+    method: str, backend: str, matrix: str = "A"
+) -> "dict[int, dict[str, bytes]]":
     """``T[k]`` as bytes per vector, from a memo-free α = 0 run
     observed after every iteration (plus a fresh plugin's initial
     state for ``T[0]``)."""
@@ -133,14 +140,15 @@ def _oracle_trajectory(method: str, backend: str) -> "dict[int, dict[str, bytes]
     def grab(plugin) -> None:
         states[plugin.iteration] = {k: v.tobytes() for k, v in plugin.vectors.items()}
 
-    cfg = _config("abft-detection", 10**6, 1)
+    a, b, costs = SOURCES[matrix]
+    cfg = _config("abft-detection", 10**6, 1, costs)
     p0 = make_plugin(method)
     ws = SolveWorkspace()
-    p0.init_state(A, ws.acquire_live(A), B, None, cfg, ws, matvec=kernel_matvec(backend))
+    p0.init_state(a, ws.acquire_live(a), b, None, cfg, ws, matvec=kernel_matvec(backend))
     grab(p0)
     with np.errstate(all="ignore"):
         run_ft_method(
-            method, A, B, cfg, alpha=0.0, eps=1e-13, maxiter=150, backend=backend,
+            method, a, b, cfg, alpha=0.0, eps=1e-13, maxiter=150, backend=backend,
             tracer=CallbackTracer(on_iteration=lambda ctx: grab(ctx.plugin)),
         )
     return states
@@ -154,13 +162,15 @@ def clean_claims(monkeypatch):
 
     def check(ctx, vectors) -> None:
         be = "reference" if ctx.matvec is None else "scipy"
-        want = _oracle_trajectory(ctx.plugin.name, be)[ctx.plugin.iteration]
+        matrix = next(k for k, (a, _, _) in SOURCES.items() if a is ctx.a)
+        want = _oracle_trajectory(ctx.plugin.name, be, matrix)[ctx.plugin.iteration]
         for name, vec in vectors.items():
             assert vec.tobytes() == want[name], (
-                f"false clean claim: {ctx.plugin.name}/{be} k={ctx.plugin.iteration} {name}"
+                f"false clean claim: {ctx.plugin.name}/{be}/{matrix} "
+                f"k={ctx.plugin.iteration} {name}"
             )
         for name in ("val", "colid", "rowidx"):
-            assert getattr(ctx.live, name).tobytes() == getattr(A, name).tobytes(), name
+            assert getattr(ctx.live, name).tobytes() == getattr(ctx.a, name).tobytes(), name
         claims.append((ctx.plugin.name, ctx.plugin.iteration))
 
     monkeypatch.setattr(engine, "_clean_claim_hook", check)
@@ -170,11 +180,13 @@ def clean_claims(monkeypatch):
 # ----------------------------------------------------------------------
 # running one solve on the memo path and on the oracle path
 # ----------------------------------------------------------------------
-def _solve(method, scheme, backend, *, alpha, s, d, eps, seed, workspace, tracer=None):
+def _solve(method, scheme, backend, *, alpha, s, d, eps, seed, workspace, tracer=None,
+           matrix="A"):
+    a, b, costs = SOURCES[matrix]
     log = InMemoryTracer()
     with np.errstate(all="ignore"):
         res = run_ft_method(
-            method, A, B, _config(scheme, s, d), alpha=alpha, eps=eps, rng=seed,
+            method, a, b, _config(scheme, s, d, costs), alpha=alpha, eps=eps, rng=seed,
             maxiter=MAXITER, workspace=workspace, backend=backend,
             tracer=log if tracer is None else MultiTracer([tracer, log]),
         )
@@ -200,17 +212,18 @@ def _assert_same_solve(got, want) -> None:
 
 
 #: One workspace per backend for the whole module: the memo stays warm
-#: across hypothesis examples and is re-keyed as they switch methods.
+#: across hypothesis examples, is re-keyed as they switch methods and
+#: dropped, with the checksums and ‖A‖₁, as they switch matrices.
 _WARM = {be: SolveWorkspace() for be in BACKENDS}
 
 
 @st.composite
-def strike_scripts(draw, method: str):
+def strike_scripts(draw, method: str, matrix: str = "A"):
     """Up to three scripted strike events: any target kind, optionally
     doubled (same vector, two words — defeats TMR) and optionally
     followed by a strike on the very next draw (the iteration right
     after whatever recovery the first one caused)."""
-    sizes = _sizes(method)
+    sizes = _sizes(method, SOURCES[matrix][0])
     script: "dict[int, list]" = {}
     for _ in range(draw(st.integers(0, 3))):
         when = draw(st.integers(1, 45))
@@ -233,7 +246,9 @@ def strike_scripts(draw, method: str):
 @st.composite
 def solves(draw):
     method, scheme = draw(st.sampled_from(GRID))
+    matrix = draw(st.sampled_from(sorted(SOURCES)))
     return dict(
+        matrix=matrix,
         method=method,
         scheme=scheme,
         backend=draw(st.sampled_from(BACKENDS)),
@@ -242,7 +257,7 @@ def solves(draw):
         d=draw(st.integers(1, 6)),
         eps=draw(st.sampled_from([1e-4, 1e-6, 1e-8])),
         seed=draw(st.integers(0, 2**20)),
-        script=draw(strike_scripts(method)),
+        script=draw(strike_scripts(method, matrix)),
     )
 
 
@@ -320,7 +335,7 @@ def test_repeat_run_warm_memo_equals_oracle_and_is_reused(method, backend):
         got, want = {}, {}
         with np.errstate(all="ignore"):
             stats = repeat_run(A, B, cfg, workspace=ws, per_rep=got, **kw)
-            ref = repeat_run(A, B, cfg, reuse_workspace=False, per_rep=want, **kw)
+            ref = repeat_run(A, B, cfg, per_rep=want, **kw)
         assert stats == ref
         assert set(got) == set(PER_REP_KEYS) and got == want
     # a different eps, s, d and scheme: still the one trajectory

@@ -5,6 +5,7 @@ import pytest
 
 from repro.util import (
     as_generator,
+    check_fault_point,
     check_nonnegative,
     check_positive,
     check_probability,
@@ -67,6 +68,24 @@ class TestValidate:
             check_probability("q", 1.01)
         with pytest.raises(ValueError):
             check_probability("q", -0.01)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 3])
+    def test_check_fault_point_accepts_a_finite_rate(self, alpha):
+        check_fault_point(alpha)
+
+    @pytest.mark.parametrize("value", [1, 4, 4.0, 10**6])
+    def test_check_fault_point_accepts_whole_intervals(self, value):
+        check_fault_point(s=value, d=value)
+
+    @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_check_fault_point_refuses_a_rate(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {alpha!r}"):
+            check_fault_point(alpha, s=4)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), float("inf")])
+    def test_check_fault_point_refuses_an_interval(self, value):
+        with pytest.raises(ValueError, match=f"interval must be a whole number >= 1, got {value!r}"):
+            check_fault_point(0.1, interval=value)
 
     def test_check_square(self):
         assert check_square("a", (3, 3)) == 3
